@@ -10,6 +10,15 @@ set -eux
 go build ./...
 go vet ./...
 go test ./...
+
+# The benchmark harness is a module of its own (repro/benchmark, replacing
+# repro with ../), so the three commands above neither build nor run it.
+# Vet and test it, then run every workload in --quick mode: seconds, not a
+# measurement — it proves that every metric of BENCHMARK.json is produced
+# and every cross-engine oracle agrees (exit 0 only if no operation failed).
+(cd benchmark && go vet ./... && go test ./...)
+bash benchmark/run.sh --workload all --quick
+
 go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./internal/obs/... ./internal/sched/... ./internal/data/... ./internal/population/...
 
 # Forced-kernel-class legs: every rung of the dispatch ladder must pass
@@ -29,18 +38,21 @@ for KC in generic sse2 avx2 avx2f32; do
 	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/tensor/
 done
 
-# Short fuzz smoke on the simplex projections and the wire codec: a few
-# seconds per target re-explores the corpus plus fresh mutations of the
-# feasibility, non-negativity and idempotence contracts (simplex) and
-# the never-crash / roundtrip / bounded-allocation contracts (wire
-# frame decoding, including the compressed-payload frame's
-# canonical-form contract). Long exploratory sessions stay manual
+# Short fuzz smoke on the simplex projections, the wire codec and the
+# uniform quantizer: a few seconds per target re-explores the corpus
+# plus fresh mutations of the feasibility, non-negativity and
+# idempotence contracts (simplex), the never-crash / roundtrip /
+# bounded-allocation contracts (wire frame decoding, including the
+# compressed-payload frame's canonical-form contract) and the
+# bit-for-bit equality of the word-at-a-time pack/unpack kernels with
+# their scalar reference (quant). Long exploratory sessions stay manual
 # (go test -fuzz=... -fuzztime=5m ./internal/simplex).
 go test -run '^$' -fuzz '^FuzzSimplexProject$' -fuzztime 5s ./internal/simplex
 go test -run '^$' -fuzz '^FuzzCappedSimplexProject$' -fuzztime 5s ./internal/simplex
 go test -run '^$' -fuzz '^FuzzDecodeMessage$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzPackedVec$' -fuzztime 5s ./internal/wire
+go test -run '^$' -fuzz '^FuzzPackUniform$' -fuzztime 5s ./internal/quant
 
 # Multi-process smoke: the same seeded workload trained once in a
 # single simnet process and once split across five OS processes (cloud,

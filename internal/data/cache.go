@@ -7,16 +7,17 @@
 // read-only. Training never writes example data (Subset.SampleInto
 // hands out aliases, models read them), and the partitioners build new
 // index structures over the same vectors. The cache enforces the
-// protocol with a fingerprint guard: every entry records an FNV-1a hash
-// of its full content at generation time, every later cache access
-// re-hashes and panics on a mismatch, so a run that scribbles on a
-// shared view is caught at the next access instead of silently
-// corrupting a sibling run.
+// protocol with a fingerprint guard: every entry records a word-wise
+// hash of its full content (fpWord) at generation time, every later
+// cache access re-hashes and panics on a mismatch, so a run that
+// scribbles on a shared view is caught at the next access instead of
+// silently corrupting a sibling run.
 package data
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/obs"
@@ -88,39 +89,44 @@ func CacheReset() {
 
 // --- fingerprint guard ---
 
+// The fingerprint starts from the FNV-1a offset basis and multiplies by
+// the FNV-1a prime, but folds a whole 64-bit word per step.
 const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
+	fpSeed  = 14695981039346656037
+	fpPrime = 1099511628211
 )
 
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
-
-func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
+// fpWord folds one 64-bit word into h: xor, rotate, multiply by an odd
+// constant. For a fixed v the step is a bijection of h and for a fixed
+// h an injection of v, so changing any single word of the content
+// always changes the final fingerprint. The rotation is what a plain
+// (h^v)*prime lacks: there a flipped top bit stays a lone top bit
+// through every later multiply, and a second flipped sign bit anywhere
+// after it cancels the first; rotated into the low half, the difference
+// is spread upwards by this multiply and the following ones.
+func fpWord(h, v uint64) uint64 {
+	return bits.RotateLeft64(h^v, 32) * fpPrime
 }
 
 // fpSubset folds a subset's features and labels into h.
 func fpSubset(h uint64, s Subset) uint64 {
-	h = fnvUint64(h, uint64(s.Len()))
+	h = fpWord(h, uint64(s.Len()))
 	for i, x := range s.Xs {
 		for _, v := range x {
-			h = fnvUint64(h, math.Float64bits(v))
+			h = fpWord(h, math.Float64bits(v))
 		}
-		h = fnvUint64(h, uint64(s.Ys[i]))
+		h = fpWord(h, uint64(s.Ys[i]))
 	}
 	return h
 }
 
 func fpDatasets(train, test Dataset) uint64 {
-	h := fpSubset(fnvOffset, train.Subset)
+	h := fpSubset(fpSeed, train.Subset)
 	return fpSubset(h, test.Subset)
 }
 
 func fpFederation(f *Federation) uint64 {
-	h := fnvUint64(fnvOffset, uint64(len(f.Areas)))
+	h := fpWord(fpSeed, uint64(len(f.Areas)))
 	for _, a := range f.Areas {
 		for _, shard := range a.Clients {
 			h = fpSubset(h, shard)

@@ -116,6 +116,24 @@ func TestMutationGuard(t *testing.T) {
 	p.GenerateShared(10, 5, 42)
 }
 
+// TestMutationGuardSignFlips: two features negated in place — top-bit
+// differences that cancel each other in a hash that only xors and
+// multiplies whole words — are caught.
+func TestMutationGuardSignFlips(t *testing.T) {
+	withFreshCache(t)
+	p := EMNISTDigitsLike()
+	p.Dim = 8
+	train, _ := p.GenerateShared(10, 5, 42)
+	train.Xs[3][2] = -train.Xs[3][2]
+	train.Xs[7][5] = -train.Xs[7][5]
+	defer func() {
+		if recover() == nil {
+			t.Fatal("two sign flips on a cached view must panic on the next access")
+		}
+	}()
+	p.GenerateShared(10, 5, 42)
+}
+
 // TestMutationGuardLabels: label mutations are caught too.
 func TestMutationGuardLabels(t *testing.T) {
 	withFreshCache(t)

@@ -1,8 +1,11 @@
-// Package quant implements stochastic uniform quantization of model
-// vectors, the uplink-compression extension of Hier-Local-QSGD (Liu et
-// al., IEEE TWC 2023 [22]) that the paper cites as the quantized
-// hierarchical counterpart of its setting. It is used by the A3 ablation
-// to show HierMinimax composes with compressed uplinks.
+// Package quant implements uplink compression of model vectors:
+// unbiased stochastic uniform quantization — the extension of
+// Hier-Local-QSGD (Liu et al., IEEE TWC 2023 [22]) that the paper cites
+// as the quantized hierarchical counterpart of its setting — and top-k
+// sparsification with error feedback. Engines and the A3 ablation
+// select a regime with Config and ship vectors as Packed (compress.go);
+// Uniform in this file is the scalar reference the packed kernels are
+// tested against.
 package quant
 
 import (
@@ -12,37 +15,20 @@ import (
 	"repro/internal/tensor"
 )
 
-// Quantizer compresses a vector in place, returning the number of bits
-// the compressed representation would occupy on the wire. The returned
-// vector is the dequantized value (what the receiver reconstructs).
-type Quantizer interface {
-	// Quantize replaces x with its dequantized compression and returns
-	// the wire size in bits.
-	Quantize(x []float64, r *rng.Stream) int64
-	// Name identifies the scheme for manifests.
-	Name() string
-}
-
-// None is the identity quantizer (64-bit floats on the wire).
-type None struct{}
-
-// Quantize is the identity; wire size is 64 bits per element.
-func (None) Quantize(x []float64, _ *rng.Stream) int64 {
-	return int64(len(x)) * 64
-}
-
-// Name returns "none".
-func (None) Name() string { return "none" }
-
 // Uniform is stochastic uniform quantization with 2^Bits levels over the
 // vector's [min, max] range. Rounding is randomized so the quantizer is
 // unbiased: E[Q(x)] = x. Wire size is Bits per element plus two float64
-// scalars (range).
+// scalars (range). No engine calls it: it is the element-by-element
+// definition of the regime, kept as the oracle that Config{Bits}.Pack
+// followed by UnpackInto must reproduce bit for bit, stream draws
+// included (TestUniformPackBitCompat, TestUniformKernelsMatchReference).
 type Uniform struct {
 	Bits uint // levels = 2^Bits; must be in [1, 32]
 }
 
-// Quantize performs unbiased stochastic rounding onto the uniform grid.
+// Quantize replaces x with its dequantized compression — unbiased
+// stochastic rounding onto the uniform grid, one stream draw per element
+// unless the vector is constant — and returns the wire size in bits.
 func (q Uniform) Quantize(x []float64, r *rng.Stream) int64 {
 	if q.Bits < 1 || q.Bits > 32 {
 		panic("quant: Bits outside [1,32]")
@@ -70,11 +56,6 @@ func (q Uniform) Quantize(x []float64, r *rng.Stream) int64 {
 		x[i] = lo + base*scale
 	}
 	return int64(len(x))*int64(q.Bits) + 128
-}
-
-// Name returns e.g. "uniform-8bit".
-func (q Uniform) Name() string {
-	return "uniform-" + itoa(int(q.Bits)) + "bit"
 }
 
 func itoa(n int) string {

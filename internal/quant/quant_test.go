@@ -7,20 +7,6 @@ import (
 	"repro/internal/rng"
 )
 
-func TestNone(t *testing.T) {
-	x := []float64{1.5, -2.25, 0}
-	orig := append([]float64(nil), x...)
-	bits := None{}.Quantize(x, rng.New(1))
-	if bits != 192 {
-		t.Fatalf("None bits = %d", bits)
-	}
-	for i := range x {
-		if x[i] != orig[i] {
-			t.Fatal("None modified the vector")
-		}
-	}
-}
-
 func TestUniformStaysInRange(t *testing.T) {
 	r := rng.New(2)
 	x := make([]float64, 1000)
@@ -112,13 +98,7 @@ func TestUniformPanicsOnBadBits(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	if (None{}).Name() != "none" {
-		t.Fatal("None name")
-	}
-	if (Uniform{Bits: 8}).Name() != "uniform-8bit" {
-		t.Fatalf("Uniform name = %q", (Uniform{Bits: 8}).Name())
-	}
+func TestItoa(t *testing.T) {
 	if itoa(0) != "0" || itoa(123) != "123" {
 		t.Fatal("itoa")
 	}
