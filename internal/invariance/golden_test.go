@@ -33,6 +33,7 @@ import (
 	"repro/internal/quant"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
+	"repro/internal/topology"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/trajectories*.json from the current code")
@@ -57,6 +58,24 @@ func hashResult(res *fl.Result) string {
 		writeF(s.P)
 		writeF(s.Areas.Accuracy)
 		writeF([]float64{float64(s.Round), float64(s.Slots)})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashLedger digests the communication ledger of a Result — the final
+// counters and every evaluation snapshot's — under its own golden key
+// ("ledger/<case>"), so the trajectory hashes above stay what they were
+// before ledgers were pinned.
+func hashLedger(res *fl.Result) string {
+	h := sha256.New()
+	write := func(l topology.LedgerSnapshot) {
+		binary.Write(h, binary.LittleEndian, l.Rounds[:])
+		binary.Write(h, binary.LittleEndian, l.Messages[:])
+		binary.Write(h, binary.LittleEndian, l.Bytes[:])
+	}
+	write(res.Ledger)
+	for _, s := range res.History.Snapshots {
+		write(s.Ledger)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -91,6 +110,17 @@ func cases() map[string]func() (*fl.Result, error) {
 
 	topkEF := fltest.ToyConfig()
 	topkEF.Compression = quant.Config{TopK: 8, ErrorFeedback: true}
+
+	// Sparse-population and tracked-average variants of the configs
+	// above: every in-process engine's cohort path and wHat grouping.
+	pop := func(c fl.Config) fl.Config {
+		c.Population, c.SamplePerRound = 400, 6
+		return c
+	}
+	avg := func(c fl.Config) fl.Config {
+		c.TrackAverages = true
+		return c
+	}
 
 	m := map[string]func() (*fl.Result, error){
 		"hierminimax-seq": func() (*fl.Result, error) {
@@ -131,6 +161,18 @@ func cases() map[string]func() (*fl.Result, error) {
 		"hierfavg": func() (*fl.Result, error) {
 			return baselines.HierFAvg(fltest.ToyProblem(3), fltest.ToyConfig())
 		},
+		"hierminimax-pop": func() (*fl.Result, error) {
+			return core.HierMinimax(fltest.ToyProblem(3), pop(fltest.ToyConfig()))
+		},
+		"fedavg-pop": func() (*fl.Result, error) {
+			return baselines.FedAvg(fltest.ToyProblem(3), pop(twoLayer))
+		},
+		"hierfavg-pop": func() (*fl.Result, error) {
+			return baselines.HierFAvg(fltest.ToyProblem(3), pop(fltest.ToyConfig()))
+		},
+		"fedavg-avg": func() (*fl.Result, error) {
+			return baselines.FedAvg(fltest.ToyProblem(3), avg(twoLayer))
+		},
 	}
 	// Compression regimes are pinned per kernel class like everything
 	// else — but only where they exist: the float32 storage tier refuses
@@ -144,6 +186,9 @@ func cases() map[string]func() (*fl.Result, error) {
 		}
 		m["hierminimax-topk-ef"] = func() (*fl.Result, error) {
 			return core.HierMinimax(fltest.ToyProblem(3), topkEF)
+		}
+		m["hierminimax-pop-quant8"] = func() (*fl.Result, error) {
+			return core.HierMinimax(fltest.ToyProblem(3), pop(quant8))
 		}
 		m["hierminimax-simnet-quant8"] = func() (*fl.Result, error) {
 			res, _, err := simnet.HierMinimax(fltest.ToyProblem(3), quant8)
@@ -181,6 +226,7 @@ func runAll(t *testing.T) map[string]string {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got[name] = hashResult(res)
+		got["ledger/"+name] = hashLedger(res)
 	}
 	return got
 }
