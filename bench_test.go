@@ -7,20 +7,14 @@ package hierfair
 // accuracy variance ("acc-var", Table-2 units), training rounds to the
 // worst-accuracy target ("rounds-to-target"), and cloud communication
 // ("cloud-rounds"). The recorded Small-scale reproductions live in
-// EXPERIMENTS.md; regenerate them with cmd/experiments.
+// EXPERIMENTS.md; regenerate them with cmd/experiments. Round, wire and
+// sweep performance is measured by the repository benchmark instead
+// (benchmark/, BENCHMARK.json).
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/fl"
-	"repro/internal/population"
-	"repro/internal/sched"
-	"repro/internal/simnet"
-	"repro/internal/tensor"
-	"repro/internal/topology"
 )
 
 // reportFig attaches figure metrics for one algorithm's series.
@@ -155,236 +149,6 @@ func BenchmarkAblationCappedSimplex(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineRound measures the cost of one HierMinimax training
-// round (Phase 1 + Phase 2) on the smoke workload — the unit of work
-// every experiment above repeats K times.
-func BenchmarkEngineRound(b *testing.B) {
-	spec := benchBaseSpec()
-	spec.Rounds = b.N
-	spec.EvalEvery = 0
-	if _, err := Run(spec); err != nil {
-		b.Fatal(err)
-	}
-	// Gradient examples processed per round: sampled edges × clients ×
-	// local steps (tau1*tau2) × batch.
-	examples := spec.SampledEdges * spec.ClientsPerEdge * spec.Tau1 * spec.Tau2 * spec.BatchSize
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(examples*b.N)/sec, "examples/sec")
-	}
-}
-
-// BenchmarkEngineRoundKernel runs the EngineRound workload under each
-// forced kernel class, so one invocation yields the comparable
-// generic/sse2/avx2/avx2f32 numbers BENCH_10.json records (the AVX2
-// tier's acceptance ratio is avx2 examples/sec over sse2 examples/sec
-// from the same run; the float32 storage tier's is avx2f32 over avx2).
-// SetKernel swaps happen strictly before and after Run, so the
-// unsynchronized dispatch swap is safe.
-func BenchmarkEngineRoundKernel(b *testing.B) {
-	for _, c := range []tensor.KernelClass{tensor.KernelGeneric, tensor.KernelSSE2, tensor.KernelAVX2, tensor.KernelAVX2F32} {
-		c := c
-		b.Run(c.String(), func(b *testing.B) {
-			restore := tensor.SetKernel(c)
-			defer restore()
-			spec := benchBaseSpec()
-			spec.Rounds = b.N
-			spec.EvalEvery = 0
-			if _, err := Run(spec); err != nil {
-				b.Fatal(err)
-			}
-			examples := spec.SampledEdges * spec.ClientsPerEdge * spec.Tau1 * spec.Tau2 * spec.BatchSize
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(examples*b.N)/sec, "examples/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkPopulationSample draws one full round of roster cohorts —
-// 10k sampled clients across 100 edges — at two registered population
-// sizes. The ns/op of the two legs must match (sampling walks only the
-// sampled lots, never the roster) and allocs/op must stay 0 in the
-// steady state: both are recorded in BENCH_10.json, the allocation
-// contract gated by CI_BENCH=1 ./ci.sh.
-func BenchmarkPopulationSample(b *testing.B) {
-	const edges, cohort = 100, 100 // 10k sampled clients per round
-	for _, size := range []int{100000, 1000000} {
-		size := size
-		b.Run(fmt.Sprintf("pop%d", size), func(b *testing.B) {
-			roster := population.New(8, size, edges, cohort)
-			if err := roster.Validate(); err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]int, 0, cohort)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for e := 0; e < edges; e++ {
-					buf = roster.CohortInto(buf, i, e)
-				}
-			}
-			b.ReportMetric(float64(edges*cohort), "sampled/op")
-		})
-	}
-}
-
-// BenchmarkEngineRoundPopulation measures one HierMinimax round with a
-// million registered clients, fifty of which materialize per round (ten
-// per sampled edge). The per-round cost and allocation footprint are
-// O(sampled), independent of the registered population — compare
-// against BenchmarkEngineRound, whose resident roster does the same
-// per-round gradient work. Recorded in BENCH_10.json.
-func BenchmarkEngineRoundPopulation(b *testing.B) {
-	spec := benchBaseSpec()
-	spec.Population = 1000000
-	spec.SamplePerRound = 50
-	spec.Rounds = b.N
-	spec.EvalEvery = 0
-	if _, err := Run(spec); err != nil {
-		b.Fatal(err)
-	}
-	examples := spec.SamplePerRound * spec.Tau1 * spec.Tau2 * spec.BatchSize
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(examples*b.N)/sec, "examples/sec")
-	}
-}
-
-// BenchmarkSimnetRound measures one actor-engine round, including all
-// message passing. Its B/op and allocs/op are the contract numbers of
-// the zero-copy message fabric (recorded in BENCH_3.json and gated by
-// CI_BENCH=1 ./ci.sh): the steady state recirculates pooled payload
-// vectors and recycled message structs, so per-round allocation stays
-// near zero instead of scaling with messages x model dimension.
-func BenchmarkSimnetRound(b *testing.B) {
-	spec := benchBaseSpec()
-	spec.Engine = EngineSimNet
-	spec.Rounds = b.N
-	spec.EvalEvery = 0
-	if _, err := Run(spec); err != nil {
-		b.Fatal(err)
-	}
-	examples := spec.SampledEdges * spec.ClientsPerEdge * spec.Tau1 * spec.Tau2 * spec.BatchSize
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(examples*b.N)/sec, "examples/sec")
-	}
-}
-
-// BenchmarkWireRound measures one training round of the distributed
-// runtime over loopback TCP: the same workload as BenchmarkSimnetRound,
-// but split across a cloud runtime plus per-area edge-server and
-// client-host runtimes connected by real sockets (RunWireLoopback, the
-// in-process twin of the cmd/hierminimax -role layout). The gap to
-// BenchmarkSimnetRound is the full cost of framing, socket I/O and the
-// connection pool; its allocs/op is the wire codec's contract number
-// (recorded in BENCH_10.json and gated by CI_BENCH=1 ./ci.sh).
-// wire-bytes/round is the ledger total over both links per training
-// round — the payload-size contract the float32 storage tier halves.
-func BenchmarkWireRound(b *testing.B) {
-	runWireRound(b)
-}
-
-// BenchmarkWireRoundKernel repeats the WireRound workload under the
-// float64 FMA tier and the float32 storage tier, so one BENCH_10.json
-// carries the byte-accounting evidence for the avx2f32 regime: its
-// wire-bytes/round must be about half the avx2 figure (4-byte vector
-// elements against 8-byte, with fixed framing overhead making up the
-// rest). generic and sse2 are omitted — they share avx2's 8-byte
-// payload layout, so their bytes are identical by construction.
-func BenchmarkWireRoundKernel(b *testing.B) {
-	for _, c := range []tensor.KernelClass{tensor.KernelAVX2, tensor.KernelAVX2F32} {
-		c := c
-		b.Run(c.String(), func(b *testing.B) {
-			restore := tensor.SetKernel(c)
-			defer restore()
-			runWireRound(b)
-		})
-	}
-}
-
-// BenchmarkWireRoundCompressed is the socket round under the
-// uniform-8bit uplink-compression regime: Packed payloads really cross
-// the codec, so its wire-bytes/round is the priced compressed payload
-// contract (about an eighth of the dense uplink traffic, with the dense
-// downlink broadcasts setting the floor) and its allocs/op is the
-// compressed codec path's footprint (recorded in BENCH_10.json and gated
-// by CI_BENCH=1 ./ci.sh). The kernel class is forced to avx2 — the
-// float32 storage tier refuses compression, so pinning the class keeps
-// the number comparable to WireRoundKernel/avx2, its dense twin, on any
-// machine.
-func BenchmarkWireRoundCompressed(b *testing.B) {
-	restore := tensor.SetKernel(tensor.KernelAVX2)
-	defer restore()
-	spec := benchBaseSpec()
-	spec.QuantBits = 8
-	runWireRoundSpec(b, spec)
-}
-
-func runWireRound(b *testing.B) {
-	runWireRoundSpec(b, benchBaseSpec())
-}
-
-func runWireRoundSpec(b *testing.B, spec Spec) {
-	spec.Engine = EngineSimNet
-	spec.Rounds = b.N
-	spec.EvalEvery = 0
-	if err := spec.normalize(); err != nil {
-		b.Fatal(err)
-	}
-	_, cfg, err := spec.buildProblem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, _, err := simnet.RunWireLoopback(func() *fl.Problem {
-		prob, _, err := spec.buildProblem()
-		if err != nil {
-			panic(err)
-		}
-		return prob
-	}, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	examples := spec.SampledEdges * spec.ClientsPerEdge * spec.Tau1 * spec.Tau2 * spec.BatchSize
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(examples*b.N)/sec, "examples/sec")
-	}
-	wireBytes := res.Ledger.Bytes[topology.ClientEdge] + res.Ledger.Bytes[topology.EdgeCloud]
-	b.ReportMetric(float64(wireBytes)/float64(b.N), "wire-bytes/round")
-}
-
-// BenchmarkSweep measures run-level throughput of the parallel sweep
-// scheduler: the smoke-scale Fig. 3 grid (five algorithms) executed as
-// independent jobs on a GOMAXPROCS-worker pool. The fixed seed keeps
-// the shared dataset cache hot across iterations — exactly the steady
-// state of a real sweep — so "allocs/run" is the per-run footprint of
-// training itself, not dataset generation. Its allocs/run and runs/sec
-// are recorded in BENCH_5.json and gated by CI_BENCH=1 ./ci.sh.
-func BenchmarkSweep(b *testing.B) {
-	pool := sched.New(0)
-	const grid = 42
-	// Warm the dataset cache so the measured region sees only hits.
-	if _, err := experiments.Fig3(pool, experiments.Smoke, grid); err != nil {
-		b.Fatal(err)
-	}
-	runsPer := len(experiments.AllAlgorithms)
-	runtime.GC()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3(pool, experiments.Smoke, grid); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms1)
-	runs := runsPer * b.N
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(runs)/sec, "runs/sec")
-	}
-	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(runs), "allocs/run")
-}
-
 // --- helpers ---
 
 func figSetup3(seed uint64) experiments.FigSetup {
@@ -395,11 +159,8 @@ func figSetup4(seed uint64) experiments.FigSetup {
 	return experiments.SetupFig4(experiments.Smoke, seed)
 }
 
-// benchBaseSpec is the shared workload of the round benchmarks. The
-// input dimension is 784 (28x28 — the paper's MNIST/FMNIST scale), so
-// per-round cost is dominated by model-vector traffic and GEMM work,
-// the regime the kernel tiers exist for; smaller dims measure mostly
-// fixed scheduling overhead and undersell every tier.
+// benchBaseSpec is the shared workload of the ablation benchmarks, at
+// the paper's MNIST/FMNIST input dimension (784 = 28x28).
 func benchBaseSpec() Spec {
 	s := DefaultSpec(AlgHierMinimax)
 	s.InputDim = 784

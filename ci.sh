@@ -31,9 +31,12 @@ go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./i
 # exercises the parallel apply path) under each class's kernels. The
 # facade population tests ride along because the sparse regime's lazily
 # materialized shards exercise per-class storage paths the resident
-# fixtures don't (notably the float32 shard-mirror resolution).
+# fixtures don't (notably the float32 shard-mirror resolution). core and
+# baselines are in the loop because the slot path dispatches on the class
+# (the float32 tier has its own resident slot and refuses compression), so
+# their suites and allocation guards are not class-independent.
 for KC in generic sse2 avx2 avx2f32; do
-	HIERFAIR_KERNEL=$KC go test -count=1 ./internal/tensor/ ./internal/fl/ ./internal/invariance/
+	HIERFAIR_KERNEL=$KC go test -count=1 ./internal/tensor/ ./internal/fl/ ./internal/core/ ./internal/baselines/ ./internal/invariance/
 	HIERFAIR_KERNEL=$KC go test -count=1 -run 'Population' .
 	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/tensor/
 done
@@ -125,59 +128,3 @@ mkdir -p "$SMOKE/pop1" "$SMOKE/pop4"
 "$SMOKE/experiments" -exp fig3 -scale smoke -population 100000 -sample-per-round 20 -jobs 1 -out "$SMOKE/pop1" > /dev/null
 "$SMOKE/experiments" -exp fig3 -scale smoke -population 100000 -sample-per-round 20 -jobs 4 -out "$SMOKE/pop4" > /dev/null
 diff -r "$SMOKE/pop1" "$SMOKE/pop4"
-
-# Performance gate (optional, ~4 min): CI_BENCH=1 ./ci.sh benchmarks the
-# hot path into a scratch file and fails if EngineRound allocs/op (the
-# in-process training round's footprint), SimnetRound allocs/op (the
-# zero-copy message fabric's contract), Sweep allocs/run (the run-level
-# scheduler's contract), WireRound allocs/op (the TCP codec's
-# per-round footprint), WireRoundCompressed allocs/op (the
-# compressed-uplink round's footprint — the Packed pool's contract) or
-# PopulationSample allocs/op at a million registered clients (the
-# roster sampler's zero-allocation contract) regressed more than 20%
-# over the committed BENCH_10.json records.
-# Refresh the records deliberately with ./bench.sh when the change is
-# intended.
-if [ "${CI_BENCH:-0}" = "1" ]; then
-	TMP_BENCH=$(mktemp /tmp/bench_ci.XXXXXX.json)
-	./bench.sh "$TMP_BENCH"
-	awk '
-	function metric(file, name, field,   line, a, pat) {
-		pat = "\"name\": \"" name "\""
-		while ((getline line < file) > 0) {
-			if (index(line, pat)) {
-				match(line, "\"" field "\": [0-9]+")
-				split(substr(line, RSTART, RLENGTH), a, ": ")
-				close(file)
-				return a[2] + 0
-			}
-		}
-		close(file)
-		return -1
-	}
-	function gate(label, base, now,   limit) {
-		if (base < 0 || now < 0) {
-			print "ci: could not read " label " (base " base ", current " now ")"
-			return 1
-		}
-		limit = base * 1.2
-		printf "ci: %s %d (recorded %d, limit %.1f)\n", label, now, base, limit
-		if (now > limit) {
-			print "ci: " label " regressed beyond 20% of the committed record"
-			return 1
-		}
-		return 0
-	}
-	BEGIN {
-		fails = 0
-		fails += gate("EngineRound allocs/op", metric("BENCH_10.json", "EngineRound", "allocs_per_op"), metric(ARGV[1], "EngineRound", "allocs_per_op"))
-		fails += gate("SimnetRound allocs/op", metric("BENCH_10.json", "SimnetRound", "allocs_per_op"), metric(ARGV[1], "SimnetRound", "allocs_per_op"))
-		fails += gate("Sweep allocs/run", metric("BENCH_10.json", "Sweep", "allocs_per_run"), metric(ARGV[1], "Sweep", "allocs_per_run"))
-		fails += gate("WireRound allocs/op", metric("BENCH_10.json", "WireRound", "allocs_per_op"), metric(ARGV[1], "WireRound", "allocs_per_op"))
-		fails += gate("WireRoundCompressed allocs/op", metric("BENCH_10.json", "WireRoundCompressed", "allocs_per_op"), metric(ARGV[1], "WireRoundCompressed", "allocs_per_op"))
-		fails += gate("PopulationSample/pop1000000 allocs/op", metric("BENCH_10.json", "PopulationSample/pop1000000", "allocs_per_op"), metric(ARGV[1], "PopulationSample/pop1000000", "allocs_per_op"))
-		exit fails
-	}
-	' "$TMP_BENCH"
-	rm -f "$TMP_BENCH"
-fi

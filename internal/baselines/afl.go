@@ -4,7 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/fl"
-	"repro/internal/model"
+	"repro/internal/optim"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 )
@@ -24,9 +25,9 @@ func StochasticAFL(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 		return nil, fmt.Errorf("baselines: Stochastic-AFL uses single-step updates; Tau1 must be 1, got %d", cfg.Tau1)
 	}
 	pool := fl.NewModelPool(prob.Model)
-	var folds []cohortFold
+	var s twoLayerScratch
 	return fl.Run("Stochastic-AFL", prob, cfg, func(k int, st *fl.State) {
-		minimaxTwoLayerRound(k, st, pool, 1, &folds)
+		minimaxTwoLayerRound(k, st, pool, &s)
 	})
 }
 
@@ -40,22 +41,27 @@ func DRFA(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 		return nil, err
 	}
 	pool := fl.NewModelPool(prob.Model)
-	var folds []cohortFold
+	var s twoLayerScratch
 	return fl.Run("DRFA", prob, cfg, func(k int, st *fl.State) {
-		minimaxTwoLayerRound(k, st, pool, cfg.WithDefaults().Tau1, &folds)
+		minimaxTwoLayerRound(k, st, pool, &s)
 	})
 }
 
+// twoLayerScratch is the per-run state of minimaxTwoLayerRound, reused
+// across rounds: the client-block fold, the checkpoint average and one
+// slot's iterate sum.
+type twoLayerScratch struct {
+	fold          fl.Fold
+	wChk, iterSum []float64
+}
+
 // minimaxTwoLayerRound advances one round of a two-layer minimax method
-// with tau1 local steps. With tau1 = 1 it is Stochastic-AFL (the
+// with cfg.Tau1 local steps. With Tau1 = 1 it is Stochastic-AFL (the
 // checkpoint after 1 step is exactly the aggregated next iterate); with
-// tau1 > 1 it is DRFA. folds is caller-owned per-slot scratch for the
-// population regime's streaming aggregation, reused across rounds.
-func minimaxTwoLayerRound(k int, st *fl.State, pool *fl.ModelPool, tau1 int, folds *[]cohortFold) {
+// Tau1 > 1 it is DRFA.
+func minimaxTwoLayerRound(k int, st *fl.State, pool *fl.ModelPool, s *twoLayerScratch) {
 	cfg := &st.Cfg
 	prob := st.Prob
-	top := prob.Topology()
-	n0 := top.ClientsPerEdge
 	d := len(st.W)
 	dBytes := topology.ModelBytes(d)
 	kr := st.Root.ChildN('k', uint64(k))
@@ -64,111 +70,41 @@ func minimaxTwoLayerRound(k int, st *fl.State, pool *fl.ModelPool, tau1 int, fol
 	// (with replacement), as Phase-1 unbiasedness requires — the same
 	// deterministic draw HierMinimax makes from its own stream keys.
 	slots := kr.Child(1).SampleWeighted(cfg.SampledEdges, st.P)
-	c1 := 1 + kr.Child(2).Intn(tau1) // checkpoint step (DRFA); trivial for tau1=1
+	c1 := 1 + kr.Child(2).Intn(cfg.Tau1) // checkpoint step (DRFA); trivial for Tau1=1
 
-	if cfg.PopulationEnabled() {
-		// Sparse population: each sampled slot trains its (k, edge)
-		// roster cohort — the identical sampler the HierMinimax engines
-		// use — and streams the cohort's models and checkpoints into
-		// per-slot MeanAccumulators. The server then averages the slot
-		// means (cohorts share a size, so the uniform weighting over
-		// participants is preserved) and ascends p on cohort loss
-		// estimates at the checkpoint average.
-		roster := cfg.Roster(prob.Fed.NumAreas())
-		if len(*folds) < len(slots) {
-			*folds = make([]cohortFold, len(slots))
-		}
-		type slotOut struct {
-			wSlot, chkSlot, iterSum []float64
-			n                       int
-		}
-		outs := make([]slotOut, len(slots))
-		cfg.ForEach(len(slots), func(i int) {
-			e := slots[i]
-			fd := &(*folds)[i]
-			corpus := prob.Fed.Areas[e].Train
-			fd.cohort = roster.CohortInto(fd.cohort, k, e)
-			var iterSum []float64
-			if cfg.TrackAverages {
-				iterSum = make([]float64, d)
-			}
-			n := fd.run(cfg, pool, d, len(fd.cohort), cfg.TrackAverages,
-				func(m model.Model, lane, c int, wf, chk, sum []float64) bool {
-					shard := roster.ShardInto(fd.cohort[c], corpus, &fd.shards[lane])
-					copy(wf, st.W)
-					return fl.LocalSGDInto(m, wf, shard, tau1, cfg.BatchSize, cfg.EtaW, prob.W, kr.ChildN(3, uint64(i), uint64(c)), c1, sum, chk)
-				}, iterSum)
-			wSlot := make([]float64, d)
-			fd.wAcc.FinishInto(wSlot)
-			chkSlot := make([]float64, d)
-			fd.chkAcc.FinishInto(chkSlot)
-			outs[i] = slotOut{wSlot: wSlot, chkSlot: chkSlot, iterSum: iterSum, n: n}
-		})
-		nTot := 0
-		wVecs := make([][]float64, len(outs))
-		chkVecs := make([][]float64, len(outs))
-		for i, o := range outs {
-			nTot += o.n
-			wVecs[i] = o.wSlot
-			chkVecs[i] = o.chkSlot
-			if st.WSum != nil {
-				tensor.StorageAdd(st.WSum, o.iterSum)
-				st.WCount += float64(tau1 * o.n)
-			}
-		}
-		st.Ledger.RecordRound(topology.ClientCloud, nTot, dBytes)
-		st.Ledger.RecordRound(topology.ClientCloud, nTot, 2*dBytes)
-		tensor.AverageInto(st.W, wVecs...)
-		fl.ProjectW(prob.W, st.W)
-		wChk := make([]float64, d)
-		tensor.AverageInto(wChk, chkVecs...)
-		v := uniformLossEstimatesPop(st, pool, roster, k, wChk, kr.Child(4), topology.ClientCloud)
-		ascendP(st, v, cfg.EtaP*float64(tau1))
-		return
+	// Each sampled slot trains its edge's round-k cohort — the identical
+	// cohort source the HierMinimax engines use — from w^(k). There is no
+	// edge tier to average at, so the slots fold into one mean: the server
+	// averages flat over the round's participants, in slot-major order.
+	f := &s.fold
+	var iterSum []float64
+	if cfg.TrackAverages {
+		s.iterSum = fl.GrowVec(s.iterSum, d)
+		iterSum = s.iterSum
 	}
-
-	st.Ledger.RecordRound(topology.ClientCloud, len(slots)*n0, dBytes)
-	type slotOut struct {
-		finals, chks [][]float64
-		iterSum      []float64
-	}
-	outs := make([]slotOut, len(slots))
-	cfg.ForEach(len(slots), func(i int) {
-		m := pool.Get()
-		defer pool.Put(m)
-		e := slots[i]
-		area := prob.Fed.Areas[e]
-		var iterSum []float64
-		if cfg.TrackAverages {
-			iterSum = make([]float64, len(st.W))
+	sr := kr.ChildVal(3)
+	nTot := 0
+	for i, e := range slots {
+		f.Cohort.SetEdge(cfg, prob.Fed, k, e)
+		n := f.Cohort.Len()
+		nTot += n
+		f.Begin(cfg, prob, pool, quant.Config{})
+		if iterSum != nil {
+			tensor.Zero(iterSum)
 		}
-		finals := make([][]float64, n0)
-		chks := make([][]float64, n0)
-		for c := 0; c < n0; c++ {
-			r := kr.ChildN(3, uint64(i), uint64(c))
-			wf, wc := fl.LocalSGD(m, st.W, area.Clients[c], tau1, cfg.BatchSize, cfg.EtaW, prob.W, r, c1, iterSum)
-			finals[c] = wf
-			chks[c] = wc
-		}
-		outs[i] = slotOut{finals: finals, chks: chks, iterSum: iterSum}
-	})
-	st.Ledger.RecordRound(topology.ClientCloud, len(slots)*n0, 2*dBytes)
-
-	var finals, chks [][]float64
-	for _, o := range outs {
-		finals = append(finals, o.finals...)
-		chks = append(chks, o.chks...)
-		if st.WSum != nil {
-			tensor.StorageAdd(st.WSum, o.iterSum)
-			st.WCount += float64(tau1 * n0)
+		f.Block(st.W, sr.ChildVal(uint64(i)), c1, iterSum)
+		if iterSum != nil {
+			tensor.StorageAdd(st.WSum, iterSum)
+			st.WCount += float64(cfg.Tau1 * n)
 		}
 	}
-	tensor.AverageInto(st.W, finals...)
+	st.Ledger.RecordRound(topology.ClientCloud, nTot, dBytes)
+	st.Ledger.RecordRound(topology.ClientCloud, nTot, 2*dBytes)
+	s.wChk = fl.GrowVec(s.wChk, d)
+	f.Finish(st.W, s.wChk)
 	fl.ProjectW(prob.W, st.W)
-	wChk := make([]float64, len(st.W))
-	tensor.AverageInto(wChk, chks...)
 
 	// Weight update at the checkpoint model, step eta_p * tau1.
-	v := uniformLossEstimates(st, pool, wChk, kr.Child(4), topology.ClientCloud)
-	ascendP(st, v, cfg.EtaP*float64(tau1))
+	v := uniformLossEstimates(k, st, pool, s.wChk, kr.Child(4))
+	optim.AscentStep(st.P, v, cfg.EtaP*float64(cfg.Tau1), prob.P)
 }

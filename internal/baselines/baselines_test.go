@@ -219,7 +219,7 @@ func TestUniformLossEstimatesUnbiased(t *testing.T) {
 	mean := make([]float64, 4)
 	root := rng.New(99)
 	for trial := 0; trial < trials; trial++ {
-		v := uniformLossEstimates(st, pool, st.W, root.Child(uint64(trial)), topology.EdgeCloud)
+		v := uniformLossEstimates(trial, st, pool, st.W, root.Child(uint64(trial)))
 		tensor.Axpy(1.0/trials, v, mean)
 	}
 	for e := range mean {

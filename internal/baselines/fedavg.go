@@ -10,10 +10,8 @@ import (
 	"fmt"
 
 	"repro/internal/fl"
-	"repro/internal/model"
-	"repro/internal/optim"
+	"repro/internal/quant"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 	"repro/internal/topology"
 )
 
@@ -30,68 +28,38 @@ func FedAvg(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 	}
 	pool := fl.NewModelPool(prob.Model)
 	top := prob.Topology()
-	if cfg.PopulationEnabled() {
-		// Sparse population: SamplePerRound clients are drawn uniformly
-		// from the registered roster (FedAvg's sampling distribution is
-		// uniform over clients, not p-weighted over edges), their shards
-		// materialize lazily from the striped edge corpora, and the
-		// server average streams through one MeanAccumulator — O(sampled)
-		// work and O(popLanes*d) live buffers, never O(Population).
-		var fold cohortFold
-		return fl.Run("FedAvg", prob, cfg, func(k int, st *fl.State) {
-			cfg := &st.Cfg
-			d := len(st.W)
-			roster := cfg.Roster(prob.Fed.NumAreas())
-			dBytes := topology.ModelBytes(d)
-			kr := st.Root.ChildN('k', uint64(k))
-			clients := kr.Child(1).SampleUniform(cfg.SamplePerRound, cfg.Population)
-			st.Ledger.RecordRound(topology.ClientCloud, len(clients), dBytes)
-			n := fold.run(cfg, pool, d, len(clients), cfg.TrackAverages,
-				func(m model.Model, lane, i int, wf, chk, sum []float64) bool {
-					id := clients[i]
-					shard := roster.ShardInto(id, prob.Fed.Areas[roster.EdgeOf(id)].Train, &fold.shards[lane])
-					copy(wf, st.W)
-					return fl.LocalSGDInto(m, wf, shard, cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, kr.ChildN(2, uint64(i)), 0, sum, chk)
-				}, st.WSum)
-			if cfg.TrackAverages {
-				st.WCount += float64(cfg.Tau1 * n)
-			}
-			st.Ledger.RecordRound(topology.ClientCloud, n, dBytes)
-			fold.wAcc.FinishInto(st.W)
-			fl.ProjectW(prob.W, st.W)
-		})
-	}
+	var f fl.Fold
 	return fl.Run("FedAvg", prob, cfg, func(k int, st *fl.State) {
 		cfg := &st.Cfg
 		dBytes := topology.ModelBytes(len(st.W))
 		kr := st.Root.ChildN('k', uint64(k))
-		m := cfg.SampledEdges * top.ClientsPerEdge
-		clients := kr.Child(1).SampleUniform(m, top.NumClients())
-
-		st.Ledger.RecordRound(topology.ClientCloud, len(clients), dBytes)
-		finals := make([][]float64, len(clients))
-		sums := make([][]float64, len(clients))
-		cfg.ForEach(len(clients), func(i int) {
-			mod := pool.Get()
-			defer pool.Put(mod)
-			var iterSum []float64
-			if cfg.TrackAverages {
-				iterSum = make([]float64, len(st.W))
+		// FedAvg's sampling distribution is uniform over clients, not
+		// p-weighted over edges: the round's cohort is drawn from the
+		// whole client set — the resident tables, or under Population
+		// the registered roster, whose shards materialize lazily from
+		// the striped edge corpora.
+		if cfg.PopulationEnabled() {
+			f.Cohort = fl.Cohort{
+				IDs:    kr.Child(1).SampleUniform(cfg.SamplePerRound, cfg.Population),
+				Roster: cfg.Roster(prob.Fed.NumAreas()),
+				Areas:  prob.Fed.Areas,
 			}
-			e := top.EdgeOf(clients[i])
-			shard := prob.Fed.Areas[e].Clients[clients[i]%top.ClientsPerEdge]
-			wf, _ := fl.LocalSGD(mod, st.W, shard, cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, kr.ChildN(2, uint64(i)), 0, iterSum)
-			finals[i] = wf
-			sums[i] = iterSum
-		})
-		st.Ledger.RecordRound(topology.ClientCloud, len(clients), dBytes)
-		if cfg.TrackAverages {
-			for _, s := range sums {
-				tensor.StorageAdd(st.WSum, s)
-				st.WCount += float64(cfg.Tau1)
+		} else {
+			f.Cohort.Clients = f.Cohort.Clients[:0]
+			for _, id := range kr.Child(1).SampleUniform(cfg.SampledEdges*top.ClientsPerEdge, top.NumClients()) {
+				shard := prob.Fed.Areas[top.EdgeOf(id)].Clients[id%top.ClientsPerEdge]
+				f.Cohort.Clients = append(f.Cohort.Clients, shard)
 			}
 		}
-		tensor.AverageInto(st.W, finals...)
+		n := f.Cohort.Len()
+		st.Ledger.RecordRound(topology.ClientCloud, n, dBytes)
+		f.Begin(cfg, prob, pool, quant.Config{})
+		f.Block(st.W, kr.ChildVal(2), 0, st.WSum)
+		if cfg.TrackAverages {
+			st.WCount += float64(cfg.Tau1 * n)
+		}
+		st.Ledger.RecordRound(topology.ClientCloud, n, dBytes)
+		f.Finish(st.W, nil)
 		fl.ProjectW(prob.W, st.W)
 	})
 }
@@ -106,39 +74,37 @@ func requireTwoLayer(name string, cfg fl.Config) error {
 }
 
 // uniformLossEstimates samples m_E edges uniformly, estimates each
-// sampled edge's loss at w via client mini-batches, and returns the
-// unbiased gradient estimate v (v_e = (N_E/m_E) f_e(w) on sampled edges,
-// 0 elsewhere). Communication is recorded on the given cloud link class.
-func uniformLossEstimates(st *fl.State, pool *fl.ModelPool, w []float64, r *rng.Stream, cloudLink topology.Link) []float64 {
+// sampled edge's loss at w via mini-batches of its round-k cohort (its
+// resident clients, or under Population the roster sample), and returns
+// the unbiased gradient estimate v (v_e = (N_E/m_E) f_e(w) on sampled
+// edges, 0 elsewhere). Two-layer clients talk to the cloud directly, so
+// the model broadcast and scalar uplink are recorded on the client-cloud
+// link: per cohort member under Population, per sampled edge otherwise.
+func uniformLossEstimates(k int, st *fl.State, pool *fl.ModelPool, w []float64, r *rng.Stream) []float64 {
 	cfg := &st.Cfg
 	prob := st.Prob
 	nE := prob.Fed.NumAreas()
-	dBytes := topology.ModelBytes(len(w))
 	sampled := r.SampleUniform(cfg.SampledEdges, nE)
-	st.Ledger.RecordRound(cloudLink, len(sampled), dBytes)
 	losses := make([]float64, len(sampled))
+	sizes := make([]int, len(sampled))
 	cfg.ForEach(len(sampled), func(i int) {
 		m := pool.Get()
 		defer pool.Put(m)
-		er := r.ChildN(5, uint64(i))
-		area := prob.Fed.Areas[sampled[i]]
-		if cloudLink == topology.EdgeCloud {
-			// Three-layer: the edge relays to clients.
-			st.Ledger.RecordRound(topology.ClientEdge, len(area.Clients), dBytes)
-			defer st.Ledger.RecordRound(topology.ClientEdge, len(area.Clients), 8)
-		}
-		losses[i] = fl.AreaLossEstimate(m, w, area, cfg.LossBatch, er)
+		losses[i], sizes[i] = fl.CohortLossEstimate(m, w, cfg, prob.Fed, k, sampled[i], r.ChildN(5, uint64(i)))
 	})
-	st.Ledger.RecordRound(cloudLink, len(sampled), 8)
+	msgs := len(sampled)
+	if cfg.PopulationEnabled() {
+		msgs = 0
+		for _, n := range sizes {
+			msgs += n
+		}
+	}
+	st.Ledger.RecordRound(topology.ClientCloud, msgs, topology.ModelBytes(len(w)))
+	st.Ledger.RecordRound(topology.ClientCloud, msgs, 8)
 	v := make([]float64, nE)
 	scale := float64(nE) / float64(cfg.SampledEdges)
 	for i, e := range sampled {
 		v[e] += scale * losses[i]
 	}
 	return v
-}
-
-// ascendP applies p <- Proj_P(p + step*v).
-func ascendP(st *fl.State, v []float64, step float64) {
-	optim.AscentStep(st.P, v, step, st.Prob.P)
 }

@@ -2,7 +2,7 @@ package baselines
 
 import (
 	"repro/internal/fl"
-	"repro/internal/model"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 )
@@ -15,17 +15,25 @@ import (
 // the minimax fairness mechanism (Table 2's comparison).
 func HierFAvg(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 	pool := fl.NewModelPool(prob.Model)
-	var folds []cohortFold
+	var slots []hierSlot
 	return fl.Run("HierFAvg", prob, cfg, func(k int, st *fl.State) {
-		hierFAvgRound(k, st, pool, &folds)
+		if len(slots) < st.Cfg.SampledEdges {
+			slots = make([]hierSlot, st.Cfg.SampledEdges)
+		}
+		hierFAvgRound(k, st, pool, slots)
 	})
 }
 
-func hierFAvgRound(k int, st *fl.State, pool *fl.ModelPool, folds *[]cohortFold) {
+// hierSlot is one sampled edge's working state, reused across rounds:
+// the client-block fold, the edge model and the slot's iterate sum.
+type hierSlot struct {
+	fold        fl.Fold
+	we, iterSum []float64
+}
+
+func hierFAvgRound(k int, st *fl.State, pool *fl.ModelPool, slots []hierSlot) {
 	cfg := &st.Cfg
 	prob := st.Prob
-	top := prob.Topology()
-	n0 := top.ClientsPerEdge
 	d := len(st.W)
 	dBytes := topology.ModelBytes(d)
 	kr := st.Root.ChildN('k', uint64(k))
@@ -34,96 +42,41 @@ func hierFAvgRound(k int, st *fl.State, pool *fl.ModelPool, folds *[]cohortFold)
 	edges := kr.Child(1).SampleUniform(cfg.SampledEdges, prob.Fed.NumAreas())
 	st.Ledger.RecordRound(topology.EdgeCloud, len(edges), dBytes)
 
-	if cfg.PopulationEnabled() {
-		// Sparse population: each sampled edge runs its tau2 aggregation
-		// blocks over the (k, edge) roster cohort, folding every block's
-		// client models through a streaming MeanAccumulator — the same
-		// sampler and aggregation chokepoint as HierMinimax, with
-		// HierFAvg's uniform edge weights.
-		roster := cfg.Roster(prob.Fed.NumAreas())
-		if len(*folds) < len(edges) {
-			*folds = make([]cohortFold, len(edges))
-		}
-		type out struct {
-			wEdge, iterSum []float64
-			n              int
-		}
-		outs := make([]out, len(edges))
-		cfg.ForEach(len(edges), func(i int) {
-			e := edges[i]
-			fd := &(*folds)[i]
-			corpus := prob.Fed.Areas[e].Train
-			fd.cohort = roster.CohortInto(fd.cohort, k, e)
-			n := len(fd.cohort)
-			var iterSum []float64
-			if cfg.TrackAverages {
-				iterSum = make([]float64, d)
-			}
-			we := append([]float64(nil), st.W...)
-			for t2 := 0; t2 < cfg.Tau2; t2++ {
-				st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
-				fd.run(cfg, pool, d, n, cfg.TrackAverages,
-					func(m model.Model, lane, c int, wf, chk, sum []float64) bool {
-						shard := roster.ShardInto(fd.cohort[c], corpus, &fd.shards[lane])
-						copy(wf, we)
-						return fl.LocalSGDInto(m, wf, shard, cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, kr.ChildN(2, uint64(i), uint64(t2), uint64(c)), 0, sum, chk)
-					}, iterSum)
-				st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
-				fd.wAcc.FinishInto(we)
-				fl.ProjectW(prob.W, we)
-			}
-			outs[i] = out{wEdge: we, iterSum: iterSum, n: n}
-		})
-		st.Ledger.RecordRound(topology.EdgeCloud, len(edges), dBytes)
-		wVecs := make([][]float64, len(outs))
-		for i, o := range outs {
-			wVecs[i] = o.wEdge
-			if st.WSum != nil {
-				tensor.StorageAdd(st.WSum, o.iterSum)
-				st.WCount += float64(cfg.Tau1 * cfg.Tau2 * o.n)
-			}
-		}
-		tensor.AverageInto(st.W, wVecs...)
-		fl.ProjectW(prob.W, st.W)
-		return
-	}
-
-	type out struct {
-		wEdge   []float64
-		iterSum []float64
-	}
-	outs := make([]out, len(edges))
+	// Each sampled edge runs its tau2 aggregation blocks over its round-k
+	// cohort — the same cohort source and client block as HierMinimax,
+	// with HierFAvg's uniform edge weights and no checkpoint.
 	cfg.ForEach(len(edges), func(i int) {
-		m := pool.Get()
-		defer pool.Put(m)
-		area := prob.Fed.Areas[edges[i]]
+		s := &slots[i]
+		f := &s.fold
+		f.Cohort.SetEdge(cfg, prob.Fed, k, edges[i])
+		n := f.Cohort.Len()
+		f.Begin(cfg, prob, pool, quant.Config{})
+		s.we = fl.GrowVec(s.we, d)
+		copy(s.we, st.W)
 		var iterSum []float64
 		if cfg.TrackAverages {
-			iterSum = make([]float64, len(st.W))
+			s.iterSum = fl.GrowVec(s.iterSum, d)
+			tensor.Zero(s.iterSum)
+			iterSum = s.iterSum
 		}
-		we := append([]float64(nil), st.W...)
-		finals := make([][]float64, n0)
+		sr := kr.ChildVal(2).ChildVal(uint64(i))
 		for t2 := 0; t2 < cfg.Tau2; t2++ {
-			st.Ledger.RecordRound(topology.ClientEdge, n0, dBytes)
-			for c := 0; c < n0; c++ {
-				r := kr.ChildN(2, uint64(i), uint64(t2), uint64(c))
-				wf, _ := fl.LocalSGD(m, we, area.Clients[c], cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, r, 0, iterSum)
-				finals[c] = wf
-			}
-			st.Ledger.RecordRound(topology.ClientEdge, n0, dBytes)
-			tensor.AverageInto(we, finals...)
-			fl.ProjectW(prob.W, we)
+			st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
+			f.Block(s.we, sr.ChildVal(uint64(t2)), 0, iterSum)
+			st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
+			f.Finish(s.we, nil)
+			fl.ProjectW(prob.W, s.we)
 		}
-		outs[i] = out{wEdge: we, iterSum: iterSum}
 	})
 	st.Ledger.RecordRound(topology.EdgeCloud, len(edges), dBytes)
 
-	wVecs := make([][]float64, len(outs))
-	for i, o := range outs {
-		wVecs[i] = o.wEdge
+	wVecs := make([][]float64, len(edges))
+	for i := range edges {
+		s := &slots[i]
+		wVecs[i] = s.we
 		if st.WSum != nil {
-			tensor.StorageAdd(st.WSum, o.iterSum)
-			st.WCount += float64(cfg.Tau1 * cfg.Tau2 * n0)
+			tensor.StorageAdd(st.WSum, s.iterSum)
+			st.WCount += float64(cfg.SlotsPerRound() * s.fold.Cohort.Len())
 		}
 	}
 	tensor.AverageInto(st.W, wVecs...)

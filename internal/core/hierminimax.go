@@ -9,12 +9,10 @@ package core
 import (
 	"sync"
 
-	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/optim"
-	"repro/internal/population"
 	"repro/internal/rng"
 	"repro/internal/simplex"
 	"repro/internal/tensor"
@@ -61,126 +59,58 @@ func HierMinimaxWithOptions(prob *fl.Problem, cfg fl.Config, opts fl.RunOptions)
 	}, opts)
 }
 
-// slotScratch holds every per-slot buffer of ModelUpdate. Instances
+// slotScratch holds a slot's outputs (edge model, edge checkpoint,
+// iterate sum), which live until Round has aggregated them. Instances
 // recycle through slotPool, so after the first few rounds Phase 1 runs
-// without allocating model-sized vectors. On the avx2f32 tier the slot
-// additionally carries float32 mirrors of the per-client buffers: the
-// whole slot then runs in float32 storage (modelUpdate32) and only the
-// slot outputs (we, chkEdge, iterSum) are materialized in float64 for
-// the cloud aggregation.
+// without allocating model-sized vectors. On the avx2f32 tier a resident
+// slot runs in float32 storage (modelUpdate32) on the float32 mirrors
+// below, and only the outputs are materialized in float64 for the cloud
+// aggregation.
 type slotScratch struct {
 	we, chkEdge, iterSum []float64
-	finals, chks, sums   [][]float64
-	// resid holds the per-client error-feedback residuals of top-k
-	// compression; residual state is slot-scoped (zeroed when the slot
-	// starts), matching the simnet client actors, which reset theirs on
-	// each slot's first aggregation block.
-	resid            [][]float64
+
 	we32, chkEdge32  []float32
 	iterSum32        []float32
 	finals32, chks32 [][]float32
 	sums32           [][]float32
-	// Population-mode additions: the streaming accumulators that replace
-	// the cohort-sized finals/chks tables, the cohort id scratch, and the
-	// per-chunk-lane shard materialization scratch. The per-client rows
-	// above are sized to the fold chunk (popChunk), never to the cohort,
-	// so a slot's memory is O(d), independent of how many clients it
-	// trains.
-	wAcc, chkAcc tensor.MeanAccumulator
-	cohort       []int
-	shards       []population.ShardScratch
 }
 
 var slotPool = sync.Pool{New: func() any { return new(slotScratch) }}
+
+// foldPool recycles the client-block folds. A fold's lane rows and
+// accumulators are needed only while its slot trains, so they are pooled
+// apart from the slot outputs: as many exist as slots train at once, not
+// as a round samples, and the next slot finds them warm in cache.
+var foldPool = sync.Pool{New: func() any { return new(fl.Fold) }}
+
+// scratchPool recycles the per-worker SGD scratch of modelUpdate32.
+var scratchPool = sync.Pool{New: func() any { return new(fl.Scratch) }}
 
 // wChkPool recycles the per-round checkpoint average of Round (the only
 // model-sized vector Phase 1 would otherwise allocate each round).
 var wChkPool = sync.Pool{New: func() any { return new([]float64) }}
 
-func growVec(b []float64, n int) []float64 {
-	if cap(b) < n {
-		return make([]float64, n)
-	}
-	return b[:n]
-}
-
-func growVec32(b []float32, n int) []float32 {
-	if cap(b) < n {
-		return make([]float32, n)
-	}
-	return b[:n]
-}
-
-func growRows(rows [][]float64, n, d int) [][]float64 {
-	if cap(rows) < n {
-		grown := make([][]float64, n)
-		copy(grown, rows)
-		rows = grown
-	}
-	rows = rows[:n]
-	for i := range rows {
-		rows[i] = growVec(rows[i], d)
-	}
-	return rows
-}
-
-func growRows32(rows [][]float32, n, d int) [][]float32 {
-	if cap(rows) < n {
-		grown := make([][]float32, n)
-		copy(grown, rows)
-		rows = grown
-	}
-	rows = rows[:n]
-	for i := range rows {
-		rows[i] = growVec32(rows[i], d)
-	}
-	return rows
-}
-
-// getSlotScratch sizes a pooled scratch for a d-parameter model and n0
-// clients. iterSum starts zeroed; the other buffers are overwritten
-// before use. With f32 set the float32 mirrors are sized instead of the
-// per-client float64 rows (the slot outputs stay float64 either way).
-func getSlotScratch(d, n0 int, trackAverages, errorFeedback, f32 bool) *slotScratch {
+// getSlotScratch sizes a pooled scratch's slot outputs for a d-parameter
+// model. iterSum starts zeroed; the other buffers are overwritten before
+// use.
+func getSlotScratch(d int, trackAverages bool) *slotScratch {
 	s := slotPool.Get().(*slotScratch)
-	s.we = growVec(s.we, d)
-	s.chkEdge = growVec(s.chkEdge, d)
-	if errorFeedback {
-		s.resid = growRows(s.resid, n0, d)
-		for _, row := range s.resid {
-			tensor.Zero(row)
-		}
-	}
-	if f32 {
-		s.we32 = growVec32(s.we32, d)
-		s.chkEdge32 = growVec32(s.chkEdge32, d)
-		s.finals32 = growRows32(s.finals32, n0, d)
-		s.chks32 = growRows32(s.chks32, n0, d)
-	} else {
-		s.finals = growRows(s.finals, n0, d)
-		s.chks = growRows(s.chks, n0, d)
-	}
+	s.we = fl.GrowVec(s.we, d)
+	s.chkEdge = fl.GrowVec(s.chkEdge, d)
 	if trackAverages {
-		s.iterSum = growVec(s.iterSum, d)
+		s.iterSum = fl.GrowVec(s.iterSum, d)
 		tensor.Zero(s.iterSum)
-		if f32 {
-			s.iterSum32 = growVec32(s.iterSum32, d)
-			tensor.Zero32(s.iterSum32)
-			s.sums32 = growRows32(s.sums32, n0, d)
-		} else {
-			s.sums = growRows(s.sums, n0, d)
-		}
 	}
 	return s
 }
 
 // slotResult is the outcome of one sampled edge slot's ModelUpdate. The
-// scratch (nil for dropped slots) carries the edge model, checkpoint and
-// iterate sum; Round returns it to the pool after aggregation.
+// scratch (nil for a dropped slot) carries the edge model, checkpoint and
+// iterate sum; Round returns it to the pool after aggregation. clients is
+// the size of the cohort the slot trained.
 type slotResult struct {
-	scratch   *slotScratch
-	iterCount float64
-	dropped   bool
+	scratch *slotScratch
+	clients int
 }
 
 // Round advances one HierMinimax training round. Exported so the simnet
@@ -212,46 +142,40 @@ func Round(k int, st *fl.State, pool *fl.ModelPool) {
 	cfg.ForEach(len(slots), func(i int) {
 		sr := kr.ChildN(3, uint64(i))
 		if fl.SlotDropped(sr, cfg.DropoutProb) {
-			results[i] = slotResult{dropped: true}
 			return
 		}
-		args := modelUpdateArgs{
-			pool: pool, prob: prob, cfg: cfg,
-			wStart: st.W, area: prob.Fed.Areas[slots[i]],
-			c1: c1, c2: c2, stream: sr, ledger: st.Ledger,
-		}
-		if cfg.PopulationEnabled() {
-			results[i] = modelUpdatePop(args, cfg.Roster(nE), k, slots[i])
-		} else {
-			results[i] = ModelUpdate(args)
-		}
+		results[i] = modelUpdate(modelUpdateArgs{
+			st: st, pool: pool, round: k, edge: slots[i],
+			c1: c1, c2: c2, stream: sr,
+		})
 	})
 
 	// Edge-cloud aggregation (Eqs. 5 and 6): average over surviving
 	// slots, in slot order for determinism.
 	var wVecs, chkVecs [][]float64
-	dropped := 0
+	dropped, clients := 0, 0
 	for _, r := range results {
-		if r.dropped {
+		if r.scratch == nil {
 			dropped++
 			continue
 		}
 		wVecs = append(wVecs, r.scratch.we)
 		chkVecs = append(chkVecs, r.scratch.chkEdge)
+		clients += r.clients
 		if st.WSum != nil {
+			// Each client summed tau1*tau2 iterates into the slot's sum.
 			tensor.StorageAdd(st.WSum, r.scratch.iterSum)
-			st.WCount += r.iterCount
+			st.WCount += float64(cfg.SlotsPerRound() * r.clients)
 		}
 	}
 	slotsTotal.Add(int64(len(slots)))
 	slotsDropped.Add(int64(dropped))
+	// One SGD step evaluates BatchSize per-example gradients; every
+	// trained client ran tau1*tau2 steps.
+	examples := cfg.SlotsPerRound() * clients * cfg.BatchSize
+	gradEvals.Add(int64(examples))
 	if hub != nil && len(wVecs) > 0 {
 		if el := obs.Now().Sub(t0).Seconds(); el > 0 {
-			n0 := len(prob.Fed.Areas[0].Clients)
-			if cfg.PopulationEnabled() {
-				n0 = cfg.CohortSize()
-			}
-			examples := len(wVecs) * cfg.SlotsPerRound() * n0 * cfg.BatchSize
 			examplesPerSec.Set(float64(examples) / el)
 		}
 	}
@@ -276,7 +200,7 @@ func Round(k int, st *fl.State, pool *fl.ModelPool) {
 	fl.ProjectW(prob.W, st.W)
 	obs.ObserveSince("core_projection_ms", tp)
 	wp := wChkPool.Get().(*[]float64)
-	*wp = growVec(*wp, len(st.W))
+	*wp = fl.GrowVec(*wp, len(st.W))
 	wChk := *wp
 	defer wChkPool.Put(wp)
 	tensor.AverageInto(wChk, chkVecs...)
@@ -325,27 +249,16 @@ func phase2(k int, st *fl.State, pool *fl.ModelPool, wChk []float64, nE int, dBy
 			return
 		}
 		alive[i] = true
-		area := prob.Fed.Areas[sampled[i]]
 		m := pool.Get()
 		defer pool.Put(m)
-		if cfg.PopulationEnabled() {
-			// Population regime: the edge's round-k cohort (the same
-			// clients Phase 1 trained) estimates the loss on lazily
-			// materialized shards; traffic scales with the cohort.
-			roster := cfg.Roster(nE)
-			n := roster.CohortSize(sampled[i])
-			st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
-			losses[i] = fl.CohortLossEstimate(m, wChk, area.Train, roster, k, sampled[i], cfg.LossBatch, er)
-			lossEvals.Add(int64(n * cfg.LossBatch))
-			st.Ledger.RecordRound(topology.ClientEdge, n, 8)
-			return
-		}
-		// Edge broadcasts the checkpoint to its clients; clients return
-		// mini-batch losses (client-edge traffic).
-		st.Ledger.RecordRound(topology.ClientEdge, len(area.Clients), dBytes)
-		losses[i] = fl.AreaLossEstimate(m, wChk, area, cfg.LossBatch, er)
-		lossEvals.Add(int64(len(area.Clients) * cfg.LossBatch))
-		st.Ledger.RecordRound(topology.ClientEdge, len(area.Clients), 8)
+		// The edge relays the checkpoint to its round-k cohort (the
+		// clients Phase 1 trained — its resident clients, or the roster
+		// sample); they return mini-batch losses.
+		var n int
+		losses[i], n = fl.CohortLossEstimate(m, wChk, cfg, prob.Fed, k, sampled[i], er)
+		lossEvals.Add(int64(n * cfg.LossBatch))
+		st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
+		st.Ledger.RecordRound(topology.ClientEdge, n, 8)
 	})
 	st.Ledger.RecordRound(topology.EdgeCloud, len(sampled), 8)
 
@@ -359,102 +272,63 @@ func phase2(k int, st *fl.State, pool *fl.ModelPool, wChk []float64, nE int, dBy
 	}
 	// Projected gradient ascent with effective step eta_p*tau1*tau2 (Eq. 7).
 	optim.AscentStep(st.P, v, cfg.EtaP*float64(cfg.SlotsPerRound()), prob.P)
-	_ = k
 }
 
-// modelUpdateArgs bundles the inputs of one edge slot's ModelUpdate.
+// modelUpdateArgs bundles the inputs of one edge slot's modelUpdate: the
+// run state (read-only but for the ledger), the sampled edge, the round's
+// checkpoint index and the slot's stream.
 type modelUpdateArgs struct {
-	pool   *fl.ModelPool
-	prob   *fl.Problem
-	cfg    *fl.Config
-	wStart []float64
-	area   data.AreaData
-	c1, c2 int
-	stream *rng.Stream
-	ledger *topology.Ledger
+	st          *fl.State
+	pool        *fl.ModelPool
+	round, edge int
+	c1, c2      int
+	stream      *rng.Stream
 }
 
-// ModelUpdate runs the ModelUpdate procedure of Algorithm 1 for one
+// modelUpdate runs the ModelUpdate procedure of Algorithm 1 for one
 // sampled edge slot: tau2 client-edge aggregation blocks, each consisting
-// of tau1 local SGD steps per client, with the (c2, c1) checkpoint
-// recorded in block c2 after c1 steps.
-//
-// Clients within a block are independent, so they run on tensor.ParallelFor
-// workers (sequentially under cfg.Sequential); every client writes only
-// its own result buffers and all reductions happen afterwards in client
-// order, keeping the trajectory identical in both modes.
-func ModelUpdate(a modelUpdateArgs) slotResult {
-	cfg := a.cfg
-	prob := a.prob
-	n0 := len(a.area.Clients)
-	dBytes := topology.ModelBytes(len(a.wStart))
-
-	if tensor.StorageF32() {
+// of tau1 local SGD steps per client of the edge's round cohort, with the
+// (c2, c1) checkpoint recorded in block c2 after c1 steps. The client
+// block itself is fl.Fold — the same code for resident clients and roster
+// cohorts, sequential and parallel, every kernel class; this function is
+// the edge around it: the tau2 loop, the projection, the ledger lines and
+// the edge uplink.
+func modelUpdate(a modelUpdateArgs) slotResult {
+	cfg, prob, wStart, ledger := &a.st.Cfg, a.st.Prob, a.st.W, a.st.Ledger
+	if tensor.StorageF32() && !cfg.PopulationEnabled() {
 		// Validate refuses Compression on the f32 tier, so the float32
 		// fast path never has to model compressed uplinks.
 		if _, ok := prob.Model.(model.F32Model); ok {
 			return modelUpdate32(a)
 		}
 	}
+	d := len(wStart)
+	dBytes := topology.ModelBytes(d)
 	comp := cfg.Compression
 	upBytes := dBytes
 	if comp.Enabled() {
-		upBytes = comp.VecWireBytes(len(a.wStart))
+		upBytes = comp.VecWireBytes(d)
 	}
-	s := getSlotScratch(len(a.wStart), n0, cfg.TrackAverages, comp.ErrorFeedback, false)
-	copy(s.we, a.wStart)
-	var iterCount float64
+	s := getSlotScratch(d, cfg.TrackAverages)
+	f := foldPool.Get().(*fl.Fold)
+	defer foldPool.Put(f)
+	f.Cohort.SetEdge(cfg, prob.Fed, a.round, a.edge)
+	n := f.Cohort.Len()
+	f.Begin(cfg, prob, a.pool, comp)
+	copy(s.we, wStart)
+	var iterSum []float64
+	if cfg.TrackAverages {
+		iterSum = s.iterSum
+	}
 
 	for t2 := 0; t2 < cfg.Tau2; t2++ {
-		// Edge broadcasts w_e^(k,t2) to its clients.
-		a.ledger.RecordRound(topology.ClientEdge, n0, dBytes)
+		// Edge broadcasts w_e^(k,t2) to the cohort.
+		ledger.RecordRound(topology.ClientEdge, n, dBytes)
 		chkAt := 0
 		if t2 == a.c2 {
 			chkAt = a.c1
 		}
-		runClients := func(lo, hi int) {
-			mdl := a.pool.Get()
-			defer a.pool.Put(mdl)
-			for c := lo; c < hi; c++ {
-				r := a.stream.ChildN(uint64(t2), uint64(c))
-				var clientSum []float64
-				if cfg.TrackAverages {
-					clientSum = s.sums[c]
-					tensor.Zero(clientSum)
-				}
-				wf := s.finals[c]
-				copy(wf, s.we)
-				chked := fl.LocalSGDInto(mdl, wf, a.area.Clients[c], cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, r, chkAt, clientSum, s.chks[c])
-				// Uplink compression: clients upload compressed models;
-				// the edge reconstructs the decoded values. Checkpoint
-				// uploads compress without error feedback (they are
-				// one-shot, not part of the iterated model stream).
-				if comp.Enabled() {
-					var resid []float64
-					if comp.ErrorFeedback {
-						resid = s.resid[c]
-					}
-					comp.Apply(wf, resid, r.Child('q'))
-					if chked {
-						comp.Apply(s.chks[c], nil, r.ChildN('q', 2))
-					}
-				}
-			}
-		}
-		if cfg.Sequential {
-			runClients(0, n0)
-		} else {
-			tensor.ParallelFor(n0, 1, runClients)
-		}
-		// Per-client iterate sums reduced in client order, the same
-		// floating-point grouping the simnet engine uses, so both
-		// engines produce identical wHat accumulators.
-		if cfg.TrackAverages {
-			for c := 0; c < n0; c++ {
-				tensor.StorageAdd(s.iterSum, s.sums[c])
-				iterCount += float64(cfg.Tau1)
-			}
-		}
+		f.Block(s.we, a.stream.ChildVal(uint64(t2)), chkAt, iterSum)
 		// Clients upload their models (plus the checkpoint in block c2,
 		// plus the uncompressed iterate sum when tracking averages).
 		// Compressed uplinks are priced at their exact wire size.
@@ -465,13 +339,10 @@ func ModelUpdate(a modelUpdateArgs) slotResult {
 		if cfg.TrackAverages {
 			up += dBytes
 		}
-		a.ledger.RecordRound(topology.ClientEdge, n0, up)
+		ledger.RecordRound(topology.ClientEdge, n, up)
 		// Client-edge aggregation.
-		tensor.AverageInto(s.we, s.finals...)
+		f.Finish(s.we, s.chkEdge)
 		fl.ProjectW(prob.W, s.we)
-		if t2 == a.c2 {
-			tensor.AverageInto(s.chkEdge, s.chks...)
-		}
 	}
 	// Edge uploads (w_e, chk_e) to the cloud; compress if configured
 	// (no error feedback: edge uplinks happen once per round).
@@ -479,159 +350,10 @@ func ModelUpdate(a modelUpdateArgs) slotResult {
 		comp.Apply(s.we, nil, a.stream.ChildN('Q', 1))
 		comp.Apply(s.chkEdge, nil, a.stream.ChildN('Q', 2))
 	}
-	// One SGD step evaluates BatchSize per-example gradients; the slot
-	// ran tau1*tau2 steps on each of its n0 clients.
-	gradEvals.Add(int64(cfg.Tau1 * cfg.Tau2 * n0 * cfg.BatchSize))
-	return slotResult{scratch: s, iterCount: iterCount}
+	return slotResult{scratch: s, clients: n}
 }
 
-// popChunk is the fold granularity of the population slot path: clients
-// run popChunk at a time on parallel workers, then their results stream
-// into the slot accumulators in cohort order. The constant bounds a
-// slot's live model-sized buffers at O(popChunk*d) regardless of cohort
-// size while still keeping every worker busy; it has no effect on the
-// trajectory (the fold order is cohort order for every chunking).
-const popChunk = 32
-
-// getPopSlotScratch sizes a pooled scratch for the population slot
-// path: O(d) accumulators plus popChunk-lane client rows and shard
-// views — never a cohort-sized table.
-func getPopSlotScratch(d, lanes int, trackAverages bool) *slotScratch {
-	s := slotPool.Get().(*slotScratch)
-	s.we = growVec(s.we, d)
-	s.chkEdge = growVec(s.chkEdge, d)
-	s.finals = growRows(s.finals, lanes, d)
-	s.chks = growRows(s.chks, lanes, d)
-	if trackAverages {
-		s.iterSum = growVec(s.iterSum, d)
-		tensor.Zero(s.iterSum)
-		s.sums = growRows(s.sums, lanes, d)
-	}
-	if cap(s.shards) < lanes {
-		s.shards = make([]population.ShardScratch, lanes)
-	}
-	s.shards = s.shards[:lanes]
-	return s
-}
-
-// modelUpdatePop is ModelUpdate in the sparse population regime: the
-// slot trains the roster's (round, edge) cohort instead of the area's
-// resident clients, materializing each sampled client's shard lazily
-// (row aliases into the area corpus) and folding client results into
-// streaming accumulators through the tensor.MeanAccumulator chokepoint
-// — bit-for-bit AverageInto over the same list, without ever holding a
-// cohort-sized table. One implementation covers all four kernel
-// classes: LocalSGDInto dispatches to the native float32 path
-// internally and the accumulator applies the storage regime's
-// averaging arithmetic.
-func modelUpdatePop(a modelUpdateArgs, roster population.Roster, round, edge int) slotResult {
-	cfg := a.cfg
-	prob := a.prob
-	d := len(a.wStart)
-	dBytes := topology.ModelBytes(d)
-	comp := cfg.Compression
-	upBytes := dBytes
-	if comp.Enabled() {
-		upBytes = comp.VecWireBytes(d)
-	}
-
-	lanes := popChunk
-	if c := roster.CohortSize(edge); c < lanes {
-		lanes = c
-	}
-	s := getPopSlotScratch(d, lanes, cfg.TrackAverages)
-	s.cohort = roster.CohortInto(s.cohort, round, edge)
-	n := len(s.cohort)
-	corpus := a.area.Train
-	copy(s.we, a.wStart)
-	var iterCount float64
-
-	for t2 := 0; t2 < cfg.Tau2; t2++ {
-		// Edge broadcasts w_e^(k,t2) to the cohort.
-		a.ledger.RecordRound(topology.ClientEdge, n, dBytes)
-		chkAt := 0
-		chkBlock := t2 == a.c2
-		if chkBlock {
-			chkAt = a.c1
-		}
-		s.wAcc.Reset(d)
-		if chkBlock {
-			s.chkAcc.Reset(d)
-		}
-		for base := 0; base < n; base += lanes {
-			hi := base + lanes
-			if hi > n {
-				hi = n
-			}
-			span := hi - base
-			runLanes := func(lo2, hi2 int) {
-				mdl := a.pool.Get()
-				defer a.pool.Put(mdl)
-				for ci := lo2; ci < hi2; ci++ {
-					c := base + ci
-					r := a.stream.ChildN(uint64(t2), uint64(c))
-					shard := roster.ShardInto(s.cohort[c], corpus, &s.shards[ci])
-					var clientSum []float64
-					if cfg.TrackAverages {
-						clientSum = s.sums[ci]
-						tensor.Zero(clientSum)
-					}
-					wf := s.finals[ci]
-					copy(wf, s.we)
-					chked := fl.LocalSGDInto(mdl, wf, shard, cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, r, chkAt, clientSum, s.chks[ci])
-					if comp.Enabled() {
-						// Error feedback is refused with Population
-						// (fl.Config.Validate), so uplink compression here
-						// is stateless.
-						comp.Apply(wf, nil, r.Child('q'))
-						if chked {
-							comp.Apply(s.chks[ci], nil, r.ChildN('q', 2))
-						}
-					}
-				}
-			}
-			if cfg.Sequential {
-				runLanes(0, span)
-			} else {
-				tensor.ParallelFor(span, 1, runLanes)
-			}
-			// Stream the chunk into the slot accumulators in cohort order —
-			// the deterministic fold that replaces the per-client table.
-			for ci := 0; ci < span; ci++ {
-				s.wAcc.Add(s.finals[ci])
-				if chkBlock {
-					s.chkAcc.Add(s.chks[ci])
-				}
-				if cfg.TrackAverages {
-					tensor.StorageAdd(s.iterSum, s.sums[ci])
-					iterCount += float64(cfg.Tau1)
-				}
-			}
-		}
-		// Cohort uplinks, priced like the dense path's client uplinks.
-		up := upBytes
-		if chkBlock {
-			up *= 2
-		}
-		if cfg.TrackAverages {
-			up += dBytes
-		}
-		a.ledger.RecordRound(topology.ClientEdge, n, up)
-		s.wAcc.FinishInto(s.we)
-		fl.ProjectW(prob.W, s.we)
-		if chkBlock {
-			s.chkAcc.FinishInto(s.chkEdge)
-		}
-	}
-	if comp.Enabled() {
-		comp.Apply(s.we, nil, a.stream.ChildN('Q', 1))
-		comp.Apply(s.chkEdge, nil, a.stream.ChildN('Q', 2))
-	}
-	gradEvals.Add(int64(cfg.Tau1 * cfg.Tau2 * n * cfg.BatchSize))
-	return slotResult{scratch: s, iterCount: iterCount}
-}
-
-// modelUpdate32 is ModelUpdate on the avx2f32 tier for models with a
+// modelUpdate32 is modelUpdate on the avx2f32 tier for models with a
 // native float32 path (never with compression — fl.Config.Validate
 // refuses that combination): the whole slot stays in float32 storage. Clients run
 // LocalSGD32Scratch on float32 slot buffers — no per-client float64
@@ -643,20 +365,28 @@ func modelUpdatePop(a modelUpdateArgs, roster population.Roster, round, edge int
 // bytes; only the slot outputs (we, chkEdge, iterSum) are widened for
 // the cloud-level aggregation, once per slot.
 func modelUpdate32(a modelUpdateArgs) slotResult {
-	cfg := a.cfg
-	prob := a.prob
-	n0 := len(a.area.Clients)
-	dBytes := topology.ModelBytes(len(a.wStart))
+	cfg, prob, wStart, ledger := &a.st.Cfg, a.st.Prob, a.st.W, a.st.Ledger
+	clients := prob.Fed.Areas[a.edge].Clients
+	n0, d := len(clients), len(wStart)
+	dBytes := topology.ModelBytes(d)
 
-	s := getSlotScratch(len(a.wStart), n0, cfg.TrackAverages, false, true)
+	s := getSlotScratch(d, cfg.TrackAverages)
+	s.we32 = fl.GrowVec(s.we32, d)
+	s.chkEdge32 = fl.GrowVec(s.chkEdge32, d)
+	s.finals32 = fl.GrowRows(s.finals32, n0, d)
+	s.chks32 = fl.GrowRows(s.chks32, n0, d)
+	if cfg.TrackAverages {
+		s.iterSum32 = fl.GrowVec(s.iterSum32, d)
+		tensor.Zero32(s.iterSum32)
+		s.sums32 = fl.GrowRows(s.sums32, n0, d)
+	}
 	// Exact narrowing: the broadcast model is storage-representable.
-	tensor.ToF32(s.we32, a.wStart)
+	tensor.ToF32(s.we32, wStart)
 	_, freeW := prob.W.(simplex.FullSpace)
-	var iterCount float64
 
 	for t2 := 0; t2 < cfg.Tau2; t2++ {
 		// Edge broadcasts w_e^(k,t2) to its clients.
-		a.ledger.RecordRound(topology.ClientEdge, n0, dBytes)
+		ledger.RecordRound(topology.ClientEdge, n0, dBytes)
 		chkAt := 0
 		if t2 == a.c2 {
 			chkAt = a.c1
@@ -665,6 +395,8 @@ func modelUpdate32(a modelUpdateArgs) slotResult {
 			mdl := a.pool.Get()
 			defer a.pool.Put(mdl)
 			fm := mdl.(model.F32Model)
+			sc := scratchPool.Get().(*fl.Scratch)
+			defer scratchPool.Put(sc)
 			for c := lo; c < hi; c++ {
 				r := a.stream.ChildN(uint64(t2), uint64(c))
 				var clientSum []float32
@@ -674,7 +406,7 @@ func modelUpdate32(a modelUpdateArgs) slotResult {
 				}
 				wf := s.finals32[c]
 				copy(wf, s.we32)
-				fl.LocalSGD32Into(fm, wf, a.area.Clients[c], cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, r, chkAt, clientSum, s.chks32[c])
+				fl.LocalSGD32Scratch(fm, wf, clients[c], cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, r, chkAt, clientSum, s.chks32[c], sc)
 			}
 		}
 		if cfg.Sequential {
@@ -687,7 +419,6 @@ func modelUpdate32(a modelUpdateArgs) slotResult {
 		if cfg.TrackAverages {
 			for c := 0; c < n0; c++ {
 				tensor.Axpy32(1, s.sums32[c], s.iterSum32)
-				iterCount += float64(cfg.Tau1)
 			}
 		}
 		// Clients upload their models (plus the checkpoint in block c2,
@@ -699,7 +430,7 @@ func modelUpdate32(a modelUpdateArgs) slotResult {
 		if cfg.TrackAverages {
 			up += dBytes
 		}
-		a.ledger.RecordRound(topology.ClientEdge, n0, up)
+		ledger.RecordRound(topology.ClientEdge, n0, up)
 		// Client-edge aggregation in the regime's native float32
 		// arithmetic (the same bits AverageInto computes from widened
 		// mirrors). Under a trivial W the projection is a no-op and the
@@ -722,6 +453,5 @@ func modelUpdate32(a modelUpdateArgs) slotResult {
 	if cfg.TrackAverages {
 		tensor.ToF64(s.iterSum, s.iterSum32)
 	}
-	gradEvals.Add(int64(cfg.Tau1 * cfg.Tau2 * n0 * cfg.BatchSize))
-	return slotResult{scratch: s, iterCount: iterCount}
+	return slotResult{scratch: s, clients: n0}
 }

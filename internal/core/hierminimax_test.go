@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fl"
@@ -206,6 +207,14 @@ func TestQuantizedUplinksStillLearn(t *testing.T) {
 	cfg := fltest.ToyConfig()
 	cfg.Compression = quant.Config{Bits: 8}
 	res, err := HierMinimax(prob, cfg)
+	if tensor.StorageF32() {
+		// The float32 storage tier refuses compression (fl.Config.Validate);
+		// on that class the refusal is the behaviour to pin.
+		if err == nil || !strings.Contains(err.Error(), "compression is not supported") {
+			t.Fatalf("compression on the float32 storage tier: got error %v, want a refusal", err)
+		}
+		return
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

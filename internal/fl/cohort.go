@@ -1,0 +1,282 @@
+package fl
+
+import (
+	"repro/internal/data"
+	"repro/internal/model"
+	"repro/internal/population"
+	"repro/internal/quant"
+	"repro/internal/rng"
+	"repro/internal/tensor"
+)
+
+// cohortChunk is the fold granularity of Fold.Block: cohort members run
+// cohortChunk at a time on parallel workers, then their results stream
+// into the accumulators in cohort order. The constant bounds a fold's
+// live model-sized buffers at O(cohortChunk*d) regardless of cohort size
+// while still keeping every worker busy; it has no effect on the
+// trajectory (the fold order is cohort order for every chunking).
+const cohortChunk = 32
+
+// Cohort names the clients one Fold trains and says where member i's
+// shard comes from. Exactly one form is set: Clients holds resident
+// shards (an area's client table, or any selection from it), so member
+// i trains Clients[i]; otherwise IDs holds global client ids of the
+// sparse population and member i's shard is materialized lazily — row
+// aliases into the corpus of the edge Roster stripes IDs[i] onto. The
+// resident table is thus the cohort whose members are already
+// materialized; everything downstream of the shard lookup is shared.
+type Cohort struct {
+	Clients []data.Subset
+
+	IDs    []int
+	Roster population.Roster
+	Areas  []data.AreaData
+}
+
+// Len returns the number of cohort members.
+func (c *Cohort) Len() int {
+	if c.Clients != nil {
+		return len(c.Clients)
+	}
+	return len(c.IDs)
+}
+
+// SetEdge makes c the clients edge e trains in round k: the area's
+// resident clients, or under cfg.Population the roster's (k, e) sample.
+// The IDs buffer is reused, so a long-lived Cohort allocates nothing
+// once warm.
+func (c *Cohort) SetEdge(cfg *Config, fed *data.Federation, k, e int) {
+	if !cfg.PopulationEnabled() {
+		c.Clients = fed.Areas[e].Clients
+		return
+	}
+	c.Clients = nil
+	c.Roster = cfg.Roster(fed.NumAreas())
+	c.Areas = fed.Areas
+	c.IDs = c.Roster.CohortInto(c.IDs, k, e)
+}
+
+// shard returns member i's training shard. A population shard aliases
+// s, so it is valid until s materializes the next member.
+func (c *Cohort) shard(i int, s *population.ShardScratch) data.Subset {
+	if c.Clients != nil {
+		return c.Clients[i]
+	}
+	id := c.IDs[i]
+	return c.Roster.ShardInto(id, c.Areas[c.Roster.EdgeOf(id)].Train, s)
+}
+
+// Fold is the one implementation of "every client of a cohort runs a
+// local-SGD block from one start vector and the results average": the
+// client half of Algorithm 1's ModelUpdate, shared by HierMinimax and
+// all four baselines. Set Cohort, call Begin once per slot, then Block
+// (one or more times) and Finish per aggregation.
+//
+// Members run on cohortChunk lanes, each with its own result rows, and
+// fold into streaming means in cohort order, so memory is
+// O(cohortChunk*d) and the result is independent of chunking, worker
+// count and cfg.Sequential. tensor.MeanAccumulator is bitwise
+// AverageInto over the same list in every kernel class.
+//
+// The zero value is ready to use and allocates nothing once warm. A
+// Fold must not be copied after first use, nor used concurrently.
+type Fold struct {
+	Cohort Cohort
+
+	cfg  *Config
+	prob *Problem
+	pool *ModelPool
+	comp quant.Config
+
+	// State of the running Block, read by the lane worker. It lives here
+	// rather than in a per-block closure so the worker is created once.
+	start   []float64
+	streams rng.Stream
+	chkAt   int
+	base    int // cohort position of lane 0 in the running chunk
+	track   bool
+	worker  func(lo, hi int)
+
+	finals, chks, sums [][]float64
+	// resid holds the error-feedback residual of top-k compression, one
+	// row per cohort position: a member's residual must survive from one
+	// Block of the slot to the next, which lane rows do not.
+	resid [][]float64
+
+	wAcc, chkAcc tensor.MeanAccumulator
+	n, nChk      int // members folded into wAcc / chkAcc since Finish
+}
+
+// GrowVec returns b resized to n elements, reallocating only when its
+// capacity is too small. The contents are unspecified.
+func GrowVec[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// GrowRows returns rows resized to n rows of d elements each, keeping
+// (and reusing) the rows it already has.
+func GrowRows[T any](rows [][]T, n, d int) [][]T {
+	if cap(rows) < n {
+		grown := make([][]T, n)
+		copy(grown, rows)
+		rows = grown
+	}
+	rows = rows[:n]
+	for i := range rows {
+		rows[i] = GrowVec(rows[i], d)
+	}
+	return rows
+}
+
+// Begin starts a slot for the current Cohort: blocks will run cfg.Tau1
+// steps of prob's model on pooled clones, compressing member uplinks
+// under comp (the zero Config uploads exactly). Error-feedback
+// residuals are slot-scoped and start at zero here, matching the simnet
+// client actors, which reset theirs on a slot's first block.
+func (f *Fold) Begin(cfg *Config, prob *Problem, pool *ModelPool, comp quant.Config) {
+	f.cfg, f.prob, f.pool, f.comp = cfg, prob, pool, comp
+	if f.worker == nil {
+		f.worker = f.runLanes
+	}
+	n, d := f.Cohort.Len(), prob.Model.Dim()
+	lanes := min(cohortChunk, n)
+	f.finals = GrowRows(f.finals, lanes, d)
+	f.chks = GrowRows(f.chks, lanes, d)
+	if cfg.TrackAverages {
+		f.sums = GrowRows(f.sums, lanes, d)
+	}
+	if comp.ErrorFeedback {
+		f.resid = GrowRows(f.resid, n, d)
+		for _, row := range f.resid {
+			tensor.Zero(row)
+		}
+	}
+}
+
+// Block runs one local-SGD block: every member starts from start, draws
+// from streams.ChildVal(i) for its cohort position i and, when chkAt is
+// in [1, cfg.Tau1], records its iterate after chkAt steps. Final models
+// and checkpoints fold into the means Finish reports; with iterSum
+// non-nil (cfg.TrackAverages runs) each member's pre-step iterates are
+// summed per member and then added to iterSum in cohort order — the
+// grouping the simnet engine uses. Blocks accumulate until Finish, so a
+// caller may fold several cohorts into one mean.
+func (f *Fold) Block(start []float64, streams rng.Stream, chkAt int, iterSum []float64) {
+	n, d := f.Cohort.Len(), len(start)
+	f.start, f.streams, f.chkAt, f.track = start, streams, chkAt, iterSum != nil
+	if f.n == 0 {
+		f.wAcc.Reset(d)
+	}
+	if chkAt > 0 && f.nChk == 0 {
+		f.chkAcc.Reset(d)
+	}
+	for f.base = 0; f.base < n; f.base += cohortChunk {
+		span := min(cohortChunk, n-f.base)
+		if f.cfg.Sequential {
+			f.worker(0, span)
+		} else {
+			tensor.ParallelFor(span, 1, f.worker)
+		}
+		for lane := 0; lane < span; lane++ {
+			f.wAcc.Add(f.finals[lane])
+			if chkAt > 0 {
+				f.chkAcc.Add(f.chks[lane])
+			}
+			if iterSum != nil {
+				tensor.StorageAdd(iterSum, f.sums[lane])
+			}
+		}
+	}
+	f.n += n
+	if chkAt > 0 {
+		f.nChk += n
+	}
+}
+
+// runLanes trains the members on lanes [lo, hi) of the running chunk.
+// A member's result depends only on its cohort position, never on the
+// lane or the worker that ran it.
+func (f *Fold) runLanes(lo, hi int) {
+	cfg := f.cfg
+	mdl := f.pool.Get()
+	defer f.pool.Put(mdl)
+	// One Scratch per worker, not per lane: the gradient buffer is
+	// model-sized, and the shared pool keeps it hot across slots.
+	s := sgdPool.Get().(*Scratch)
+	defer sgdPool.Put(s)
+	for lane := lo; lane < hi; lane++ {
+		i := f.base + lane
+		r := f.streams.ChildVal(uint64(i))
+		var sum []float64
+		if f.track {
+			sum = f.sums[lane]
+			tensor.Zero(sum)
+		}
+		wf, chk := f.finals[lane], f.chks[lane]
+		copy(wf, f.start)
+		chked := LocalSGDScratch(mdl, wf, f.Cohort.shard(i, &s.shard), cfg.Tau1, cfg.BatchSize, cfg.EtaW, f.prob.W, &r, f.chkAt, sum, chk, s)
+		// Uplink compression: members upload compressed models and the
+		// aggregator reconstructs the decoded values. Checkpoint uploads
+		// compress without error feedback (they are one-shot, not part of
+		// the iterated model stream).
+		if f.comp.Enabled() {
+			var resid []float64
+			if f.comp.ErrorFeedback {
+				resid = f.resid[i]
+			}
+			q := r.ChildVal('q')
+			f.comp.Apply(wf, resid, &q)
+			if chked {
+				q2 := r.ChildVal('q').ChildVal(2)
+				f.comp.Apply(chk, nil, &q2)
+			}
+		}
+	}
+}
+
+// Finish writes the mean of the models folded since the last Finish
+// into w and, if any block recorded checkpoints, their mean into chk,
+// and readies the accumulators for the next aggregation.
+func (f *Fold) Finish(w, chk []float64) {
+	f.wAcc.FinishInto(w)
+	if f.nChk > 0 {
+		f.chkAcc.FinishInto(chk)
+	}
+	f.n, f.nChk = 0, 0
+}
+
+// CohortLossEstimate implements the LossEstimation procedure of Phase 2
+// for edge e in round k: each client of the edge's cohort (SetEdge — the
+// clients Phase 1 trained) evaluates w on a cfg.LossBatch mini-batch
+// drawn from r.ChildVal(position) and the edge averages, yielding an
+// unbiased estimate of f_e(w). It also returns the cohort size, which is
+// what the callers' ledgers price. Memory is O(shard).
+func CohortLossEstimate(m model.Model, w []float64, cfg *Config, fed *data.Federation, k, e int, r *rng.Stream) (float64, int) {
+	s := sgdPool.Get().(*Scratch)
+	defer sgdPool.Put(s)
+	s.cohort.SetEdge(cfg, fed, k, e)
+	n := s.cohort.Len()
+	fm, ok := m.(model.F32Model)
+	f32 := ok && tensor.StorageF32()
+	if f32 {
+		// Narrow the checkpoint once per edge, not once per client: same
+		// w32 bits and stream draws as ShardLossEstimate per client.
+		s.size32(len(w), cfg.LossBatch)
+		tensor.ToF32(s.w32, w)
+	}
+	total := 0.0
+	for c := 0; c < n; c++ {
+		cs := r.ChildVal(uint64(c))
+		shard := s.cohort.shard(c, &s.shard)
+		if f32 {
+			shard.SampleInto32(&cs, s.xs32, s.ys)
+			total += float64(fm.LossF32(s.w32, s.xs32, s.ys))
+		} else {
+			total += ShardLossEstimate(m, w, shard, cfg.LossBatch, &cs, s)
+		}
+	}
+	return total / float64(n), n
+}

@@ -116,7 +116,7 @@ func TestLocalSGDProjects(t *testing.T) {
 	}
 }
 
-func TestAreaLossEstimate(t *testing.T) {
+func TestCohortLossEstimate(t *testing.T) {
 	m := model.NewLinear(4, 2)
 	w := make([]float64, m.Dim())
 	shard := toyShard(5, 40)
@@ -127,9 +127,10 @@ func TestAreaLossEstimate(t *testing.T) {
 	if tensor.StorageF32() {
 		tol = 1e-7
 	}
-	got := AreaLossEstimate(m, w, area, 4, rng.New(1))
-	if math.Abs(got-math.Log(2)) > tol {
-		t.Fatalf("loss estimate %v, want ln 2", got)
+	fed := &data.Federation{Areas: []data.AreaData{area}}
+	got, n := CohortLossEstimate(m, w, &Config{LossBatch: 4}, fed, 0, 0, rng.New(1))
+	if math.Abs(got-math.Log(2)) > tol || n != 2 {
+		t.Fatalf("loss estimate %v over %d clients, want ln 2 over 2", got, n)
 	}
 }
 

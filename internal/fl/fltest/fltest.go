@@ -3,6 +3,10 @@
 package fltest
 
 import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+
 	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/model"
@@ -56,4 +60,42 @@ func ToyConfig() fl.Config {
 		Seed:         7,
 		EvalEvery:    20,
 	}
+}
+
+// WideProblem is ToyProblem at the paper's logistic-regression size
+// (784 features, 10 one-class areas, d = 7850) on a corpus small enough
+// that a round is dominated by model-sized vector work: the shape on
+// which a model-sized allocation per round is visible.
+func WideProblem(seed uint64) *fl.Problem {
+	p := ToyProfile()
+	p.Dim, p.Classes = 784, 10
+	train, test := p.Generate(12, 4, seed)
+	fed := data.OneClassPerArea(train, test, 2, seed+1)
+	return fl.NewProblem(fed, model.NewLinear(784, 10))
+}
+
+// WarmRoundBytes returns the bytes one warm training round allocates:
+// the slope of runtime.MemStats.TotalAlloc between runs of 4 and 12
+// rounds, which cancels everything a run allocates once (problem state,
+// evaluation snapshots, pool warm-up). The collector is paused and the
+// process held to one P so that sync.Pool always hands back what was put
+// (a collection empties the pools; a goroutine that migrates misses its
+// old P's private slot) and the figure is a property of the code, not of
+// scheduling. Under the race detector sync.Pool drops items at random, so
+// the test is skipped.
+func WarmRoundBytes(t testing.TB, run func(rounds int)) float64 {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	total := func(rounds int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(rounds)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run(4) // warm the process-wide pools
+	return (float64(total(12)) - float64(total(4))) / 8
 }

@@ -1,0 +1,5 @@
+//go:build !race
+
+package fltest
+
+const raceEnabled = false

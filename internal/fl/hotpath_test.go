@@ -9,9 +9,9 @@ import (
 	"repro/internal/simplex"
 )
 
-// TestLocalSGDIntoZeroAllocs pins the training hot path: once the pooled
+// TestLocalSGDScratchZeroAllocs pins the training hot path: once the
 // scratch is warm, a full local-SGD block must not allocate at all.
-func TestLocalSGDIntoZeroAllocs(t *testing.T) {
+func TestLocalSGDScratchZeroAllocs(t *testing.T) {
 	m := model.NewLinear(4, 2)
 	shard := toyShard(7, 40)
 	W := simplex.FullSpace{Dim: m.Dim()}
@@ -20,22 +20,23 @@ func TestLocalSGDIntoZeroAllocs(t *testing.T) {
 	iterSum := make([]float64, m.Dim())
 	wChk := make([]float64, m.Dim())
 	r := rng.New(2)
+	var s Scratch
 
-	// Warm the pool and the model's batched scratch.
-	LocalSGDInto(m, w, shard, 8, 4, 0.05, W, r, 3, iterSum, wChk)
+	// Warm the scratch and the model's batched scratch.
+	LocalSGDScratch(m, w, shard, 8, 4, 0.05, W, r, 3, iterSum, wChk, &s)
 
 	allocs := testing.AllocsPerRun(100, func() {
-		LocalSGDInto(m, w, shard, 8, 4, 0.05, W, r, 3, iterSum, wChk)
+		LocalSGDScratch(m, w, shard, 8, 4, 0.05, W, r, 3, iterSum, wChk, &s)
 	})
 	if allocs != 0 {
-		t.Fatalf("LocalSGDInto steady state allocates %.1f objects per run, want 0", allocs)
+		t.Fatalf("LocalSGDScratch steady state allocates %.1f objects per run, want 0", allocs)
 	}
 }
 
-// TestLocalSGDIntoMatchesLocalSGD checks the in-place entry point against
-// the allocating wrapper: same stream draws, same trajectory, same
-// checkpoint.
-func TestLocalSGDIntoMatchesLocalSGD(t *testing.T) {
+// TestLocalSGDScratchMatchesLocalSGD checks the in-place entry point
+// against the allocating wrapper: same stream draws, same trajectory,
+// same checkpoint.
+func TestLocalSGDScratchMatchesLocalSGD(t *testing.T) {
 	m := model.NewLinear(4, 2)
 	shard := toyShard(8, 30)
 	W := simplex.FullSpace{Dim: m.Dim()}
@@ -46,12 +47,12 @@ func TestLocalSGDIntoMatchesLocalSGD(t *testing.T) {
 
 	w := append([]float64(nil), w0...)
 	chk := make([]float64, m.Dim())
-	if !LocalSGDInto(m, w, shard, 6, 3, 0.1, W, rng.New(4), 4, nil, chk) {
-		t.Fatal("LocalSGDInto did not report a checkpoint at chkAt=4")
+	if !LocalSGDScratch(m, w, shard, 6, 3, 0.1, W, rng.New(4), 4, nil, chk, new(Scratch)) {
+		t.Fatal("LocalSGDScratch did not report a checkpoint at chkAt=4")
 	}
 	for i := range w {
 		if w[i] != wantFinal[i] || chk[i] != wantChk[i] {
-			t.Fatal("LocalSGDInto diverged from LocalSGD")
+			t.Fatal("LocalSGDScratch diverged from LocalSGD")
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/optim"
+	"repro/internal/population"
 	"repro/internal/rng"
 	"repro/internal/simplex"
 	"repro/internal/tensor"
@@ -14,10 +15,10 @@ import (
 // Scratch holds the working buffers of a local-SGD block or a mini-batch
 // loss estimate: the gradient accumulator and the sampled batch views.
 // The zero value is ready to use; buffers grow on demand and are reused
-// across calls. Short-lived callers go through LocalSGDInto, which
-// recycles instances via an internal pool; long-lived single-owner
-// callers (the simnet client actors) keep one Scratch per actor so the
-// steady-state hot path never touches the shared pool.
+// across calls. Long-lived single-owner callers (the simnet client
+// actors) keep one resident so their hot path never touches a shared
+// pool; the others — a Fold's lane workers, LocalSGD, CohortLossEstimate —
+// recycle instances via sgdPool, once per worker or call.
 type Scratch struct {
 	grad []float64
 	xs   [][]float64
@@ -30,6 +31,11 @@ type Scratch struct {
 	chk32                  []float32
 	xs32                   [][]float32
 	proj                   []float64
+	// Cohort-side state of the Scratch's owner: the row-alias tables of
+	// the population shard it last materialized (Cohort.shard) and, for
+	// CohortLossEstimate, the cohort being evaluated.
+	shard  population.ShardScratch
+	cohort Cohort
 }
 
 var sgdPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -80,63 +86,43 @@ func (s *Scratch) size32(dim, batch int) {
 func LocalSGD(m model.Model, w0 []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum []float64) (wFinal, wChk []float64) {
 	w := append([]float64(nil), w0...)
 	chk := make([]float64, len(w0))
-	if LocalSGDInto(m, w, shard, steps, batch, eta, W, r, chkAt, iterSum, chk) {
+	s := sgdPool.Get().(*Scratch)
+	defer sgdPool.Put(s)
+	if LocalSGDScratch(m, w, shard, steps, batch, eta, W, r, chkAt, iterSum, chk, s) {
 		wChk = chk
 	}
 	return w, wChk
 }
 
-// LocalSGDInto is the allocation-free core of LocalSGD: it advances w in
-// place through `steps` projected SGD steps, drawing all working buffers
-// from an internal pool. If chkAt is in [1, steps], the iterate after
+// LocalSGDScratch is the allocation-free core of LocalSGD: it advances w
+// in place through `steps` projected SGD steps with all working buffers
+// in the caller's Scratch. If chkAt is in [1, steps], the iterate after
 // chkAt steps is copied into wChk and the function reports true;
 // otherwise wChk is untouched. The sampling, gradient and projection
 // sequence is identical to LocalSGD's.
-func LocalSGDInto(m model.Model, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64) bool {
-	s := sgdPool.Get().(*Scratch)
-	checkpointed := LocalSGDScratch(m, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
-	sgdPool.Put(s)
-	return checkpointed
-}
-
-// LocalSGDScratch is LocalSGDInto with a caller-owned Scratch instead of
-// the shared pool; actors that serve many requests keep one Scratch
-// resident and pass it here so the hot path is pool- and lock-free.
 func LocalSGDScratch(m model.Model, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
-	if tensor.StorageF32() {
+	f32 := tensor.StorageF32()
+	if f32 {
 		if fm, ok := m.(model.F32Model); ok {
 			return localSGD32(fm, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
 		}
-		// Fallback regime for models without a float32 path: float64
-		// arithmetic with the iterate rounded back to storage after
-		// every step. Deterministic, but a different trajectory than
-		// the native float32 path.
-		s.size(len(w), batch)
-		checkpointed := false
-		for t := 0; t < steps; t++ {
-			if iterSum != nil {
-				tensor.StorageAdd(iterSum, w)
-			}
-			shard.SampleInto(r, s.xs, s.ys)
-			m.Grad(w, s.grad, s.xs, s.ys)
-			optim.SGDStep(w, s.grad, eta, W)
-			tensor.Round32(w)
-			if t+1 == chkAt {
-				copy(wChk, w)
-				checkpointed = true
-			}
-		}
-		return checkpointed
 	}
 	s.size(len(w), batch)
 	checkpointed := false
 	for t := 0; t < steps; t++ {
 		if iterSum != nil {
-			tensor.Axpy(1, w, iterSum)
+			tensor.StorageAdd(iterSum, w)
 		}
 		shard.SampleInto(r, s.xs, s.ys)
 		m.Grad(w, s.grad, s.xs, s.ys)
 		optim.SGDStep(w, s.grad, eta, W)
+		if f32 {
+			// Fallback regime for models without a float32 path: float64
+			// arithmetic with the iterate rounded back to storage after
+			// every step. Deterministic, but a different trajectory than
+			// the native float32 path.
+			tensor.Round32(w)
+		}
 		if t+1 == chkAt {
 			copy(wChk, w)
 			checkpointed = true
@@ -216,20 +202,11 @@ func LocalSGD32Scratch(m model.F32Model, w32 []float32, shard data.Subset, steps
 	return checkpointed
 }
 
-// LocalSGD32Into is LocalSGD32Scratch with working buffers drawn from
-// the internal pool — the float32 sibling of LocalSGDInto for callers
-// that own the iterate/checkpoint/sum buffers but not a Scratch.
-func LocalSGD32Into(m model.F32Model, w32 []float32, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum32, wChk32 []float32) bool {
-	s := sgdPool.Get().(*Scratch)
-	checkpointed := LocalSGD32Scratch(m, w32, shard, steps, batch, eta, W, r, chkAt, iterSum32, wChk32, s)
-	sgdPool.Put(s)
-	return checkpointed
-}
-
 // ShardLossEstimate draws one mini-batch from the shard (consuming the
 // same stream values as Subset.Sample) and returns the model loss of w on
 // it, using the caller's Scratch for the batch views. It is the
-// allocation-free client half of the Phase-2 LossEstimation procedure.
+// allocation-free client half of the Phase-2 LossEstimation procedure
+// (CohortLossEstimate is the edge half).
 func ShardLossEstimate(m model.Model, w []float64, shard data.Subset, batch int, r *rng.Stream, s *Scratch) float64 {
 	if tensor.StorageF32() {
 		if fm, ok := m.(model.F32Model); ok {
@@ -255,32 +232,4 @@ func ProjectW(W simplex.Set, w []float64) {
 	if tensor.StorageF32() {
 		tensor.Round32(w)
 	}
-}
-
-// AreaLossEstimate implements the LossEstimation procedure of Phase 2:
-// each client of the area evaluates the checkpoint model on a mini-batch
-// and the edge server averages the client estimates, yielding an
-// unbiased estimate of f_e(w).
-func AreaLossEstimate(m model.Model, w []float64, area data.AreaData, lossBatch int, r *rng.Stream) float64 {
-	s := sgdPool.Get().(*Scratch)
-	defer sgdPool.Put(s)
-	total := 0.0
-	if tensor.StorageF32() {
-		if fm, ok := m.(model.F32Model); ok {
-			// Convert the checkpoint once per area, not once per client:
-			// same w32 bits and same per-client stream draws as routing
-			// every client through ShardLossEstimate.
-			s.size32(len(w), lossBatch)
-			tensor.ToF32(s.w32, w)
-			for c, shard := range area.Clients {
-				shard.SampleInto32(r.Child(uint64(c)), s.xs32, s.ys)
-				total += float64(fm.LossF32(s.w32, s.xs32, s.ys))
-			}
-			return total / float64(len(area.Clients))
-		}
-	}
-	for c, shard := range area.Clients {
-		total += ShardLossEstimate(m, w, shard, lossBatch, r.Child(uint64(c)), s)
-	}
-	return total / float64(len(area.Clients))
 }

@@ -167,11 +167,26 @@ func cases() map[string]func() (*fl.Result, error) {
 		"fedavg-pop": func() (*fl.Result, error) {
 			return baselines.FedAvg(fltest.ToyProblem(3), pop(twoLayer))
 		},
+		"afl-pop": func() (*fl.Result, error) {
+			return baselines.StochasticAFL(fltest.ToyProblem(3), pop(aflCfg))
+		},
+		"drfa-pop": func() (*fl.Result, error) {
+			return baselines.DRFA(fltest.ToyProblem(3), pop(twoLayer))
+		},
 		"hierfavg-pop": func() (*fl.Result, error) {
 			return baselines.HierFAvg(fltest.ToyProblem(3), pop(fltest.ToyConfig()))
 		},
 		"fedavg-avg": func() (*fl.Result, error) {
 			return baselines.FedAvg(fltest.ToyProblem(3), avg(twoLayer))
+		},
+		"afl-avg": func() (*fl.Result, error) {
+			return baselines.StochasticAFL(fltest.ToyProblem(3), avg(aflCfg))
+		},
+		"drfa-avg": func() (*fl.Result, error) {
+			return baselines.DRFA(fltest.ToyProblem(3), avg(twoLayer))
+		},
+		"hierfavg-avg": func() (*fl.Result, error) {
+			return baselines.HierFAvg(fltest.ToyProblem(3), avg(fltest.ToyConfig()))
 		},
 	}
 	// Compression regimes are pinned per kernel class like everything

@@ -197,10 +197,10 @@ func round(k int, st *fl.State, cfg *Config, pool *fl.ModelPool) {
 		m := pool.Get()
 		defer pool.Put(m)
 		er := ur.ChildN(5, uint64(i))
-		area := prob.Fed.Areas[sampled[i]]
-		st.Ledger.RecordRound(topology.ClientEdge, len(area.Clients), dBytes)
-		losses[i] = fl.AreaLossEstimate(m, wChk, area, base.LossBatch, er)
-		st.Ledger.RecordRound(topology.ClientEdge, len(area.Clients), 8)
+		var n int
+		losses[i], n = fl.CohortLossEstimate(m, wChk, base, prob.Fed, k, sampled[i], er)
+		st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
+		st.Ledger.RecordRound(topology.ClientEdge, n, 8)
 	})
 	st.Ledger.RecordRound(topology.EdgeCloud, len(sampled), 8)
 	v := make([]float64, nAreas)

@@ -288,11 +288,11 @@ func (c *clientActor) run(wg *sync.WaitGroup) {
 }
 
 // edgeActor owns one edge area: it fans ModelUpdate blocks out to its
-// client actors and aggregates their replies, mirroring core.ModelUpdate
-// exactly (same stream key derivations, same aggregation order) in the
-// fault-free case. Under faults it aggregates the quorum that arrived:
-// the block average reweights over surviving clients, and a block with
-// no survivors carries the edge model forward unchanged.
+// client actors and aggregates their replies, mirroring core's slot
+// (fl.Fold) exactly — same stream key derivations, same aggregation
+// order — in the fault-free case. Under faults it aggregates the quorum
+// that arrived: the block average reweights over surviving clients, and
+// a block with no survivors carries the edge model forward unchanged.
 //
 // Requests from the cloud arrive on the actor's main inbox; replies from
 // clients arrive on a dedicated reply port, so a second queued cloud
@@ -600,7 +600,7 @@ func (e *edgeActor) modelUpdate(req *edgeTrainReq, round int) *edgeTrainReply {
 
 // lossEstimate collects per-client mini-batch losses of req.W and
 // averages them over the clients that answered, matching
-// fl.AreaLossEstimate's stream keys (and its 1/N0 average when everyone
+// fl.CohortLossEstimate's stream keys (and its 1/N0 average when everyone
 // does). ok is false when no client answered.
 func (e *edgeActor) lossEstimate(req *edgeLossReq, round int) (loss float64, ok bool, acct slotAcct) {
 	n0 := len(e.clients)
@@ -662,7 +662,7 @@ func (e *edgeActor) lossEstimate(req *edgeLossReq, round int) (loss float64, ok 
 // into streaming MeanAccumulators in cohort order. Stream keys
 // (blockStream.ChildVal(c), post-SGD 'q' children, slot-level 'Q'
 // children) and fold order match both the dense actor protocol and
-// core's modelUpdatePop, so the trajectory is bit-for-bit the core
+// core's slot (fl.Fold), so the trajectory is bit-for-bit the core
 // engine's. Chaos composes at the client level: a crashed cohort member
 // still receives its broadcast (downlink charged, exactly like a dense
 // crashed client that gets the request and then dies) but contributes

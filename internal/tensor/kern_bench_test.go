@@ -12,8 +12,7 @@ import (
 // dispatch rung (generic/sse2/avx2 sub-benchmarks via SetKernel; the
 // avx2f32 rung binds the avx2 set for these float64 kernels, so it
 // would only duplicate the avx2 rows), so a single `go test -bench`
-// invocation yields comparable per-class numbers on one machine — the
-// shape bench.sh records in BENCH_10.json.
+// invocation yields comparable per-class numbers on one machine.
 
 // benchClasses runs fn under each forced kernel class.
 func benchClasses(b *testing.B, fn func(b *testing.B)) {

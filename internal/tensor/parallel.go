@@ -180,8 +180,13 @@ func (a *MeanAccumulator) FinishInto(dst []float64) {
 		ToF64(dst, a.acc32)
 		return
 	}
-	copy(dst, a.acc)
-	Scale(1/float64(a.n), dst)
+	// Scale while copying out: the same multiplication per element as
+	// AverageInto's in-place Scale, in one pass over dst instead of two.
+	checkLen(len(dst), len(a.acc))
+	inv := 1 / float64(a.n)
+	for i, v := range a.acc {
+		dst[i] = v * inv
+	}
 }
 
 // WeightedAverageInto writes sum_i weights[i]*vecs[i] into dst. Weights

@@ -281,16 +281,10 @@ func (s *Spec) normalize() error {
 	if s.QuantBits > 0 && s.TopK > 0 {
 		return fmt.Errorf("hierfair: Spec.QuantBits and Spec.TopK are mutually exclusive")
 	}
-	if (s.Population > 0) != (s.SamplePerRound > 0) {
-		return fmt.Errorf("hierfair: Spec.Population and Spec.SamplePerRound must be set together, got %d/%d", s.Population, s.SamplePerRound)
-	}
-	if s.Population > 0 {
-		if len(s.Branching) > 0 || len(s.Taus) > 0 {
-			return fmt.Errorf("hierfair: Spec.Population does not compose with the multi-layer tree (Branching/Taus)")
-		}
-		if s.TopK > 0 {
-			return fmt.Errorf("hierfair: Spec.Population refuses TopK compression (per-client error-feedback residuals conflict with streaming cohort aggregation); use QuantBits")
-		}
+	// The Population/SamplePerRound pairing and the Population x TopK
+	// refusal are fl.Config.Validate's, which every engine runs.
+	if s.Population > 0 && (len(s.Branching) > 0 || len(s.Taus) > 0) {
+		return fmt.Errorf("hierfair: Spec.Population does not compose with the multi-layer tree (Branching/Taus)")
 	}
 	if s.Dataset == "" {
 		s.Dataset = DatasetEMNIST
