@@ -11,6 +11,12 @@ go build ./...
 go vet ./...
 go test ./...
 
+# The wire codec moves float64 vectors as raw bytes on a little-endian
+# host and element by element on a big-endian one; no CI machine is
+# big-endian, so at least keep that path compiling and vetted.
+GOARCH=s390x go build ./...
+GOARCH=s390x go vet ./internal/wire
+
 # The benchmark harness is a module of its own (repro/benchmark, replacing
 # repro with ../), so the three commands above neither build nor run it.
 # Vet and test it, then run every workload in --quick mode: seconds, not a
@@ -29,15 +35,15 @@ go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./i
 # machine. -count=1 because the test cache does not key on
 # HIERFAIR_KERNEL. The race legs re-run the tensor suite (which
 # exercises the parallel apply path) under each class's kernels. The
-# facade population tests ride along because the sparse regime's lazily
-# materialized shards exercise per-class storage paths the resident
-# fixtures don't (notably the float32 shard-mirror resolution). core and
+# facade (root package) rides along because its Spec-level tests meet
+# per-class behaviour the internal fixtures don't: the sparse regime's
+# lazily materialized shards (notably the float32 shard-mirror
+# resolution) and the float32 tier's refusal of compression. core and
 # baselines are in the loop because the slot path dispatches on the class
 # (the float32 tier has its own resident slot and refuses compression), so
 # their suites and allocation guards are not class-independent.
 for KC in generic sse2 avx2 avx2f32; do
-	HIERFAIR_KERNEL=$KC go test -count=1 ./internal/tensor/ ./internal/fl/ ./internal/core/ ./internal/baselines/ ./internal/invariance/
-	HIERFAIR_KERNEL=$KC go test -count=1 -run 'Population' .
+	HIERFAIR_KERNEL=$KC go test -count=1 . ./internal/tensor/ ./internal/fl/ ./internal/core/ ./internal/baselines/ ./internal/invariance/
 	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/tensor/
 done
 
@@ -48,13 +54,16 @@ done
 # bounded-allocation contracts (wire frame decoding, including the
 # compressed-payload frame's canonical-form contract) and the
 # bit-for-bit equality of the word-at-a-time pack/unpack kernels with
-# their scalar reference (quant). Long exploratory sessions stay manual
+# their scalar reference (quant), and of the wire codec's bulk vector
+# move and gather write with the per-element loops that define the
+# format. Long exploratory sessions stay manual
 # (go test -fuzz=... -fuzztime=5m ./internal/simplex).
 go test -run '^$' -fuzz '^FuzzSimplexProject$' -fuzztime 5s ./internal/simplex
 go test -run '^$' -fuzz '^FuzzCappedSimplexProject$' -fuzztime 5s ./internal/simplex
 go test -run '^$' -fuzz '^FuzzDecodeMessage$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzPackedVec$' -fuzztime 5s ./internal/wire
+go test -run '^$' -fuzz '^FuzzVecFastMatchesPortable$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzPackUniform$' -fuzztime 5s ./internal/quant
 
 # Multi-process smoke: the same seeded workload trained once in a

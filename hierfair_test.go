@@ -2,7 +2,10 @@ package hierfair
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // smokeSpec is a seconds-fast configuration used across the API tests.
@@ -260,6 +263,14 @@ func TestQuantizedSpec(t *testing.T) {
 	spec := smokeSpec(AlgHierMinimax)
 	spec.QuantBits = 8
 	rep, err := Run(spec)
+	if tensor.StorageF32() {
+		// The float32 storage tier refuses compression (fl.Config.Validate);
+		// on that class the refusal is the behaviour to pin.
+		if err == nil || !strings.Contains(err.Error(), "compression is not supported") {
+			t.Fatalf("compression on the float32 storage tier: got error %v, want a refusal", err)
+		}
+		return
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,10 @@ type Peer struct {
 
 	// sender-goroutine state
 	conn net.Conn
-	buf  []byte
+	enc  encoder     // gather mode: vectors are cut out of buf
+	buf  []byte      // the current frame's bytes around its cuts
+	segs net.Buffers // one write's segments; wv is the copy WriteTo consumes
+	wv   net.Buffers
 }
 
 // NewPeer starts the sender goroutine for one remote runtime.
@@ -68,7 +71,8 @@ func NewPeer(pool *ConnPool, cfg PeerConfig) *Peer {
 	if cfg.Release == nil {
 		cfg.Release = func(Message) {}
 	}
-	p := &Peer{pool: pool, cfg: cfg, q: make(chan outFrame, cfg.QueueLen), m: newPeerMetrics()}
+	p := &Peer{pool: pool, cfg: cfg, q: make(chan outFrame, cfg.QueueLen), m: newPeerMetrics(),
+		enc: encoder{gather: true}}
 	p.wg.Add(1)
 	go p.run()
 	return p
@@ -162,53 +166,68 @@ func (p *Peer) parkConn() {
 // to MaxRetries. The payload is released only after a successful write;
 // a frame that exhausts retries is released too (the run is already
 // lost at that point — the error is logged, not swallowed silently).
+//
+// A protocol frame is gather-encoded: p.buf receives the bytes around
+// the payload's float64 vectors and the vectors themselves go to the
+// kernel from the payload's own memory, which is why the release must
+// stay behind the write.
 func (p *Peer) writeFrame(f outFrame) {
-	var frame []byte
-	if f.raw != nil {
-		frame = f.raw
-	} else {
+	head, cuts := f.raw, []vecCut(nil)
+	if head == nil {
+		defer p.cfg.Release(f.msg)
 		var err error
-		p.buf, err = AppendMessage(p.buf[:0], f.msg)
+		head, err = p.enc.message(p.buf[:0], f.msg)
 		if err != nil {
 			log.Printf("wire: dropping unencodable frame: %v", err)
-			p.cfg.Release(f.msg)
 			return
 		}
-		frame = p.buf
+		p.buf, cuts = head, p.enc.cuts
 	}
 	for attempt := 0; ; attempt++ {
 		if p.conn == nil {
 			c, err := p.pool.Get()
 			if err != nil {
 				log.Printf("wire: send failed, no connection: %v", err)
-				if f.raw == nil {
-					p.cfg.Release(f.msg)
-				}
 				return
 			}
 			p.conn = c
 		}
-		if _, err := p.conn.Write(frame); err == nil {
-			break
-		} else {
-			p.conn.Close()
-			p.conn = nil
-			p.pool.Forget()
-			if attempt >= p.cfg.MaxRetries {
-				log.Printf("wire: send failed after %d retries: %v", attempt, err)
-				if f.raw == nil {
-					p.cfg.Release(f.msg)
-				}
-				return
-			}
-			p.m.retries.Inc()
+		n, err := p.writeOnce(head, cuts)
+		if err == nil {
+			p.m.framesSent.Inc()
+			p.m.bytesSent.Add(n)
+			return
 		}
+		p.conn.Close()
+		p.conn = nil
+		p.pool.Forget()
+		if attempt >= p.cfg.MaxRetries {
+			log.Printf("wire: send failed after %d retries: %v", attempt, err)
+			return
+		}
+		p.m.retries.Inc()
 	}
-	p.m.framesSent.Inc()
-	p.m.bytesSent.Add(int64(len(frame)))
-	if f.raw == nil {
-		p.cfg.Release(f.msg)
+}
+
+// writeOnce writes the whole frame to the held connection: head alone
+// when the encoder set no vector aside, else head split at each cut with
+// the aliased vector between, as one vectored write. WriteTo consumes the
+// net.Buffers it is called on, so every attempt lays the segments out
+// again (into the same backing array).
+func (p *Peer) writeOnce(head []byte, cuts []vecCut) (int64, error) {
+	if len(cuts) == 0 {
+		n, err := p.conn.Write(head)
+		return int64(n), err
 	}
+	p.segs = p.segs[:0]
+	at := 0
+	for _, c := range cuts {
+		p.segs = append(p.segs, head[at:c.off], c.data)
+		at = c.off
+	}
+	p.segs = append(p.segs, head[at:])
+	p.wv = p.segs
+	return p.wv.WriteTo(p.conn)
 }
 
 // ListenerConfig tunes one Listener.

@@ -1,12 +1,16 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/quant"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 // startListener binds a loopback listener with collecting callbacks.
@@ -38,11 +42,11 @@ type recorder struct {
 	errs   []error
 }
 
-func (r *recorder) onMessage(m Message)       { r.mu.Lock(); r.msgs = append(r.msgs, m); r.mu.Unlock() }
-func (r *recorder) onHello(h Hello)           { r.mu.Lock(); r.hellos = append(r.hellos, h); r.mu.Unlock() }
-func (r *recorder) onReady(e int)             { r.mu.Lock(); r.readys = append(r.readys, e); r.mu.Unlock() }
-func (r *recorder) onStats(e int, s Stats)    { r.mu.Lock(); r.stats = append(r.stats, s); r.mu.Unlock() }
-func (r *recorder) onError(err error)         { r.mu.Lock(); r.errs = append(r.errs, err); r.mu.Unlock() }
+func (r *recorder) onMessage(m Message)    { r.mu.Lock(); r.msgs = append(r.msgs, m); r.mu.Unlock() }
+func (r *recorder) onHello(h Hello)        { r.mu.Lock(); r.hellos = append(r.hellos, h); r.mu.Unlock() }
+func (r *recorder) onReady(e int)          { r.mu.Lock(); r.readys = append(r.readys, e); r.mu.Unlock() }
+func (r *recorder) onStats(e int, s Stats) { r.mu.Lock(); r.stats = append(r.stats, s); r.mu.Unlock() }
+func (r *recorder) onError(err error)      { r.mu.Lock(); r.errs = append(r.errs, err); r.mu.Unlock() }
 func (r *recorder) snapshot() (int, int, int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -302,5 +306,174 @@ func TestPeerStreamPayloadSurvivesTransport(t *testing.T) {
 		if w, g := want.NormFloat64(), got.NormFloat64(); w != g {
 			t.Fatalf("deviate %d diverges after transport", i)
 		}
+	}
+}
+
+// cutConn passes the first `left` bytes written to it through and fails
+// the write that would go past them, like a connection dying mid-frame.
+type cutConn struct {
+	net.Conn
+	left int
+}
+
+var errCut = errors.New("cutConn: connection cut")
+
+func (c *cutConn) Write(b []byte) (int, error) {
+	if len(b) <= c.left {
+		c.left -= len(b)
+		return c.Conn.Write(b)
+	}
+	n, _ := c.Conn.Write(b[:c.left])
+	c.left = 0
+	return n, errCut
+}
+
+// sampleFrames is one frame of each encoding the sender has: dense
+// vectors (gather-written as float64; in-buffer 4-byte elements when
+// sent under the avx2f32 class, hence float32-representable values) and
+// an 8-bit packed uplink with a dense iterate sum beside it.
+func sampleFrames(d int) (dense, q8 Message) {
+	dense = Message{From: NodeID{Kind: Edge, Index: 1}, To: NodeID{Kind: Cloud}, Bytes: int64(24 * d),
+		Payload: &EdgeTrainReply{Slot: 1, WEdge: sampleVec32(d, 1), WChk: sampleVec32(d, 2), IterSum: sampleVec32(d, 3), IterCount: 4}}
+	pack := func(seed uint64) *quant.Packed {
+		p := quant.GetPacked()
+		quant.Config{Bits: 8}.Pack(p, sampleVec32(d, float64(seed)), nil, rng.New(seed))
+		return p
+	}
+	q8 = Message{From: NodeID{Kind: Client, Index: 2}, To: NodeID{Kind: Edge, Index: 1},
+		Payload: &TrainReply{Client: 2, WFinalP: pack(5), WChkP: pack(6), IterSum: sampleVec32(d, 7)}}
+	return dense, q8
+}
+
+// sameFrame reports whether got encodes to exactly want's frame — the
+// bit-for-bit comparison of two messages, vectors included.
+func sameFrame(t *testing.T, got, want Message) bool {
+	t.Helper()
+	return bytes.Equal(mustFrame(t, got), mustFrame(t, want))
+}
+
+func TestPeerRetriesAfterWriteError(t *testing.T) {
+	const fp, d = 0x4242, 7850
+	before := Message{From: NodeID{Kind: Edge, Index: 1}, To: NodeID{Kind: Cloud}, Round: 0,
+		Payload: &LossReply{Client: 1, Loss: 0.5}}
+	victim, _ := sampleFrames(d)
+	victim.Round = 1
+	after := before
+	after.Round = 2
+	after.Payload = &LossReply{Client: 2, Loss: 0.25}
+	// The gathered frame's first segment ends where the first vector
+	// starts: type + envelope (24) + slot (4) + presence (1) + length (4),
+	// after the 4-byte prefix.
+	const firstSeg = 4 + 24 + 4 + 1 + 4
+	for _, c := range []struct {
+		name string
+		k    int // bytes of the victim frame the first connection carries
+	}{
+		{"inside the header", 10},
+		{"at a segment boundary", firstSeg},
+		{"inside a vector", firstSeg + 8*d/2 + 3},
+		{"at the second vector's start", firstSeg + 8*d + 1 + 4},
+	} {
+		l, addr, rec := startListener(t, fp)
+		dial := helloDialer(addr, Hello{Role: RoleEdge, Edge: 1, Fingerprint: fp})
+		dials := 0
+		pool := NewConnPool(func() (net.Conn, error) {
+			conn, err := dial()
+			if dials++; err != nil || dials > 1 {
+				return conn, err
+			}
+			return &cutConn{Conn: conn, left: len(mustFrame(t, before)) + c.k}, nil
+		}, PoolConfig{MaxActive: 1, IdleTimeout: time.Hour})
+		released := make(map[int]int)
+		var relMu sync.Mutex
+		peer := NewPeer(pool, PeerConfig{Release: func(m Message) {
+			relMu.Lock()
+			released[m.Round]++
+			relMu.Unlock()
+		}})
+		retries := peer.m.retries.Value()
+
+		// The neighbour before rides the doomed connection and is
+		// delivered from it; wait for it so that the two connections'
+		// reader goroutines cannot reorder it against the retried frame.
+		peer.Send(before)
+		peer.Flush()
+		rec.waitMsgs(t, 1)
+		peer.Send(victim)
+		peer.Send(after)
+		peer.Flush()
+		msgs := rec.waitMsgs(t, 3)
+		peer.Close()
+		pool.Close()
+
+		for i, want := range []Message{before, victim, after} {
+			if msgs[i].Round != i || !sameFrame(t, msgs[i], want) {
+				t.Fatalf("%s: message %d (round %d) is out of order or differs from what was sent",
+					c.name, i, msgs[i].Round)
+			}
+		}
+		// Once the listener's connection goroutines have drained, a
+		// duplicate or a delivered partial frame would have shown up.
+		l.Close()
+		if n, _, errs := rec.snapshot(); n != 3 || errs != 0 {
+			t.Fatalf("%s: listener delivered %d messages with %d errors, want exactly 3 and none", c.name, n, errs)
+		}
+		relMu.Lock()
+		if len(released) != 3 || released[0] != 1 || released[1] != 1 || released[2] != 1 {
+			t.Fatalf("%s: releases per message %v, want one each", c.name, released)
+		}
+		relMu.Unlock()
+		if got := peer.m.retries.Value() - retries; got != 1 {
+			t.Fatalf("%s: %d retries, want 1", c.name, got)
+		}
+		if st, _, _ := pool.Stats(); st.Dials != 2 || st.Discarded != 1 {
+			t.Fatalf("%s: pool stats %+v, want 2 dials and 1 discarded connection", c.name, st)
+		}
+	}
+}
+
+// TestPeerByteAccounting: on a clean run the sender's byte counter, the
+// receiver's and the frames' own sizes (prefix + body) agree, for the
+// gather-written dense frame, the packed frame and the float32 tier's
+// in-buffer frame — so moving vectors out of the frame buffer did not
+// move wire_bytes_sent.
+func TestPeerByteAccounting(t *testing.T) {
+	const fp, d = 0x6161, 7850
+	for _, class := range []tensor.KernelClass{tensor.KernelGeneric, tensor.KernelAVX2F32} {
+		// The class is process-global and read by the listener's and the
+		// peer's goroutines: set it before they start, restore it after
+		// they are gone.
+		restore := tensor.SetKernel(class)
+		l, addr, rec := startListener(t, fp)
+		pool := NewConnPool(helloDialer(addr, Hello{Role: RoleEdge, Edge: 1, Fingerprint: fp}),
+			PoolConfig{MaxActive: 1, IdleTimeout: time.Hour})
+		peer := NewPeer(pool, PeerConfig{})
+		sent, recv := peer.m.bytesSent.Value(), l.m.bytesRecv.Value()
+
+		dense, q8 := sampleFrames(d)
+		frames := []Message{dense}
+		if class != tensor.KernelAVX2F32 { // the float32 tier refuses compression
+			frames = append(frames, q8)
+		}
+		frames = append(frames, Message{From: dense.From, To: dense.To, Payload: &LossReply{Loss: 1}})
+		var want int64
+		for _, m := range frames {
+			want += int64(len(mustFrame(t, m)))
+			peer.Send(m)
+		}
+		peer.Flush()
+		msgs := rec.waitMsgs(t, len(frames))
+		for i, m := range frames {
+			if !sameFrame(t, msgs[i], m) {
+				t.Fatalf("%v: frame %d arrived changed", class, i)
+			}
+		}
+		peer.Close()
+		pool.Close()
+		l.Close()
+		if s, r := peer.m.bytesSent.Value()-sent, l.m.bytesRecv.Value()-recv; s != want || r != want {
+			t.Fatalf("%v: %d bytes sent, %d received, frames total %d", class, s, r, want)
+		}
+		restore()
 	}
 }

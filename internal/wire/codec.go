@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -138,7 +137,32 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// appendVec encodes a nilable payload vector: a presence byte, then the
+// errEmptyVec refuses a non-nil zero-length payload vector: the decoder
+// rejects a present vector of length 0, and the protocol never sends one
+// (absence is nil), so encoding it would emit a frame its own peer drops.
+var errEmptyVec = errors.New("wire: cannot encode an empty non-nil payload vector")
+
+// vecCut marks where one payload vector belongs in a gathered frame:
+// after the encoded bytes [:off]. data aliases the payload's own memory.
+type vecCut struct {
+	off  int
+	data []byte
+}
+
+// encoder is the one protocol-frame encoder. Its zero value copies every
+// payload vector into the frame buffer (AppendMessage). With gather set,
+// float64 vectors on a little-endian host stay where they are: the frame
+// buffer receives only the bytes around them and cuts records where each
+// vector goes, so Peer can hand the kernel header bytes and payload
+// memory in one vectored write. Either way the frame's bytes, in order,
+// are the same.
+type encoder struct {
+	gather bool
+	cuts   []vecCut
+	err    error
+}
+
+// vec encodes a nilable payload vector: a presence byte, then the
 // length and raw IEEE bits. nil and non-nil round-trip distinctly —
 // the protocol uses nil checkpoints and iterate sums as signals.
 //
@@ -148,9 +172,13 @@ func appendBool(b []byte, v bool) []byte {
 // narrowing is exact and the payload halves. Both endpoints agree on
 // the width because the handshake fingerprint includes the kernel
 // class (mixed regimes are refused before any payload flows).
-func appendVec(b []byte, v []float64) []byte {
+func (e *encoder) vec(b []byte, v []float64) []byte {
 	if v == nil {
 		return append(b, 0)
+	}
+	if len(v) == 0 {
+		e.err = errEmptyVec
+		return b
 	}
 	b = append(b, 1)
 	b = appendU32(b, uint32(len(v)))
@@ -160,10 +188,11 @@ func appendVec(b []byte, v []float64) []byte {
 		}
 		return b
 	}
-	for _, x := range v {
-		b = appendU64(b, math.Float64bits(x))
+	if e.gather && hostLittleEndian {
+		e.cuts = append(e.cuts, vecCut{off: len(b), data: vecBytes(v)})
+		return b
 	}
-	return b
+	return appendVecData(b, v)
 }
 
 // appendPacked encodes a nilable compressed payload. The leading byte is
@@ -221,93 +250,105 @@ func appendEnvelope(b []byte, m Message) []byte {
 // protocol types (pointer forms) or Stop; anything else is an error —
 // the transport refuses to guess at encodings.
 func AppendMessage(buf []byte, m Message) ([]byte, error) {
-	var encodeErr error
-	buf = appendFrame(buf, func(b []byte) []byte {
-		switch p := m.Payload.(type) {
-		case *TrainReq:
-			b = append(b, frameTrainReq)
-			b = appendEnvelope(b, m)
-			b = appendVec(b, p.W)
-			b = appendU32(b, uint32(p.Steps))
-			b = appendU32(b, uint32(p.Batch))
-			b = appendU32(b, uint32(p.ChkAt))
-			b = appendU32(b, uint32(p.Block))
-			b = appendF64(b, p.Eta)
-			b = p.Stream.AppendBinary(b)
-			b = appendU32(b, uint32(p.Client))
-		case *TrainReply:
-			b = append(b, frameTrainReply)
-			b = appendEnvelope(b, m)
-			b = appendU32(b, uint32(p.Client))
-			b = appendVec(b, p.WFinal)
-			b = appendVec(b, p.WChk)
-			b = appendVec(b, p.IterSum)
-			b = appendPacked(b, p.WFinalP)
-			b = appendPacked(b, p.WChkP)
-			b = appendBool(b, p.Failed)
-		case *LossReq:
-			b = append(b, frameLossReq)
-			b = appendEnvelope(b, m)
-			b = appendVec(b, p.W)
-			b = appendU32(b, uint32(p.Batch))
-			b = p.Stream.AppendBinary(b)
-			b = appendU32(b, uint32(p.Client))
-		case *LossReply:
-			b = append(b, frameLossReply)
-			b = appendEnvelope(b, m)
-			b = appendU32(b, uint32(p.Client))
-			b = appendF64(b, p.Loss)
-			b = appendBool(b, p.Failed)
-		case *EdgeTrainReq:
-			b = append(b, frameEdgeTrainReq)
-			b = appendEnvelope(b, m)
-			b = appendVec(b, p.W)
-			b = appendU32(b, uint32(p.C1))
-			b = appendU32(b, uint32(p.C2))
-			b = appendU32(b, uint32(p.Slot))
-			b = p.Stream.AppendBinary(b)
-			b = appendBool(b, p.Doomed)
-		case *EdgeTrainReply:
-			b = append(b, frameEdgeTrainReply)
-			b = appendEnvelope(b, m)
-			b = appendU32(b, uint32(p.Slot))
-			b = appendVec(b, p.WEdge)
-			b = appendVec(b, p.WChk)
-			b = appendVec(b, p.IterSum)
-			b = appendPacked(b, p.WEdgeP)
-			b = appendPacked(b, p.WChkP)
-			b = appendF64(b, p.IterCount)
-			b = appendBool(b, p.Failed)
-			b = appendBool(b, p.Doomed)
-			b = appendAcct(b, p.Acct)
-		case *EdgeLossReq:
-			b = append(b, frameEdgeLossReq)
-			b = appendEnvelope(b, m)
-			b = appendVec(b, p.W)
-			b = appendU32(b, uint32(p.Seq))
-			b = appendU32(b, uint32(p.LossBatch))
-			b = p.Stream.AppendBinary(b)
-			b = appendBool(b, p.Doomed)
-		case *EdgeLossReply:
-			b = append(b, frameEdgeLossReply)
-			b = appendEnvelope(b, m)
-			b = appendU32(b, uint32(p.Seq))
-			b = appendF64(b, p.Loss)
-			b = appendBool(b, p.Failed)
-			b = appendBool(b, p.Doomed)
-			b = appendAcct(b, p.Acct)
-		case Stop:
-			b = append(b, frameStop)
-			b = appendEnvelope(b, m)
-		default:
-			encodeErr = fmt.Errorf("wire: cannot encode payload type %T", m.Payload)
-		}
-		return b
-	})
-	if encodeErr != nil {
-		return nil, encodeErr
+	var e encoder
+	return e.message(buf, m)
+}
+
+// message appends m's frame to buf. In gather mode the returned bytes
+// omit the vectors recorded in e.cuts (reset on every call); the length
+// prefix always counts the whole frame.
+func (e *encoder) message(buf []byte, m Message) ([]byte, error) {
+	e.cuts, e.err = e.cuts[:0], nil
+	start := len(buf)
+	b := append(buf, 0, 0, 0, 0)
+	switch p := m.Payload.(type) {
+	case *TrainReq:
+		b = append(b, frameTrainReq)
+		b = appendEnvelope(b, m)
+		b = e.vec(b, p.W)
+		b = appendU32(b, uint32(p.Steps))
+		b = appendU32(b, uint32(p.Batch))
+		b = appendU32(b, uint32(p.ChkAt))
+		b = appendU32(b, uint32(p.Block))
+		b = appendF64(b, p.Eta)
+		b = p.Stream.AppendBinary(b)
+		b = appendU32(b, uint32(p.Client))
+	case *TrainReply:
+		b = append(b, frameTrainReply)
+		b = appendEnvelope(b, m)
+		b = appendU32(b, uint32(p.Client))
+		b = e.vec(b, p.WFinal)
+		b = e.vec(b, p.WChk)
+		b = e.vec(b, p.IterSum)
+		b = appendPacked(b, p.WFinalP)
+		b = appendPacked(b, p.WChkP)
+		b = appendBool(b, p.Failed)
+	case *LossReq:
+		b = append(b, frameLossReq)
+		b = appendEnvelope(b, m)
+		b = e.vec(b, p.W)
+		b = appendU32(b, uint32(p.Batch))
+		b = p.Stream.AppendBinary(b)
+		b = appendU32(b, uint32(p.Client))
+	case *LossReply:
+		b = append(b, frameLossReply)
+		b = appendEnvelope(b, m)
+		b = appendU32(b, uint32(p.Client))
+		b = appendF64(b, p.Loss)
+		b = appendBool(b, p.Failed)
+	case *EdgeTrainReq:
+		b = append(b, frameEdgeTrainReq)
+		b = appendEnvelope(b, m)
+		b = e.vec(b, p.W)
+		b = appendU32(b, uint32(p.C1))
+		b = appendU32(b, uint32(p.C2))
+		b = appendU32(b, uint32(p.Slot))
+		b = p.Stream.AppendBinary(b)
+		b = appendBool(b, p.Doomed)
+	case *EdgeTrainReply:
+		b = append(b, frameEdgeTrainReply)
+		b = appendEnvelope(b, m)
+		b = appendU32(b, uint32(p.Slot))
+		b = e.vec(b, p.WEdge)
+		b = e.vec(b, p.WChk)
+		b = e.vec(b, p.IterSum)
+		b = appendPacked(b, p.WEdgeP)
+		b = appendPacked(b, p.WChkP)
+		b = appendF64(b, p.IterCount)
+		b = appendBool(b, p.Failed)
+		b = appendBool(b, p.Doomed)
+		b = appendAcct(b, p.Acct)
+	case *EdgeLossReq:
+		b = append(b, frameEdgeLossReq)
+		b = appendEnvelope(b, m)
+		b = e.vec(b, p.W)
+		b = appendU32(b, uint32(p.Seq))
+		b = appendU32(b, uint32(p.LossBatch))
+		b = p.Stream.AppendBinary(b)
+		b = appendBool(b, p.Doomed)
+	case *EdgeLossReply:
+		b = append(b, frameEdgeLossReply)
+		b = appendEnvelope(b, m)
+		b = appendU32(b, uint32(p.Seq))
+		b = appendF64(b, p.Loss)
+		b = appendBool(b, p.Failed)
+		b = appendBool(b, p.Doomed)
+		b = appendAcct(b, p.Acct)
+	case Stop:
+		b = append(b, frameStop)
+		b = appendEnvelope(b, m)
+	default:
+		return nil, fmt.Errorf("wire: cannot encode payload type %T", m.Payload)
 	}
-	return buf, nil
+	if e.err != nil {
+		return nil, e.err
+	}
+	n := len(b) - start - 4
+	for _, c := range e.cuts {
+		n += len(c.data)
+	}
+	binary.LittleEndian.PutUint32(b[start:], uint32(n))
+	return b, nil
 }
 
 // AppendHello appends a length-prefixed hello frame.
@@ -450,9 +491,7 @@ func (r *bodyReader) vec(alloc AllocFunc) []float64 {
 		return nil
 	}
 	v := alloc(n)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off+i*8:]))
-	}
+	readVecData(v, r.b[r.off:r.off+n*8])
 	r.off += n * 8
 	return v
 }
@@ -810,14 +849,23 @@ func DecodeStats(body []byte) (int, Stats, error) {
 	return edge, s, nil
 }
 
-// FrameReader reads length-prefixed frames from a connection, reusing
-// one body buffer across frames. Bodies are valid only until the next
-// Next call. A length prefix beyond max fails with ErrFrameTooLarge
-// before any body allocation.
+// frameBufSize is a FrameReader's initial buffer: one dense d = 7850
+// frame (62.9 KB), the benchmark's model size, fits without growing.
+const frameBufSize = 64 << 10
+
+// FrameReader reads length-prefixed frames from a connection through one
+// buffer it owns: the connection is read straight into the buffer and
+// each body is handed out as a slice of it, valid only until the next
+// Next call. A frame that would run past the buffer's end is first slid
+// to the front, and the buffer grows to exactly a frame's size when a
+// frame exceeds it — after the length prefix was checked against max, so
+// a prefix beyond max fails with ErrFrameTooLarge before any allocation.
 type FrameReader struct {
-	br  *bufio.Reader
-	buf []byte
-	max int
+	rd   io.Reader
+	buf  []byte
+	r, w int   // buf[r:w] is received and not yet handed out
+	err  error // read error held back until the bytes before it are used
+	max  int
 }
 
 // NewFrameReader wraps r; max <= 0 selects DefaultMaxFrame.
@@ -825,39 +873,60 @@ func NewFrameReader(r io.Reader, max int) *FrameReader {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	return &FrameReader{br: bufio.NewReaderSize(r, 64<<10), max: max}
+	return &FrameReader{rd: r, buf: make([]byte, frameBufSize), max: max}
+}
+
+// fill reads until buf[r:] holds need bytes. When they cannot fit
+// between r and the buffer's end the unread bytes move to the front,
+// into a buffer of exactly need bytes if the current one is smaller.
+func (fr *FrameReader) fill(need int) error {
+	for fr.w-fr.r < need {
+		if fr.err != nil {
+			return fr.err
+		}
+		if fr.r == fr.w {
+			fr.r, fr.w = 0, 0
+		}
+		if fr.r+need > len(fr.buf) {
+			to := fr.buf
+			if need > len(to) {
+				to = make([]byte, need)
+			}
+			fr.w = copy(to, fr.buf[fr.r:fr.w])
+			fr.r, fr.buf = 0, to
+		}
+		n, err := fr.rd.Read(fr.buf[fr.w:])
+		fr.w += n
+		fr.err = err
+	}
+	return nil
 }
 
 // Next returns the next frame body (type byte first). io.EOF signals a
 // clean end of stream between frames; a stream cut mid-frame returns
 // io.ErrUnexpectedEOF.
 func (fr *FrameReader) Next() ([]byte, error) {
-	var head [4]byte
-	if _, err := io.ReadFull(fr.br, head[:1]); err != nil {
-		return nil, err // clean EOF between frames stays io.EOF
-	}
-	if _, err := io.ReadFull(fr.br, head[1:]); err != nil {
-		if err == io.EOF {
+	if err := fr.fill(4); err != nil {
+		if err == io.EOF && fr.w > fr.r {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return nil, err // clean EOF between frames stays io.EOF
 	}
-	n := int(binary.LittleEndian.Uint32(head[:]))
-	if n > fr.max {
+	size := binary.LittleEndian.Uint32(fr.buf[fr.r:])
+	if uint64(size) > uint64(fr.max) {
 		return nil, ErrFrameTooLarge
 	}
+	n := int(size)
 	if n == 0 {
 		return nil, errTruncated // a frame always has at least its type byte
 	}
-	if cap(fr.buf) < n {
-		fr.buf = make([]byte, n)
-	}
-	body := fr.buf[:n]
-	if _, err := io.ReadFull(fr.br, body); err != nil {
+	if err := fr.fill(4 + n); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
+	body := fr.buf[fr.r+4 : fr.r+4+n]
+	fr.r += 4 + n
 	return body, nil
 }

@@ -6,8 +6,10 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 func mkAlloc() AllocFunc { return func(d int) []float64 { return make([]float64, d) } }
@@ -158,6 +160,58 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestCodecRefusesEmptyVector pins the encode/decode symmetry for the
+// degenerate vector: the decoder rejects "present, length 0", so the
+// encoder must refuse a non-nil empty vector in every vector field
+// rather than emit a frame its peer drops, while nil still round-trips
+// as nil — on both storage widths.
+func TestCodecRefusesEmptyVector(t *testing.T) {
+	empty := []float64{}
+	one := []float64{1}
+	st := *rng.New(1)
+	refused := []any{
+		&TrainReq{W: empty, Stream: st},
+		&TrainReply{WFinal: empty},
+		&TrainReply{WFinal: one, WChk: empty},
+		&TrainReply{WFinal: one, IterSum: empty},
+		&LossReq{W: empty, Stream: st},
+		&EdgeTrainReq{W: empty, Stream: st},
+		&EdgeTrainReply{WEdge: empty},
+		&EdgeTrainReply{WEdge: one, WChk: empty},
+		&EdgeTrainReply{WEdge: one, IterSum: empty},
+		&EdgeLossReq{W: empty, Stream: st},
+	}
+	for _, class := range []tensor.KernelClass{tensor.KernelGeneric, tensor.KernelAVX2F32} {
+		restore := tensor.SetKernel(class)
+		for _, p := range refused {
+			if frame, err := AppendMessage(nil, Message{Payload: p}); err == nil || frame != nil {
+				t.Errorf("%v %T %+v: empty non-nil vector encoded (%d bytes, err %v)", class, p, p, len(frame), err)
+			}
+		}
+		// nil stays nil.
+		for _, p := range []any{&TrainReply{Client: 1}, &EdgeTrainReply{Slot: 1}} {
+			if got := roundTrip(t, Message{Payload: p}); !reflect.DeepEqual(got.Payload, p) {
+				t.Errorf("%v %T: nil vectors round-tripped to %+v", class, p, got.Payload)
+			}
+		}
+		// The frame the encoder refuses to build is one the decoder
+		// rejects: a one-element vector rewritten as "present, length 0".
+		frame, err := AppendMessage(nil, Message{Payload: &LossReq{W: one, Stream: st}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := frame[4:]
+		// type + envelope = 24 bytes, presence byte, u32 length, elements.
+		zero := append(append([]byte{}, body[:25]...), 0, 0, 0, 0)
+		zero = append(zero, body[29+tensor.ElemBytes():]...)
+		allocs := 0
+		if _, err := DecodeMessage(zero, func(d int) []float64 { allocs++; return make([]float64, d) }, nil); err == nil || allocs != 0 {
+			t.Errorf("%v: zero-length present vector decoded (err %v, %d allocations)", class, err, allocs)
+		}
+		restore()
+	}
+}
+
 func TestCodecErrorReleasesVectors(t *testing.T) {
 	// A frame that fails after some vectors decoded must hand them to
 	// the free callback — otherwise the receiving arena leaks.
@@ -218,6 +272,35 @@ func TestHelloReadyStatsRoundTrip(t *testing.T) {
 	}
 }
 
+// streamReaders are the ways a byte stream can reach the frame reader:
+// everything at once, a byte at a time, in halves, and with the final
+// error arriving together with the last bytes.
+var streamReaders = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"bytes", func(r io.Reader) io.Reader { return r }},
+	{"onebyte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+	{"dataerr", iotest.DataErrReader},
+}
+
+func mustFrame(t testing.TB, m Message) []byte {
+	t.Helper()
+	frame, err := AppendMessage(nil, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// denseFrame is an edge train reply carrying three d-sized vectors — the
+// largest protocol frame.
+func denseFrame(t testing.TB, d, round int) []byte {
+	return mustFrame(t, Message{From: NodeID{Kind: Edge, Index: 1}, To: NodeID{Kind: Cloud}, Round: round,
+		Payload: &EdgeTrainReply{Slot: 1, WEdge: sampleVec(d, 1), WChk: sampleVec(d, 2), IterSum: sampleVec(d, 3)}})
+}
+
 func TestFrameReaderLimits(t *testing.T) {
 	// Oversized length prefix fails without allocating the body.
 	frame := []byte{0xff, 0xff, 0xff, 0xff, 0x00}
@@ -225,61 +308,136 @@ func TestFrameReaderLimits(t *testing.T) {
 	if _, err := fr.Next(); err != ErrFrameTooLarge {
 		t.Fatalf("oversized frame: got %v want ErrFrameTooLarge", err)
 	}
+	if len(fr.buf) != frameBufSize {
+		t.Fatalf("oversized frame grew the buffer to %d bytes", len(fr.buf))
+	}
 	// Zero-length frame is invalid (no type byte).
 	fr = NewFrameReader(bytes.NewReader([]byte{0, 0, 0, 0}), 0)
 	if _, err := fr.Next(); err == nil {
 		t.Fatal("zero-length frame: want error")
 	}
-	// A stream cut mid-frame reports ErrUnexpectedEOF (the injected
-	// reset path: partial frames are discarded, not delivered).
-	good := AppendReady(nil, 1)
-	fr = NewFrameReader(bytes.NewReader(good[:len(good)-2]), 0)
-	if _, err := fr.Next(); err != io.ErrUnexpectedEOF {
-		t.Fatalf("cut mid-frame: got %v want ErrUnexpectedEOF", err)
+	// A frame of exactly max bytes passes; one more does not.
+	ready := AppendReady(nil, 1)
+	if _, err := NewFrameReader(bytes.NewReader(ready), len(ready)-4).Next(); err != nil {
+		t.Fatalf("frame at the limit: %v", err)
 	}
-	// A cut inside the length prefix itself also reports ErrUnexpectedEOF.
-	fr = NewFrameReader(bytes.NewReader(good[:2]), 0)
-	if _, err := fr.Next(); err != io.ErrUnexpectedEOF {
-		t.Fatalf("cut in prefix: got %v want ErrUnexpectedEOF", err)
-	}
-	// Clean EOF between frames is io.EOF.
-	fr = NewFrameReader(bytes.NewReader(nil), 0)
-	if _, err := fr.Next(); err != io.EOF {
-		t.Fatalf("empty stream: got %v want io.EOF", err)
+	if _, err := NewFrameReader(bytes.NewReader(ready), len(ready)-5).Next(); err != ErrFrameTooLarge {
+		t.Fatalf("frame one past the limit: got %v want ErrFrameTooLarge", err)
 	}
 }
 
+// TestFrameReaderSequential drives the in-place buffer through every
+// position a frame can take in it — many frames per read, one straddling
+// the buffer's end, one larger than the buffer, then small again — and
+// through every way a stream can end, under every reader. Each body must
+// equal the frame that was written, still so after it was decoded (it is
+// only the next Next that may reuse its bytes), and the stream's end
+// must classify as io.EOF between frames and io.ErrUnexpectedEOF inside
+// one (the injected-reset path: partial frames are discarded).
 func TestFrameReaderSequential(t *testing.T) {
+	small := [][]byte{
+		AppendReady(nil, 1),
+		AppendStats(nil, 2, Stats{Sent: 5}),
+		mustFrame(t, Message{From: NodeID{Kind: Cloud}, To: NodeID{Kind: Edge, Index: 1}, Ctrl: true, Payload: Stop{}}),
+	}
+	var many [][]byte
+	for i := 0; i < 400; i++ {
+		many = append(many, small[i%len(small)])
+	}
+	// 24 KB frames: the third one crosses the 64 KiB buffer's end.
+	var straddle [][]byte
+	for i := 0; i < 7; i++ {
+		straddle = append(straddle, denseFrame(t, 1000, i))
+	}
+	// Three d = 266 610 vectors (the core-mlp shape, 6.4 MB) force the
+	// buffer to grow; the small frames after it must still come through.
+	grow := [][]byte{small[0], denseFrame(t, 266610, 7), small[1], denseFrame(t, 1000, 8), small[2]}
+
+	cases := []struct {
+		name   string
+		frames [][]byte
+		tail   []byte // a partial frame after the whole ones
+		end    error
+	}{
+		{"empty stream", nil, nil, io.EOF},
+		{"many small frames", many, nil, io.EOF},
+		{"straddling frames", straddle, nil, io.EOF},
+		{"frame above the buffer", grow, nil, io.EOF},
+		{"cut in the first prefix", nil, small[0][:2], io.ErrUnexpectedEOF},
+		{"cut mid-head", many, small[1][:3], io.ErrUnexpectedEOF},
+		{"cut mid-body", straddle, straddle[0][:len(straddle[0])-2], io.ErrUnexpectedEOF},
+		{"cut after the prefix", small, small[1][:4], io.ErrUnexpectedEOF},
+	}
+	for _, c := range cases {
+		var stream []byte
+		for _, f := range c.frames {
+			stream = append(stream, f...)
+		}
+		stream = append(stream, c.tail...)
+		for _, rd := range streamReaders {
+			fr := NewFrameReader(rd.wrap(bytes.NewReader(stream)), 0)
+			for i, want := range c.frames {
+				body, err := fr.Next()
+				if err != nil {
+					t.Fatalf("%s/%s: frame %d: %v", c.name, rd.name, i, err)
+				}
+				if body[0] >= frameTrainReq {
+					if _, err := DecodeMessage(body, mkAlloc(), nil); err != nil {
+						t.Fatalf("%s/%s: frame %d: %v", c.name, rd.name, i, err)
+					}
+				}
+				if !bytes.Equal(body, want[4:]) {
+					t.Fatalf("%s/%s: frame %d body differs from what was written", c.name, rd.name, i)
+				}
+			}
+			for i := 0; i < 2; i++ { // the end is sticky
+				if body, err := fr.Next(); err != c.end || body != nil {
+					t.Fatalf("%s/%s: end of stream: got %d bytes, %v; want %v", c.name, rd.name, len(body), err, c.end)
+				}
+			}
+		}
+	}
+}
+
+// cycleReader replays b forever, handing out at most chunk bytes a read.
+type cycleReader struct {
+	b     []byte
+	off   int
+	chunk int
+}
+
+func (c *cycleReader) Read(p []byte) (int, error) {
+	if len(p) > c.chunk {
+		p = p[:c.chunk]
+	}
+	n := copy(p, c.b[c.off:])
+	c.off = (c.off + n) % len(c.b)
+	return n, nil
+}
+
+// TestFrameReaderSteadyStateAllocs: once the buffer has grown to the
+// largest frame, Next allocates nothing — slides and resets included.
+func TestFrameReaderSteadyStateAllocs(t *testing.T) {
+	frames := [][]byte{AppendReady(nil, 1), denseFrame(t, 1000, 0), denseFrame(t, 7850, 1), AppendStats(nil, 2, Stats{})}
 	var stream []byte
-	stream = AppendReady(stream, 1)
-	stream = AppendStats(stream, 2, Stats{Sent: 5})
-	frame, err := AppendMessage(nil, Message{From: NodeID{Kind: Cloud}, To: NodeID{Kind: Edge, Index: 1},
-		Ctrl: true, Payload: Stop{}})
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range frames {
+		stream = append(stream, f...)
 	}
-	stream = append(stream, frame...)
-	fr := NewFrameReader(bytes.NewReader(stream), 0)
-	b1, err := fr.Next()
-	if err != nil || b1[0] != FrameReady {
-		t.Fatalf("frame 1: %v type %x", err, b1[0])
+	fr := NewFrameReader(&cycleReader{b: stream, chunk: 50000}, 0)
+	for i := 0; i < len(frames); i++ { // one cycle: the buffer reaches its final size
+		if _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b2, err := fr.Next()
-	if err != nil || b2[0] != FrameStats {
-		t.Fatalf("frame 2: %v", err)
-	}
-	b3, err := fr.Next()
-	if err != nil {
-		t.Fatalf("frame 3: %v", err)
-	}
-	m, err := DecodeMessage(b3, mkAlloc(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.Payload.(Stop); !ok || m.Kind != "stop" {
-		t.Fatalf("frame 3 decoded as %+v", m)
-	}
-	if _, err := fr.Next(); err != io.EOF {
-		t.Fatalf("end of stream: %v", err)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		body, err := fr.Next()
+		if err != nil || !bytes.Equal(body, frames[i%len(frames)][4:]) {
+			t.Fatalf("frame %d: err %v, body differs: %v", i, err, err == nil)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Next allocates %.1f times per frame in steady state", allocs)
 	}
 }

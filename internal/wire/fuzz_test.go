@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
+	"net"
 	"testing"
 
 	"repro/internal/quant"
@@ -170,6 +173,116 @@ func FuzzPackedVec(f *testing.F) {
 		}
 		if p.WireBytes() <= 0 {
 			t.Fatalf("accepted payload prices at %d bytes", p.WireBytes())
+		}
+	})
+}
+
+// captureConn is the write half of a connection that keeps what it is
+// given. It is not a *net.TCPConn, so net.Buffers reaches it as one
+// Write per segment, in order.
+type captureConn struct {
+	net.Conn
+	got bytes.Buffer // read only while the sender is idle (after a Flush)
+}
+
+func (c *captureConn) Write(b []byte) (int, error) { return c.got.Write(b) }
+
+func (c *captureConn) Close() error { return nil }
+
+// patternVec reinterprets raw, repeated as often as needed, as n float64
+// bit patterns.
+func patternVec(raw []byte, n int) []float64 {
+	v := make([]float64, n)
+	var word [8]byte
+	for i := range v {
+		for j := range word {
+			word[j] = raw[(i*8+j)%len(raw)]
+		}
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(word[:]))
+	}
+	return v
+}
+
+// FuzzVecFastMatchesPortable holds the bulk byte move to the per-element
+// loops that define the format, over arbitrary bit patterns (NaN
+// payloads, signed zeros, denormals, infinities) and lengths on both
+// sides of a word and of the benchmark's model size: the fast encode
+// equals the portable encode byte for byte, the fast decode equals the
+// portable decode bit for bit, and what the sender's gather write puts
+// on a connection equals AppendMessage's frame for every payload type.
+func FuzzVecFastMatchesPortable(f *testing.F) {
+	bits := func(ws ...uint64) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = appendU64(b, w)
+		}
+		return b
+	}
+	f.Add(bits(0x7ff8000000000001, 0x7ff0000000000001, 0xfff8dead0000beef)) // quiet and signalling NaNs with payloads
+	f.Add(bits(0, 0x8000000000000000))                                      // signed zeros
+	f.Add(bits(1, 0x800fffffffffffff, 0x0010000000000000))                  // denormals and the smallest normal
+	f.Add(bits(0x7ff0000000000000, 0xfff0000000000000))                     // infinities
+	f.Add([]byte{1, 2, 3})                                                  // a pattern that is not a whole word
+	f.Add(bits(math.Float64bits(0.1), math.Float64bits(-1e300)))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) == 0 {
+			return
+		}
+		conn := &captureConn{}
+		pool := NewConnPool(func() (net.Conn, error) { return conn, nil }, PoolConfig{})
+		peer := NewPeer(pool, PeerConfig{})
+		defer pool.Close()
+		defer peer.Close()
+		st := *rng.New(9)
+		for _, n := range []int{1, 7, 8, 9, 7850} {
+			v := patternVec(raw, n)
+			fast, slow := appendVecData(nil, v), appendVecPortable(nil, v)
+			if !bytes.Equal(fast, slow) {
+				t.Fatalf("n=%d: fast encode differs from the portable encode", n)
+			}
+			a, b := make([]float64, n), make([]float64, n)
+			readVecData(a, slow)
+			readVecPortable(b, slow)
+			for i := range v {
+				if w := math.Float64bits(v[i]); math.Float64bits(a[i]) != w || math.Float64bits(b[i]) != w {
+					t.Fatalf("n=%d: element %d decodes to %x (fast) / %x (portable), want %x",
+						n, i, math.Float64bits(a[i]), math.Float64bits(b[i]), w)
+				}
+			}
+
+			pk := quant.GetPacked()
+			quant.Config{TopK: 1}.Pack(pk, sampleVec(n, 1), nil, rng.New(3))
+			for _, p := range []any{
+				&TrainReq{W: v, Steps: 2, Batch: 3, Eta: 0.5, Stream: st, Client: 1},
+				&TrainReply{Client: 1, WFinal: v, WChk: v, IterSum: v},
+				&TrainReply{Client: 1, WChkP: pk, IterSum: v},
+				&LossReq{W: v, Batch: 4, Stream: st},
+				&LossReply{Client: 1, Loss: v[0]},
+				&EdgeTrainReq{W: v, C1: 1, C2: 2, Stream: st},
+				&EdgeTrainReply{Slot: 1, WEdge: v, IterSum: v, IterCount: 2},
+				&EdgeTrainReply{Slot: 1, WEdge: v, WChk: v, IterSum: v, WChkP: pk},
+				&EdgeLossReq{W: v, Seq: 1, LossBatch: 2, Stream: st},
+				&EdgeLossReply{Seq: 1, Loss: v[0]},
+				Stop{},
+			} {
+				m := Message{From: NodeID{Kind: Edge, Index: 1}, To: NodeID{Kind: Cloud}, Round: n, Payload: p}
+				want := mustFrame(t, m)
+				conn.got.Reset() // the sender is idle: the last Flush returned
+				peer.Send(m)
+				peer.Flush()
+				if !bytes.Equal(conn.got.Bytes(), want) {
+					t.Fatalf("n=%d %T: gather-written frame differs from AppendMessage's", n, p)
+				}
+				got, err := DecodeMessage(want[4:], mkAlloc(), nil)
+				if err != nil {
+					t.Fatalf("n=%d %T: own frame does not decode: %v", n, p, err)
+				}
+				if again, err := AppendMessage(nil, got); err != nil || !bytes.Equal(again, want) {
+					t.Fatalf("n=%d %T: decoded frame re-encodes differently (err %v)", n, p, err)
+				}
+			}
+			quant.PutPacked(pk)
 		}
 	})
 }
