@@ -25,12 +25,19 @@ const cohortChunk = 32
 // aliases into the corpus of the edge Roster stripes IDs[i] onto. The
 // resident table is thus the cohort whose members are already
 // materialized; everything downstream of the shard lookup is shared.
+//
+// Skip, when set, reports that member i delivers nothing this round (a
+// crashed client of a fault schedule). It must be pure and safe to call
+// from a Fold's parallel lanes. Every in-process engine leaves it nil;
+// SetEdge does not touch it.
 type Cohort struct {
 	Clients []data.Subset
 
 	IDs    []int
 	Roster population.Roster
 	Areas  []data.AreaData
+
+	Skip func(i int) bool
 }
 
 // Len returns the number of cohort members.
@@ -55,6 +62,9 @@ func (c *Cohort) SetEdge(cfg *Config, fed *data.Federation, k, e int) {
 	c.Areas = fed.Areas
 	c.IDs = c.Roster.CohortInto(c.IDs, k, e)
 }
+
+// skipped reports whether member i delivers nothing (Skip).
+func (c *Cohort) skipped(i int) bool { return c.Skip != nil && c.Skip(i) }
 
 // shard returns member i's training shard. A population shard aliases
 // s, so it is valid until s materializes the next member.
@@ -162,8 +172,10 @@ func (f *Fold) Begin(cfg *Config, prob *Problem, pool *ModelPool, comp quant.Con
 // and checkpoints fold into the means Finish reports; with iterSum
 // non-nil (cfg.TrackAverages runs) each member's pre-step iterates are
 // summed per member and then added to iterSum in cohort order — the
-// grouping the simnet engine uses. Blocks accumulate until Finish, so a
-// caller may fold several cohorts into one mean.
+// grouping the simnet engine uses. A member the Cohort skips keeps its
+// position (and so its stream) but neither trains nor folds in. Blocks
+// accumulate until Finish, so a caller may fold several cohorts into
+// one mean.
 func (f *Fold) Block(start []float64, streams rng.Stream, chkAt int, iterSum []float64) {
 	n, d := f.Cohort.Len(), len(start)
 	f.start, f.streams, f.chkAt, f.track = start, streams, chkAt, iterSum != nil
@@ -173,6 +185,7 @@ func (f *Fold) Block(start []float64, streams rng.Stream, chkAt int, iterSum []f
 	if chkAt > 0 && f.nChk == 0 {
 		f.chkAcc.Reset(d)
 	}
+	folded := 0
 	for f.base = 0; f.base < n; f.base += cohortChunk {
 		span := min(cohortChunk, n-f.base)
 		if f.cfg.Sequential {
@@ -181,6 +194,10 @@ func (f *Fold) Block(start []float64, streams rng.Stream, chkAt int, iterSum []f
 			tensor.ParallelFor(span, 1, f.worker)
 		}
 		for lane := 0; lane < span; lane++ {
+			if f.Cohort.skipped(f.base + lane) {
+				continue
+			}
+			folded++
 			f.wAcc.Add(f.finals[lane])
 			if chkAt > 0 {
 				f.chkAcc.Add(f.chks[lane])
@@ -190,9 +207,9 @@ func (f *Fold) Block(start []float64, streams rng.Stream, chkAt int, iterSum []f
 			}
 		}
 	}
-	f.n += n
+	f.n += folded
 	if chkAt > 0 {
-		f.nChk += n
+		f.nChk += folded
 	}
 }
 
@@ -209,6 +226,9 @@ func (f *Fold) runLanes(lo, hi int) {
 	defer sgdPool.Put(s)
 	for lane := lo; lane < hi; lane++ {
 		i := f.base + lane
+		if f.Cohort.skipped(i) {
+			continue
+		}
 		r := f.streams.ChildVal(uint64(i))
 		var sum []float64
 		if f.track {
@@ -239,13 +259,18 @@ func (f *Fold) runLanes(lo, hi int) {
 
 // Finish writes the mean of the models folded since the last Finish
 // into w and, if any block recorded checkpoints, their mean into chk,
-// and readies the accumulators for the next aggregation.
-func (f *Fold) Finish(w, chk []float64) {
-	f.wAcc.FinishInto(w)
+// and readies the accumulators for the next aggregation. It reports
+// false, leaving w and chk untouched, when every member was skipped.
+func (f *Fold) Finish(w, chk []float64) bool {
+	folded := f.n > 0
+	if folded {
+		f.wAcc.FinishInto(w)
+	}
 	if f.nChk > 0 {
 		f.chkAcc.FinishInto(chk)
 	}
 	f.n, f.nChk = 0, 0
+	return folded
 }
 
 // CohortLossEstimate implements the LossEstimation procedure of Phase 2
@@ -258,25 +283,46 @@ func CohortLossEstimate(m model.Model, w []float64, cfg *Config, fed *data.Feder
 	s := sgdPool.Get().(*Scratch)
 	defer sgdPool.Put(s)
 	s.cohort.SetEdge(cfg, fed, k, e)
-	n := s.cohort.Len()
+	return s.cohort.lossEstimate(m, w, cfg.LossBatch, r, s)
+}
+
+// LossEstimate is CohortLossEstimate over a cohort the caller has set:
+// the mean mini-batch loss of w over the members that deliver (the
+// Cohort's Skip), and their count. With no member delivering it returns
+// (0, 0).
+func (c *Cohort) LossEstimate(m model.Model, w []float64, batch int, r *rng.Stream) (float64, int) {
+	s := sgdPool.Get().(*Scratch)
+	defer sgdPool.Put(s)
+	return c.lossEstimate(m, w, batch, r, s)
+}
+
+func (c *Cohort) lossEstimate(m model.Model, w []float64, batch int, r *rng.Stream, s *Scratch) (float64, int) {
 	fm, ok := m.(model.F32Model)
 	f32 := ok && tensor.StorageF32()
 	if f32 {
 		// Narrow the checkpoint once per edge, not once per client: same
 		// w32 bits and stream draws as ShardLossEstimate per client.
-		s.size32(len(w), cfg.LossBatch)
+		s.size32(len(w), batch)
 		tensor.ToF32(s.w32, w)
 	}
 	total := 0.0
-	for c := 0; c < n; c++ {
-		cs := r.ChildVal(uint64(c))
-		shard := s.cohort.shard(c, &s.shard)
+	got := 0
+	for i := 0; i < c.Len(); i++ {
+		if c.skipped(i) {
+			continue
+		}
+		cs := r.ChildVal(uint64(i))
+		shard := c.shard(i, &s.shard)
 		if f32 {
 			shard.SampleInto32(&cs, s.xs32, s.ys)
 			total += float64(fm.LossF32(s.w32, s.xs32, s.ys))
 		} else {
-			total += ShardLossEstimate(m, w, shard, cfg.LossBatch, &cs, s)
+			total += ShardLossEstimate(m, w, shard, batch, &cs, s)
 		}
+		got++
 	}
-	return total / float64(n), n
+	if got == 0 {
+		return 0, 0
+	}
+	return total / float64(got), got
 }

@@ -156,14 +156,6 @@ func (c Config) Validate(p *Problem) error {
 		if err := c.Roster(p.Fed.NumAreas()).Validate(); err != nil {
 			return err
 		}
-		if c.Compression.ErrorFeedback {
-			// Error feedback keeps a per-client residual alive across a
-			// slot's aggregation blocks; the simnet edge actors stream a
-			// cohort through O(d) buffers with no per-member row to anchor
-			// it to, and per-round cohorts would reset it anyway. Stateless
-			// compression (uniform quantization) composes fine.
-			return fmt.Errorf("fl: TopK error-feedback compression is not supported with Population (per-client residual state conflicts with streaming cohort aggregation); use Bits")
-		}
 	}
 	if c.Compression.Enabled() {
 		if d := p.Model.Dim(); c.Compression.TopK > d {

@@ -38,12 +38,6 @@ func Str(k, v string) Attr { return Attr{Key: k, Val: v} }
 // Int builds an integer attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Val: v} }
 
-// I64 builds an int64 attribute.
-func I64(k string, v int64) Attr { return Attr{Key: k, Val: v} }
-
-// F64 builds a float64 attribute.
-func F64(k string, v float64) Attr { return Attr{Key: k, Val: v} }
-
 // RoundEvent describes one engine round's lifecycle. Only fields that
 // are a pure function of (problem, config, seed) appear here, so the
 // event sequence of a run is deterministic and checkpoint/resume replays

@@ -7,7 +7,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/model"
-	"repro/internal/population"
 	"repro/internal/quant"
 	"repro/internal/simplex"
 	"repro/internal/tensor"
@@ -140,14 +139,14 @@ func nackEdgeTrainReply(r *edgeTrainReply, pool *vecPool) {
 // client consults its per-round crash decision before doing any work;
 // a crashed client returns the request payload to the arena and nacks.
 type clientActor struct {
-	id      NodeID
-	net     *Network
-	inbox   <-chan Message
-	shard   data.Subset
-	model   model.Model
-	wSet    simplex.Set
-	track   bool // accumulate iterates for wHat
-	comp    quant.Config
+	id    NodeID
+	net   *Network
+	inbox <-chan Message
+	shard data.Subset
+	model model.Model
+	wSet  simplex.Set
+	track bool // accumulate iterates for wHat
+	comp  quant.Config
 	// resid is the client's error-feedback residual (top-k + EF only).
 	// It is slot-scoped like core's: reset on each slot's first
 	// aggregation block (TrainReq.Block == 0). Under chaos a lost
@@ -309,38 +308,21 @@ type edgeActor struct {
 	inbox    <-chan Message
 	replies  <-chan Message
 	clients  []NodeID
-	tau1     int
-	tau2     int
-	batch    int
-	eta      float64
-	wSet     simplex.Set
-	track    bool
-	comp     quant.Config
+	cfg      *fl.Config
+	prob     *fl.Problem
 	retries  int
 	finals   [][]float64
 	chks     [][]float64
 	sums     [][]float64
 	live     [][]float64
 	liveChks [][]float64
-	// Population mode (pop != nil): clients exist only as roster records,
-	// so the edge virtualizes its round cohorts instead of messaging
-	// client actors. One resident model + SGD scratch serve every sampled
-	// client, their shards are materialized lazily as row aliases into
-	// the area corpus, and the per-block aggregation streams through
-	// MeanAccumulators — everything below is O(d) or O(shard), never
-	// O(cohort) and never O(Population).
-	pop     *population.Roster
-	corpus  data.Subset
-	model   model.Model
-	chaos   *chaos.Schedule
-	scratch fl.Scratch
-	wAcc    tensor.MeanAccumulator
-	chkAcc  tensor.MeanAccumulator
-	cohort  []int
-	shard   population.ShardScratch
-	wfBuf   []float64
-	chkBuf  []float64
-	sumBuf  []float64
+	// Population mode (fold != nil): clients are roster records, so the
+	// edge trains and evaluates its (round, edge) cohort through an
+	// fl.Fold, core's client block, with crashed as the cohort's Skip.
+	fold   *fl.Fold
+	models *fl.ModelPool
+	chaos  *chaos.Schedule
+	round  int
 }
 
 func (e *edgeActor) run(wg *sync.WaitGroup) {
@@ -371,8 +353,8 @@ func (e *edgeActor) run(wg *sync.WaitGroup) {
 				continue
 			}
 			var reply *edgeTrainReply
-			if e.pop != nil {
-				reply = e.modelUpdatePop(req, round)
+			if e.fold != nil {
+				reply = e.modelUpdateCohort(req, round)
 			} else {
 				reply = e.modelUpdate(req, round)
 			}
@@ -397,8 +379,8 @@ func (e *edgeActor) run(wg *sync.WaitGroup) {
 			seq := req.Seq
 			if req.Doomed {
 				pool.put(req.W)
-			} else if e.pop != nil {
-				loss, alive, acct = e.lossEstimatePop(req, round)
+			} else if e.fold != nil {
+				loss, alive, acct = e.lossEstimateCohort(req, round)
 			} else {
 				loss, alive, acct = e.lossEstimate(req, round)
 			}
@@ -445,11 +427,11 @@ func (e *edgeActor) modelUpdate(req *edgeTrainReq, round int) *edgeTrainReply {
 	var iterSum []float64
 	var iterCount float64
 	var acct slotAcct
-	if e.track {
+	if e.cfg.TrackAverages {
 		iterSum = pool.get(d)
 		tensor.Zero(iterSum)
 	}
-	for t2 := 0; t2 < e.tau2; t2++ {
+	for t2 := 0; t2 < e.cfg.Tau2; t2++ {
 		chkAt := 0
 		if t2 == req.C2 {
 			chkAt = req.C1
@@ -461,7 +443,7 @@ func (e *edgeActor) modelUpdate(req *edgeTrainReq, round int) *edgeTrainReply {
 			copy(w, we)
 			tr := trainReqPool.Get().(*trainReq)
 			*tr = trainReq{
-				W: w, Steps: e.tau1, Batch: e.batch, ChkAt: chkAt, Block: t2, Eta: e.eta,
+				W: w, Steps: e.cfg.Tau1, Batch: e.cfg.BatchSize, ChkAt: chkAt, Block: t2, Eta: e.cfg.EtaW,
 				Stream: blockStream.ChildVal(uint64(c)),
 				Client: c,
 			}
@@ -518,14 +500,14 @@ func (e *edgeActor) modelUpdate(req *edgeTrainReq, round int) *edgeTrainReply {
 		if missing > 0 {
 			acct.TimeoutBlocks++
 		}
-		if e.track {
+		if e.cfg.TrackAverages {
 			// Deterministic client-order reduction of the iterate sums.
 			for c := 0; c < n0; c++ {
 				if e.sums[c] == nil {
 					continue
 				}
 				tensor.StorageAdd(iterSum, e.sums[c])
-				iterCount += float64(e.tau1)
+				iterCount += float64(e.cfg.Tau1)
 				pool.put(e.sums[c])
 				e.sums[c] = nil
 			}
@@ -543,7 +525,7 @@ func (e *edgeActor) modelUpdate(req *edgeTrainReq, round int) *edgeTrainReply {
 		e.live = live
 		if len(live) > 0 {
 			tensor.AverageInto(we, live...)
-			fl.ProjectW(e.wSet, we)
+			fl.ProjectW(e.prob.W, we)
 		}
 		if t2 == req.C2 {
 			chkEdge = pool.get(d)
@@ -573,22 +555,28 @@ func (e *edgeActor) modelUpdate(req *edgeTrainReq, round int) *edgeTrainReply {
 			}
 		}
 	}
-	acct.Blocks = e.tau2
-	// Edge uplink compression: pack the aggregated model and checkpoint
-	// for the cloud (no error feedback — edge uplinks happen once per
-	// slot) with core's 'Q' stream keys; req.Stream was never advanced,
-	// so it is exactly core's slot stream.
+	acct.Blocks = e.cfg.Tau2
+	return e.slotReply(req, we, chkEdge, iterSum, iterCount, acct)
+}
+
+// slotReply assembles a slot's reply to the cloud, taking ownership of
+// the pooled we, chkEdge and iterSum. Under compression the edge packs
+// the aggregated model and checkpoint (no error feedback — edge uplinks
+// happen once per slot) with core's 'Q' stream keys; req.Stream was
+// never advanced, so it is exactly core's slot stream.
+func (e *edgeActor) slotReply(req *edgeTrainReq, we, chkEdge, iterSum []float64, iterCount float64, acct slotAcct) *edgeTrainReply {
 	var weP, chkP *quant.Packed
-	if e.comp.Enabled() {
+	if e.cfg.Compression.Enabled() {
+		pool := e.net.pool
 		qs := req.Stream.ChildVal('Q').ChildVal(1)
 		weP = quant.GetPacked()
-		e.comp.Pack(weP, we, nil, &qs)
+		e.cfg.Compression.Pack(weP, we, nil, &qs)
 		pool.put(we)
 		we = nil
 		if chkEdge != nil {
 			cs := req.Stream.ChildVal('Q').ChildVal(2)
 			chkP = quant.GetPacked()
-			e.comp.Pack(chkP, chkEdge, nil, &cs)
+			e.cfg.Compression.Pack(chkP, chkEdge, nil, &cs)
 			pool.put(chkEdge)
 			chkEdge = nil
 		}
@@ -655,178 +643,90 @@ func (e *edgeActor) lossEstimate(req *edgeLossReq, round int) (loss float64, ok 
 	return total / float64(got), true, acct
 }
 
-// modelUpdatePop is modelUpdate in the sparse population regime: the
-// edge trains its (round, edge) roster cohort virtually — no client
-// actors exist, so each sampled client's SGD runs on the edge's
-// resident model and scratch, and every virtual reply folds immediately
-// into streaming MeanAccumulators in cohort order. Stream keys
-// (blockStream.ChildVal(c), post-SGD 'q' children, slot-level 'Q'
-// children) and fold order match both the dense actor protocol and
-// core's slot (fl.Fold), so the trajectory is bit-for-bit the core
-// engine's. Chaos composes at the client level: a crashed cohort member
-// still receives its broadcast (downlink charged, exactly like a dense
-// crashed client that gets the request and then dies) but contributes
-// nothing, and the block average reweights over survivors. Link-level
-// faults never touch virtual clients — they have no transport; the
-// edge-cloud links stay fully fault-exposed.
-func (e *edgeActor) modelUpdatePop(req *edgeTrainReq, round int) *edgeTrainReply {
-	roster := *e.pop
-	pool := e.net.pool
-	we := req.W // ownership transferred with the message
-	d := len(we)
-	e.cohort = roster.CohortInto(e.cohort, round, e.id.Index)
-	n := len(e.cohort)
-	dBytes := payloadBytes(we)
-	upVec := dBytes
-	if e.comp.Enabled() {
-		upVec = e.comp.VecWireBytes(d)
-	}
-	if len(e.wfBuf) != d {
-		e.wfBuf = make([]float64, d)
-		e.chkBuf = make([]float64, d)
-		e.sumBuf = make([]float64, d)
-	}
-	var chkEdge, iterSum []float64
-	var iterCount float64
-	var acct slotAcct
-	if e.track {
-		iterSum = pool.get(d)
-		tensor.Zero(iterSum)
-	}
-	for t2 := 0; t2 < e.tau2; t2++ {
-		chkAt := 0
-		chkBlock := t2 == req.C2
-		if chkBlock {
-			chkAt = req.C1
-		}
-		blockStream := req.Stream.ChildVal(uint64(t2))
-		e.wAcc.Reset(d)
-		if chkBlock {
-			e.chkAcc.Reset(d)
-		}
-		missing := 0
-		for c := 0; c < n; c++ {
-			// Virtual broadcasts always arrive, so the downlink is charged
-			// unconditionally — the cohort member's crash decision only
-			// governs whether anything comes back.
-			acct.Down(dBytes)
-			if e.chaos.ClientCrashed(round, e.cohort[c]) {
-				e.net.noteCrash()
-				e.net.noteTimeout()
-				missing++
-				continue
-			}
-			cs := blockStream.ChildVal(uint64(c))
-			shard := roster.ShardInto(e.cohort[c], e.corpus, &e.shard)
-			var clientSum []float64
-			if e.track {
-				clientSum = e.sumBuf
-				tensor.Zero(clientSum)
-			}
-			wf := e.wfBuf
-			copy(wf, we)
-			chked := fl.LocalSGDScratch(e.model, wf, shard, e.tau1, e.batch, e.eta, e.wSet, &cs, chkAt, clientSum, e.chkBuf, &e.scratch)
-			up := upVec
-			if e.comp.Enabled() {
-				// Error feedback is refused with Population
-				// (fl.Config.Validate), so uplink compression is stateless.
-				qs := cs.ChildVal('q')
-				e.comp.Apply(wf, nil, &qs)
-				if chked {
-					qs2 := cs.ChildVal('q').ChildVal(2)
-					e.comp.Apply(e.chkBuf, nil, &qs2)
-				}
-			}
-			if chked {
-				up += upVec
-			}
-			if e.track {
-				up += dBytes
-			}
-			acct.Up(up)
-			e.wAcc.Add(wf)
-			if chkBlock {
-				e.chkAcc.Add(e.chkBuf)
-			}
-			if e.track {
-				tensor.StorageAdd(iterSum, clientSum)
-				iterCount += float64(e.tau1)
-			}
-		}
-		if missing > 0 {
-			acct.TimeoutBlocks++
-		}
-		if e.wAcc.Count() > 0 {
-			e.wAcc.FinishInto(we)
-			fl.ProjectW(e.wSet, we)
-		}
-		if chkBlock {
-			chkEdge = pool.get(d)
-			if e.chkAcc.Count() > 0 {
-				e.chkAcc.FinishInto(chkEdge)
-			} else {
-				// No cohort member reached the checkpoint: the edge's
-				// current model stands in, keeping Phase 2 well-defined.
-				copy(chkEdge, we)
-			}
-		}
-	}
-	acct.Blocks = e.tau2
-	// Edge uplink compression: same 'Q' slot keys as the dense path —
-	// req.Stream was never advanced, so it is exactly core's slot stream.
-	var weP, chkP *quant.Packed
-	if e.comp.Enabled() {
-		qs := req.Stream.ChildVal('Q').ChildVal(1)
-		weP = quant.GetPacked()
-		e.comp.Pack(weP, we, nil, &qs)
-		pool.put(we)
-		we = nil
-		if chkEdge != nil {
-			cks := req.Stream.ChildVal('Q').ChildVal(2)
-			chkP = quant.GetPacked()
-			e.comp.Pack(chkP, chkEdge, nil, &cks)
-			pool.put(chkEdge)
-			chkEdge = nil
-		}
-	}
-	reply := edgeTrainReplyPool.Get().(*edgeTrainReply)
-	*reply = edgeTrainReply{Slot: req.Slot, WEdge: we, WChk: chkEdge, WEdgeP: weP, WChkP: chkP, IterSum: iterSum, IterCount: iterCount, Acct: acct}
-	return reply
+// crashed is the population cohort's Skip: member i of the fold's
+// cohort crashes in e.round. It is pure, so the fold's lanes may call it.
+func (e *edgeActor) crashed(i int) bool {
+	return e.chaos.ClientCrashed(e.round, e.fold.Cohort.IDs[i])
 }
 
-// lossEstimatePop is lossEstimate over the round's roster cohort: the
-// same per-client stream keys (req.Stream.ChildVal(c)) and 1/n average
-// as core's cohortLossEstimate, evaluated virtually on lazily
-// materialized shards. Crashed members still cost their downlink and
-// mark the timeout block; the average reweights over survivors.
-func (e *edgeActor) lossEstimatePop(req *edgeLossReq, round int) (loss float64, ok bool, acct slotAcct) {
-	roster := *e.pop
-	pool := e.net.pool
-	acct.Blocks = 1
-	e.cohort = roster.CohortInto(e.cohort, round, e.id.Index)
-	n := len(e.cohort)
-	dBytes := payloadBytes(req.W)
-	total := 0.0
-	got := 0
-	for c := 0; c < n; c++ {
-		acct.Down(dBytes)
-		if e.chaos.ClientCrashed(round, e.cohort[c]) {
+// setCohort points the fold at the (round, edge) roster cohort.
+func (e *edgeActor) setCohort(round int) {
+	e.round = round
+	e.fold.Cohort.SetEdge(e.cfg, e.prob.Fed, round, e.id.Index)
+}
+
+// fanOut accounts one virtual fan-out over the fold's cohort and returns
+// the number of members that deliver. Virtual broadcasts always arrive,
+// so every member pays the downlink, like a dense client that gets the
+// request and then crashes; only survivors pay the uplink. Virtual
+// clients have no transport, so link faults never touch them.
+func (e *edgeActor) fanOut(acct *slotAcct, down, up int64) (survivors int) {
+	n := e.fold.Cohort.Len()
+	for i := 0; i < n; i++ {
+		acct.Down(down)
+		if e.crashed(i) {
 			e.net.noteCrash()
 			e.net.noteTimeout()
 			continue
 		}
-		cs := req.Stream.ChildVal(uint64(c))
-		shard := roster.ShardInto(e.cohort[c], e.corpus, &e.shard)
-		total += fl.ShardLossEstimate(e.model, req.W, shard, req.LossBatch, &cs, &e.scratch)
-		acct.Up(8)
-		got++
+		acct.Up(up)
+		survivors++
 	}
-	pool.put(req.W)
-	if got < n {
-		acct.TimeoutBlocks = 1
+	if survivors < n {
+		acct.TimeoutBlocks++
 	}
-	if got == 0 {
-		return 0, false, acct
+	return survivors
+}
+
+// modelUpdateCohort is modelUpdate in the sparse population regime: each
+// block is one fl.Fold block over the round's roster cohort, so stream
+// keys, fold order and uplink compression are core's slot by
+// construction. A block whose members all crash carries w_e forward.
+func (e *edgeActor) modelUpdateCohort(req *edgeTrainReq, round int) *edgeTrainReply {
+	cfg, pool, we := e.cfg, e.net.pool, req.W // we: ownership transferred with the message
+	d, dBytes := len(we), payloadBytes(req.W)
+	upVec := dBytes
+	if cfg.Compression.Enabled() {
+		upVec = cfg.Compression.VecWireBytes(d)
 	}
-	return total / float64(got), true, acct
+	var chkEdge, iterSum []float64
+	var iterCount float64
+	acct := slotAcct{Blocks: cfg.Tau2}
+	if cfg.TrackAverages {
+		iterSum = pool.get(d)
+		tensor.Zero(iterSum)
+	}
+	e.setCohort(round)
+	e.fold.Begin(cfg, e.prob, e.models, cfg.Compression)
+	for t2 := 0; t2 < cfg.Tau2; t2++ {
+		chkAt, up := 0, upVec
+		if t2 == req.C2 {
+			chkAt, up, chkEdge = req.C1, 2*upVec, pool.get(d)
+		}
+		if cfg.TrackAverages {
+			up += dBytes
+		}
+		survivors := e.fanOut(&acct, dBytes, up)
+		e.fold.Block(we, req.Stream.ChildVal(uint64(t2)), chkAt, iterSum)
+		iterCount += float64(survivors * cfg.Tau1)
+		if e.fold.Finish(we, chkEdge) {
+			fl.ProjectW(e.prob.W, we)
+		} else if chkAt > 0 {
+			copy(chkEdge, we) // the chkEdge := w_e stand-in, as in modelUpdate
+		}
+	}
+	return e.slotReply(req, we, chkEdge, iterSum, iterCount, acct)
+}
+
+// lossEstimateCohort is lossEstimate over the round's roster cohort:
+// core's per-member stream keys, averaged over the survivors.
+func (e *edgeActor) lossEstimateCohort(req *edgeLossReq, round int) (loss float64, ok bool, acct slotAcct) {
+	acct.Blocks = 1
+	e.setCohort(round)
+	e.fanOut(&acct, payloadBytes(req.W), 8)
+	m := e.models.Get()
+	loss, got := e.fold.Cohort.LossEstimate(m, req.W, req.LossBatch, &req.Stream)
+	e.models.Put(m)
+	e.net.pool.put(req.W)
+	return loss, got > 0, acct
 }

@@ -255,11 +255,7 @@ func ServeEdge(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) e
 	nw := NewNetwork()
 	id := NodeID{Kind: Edge, Index: edge}
 	port := NodeID{Kind: ReplyPort, Index: edge}
-	edgeBuf := e.cfg.SampledEdges + 2
-	if edgeBuf < 4 {
-		edgeBuf = 4
-	}
-	inbox := nw.Register(id, edgeBuf)
+	inbox := nw.Register(id, max(e.cfg.SampledEdges+2, 4))
 	replies := nw.Register(port, top.ClientsPerEdge+1)
 
 	var mu sync.Mutex
@@ -370,13 +366,8 @@ func ServeEdge(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) e
 		net:     nw,
 		inbox:   inbox,
 		replies: replies,
-		tau1:    e.cfg.Tau1,
-		tau2:    e.cfg.Tau2,
-		batch:   e.cfg.BatchSize,
-		eta:     e.cfg.EtaW,
-		wSet:    prob.W,
-		track:   e.cfg.TrackAverages,
-		comp:    e.cfg.Compression,
+		cfg:     &e.cfg,
+		prob:    prob,
 		retries: e.retries,
 	}
 	for c := 0; c < top.ClientsPerEdge; c++ {
@@ -450,21 +441,9 @@ func ServeClientHost(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Opt
 	var wg sync.WaitGroup
 	actors := make([]*clientActor, 0, top.ClientsPerEdge)
 	for c := 0; c < top.ClientsPerEdge; c++ {
-		cid := NodeID{Kind: Client, Index: top.ClientID(edge, c)}
-		ca := &clientActor{
-			id:      cid,
-			net:     nw,
-			inbox:   nw.Register(cid, 2),
-			shard:   prob.Fed.Areas[edge].Clients[c],
-			model:   prob.Model.Clone(),
-			wSet:    prob.W,
-			track:   e.cfg.TrackAverages,
-			comp:    e.cfg.Compression,
-			chaos:   e.chaos,
-			retries: e.retries,
-		}
+		ca := e.newClientActor(nw, top, edge, c)
 		if e.chaos != nil && e.chaos.StragglerProb > 0 && dc.StraggleScale > 0 {
-			sched, idx, scale := e.chaos, cid.Index, dc.StraggleScale
+			sched, idx, scale := e.chaos, ca.id.Index, dc.StraggleScale
 			ca.straggle = func(round int) {
 				if ms := sched.StraggleMs(round, idx); ms > 0 {
 					time.Sleep(time.Duration(ms * scale * float64(time.Millisecond)))

@@ -9,7 +9,6 @@ import (
 	"repro/internal/fl"
 	"repro/internal/obs"
 	"repro/internal/optim"
-	"repro/internal/population"
 	"repro/internal/quant"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -159,13 +158,8 @@ type engine struct {
 	top            topology.Topology
 	wg             sync.WaitGroup
 	simMs          float64
-	// Population mode: clients exist only as roster records — no client
-	// actors are spawned, and each edge actor trains its round cohorts
-	// virtually (same stream keys and fold order as the core population
-	// path). popCohort is the cloud-side scratch for straggler scans.
-	popMode   bool
-	roster    population.Roster
-	popCohort []int
+	// cohort is the population regime's straggler-scan scratch.
+	cohort fl.Cohort
 	// areaSlowest[e] is the slowest client speed factor in area e (the
 	// synchronous block time is gated by it).
 	areaSlowest []float64
@@ -189,10 +183,6 @@ func (e *engine) start() error {
 		return err
 	}
 	e.top = e.prob.Topology()
-	if e.cfg.PopulationEnabled() {
-		e.popMode = true
-		e.roster = e.cfg.Roster(e.top.NumEdges)
-	}
 	e.net = NewNetwork()
 	if e.chaos.Enabled() || e.drop != nil {
 		// One hook composes the schedule's partitions and link loss with
@@ -205,10 +195,8 @@ func (e *engine) start() error {
 	// (real or nack). Edge mailboxes must hold a whole phase's requests
 	// to one edge in the duplicate-slot worst case.
 	e.inbox = e.net.Register(NodeID{Kind: Cloud, Index: 0}, 2*e.cfg.SampledEdges+4)
-	edgeBuf := e.cfg.SampledEdges + 2
-	if edgeBuf < 4 {
-		edgeBuf = 4
-	}
+	edgeBuf := max(e.cfg.SampledEdges+2, 4)
+	models := fl.NewModelPool(e.prob.Model) // shared by the edges' folds
 	for edge := 0; edge < e.top.NumEdges; edge++ {
 		id := NodeID{Kind: Edge, Index: edge}
 		port := NodeID{Kind: ReplyPort, Index: edge}
@@ -218,52 +206,46 @@ func (e *engine) start() error {
 			net:     e.net,
 			inbox:   e.net.Register(id, edgeBuf),
 			replies: e.net.Register(port, e.top.ClientsPerEdge+1),
-			tau1:    e.cfg.Tau1,
-			tau2:    e.cfg.Tau2,
-			batch:   e.cfg.BatchSize,
-			eta:     e.cfg.EtaW,
-			wSet:    e.prob.W,
-			track:   e.cfg.TrackAverages,
-			comp:    e.cfg.Compression,
+			cfg:     &e.cfg,
+			prob:    e.prob,
 			retries: e.retries,
 		}
-		if e.popMode {
-			// Sparse population: the edge virtualizes its round cohorts —
-			// one resident model and SGD scratch serve every sampled
-			// client, and nothing is spawned per registered client.
-			a.pop = &e.roster
-			a.corpus = e.prob.Fed.Areas[edge].Train
-			a.model = e.prob.Model.Clone()
-			a.chaos = e.chaos
-			e.wg.Add(1)
-			go a.run(&e.wg)
-			continue
+		if e.cfg.PopulationEnabled() {
+			// Sparse population: the edge drives its round cohorts through
+			// an fl.Fold, and nothing is spawned per registered client.
+			a.fold = new(fl.Fold)
+			a.fold.Cohort.Skip = a.crashed
+			a.models, a.chaos = models, e.chaos
 		}
-		for c := 0; c < e.top.ClientsPerEdge; c++ {
-			a.clients = append(a.clients, NodeID{Kind: Client, Index: e.top.ClientID(edge, c)})
-		}
-		e.wg.Add(1)
-		go a.run(&e.wg)
-		for c := 0; c < e.top.ClientsPerEdge; c++ {
-			cid := NodeID{Kind: Client, Index: e.top.ClientID(edge, c)}
-			ca := &clientActor{
-				id:      cid,
-				net:     e.net,
-				inbox:   e.net.Register(cid, 2),
-				shard:   e.prob.Fed.Areas[edge].Clients[c],
-				model:   e.prob.Model.Clone(),
-				wSet:    e.prob.W,
-				track:   e.cfg.TrackAverages,
-				comp:    e.cfg.Compression,
-				chaos:   e.chaos,
-				retries: e.retries,
-			}
+		for c := 0; c < e.top.ClientsPerEdge && a.fold == nil; c++ {
+			ca := e.newClientActor(e.net, e.top, edge, c)
+			a.clients = append(a.clients, ca.id)
 			e.wg.Add(1)
 			go ca.run(&e.wg)
 		}
+		e.wg.Add(1)
+		go a.run(&e.wg)
 	}
 	e.net.Seal()
 	return nil
+}
+
+// newClientActor builds the actor of client c of edge's area on nw and
+// registers its mailbox.
+func (e *engine) newClientActor(nw *Network, top topology.Topology, edge, c int) *clientActor {
+	id := NodeID{Kind: Client, Index: top.ClientID(edge, c)}
+	return &clientActor{
+		id:      id,
+		net:     nw,
+		inbox:   nw.Register(id, 2),
+		shard:   e.prob.Fed.Areas[edge].Clients[c],
+		model:   e.prob.Model.Clone(),
+		wSet:    e.prob.W,
+		track:   e.cfg.TrackAverages,
+		comp:    e.cfg.Compression,
+		chaos:   e.chaos,
+		retries: e.retries,
+	}
 }
 
 // computeAreaSlowest derives the per-client speed factors (log-normal)
@@ -293,7 +275,7 @@ func (e *engine) computeAreaSlowest() {
 func (e *engine) stop() {
 	for edge := 0; edge < e.top.NumEdges; edge++ {
 		e.net.Send(Message{From: NodeID{Kind: Cloud, Index: 0}, To: NodeID{Kind: Edge, Index: edge}, Kind: "stop", Payload: stopMsg{}})
-		if e.popMode {
+		if e.cfg.PopulationEnabled() {
 			continue // clients are roster records, not actors
 		}
 		for c := 0; c < e.top.ClientsPerEdge; c++ {
@@ -337,11 +319,11 @@ func (e *engine) maxStraggleMs(k int, areas []int) float64 {
 	}
 	maxMs := 0.0
 	for _, area := range areas {
-		if e.popMode {
+		if e.cfg.PopulationEnabled() {
 			// Sparse population: only the round's sampled cohorts do work,
 			// so only their straggler draws can stretch a block.
-			e.popCohort = e.roster.CohortInto(e.popCohort, k, area)
-			for _, id := range e.popCohort {
+			e.cohort.SetEdge(&e.cfg, e.prob.Fed, k, area)
+			for _, id := range e.cohort.IDs {
 				if ms := e.chaos.StraggleMs(k, id); ms > maxMs {
 					maxMs = ms
 				}

@@ -157,13 +157,6 @@ func StorageAdd(dst, src []float64) {
 
 // --- float32 BLAS-1 ---
 
-// Dot32 returns the inner product of x and y in the float32 class's
-// fixed accumulation order. Panics on length mismatch.
-func Dot32(x, y []float32) float32 {
-	checkLen(len(x), len(y))
-	return kernels32.dot(x, y)
-}
-
 // Axpy32 computes y += a*x in place, one fma32 rounding per element.
 func Axpy32(a float32, x, y []float32) {
 	checkLen(len(x), len(y))

@@ -42,7 +42,7 @@ func Gemm32(alpha float32, a, b *Matrix32, beta float32, c *Matrix32) {
 
 // GemmT32 computes C = alpha*A*B^T + beta*C for row-major A (m×k),
 // B (n×k) and C (m×n), blocked so a panel of B rows stays
-// cache-resident. Every output element is one Dot32 of two contiguous
+// cache-resident. Every output element is one float32 dot product of two contiguous
 // rows. Panics on shape mismatch.
 func GemmT32(alpha float32, a, b *Matrix32, beta float32, c *Matrix32) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
@@ -76,7 +76,7 @@ func GemmTR32(alpha float32, xrows [][]float32, b *Matrix32, beta float32, c *Ma
 	gemmFlops.Add(2 * int64(len(xrows)) * int64(b.Cols) * int64(b.Rows))
 }
 
-// gemmT32Row fills crow[j] = alpha*Dot32(x, B.Row(j)) + beta*crow[j]
+// gemmT32Row fills crow[j] = alpha*dot32(x, B.Row(j)) + beta*crow[j]
 // for j in [j0, j1), fusing four B rows per pass (the float32 tier is
 // an AVX2+FMA tier: eight 8-lane FMA chains fill the YMM file). Each
 // fused output accumulates in exactly dot32Ref's order, so the fusion

@@ -111,17 +111,6 @@ func SquaredDistance(x, y []float64) float64 {
 	return s
 }
 
-// NormInf returns the max-absolute-value norm of x.
-func NormInf(x []float64) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of the elements of x using Kahan compensation so
 // that long accumulations (loss averaging across thousands of batches)
 // stay accurate.

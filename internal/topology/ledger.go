@@ -201,15 +201,6 @@ func (s LedgerSnapshot) TotalBytes() int64 {
 	return sum
 }
 
-// TotalMessages returns the snapshot's transfer count over all links.
-func (s LedgerSnapshot) TotalMessages() int64 {
-	var sum int64
-	for _, m := range s.Messages {
-		sum += m
-	}
-	return sum
-}
-
 // ModelBytes returns the wire size of a d-dimensional model vector
 // under the active storage regime: 4 bytes per element on the avx2f32
 // float32 tier, 8 elsewhere (tensor.ElemBytes).

@@ -3,6 +3,8 @@ package hierfair
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // popSpec is a seconds-fast sparse-population configuration: a hundred
@@ -29,6 +31,27 @@ func TestPopulationSpecRunsAllAlgorithms(t *testing.T) {
 		}
 		if rep.FinalAverage < 0.3 {
 			t.Fatalf("%s: population run collapsed, average %v", alg, rep.FinalAverage)
+		}
+	}
+}
+
+// TestPopulationTopKRunsAllAlgorithms pins the composition of the roster
+// regime with top-k error feedback: fl.Fold keeps one residual row per
+// cohort position, so every algorithm accepts the spec (except on the
+// float32 storage tier, which refuses compression of any kind).
+func TestPopulationTopKRunsAllAlgorithms(t *testing.T) {
+	for _, alg := range []Algorithm{AlgHierMinimax, AlgHierFAvg, AlgFedAvg, AlgAFL, AlgDRFA} {
+		spec := popSpec(alg)
+		spec.TopK = 4
+		_, err := Run(spec)
+		if tensor.StorageF32() {
+			if err == nil || !strings.Contains(err.Error(), "compression is not supported") {
+				t.Fatalf("%s: top-k on the float32 storage tier: got error %v, want a refusal", alg, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: population x top-k refused: %v", alg, err)
 		}
 	}
 }
@@ -63,7 +86,6 @@ func TestPopulationSpecValidation(t *testing.T) {
 	}{
 		{"sample-without-population", func(s *Spec) { s.Population = 0 }, "must be set together"},
 		{"population-without-sample", func(s *Spec) { s.SamplePerRound = 0 }, "must be set together"},
-		{"topk", func(s *Spec) { s.TopK = 4 }, "TopK"},
 		{"multilayer", func(s *Spec) { s.Branching = []int{2, 2}; s.Taus = []int{2, 2} }, "multi-layer"},
 		{"oversample", func(s *Spec) { s.SamplePerRound = s.Population + 1 }, "SamplePerRound"},
 	}

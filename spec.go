@@ -173,10 +173,9 @@ type Spec struct {
 	// never O(Population), so million-client runs are routine. Both must
 	// be set together; requires the single-process engines (the wire
 	// roles spawn one OS client host per resident client) and the
-	// 3-layer algorithms' standard form (no Branching/Taus trees). TopK
-	// compression (error feedback) is refused — per-client residual
-	// state conflicts with streaming cohort aggregation; QuantBits
-	// composes fine.
+	// 3-layer algorithms' standard form (no Branching/Taus trees). Both
+	// compression regimes compose; a top-k residual lives for one slot
+	// per cohort position.
 	Population     int
 	SamplePerRound int
 
@@ -281,8 +280,8 @@ func (s *Spec) normalize() error {
 	if s.QuantBits > 0 && s.TopK > 0 {
 		return fmt.Errorf("hierfair: Spec.QuantBits and Spec.TopK are mutually exclusive")
 	}
-	// The Population/SamplePerRound pairing and the Population x TopK
-	// refusal are fl.Config.Validate's, which every engine runs.
+	// The Population/SamplePerRound pairing is fl.Config.Validate's,
+	// which every engine runs.
 	if s.Population > 0 && (len(s.Branching) > 0 || len(s.Taus) > 0) {
 		return fmt.Errorf("hierfair: Spec.Population does not compose with the multi-layer tree (Branching/Taus)")
 	}
