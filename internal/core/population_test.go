@@ -11,8 +11,8 @@ import (
 // determinism contract: the sequential reference, the default parallel
 // engine and two fixed worker counts (the same spread the ci.sh smoke
 // leg drives through -jobs) must produce bit-for-bit identical models,
-// weights and ledgers. The chunk-lane fold in modelUpdatePop makes this
-// hold by construction — cohort order is the only fold order.
+// weights and ledgers. fl.Fold's chunk-lane fold makes this hold by
+// construction — cohort order is the only fold order.
 func TestPopulationWorkerCountInvariant(t *testing.T) {
 	base := fltest.ToyConfig()
 	base.Rounds = 30
