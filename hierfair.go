@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fl"
 	"repro/internal/model"
-	"repro/internal/multilayer"
 	"repro/internal/simnet"
 )
 
@@ -83,16 +82,8 @@ func Run(spec Spec) (*Report, error) {
 	var res *fl.Result
 	var stats simnet.RunStats
 	switch {
-	case len(spec.Branching) > 0:
-		if spec.Algorithm != AlgHierMinimax {
-			return nil, fmt.Errorf("hierfair: multi-layer trees only run %s", AlgHierMinimax)
-		}
-		if spec.Engine == EngineSimNet {
-			return nil, fmt.Errorf("hierfair: the simnet engine does not support multi-layer trees")
-		}
-		res, err = multilayer.HierMinimax(prob, multilayer.Config{
-			Base: cfg, Branching: spec.Branching, Taus: spec.Taus,
-		})
+	case len(spec.Branching) > 0 && (spec.Algorithm != AlgHierMinimax || spec.Engine == EngineSimNet):
+		return nil, fmt.Errorf("hierfair: multi-layer trees only run %s on the in-process engine", AlgHierMinimax)
 	case spec.Engine == EngineSimNet:
 		var opts []simnet.Option
 		if sched := spec.Chaos.schedule(spec.Seed); sched != nil {
@@ -102,7 +93,7 @@ func Run(spec Spec) (*Report, error) {
 	default:
 		switch spec.Algorithm {
 		case AlgHierMinimax:
-			res, err = core.HierMinimax(prob, cfg)
+			res, err = core.HierMinimaxTree(prob, cfg, core.Tree{Branching: spec.Branching, Taus: spec.Taus})
 		case AlgHierFAvg:
 			res, err = baselines.HierFAvg(prob, cfg)
 		case AlgFedAvg:

@@ -8,26 +8,36 @@ import (
 
 // TestWarmRoundAllocatesNoModelVector is the allocation contract of the
 // slot path: once the pools are warm, a HierMinimax round — resident or
-// population, with tracked averages — allocates less than one model
-// vector, i.e. every d-sized buffer is recycled.
+// population, with tracked averages, or on a four-layer tree — allocates
+// less than one model vector, i.e. every d-sized buffer is recycled.
 func TestWarmRoundAllocatesNoModelVector(t *testing.T) {
 	prob := fltest.WideProblem(3)
 	vec := float64(8 * prob.Model.Dim())
-	for _, population := range []int{0, 400} {
+	for _, leg := range []struct {
+		name       string
+		population int
+		tree       Tree
+	}{
+		{"resident", 0, Tree{}},
+		{"population", 400, Tree{}},
+		{"4-layer", 0, Tree{Branching: []int{1, 2, 10}, Taus: []int{2, 2, 2}}},
+	} {
 		cfg := fltest.ToyConfig()
-		cfg.Sequential, cfg.TrackAverages, cfg.EvalEvery = true, true, 0
-		if population > 0 {
-			cfg.Population, cfg.SamplePerRound = population, 6
+		cfg.Sequential, cfg.EvalEvery = true, 0
+		// Iterate sums have no priced form on a deeper tree.
+		cfg.TrackAverages = leg.tree.Taus == nil
+		if leg.population > 0 {
+			cfg.Population, cfg.SamplePerRound = leg.population, 6
 		}
 		got := fltest.WarmRoundBytes(t, func(rounds int) {
 			cfg.Rounds = rounds
-			if _, err := HierMinimax(prob, cfg); err != nil {
+			if _, err := HierMinimaxTree(prob, cfg, leg.tree); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("population=%d: %.0f bytes per warm round", population, got)
+		t.Logf("%s: %.0f bytes per warm round", leg.name, got)
 		if got >= vec {
-			t.Errorf("population=%d: a warm round allocates %.0f bytes, a model vector is %.0f", population, got, vec)
+			t.Errorf("%s: a warm round allocates %.0f bytes, a model vector is %.0f", leg.name, got, vec)
 		}
 	}
 }

@@ -8,30 +8,35 @@ import (
 )
 
 // The unbiasedness of the Phase-2 weight gradient (Appendix A) rests on
-// the checkpoint slot c2*tau1 + c1 being uniform over [1, tau1*tau2].
-// This test replicates the engine's exact stream derivation (the same
-// key path Round uses) and verifies the uniformity statistically, so a
-// change to the sampling silently breaking the contract fails here.
+// the checkpoint slot c2*tau1 + c1 being uniform over [1, tau1*tau2] —
+// on a deeper tree, on the vector's mixed-radix slot being uniform over
+// [1, Prod(Taus)]. This test draws through the engine's own drawCheckpoint
+// on the stream round uses and verifies the uniformity statistically, so
+// a change to the sampling silently breaking the contract fails here.
 func TestCheckpointIndexUniform(t *testing.T) {
-	const tau1, tau2 = 3, 4
 	const rounds = 48000
-	root := rng.New(12345)
-	counts := make([]int, tau1*tau2+1) // slots 1..tau1*tau2
-	for k := 0; k < rounds; k++ {
-		kr := root.ChildN('k', uint64(k))
-		cr := kr.Child(2)
-		c2 := cr.Intn(tau2)
-		c1 := 1 + cr.Intn(tau1)
-		slot := c2*tau1 + c1
-		if slot < 1 || slot > tau1*tau2 {
-			t.Fatalf("slot %d outside [1, %d]", slot, tau1*tau2)
+	for _, taus := range [][]int{{3, 4}, {2, 3, 2}} {
+		slots := prod(taus)
+		root := rng.New(12345)
+		chk := make([]int, len(taus))
+		counts := make([]int, slots+1) // slots 1..Prod(taus)
+		for k := 0; k < rounds; k++ {
+			drawCheckpoint(root.ChildN('k', uint64(k)).Child(2), taus, chk)
+			slot := 0
+			for v := len(taus) - 1; v > 0; v-- {
+				slot = (slot + chk[v]) * taus[v-1]
+			}
+			slot += chk[0]
+			if slot < 1 || slot > slots {
+				t.Fatalf("taus %v: slot %d outside [1, %d]", taus, slot, slots)
+			}
+			counts[slot]++
 		}
-		counts[slot]++
-	}
-	want := float64(rounds) / float64(tau1*tau2)
-	for slot := 1; slot <= tau1*tau2; slot++ {
-		if dev := math.Abs(float64(counts[slot]) - want); dev > 5*math.Sqrt(want) {
-			t.Fatalf("slot %d count %d deviates from uniform %v", slot, counts[slot], want)
+		want := float64(rounds) / float64(slots)
+		for slot := 1; slot <= slots; slot++ {
+			if dev := math.Abs(float64(counts[slot]) - want); dev > 5*math.Sqrt(want) {
+				t.Fatalf("taus %v: slot %d count %d deviates from uniform %v", taus, slot, counts[slot], want)
+			}
 		}
 	}
 }

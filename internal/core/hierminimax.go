@@ -3,7 +3,8 @@
 // client-edge-cloud architecture, with multi-step local SGD (tau1),
 // multi-step client-edge aggregation (tau2), partial edge participation,
 // and the random-checkpoint mechanism that keeps the Phase-2 weight
-// gradient unbiased.
+// gradient unbiased — and over the paper's multi-layer trees (Tree), of
+// which Algorithm 1 is the three-layer case.
 package core
 
 import (
@@ -53,14 +54,22 @@ func HierMinimax(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 // reproducing the uninterrupted trajectory exactly (every round's
 // randomness is a function of (Seed, round) only).
 func HierMinimaxWithOptions(prob *fl.Problem, cfg fl.Config, opts fl.RunOptions) (*fl.Result, error) {
+	cfg = cfg.WithDefaults()
+	return hierMinimax(Algorithm, prob, cfg, Tree{Taus: []int{cfg.Tau1, cfg.Tau2}}, opts)
+}
+
+// hierMinimax runs the rounds of a tree whose Taus are set (Branching nil
+// for the paper's network), drawing the checkpoint into a run-long buffer.
+func hierMinimax(name string, prob *fl.Problem, cfg fl.Config, tree Tree, opts fl.RunOptions) (*fl.Result, error) {
 	pool := fl.NewModelPool(prob.Model)
-	return fl.RunWithOptions(Algorithm, prob, cfg, func(k int, st *fl.State) {
-		Round(k, st, pool)
+	chk := make([]int, len(tree.Taus))
+	return fl.RunWithOptions(name, prob, cfg, func(k int, st *fl.State) {
+		round(k, st, pool, tree, chk)
 	}, opts)
 }
 
 // slotScratch holds a slot's outputs (edge model, edge checkpoint,
-// iterate sum), which live until Round has aggregated them. Instances
+// iterate sum), which live until round has aggregated them. Instances
 // recycle through slotPool, so after the first few rounds Phase 1 runs
 // without allocating model-sized vectors. On the avx2f32 tier a resident
 // slot runs in float32 storage (modelUpdate32) on the float32 mirrors
@@ -68,6 +77,7 @@ func HierMinimaxWithOptions(prob *fl.Problem, cfg fl.Config, opts fl.RunOptions)
 // aggregation.
 type slotScratch struct {
 	we, chkEdge, iterSum []float64
+	rows                 [][]float64 // child outputs above level 1 (node)
 
 	we32, chkEdge32  []float32
 	iterSum32        []float32
@@ -86,7 +96,7 @@ var foldPool = sync.Pool{New: func() any { return new(fl.Fold) }}
 // scratchPool recycles the per-worker SGD scratch of modelUpdate32.
 var scratchPool = sync.Pool{New: func() any { return new(fl.Scratch) }}
 
-// wChkPool recycles the per-round checkpoint average of Round (the only
+// wChkPool recycles the per-round checkpoint average of round (the only
 // model-sized vector Phase 1 would otherwise allocate each round).
 var wChkPool = sync.Pool{New: func() any { return new([]float64) }}
 
@@ -106,16 +116,16 @@ func getSlotScratch(d int, trackAverages bool) *slotScratch {
 
 // slotResult is the outcome of one sampled edge slot's ModelUpdate. The
 // scratch (nil for a dropped slot) carries the edge model, checkpoint and
-// iterate sum; Round returns it to the pool after aggregation. clients is
+// iterate sum; round returns it to the pool after aggregation. clients is
 // the size of the cohort the slot trained.
 type slotResult struct {
 	scratch *slotScratch
 	clients int
 }
 
-// Round advances one HierMinimax training round. Exported so the simnet
-// engine and the ablations can reuse the exact phase logic.
-func Round(k int, st *fl.State, pool *fl.ModelPool) {
+// round advances one HierMinimax training round on tree, drawing the
+// round's checkpoint vector into chk.
+func round(k int, st *fl.State, pool *fl.ModelPool, tree Tree, chk []int) {
 	cfg := &st.Cfg
 	prob := st.Prob
 	nE := prob.Fed.NumAreas()
@@ -128,13 +138,11 @@ func Round(k int, st *fl.State, pool *fl.ModelPool) {
 	// ---- Phase 1 ----
 	// Sample edge slots by p^(k) with replacement (the unbiasedness
 	// argument of Appendix A needs i.i.d. draws), and the checkpoint
-	// index (c1, c2).
+	// index (c1, c2) — a vector on deeper trees.
 	slots := kr.Child(1).SampleWeighted(cfg.SampledEdges, st.P)
-	cr := kr.Child(2)
-	c2 := cr.Intn(cfg.Tau2)     // checkpoint aggregation block, 0-based
-	c1 := 1 + cr.Intn(cfg.Tau1) // checkpoint local step within the block
+	drawCheckpoint(kr.Child(2), tree.Taus, chk)
 
-	// Cloud broadcasts w^(k) and (c1, c2) to the sampled edges.
+	// Cloud broadcasts w^(k) and the checkpoint index to the sampled edges.
 	st.Ledger.RecordRound(topology.EdgeCloud, len(slots), dBytes)
 
 	t0 := obs.Now()
@@ -145,8 +153,8 @@ func Round(k int, st *fl.State, pool *fl.ModelPool) {
 			return
 		}
 		results[i] = modelUpdate(modelUpdateArgs{
-			st: st, pool: pool, round: k, edge: slots[i],
-			c1: c1, c2: c2, stream: sr,
+			st: st, pool: pool, tree: tree, round: k, edge: slots[i],
+			chk: chk, stream: sr,
 		})
 	})
 
@@ -275,82 +283,120 @@ func phase2(k int, st *fl.State, pool *fl.ModelPool, wChk []float64, nE int, dBy
 }
 
 // modelUpdateArgs bundles the inputs of one edge slot's modelUpdate: the
-// run state (read-only but for the ledger), the sampled edge, the round's
-// checkpoint index and the slot's stream.
+// run state (read-only but for the ledger), the tree, the sampled edge,
+// the round's checkpoint vector and the slot's stream.
 type modelUpdateArgs struct {
 	st          *fl.State
 	pool        *fl.ModelPool
+	tree        Tree
 	round, edge int
-	c1, c2      int
+	chk         []int
 	stream      *rng.Stream
 }
 
 // modelUpdate runs the ModelUpdate procedure of Algorithm 1 for one
 // sampled edge slot: tau2 client-edge aggregation blocks, each consisting
 // of tau1 local SGD steps per client of the edge's round cohort, with the
-// (c2, c1) checkpoint recorded in block c2 after c1 steps. The client
-// block itself is fl.Fold — the same code for resident clients and roster
-// cohorts, sequential and parallel, every kernel class; this function is
-// the edge around it: the tau2 loop, the projection, the ledger lines and
-// the edge uplink.
+// (c2, c1) checkpoint recorded in block c2 after c1 steps — on a deeper
+// tree, the same blocks at every level-1 node under the slot's area
+// (node). The client block itself is fl.Fold, for every cohort source,
+// worker count and kernel class; this function is the edge around it.
 func modelUpdate(a modelUpdateArgs) slotResult {
-	cfg, prob, wStart, ledger := &a.st.Cfg, a.st.Prob, a.st.W, a.st.Ledger
-	if tensor.StorageF32() && !cfg.PopulationEnabled() {
+	cfg, prob, wStart := &a.st.Cfg, a.st.Prob, a.st.W
+	top := len(a.tree.Taus) - 1
+	if top == 1 && tensor.StorageF32() && !cfg.PopulationEnabled() {
 		// Validate refuses Compression on the f32 tier, so the float32
 		// fast path never has to model compressed uplinks.
 		if _, ok := prob.Model.(model.F32Model); ok {
 			return modelUpdate32(a)
 		}
 	}
-	d := len(wStart)
-	dBytes := topology.ModelBytes(d)
-	comp := cfg.Compression
-	upBytes := dBytes
-	if comp.Enabled() {
-		upBytes = comp.VecWireBytes(d)
-	}
-	s := getSlotScratch(d, cfg.TrackAverages)
+	s := getSlotScratch(len(wStart), cfg.TrackAverages)
 	f := foldPool.Get().(*fl.Fold)
 	defer foldPool.Put(f)
 	f.Cohort.SetEdge(cfg, prob.Fed, a.round, a.edge)
 	n := f.Cohort.Len()
-	f.Begin(cfg, prob, a.pool, comp)
 	copy(s.we, wStart)
 	var iterSum []float64
 	if cfg.TrackAverages {
 		iterSum = s.iterSum
 	}
+	rows := 0
+	for v := 2; v <= top; v++ {
+		rows += 2 * a.tree.Branching[v-1]
+	}
+	s.rows = fl.GrowRows(s.rows, rows, len(wStart))
+	a.node(top, f, 0, s.we, s.chkEdge, *a.stream, a.chk[0], iterSum, s.rows)
+	// Edge uploads (w_e, chk_e) to the cloud; compress if configured
+	// (no error feedback: edge uplinks happen once per round).
+	if comp := cfg.Compression; comp.Enabled() {
+		comp.Apply(s.we, nil, a.stream.ChildN('Q', 1))
+		comp.Apply(s.chkEdge, nil, a.stream.ChildN('Q', 2))
+	}
+	return slotResult{scratch: s, clients: n}
+}
 
-	for t2 := 0; t2 < cfg.Tau2; t2++ {
-		// Edge broadcasts w_e^(k,t2) to the cohort.
-		ledger.RecordRound(topology.ClientEdge, n, dBytes)
-		chkAt := 0
-		if t2 == a.c2 {
-			chkAt = a.c1
+// node runs a level-v node whose leaves start at client leafLo of the
+// slot's area: Taus[v] blocks from w, each aggregated into w and
+// projected. A level-1 node runs each block as one Fold block over the
+// Fold's cohort; a higher node runs its children from w in child order on
+// rows (its own children's outputs first, the levels below after them).
+// When chkAt > 0 the node is in scope: its block chk[v] also averages the
+// checkpoints, taken by the leaves after chkAt local steps, into chk.
+func (a *modelUpdateArgs) node(v int, f *fl.Fold, leafLo int, w, chk []float64, stream rng.Stream, chkAt int, iterSum []float64, rows [][]float64) {
+	cfg, ledger := &a.st.Cfg, a.st.Ledger
+	dBytes := topology.ModelBytes(len(w))
+	link, n, upBytes := topology.ClientEdge, f.Cohort.Len(), dBytes
+	var finals, chks [][]float64
+	if v > 1 {
+		link, n = topology.MidTier, a.tree.Branching[v-1]
+		finals, chks, rows = rows[:n], rows[n:2*n], rows[2*n:]
+	} else {
+		if cfg.Compression.Enabled() {
+			upBytes = cfg.Compression.VecWireBytes(len(w))
 		}
-		f.Block(s.we, a.stream.ChildVal(uint64(t2)), chkAt, iterSum)
-		// Clients upload their models (plus the checkpoint in block c2,
-		// plus the uncompressed iterate sum when tracking averages).
-		// Compressed uplinks are priced at their exact wire size.
+		f.Begin(cfg, a.st.Prob, a.pool, cfg.Compression)
+	}
+	leaves := prod(a.tree.Branching[:v-1])
+	for t := 0; t < a.tree.Taus[v]; t++ {
+		at := 0 // the leaves' checkpoint step in this block, 0 for none
+		if t == a.chk[v] {
+			at = chkAt
+		}
+		// The node broadcasts its model to its children.
+		ledger.RecordRound(link, n, dBytes)
+		bs := stream.ChildVal(uint64(t))
+		if v == 1 {
+			f.Block(w, bs, at, iterSum)
+		}
+		for j := range finals {
+			copy(finals[j], w)
+			lo := leafLo + j*leaves
+			if v == 2 {
+				f.Cohort.Clients = a.st.Prob.Fed.Areas[a.edge].Clients[lo : lo+leaves]
+			}
+			a.node(v-1, f, lo, finals[j], chks[j], bs.ChildVal(uint64(j)), at, iterSum, rows)
+		}
+		// Children upload their models, plus the checkpoint in block chk[v]
+		// and the iterate sum when tracking averages (dense).
 		up := upBytes
-		if t2 == a.c2 {
+		if at > 0 {
 			up *= 2
 		}
 		if cfg.TrackAverages {
 			up += dBytes
 		}
-		ledger.RecordRound(topology.ClientEdge, n, up)
-		// Client-edge aggregation.
-		f.Finish(s.we, s.chkEdge)
-		fl.ProjectW(prob.W, s.we)
+		ledger.RecordRound(link, n, up)
+		if v == 1 {
+			f.Finish(w, chk)
+		} else {
+			tensor.AverageInto(w, finals...)
+			if at > 0 {
+				tensor.AverageInto(chk, chks...)
+			}
+		}
+		fl.ProjectW(a.st.Prob.W, w)
 	}
-	// Edge uploads (w_e, chk_e) to the cloud; compress if configured
-	// (no error feedback: edge uplinks happen once per round).
-	if comp.Enabled() {
-		comp.Apply(s.we, nil, a.stream.ChildN('Q', 1))
-		comp.Apply(s.chkEdge, nil, a.stream.ChildN('Q', 2))
-	}
-	return slotResult{scratch: s, clients: n}
 }
 
 // modelUpdate32 is modelUpdate on the avx2f32 tier for models with a
@@ -388,8 +434,8 @@ func modelUpdate32(a modelUpdateArgs) slotResult {
 		// Edge broadcasts w_e^(k,t2) to its clients.
 		ledger.RecordRound(topology.ClientEdge, n0, dBytes)
 		chkAt := 0
-		if t2 == a.c2 {
-			chkAt = a.c1
+		if t2 == a.chk[1] {
+			chkAt = a.chk[0]
 		}
 		runClients := func(lo, hi int) {
 			mdl := a.pool.Get()
@@ -424,7 +470,7 @@ func modelUpdate32(a modelUpdateArgs) slotResult {
 		// Clients upload their models (plus the checkpoint in block c2,
 		// plus the uncompressed iterate sum when tracking averages).
 		up := dBytes
-		if t2 == a.c2 {
+		if t2 == a.chk[1] {
 			up *= 2
 		}
 		if cfg.TrackAverages {
@@ -442,7 +488,7 @@ func modelUpdate32(a modelUpdateArgs) slotResult {
 			fl.ProjectW(prob.W, s.we)
 			tensor.ToF32(s.we32, s.we)
 		}
-		if t2 == a.c2 {
+		if t2 == a.chk[1] {
 			tensor.Average32Into(s.chkEdge32, s.chks32...)
 		}
 	}

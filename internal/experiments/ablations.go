@@ -8,7 +8,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/model"
-	"repro/internal/multilayer"
 	"repro/internal/quant"
 	"repro/internal/sched"
 	"repro/internal/simplex"
@@ -132,18 +131,18 @@ func depthJob(scale Scale, seed uint64, variant string) func() (AblationRow, err
 		fed := data.OneClassPerArea(train, test, 4, seed+1)
 		totalSlots := p.rounds * 4
 
-		cfg := multilayer.Config{}
-		base := p.base(seed)
+		cfg := p.base(seed)
+		var tree core.Tree
 		switch variant {
 		case "3-layer":
-			base.Rounds = totalSlots / 4
-			cfg = multilayer.Config{Base: base, Branching: []int{4, 10}, Taus: []int{2, 2}}
+			cfg.Rounds = totalSlots / 4
+			tree = core.Tree{Branching: []int{4, 10}, Taus: []int{2, 2}}
 		default: // 4-layer
-			base.Rounds = totalSlots / 8
-			cfg = multilayer.Config{Base: base, Branching: []int{2, 2, 10}, Taus: []int{2, 2, 2}}
+			cfg.Rounds = totalSlots / 8
+			tree = core.Tree{Branching: []int{2, 2, 10}, Taus: []int{2, 2, 2}}
 		}
 		prob := fl.NewProblem(fed, model.NewLinear(p.dim, profile.Classes))
-		out, err := multilayer.HierMinimax(prob, cfg)
+		out, err := core.HierMinimaxTree(prob, cfg, tree)
 		if err != nil {
 			return AblationRow{}, fmt.Errorf("experiments: ablation A5-depth/%s: %w", variant, err)
 		}

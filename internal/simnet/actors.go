@@ -297,10 +297,10 @@ func (c *clientActor) run(wg *sync.WaitGroup) {
 // clients arrive on a dedicated reply port, so a second queued cloud
 // request can never be swallowed by a reply-await loop.
 //
-// The finals/chks/sums reply-gathering tables are actor-resident and
-// reused across blocks, slots and rounds; the entries they hold are
-// pool-owned vectors that pass through between a client reply and the
-// block's aggregation. live/liveChks are the per-block survivor views.
+// The finals/chks/sums/losses reply-gathering tables are actor-resident
+// and reused across blocks, slots and rounds; they hold pooled vectors and
+// replies from a client's reply until the client-order aggregation, so
+// arrival order never matters. live/liveChks are the per-block survivors.
 type edgeActor struct {
 	id       NodeID
 	port     NodeID // reply port clients answer to
@@ -314,6 +314,7 @@ type edgeActor struct {
 	finals   [][]float64
 	chks     [][]float64
 	sums     [][]float64
+	losses   []*lossReply
 	live     [][]float64
 	liveChks [][]float64
 	// Population mode (fold != nil): clients are roster records, so the
@@ -332,6 +333,7 @@ func (e *edgeActor) run(wg *sync.WaitGroup) {
 	e.finals = make([][]float64, n0)
 	e.chks = make([][]float64, n0)
 	e.sums = make([][]float64, n0)
+	e.losses = make([]*lossReply, n0)
 	e.live = make([][]float64, 0, n0)
 	e.liveChks = make([][]float64, 0, n0)
 	for msg := range e.inbox {
@@ -588,8 +590,8 @@ func (e *edgeActor) slotReply(req *edgeTrainReq, we, chkEdge, iterSum []float64,
 
 // lossEstimate collects per-client mini-batch losses of req.W and
 // averages them over the clients that answered, matching
-// fl.CohortLossEstimate's stream keys (and its 1/N0 average when everyone
-// does). ok is false when no client answered.
+// fl.CohortLossEstimate's stream keys and its client-order sum (and its
+// 1/N0 average when everyone does). ok is false when no client answered.
 func (e *edgeActor) lossEstimate(req *edgeLossReq, round int) (loss float64, ok bool, acct slotAcct) {
 	n0 := len(e.clients)
 	pool := e.net.pool
@@ -616,8 +618,6 @@ func (e *edgeActor) lossEstimate(req *edgeLossReq, round int) (loss float64, ok 
 		}
 	}
 	pool.put(req.W)
-	total := 0.0
-	got := 0
 	for recv := 0; recv < expected; recv++ {
 		msg := <-e.replies
 		r, isLoss := msg.Payload.(*lossReply)
@@ -630,9 +630,16 @@ func (e *edgeActor) lossEstimate(req *edgeLossReq, round int) (loss float64, ok 
 			continue
 		}
 		acct.Up(msg.Bytes)
-		total += r.Loss
-		got++
-		lossReplyPool.Put(r)
+		e.losses[r.Client] = r
+	}
+	total, got := 0.0, 0
+	for c, r := range e.losses {
+		if r != nil {
+			total += r.Loss
+			got++
+			lossReplyPool.Put(r)
+			e.losses[c] = nil
+		}
 	}
 	if got < n0 {
 		acct.TimeoutBlocks = 1

@@ -340,7 +340,7 @@ func (e *engine) maxStraggleMs(k int, areas []int) float64 {
 }
 
 // round is the cloud-side protocol for one HierMinimax training round,
-// mirroring core.Round step for step. Fault handling follows the
+// mirroring core's round step for step. Fault handling follows the
 // one-inbound-per-delivered-request invariant (see actors.go): the
 // fan-ins always count to the number of requests that were delivered,
 // failed slots are excluded from the aggregation exactly like core's

@@ -292,6 +292,31 @@ func TestSimnetDuplicateSlotsOnOneEdge(t *testing.T) {
 	}
 }
 
+// Client actors (and client hosts over TCP) answer a Phase-2 fan-out
+// concurrently, so the edge must sum their losses in client order, as
+// fl.Cohort.LossEstimate does, not in arrival order: 0.3+0.2+0.1 and
+// 0.1+0.2+0.3 differ in the last bit.
+func TestEdgeLossEstimateSumsInClientOrder(t *testing.T) {
+	n := NewNetwork()
+	port := NodeID{Kind: ReplyPort, Index: 0}
+	e := &edgeActor{net: n, port: port, replies: n.Register(port, 3)}
+	for c := 0; c < 3; c++ {
+		e.clients = append(e.clients, NodeID{Kind: Client, Index: c})
+		n.Register(e.clients[c], 1)
+	}
+	e.losses = make([]*lossReply, 3)
+	n.Seal()
+	losses := []float64{0.1, 0.2, 0.3}
+	for c := 2; c >= 0; c-- { // replies queued in reverse client order
+		n.Send(Message{To: port, Kind: "loss-reply", Bytes: 8,
+			Payload: &lossReply{Client: c, Loss: losses[c]}})
+	}
+	loss, ok, _ := e.lossEstimate(&edgeLossReq{W: n.pool.get(1), LossBatch: 1}, 0)
+	if want := (losses[0] + losses[1] + losses[2]) / 3; !ok || loss != want {
+		t.Fatalf("loss estimate %v (ok %v), client-order mean is %v", loss, ok, want)
+	}
+}
+
 func TestStragglersSlowSimulatedTime(t *testing.T) {
 	cfg := fltest.ToyConfig()
 	cfg.Rounds = 30

@@ -18,8 +18,8 @@ const (
 	ClientEdge Link = iota
 	EdgeCloud
 	ClientCloud
-	// MidTier covers links between intermediate aggregation levels in
-	// the L-layer generalization (internal/multilayer); a 3-layer run
+	// MidTier covers links between intermediate aggregation levels of a
+	// tree deeper than three layers (core.HierMinimaxTree); a 3-layer run
 	// never uses it.
 	MidTier
 	numLinks

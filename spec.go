@@ -134,12 +134,12 @@ type Spec struct {
 	LossBatch    int
 	SampledEdges int // m_E
 
-	// Branching and Taus, when set, run the L-layer generalization of
-	// HierMinimax (internal/multilayer) instead of the 3-layer
-	// algorithm: Branching[v] children per level-(v+1) node (last entry
-	// = top-level areas), Taus[v] the aggregation period at level v.
-	// ClientsPerEdge must equal the product of Branching[:len-1].
-	// HierMinimax only; Tau1/Tau2 are ignored when set.
+	// Branching and Taus, when set, run HierMinimax on that L-layer tree
+	// (core.Tree; Algorithm 1 is its three-layer case): Branching[v]
+	// children per level-(v+1) node (last entry = top-level areas),
+	// Taus[v] the aggregation period at level v. ClientsPerEdge must equal
+	// the product of Branching[:len-1]. HierMinimax in-process only;
+	// Tau1/Tau2 are ignored when set.
 	Branching []int
 	Taus      []int
 
@@ -282,9 +282,6 @@ func (s *Spec) normalize() error {
 	}
 	// The Population/SamplePerRound pairing is fl.Config.Validate's,
 	// which every engine runs.
-	if s.Population > 0 && (len(s.Branching) > 0 || len(s.Taus) > 0) {
-		return fmt.Errorf("hierfair: Spec.Population does not compose with the multi-layer tree (Branching/Taus)")
-	}
 	if s.Dataset == "" {
 		s.Dataset = DatasetEMNIST
 	}
