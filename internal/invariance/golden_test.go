@@ -121,6 +121,9 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 	quant8 := fltest.ToyConfig()
 	quant8.Compression = quant.Config{Bits: 8}
 
+	quant8Wide := quant8
+	quant8Wide.Rounds = 40
+
 	topkEF := fltest.ToyConfig()
 	topkEF.Compression = quant.Config{TopK: 8, ErrorFeedback: true}
 
@@ -245,6 +248,11 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 		}
 		m["hierminimax-topk-ef"] = func() (*fl.Result, error) {
 			return core.HierMinimax(fltest.ToyProblem(3), topkEF)
+		}
+		// The toy model's d = 44 is a multiple of four; at d = 7850 the
+		// packed vectors also end in elements past the last full quad.
+		m["hierminimax-quant8-wide"] = func() (*fl.Result, error) {
+			return core.HierMinimax(fltest.WideProblem(3), quant8Wide)
 		}
 		m["hierminimax-pop-quant8"] = func() (*fl.Result, error) {
 			return core.HierMinimax(fltest.ToyProblem(3), pop(quant8))
