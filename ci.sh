@@ -13,9 +13,11 @@ go test ./...
 
 # The wire codec moves float64 vectors as raw bytes on a little-endian
 # host and element by element on a big-endian one; no CI machine is
-# big-endian, so at least keep that path compiling and vetted.
+# big-endian, so at least keep that path compiling and vetted. The same
+# leg vets the scalar twins of the quantizer's and the stream's AVX2
+# lanes, whose assembly exists only on amd64.
 GOARCH=s390x go build ./...
-GOARCH=s390x go vet ./internal/wire
+GOARCH=s390x go vet ./internal/wire ./internal/quant ./internal/rng
 
 # The benchmark harness is a module of its own (repro/benchmark, replacing
 # repro with ../), so the three commands above neither build nor run it.
@@ -56,8 +58,8 @@ done
 # idempotence contracts (simplex), the never-crash / roundtrip /
 # bounded-allocation contracts (wire frame decoding, including the
 # compressed-payload frame's canonical-form contract) and the
-# bit-for-bit equality of the word-at-a-time pack/unpack kernels with
-# their scalar reference (quant), and of the wire codec's bulk vector
+# bit-for-bit equality of the word-at-a-time and four-lane pack/unpack
+# kernels with their scalar reference (quant), and of the wire codec's bulk vector
 # move and gather write with the per-element loops that define the
 # format. Long exploratory sessions stay manual
 # (go test -fuzz=... -fuzztime=5m ./internal/simplex).

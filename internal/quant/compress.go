@@ -265,6 +265,8 @@ func (g uniformGrid) value(q uint64) float64 {
 // 16-bit codes are stored directly, other widths are shifted into a
 // 64-bit accumulator that is stored as a whole little-endian word each
 // time it fills, so no byte is written twice and nothing is pre-zeroed.
+// On AVX2 machines the range scan and the 8-bit codes of the full quads
+// run in four lanes (lanes_amd64.go) with the same results.
 func (c Config) packUniform(p *Packed, x []float64, r *rng.Stream) {
 	width := c.Bits
 	if width < 1 || width > 32 {
@@ -279,9 +281,13 @@ func (c Config) packUniform(p *Packed, x []float64, r *rng.Stream) {
 		return
 	}
 	// One pass with the comparisons of tensor.Min and tensor.Max: a NaN
-	// never replaces a bound and a leading NaN is never replaced.
-	lo, hi := x[0], x[0]
-	for _, v := range x[1:] {
+	// never replaces a bound and a leading NaN is never replaced. The
+	// lanes scan the full quads when they can decide the bounds.
+	lo, hi, n := boundsLanes(x)
+	if n == 0 {
+		lo, hi, n = x[0], x[0], 1
+	}
+	for _, v := range x[n:] {
 		if v < lo {
 			lo = v
 		}
@@ -300,8 +306,8 @@ func (c Config) packUniform(p *Packed, x []float64, r *rng.Stream) {
 	s := *r // the stream lives in a local for the loop and is written back once
 	switch width {
 	case 8:
-		for i, v := range x {
-			code[i] = byte(g.code(v, s.Float64()))
+		for i := g.pack8Lanes(code, x, &s); i < len(x); i++ {
+			code[i] = byte(g.code(x[i], s.Float64()))
 		}
 	case 16:
 		for i, v := range x {
@@ -334,7 +340,8 @@ func (c Config) packUniform(p *Packed, x []float64, r *rng.Stream) {
 // with the float64 operations of the scalar reference. 8- and 16-bit
 // codes are read directly; any other code is cut out of one unaligned
 // little-endian word load at its first byte (bit offset at most 7, so
-// at most 39 bits of the word are needed).
+// at most 39 bits of the word are needed). On AVX2 machines the full
+// quads of 8-bit codes are dequantized in four lanes.
 func (p *Packed) unpackUniform(x []float64) {
 	if p.Hi == p.Lo {
 		// Constant vector: exact at any width.
@@ -350,7 +357,7 @@ func (p *Packed) unpackUniform(x []float64) {
 	switch width {
 	case 8:
 		code = code[:len(x)]
-		for i := range x {
+		for i := g.unpack8Lanes(x, code); i < len(x); i++ {
 			x[i] = g.value(uint64(code[i]))
 		}
 	case 16:

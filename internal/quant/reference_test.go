@@ -97,11 +97,32 @@ func refUnpackUniform(bits uint, code []byte, lo, hi float64, x []float64) {
 // and requires bit-identical codes, range, stream state and
 // dequantized values, plus the canonical form the wire codec demands
 // (trailing bits zero). The Packed starts with a dirty oversized code
-// buffer: the kernel must not rely on pre-zeroed memory.
+// buffer: the kernel must not rely on pre-zeroed memory. It checks the
+// scalar loops and, where the CPU has AVX2, the lane kernels.
 func checkUniformAgainstReference(t *testing.T, input string, bits uint, seed uint64, x []float64) {
 	t.Helper()
+	forEachPath(func(lanes bool) {
+		checkUniformPath(t, fmt.Sprintf("%s bits=%d d=%d lanes=%t", input, bits, len(x), lanes), bits, seed, x)
+	})
+}
+
+// forEachPath runs f on the scalar loops and, where the CPU has AVX2, on
+// the lane kernels, and restores the dispatch afterwards.
+func forEachPath(f func(lanes bool)) {
+	defer func(on bool) { useLanes = on }(useLanes)
+	paths := []bool{false}
+	if useLanes {
+		paths = append(paths, true)
+	}
+	for _, lanes := range paths {
+		useLanes = lanes
+		f(lanes)
+	}
+}
+
+func checkUniformPath(t *testing.T, where string, bits uint, seed uint64, x []float64) {
+	t.Helper()
 	d := len(x)
-	where := fmt.Sprintf("%s bits=%d d=%d", input, bits, d)
 	refStream, stream := rng.New(seed), rng.New(seed)
 	refCode, refLo, refHi := refPackUniform(bits, x, refStream)
 	want := make([]float64, d)
@@ -141,7 +162,11 @@ func checkUniformAgainstReference(t *testing.T, input string, bits uint, seed ui
 		if *inPlaceStream != *refStream {
 			t.Fatalf("%s: Uniform.Quantize left the stream in a different state", where)
 		}
-		want = inPlace
+		// Quantize leaves a constant vector as it is, so where +0 and -0
+		// make it constant only the reference unpack says Lo everywhere.
+		if refHi != refLo {
+			want = inPlace
+		}
 	}
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -156,8 +181,15 @@ func checkUniformAgainstReference(t *testing.T, input string, bits uint, seed ui
 // every arithmetic corner: an ordinary vector, a constant, one outlier
 // that overflows the range to +Inf, ranges so small that scale is
 // denormal or underflows to zero, and vectors holding ±Inf and NaN
-// (leading and interior).
+// (leading and interior). Some inputs aim at the four-lane kernels:
+// -0 and +0 in different lanes of the first quad as the minimum or the
+// maximum (the first zero in element order decides the sign), a NaN as
+// the first element of lane 1, 2 or 3, a NaN later in the lanes that
+// hold the bounds (it must not displace them), and ±Inf in the elements
+// past the last full quad.
 func TestUniformKernelsMatchReference(t *testing.T) {
+	// at clamps a lane index into a short vector.
+	at := func(x []float64, i int) *float64 { return &x[min(i, len(x)-1)] }
 	inputs := []struct {
 		name string
 		fill func(x []float64, r *rng.Stream)
@@ -197,13 +229,45 @@ func TestUniformKernelsMatchReference(t *testing.T) {
 			x[len(x)/2] = math.NaN()
 			x[len(x)-1] = -math.NaN()
 		}},
+		{"nan-after-bounds", func(x []float64, r *rng.Stream) {
+			r.Fill(x, 1)
+			*at(x, 4), *at(x, 5) = -10, 10
+			*at(x, 20), *at(x, 21) = math.NaN(), math.NaN()
+		}},
 		{"nan-leading", func(x []float64, r *rng.Stream) {
 			r.Fill(x, 1)
 			x[0] = math.NaN()
 		}},
+		{"zero-min-lanes", func(x []float64, r *rng.Stream) {
+			r.FillUniform(x, 0.5, 1)
+			*at(x, 2) = 0
+			*at(x, 1) = math.Copysign(0, -1)
+		}},
+		{"zero-max-lanes", func(x []float64, r *rng.Stream) {
+			r.FillUniform(x, -1, -0.5)
+			*at(x, 3) = math.Copysign(0, -1)
+			*at(x, 1) = 0
+		}},
+		{"nan-lane1", func(x []float64, r *rng.Stream) {
+			r.Fill(x, 1)
+			*at(x, 1) = math.NaN()
+		}},
+		{"nan-lane2", func(x []float64, r *rng.Stream) {
+			r.Fill(x, 1)
+			*at(x, 2) = math.NaN()
+		}},
+		{"nan-lane3", func(x []float64, r *rng.Stream) {
+			r.Fill(x, 1)
+			*at(x, 3) = -math.NaN()
+		}},
+		{"inf-tail", func(x []float64, r *rng.Stream) {
+			r.Fill(x, 1)
+			x[max(len(x)-2, 0)] = math.Inf(-1)
+			x[len(x)-1] = math.Inf(1)
+		}},
 	}
 	for bits := uint(1); bits <= 32; bits++ {
-		for _, d := range []int{0, 1, 7, 8, 9, 63, 64, 65, 7850} {
+		for _, d := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65, 7850} {
 			for k, in := range inputs {
 				x := make([]float64, d)
 				if d > 0 {
@@ -234,4 +298,36 @@ func FuzzPackUniform(f *testing.F) {
 		}
 		checkUniformAgainstReference(t, "fuzz", bits, seed, x)
 	})
+}
+
+// benchUniform times one 8-bit op on the scalar loops and, where the
+// CPU has AVX2, on the lane kernels, at d = 7850 (the logistic-regression
+// model the wire-q8 workload ships); ns/op divided by 7850 is ns/element.
+func benchUniform(b *testing.B, op func(p *Packed, x []float64, r *rng.Stream)) {
+	r := rng.New(1)
+	x := make([]float64, 7850)
+	r.Fill(x, 1)
+	p := GetPacked()
+	defer PutPacked(p)
+	(Config{Bits: 8}).Pack(p, x, nil, r)
+	forEachPath(func(lanes bool) {
+		name := "scalar"
+		if lanes {
+			name = "lanes"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				op(p, x, r)
+			}
+		})
+	})
+}
+
+func BenchmarkPackUniform8(b *testing.B) {
+	benchUniform(b, func(p *Packed, x []float64, r *rng.Stream) { (Config{Bits: 8}).Pack(p, x, nil, r) })
+}
+
+func BenchmarkUnpackUniform8(b *testing.B) {
+	back := make([]float64, 7850)
+	benchUniform(b, func(p *Packed, _ []float64, _ *rng.Stream) { p.UnpackInto(back) })
 }

@@ -41,10 +41,14 @@ func Root(seed uint64) Stream {
 	return Stream{state: mix64(seed)}
 }
 
+// gamma is the SplitMix64 increment: a stream's i-th draw mixes its
+// state plus i·gamma.
+const gamma = 0x9e3779b97f4a7c15
+
 // mix64 is the SplitMix64 output function, also used to hash seeds and
 // keys so that nearby seeds yield unrelated streams.
 func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
+	z += gamma
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -52,7 +56,7 @@ func mix64(z uint64) uint64 {
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (s *Stream) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
+	s.state += gamma
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -88,6 +92,19 @@ func (s Stream) ChildVal(key uint64) Stream {
 // Float64 returns a uniform value in [0, 1) with 53 random bits.
 func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
+}
+
+// Float64s overwrites dst with the next len(dst) values of Float64, in
+// order, and leaves the stream where len(dst) calls of Float64 would.
+// Draw i mixes state + (i+1)·gamma, independently of the draws before
+// it, so on AVX2 machines four lanes draw at once; the lanes convert the
+// 53-bit value exactly, so the values are Float64's bit for bit.
+func (s *Stream) Float64s(dst []float64) {
+	n := float64sLanes(dst, s.state)
+	s.state += uint64(n) * gamma
+	for i := n; i < len(dst); i++ {
+		dst[i] = s.Float64()
+	}
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

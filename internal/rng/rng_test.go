@@ -401,3 +401,88 @@ func TestStreamBinaryRoundTrip(t *testing.T) {
 		t.Fatal("invalid spare flag accepted")
 	}
 }
+
+// forEachDrawPath runs f with the scalar Float64s loop and, where the
+// CPU has them, with the four-lane draws.
+func forEachDrawPath(t *testing.T, f func(t *testing.T)) {
+	defer func(on bool) { useLanes = on }(useLanes)
+	paths := []bool{false}
+	if useLanes {
+		paths = append(paths, true)
+	}
+	for _, on := range paths {
+		useLanes = on
+		name := "scalar"
+		if on {
+			name = "lanes"
+		}
+		t.Run(name, f)
+	}
+}
+
+// unmix inverts the output mixing of Uint64: the state s.state must
+// reach for the next draw to return z.
+func unmix(z uint64) uint64 {
+	unshift := func(y uint64, k uint) uint64 {
+		x := y
+		for i := 0; i < 64; i += int(k) {
+			x = y ^ x>>k
+		}
+		return x
+	}
+	inverse := func(c uint64) uint64 {
+		inv := c // correct to 3 bits for odd c; each step doubles that
+		for i := 0; i < 5; i++ {
+			inv *= 2 - c*inv
+		}
+		return inv
+	}
+	z = unshift(z, 31)
+	z *= inverse(0x94d049bb133111eb)
+	z = unshift(z, 27)
+	z *= inverse(0xbf58476d1ce4e5b9)
+	return unshift(z, 30)
+}
+
+// TestFloat64sMatchesFloat64 holds the bulk draw to len(dst) calls of
+// Float64: every value bit for bit and the end state, on both paths,
+// from ordinary seeds, from the all-ones state, and from states whose
+// first draw sits at the edges of the float conversion, which splits
+// z >> 11 at bit 32 of z: zero, the smallest and largest values, and
+// each half at its extremes with the other half zero or one.
+func TestFloat64sMatchesFloat64(t *testing.T) {
+	starts := []Stream{Root(1), Root(77), {state: ^uint64(0)}}
+	for _, z := range []uint64{0, 1<<11 - 1, 1 << 11, 1<<32 - 1, 1 << 32, 1<<32 | 1<<11, ^uint64(0)} {
+		start := Stream{state: unmix(z) - gamma}
+		if probe := start; probe.Uint64() != z {
+			t.Fatalf("unmix(%#x) does not lead to draw %#x", z, z)
+		}
+		starts = append(starts, start)
+	}
+	forEachDrawPath(t, func(t *testing.T) {
+		for _, start := range starts {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 257, 7850} {
+				bulk, ref := start, start
+				got := make([]float64, n)
+				bulk.Float64s(got)
+				for i, g := range got {
+					if w := ref.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("state %#x n=%d: draw %d is %v, Float64 gives %v", start.state, n, i, g, w)
+					}
+				}
+				if bulk != ref {
+					t.Fatalf("state %#x n=%d: end state %#x, Float64 leaves %#x", start.state, n, bulk.state, ref.state)
+				}
+			}
+		}
+	})
+}
+
+func BenchmarkFloat64s(b *testing.B) {
+	s := New(1)
+	buf := make([]float64, 512)
+	b.SetBytes(int64(8 * len(buf)))
+	for i := 0; i < b.N; i++ {
+		s.Float64s(buf)
+	}
+}
