@@ -87,7 +87,7 @@ func hashLedger(res *fl.Result) string {
 // charged to the wrong block.
 func hashStats(st simnet.RunStats) string {
 	h := sha256.New()
-	binary.Write(h, binary.LittleEndian, []int64{st.Crashes, st.Timeouts})
+	binary.Write(h, binary.LittleEndian, []int64{st.Crashes, st.Timeouts, st.Retries, st.MessagesSent, st.MessagesLost})
 	binary.Write(h, binary.LittleEndian, math.Float64bits(st.SimulatedMs))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -138,6 +138,17 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 		return c
 	}
 	fourLayer := core.Tree{Branching: []int{2, 2, 4}, Taus: []int{2, 2, 2}}
+	// The A1 ablation under slot dropout with tracked averages: core and
+	// simnet must land on one hash.
+	chkOffDropout := chkOff
+	chkOffDropout.DropoutProb = 0.3
+	chkOffDropout.TrackAverages = true
+	// Every fault class at once, with retransmissions (the simnet chaos
+	// tests' heavy schedule).
+	heavy := func() *chaos.Schedule {
+		return &chaos.Schedule{Seed: 99, CrashProb: 0.15, PartitionProb: 0.05, LossProb: 0.05,
+			StragglerProb: 0.2, StragglerMs: 40, MaxRetries: 1}
+	}
 
 	m := map[string]func() (*fl.Result, error){
 		"hierminimax-seq": func() (*fl.Result, error) {
@@ -219,6 +230,20 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 			stats["stats/hierminimax-simnet-pop-chaos"] = hashStats(st)
 			return res, err
 		},
+		// Resident actors under the heavy schedule: crashes, partitions,
+		// loss with retries and stragglers, with iterate sums in flight.
+		"hierminimax-simnet-chaos": func() (*fl.Result, error) {
+			res, st, err := simnet.HierMinimax(fltest.ToyProblem(3), avgCfg, simnet.WithChaos(heavy()))
+			stats["stats/hierminimax-simnet-chaos"] = hashStats(st)
+			return res, err
+		},
+		"hierminimax-chkoff-dropout": func() (*fl.Result, error) {
+			return core.HierMinimax(fltest.ToyProblem(3), chkOffDropout)
+		},
+		"hierminimax-simnet-chkoff-dropout": func() (*fl.Result, error) {
+			res, _, err := simnet.HierMinimax(fltest.ToyProblem(3), chkOffDropout)
+			return res, err
+		},
 		// Trees deeper than the paper's three layers: a mid-tier level
 		// (4 layers), two of them (5 layers), and slot dropout on the first.
 		"hierminimax-4layer": func() (*fl.Result, error) {
@@ -268,6 +293,12 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 		}
 		m["hierminimax-simnet-quant8"] = func() (*fl.Result, error) {
 			res, _, err := simnet.HierMinimax(fltest.ToyProblem(3), quant8)
+			return res, err
+		}
+		// The cloud decodes Packed edge uplinks while other slots fail.
+		m["hierminimax-simnet-quant8-chaos"] = func() (*fl.Result, error) {
+			res, st, err := simnet.HierMinimax(fltest.ToyProblem(3), quant8, simnet.WithChaos(heavy()))
+			stats["stats/hierminimax-simnet-quant8-chaos"] = hashStats(st)
 			return res, err
 		}
 		m["hierminimax-wire-topk-ef"] = func() (*fl.Result, error) {
