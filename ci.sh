@@ -43,12 +43,13 @@ go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./i
 # resolution) and the float32 tier's refusal of compression. core and
 # baselines are in the loop because the slot path dispatches on the class
 # (the float32 tier has its own resident slot and refuses compression), so
-# their suites and allocation guards are not class-independent. The
-# simnet population tests run the edge actors' virtual cohorts, an
-# fl.Fold that runs in float32 storage on the avx2f32 tier.
+# their suites and allocation guards are not class-independent. Simnet's
+# cloud round is core's on every class, so the simnet ≡ core parity tests
+# run in every leg too, with the population tests, whose edge actors run
+# an fl.Fold in float32 storage on the avx2f32 tier.
 for KC in generic sse2 avx2 avx2f32; do
 	HIERFAIR_KERNEL=$KC go test -count=1 . ./internal/tensor/ ./internal/fl/ ./internal/core/ ./internal/baselines/ ./internal/invariance/
-	HIERFAIR_KERNEL=$KC go test -count=1 ./internal/simnet/ -run Population
+	HIERFAIR_KERNEL=$KC go test -count=1 ./internal/simnet/ -run 'Match(es)?Core|Population'
 	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/tensor/
 done
 

@@ -58,14 +58,53 @@ func HierMinimaxWithOptions(prob *fl.Problem, cfg fl.Config, opts fl.RunOptions)
 	return hierMinimax(Algorithm, prob, cfg, Tree{Taus: []int{cfg.Tau1, cfg.Tau2}}, opts)
 }
 
+// HierMinimaxOver runs Algorithm 1 as algorithm name with t doing the
+// edges' work; simnet's actor fabric and the wire runtimes call it with
+// theirs. Every decision of the protocol is made by the round here, so a
+// transport that delivers every request reproduces HierMinimax bit for
+// bit.
+func HierMinimaxOver(name string, prob *fl.Problem, cfg fl.Config, t Transport) (*fl.Result, error) {
+	cfg = cfg.WithDefaults()
+	return fl.Run(name, prob, cfg, newCloud(t, []int{cfg.Tau1, cfg.Tau2}).round)
+}
+
 // hierMinimax runs the rounds of a tree whose Taus are set (Branching nil
-// for the paper's network), drawing the checkpoint into a run-long buffer.
+// for the paper's network) over the in-process transport.
 func hierMinimax(name string, prob *fl.Problem, cfg fl.Config, tree Tree, opts fl.RunOptions) (*fl.Result, error) {
-	pool := fl.NewModelPool(prob.Model)
-	chk := make([]int, len(tree.Taus))
-	return fl.RunWithOptions(name, prob, cfg, func(k int, st *fl.State) {
-		round(k, st, pool, tree, chk)
-	}, opts)
+	t := &local{pool: fl.NewModelPool(prob.Model), tree: tree}
+	return fl.RunWithOptions(name, prob, cfg, newCloud(t, tree.Taus).round, opts)
+}
+
+// Slot is one sampled edge slot's outcome as a Transport hands it to the
+// cloud: the edge model W and checkpoint Chk (W is nil when the slot
+// failed) and, when tracking averages, the sum IterSum of Iters local
+// iterates. The transport owns the buffers until Release.
+type Slot struct {
+	W, Chk, IterSum []float64
+	Iters           float64
+	scratch         *slotScratch // the in-process slot's pooled buffers
+}
+
+// Transport carries the cloud round's requests to the edges and does
+// their work: in process on a worker pool, or as messages over simnet's
+// actor fabric and the wire runtimes. The round makes every decision of
+// Algorithm 1 and writes the edge-cloud ledger lines from the counts a
+// transport returns; the transport records the client-edge traffic its
+// work moved.
+type Transport interface {
+	// Train runs ModelUpdate from st.W on edge slots[i] for every slot i
+	// not doomed[i], with checkpoint chk and slot stream streams[i], and
+	// writes its outcome into out[i] (left zero when the slot fails). It
+	// returns how many slot requests reached their edge.
+	Train(k int, st *fl.State, slots, chk []int, streams []rng.Stream, doomed []bool, out []Slot) (delivered int)
+	// Losses has every edge sampled[i] not doomed[i] estimate its loss at
+	// wChk from streams[i] into losses[i], setting alive[i] when the
+	// estimate is usable. It returns how many requests reached their edge
+	// and how many scalar replies reached the cloud.
+	Losses(k int, st *fl.State, wChk []float64, sampled []int, streams []rng.Stream, doomed []bool, losses []float64, alive []bool) (delivered, arrived int)
+	// Release takes back the buffers of out's slots once the round has
+	// averaged them.
+	Release(out []Slot)
 }
 
 // slotScratch holds a slot's outputs (edge model, edge checkpoint,
@@ -96,10 +135,6 @@ var foldPool = sync.Pool{New: func() any { return new(fl.Fold) }}
 // scratchPool recycles the per-worker SGD scratch of modelUpdate32.
 var scratchPool = sync.Pool{New: func() any { return new(fl.Scratch) }}
 
-// wChkPool recycles the per-round checkpoint average of round (the only
-// model-sized vector Phase 1 would otherwise allocate each round).
-var wChkPool = sync.Pool{New: func() any { return new([]float64) }}
-
 // getSlotScratch sizes a pooled scratch's slot outputs for a d-parameter
 // model. iterSum starts zeroed; the other buffers are overwritten before
 // use.
@@ -114,24 +149,49 @@ func getSlotScratch(d int, trackAverages bool) *slotScratch {
 	return s
 }
 
-// slotResult is the outcome of one sampled edge slot's ModelUpdate. The
-// scratch (nil for a dropped slot) carries the edge model, checkpoint and
-// iterate sum; round returns it to the pool after aggregation. clients is
-// the size of the cohort the slot trained.
-type slotResult struct {
-	scratch *slotScratch
-	clients int
+// slot hands the scratch's outputs to the cloud as the slot of an
+// n-client cohort, each client having summed SlotsPerRound iterates.
+func (s *slotScratch) slot(cfg *fl.Config, n int) Slot {
+	return Slot{W: s.we, Chk: s.chkEdge, IterSum: s.iterSum, Iters: float64(cfg.SlotsPerRound() * n), scratch: s}
 }
 
-// round advances one HierMinimax training round on tree, drawing the
-// round's checkpoint vector into chk.
-func round(k int, st *fl.State, pool *fl.ModelPool, tree Tree, chk []int) {
-	cfg := &st.Cfg
-	prob := st.Prob
-	nE := prob.Fed.NumAreas()
-	dBytes := topology.ModelBytes(len(st.W))
-	kr := st.Root.ChildN('k', uint64(k))
-	hub := obs.Get()
+// cloud is the cloud side of Algorithm 1 over a Transport. Its buffers
+// live for the whole run, so a warm round allocates only the two edge
+// samples.
+type cloud struct {
+	t              Transport
+	taus, chk      []int
+	streams        []rng.Stream
+	doomed, alive  []bool
+	out            []Slot
+	wVecs, chkVecs [][]float64
+	wChk, losses   []float64
+	v              []float64
+}
+
+func newCloud(t Transport, taus []int) *cloud {
+	return &cloud{t: t, taus: taus, chk: make([]int, len(taus))}
+}
+
+// draw derives a phase's per-slot streams from parent and decides which
+// slots drop out (fl.SlotDropped peeks without advancing, so a slot's
+// work stream is unchanged by the check).
+func (c *cloud) draw(parent rng.Stream, p float64) {
+	for i := range c.streams {
+		c.streams[i] = parent.ChildVal(uint64(i))
+		c.doomed[i] = p > 0 && fl.SlotDropped(&c.streams[i], p)
+	}
+}
+
+// round advances one HierMinimax training round.
+func (c *cloud) round(k int, st *fl.State) {
+	cfg, prob := &st.Cfg, st.Prob
+	m, nE, d := cfg.SampledEdges, prob.Fed.NumAreas(), len(st.W)
+	dBytes := topology.ModelBytes(d)
+	kr := st.Root.ChildVal('k').ChildVal(uint64(k))
+	c.streams, c.doomed, c.out = fl.GrowVec(c.streams, m), fl.GrowVec(c.doomed, m), fl.GrowVec(c.out, m)
+	c.losses, c.alive = fl.GrowVec(c.losses, m), fl.GrowVec(c.alive, m)
+	c.wChk, c.v = fl.GrowVec(c.wChk, d), fl.GrowVec(c.v, nE)
 
 	p1 := obsSpan("phase1", k)
 
@@ -139,55 +199,32 @@ func round(k int, st *fl.State, pool *fl.ModelPool, tree Tree, chk []int) {
 	// Sample edge slots by p^(k) with replacement (the unbiasedness
 	// argument of Appendix A needs i.i.d. draws), and the checkpoint
 	// index (c1, c2) — a vector on deeper trees.
-	slots := kr.Child(1).SampleWeighted(cfg.SampledEdges, st.P)
-	drawCheckpoint(kr.Child(2), tree.Taus, chk)
+	sr, cr := kr.ChildVal(1), kr.ChildVal(2)
+	slots := sr.SampleWeighted(m, st.P)
+	drawCheckpoint(&cr, c.taus, c.chk)
+	c.draw(kr.ChildVal(3), cfg.DropoutProb)
 
 	// Cloud broadcasts w^(k) and the checkpoint index to the sampled edges.
-	st.Ledger.RecordRound(topology.EdgeCloud, len(slots), dBytes)
-
-	t0 := obs.Now()
-	results := make([]slotResult, len(slots))
-	cfg.ForEach(len(slots), func(i int) {
-		sr := kr.ChildN(3, uint64(i))
-		if fl.SlotDropped(sr, cfg.DropoutProb) {
-			return
-		}
-		results[i] = modelUpdate(modelUpdateArgs{
-			st: st, pool: pool, tree: tree, round: k, edge: slots[i],
-			chk: chk, stream: sr,
-		})
-	})
+	delivered := c.t.Train(k, st, slots, c.chk, c.streams, c.doomed, c.out)
+	st.Ledger.RecordRound(topology.EdgeCloud, delivered, dBytes)
 
 	// Edge-cloud aggregation (Eqs. 5 and 6): average over surviving
 	// slots, in slot order for determinism.
-	var wVecs, chkVecs [][]float64
-	dropped, clients := 0, 0
-	for _, r := range results {
-		if r.scratch == nil {
-			dropped++
+	c.wVecs, c.chkVecs = c.wVecs[:0], c.chkVecs[:0]
+	for _, s := range c.out {
+		if s.W == nil {
 			continue
 		}
-		wVecs = append(wVecs, r.scratch.we)
-		chkVecs = append(chkVecs, r.scratch.chkEdge)
-		clients += r.clients
+		c.wVecs = append(c.wVecs, s.W)
+		c.chkVecs = append(c.chkVecs, s.Chk)
 		if st.WSum != nil {
-			// Each client summed tau1*tau2 iterates into the slot's sum.
-			tensor.StorageAdd(st.WSum, r.scratch.iterSum)
-			st.WCount += float64(cfg.SlotsPerRound() * r.clients)
+			tensor.StorageAdd(st.WSum, s.IterSum)
+			st.WCount += s.Iters
 		}
 	}
-	slotsTotal.Add(int64(len(slots)))
-	slotsDropped.Add(int64(dropped))
-	// One SGD step evaluates BatchSize per-example gradients; every
-	// trained client ran tau1*tau2 steps.
-	examples := cfg.SlotsPerRound() * clients * cfg.BatchSize
-	gradEvals.Add(int64(examples))
-	if hub != nil && len(wVecs) > 0 {
-		if el := obs.Now().Sub(t0).Seconds(); el > 0 {
-			examplesPerSec.Set(float64(examples) / el)
-		}
-	}
-	if len(wVecs) == 0 {
+	slotsTotal.Add(int64(m))
+	slotsDropped.Add(int64(m - len(c.wVecs)))
+	if len(c.wVecs) == 0 {
 		p1.End()
 		return // every sampled edge failed this round; w and p carry over
 	}
@@ -196,37 +233,50 @@ func round(k int, st *fl.State, pool *fl.ModelPool, tree Tree, chk []int) {
 	// iterate sum always travels dense.
 	ecVec := dBytes
 	if cfg.Compression.Enabled() {
-		ecVec = cfg.Compression.VecWireBytes(len(st.W))
+		ecVec = cfg.Compression.VecWireBytes(d)
 	}
 	ecUp := 2 * ecVec
 	if cfg.TrackAverages {
 		ecUp += dBytes
 	}
-	st.Ledger.RecordRound(topology.EdgeCloud, len(wVecs), ecUp)
-	tensor.AverageInto(st.W, wVecs...)
+	st.Ledger.RecordRound(topology.EdgeCloud, len(c.wVecs), ecUp)
+	tensor.AverageInto(st.W, c.wVecs...)
 	tp := obs.Now()
 	fl.ProjectW(prob.W, st.W)
 	obs.ObserveSince("core_projection_ms", tp)
-	wp := wChkPool.Get().(*[]float64)
-	*wp = fl.GrowVec(*wp, len(st.W))
-	wChk := *wp
-	defer wChkPool.Put(wp)
-	tensor.AverageInto(wChk, chkVecs...)
+	tensor.AverageInto(c.wChk, c.chkVecs...)
 	if cfg.CheckpointOff {
 		// A1 ablation: estimate the p-gradient at the end-of-round model
 		// instead of the unbiased random checkpoint.
-		copy(wChk, st.W)
+		copy(c.wChk, st.W)
 	}
-	for _, r := range results {
-		if r.scratch != nil {
-			slotPool.Put(r.scratch)
-		}
-	}
+	c.t.Release(c.out)
+	clear(c.out)
 	p1.End()
 
-	// ---- Phase 2 ----
+	// ---- Phase 2: the edge-weight update (Algorithm 1 lines 10-14) ----
 	p2 := obsSpan("phase2", k)
-	phase2(k, st, pool, wChk, nE, dBytes, kr.Child(4))
+	ur := kr.ChildVal(4)
+	sampled := ur.SampleUniform(m, nE)
+	c.draw(ur.ChildVal(5), cfg.DropoutProb)
+	clear(c.losses)
+	clear(c.alive)
+	// Cloud broadcasts the checkpoint model to the uniformly sampled
+	// edges; they reply with scalar loss estimates.
+	delivered, arrived := c.t.Losses(k, st, c.wChk, sampled, c.streams, c.doomed, c.losses, c.alive)
+	st.Ledger.RecordRound(topology.EdgeCloud, delivered, dBytes)
+	st.Ledger.RecordRound(topology.EdgeCloud, arrived, 8)
+
+	// Unbiased estimator: v_e = (N_E/m_E) f_e(w_chk) for sampled e.
+	tensor.Zero(c.v)
+	scale := float64(nE) / float64(m)
+	for i, e := range sampled {
+		if c.alive[i] {
+			c.v[e] += scale * c.losses[i]
+		}
+	}
+	// Projected gradient ascent with effective step eta_p*tau1*tau2 (Eq. 7).
+	optim.AscentStep(st.P, c.v, cfg.EtaP*float64(cfg.SlotsPerRound()), prob.P)
 	p2.End()
 }
 
@@ -239,47 +289,64 @@ func obsSpan(name string, round int) obs.Span {
 	return obs.Span{}
 }
 
-// phase2 performs the edge-weight update (Algorithm 1 lines 10-14). It
-// is shared with DRFA-style baselines via the fl.State plumbing.
-func phase2(k int, st *fl.State, pool *fl.ModelPool, wChk []float64, nE int, dBytes int64, ur *rng.Stream) {
-	cfg := &st.Cfg
-	prob := st.Prob
-	sampled := ur.SampleUniform(cfg.SampledEdges, nE)
+// local is the in-process Transport: slots and loss estimates run on
+// cfg.ForEach's worker pool over the tree held in memory.
+type local struct {
+	pool *fl.ModelPool
+	tree Tree
+}
 
-	// Cloud broadcasts the checkpoint model to the uniformly sampled
-	// edges; they reply with scalar loss estimates.
-	st.Ledger.RecordRound(topology.EdgeCloud, len(sampled), dBytes)
-	losses := make([]float64, len(sampled))
-	alive := make([]bool, len(sampled))
+func (l *local) Train(k int, st *fl.State, slots, chk []int, streams []rng.Stream, doomed []bool, out []Slot) int {
+	t0 := obs.Now()
+	st.Cfg.ForEach(len(slots), func(i int) {
+		if !doomed[i] {
+			out[i] = modelUpdate(modelUpdateArgs{
+				st: st, pool: l.pool, tree: l.tree, round: k, edge: slots[i],
+				chk: chk, stream: &streams[i],
+			})
+		}
+	})
+	// One SGD step evaluates BatchSize per-example gradients; every
+	// trained client ran tau1*tau2 steps.
+	examples := 0
+	for _, s := range out {
+		examples += int(s.Iters) * st.Cfg.BatchSize
+	}
+	gradEvals.Add(int64(examples))
+	if el := obs.Now().Sub(t0).Seconds(); el > 0 && examples > 0 {
+		examplesPerSec.Set(float64(examples) / el)
+	}
+	return len(slots)
+}
+
+func (l *local) Losses(k int, st *fl.State, wChk []float64, sampled []int, streams []rng.Stream, doomed []bool, losses []float64, alive []bool) (int, int) {
+	cfg := &st.Cfg
+	dBytes := topology.ModelBytes(len(wChk))
 	cfg.ForEach(len(sampled), func(i int) {
-		er := ur.ChildN(5, uint64(i))
-		if fl.SlotDropped(er, cfg.DropoutProb) {
+		if doomed[i] {
 			return
 		}
 		alive[i] = true
-		m := pool.Get()
-		defer pool.Put(m)
+		m := l.pool.Get()
+		defer l.pool.Put(m)
 		// The edge relays the checkpoint to its round-k cohort (the
 		// clients Phase 1 trained — its resident clients, or the roster
 		// sample); they return mini-batch losses.
 		var n int
-		losses[i], n = fl.CohortLossEstimate(m, wChk, cfg, prob.Fed, k, sampled[i], er)
+		losses[i], n = fl.CohortLossEstimate(m, wChk, cfg, st.Prob.Fed, k, sampled[i], &streams[i])
 		lossEvals.Add(int64(n * cfg.LossBatch))
 		st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
 		st.Ledger.RecordRound(topology.ClientEdge, n, 8)
 	})
-	st.Ledger.RecordRound(topology.EdgeCloud, len(sampled), 8)
+	return len(sampled), len(sampled)
+}
 
-	// Unbiased estimator: v_e = (N_E/m_E) f_e(w_chk) for sampled e.
-	v := make([]float64, nE)
-	scale := float64(nE) / float64(cfg.SampledEdges)
-	for i, e := range sampled {
-		if alive[i] {
-			v[e] += scale * losses[i]
+func (*local) Release(out []Slot) {
+	for _, s := range out {
+		if s.scratch != nil {
+			slotPool.Put(s.scratch)
 		}
 	}
-	// Projected gradient ascent with effective step eta_p*tau1*tau2 (Eq. 7).
-	optim.AscentStep(st.P, v, cfg.EtaP*float64(cfg.SlotsPerRound()), prob.P)
 }
 
 // modelUpdateArgs bundles the inputs of one edge slot's modelUpdate: the
@@ -301,7 +368,7 @@ type modelUpdateArgs struct {
 // tree, the same blocks at every level-1 node under the slot's area
 // (node). The client block itself is fl.Fold, for every cohort source,
 // worker count and kernel class; this function is the edge around it.
-func modelUpdate(a modelUpdateArgs) slotResult {
+func modelUpdate(a modelUpdateArgs) Slot {
 	cfg, prob, wStart := &a.st.Cfg, a.st.Prob, a.st.W
 	top := len(a.tree.Taus) - 1
 	if top == 1 && tensor.StorageF32() && !cfg.PopulationEnabled() {
@@ -333,7 +400,7 @@ func modelUpdate(a modelUpdateArgs) slotResult {
 		comp.Apply(s.we, nil, a.stream.ChildN('Q', 1))
 		comp.Apply(s.chkEdge, nil, a.stream.ChildN('Q', 2))
 	}
-	return slotResult{scratch: s, clients: n}
+	return s.slot(cfg, n)
 }
 
 // node runs a level-v node whose leaves start at client leafLo of the
@@ -410,7 +477,7 @@ func (a *modelUpdateArgs) node(v int, f *fl.Fold, leafLo int, w, chk []float64, 
 // float64-interchange path while every client block moves half the
 // bytes; only the slot outputs (we, chkEdge, iterSum) are widened for
 // the cloud-level aggregation, once per slot.
-func modelUpdate32(a modelUpdateArgs) slotResult {
+func modelUpdate32(a modelUpdateArgs) Slot {
 	cfg, prob, wStart, ledger := &a.st.Cfg, a.st.Prob, a.st.W, a.st.Ledger
 	clients := prob.Fed.Areas[a.edge].Clients
 	n0, d := len(clients), len(wStart)
@@ -499,5 +566,5 @@ func modelUpdate32(a modelUpdateArgs) slotResult {
 	if cfg.TrackAverages {
 		tensor.ToF64(s.iterSum, s.iterSum32)
 	}
-	return slotResult{scratch: s, clients: n0}
+	return s.slot(cfg, n0)
 }

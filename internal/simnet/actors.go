@@ -91,18 +91,8 @@ func packedBytes(ps ...*quant.Packed) int64 {
 // These are functions rather than methods because the reply types are
 // aliases into internal/wire.
 func nackTrainReply(r *trainReply, pool *vecPool) {
-	if r.WFinal != nil {
-		pool.put(r.WFinal)
-		r.WFinal = nil
-	}
-	if r.WChk != nil {
-		pool.put(r.WChk)
-		r.WChk = nil
-	}
-	if r.IterSum != nil {
-		pool.put(r.IterSum)
-		r.IterSum = nil
-	}
+	pool.release(r.WFinal, r.WChk, r.IterSum)
+	r.WFinal, r.WChk, r.IterSum = nil, nil, nil
 	quant.PutPacked(r.WFinalP)
 	quant.PutPacked(r.WChkP)
 	r.WFinalP, r.WChkP = nil, nil
@@ -113,18 +103,8 @@ func nackTrainReply(r *trainReply, pool *vecPool) {
 // it failed; the delivered-traffic account survives so the cloud's
 // ledger stays exact even when the model itself was lost.
 func nackEdgeTrainReply(r *edgeTrainReply, pool *vecPool) {
-	if r.WEdge != nil {
-		pool.put(r.WEdge)
-		r.WEdge = nil
-	}
-	if r.WChk != nil {
-		pool.put(r.WChk)
-		r.WChk = nil
-	}
-	if r.IterSum != nil {
-		pool.put(r.IterSum)
-		r.IterSum = nil
-	}
+	pool.release(r.WEdge, r.WChk, r.IterSum)
+	r.WEdge, r.WChk, r.IterSum = nil, nil, nil
 	quant.PutPacked(r.WEdgeP)
 	quant.PutPacked(r.WChkP)
 	r.WEdgeP, r.WChkP = nil, nil

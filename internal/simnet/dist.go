@@ -24,13 +24,13 @@ import (
 // Inbound frames are decoded by a wire.Listener and Injected into the
 // local mailboxes.
 //
-// Determinism contract (DESIGN.md §12): the cloud reuses the in-process
-// engine's round() verbatim, every message is counted and its loss
-// decided once — at the sending process — and all fan-ins are
-// index-keyed, so the trajectory, topology ledger and fault counters of
-// a distributed run are bitwise-identical to the single-process simnet
-// run of the same Spec (asserted in dist_test.go and the invariance
-// suite). Chaos drops double as real transport faults: a dropped
+// Determinism contract (DESIGN.md §12): the cloud runs core's round over
+// the same engine transport as the in-process run, every message is
+// counted and its loss decided once — at the sending process — and all
+// fan-ins are index-keyed, so the trajectory, topology ledger and fault
+// counters of a distributed run are bitwise-identical to the
+// single-process simnet run of the same Spec (asserted in dist_test.go
+// and the invariance suite). Chaos drops double as real transport faults: a dropped
 // message also resets the underlying connection (flush-then-close, so
 // no counted frame is lost), and scheduled stragglers really sleep on
 // the client host. Neither changes a single decision.
@@ -161,46 +161,37 @@ func helloDialer(addr string, h wire.Hello) wire.Dialer {
 // payload vectors go back to the local arena and the struct to its
 // typed pool, completing the single-owner hand-off across the socket.
 func releaseMessage(pool *vecPool) func(Message) {
-	putVec := func(v []float64) {
-		if v != nil {
-			pool.put(v)
-		}
-	}
 	return func(m Message) {
 		switch p := m.Payload.(type) {
 		case *trainReq:
-			putVec(p.W)
+			pool.release(p.W)
 			*p = trainReq{}
 			trainReqPool.Put(p)
 		case *trainReply:
-			putVec(p.WFinal)
-			putVec(p.WChk)
-			putVec(p.IterSum)
+			pool.release(p.WFinal, p.WChk, p.IterSum)
 			quant.PutPacked(p.WFinalP)
 			quant.PutPacked(p.WChkP)
 			*p = trainReply{}
 			trainReplyPool.Put(p)
 		case *lossReq:
-			putVec(p.W)
+			pool.release(p.W)
 			*p = lossReq{}
 			lossReqPool.Put(p)
 		case *lossReply:
 			*p = lossReply{}
 			lossReplyPool.Put(p)
 		case *edgeTrainReq:
-			putVec(p.W)
+			pool.release(p.W)
 			*p = edgeTrainReq{}
 			edgeTrainReqPool.Put(p)
 		case *edgeTrainReply:
-			putVec(p.WEdge)
-			putVec(p.WChk)
-			putVec(p.IterSum)
+			pool.release(p.WEdge, p.WChk, p.IterSum)
 			quant.PutPacked(p.WEdgeP)
 			quant.PutPacked(p.WChkP)
 			*p = edgeTrainReply{}
 			edgeTrainReplyPool.Put(p)
 		case *edgeLossReq:
-			putVec(p.W)
+			pool.release(p.W)
 			*p = edgeLossReq{}
 			edgeLossReqPool.Put(p)
 		case *edgeLossReply:

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fl"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -15,28 +16,17 @@ import (
 // ServeCloud runs the cloud role of a distributed HierMinimax run: it
 // binds dc.Listen, waits for every edge server's hello (which carries
 // the edge's own listen address) and readiness, dials each edge back,
-// and then drives the exact same round() as the in-process engine —
+// and then drives core's round over the same transport as HierMinimax —
 // only the routes differ, so the returned Result is bitwise-identical
 // to HierMinimax on the same problem, config and fault schedule. The
 // returned RunStats aggregates the protocol counters of the whole tree
 // (each process reports its own at shutdown via stats frames).
 func ServeCloud(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) (*fl.Result, RunStats, error) {
 	dc.normalize()
-	e := &engine{prob: prob, cfg: cfg.WithDefaults(), lat: DefaultLatency()}
-	for _, o := range opts {
-		o(e)
-	}
-	if err := e.chaos.Validate(); err != nil {
+	e, err := newEngine(prob, cfg, opts)
+	if err != nil {
 		return nil, RunStats{}, err
 	}
-	e.timeoutMs = e.chaos.Timeout()
-	if e.chaos != nil {
-		e.retries = e.chaos.MaxRetries
-	}
-	if err := e.prob.Validate(); err != nil {
-		return nil, RunStats{}, err
-	}
-	e.top = e.prob.Topology()
 	top := e.top
 	fp := Fingerprint(e.cfg, top, e.chaos)
 
@@ -176,9 +166,8 @@ func ServeCloud(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) 
 		return nil, RunStats{}, err
 	}
 
-	h := obs.Get()
-	t0 := obs.Now()
-	res, err := fl.Run("HierMinimax/wire", prob, cfg, e.round)
+	h, t0 := obs.Get(), obs.Now()
+	res, err := core.HierMinimaxOver("HierMinimax/wire", prob, cfg, e)
 	// Stop flows down the tree on both paths: edge actors exit, each
 	// edge relays its clients' stops, and every process answers with a
 	// stats frame once its fleet has drained.
@@ -194,26 +183,12 @@ func ServeCloud(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) 
 	if statsErr != nil {
 		return nil, RunStats{}, statsErr
 	}
-	if h != nil {
-		h.Registry().Gauge("simnet_simulated_ms").Set(e.simMs)
-		h.Registry().Gauge("simnet_wall_ms").Set(float64(time.Since(t0)) / float64(time.Millisecond))
-	}
+	e.publishTimes(h, t0)
 	total := localStats(e.net)
 	mu.Lock()
 	total.Add(downStats)
 	mu.Unlock()
-	return res, RunStats{
-		SimulatedMs:     e.simMs,
-		MessagesSent:    total.Sent,
-		MessagesLost:    total.Lost,
-		ControlMessages: total.Ctrl,
-		Timeouts:        total.Timeouts,
-		Retries:         total.Retries,
-		Crashes:         total.Crashes,
-		PoolOutstanding: total.PoolOutstanding,
-		PoolRecycled:    total.PoolRecycled,
-		PoolAllocated:   total.PoolAllocated,
-	}, nil
+	return res, e.runStats(total), nil
 }
 
 // ServeEdge runs one edge-server role: it hosts the edge actor (request
@@ -223,20 +198,11 @@ func ServeCloud(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) 
 // the run completes.
 func ServeEdge(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) error {
 	dc.normalize()
-	e := &engine{prob: prob, cfg: cfg.WithDefaults(), lat: DefaultLatency()}
-	for _, o := range opts {
-		o(e)
-	}
-	if err := e.chaos.Validate(); err != nil {
+	e, err := newEngine(prob, cfg, opts)
+	if err != nil {
 		return err
 	}
-	if e.chaos != nil {
-		e.retries = e.chaos.MaxRetries
-	}
-	if err := prob.Validate(); err != nil {
-		return err
-	}
-	top := prob.Topology()
+	top := e.top
 	if dc.Edge < 0 || dc.Edge >= top.NumEdges {
 		return fmt.Errorf("simnet: edge index %d outside topology (%d edges)", dc.Edge, top.NumEdges)
 	}
@@ -408,20 +374,11 @@ func ServeEdge(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) e
 // would. Blocks until the run completes.
 func ServeClientHost(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) error {
 	dc.normalize()
-	e := &engine{prob: prob, cfg: cfg.WithDefaults(), lat: DefaultLatency()}
-	for _, o := range opts {
-		o(e)
-	}
-	if err := e.chaos.Validate(); err != nil {
+	e, err := newEngine(prob, cfg, opts)
+	if err != nil {
 		return err
 	}
-	if e.chaos != nil {
-		e.retries = e.chaos.MaxRetries
-	}
-	if err := prob.Validate(); err != nil {
-		return err
-	}
-	top := prob.Topology()
+	top := e.top
 	if dc.Edge < 0 || dc.Edge >= top.NumEdges {
 		return fmt.Errorf("simnet: edge index %d outside topology (%d edges)", dc.Edge, top.NumEdges)
 	}

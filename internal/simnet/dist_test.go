@@ -134,9 +134,18 @@ func TestWireFingerprintCoversTrajectoryKnobs(t *testing.T) {
 		func(c *fl.Config) { c.Tau1++ },
 		func(c *fl.Config) { c.Tau2++ },
 		func(c *fl.Config) { c.EtaW *= 2 },
+		func(c *fl.Config) { c.EtaP *= 2 },
+		func(c *fl.Config) { c.BatchSize++ },
+		func(c *fl.Config) { c.LossBatch++ },
+		func(c *fl.Config) { c.SampledEdges++ },
 		func(c *fl.Config) { c.Seed++ },
+		func(c *fl.Config) { c.EvalEvery++ },
 		func(c *fl.Config) { c.DropoutProb = 0.5 },
 		func(c *fl.Config) { c.TrackAverages = true },
+		// The cloud's round substitutes the end-of-round model for the
+		// checkpoint on its own; only the handshake stops an edge that
+		// disagrees.
+		func(c *fl.Config) { c.CheckpointOff = true },
 		// A compression setting is a rounding regime: mixed peers would
 		// silently diverge, so every knob must flip the fingerprint.
 		func(c *fl.Config) { c.Compression.Bits = 8 },
@@ -153,8 +162,26 @@ func TestWireFingerprintCoversTrajectoryKnobs(t *testing.T) {
 	if Fingerprint(base, topology.Topology{NumEdges: 5, ClientsPerEdge: 2}, nil) == fp {
 		t.Fatal("topology not covered by the fingerprint")
 	}
-	if Fingerprint(base, top, &chaos.Schedule{Seed: 1, LossProb: 0.1}) == fp {
+	sched := chaos.Schedule{Seed: 1, LossProb: 0.1}
+	fpChaos := Fingerprint(base, top, &sched)
+	if fpChaos == fp {
 		t.Fatal("chaos schedule not covered by the fingerprint")
+	}
+	for i, mut := range []func(*chaos.Schedule){
+		func(s *chaos.Schedule) { s.Seed++ },
+		func(s *chaos.Schedule) { s.CrashProb = 0.1 },
+		func(s *chaos.Schedule) { s.PartitionProb = 0.1 },
+		func(s *chaos.Schedule) { s.LossProb *= 2 },
+		func(s *chaos.Schedule) { s.StragglerProb = 0.1 },
+		func(s *chaos.Schedule) { s.StragglerMs = 5 },
+		func(s *chaos.Schedule) { s.TimeoutMs = 10 },
+		func(s *chaos.Schedule) { s.MaxRetries = 2 },
+	} {
+		s := sched
+		mut(&s)
+		if Fingerprint(base, top, &s) == fpChaos {
+			t.Fatalf("chaos mutation %d not covered by the fingerprint", i)
+		}
 	}
 	// The kernel class is a rounding regime, so two processes on
 	// different rungs must refuse each other's hello even with

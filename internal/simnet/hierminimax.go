@@ -6,13 +6,13 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/fl"
 	"repro/internal/obs"
-	"repro/internal/optim"
 	"repro/internal/quant"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 // Option adjusts the simnet engine.
@@ -83,37 +83,27 @@ type RunStats struct {
 }
 
 // HierMinimax runs Algorithm 1 as a message-passing distributed system:
-// one goroutine per client, per edge server, and the cloud driver. With
-// no faults injected, the returned trajectory is bitwise-identical to
-// core.HierMinimax with the same problem and config (asserted in
-// tests); Config.DropoutProb drops the same slots as core does on the
-// same seed (both engines decide via fl.SlotDropped). Transport-level
-// faults — crashes, partitions, link loss, stragglers — come from
-// WithChaos. Config.Compression compresses uplinks with the same stream
-// keys and decode arithmetic as core, so compressed trajectories stay
-// bitwise-identical too; the compressed payloads really cross the
-// message fabric (and, in the wire runtimes, the sockets) as Packed
-// structs, priced at their exact wire size.
+// core's cloud round drives a fleet of actors over this package's
+// transport — one goroutine per edge server and, with resident clients,
+// one per client (a sparse population's clients are roster records its
+// edges train through a fold). With no faults injected, the returned
+// trajectory is bitwise-identical to core.HierMinimax with the same
+// problem and config (asserted in tests); Config.DropoutProb drops the
+// same slots as core does, since the round deciding it is core's.
+// Transport-level faults — crashes, partitions, link loss, stragglers —
+// come from WithChaos. Config.Compression compresses uplinks with the
+// same stream keys and decode arithmetic as core, so compressed
+// trajectories stay bitwise-identical too; the compressed payloads
+// really cross the message fabric (and, in the wire runtimes, the
+// sockets) as Packed structs, priced at their exact wire size.
 func HierMinimax(prob *fl.Problem, cfg fl.Config, opts ...Option) (*fl.Result, RunStats, error) {
-	e := &engine{prob: prob, cfg: cfg.WithDefaults(), lat: DefaultLatency()}
-	for _, o := range opts {
-		o(e)
-	}
-	if err := e.chaos.Validate(); err != nil {
+	e, err := newEngine(prob, cfg, opts)
+	if err != nil {
 		return nil, RunStats{}, err
 	}
-	// Timeout/retry policy: the schedule's when present, defaults
-	// otherwise (plain WithDrop losses are charged the default deadline).
-	e.timeoutMs = e.chaos.Timeout()
-	if e.chaos != nil {
-		e.retries = e.chaos.MaxRetries
-	}
-	if err := e.start(); err != nil {
-		return nil, RunStats{}, err
-	}
-	h := obs.Get()
-	t0 := obs.Now()
-	res, err := fl.Run("HierMinimax/simnet", prob, cfg, e.round)
+	e.start()
+	h, t0 := obs.Get(), obs.Now()
+	res, err := core.HierMinimaxOver("HierMinimax/simnet", prob, cfg, e)
 	// Stop on both paths, and read the stats only after the actors have
 	// drained: the control-message count and the pool's outstanding
 	// figure (the leak check) are final only once the fleet is down.
@@ -121,28 +111,11 @@ func HierMinimax(prob *fl.Problem, cfg fl.Config, opts ...Option) (*fl.Result, R
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	if h != nil {
-		// Simulated (latency-model) vs. real wall time, the gap a future
-		// scheduling/perf PR must attack.
-		h.Registry().Gauge("simnet_simulated_ms").Set(e.simMs)
-		h.Registry().Gauge("simnet_wall_ms").Set(float64(time.Since(t0)) / float64(time.Millisecond))
-	}
-	pool := e.net.pool
-	return res, RunStats{
-		SimulatedMs:     e.simMs,
-		MessagesSent:    e.net.Sent(),
-		MessagesLost:    e.net.Lost(),
-		ControlMessages: e.net.Control(),
-		Timeouts:        e.net.Timeouts(),
-		Retries:         e.net.Retries(),
-		Crashes:         e.net.Crashes(),
-		PoolOutstanding: pool.Outstanding(),
-		PoolRecycled:    pool.Recycled(),
-		PoolAllocated:   pool.Allocated(),
-	}, nil
+	e.publishTimes(h, t0)
+	return res, e.runStats(localStats(e.net)), nil
 }
 
-// engine is the cloud-side driver plus the spawned actor fleet.
+// engine is the simnet Transport plus the spawned actor fleet.
 type engine struct {
 	prob           *fl.Problem
 	cfg            fl.Config
@@ -163,26 +136,60 @@ type engine struct {
 	// areaSlowest[e] is the slowest client speed factor in area e (the
 	// synchronous block time is gated by it).
 	areaSlowest []float64
+}
 
-	// Round-resident scratch, sized on first use and reused every round
-	// so the cloud driver's steady state allocates no model-sized
-	// buffers (the payload vectors themselves live in net.pool).
-	results []*edgeTrainReply
-	wVecs   [][]float64
-	chkVecs [][]float64
-	wChk    []float64
-	losses  []float64
-	alive   []bool
-	v       []float64
+// newEngine builds the engine of one process of a run with opts applied.
+// The timeout/retry policy is the schedule's when present, the defaults
+// otherwise (plain WithDrop losses are charged the default deadline).
+func newEngine(prob *fl.Problem, cfg fl.Config, opts []Option) (*engine, error) {
+	e := &engine{prob: prob, cfg: cfg.WithDefaults(), lat: DefaultLatency()}
+	for _, o := range opts {
+		o(e)
+	}
+	if err := e.chaos.Validate(); err != nil {
+		return nil, err
+	}
+	if err := prob.Validate(); err != nil {
+		return nil, err
+	}
+	e.timeoutMs = e.chaos.Timeout()
+	if e.chaos != nil {
+		e.retries = e.chaos.MaxRetries
+	}
+	e.top = prob.Topology()
+	return e, nil
+}
+
+// publishTimes sets the simulated (latency-model) and real wall time of
+// a run started at t0 on hub h, when there is one: the gap a future
+// scheduling or perf change must attack.
+func (e *engine) publishTimes(h *obs.Hub, t0 time.Time) {
+	if h != nil {
+		h.Registry().Gauge("simnet_simulated_ms").Set(e.simMs)
+		h.Registry().Gauge("simnet_wall_ms").Set(float64(time.Since(t0)) / float64(time.Millisecond))
+	}
+}
+
+// runStats reports the run's simulated clock with the protocol counters
+// in s.
+func (e *engine) runStats(s wire.Stats) RunStats {
+	return RunStats{
+		SimulatedMs:     e.simMs,
+		MessagesSent:    s.Sent,
+		MessagesLost:    s.Lost,
+		ControlMessages: s.Ctrl,
+		Timeouts:        s.Timeouts,
+		Retries:         s.Retries,
+		Crashes:         s.Crashes,
+		PoolOutstanding: s.PoolOutstanding,
+		PoolRecycled:    s.PoolRecycled,
+		PoolAllocated:   s.PoolAllocated,
+	}
 }
 
 // start builds the network, spawns every edge and client actor, and
 // seals the route table — after this Send is lock-free.
-func (e *engine) start() error {
-	if err := e.prob.Validate(); err != nil {
-		return err
-	}
-	e.top = e.prob.Topology()
+func (e *engine) start() {
 	e.net = NewNetwork()
 	if e.chaos.Enabled() || e.drop != nil {
 		// One hook composes the schedule's partitions and link loss with
@@ -227,7 +234,6 @@ func (e *engine) start() error {
 		go a.run(&e.wg)
 	}
 	e.net.Seal()
-	return nil
 }
 
 // newClientActor builds the actor of client c of edge's area on nw and
@@ -286,29 +292,6 @@ func (e *engine) stop() {
 	e.net.Close()
 }
 
-// sizeScratch readies the round-resident buffers for m slot/edge samples
-// over an nE-area federation with d model parameters.
-func (e *engine) sizeScratch(m, nE, d int) {
-	if cap(e.results) < m {
-		e.results = make([]*edgeTrainReply, m)
-		e.wVecs = make([][]float64, 0, m)
-		e.chkVecs = make([][]float64, 0, m)
-		e.losses = make([]float64, m)
-		e.alive = make([]bool, m)
-	}
-	e.results = e.results[:m]
-	e.losses = e.losses[:m]
-	e.alive = e.alive[:m]
-	if cap(e.wChk) < d {
-		e.wChk = make([]float64, d)
-	}
-	e.wChk = e.wChk[:d]
-	if cap(e.v) < nE {
-		e.v = make([]float64, nE)
-	}
-	e.v = e.v[:nE]
-}
-
 // maxStraggleMs returns the largest per-slot straggler delay across the
 // clients of the given areas in round k (synchronous blocks wait for
 // their slowest client, so only the maximum matters). 0 without an
@@ -339,287 +322,203 @@ func (e *engine) maxStraggleMs(k int, areas []int) float64 {
 	return maxMs
 }
 
-// round is the cloud-side protocol for one HierMinimax training round,
-// mirroring core's round step for step. Fault handling follows the
-// one-inbound-per-delivered-request invariant (see actors.go): the
-// fan-ins always count to the number of requests that were delivered,
-// failed slots are excluded from the aggregation exactly like core's
-// dropped slots, and the ledger records only traffic that actually
-// happened (the per-slot accounting rides back on each reply).
-func (e *engine) round(k int, st *fl.State) {
-	cfg := &st.Cfg
-	prob := st.Prob
-	nE := prob.Fed.NumAreas()
-	d := len(st.W)
-	dBytes := topology.ModelBytes(d)
-	pool := e.net.pool
-	kr := st.Root.ChildVal('k').ChildVal(uint64(k))
-	cloudID := NodeID{Kind: Cloud, Index: 0}
-	track := cfg.TrackAverages
+// fanIn tallies one phase's requests and replies at the cloud: how many
+// requests were delivered, whether a cloud-level deadline fired, and the
+// client-edge traffic accounts riding back on the replies.
+type fanIn struct {
+	delivered, rounds, maxTB int
+	msgs, bytes              int64
+	missed                   bool
+}
 
-	// ---- Phase 1 ----
-	s1 := kr.ChildVal(1)
-	slots := s1.SampleWeighted(cfg.SampledEdges, st.P)
-	cr := kr.ChildVal(2)
-	c2 := cr.Intn(cfg.Tau2)
-	c1 := 1 + cr.Intn(cfg.Tau1)
-	e.sizeScratch(cfg.SampledEdges, nE, d)
+// request sends a cloud request carrying w to edge with the schedule's
+// retries. When it is not delivered the cloud's deadline fires and w goes
+// back to the arena; the caller recycles req.
+func (e *engine) request(f *fanIn, k, edge int, kind string, w []float64, req any) bool {
+	if e.net.SendRetry(Message{
+		From: NodeID{Kind: Cloud, Index: 0}, To: NodeID{Kind: Edge, Index: edge}, Kind: kind,
+		Round: k, Bytes: payloadBytes(w), Payload: req,
+	}, e.retries) {
+		f.delivered++
+		return true
+	}
+	e.net.pool.put(w)
+	f.timeout(e.net)
+	return false
+}
 
-	slotStream := kr.ChildVal(3)
-	pending := 0
-	delivered := 0
-	cloudMiss := false
+// timeout notes a deadline of the cloud's own fan-in.
+func (f *fanIn) timeout(n *Network) {
+	n.noteTimeout()
+	f.missed = true
+}
+
+func (f *fanIn) add(a slotAcct) {
+	f.rounds += 2 * a.Blocks
+	f.msgs += a.DownMsgs + a.UpMsgs
+	f.bytes += a.DownBytes + a.UpBytes
+	f.maxTB = max(f.maxTB, a.TimeoutBlocks)
+}
+
+// settle writes the phase's client-edge traffic to l as one bulk line and
+// adds the phase's fault charges to its simulated ms: one timeout window
+// per block whose edge deadline fired (the deepest such slot gates the
+// phase), and one more for a cloud-level miss.
+func (f *fanIn) settle(l *topology.Ledger, ms, timeoutMs float64) float64 {
+	if f.rounds > 0 || f.msgs > 0 {
+		l.RecordBulk(topology.ClientEdge, f.rounds, f.msgs, f.bytes)
+	}
+	if f.maxTB > 0 {
+		ms += timeoutMs * float64(f.maxTB)
+	}
+	if f.missed {
+		ms += timeoutMs
+	}
+	return ms
+}
+
+// Train is Phase 1 on the fabric: one edge-train request per slot, then a
+// fan-in that counts to the requests delivered. Fault handling follows
+// the one-inbound-per-delivered-request invariant (see actors.go): a
+// failed slot stays zero in out, like core's dropped slots, and the
+// client-edge traffic each slot actually drove rides back on its reply.
+func (e *engine) Train(k int, st *fl.State, slots, chk []int, streams []rng.Stream, doomed []bool, out []core.Slot) int {
+	cfg, d, pool := &st.Cfg, len(st.W), e.net.pool
+	var f fanIn
 	for i, edge := range slots {
-		// Same dropout stream derivation as core: Child peeks without
-		// advancing, so the slot's work stream is unchanged by the check.
-		ss := slotStream.ChildVal(uint64(i))
-		doomed := cfg.DropoutProb > 0 && fl.SlotDropped(&ss, cfg.DropoutProb)
 		w := pool.get(d)
 		copy(w, st.W)
 		req := edgeTrainReqPool.Get().(*edgeTrainReq)
-		*req = edgeTrainReq{W: w, C1: c1, C2: c2, Slot: i, Stream: ss, Doomed: doomed}
-		ok := e.net.SendRetry(Message{
-			From: cloudID, To: NodeID{Kind: Edge, Index: edge}, Kind: "edge-train-req",
-			Round: k, Bytes: payloadBytes(w), Payload: req,
-		}, e.retries)
-		if ok {
-			pending++
-			delivered++
-		} else {
-			pool.put(w)
+		*req = edgeTrainReq{W: w, C1: chk[0], C2: chk[1], Slot: i, Stream: streams[i], Doomed: doomed[i]}
+		if !e.request(&f, k, edge, "edge-train-req", w, req) {
 			edgeTrainReqPool.Put(req)
-			e.net.noteTimeout()
-			cloudMiss = true
 		}
 	}
-	st.Ledger.RecordRound(topology.EdgeCloud, delivered, dBytes)
-	for i := range e.results {
-		e.results[i] = nil
-	}
-	// Fan in: every delivered request yields exactly one reply or nack.
-	// The client-edge traffic each slot actually drove rides back on the
-	// reply's account and lands in the ledger as one bulk write.
-	var ceRounds int
-	var ceMsgs, ceBytes int64
-	maxTB := 0
-	for recv := 0; recv < pending; recv++ {
+	for recv := 0; recv < f.delivered; recv++ {
 		msg := <-e.inbox
 		r, ok := msg.Payload.(*edgeTrainReply)
 		if !ok {
 			panic("simnet: cloud expected edge train replies, got " + msg.Kind)
 		}
-		ceRounds += 2 * r.Acct.Blocks
-		ceMsgs += r.Acct.DownMsgs + r.Acct.UpMsgs
-		ceBytes += r.Acct.DownBytes + r.Acct.UpBytes
-		if r.Acct.TimeoutBlocks > maxTB {
-			maxTB = r.Acct.TimeoutBlocks
-		}
-		if r.Failed {
-			if !r.Doomed {
-				// Lost uplink or partitioned edge: the cloud's own
-				// deadline fired. (Doomed slots are algorithm-level
-				// dropout, not a transport fault.)
-				e.net.noteTimeout()
-				cloudMiss = true
+		f.add(r.Acct)
+		if !r.Failed {
+			// Compressed edge uplinks are decoded into pooled vectors,
+			// which Release returns like dense payloads.
+			out[r.Slot] = core.Slot{
+				W: e.unpack(r.WEdge, r.WEdgeP, d), Chk: e.unpack(r.WChk, r.WChkP, d),
+				IterSum: r.IterSum, Iters: r.IterCount,
 			}
-			edgeTrainReplyPool.Put(r)
-			continue
+		} else if !r.Doomed {
+			// Lost uplink or partitioned edge: the cloud's own deadline
+			// fired. (Doomed slots are algorithm-level dropout, not a
+			// transport fault.)
+			f.timeout(e.net)
 		}
-		e.results[r.Slot] = r
-	}
-	if ceRounds > 0 || ceMsgs > 0 {
-		st.Ledger.RecordBulk(topology.ClientEdge, ceRounds, ceMsgs, ceBytes)
+		edgeTrainReplyPool.Put(r)
 	}
 	// Simulated time: slots run in parallel (critical path = the slot on
 	// the slowest area); blocks inside a slot are sequential, and each
 	// block waits for its slowest client's tau1 local steps. Transfer
 	// costs use the actual per-block payload sizes. Fault charges ride
-	// on top: every block whose edge deadline fired costs one timeout
-	// window (the deepest such slot gates the phase), a cloud-level miss
-	// costs one more, and active stragglers stretch every block by the
-	// slowest delayed client.
+	// on top, and active stragglers stretch every block by the slowest
+	// delayed client.
 	slowest := 1.0
 	for _, edge := range slots {
-		if s := e.areaSlowest[edge]; s > slowest {
-			slowest = s
-		}
+		slowest = max(slowest, e.areaSlowest[edge])
 	}
 	blockCompute := float64(cfg.Tau1) * e.computeMs * slowest
 	// Uplink model transfers travel compressed when a regime is on;
 	// downlinks and iterate sums stay dense — identical to core's
 	// ledger pricing, and identical to the Bytes the messages carried.
+	dBytes := topology.ModelBytes(d)
 	upVec := dBytes
 	if cfg.Compression.Enabled() {
 		upVec = cfg.Compression.VecWireBytes(d)
 	}
 	ecUp := 2 * upVec
-	if track {
+	if cfg.TrackAverages {
 		ecUp += dBytes
 	}
-	phase1Ms := e.lat.EdgeCloudCost(dBytes) + e.lat.EdgeCloudCost(ecUp)
+	ms := e.lat.EdgeCloudCost(dBytes) + e.lat.EdgeCloudCost(ecUp)
 	for t2 := 0; t2 < cfg.Tau2; t2++ {
 		up := upVec
-		if t2 == c2 {
+		if t2 == chk[1] {
 			up += upVec
 		}
-		if track {
+		if cfg.TrackAverages {
 			up += dBytes
 		}
-		phase1Ms += e.lat.ClientEdgeCost(dBytes) + e.lat.ClientEdgeCost(up) + blockCompute
+		ms += e.lat.ClientEdgeCost(dBytes) + e.lat.ClientEdgeCost(up) + blockCompute
 	}
-	if maxTB > 0 {
-		phase1Ms += e.timeoutMs * float64(maxTB)
-	}
-	if cloudMiss {
-		phase1Ms += e.timeoutMs
-	}
+	ms = f.settle(st.Ledger, ms, e.timeoutMs)
 	if straggle := e.maxStraggleMs(k, slots); straggle > 0 {
-		phase1Ms += float64(cfg.Tau2) * straggle
+		ms += float64(cfg.Tau2) * straggle
 	}
-	e.simMs += phase1Ms
+	e.simMs += ms
+	return f.delivered
+}
 
-	e.wVecs = e.wVecs[:0]
-	e.chkVecs = e.chkVecs[:0]
-	for _, r := range e.results {
-		if r == nil {
-			continue
-		}
-		// Compressed edge uplinks are decoded at the cloud into pooled
-		// vectors; the cleanup below returns them like dense payloads.
-		if r.WEdgeP != nil {
-			v := pool.get(d)
-			r.WEdgeP.UnpackInto(v)
-			quant.PutPacked(r.WEdgeP)
-			r.WEdgeP = nil
-			r.WEdge = v
-		}
-		if r.WChkP != nil {
-			v := pool.get(d)
-			r.WChkP.UnpackInto(v)
-			quant.PutPacked(r.WChkP)
-			r.WChkP = nil
-			r.WChk = v
-		}
-		e.wVecs = append(e.wVecs, r.WEdge)
-		e.chkVecs = append(e.chkVecs, r.WChk)
-		if st.WSum != nil {
-			tensor.StorageAdd(st.WSum, r.IterSum)
-			st.WCount += r.IterCount
-		}
+// unpack returns a reply vector dense: v itself, or p decoded into a
+// pooled vector (p goes back to its pool).
+func (e *engine) unpack(v []float64, p *quant.Packed, d int) []float64 {
+	if p == nil {
+		return v
 	}
-	if len(e.wVecs) == 0 {
-		return // every sampled slot failed this round; w and p carry over
-	}
-	st.Ledger.RecordRound(topology.EdgeCloud, len(e.wVecs), ecUp)
-	tensor.AverageInto(st.W, e.wVecs...)
-	fl.ProjectW(prob.W, st.W)
-	tensor.AverageInto(e.wChk, e.chkVecs...)
-	if cfg.CheckpointOff {
-		copy(e.wChk, st.W)
-	}
-	// Aggregation done: the pooled reply payloads go back to the arena.
-	for i, r := range e.results {
-		if r == nil {
-			continue
-		}
-		pool.put(r.WEdge)
-		if r.WChk != nil {
-			pool.put(r.WChk)
-		}
-		if r.IterSum != nil {
-			pool.put(r.IterSum)
-		}
-		edgeTrainReplyPool.Put(r)
-		e.results[i] = nil
-	}
+	v = e.net.pool.get(d)
+	p.UnpackInto(v)
+	quant.PutPacked(p)
+	return v
+}
 
-	// ---- Phase 2 ----
-	ur := kr.ChildVal(4)
-	sampled := ur.SampleUniform(cfg.SampledEdges, nE)
-	lossStream := ur.ChildVal(5)
-	pending = 0
-	delivered = 0
-	cloudMiss = false
+// Losses is Phase 2 on the fabric. Doomed edges answer with a real
+// (8-byte, Failed) scalar — core accounts a Phase-2 uplink for every
+// sampled edge, dead or alive — so arrived counts everything that crossed
+// the wire while alive marks the usable estimates only.
+func (e *engine) Losses(k int, st *fl.State, wChk []float64, sampled []int, streams []rng.Stream, doomed []bool, losses []float64, alive []bool) (int, int) {
+	pool := e.net.pool
+	var f fanIn
 	for i, edge := range sampled {
-		es := lossStream.ChildVal(uint64(i))
-		doomed := cfg.DropoutProb > 0 && fl.SlotDropped(&es, cfg.DropoutProb)
-		w := pool.get(d)
-		copy(w, e.wChk)
+		w := pool.get(len(wChk))
+		copy(w, wChk)
 		req := edgeLossReqPool.Get().(*edgeLossReq)
-		*req = edgeLossReq{W: w, Seq: i, LossBatch: cfg.LossBatch, Stream: es, Doomed: doomed}
-		ok := e.net.SendRetry(Message{
-			From: cloudID, To: NodeID{Kind: Edge, Index: edge}, Kind: "edge-loss-req",
-			Round: k, Bytes: payloadBytes(w), Payload: req,
-		}, e.retries)
-		if ok {
-			pending++
-			delivered++
-		} else {
-			pool.put(w)
+		*req = edgeLossReq{W: w, Seq: i, LossBatch: st.Cfg.LossBatch, Stream: streams[i], Doomed: doomed[i]}
+		if !e.request(&f, k, edge, "edge-loss-req", w, req) {
 			edgeLossReqPool.Put(req)
-			e.net.noteTimeout()
-			cloudMiss = true
 		}
 	}
-	st.Ledger.RecordRound(topology.EdgeCloud, delivered, dBytes)
-	for i := range e.alive {
-		e.losses[i] = 0
-		e.alive[i] = false
-	}
-	// Fan in. Doomed edges answer with a real (8-byte, Failed) scalar —
-	// core accounts a Phase-2 uplink for every sampled edge, dead or
-	// alive — so arrived counts everything that crossed the wire while
-	// alive tracks usable estimates only.
 	arrived := 0
-	ceRounds, ceMsgs, ceBytes = 0, 0, 0
-	maxTB = 0
-	for recv := 0; recv < pending; recv++ {
+	for recv := 0; recv < f.delivered; recv++ {
 		msg := <-e.inbox
 		r, ok := msg.Payload.(*edgeLossReply)
 		if !ok {
 			panic("simnet: cloud expected edge loss replies, got " + msg.Kind)
 		}
-		ceRounds += 2 * r.Acct.Blocks
-		ceMsgs += r.Acct.DownMsgs + r.Acct.UpMsgs
-		ceBytes += r.Acct.DownBytes + r.Acct.UpBytes
-		if r.Acct.TimeoutBlocks > maxTB {
-			maxTB = r.Acct.TimeoutBlocks
-		}
+		f.add(r.Acct)
 		if msg.Ctrl {
-			e.net.noteTimeout()
-			cloudMiss = true
+			f.timeout(e.net)
 		} else {
 			arrived++
 		}
 		if !r.Failed {
-			e.losses[r.Seq] = r.Loss
-			e.alive[r.Seq] = true
+			losses[r.Seq], alive[r.Seq] = r.Loss, true
 		}
 		edgeLossReplyPool.Put(r)
 	}
-	if ceRounds > 0 || ceMsgs > 0 {
-		st.Ledger.RecordBulk(topology.ClientEdge, ceRounds, ceMsgs, ceBytes)
-	}
-	st.Ledger.RecordRound(topology.EdgeCloud, arrived, 8)
-	phase2Ms := e.lat.EdgeCloudCost(dBytes) + e.lat.ClientEdgeCost(dBytes) +
+	dBytes := topology.ModelBytes(len(wChk))
+	ms := e.lat.EdgeCloudCost(dBytes) + e.lat.ClientEdgeCost(dBytes) +
 		e.lat.ClientEdgeCost(8) + e.lat.EdgeCloudCost(8)
-	if maxTB > 0 {
-		phase2Ms += e.timeoutMs * float64(maxTB)
-	}
-	if cloudMiss {
-		phase2Ms += e.timeoutMs
-	}
+	ms = f.settle(st.Ledger, ms, e.timeoutMs)
 	if straggle := e.maxStraggleMs(k, sampled); straggle > 0 {
-		phase2Ms += straggle
+		ms += straggle
 	}
-	e.simMs += phase2Ms
+	e.simMs += ms
+	return f.delivered, arrived
+}
 
-	tensor.Zero(e.v)
-	scale := float64(nE) / float64(cfg.SampledEdges)
-	for i, edge := range sampled {
-		if e.alive[i] {
-			e.v[edge] += scale * e.losses[i]
-		}
+// Release returns the slots' payload vectors to the arena once the round
+// has averaged them.
+func (e *engine) Release(out []core.Slot) {
+	for _, s := range out {
+		e.net.pool.release(s.W, s.Chk, s.IterSum)
 	}
-	optim.AscentStep(st.P, e.v, cfg.EtaP*float64(cfg.SlotsPerRound()), prob.P)
 }

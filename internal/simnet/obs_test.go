@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/fl/fltest"
@@ -102,6 +103,63 @@ func TestObsMessageCountersMatchLedger(t *testing.T) {
 	}
 	if stats.ControlMessages == 0 {
 		t.Fatal("control messages not counted in RunStats")
+	}
+}
+
+// Simnet runs core's cloud round, so a traced run journals one round,
+// one phase1 and one phase2 span per round under the simnet name and
+// counts core's slots — and tracing leaves the trajectory and the ledger
+// bitwise unchanged.
+func TestSimnetTraceCarriesCoreRoundSpans(t *testing.T) {
+	cfg := fltest.ToyConfig()
+	cfg.Rounds = 12
+	plain, _, err := HierMinimax(fltest.ToyProblem(3), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var journal bytes.Buffer
+	hub := obs.New()
+	hub.SetTracer(obs.NewTracer(&journal))
+	prev := obs.SetGlobal(hub)
+	defer obs.SetGlobal(prev)
+	traced, _, err := HierMinimax(fltest.ToyProblem(3), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lines, err := obs.ReadTrace(bytes.NewReader(journal.Bytes()))
+	if err != nil {
+		t.Fatalf("journal is not valid JSONL: %v", err)
+	}
+	spans := map[string]int{}
+	for _, ln := range lines {
+		spans[ln.Name]++
+		if ln.Name == "round" && ln.Attrs["algorithm"] != "HierMinimax/simnet" {
+			t.Fatalf("round span algorithm = %v", ln.Attrs["algorithm"])
+		}
+	}
+	for _, name := range []string{"round", "phase1", "phase2"} {
+		if spans[name] != cfg.Rounds {
+			t.Errorf("journal has %d %s spans, want %d", spans[name], name, cfg.Rounds)
+		}
+	}
+	if got, want := hub.Registry().Counter("core_slots_total").Value(), int64(cfg.Rounds*cfg.SampledEdges); got != want {
+		t.Errorf("core_slots_total = %d, want %d", got, want)
+	}
+
+	for i := range plain.W {
+		if plain.W[i] != traced.W[i] {
+			t.Fatalf("w diverges at %d under tracing", i)
+		}
+	}
+	for i := range plain.PWeights {
+		if plain.PWeights[i] != traced.PWeights[i] {
+			t.Fatalf("p diverges at %d under tracing", i)
+		}
+	}
+	if plain.Ledger != traced.Ledger {
+		t.Fatal("ledger diverges under tracing")
 	}
 }
 

@@ -114,6 +114,15 @@ func (p *vecPool) put(v []float64) {
 	p.mu.Unlock()
 }
 
+// release puts back every non-nil vector of vs.
+func (p *vecPool) release(vs ...[]float64) {
+	for _, v := range vs {
+		if v != nil {
+			p.put(v)
+		}
+	}
+}
+
 // Outstanding returns the number of vectors issued and not yet returned.
 // A quiesced network (between rounds, or after a run) must report 0 —
 // anything else is a payload leak (asserted in tests).
