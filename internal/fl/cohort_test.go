@@ -1,10 +1,12 @@
 package fl
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/model"
+	"repro/internal/quant"
 	"repro/internal/rng"
 	"repro/internal/simplex"
 	"repro/internal/tensor"
@@ -81,5 +83,90 @@ func TestFoldSkip(t *testing.T) {
 		if f.Finish(w, chk) || w[0] != 7 || chk[0] != 9 {
 			t.Fatalf("seq=%v: all skipped: Finish touched w/chk or reported a fold", seq)
 		}
+	}
+}
+
+// TestFoldAddMatchesBlock feeds the results members produce on their own
+// back through Fold.Add in cohort order: the means Finish reports and
+// the iterate sum equal Block's bit for bit, with and without skipped
+// members, checkpoints and iterate sums, across a chunk boundary. The
+// adding fold has an empty cohort and no compression, so it sizes no
+// lane or residual rows and allocates nothing once warm.
+func TestFoldAddMatchesBlock(t *testing.T) {
+	const n = cohortChunk + 5
+	m := model.NewLinear(4, 2)
+	d := m.Dim()
+	clients := make([]data.Subset, n)
+	for i := range clients {
+		clients[i] = toyShard(uint64(30+i), 12)
+	}
+	start := make([]float64, d)
+	rng.New(3).Fill(start, 0.2)
+	streams := *rng.New(4)
+	prob := &Problem{Model: m, W: simplex.FullSpace{Dim: d}}
+	cfg := &Config{Tau1: 3, BatchSize: 2, EtaW: 0.1, TrackAverages: true}
+
+	for _, chkAt := range []int{0, 2} {
+		for _, track := range []bool{false, true} {
+			for _, skip := range []func(int) bool{nil, func(i int) bool { return i%4 == 1 }} {
+				name := func() string { return fmt.Sprintf("chkAt=%d track=%v skip=%v", chkAt, track, skip != nil) }
+				var blockSum, addSum []float64
+				if track {
+					blockSum, addSum = make([]float64, d), make([]float64, d)
+				}
+				ref := Fold{Cohort: Cohort{Clients: clients, Skip: skip}}
+				ref.Begin(cfg, prob, NewModelPool(m), cfg.Compression)
+				ref.Block(start, streams, chkAt, blockSum)
+				wantW, wantChk := make([]float64, d), make([]float64, d)
+				if !ref.Finish(wantW, wantChk) {
+					t.Fatalf("%s: Block folded nothing", name())
+				}
+
+				var add Fold
+				add.Begin(cfg, prob, nil, quant.Config{})
+				var s Scratch
+				for i := 0; i < n; i++ {
+					if skip != nil && skip(i) {
+						continue
+					}
+					final := append([]float64(nil), start...)
+					var chk, sum []float64
+					if chkAt > 0 {
+						chk = make([]float64, d)
+					}
+					if track {
+						sum = make([]float64, d)
+					}
+					r := streams.ChildVal(uint64(i))
+					LocalSGDScratch(m, final, clients[i], cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, &r, chkAt, sum, chk, &s)
+					add.Add(final, chk, sum, addSum)
+				}
+				gotW, gotChk := make([]float64, d), make([]float64, d)
+				if !add.Finish(gotW, gotChk) {
+					t.Fatalf("%s: Add folded nothing", name())
+				}
+				for j := 0; j < d; j++ {
+					if gotW[j] != wantW[j] || gotChk[j] != wantChk[j] || track && addSum[j] != blockSum[j] {
+						t.Fatalf("%s: coordinate %d differs from Block", name(), j)
+					}
+				}
+				if len(add.finals) != 0 || len(add.chks) != 0 || len(add.sums) != 0 || add.resid != nil {
+					t.Fatalf("%s: an empty-cohort fold sized lane or residual rows", name())
+				}
+			}
+		}
+	}
+
+	var f Fold
+	final, chk, sum, iterSum := make([]float64, d), make([]float64, d), make([]float64, d), make([]float64, d)
+	slot := func() {
+		f.Begin(cfg, prob, nil, quant.Config{})
+		f.Add(final, chk, sum, iterSum)
+		f.Add(final, nil, sum, iterSum)
+		f.Finish(final, chk)
+	}
+	slot()
+	if a := testing.AllocsPerRun(20, slot); a != 0 {
+		t.Fatalf("a warm empty-cohort fold allocates %v per slot", a)
 	}
 }

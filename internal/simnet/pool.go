@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/quant"
 )
 
 // vecPool recycles the model-sized payload vectors that carry all weight
@@ -121,6 +122,18 @@ func (p *vecPool) release(vs ...[]float64) {
 			p.put(v)
 		}
 	}
+}
+
+// unpack returns a reply vector dense: v itself, or pk decoded into a
+// vector of length d drawn here (pk goes back to its pool).
+func (p *vecPool) unpack(v []float64, pk *quant.Packed, d int) []float64 {
+	if pk == nil {
+		return v
+	}
+	v = p.get(d)
+	pk.UnpackInto(v)
+	quant.PutPacked(pk)
+	return v
 }
 
 // Outstanding returns the number of vectors issued and not yet returned.
