@@ -6,6 +6,10 @@
 # the sweep scheduler — whose test suite hammers two faulted sweeps
 # concurrently — the shared dataset cache, and the slot paths: fl.Fold's
 # lanes and core's slots write shared rows from parallel workers).
+# go test ./... also runs the dead-code gate (internal/deadcode): every
+# non-test declaration must be reached from a main package, another
+# package's test, the benchmark module or the gate's commented
+# allowlist, with the amd64 or the arm64 file set.
 set -eux
 
 go build ./...
@@ -15,10 +19,10 @@ go test ./...
 # The wire codec moves float64 vectors as raw bytes on a little-endian
 # host and element by element on a big-endian one; no CI machine is
 # big-endian, so at least keep that path compiling and vetted. The same
-# leg vets the scalar twins of the quantizer's and the stream's AVX2
-# lanes, whose assembly exists only on amd64.
+# leg vets the pure-Go twins of the quantizer's and the stream's AVX2
+# lanes and of the tensor kernels, whose assembly exists only on amd64.
 GOARCH=s390x go build ./...
-GOARCH=s390x go vet ./internal/wire ./internal/quant ./internal/rng
+GOARCH=s390x go vet ./internal/wire ./internal/quant ./internal/rng ./internal/tensor
 
 # The benchmark harness is a module of its own (repro/benchmark, replacing
 # repro with ../), so the three commands above neither build nor run it.

@@ -4,7 +4,10 @@
 //	experiments -exp fig4 -scale small     # Fig. 4 (non-convex comparison)
 //	experiments -exp table2 -scale small   # Table 2 (fairness across datasets)
 //	experiments -exp table1 -scale small   # Table 1 companion (alpha sweep)
+//	experiments -exp rates -scale smoke    # duality-gap rate at alpha 0 and 0.5
+//	experiments -exp stationarity -scale smoke  # non-convex stationarity
 //	experiments -exp ablations -scale smoke
+//	experiments -exp chaos -scale smoke    # accuracy under injected faults
 //	experiments -exp compression -scale smoke  # accuracy vs bytes-on-wire
 //	experiments -exp all -scale smoke -jobs 8
 //
@@ -18,6 +21,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/data"
@@ -27,15 +32,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// knownExps is the -exp vocabulary (beyond "all").
-var knownExps = map[string]bool{
-	"fig3": true, "fig4": true, "table2": true, "table1": true,
-	"rates": true, "stationarity": true, "ablations": true, "chaos": true,
-	"compression": true,
-}
+// knownExps is the -exp vocabulary beyond "all", in the order -exp all
+// runs it.
+var knownExps = []string{"fig3", "fig4", "table2", "table1", "rates", "stationarity", "ablations", "chaos", "compression"}
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig3|fig4|table2|table1|rates|stationarity|ablations|chaos|compression|all")
+	expChoices := strings.Join(append(slices.Clip(knownExps), "all"), "|")
+	exp := flag.String("exp", "all", "experiment: "+expChoices)
 	scaleName := flag.String("scale", "smoke", "scale: smoke|small|full")
 	seed := flag.Uint64("seed", 42, "random seed")
 	jobs := flag.Int("jobs", 0, "concurrent training runs (0 = GOMAXPROCS); any value yields identical artifacts")
@@ -43,7 +46,7 @@ func main() {
 	samplePerRound := flag.Int("sample-per-round", 0, "clients sampled per round from -population")
 	out := flag.String("out", "", "directory for CSV/JSON artifacts (empty = none)")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus-text metrics here at exit (plus a .json snapshot beside it)")
-	traceOut := flag.String("trace-out", "", "stream a JSONL span/event trace journal to this path")
+	traceOut := flag.String("trace-out", "", "stream a JSONL span trace journal to this path")
 	pprofDir := flag.String("pprof", "", "capture cpu.pprof and heap.pprof into this directory")
 	flag.Parse()
 
@@ -59,8 +62,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: unknown scale %q\n", *scaleName)
 		os.Exit(1)
 	}
-	if *exp != "all" && !knownExps[*exp] {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want fig3|fig4|table2|table1|rates|stationarity|ablations|chaos|compression|all)\n", *exp)
+	if *exp != "all" && !slices.Contains(knownExps, *exp) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want %s)\n", *exp, expChoices)
 		os.Exit(1)
 	}
 	if (*population > 0) != (*samplePerRound > 0) {

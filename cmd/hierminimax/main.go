@@ -75,7 +75,7 @@ func main() {
 	printKernel := flag.Bool("print-kernel", false, "print the active tensor kernel class and exit")
 	saveModel := flag.String("savemodel", "", "write the trained model (gob) to this path")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus-text metrics here at exit (plus a .json snapshot beside it)")
-	traceOut := flag.String("trace-out", "", "stream a JSONL span/event trace journal to this path")
+	traceOut := flag.String("trace-out", "", "stream a JSONL span trace journal to this path")
 	pprofDir := flag.String("pprof", "", "capture cpu.pprof and heap.pprof into this directory")
 	flag.Parse()
 

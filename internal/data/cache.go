@@ -42,7 +42,7 @@ type cacheEntry struct {
 }
 
 // datasetCache is the process-wide store. Entries live for the process
-// (sweeps re-request the same few corpora); CacheReset drops them.
+// (sweeps re-request the same few corpora).
 type datasetCache struct {
 	mu           sync.Mutex
 	entries      map[string]*cacheEntry
@@ -77,14 +77,6 @@ func CacheStats() (hits, misses int64) {
 	cache.mu.Lock()
 	defer cache.mu.Unlock()
 	return cache.hits, cache.misses
-}
-
-// CacheReset drops every cached corpus and zeroes the counters (tests).
-func CacheReset() {
-	cache.mu.Lock()
-	cache.entries = map[string]*cacheEntry{}
-	cache.hits, cache.misses = 0, 0
-	cache.mu.Unlock()
 }
 
 // --- fingerprint guard ---

@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// CacheReset drops every cached corpus and zeroes the counters.
+func CacheReset() {
+	cache.mu.Lock()
+	cache.entries = map[string]*cacheEntry{}
+	cache.hits, cache.misses = 0, 0
+	cache.mu.Unlock()
+}
+
 // withFreshCache isolates a test from the process-wide cache (and from
 // the other tests in this file).
 func withFreshCache(t *testing.T) {

@@ -329,15 +329,6 @@ func TestScaleAndAlgoHelpers(t *testing.T) {
 	if Scale(9).String() == "" {
 		t.Fatal("unknown scale must print")
 	}
-	if !HierMinimax.Minimax() || !HierMinimax.Hierarchical() {
-		t.Fatal("HierMinimax classification")
-	}
-	if FedAvg.Minimax() || FedAvg.Hierarchical() {
-		t.Fatal("FedAvg classification")
-	}
-	if !DRFA.Minimax() || DRFA.Hierarchical() {
-		t.Fatal("DRFA classification")
-	}
 }
 
 func TestConvergenceRateShape(t *testing.T) {

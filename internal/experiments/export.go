@@ -28,6 +28,8 @@ var (
 	_ Artifact = (*AblationResult)(nil)
 	_ Artifact = (*ChaosResult)(nil)
 	_ Artifact = (*CompressionResult)(nil)
+	_ Artifact = (*RateResult)(nil)
+	_ Artifact = (*StationarityResult)(nil)
 )
 
 // writeCSV creates path and streams rows through a csv.Writer.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/core"
@@ -137,11 +138,9 @@ func (r *RateResult) WriteFiles(dir, base string) error {
 			fmt.Sprintf("%d", p.CloudRounds), ftoa(p.DualityGap),
 		})
 	}
-	if err := writeCSV(dir+"/"+base+".csv",
+	if err := writeCSV(filepath.Join(dir, base+".csv"),
 		[]string{"T", "rounds", "cloud_rounds", "duality_gap"}, rows); err != nil {
 		return err
 	}
-	return writeJSON(dir+"/"+base+".json", r)
+	return writeJSON(filepath.Join(dir, base+".json"), r)
 }
-
-var _ Artifact = (*RateResult)(nil)

@@ -51,17 +51,6 @@ const (
 	HierMinimax   AlgorithmName = "HierMinimax"
 )
 
-// MinimaxMethods reports whether the algorithm solves the minimax
-// problem (3) rather than the minimization problem (1).
-func (a AlgorithmName) Minimax() bool {
-	return a == StochasticAFL || a == DRFA || a == HierMinimax
-}
-
-// Hierarchical reports whether the algorithm uses the edge layer.
-func (a AlgorithmName) Hierarchical() bool {
-	return a == HierFAvg || a == HierMinimax
-}
-
 // FigSetup bundles everything one comparison figure needs.
 type FigSetup struct {
 	Name        string
@@ -84,9 +73,6 @@ func (s FigSetup) WithPopulation(population, samplePerRound int) FigSetup {
 	return s
 }
 
-// convexSetup builds the Fig. 3 workload: logistic regression on the
-// EMNIST-Digits substitute, one class per edge area, N_E=10, N0=3,
-// m_E=5, tau1=tau2=2 for hierarchical methods (§6.1).
 // convexParams are the scale-dependent knobs shared by the convex
 // experiments (Fig. 3, Table 2, ablations).
 type convexParams struct {
@@ -114,6 +100,9 @@ func (p convexParams) base(seed uint64) fl.Config {
 	}
 }
 
+// convexSetup builds the Fig. 3 workload: logistic regression on the
+// EMNIST-Digits substitute, one class per edge area, N_E=10, N0=3,
+// m_E=5, tau1=tau2=2 for hierarchical methods (§6.1).
 func convexSetup(scale Scale, seed uint64) FigSetup {
 	p := convexParamsFor(scale)
 	profile := data.EMNISTDigitsLike()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/core"
@@ -124,11 +125,9 @@ func (r *StationarityResult) WriteFiles(dir, base string) error {
 			fmt.Sprintf("%d", p.Round), ftoa(p.MoreauGradSq), ftoa(p.Worst),
 		})
 	}
-	if err := writeCSV(dir+"/"+base+".csv",
+	if err := writeCSV(filepath.Join(dir, base+".csv"),
 		[]string{"round", "moreau_grad_sq", "worst"}, rows); err != nil {
 		return err
 	}
-	return writeJSON(dir+"/"+base+".json", r)
+	return writeJSON(filepath.Join(dir, base+".json"), r)
 }
-
-var _ Artifact = (*StationarityResult)(nil)

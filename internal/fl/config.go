@@ -174,6 +174,3 @@ func (c Config) Validate(p *Problem) error {
 
 // SlotsPerRound returns tau1*tau2, the local SGD slots per round.
 func (c Config) SlotsPerRound() int { return c.Tau1 * c.Tau2 }
-
-// TotalSlots returns T = K*tau1*tau2.
-func (c Config) TotalSlots() int { return c.Rounds * c.SlotsPerRound() }

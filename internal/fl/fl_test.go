@@ -142,7 +142,7 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	if c.EtaP != c.EtaW {
 		t.Fatal("EtaP should default to EtaW")
 	}
-	if c.SlotsPerRound() != 1 || c.TotalSlots() != 10 {
+	if c.SlotsPerRound() != 1 {
 		t.Fatal("slot math wrong")
 	}
 
@@ -255,17 +255,8 @@ func TestHistoryQueries(t *testing.T) {
 		{Round: 2, Fair: fair(0.8, 0.6), Ledger: ledgerWith(20)},
 		{Round: 3, Fair: fair(0.9, 0.5), Ledger: ledgerWith(30)},
 	}}
-	if r, ok := h.RoundsToWorst(0.6); !ok || r != 20 {
-		t.Fatalf("RoundsToWorst = %d, %v", r, ok)
-	}
-	if _, ok := h.RoundsToWorst(0.95); ok {
-		t.Fatal("unreached target reported reached")
-	}
-	if r, ok := h.RoundsToAverage(0.5); !ok || r != 10 {
-		t.Fatalf("RoundsToAverage = %d, %v", r, ok)
-	}
-	if h.BestWorst() != 0.6 {
-		t.Fatalf("BestWorst = %v", h.BestWorst())
+	if r := h.Snapshots[2].CloudRounds(); r != 20 {
+		t.Fatalf("CloudRounds = %d", r)
 	}
 	if h.Final().Round != 3 {
 		t.Fatal("Final wrong")

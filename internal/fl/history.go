@@ -1,8 +1,6 @@
 package fl
 
 import (
-	"fmt"
-
 	"repro/internal/metrics"
 	"repro/internal/topology"
 )
@@ -40,40 +38,6 @@ func (h *History) Final() Snapshot {
 	return h.Snapshots[len(h.Snapshots)-1]
 }
 
-// RoundsToWorst returns the cloud-round count of the first snapshot whose
-// worst-area accuracy reaches target, and whether it was ever reached.
-// This extracts the §6 headline numbers ("to reach 80% worst accuracy,
-// HierMinimax takes only ... communication rounds").
-func (h *History) RoundsToWorst(target float64) (int64, bool) {
-	for _, s := range h.Snapshots {
-		if s.Fair.Worst >= target {
-			return s.CloudRounds(), true
-		}
-	}
-	return 0, false
-}
-
-// RoundsToAverage is RoundsToWorst for the average accuracy curve.
-func (h *History) RoundsToAverage(target float64) (int64, bool) {
-	for _, s := range h.Snapshots {
-		if s.Fair.Average >= target {
-			return s.CloudRounds(), true
-		}
-	}
-	return 0, false
-}
-
-// BestWorst returns the highest worst-area accuracy seen at any snapshot.
-func (h *History) BestWorst() float64 {
-	best := 0.0
-	for _, s := range h.Snapshots {
-		if s.Fair.Worst > best {
-			best = s.Fair.Worst
-		}
-	}
-	return best
-}
-
 // Result is the outcome of one training run.
 type Result struct {
 	// Algorithm names the method that produced the result.
@@ -87,12 +51,4 @@ type Result struct {
 	// communication.
 	History History
 	Ledger  topology.LedgerSnapshot
-}
-
-// Summary renders the final metrics on one line.
-func (r *Result) Summary() string {
-	f := r.History.Final().Fair
-	return fmt.Sprintf("%s: avg=%.4f worst=%.4f var=%.4f cloudRounds=%d cloudMB=%.1f",
-		r.Algorithm, f.Average, f.Worst, f.Variance,
-		r.Ledger.CloudRounds(), float64(r.Ledger.CloudBytes())/1e6)
 }

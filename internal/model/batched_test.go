@@ -198,7 +198,7 @@ func TestGradCheckAcrossChunkBoundary(t *testing.T) {
 		m.Init(w, rng.New(9))
 		xs, ys := randBatch(r, batchChunk+20, 8, 3)
 		if rel := GradCheck(m, w, xs, ys, 12, rng.New(3)); rel > 1e-5 {
-			t.Fatalf("%s: FD relative error %g on chunked batch", m.Name(), rel)
+			t.Fatalf("%T: FD relative error %g on chunked batch", m, rel)
 		}
 	}
 }

@@ -35,7 +35,7 @@ func testF32AgainstF64(t *testing.T, m Model, seed uint64, tol float64) {
 	t.Helper()
 	fm, ok := m.(F32Model)
 	if !ok {
-		t.Fatalf("%s does not implement F32Model", m.Name())
+		t.Fatalf("%T does not implement F32Model", m)
 	}
 	r := rng.New(seed)
 	w := make([]float64, m.Dim())
@@ -49,7 +49,7 @@ func testF32AgainstF64(t *testing.T, m Model, seed uint64, tol float64) {
 	l64 := m.Loss(w, xs, ys)
 	l32 := float64(fm.LossF32(w32, xs32, ys))
 	if math.Abs(l64-l32) > tol*(1+math.Abs(l64)) {
-		t.Fatalf("%s LossF32 = %g, Loss = %g", m.Name(), l32, l64)
+		t.Fatalf("%T LossF32 = %g, Loss = %g", m, l32, l64)
 	}
 
 	g64 := make([]float64, m.Dim())
@@ -57,11 +57,11 @@ func testF32AgainstF64(t *testing.T, m Model, seed uint64, tol float64) {
 	m.Grad(w, g64, xs, ys)
 	gl := float64(fm.GradF32(w32, g32, xs32, ys))
 	if math.Abs(l64-gl) > tol*(1+math.Abs(l64)) {
-		t.Fatalf("%s GradF32 loss = %g, Loss = %g", m.Name(), gl, l64)
+		t.Fatalf("%T GradF32 loss = %g, Loss = %g", m, gl, l64)
 	}
 	for i := range g64 {
 		if d := math.Abs(float64(g32[i]) - g64[i]); d > tol*(1+math.Abs(g64[i])) {
-			t.Fatalf("%s GradF32[%d] = %g, Grad = %g (diff %g)", m.Name(), i, g32[i], g64[i], d)
+			t.Fatalf("%T GradF32[%d] = %g, Grad = %g (diff %g)", m, i, g32[i], g64[i], d)
 		}
 	}
 }
@@ -95,11 +95,11 @@ func TestF32GradDeterministic(t *testing.T) {
 		la := fm.GradF32(w32, a, xs32, ys)
 		lb := fm2.GradF32(w32, b, xs32, ys)
 		if math.Float32bits(la) != math.Float32bits(lb) {
-			t.Fatalf("%s: clone loss differs: %x vs %x", m.Name(), math.Float32bits(la), math.Float32bits(lb))
+			t.Fatalf("%T: clone loss differs: %x vs %x", m, math.Float32bits(la), math.Float32bits(lb))
 		}
 		for i := range a {
 			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-				t.Fatalf("%s: clone grad[%d] differs", m.Name(), i)
+				t.Fatalf("%T: clone grad[%d] differs", m, i)
 			}
 		}
 	}
@@ -113,10 +113,10 @@ func TestF32EmptyBatch(t *testing.T) {
 		g32 := make([]float32, m.Dim())
 		g32[0] = 7
 		if l := fm.LossF32(w32, nil, nil); l != 0 {
-			t.Fatalf("%s LossF32 on empty batch = %v", m.Name(), l)
+			t.Fatalf("%T LossF32 on empty batch = %v", m, l)
 		}
 		if l := fm.GradF32(w32, g32, nil, nil); l != 0 || g32[0] != 0 {
-			t.Fatalf("%s GradF32 on empty batch: loss %v, grad[0] %v", m.Name(), l, g32[0])
+			t.Fatalf("%T GradF32 on empty batch: loss %v, grad[0] %v", m, l, g32[0])
 		}
 	}
 }

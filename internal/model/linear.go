@@ -49,11 +49,6 @@ func (l *Linear) InputDim() int { return l.in }
 // NumClasses returns C.
 func (l *Linear) NumClasses() int { return l.classes }
 
-// Name identifies the architecture.
-func (l *Linear) Name() string {
-	return fmt.Sprintf("logreg(%dx%d)", l.classes, l.in)
-}
-
 // Clone returns an independent instance with fresh scratch buffers.
 func (l *Linear) Clone() Model { return NewLinear(l.in, l.classes) }
 

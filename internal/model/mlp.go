@@ -68,11 +68,6 @@ func (m *MLP) NumClasses() int { return m.classes }
 // HiddenSizes returns the two hidden-layer widths.
 func (m *MLP) HiddenSizes() (h1, h2 int) { return m.h1, m.h2 }
 
-// Name identifies the architecture.
-func (m *MLP) Name() string {
-	return fmt.Sprintf("mlp(%d-%d-%d-%d)", m.in, m.h1, m.h2, m.classes)
-}
-
 // Clone returns an independent instance with fresh scratch buffers.
 func (m *MLP) Clone() Model { return NewMLP(m.in, m.h1, m.h2, m.classes) }
 

@@ -9,11 +9,7 @@
 // correctness is enforced by finite-difference checks in the tests.
 package model
 
-import (
-	"math"
-
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // Model is a supervised classifier with explicit parameters and manual
 // gradients. Implementations carry internal scratch buffers, so a single
@@ -38,8 +34,6 @@ type Model interface {
 	// Clone returns an independent instance (separate scratch buffers)
 	// computing the identical function.
 	Clone() Model
-	// Name identifies the architecture for logs and manifests.
-	Name() string
 }
 
 // Accuracy returns the fraction of examples in (xs, ys) classified
@@ -62,31 +56,3 @@ func Accuracy(m Model, w []float64, xs [][]float64, ys []int) float64 {
 // running-total cross-entropy helpers, so the chunking is invisible in
 // the results while bounding the activation scratch.
 const batchChunk = 256
-
-// GradCheck compares m.Grad against central finite differences of m.Loss
-// at w on the given batch, probing nProbe randomly chosen coordinates. It
-// returns the maximum relative error over the probes. Used by tests; also
-// exposed for users validating custom models.
-func GradCheck(m Model, w []float64, xs [][]float64, ys []int, nProbe int, r *rng.Stream) float64 {
-	d := m.Dim()
-	grad := make([]float64, d)
-	m.Grad(w, grad, xs, ys)
-	const h = 1e-5
-	maxRel := 0.0
-	for p := 0; p < nProbe; p++ {
-		i := r.Intn(d)
-		orig := w[i]
-		w[i] = orig + h
-		lp := m.Loss(w, xs, ys)
-		w[i] = orig - h
-		lm := m.Loss(w, xs, ys)
-		w[i] = orig
-		fd := (lp - lm) / (2 * h)
-		denom := math.Max(1e-8, math.Abs(fd)+math.Abs(grad[i]))
-		rel := math.Abs(fd-grad[i]) / denom
-		if rel > maxRel {
-			maxRel = rel
-		}
-	}
-	return maxRel
-}

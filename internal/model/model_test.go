@@ -8,6 +8,33 @@ import (
 	"repro/internal/tensor"
 )
 
+// GradCheck compares m.Grad against central finite differences of m.Loss
+// at w on the given batch, probing nProbe randomly chosen coordinates. It
+// returns the maximum relative error over the probes.
+func GradCheck(m Model, w []float64, xs [][]float64, ys []int, nProbe int, r *rng.Stream) float64 {
+	d := m.Dim()
+	grad := make([]float64, d)
+	m.Grad(w, grad, xs, ys)
+	const h = 1e-5
+	maxRel := 0.0
+	for p := 0; p < nProbe; p++ {
+		i := r.Intn(d)
+		orig := w[i]
+		w[i] = orig + h
+		lp := m.Loss(w, xs, ys)
+		w[i] = orig - h
+		lm := m.Loss(w, xs, ys)
+		w[i] = orig
+		fd := (lp - lm) / (2 * h)
+		denom := math.Max(1e-8, math.Abs(fd)+math.Abs(grad[i]))
+		rel := math.Abs(fd-grad[i]) / denom
+		if rel > maxRel {
+			maxRel = rel
+		}
+	}
+	return maxRel
+}
+
 // randomBatch builds a small synthetic batch for gradient checks.
 func randomBatch(r *rng.Stream, n, d, classes int) ([][]float64, []int) {
 	xs := make([][]float64, n)
@@ -92,7 +119,7 @@ func TestGradIsZeroMeanDirection(t *testing.T) {
 		tensor.Axpy(-1e-3, grad, w)
 		after := m.Loss(w, xs, ys)
 		if after >= before {
-			t.Fatalf("%s: gradient step increased loss %v -> %v", m.Name(), before, after)
+			t.Fatalf("%T: gradient step increased loss %v -> %v", m, before, after)
 		}
 	}
 }
@@ -140,8 +167,8 @@ func TestMLPLearnsXor(t *testing.T) {
 func TestCloneIsIndependent(t *testing.T) {
 	for _, m := range []Model{NewLinear(6, 3), NewMLP(6, 5, 4, 3)} {
 		c := m.Clone()
-		if c.Dim() != m.Dim() || c.Name() != m.Name() {
-			t.Fatalf("%s: clone differs structurally", m.Name())
+		if c.Dim() != m.Dim() {
+			t.Fatalf("%T: clone differs structurally", m)
 		}
 		r := rng.New(13)
 		xs, ys := randomBatch(r, 4, 6, 3)
@@ -153,7 +180,7 @@ func TestCloneIsIndependent(t *testing.T) {
 		l2 := c.Loss(w, xs, ys)
 		l3 := m.Loss(w, xs, ys)
 		if l1 != l2 || l1 != l3 {
-			t.Fatalf("%s: clone loss mismatch %v %v %v", m.Name(), l1, l2, l3)
+			t.Fatalf("%T: clone loss mismatch %v %v %v", m, l1, l2, l3)
 		}
 	}
 }
@@ -164,13 +191,13 @@ func TestEmptyBatch(t *testing.T) {
 		grad := make([]float64, m.Dim())
 		tensor.Fill(grad, 7)
 		if m.Loss(w, nil, nil) != 0 {
-			t.Fatalf("%s: empty-batch loss != 0", m.Name())
+			t.Fatalf("%T: empty-batch loss != 0", m)
 		}
 		if m.Grad(w, grad, nil, nil) != 0 {
-			t.Fatalf("%s: empty-batch grad loss != 0", m.Name())
+			t.Fatalf("%T: empty-batch grad loss != 0", m)
 		}
 		if tensor.Norm2(grad) != 0 {
-			t.Fatalf("%s: empty-batch gradient not zeroed", m.Name())
+			t.Fatalf("%T: empty-batch gradient not zeroed", m)
 		}
 	}
 }

@@ -78,10 +78,3 @@ func (h *GaugeHandle) Set(v float64) {
 		g.Set(v)
 	}
 }
-
-// SetMax raises the gauge to v if v exceeds it (no-op when disabled).
-func (h *GaugeHandle) SetMax(v float64) {
-	if g := h.resolve(); g != nil {
-		g.SetMax(v)
-	}
-}

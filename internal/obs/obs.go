@@ -83,9 +83,6 @@ func (h *Hub) SetTracer(t *Tracer) { h.tracer.Store(t) }
 // Tracer returns the installed tracer, or nil.
 func (h *Hub) Tracer() *Tracer { return h.tracer.Load() }
 
-// SetClock overrides the hub's time source (tests only).
-func (h *Hub) SetClock(now func() time.Time) { h.now = now }
-
 // AddSink registers a lifecycle event sink.
 func (h *Hub) AddSink(s Sink) {
 	h.mu.Lock()
@@ -167,24 +164,6 @@ func Enabled() bool { return Get() != nil }
 // Start opens a span on the global hub (inert when disabled).
 func Start(name string, attrs ...Attr) Span { return Get().Start(name, attrs...) }
 
-// Add increments the named global counter by delta (no-op when disabled).
-func Add(name string, delta int64) {
-	if h := Get(); h != nil {
-		h.reg.Counter(name).Add(delta)
-	}
-}
-
-// Inc increments the named global counter by one (no-op when disabled).
-func Inc(name string) { Add(name, 1) }
-
-// Observe records v into the named global histogram with default
-// duration buckets (no-op when disabled).
-func Observe(name string, v float64) {
-	if h := Get(); h != nil {
-		h.reg.Histogram(name, nil).Observe(v)
-	}
-}
-
 // ObserveSince records the elapsed time since start, in milliseconds,
 // into the named global histogram. Call with a start obtained from
 // Now(); inert when disabled.
@@ -203,21 +182,6 @@ func Now() time.Time {
 		return h.now()
 	}
 	return time.Time{}
-}
-
-// SetGauge stores v in the named global gauge (no-op when disabled).
-func SetGauge(name string, v float64) {
-	if h := Get(); h != nil {
-		h.reg.Gauge(name).Set(v)
-	}
-}
-
-// MaxGauge raises the named global gauge to v if v exceeds it — a
-// high-water mark (no-op when disabled).
-func MaxGauge(name string, v float64) {
-	if h := Get(); h != nil {
-		h.reg.Gauge(name).SetMax(v)
-	}
 }
 
 // CollectorSink is a Sink that records every event in order; a test

@@ -131,12 +131,7 @@ func TestGlobalDisabledIsInert(t *testing.T) {
 		t.Fatal("global hub unexpectedly installed")
 	}
 	// All of these must be no-ops, not panics.
-	Inc("x_total")
-	Add("x_total", 3)
-	Observe("h_ms", 1)
 	ObserveSince("h_ms", Now())
-	SetGauge("g", 1)
-	MaxGauge("g", 2)
 	sp := Start("span")
 	if d := sp.End(); d != 0 {
 		t.Fatalf("inert span duration = %v, want 0", d)
@@ -145,8 +140,8 @@ func TestGlobalDisabledIsInert(t *testing.T) {
 	hub := New()
 	prev := SetGlobal(hub)
 	defer SetGlobal(prev)
-	Inc("x_total")
-	if got := hub.Registry().Counter("x_total").Value(); got != 1 {
-		t.Fatalf("enabled counter = %d, want 1", got)
+	ObserveSince("h_ms", Now())
+	if got := hub.Registry().Histogram("h_ms", nil).Count(); got != 1 {
+		t.Fatalf("enabled histogram count = %d, want 1", got)
 	}
 }

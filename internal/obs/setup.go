@@ -19,7 +19,7 @@ import (
 //   - metricsOut: Prometheus text exposition is written here at
 //     teardown, plus a JSON snapshot next to it with the extension
 //     replaced by .json.
-//   - traceOut: a JSONL span/event journal streams here during the run.
+//   - traceOut: a JSONL span journal streams here during the run.
 //   - pprofDir: cpu.pprof is captured over the whole run and heap.pprof
 //     at teardown, both inside this directory (created if missing).
 func Setup(metricsOut, traceOut, pprofDir string) (teardown func() error, err error) {

@@ -7,14 +7,13 @@ import (
 	"time"
 )
 
-// Tracer writes a JSONL trace journal: one JSON object per line, either
-// a span or a point event. Timestamps are microseconds relative to the
-// tracer's start so journals diff cleanly across runs.
+// Tracer writes a JSONL trace journal: one JSON object per completed
+// span. Timestamps are microseconds relative to the tracer's start so
+// journals diff cleanly across runs.
 //
 // Journal schema:
 //
 //	{"type":"span","name":"round","t_us":120,"dur_us":950,"attrs":{"algorithm":"HierMinimax","round":3}}
-//	{"type":"event","name":"phase-start","t_us":70,"attrs":{"phase":"fig3"}}
 //
 // Writes are serialized by an internal mutex; a Tracer may be shared by
 // every goroutine of a run.
@@ -44,15 +43,6 @@ func NewTracer(w io.Writer) *Tracer {
 	return t
 }
 
-// SetClock overrides the tracer's time source and resets its epoch
-// (tests only).
-func (t *Tracer) SetClock(now func() time.Time) {
-	t.mu.Lock()
-	t.now = now
-	t.epoch = now()
-	t.mu.Unlock()
-}
-
 // Span journals one completed span.
 func (t *Tracer) Span(name string, start time.Time, d time.Duration, attrs ...Attr) {
 	t.emit(traceRecord{
@@ -62,14 +52,6 @@ func (t *Tracer) Span(name string, start time.Time, d time.Duration, attrs ...At
 		DurUs: d.Microseconds(),
 		Attrs: attrMap(attrs),
 	})
-}
-
-// Event journals a point-in-time event.
-func (t *Tracer) Event(name string, attrs ...Attr) {
-	t.mu.Lock()
-	ts := t.now().Sub(t.epoch).Microseconds()
-	t.mu.Unlock()
-	t.emit(traceRecord{Type: "event", Name: name, TUs: ts, Attrs: attrMap(attrs)})
 }
 
 func (t *Tracer) emit(rec traceRecord) {

@@ -59,23 +59,6 @@ func ConvexSchedule(T int, alpha, scaleW, scaleP float64) Schedule {
 	return Schedule{EtaW: etaW, EtaP: etaP}
 }
 
-// NonConvexSchedule returns the rates prescribed after Theorem 2:
-//
-//	eta_p = Theta(1/T^{(1+3alpha)/4}), eta_w = Theta(1/T^{(3+alpha)/4}).
-func NonConvexSchedule(T int, alpha, scaleW, scaleP float64) Schedule {
-	if T <= 0 {
-		panic("optim: non-positive horizon")
-	}
-	if alpha < 0 || alpha >= 1 {
-		panic("optim: alpha outside [0,1)")
-	}
-	tf := float64(T)
-	return Schedule{
-		EtaW: scaleW / math.Pow(tf, (3+alpha)/4),
-		EtaP: scaleP / math.Pow(tf, (1+3*alpha)/4),
-	}
-}
-
 // TausForAlpha picks (tau1, tau2) with tau1*tau2 ~ T^alpha and the two
 // factors as balanced as possible, realizing the communication complexity
 // Theta(T^{1-alpha}) of §5 for a horizon of T slots. It returns at least

@@ -72,27 +72,11 @@ func TestConvexScheduleAlphaRegimes(t *testing.T) {
 	}
 }
 
-func TestNonConvexSchedule(t *testing.T) {
-	T := 10000
-	s := NonConvexSchedule(T, 0, 1, 1)
-	if math.Abs(s.EtaW-math.Pow(float64(T), -0.75)) > 1e-15 {
-		t.Fatalf("etaW = %v", s.EtaW)
-	}
-	if math.Abs(s.EtaP-math.Pow(float64(T), -0.25)) > 1e-15 {
-		t.Fatalf("etaP = %v", s.EtaP)
-	}
-	s = NonConvexSchedule(T, 1.0/3, 1, 1)
-	if math.Abs(s.EtaP-math.Pow(float64(T), -0.5)) > 1e-12 {
-		t.Fatalf("etaP(alpha=1/3) = %v", s.EtaP)
-	}
-}
-
 func TestSchedulePanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { ConvexSchedule(0, 0, 1, 1) },
 		func() { ConvexSchedule(10, -0.1, 1, 1) },
 		func() { ConvexSchedule(10, 1, 1, 1) },
-		func() { NonConvexSchedule(0, 0, 1, 1) },
 		func() { TausForAlpha(0, 0) },
 		func() { TausForAlpha(10, 1.5) },
 	} {

@@ -256,25 +256,6 @@ func TestSampleWeightedWithReplacement(t *testing.T) {
 	}
 }
 
-func TestSampleWeightedDistinct(t *testing.T) {
-	s := New(22)
-	w := []float64{1, 0, 1, 1, 0}
-	out := s.SampleWeightedDistinct(4, w)
-	if len(out) != 3 {
-		t.Fatalf("support is 3, got %d samples", len(out))
-	}
-	seen := map[int]bool{}
-	for _, v := range out {
-		if w[v] == 0 {
-			t.Fatalf("drew zero-weight index %d", v)
-		}
-		if seen[v] {
-			t.Fatalf("duplicate index %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestFillMoments(t *testing.T) {
 	s := New(23)
 	buf := make([]float64, 100000)

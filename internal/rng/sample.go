@@ -45,33 +45,6 @@ func (s *Stream) SampleWeighted(m int, weights []float64) []int {
 	return out
 }
 
-// SampleWeightedDistinct draws min(m, support) distinct indices by
-// repeated categorical draws with rejection of duplicates. Returned
-// indices are sorted. It is used by engines that require each sampled
-// edge to appear once per round while still favouring high-weight edges.
-func (s *Stream) SampleWeightedDistinct(m int, weights []float64) []int {
-	support := 0
-	for _, w := range weights {
-		if w > 0 {
-			support++
-		}
-	}
-	if m > support {
-		m = support
-	}
-	seen := make(map[int]bool, m)
-	out := make([]int, 0, m)
-	for len(out) < m {
-		i := s.Categorical(weights)
-		if !seen[i] {
-			seen[i] = true
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // SampleUniform draws m distinct indices uniformly from [0, n) (sampling
 // WITHOUT replacement), returned sorted. This matches the Phase-2 edge
 // sampling in HierMinimax. It panics if m > n.

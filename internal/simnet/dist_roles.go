@@ -140,8 +140,8 @@ func ServeCloud(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) 
 			e.net.RegisterRemote(NodeID{Kind: Client, Index: top.ClientID(edge, c)}, peers[edge].Send)
 		}
 	}
-	if e.chaos.Enabled() || e.drop != nil {
-		base := newFaultHook(e.chaos, e.drop, top).drop
+	if e.chaos.Enabled() {
+		base := newFaultHook(e.chaos, top).drop
 		e.net.SetDrop(resettingDrop(base, func(id NodeID) *wire.Peer {
 			switch id.Kind {
 			case Edge, ReplyPort:
@@ -152,7 +152,6 @@ func ServeCloud(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) 
 			return nil
 		}))
 	}
-	e.computeAreaSlowest()
 	e.net.Seal()
 
 	if err := awaitCond(sig, dc.HandshakeTimeout, all(readys), "edge readiness"); err != nil {
@@ -303,8 +302,8 @@ func ServeEdge(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) e
 	for c := 0; c < top.ClientsPerEdge; c++ {
 		nw.RegisterRemote(NodeID{Kind: Client, Index: top.ClientID(edge, c)}, chp.Send)
 	}
-	if e.chaos.Enabled() || e.drop != nil {
-		base := newFaultHook(e.chaos, e.drop, top).drop
+	if e.chaos.Enabled() {
+		base := newFaultHook(e.chaos, top).drop
 		nw.SetDrop(resettingDrop(base, func(id NodeID) *wire.Peer {
 			switch id.Kind {
 			case Cloud:
@@ -406,8 +405,8 @@ func ServeClientHost(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Opt
 	}()
 	nw.RegisterRemote(NodeID{Kind: Edge, Index: edge}, edgePeer.Send)
 	nw.RegisterRemote(NodeID{Kind: ReplyPort, Index: edge}, edgePeer.Send)
-	if e.chaos.Enabled() || e.drop != nil {
-		base := newFaultHook(e.chaos, e.drop, top).drop
+	if e.chaos.Enabled() {
+		base := newFaultHook(e.chaos, top).drop
 		nw.SetDrop(resettingDrop(base, func(id NodeID) *wire.Peer {
 			if id.Kind == Edge || id.Kind == ReplyPort {
 				return edgePeer

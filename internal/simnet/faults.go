@@ -8,17 +8,16 @@ import (
 )
 
 // faultHook turns a chaos.Schedule into a DropFunc over the engine's
-// node set, composed with an optional user hook. Partition decisions
-// are pure per (round, edge); link-loss decisions consume one sequence
-// number per directed link, held in atomics prebuilt for every link the
-// protocol can use, so the sealed-network hot path stays lock-free and
-// the loss pattern is deterministic: the protocol offers messages on
-// each link in a deterministic order (per-link senders are serialized
-// by the actor structure), so transfer n of a link is the same logical
-// message in every run.
+// node set. Partition decisions are pure per (round, edge); link-loss
+// decisions consume one sequence number per directed link, held in
+// atomics prebuilt for every link the protocol can use, so the
+// sealed-network hot path stays lock-free and the loss pattern is
+// deterministic: the protocol offers messages on each link in a
+// deterministic order (per-link senders are serialized by the actor
+// structure), so transfer n of a link is the same logical message in
+// every run.
 type faultHook struct {
 	sched *chaos.Schedule
-	user  DropFunc
 	seq   map[linkPairKey]*atomic.Uint64
 }
 
@@ -37,8 +36,8 @@ func linkID(from, to NodeID) uint64 {
 // newFaultHook prebuilds the per-link sequence counters for every
 // directed link of the three-layer protocol: cloud<->edge, edge's reply
 // port<->client.
-func newFaultHook(sched *chaos.Schedule, user DropFunc, top topology.Topology) *faultHook {
-	h := &faultHook{sched: sched, user: user, seq: make(map[linkPairKey]*atomic.Uint64)}
+func newFaultHook(sched *chaos.Schedule, top topology.Topology) *faultHook {
+	h := &faultHook{sched: sched, seq: make(map[linkPairKey]*atomic.Uint64)}
 	cloud := NodeID{Kind: Cloud, Index: 0}
 	addLink := func(a, b NodeID) {
 		h.seq[linkPairKey{a, b}] = new(atomic.Uint64)
@@ -65,25 +64,23 @@ func edgeOf(id NodeID) int {
 
 // drop implements DropFunc: partition first (an unreachable edge loses
 // everything, consuming no per-link sequence numbers), then per-link
-// loss, then the user hook. Safe for concurrent senders: the schedule
-// is pure and the sequence counters are atomic.
+// loss. Safe for concurrent senders: the schedule is pure and the
+// sequence counters are atomic.
 func (h *faultHook) drop(m Message) bool {
-	if h.sched != nil {
-		if h.sched.PartitionProb > 0 {
-			if e := edgeOf(m.From); e >= 0 && h.sched.EdgePartitioned(m.Round, e) {
-				return true
-			}
-			if e := edgeOf(m.To); e >= 0 && h.sched.EdgePartitioned(m.Round, e) {
-				return true
-			}
+	if h.sched.PartitionProb > 0 {
+		if e := edgeOf(m.From); e >= 0 && h.sched.EdgePartitioned(m.Round, e) {
+			return true
 		}
-		if h.sched.LossProb > 0 {
-			if ctr := h.seq[linkPairKey{m.From, m.To}]; ctr != nil {
-				if h.sched.LinkLost(linkID(m.From, m.To), ctr.Add(1)) {
-					return true
-				}
+		if e := edgeOf(m.To); e >= 0 && h.sched.EdgePartitioned(m.Round, e) {
+			return true
+		}
+	}
+	if h.sched.LossProb > 0 {
+		if ctr := h.seq[linkPairKey{m.From, m.To}]; ctr != nil {
+			if h.sched.LinkLost(linkID(m.From, m.To), ctr.Add(1)) {
+				return true
 			}
 		}
 	}
-	return h.user != nil && h.user(m)
+	return false
 }

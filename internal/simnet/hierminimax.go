@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"math"
 	"sync"
 	"time"
 
@@ -18,20 +17,6 @@ import (
 // Option adjusts the simnet engine.
 type Option func(*engine)
 
-// WithLatency installs a latency cost model for simulated-time
-// accounting; without it the default metropolitan model is used.
-func WithLatency(l Latency) Option {
-	return func(e *engine) { e.lat = l }
-}
-
-// WithDrop installs a message-drop hook (failure injection). Dropped
-// requests simply exclude the target from the round's aggregation; the
-// run stays live. Composes with WithChaos: the schedule's faults are
-// applied first, then the hook.
-func WithDrop(f DropFunc) Option {
-	return func(e *engine) { e.drop = f }
-}
-
 // WithChaos installs a deterministic fault schedule: client crashes,
 // edge partitions, link loss and straggler delay, all derived from the
 // schedule's own seed (see chaos.Schedule). Every fan-in runs a
@@ -42,20 +27,6 @@ func WithDrop(f DropFunc) Option {
 // bitwise-identical to the fault-free run.
 func WithChaos(s *chaos.Schedule) Option {
 	return func(e *engine) { e.chaos = s }
-}
-
-// WithCompute models heterogeneous client compute (Castiglia et al.'s
-// heterogeneous operating rates): each client runs one SGD step in
-// perStepMs milliseconds scaled by a log-normal speed factor with the
-// given sigma (0 = homogeneous). Speeds affect only the simulated-time
-// accounting, never the trajectory — synchronous aggregation waits for
-// the slowest client, which is exactly the straggler cost the paper's
-// hierarchical design amortizes over tau1*tau2 local slots.
-func WithCompute(perStepMs, stragglerSigma float64) Option {
-	return func(e *engine) {
-		e.computeMs = perStepMs
-		e.stragglerSigma = stragglerSigma
-	}
 }
 
 // RunStats reports distributed-execution metrics of a simnet run.
@@ -117,32 +88,25 @@ func HierMinimax(prob *fl.Problem, cfg fl.Config, opts ...Option) (*fl.Result, R
 
 // engine is the simnet Transport plus the spawned actor fleet.
 type engine struct {
-	prob           *fl.Problem
-	cfg            fl.Config
-	lat            Latency
-	drop           DropFunc
-	chaos          *chaos.Schedule
-	timeoutMs      float64
-	retries        int
-	computeMs      float64
-	stragglerSigma float64
-	net            *Network
-	inbox          <-chan Message
-	top            topology.Topology
-	wg             sync.WaitGroup
-	simMs          float64
+	prob      *fl.Problem
+	cfg       fl.Config
+	chaos     *chaos.Schedule
+	timeoutMs float64
+	retries   int
+	net       *Network
+	inbox     <-chan Message
+	top       topology.Topology
+	wg        sync.WaitGroup
+	simMs     float64
 	// cohort is the population regime's straggler-scan scratch.
 	cohort fl.Cohort
-	// areaSlowest[e] is the slowest client speed factor in area e (the
-	// synchronous block time is gated by it).
-	areaSlowest []float64
 }
 
 // newEngine builds the engine of one process of a run with opts applied.
 // The timeout/retry policy is the schedule's when present, the defaults
-// otherwise (plain WithDrop losses are charged the default deadline).
+// otherwise.
 func newEngine(prob *fl.Problem, cfg fl.Config, opts []Option) (*engine, error) {
-	e := &engine{prob: prob, cfg: cfg.WithDefaults(), lat: DefaultLatency()}
+	e := &engine{prob: prob, cfg: cfg.WithDefaults()}
 	for _, o := range opts {
 		o(e)
 	}
@@ -191,13 +155,12 @@ func (e *engine) runStats(s wire.Stats) RunStats {
 // seals the route table — after this Send is lock-free.
 func (e *engine) start() {
 	e.net = NewNetwork()
-	if e.chaos.Enabled() || e.drop != nil {
-		// One hook composes the schedule's partitions and link loss with
-		// the user hook; when neither is active no hook is installed and
-		// Send keeps its zero-overhead fault-free path.
-		e.net.SetDrop(newFaultHook(e.chaos, e.drop, e.top).drop)
+	if e.chaos.Enabled() {
+		// One hook applies the schedule's partitions and link loss; with
+		// no schedule no hook is installed and Send keeps its
+		// zero-overhead fault-free path.
+		e.net.SetDrop(newFaultHook(e.chaos, e.top).drop)
 	}
-	e.computeAreaSlowest()
 	// Cloud mailbox: phase fan-outs await at most SampledEdges replies
 	// (real or nack).
 	e.inbox = e.net.Register(NodeID{Kind: Cloud, Index: 0}, 2*e.cfg.SampledEdges+4)
@@ -257,29 +220,6 @@ func (e *engine) newClientActor(nw *Network, top topology.Topology, edge, c int)
 		comp:    e.cfg.Compression,
 		chaos:   e.chaos,
 		retries: e.retries,
-	}
-}
-
-// computeAreaSlowest derives the per-client speed factors (log-normal)
-// and reduces them to the per-area slowest, which gates every
-// synchronous block. The draws come from a dedicated child of the
-// config seed, so the in-process engine and the distributed cloud (which
-// hosts no clients but still charges the same simulated time) agree.
-func (e *engine) computeAreaSlowest() {
-	e.areaSlowest = make([]float64, e.top.NumEdges)
-	sr := rng.New(e.cfg.Seed).Child('s')
-	for edge := 0; edge < e.top.NumEdges; edge++ {
-		slowest := 1.0
-		for c := 0; c < e.top.ClientsPerEdge; c++ {
-			speed := 1.0
-			if e.stragglerSigma > 0 {
-				speed = math.Exp(e.stragglerSigma * sr.NormFloat64())
-			}
-			if speed > slowest {
-				slowest = speed
-			}
-		}
-		e.areaSlowest[edge] = slowest
 	}
 }
 
@@ -422,17 +362,11 @@ func (e *engine) Train(k int, st *fl.State, slots, chk []int, streams []rng.Stre
 		}
 		edgeTrainReplyPool.Put(r)
 	}
-	// Simulated time: slots run in parallel (critical path = the slot on
-	// the slowest area); blocks inside a slot are sequential, and each
-	// block waits for its slowest client's tau1 local steps. Transfer
-	// costs use the actual per-block payload sizes. Fault charges ride
-	// on top, and active stragglers stretch every block by the slowest
-	// delayed client.
-	slowest := 1.0
-	for _, edge := range slots {
-		slowest = max(slowest, e.areaSlowest[edge])
-	}
-	blockCompute := float64(cfg.Tau1) * e.computeMs * slowest
+	// Simulated time: slots run in parallel and blocks inside a slot are
+	// sequential, each priced by its transfers at the actual per-block
+	// payload sizes. Fault charges ride on top, and active stragglers
+	// stretch every block by the slowest delayed client.
+	lat := DefaultLatency()
 	// Uplink model transfers travel compressed when a regime is on;
 	// downlinks and iterate sums stay dense — identical to core's
 	// ledger pricing, and identical to the Bytes the messages carried.
@@ -445,7 +379,7 @@ func (e *engine) Train(k int, st *fl.State, slots, chk []int, streams []rng.Stre
 	if cfg.TrackAverages {
 		ecUp += dBytes
 	}
-	ms := e.lat.EdgeCloudCost(dBytes) + e.lat.EdgeCloudCost(ecUp)
+	ms := lat.EdgeCloudCost(dBytes) + lat.EdgeCloudCost(ecUp)
 	for t2 := 0; t2 < cfg.Tau2; t2++ {
 		up := upVec
 		if t2 == chk[1] {
@@ -454,7 +388,7 @@ func (e *engine) Train(k int, st *fl.State, slots, chk []int, streams []rng.Stre
 		if cfg.TrackAverages {
 			up += dBytes
 		}
-		ms += e.lat.ClientEdgeCost(dBytes) + e.lat.ClientEdgeCost(up) + blockCompute
+		ms += lat.ClientEdgeCost(dBytes) + lat.ClientEdgeCost(up)
 	}
 	ms = f.settle(st.Ledger, ms, e.timeoutMs)
 	if straggle := e.maxStraggleMs(k, slots); straggle > 0 {
@@ -499,8 +433,9 @@ func (e *engine) Losses(k int, st *fl.State, wChk []float64, sampled []int, stre
 		edgeLossReplyPool.Put(r)
 	}
 	dBytes := topology.ModelBytes(len(wChk))
-	ms := e.lat.EdgeCloudCost(dBytes) + e.lat.ClientEdgeCost(dBytes) +
-		e.lat.ClientEdgeCost(8) + e.lat.EdgeCloudCost(8)
+	lat := DefaultLatency()
+	ms := lat.EdgeCloudCost(dBytes) + lat.ClientEdgeCost(dBytes) +
+		lat.ClientEdgeCost(8) + lat.EdgeCloudCost(8)
 	ms = f.settle(st.Ledger, ms, e.timeoutMs)
 	if straggle := e.maxStraggleMs(k, sampled); straggle > 0 {
 		ms += straggle

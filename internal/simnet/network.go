@@ -88,10 +88,6 @@ func NewNetwork() *Network {
 	}
 }
 
-// Pool returns the network's payload-vector pool. All protocol payload
-// vectors must be drawn from and returned to it (see vecPool).
-func (n *Network) Pool() *vecPool { return n.pool }
-
 // linkClass buckets a transfer by the hierarchy links it crosses,
 // matching the topology.Link classes the ledger uses. Reply ports are
 // aspects of their edge server.

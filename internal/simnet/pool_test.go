@@ -30,23 +30,12 @@ func TestPoolLeakFreeAfterRun(t *testing.T) {
 
 	cfg = fltest.ToyConfig()
 	cfg.Rounds = 60
-	var mu sync.Mutex
-	count := 0
-	drop := func(m Message) bool {
-		if m.Kind != "edge-train-req" && m.Kind != "edge-loss-req" {
-			return false
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		count++
-		return count%4 == 0
-	}
-	_, stats, err = HierMinimax(fltest.ToyProblem(1), cfg, WithDrop(drop))
+	_, stats, err = HierMinimax(fltest.ToyProblem(1), cfg, WithChaos(&chaos.Schedule{Seed: 4, LossProb: 0.25}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.MessagesLost == 0 {
-		t.Fatal("drop hook never fired")
+		t.Fatal("link loss never fired")
 	}
 	if stats.PoolOutstanding != 0 {
 		t.Fatalf("leak: %d vectors outstanding after lossy run", stats.PoolOutstanding)
@@ -210,8 +199,7 @@ func TestSealedConcurrentSendUnderFaults(t *testing.T) {
 		boxes[e] = n.Register(NodeID{Kind: Edge, Index: e}, senders*perSender)
 	}
 	sched := &chaos.Schedule{Seed: 42, PartitionProb: 0.2, LossProb: 0.1, CrashProb: 0.3}
-	user := func(m Message) bool { return m.Kind == "doomed-anyway" }
-	n.SetDrop(newFaultHook(sched, user, top).drop)
+	n.SetDrop(newFaultHook(sched, top).drop)
 	n.Seal()
 
 	var wg sync.WaitGroup
@@ -220,13 +208,9 @@ func TestSealedConcurrentSendUnderFaults(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				kind := "edge-train-req"
-				if i%7 == 0 {
-					kind = "doomed-anyway"
-				}
 				msg := Message{
 					From: cloud, To: NodeID{Kind: Edge, Index: (s + i) % top.NumEdges},
-					Kind: kind, Round: i % 11, Bytes: 8,
+					Kind: "edge-train-req", Round: i % 11, Bytes: 8,
 				}
 				if i%3 == 0 {
 					n.SendRetry(msg, 2)

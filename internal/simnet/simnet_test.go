@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/chaos"
@@ -230,24 +229,14 @@ func TestSimnetLearns(t *testing.T) {
 func TestSimnetSurvivesMessageLoss(t *testing.T) {
 	cfg := fltest.ToyConfig()
 	cfg.Rounds = 150
-	// Drop ~20% of edge-train requests: the cloud aggregates survivors.
-	var mu sync.Mutex
-	count := 0
-	drop := func(m Message) bool {
-		if m.Kind != "edge-train-req" {
-			return false
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		count++
-		return count%5 == 0
-	}
-	res, stats, err := HierMinimax(fltest.ToyProblem(1), cfg, WithDrop(drop))
+	// Lose ~10% of protocol transfers on every link: each fan-in
+	// aggregates the survivors.
+	res, stats, err := HierMinimax(fltest.ToyProblem(1), cfg, WithChaos(&chaos.Schedule{Seed: 7, LossProb: 0.1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.MessagesLost == 0 {
-		t.Fatal("drop hook never fired")
+		t.Fatal("link loss never fired")
 	}
 	if !tensor.AllFinite(res.W) {
 		t.Fatal("non-finite parameters under message loss")
@@ -317,21 +306,24 @@ func TestEdgeLossEstimateSumsInClientOrder(t *testing.T) {
 	}
 }
 
+// Longer straggler delays cost more simulated time and never change
+// the trajectory.
 func TestStragglersSlowSimulatedTime(t *testing.T) {
 	cfg := fltest.ToyConfig()
 	cfg.Rounds = 30
-	fast, statsFast, err := HierMinimax(fltest.ToyProblem(1), cfg, WithCompute(2.0, 0))
+	fast, statsFast, err := HierMinimax(fltest.ToyProblem(1), cfg,
+		WithChaos(&chaos.Schedule{Seed: 3, StragglerProb: 0.3, StragglerMs: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, statsSlow, err := HierMinimax(fltest.ToyProblem(1), cfg, WithCompute(2.0, 1.0))
+	slow, statsSlow, err := HierMinimax(fltest.ToyProblem(1), cfg,
+		WithChaos(&chaos.Schedule{Seed: 3, StragglerProb: 0.3, StragglerMs: 50}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if statsSlow.SimulatedMs <= statsFast.SimulatedMs {
 		t.Fatalf("straggler run not slower: %v vs %v", statsSlow.SimulatedMs, statsFast.SimulatedMs)
 	}
-	// Speeds must never change the trajectory.
 	for i := range fast.W {
 		if fast.W[i] != slow.W[i] {
 			t.Fatal("straggler model changed the trajectory")
@@ -339,36 +331,22 @@ func TestStragglersSlowSimulatedTime(t *testing.T) {
 	}
 }
 
-func TestComputeCostAddsTime(t *testing.T) {
+// Simulated time prices the bytes each transfer carries: 8-bit uplinks
+// finish the same rounds sooner than dense ones.
+func TestCompressedUplinksCostLessTime(t *testing.T) {
+	skipIfF32(t)
 	cfg := fltest.ToyConfig()
 	cfg.Rounds = 10
-	_, none, err := HierMinimax(fltest.ToyProblem(1), cfg)
+	_, dense, err := HierMinimax(fltest.ToyProblem(1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, withCompute, err := HierMinimax(fltest.ToyProblem(1), cfg, WithCompute(5.0, 0))
+	cfg.Compression = quant.Config{Bits: 8}
+	_, packed, err := HierMinimax(fltest.ToyProblem(1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if withCompute.SimulatedMs <= none.SimulatedMs {
-		t.Fatalf("compute model added no time: %v vs %v", withCompute.SimulatedMs, none.SimulatedMs)
-	}
-}
-
-func TestCustomLatencyModel(t *testing.T) {
-	cfg := fltest.ToyConfig()
-	cfg.Rounds = 10
-	cheap := Latency{ClientEdgeRTT: 1, EdgeCloudRTT: 1, PerMB: 1}
-	dear := Latency{ClientEdgeRTT: 100, EdgeCloudRTT: 1000, PerMB: 1000}
-	_, a, err := HierMinimax(fltest.ToyProblem(1), cfg, WithLatency(cheap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, b, err := HierMinimax(fltest.ToyProblem(1), cfg, WithLatency(dear))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.SimulatedMs <= a.SimulatedMs {
-		t.Fatalf("expensive latency not slower: %v vs %v", b.SimulatedMs, a.SimulatedMs)
+	if packed.SimulatedMs >= dense.SimulatedMs {
+		t.Fatalf("8-bit uplinks not cheaper: %v vs dense %v", packed.SimulatedMs, dense.SimulatedMs)
 	}
 }

@@ -4,8 +4,8 @@
 // The paper allows W ⊆ R^d and P ⊆ Δ_{N_E-1} to be any compact convex
 // sets (Assumption 1 bounds their diameters R_W and R_P). This package
 // provides the sets used in the experiments — the full space (projection
-// is the identity; used when W = R^d as in §6), Euclidean balls, boxes,
-// the probability simplex, and the capped simplex {p ∈ Δ : p_i ≤ c} that
+// is the identity; used when W = R^d as in §6), Euclidean balls, the
+// probability simplex, and the capped simplex {p ∈ Δ : p_i ≤ c} that
 // realizes the paper's "more general P" footnote.
 package simplex
 
@@ -25,11 +25,6 @@ type Set interface {
 	Project(x []float64)
 	// Contains reports whether x lies in the set up to tolerance tol.
 	Contains(x []float64, tol float64) bool
-	// Diameter returns the Euclidean diameter of the set (R_W / R_P in
-	// Assumption 1), or +Inf for FullSpace.
-	Diameter() float64
-	// String describes the set for logs and experiment manifests.
-	String() string
 }
 
 // FullSpace is R^d: projection is the identity. The paper's experiments
@@ -41,9 +36,6 @@ func (FullSpace) Project([]float64) {}
 
 // Contains always reports true.
 func (FullSpace) Contains([]float64, float64) bool { return true }
-
-// Diameter is +Inf for the full space.
-func (FullSpace) Diameter() float64 { return math.Inf(1) }
 
 func (f FullSpace) String() string { return fmt.Sprintf("R^%d", f.Dim) }
 
@@ -63,37 +55,7 @@ func (b Ball) Contains(x []float64, tol float64) bool {
 	return tensor.Norm2(x) <= b.Radius+tol
 }
 
-// Diameter returns 2r.
-func (b Ball) Diameter() float64 { return 2 * b.Radius }
-
 func (b Ball) String() string { return fmt.Sprintf("Ball(r=%g)", b.Radius) }
-
-// Box is the axis-aligned box [Lo, Hi]^d.
-type Box struct{ Lo, Hi float64 }
-
-// Project clamps each coordinate into [Lo, Hi].
-func (b Box) Project(x []float64) { tensor.Clamp(x, b.Lo, b.Hi) }
-
-// Contains reports componentwise membership up to tol.
-func (b Box) Contains(x []float64, tol float64) bool {
-	for _, v := range x {
-		if v < b.Lo-tol || v > b.Hi+tol {
-			return false
-		}
-	}
-	return true
-}
-
-// Diameter returns the diagonal length for dimension-free use; callers
-// needing the exact d-dependent diameter should use DiameterDim.
-func (b Box) Diameter() float64 { return b.Hi - b.Lo }
-
-// DiameterDim returns the exact Euclidean diameter of the box in R^d.
-func (b Box) DiameterDim(d int) float64 {
-	return (b.Hi - b.Lo) * math.Sqrt(float64(d))
-}
-
-func (b Box) String() string { return fmt.Sprintf("Box[%g,%g]", b.Lo, b.Hi) }
 
 // Simplex is the probability simplex Δ_{n-1} = {p >= 0 : sum p = 1}.
 type Simplex struct{ Dim int }
@@ -117,9 +79,6 @@ func (s Simplex) Contains(x []float64, tol float64) bool {
 	}
 	return math.Abs(sum-1) <= tol
 }
-
-// Diameter returns sqrt(2), the distance between two vertices.
-func (s Simplex) Diameter() float64 { return math.Sqrt2 }
 
 func (s Simplex) String() string { return fmt.Sprintf("Delta_%d", s.Dim-1) }
 
@@ -258,10 +217,6 @@ func (c CappedSimplex) Contains(x []float64, tol float64) bool {
 	}
 	return math.Abs(sum-1) <= tol
 }
-
-// Diameter returns the diameter of the enclosing simplex (an upper
-// bound; exact value depends on Cap).
-func (c CappedSimplex) Diameter() float64 { return math.Sqrt2 }
 
 func (c CappedSimplex) String() string {
 	return fmt.Sprintf("CappedDelta_%d(cap=%g)", c.Dim-1, c.Cap)

@@ -218,22 +218,6 @@ func ReLUGrad32(dst, grad, z []float32) {
 	}
 }
 
-// Softmax32 writes softmax(x) into dst (dst may alias x) with the
-// class exponential and float32 arithmetic throughout.
-func Softmax32(dst, x []float32) {
-	checkLen(len(dst), len(x))
-	m := Max32(x)
-	kernels32.expShift(dst, x, m)
-	s := float32(0)
-	for _, e := range dst {
-		s += e
-	}
-	inv := 1 / s
-	for i := range dst {
-		dst[i] *= inv
-	}
-}
-
 // LogSumExp32 returns log(sum_i exp(x_i)) with max-shifting: the class
 // exponential and index-order float32 summation (the fused sumExpShift
 // kernel, allocation-free), with the final log rounded through float64

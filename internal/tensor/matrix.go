@@ -25,26 +25,9 @@ func MatrixFrom(data []float64, rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 {
-	return m.Data[i*m.Cols+j]
-}
-
-// Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) {
-	m.Data[i*m.Cols+j] = v
-}
-
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
 }
 
 // Gemv computes y = alpha*A*x + beta*y for a row-major A.
@@ -53,20 +36,6 @@ func Gemv(alpha float64, a *Matrix, x []float64, beta float64, y []float64) {
 	checkLen(len(y), a.Rows)
 	for i := 0; i < a.Rows; i++ {
 		y[i] = alpha*Dot(a.Row(i), x) + beta*y[i]
-	}
-}
-
-// GemvT computes y = alpha*A^T*x + beta*y for a row-major A.
-func GemvT(alpha float64, a *Matrix, x []float64, beta float64, y []float64) {
-	checkLen(len(x), a.Rows)
-	checkLen(len(y), a.Cols)
-	if beta == 0 {
-		Zero(y)
-	} else if beta != 1 {
-		Scale(beta, y)
-	}
-	for i := 0; i < a.Rows; i++ {
-		Axpy(alpha*x[i], a.Row(i), y)
 	}
 }
 

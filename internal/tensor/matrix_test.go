@@ -5,6 +5,42 @@ import (
 	"testing/quick"
 )
 
+// Element access, copies and GemvT exist for the tests: the kernels
+// and models index Data directly.
+
+// At returns the element at row i, column j.
+func (m *Matrix) At(i, j int) float64 {
+	return m.Data[i*m.Cols+j]
+}
+
+// Set assigns the element at row i, column j.
+func (m *Matrix) Set(i, j int, v float64) {
+	m.Data[i*m.Cols+j] = v
+}
+
+// Clone returns a deep copy of the matrix.
+func (m *Matrix) Clone() *Matrix {
+	c := NewMatrix(m.Rows, m.Cols)
+	copy(c.Data, m.Data)
+	return c
+}
+
+// GemvT computes y = alpha*A^T*x + beta*y for a row-major A, by
+// k-ascending Axpy over the rows: the accumulation order Gemm is pinned
+// to (TestGemmBitwiseMatchesGemvT).
+func GemvT(alpha float64, a *Matrix, x []float64, beta float64, y []float64) {
+	checkLen(len(x), a.Rows)
+	checkLen(len(y), a.Cols)
+	if beta == 0 {
+		Zero(y)
+	} else if beta != 1 {
+		Scale(beta, y)
+	}
+	for i := 0; i < a.Rows; i++ {
+		Axpy(alpha*x[i], a.Row(i), y)
+	}
+}
+
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(0, 1, 5)

@@ -43,53 +43,6 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ReduceSum computes the sum over i in [0, n) of term(i) by parallel
-// partial sums combined in index order, so the result is independent of
-// goroutine scheduling.
-func ReduceSum(n, grain int, term func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	workers := runtime.GOMAXPROCS(0)
-	chunks := (n + grain - 1) / grain
-	if chunks < workers {
-		workers = chunks
-	}
-	if workers <= 1 {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += term(i)
-		}
-		return s
-	}
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	partial := make([]float64, nChunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += term(i)
-			}
-			partial[c] = s
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	// Combine in fixed order for determinism.
-	return Sum(partial)
-}
-
 // AverageInto writes the elementwise average of the given vectors into
 // dst. All vectors must share dst's length; the list must be non-empty.
 // The summation order is the list order, so the result is deterministic.
@@ -165,9 +118,6 @@ func (a *MeanAccumulator) Add(v []float64) {
 	Axpy(1, v, a.acc)
 }
 
-// Count returns the number of vectors folded in since Reset.
-func (a *MeanAccumulator) Count() int { return a.n }
-
 // FinishInto writes the mean of the folded vectors into dst and leaves
 // the accumulator consumed (Reset before reuse). Panics when nothing
 // was folded, mirroring AverageInto's empty-list panic.
@@ -186,21 +136,5 @@ func (a *MeanAccumulator) FinishInto(dst []float64) {
 	inv := 1 / float64(a.n)
 	for i, v := range a.acc {
 		dst[i] = v * inv
-	}
-}
-
-// WeightedAverageInto writes sum_i weights[i]*vecs[i] into dst. Weights
-// need not sum to one; callers that want a convex combination must
-// normalize. Panics on length mismatches.
-func WeightedAverageInto(dst []float64, weights []float64, vecs [][]float64) {
-	if len(weights) != len(vecs) {
-		panic("tensor: WeightedAverageInto weight/vector count mismatch")
-	}
-	if len(vecs) == 0 {
-		panic("tensor: WeightedAverageInto with no inputs")
-	}
-	Zero(dst)
-	for i, v := range vecs {
-		Axpy(weights[i], v, dst)
 	}
 }

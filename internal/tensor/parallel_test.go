@@ -42,57 +42,10 @@ func TestParallelForSmallN(t *testing.T) {
 	}
 }
 
-func TestReduceSumMatchesSequential(t *testing.T) {
-	const n = 5000
-	term := func(i int) float64 { return float64(i) * 0.5 }
-	got := ReduceSum(n, 8, term)
-	want := 0.0
-	for i := 0; i < n; i++ {
-		want += term(i)
-	}
-	if !approx(got, want, 1e-12) {
-		t.Fatalf("ReduceSum = %v, want %v", got, want)
-	}
-}
-
-func TestReduceSumDeterministic(t *testing.T) {
-	const n = 4321
-	term := func(i int) float64 { return 1.0 / float64(i+1) }
-	a := ReduceSum(n, 4, term)
-	for trial := 0; trial < 10; trial++ {
-		if b := ReduceSum(n, 4, term); b != a {
-			t.Fatalf("ReduceSum not bitwise deterministic: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestReduceSumEmpty(t *testing.T) {
-	if got := ReduceSum(0, 1, func(i int) float64 { return 1 }); got != 0 {
-		t.Fatalf("ReduceSum(0) = %v", got)
-	}
-}
-
 func TestAverageInto(t *testing.T) {
 	dst := make([]float64, 2)
 	AverageInto(dst, []float64{1, 2}, []float64{3, 4}, []float64{5, 6})
 	if dst[0] != 3 || dst[1] != 4 {
 		t.Fatalf("AverageInto = %v", dst)
 	}
-}
-
-func TestWeightedAverageInto(t *testing.T) {
-	dst := make([]float64, 2)
-	WeightedAverageInto(dst, []float64{0.25, 0.75}, [][]float64{{4, 0}, {0, 4}})
-	if dst[0] != 1 || dst[1] != 3 {
-		t.Fatalf("WeightedAverageInto = %v", dst)
-	}
-}
-
-func TestWeightedAverageIntoPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on count mismatch")
-		}
-	}()
-	WeightedAverageInto(make([]float64, 2), []float64{1}, [][]float64{{1, 2}, {3, 4}})
 }

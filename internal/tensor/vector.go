@@ -38,30 +38,6 @@ func Scale(a float64, x []float64) {
 	}
 }
 
-// AddTo computes dst = x + y.
-func AddTo(dst, x, y []float64) {
-	checkLen(len(x), len(y))
-	checkLen(len(dst), len(x))
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
-}
-
-// SubTo computes dst = x - y.
-func SubTo(dst, x, y []float64) {
-	checkLen(len(x), len(y))
-	checkLen(len(dst), len(x))
-	for i := range dst {
-		dst[i] = x[i] - y[i]
-	}
-}
-
-// Copy copies src into dst. It panics on length mismatch.
-func Copy(dst, src []float64) {
-	checkLen(len(dst), len(src))
-	copy(dst, src)
-}
-
 // Zero sets every element of x to 0.
 func Zero(x []float64) {
 	for i := range x {
@@ -188,17 +164,6 @@ func ArgMax(x []float64) int {
 		}
 	}
 	return bi
-}
-
-// Clamp limits each element of x to [lo, hi] in place.
-func Clamp(x []float64, lo, hi float64) {
-	for i, v := range x {
-		if v < lo {
-			x[i] = lo
-		} else if v > hi {
-			x[i] = hi
-		}
-	}
 }
 
 // LogSumExp returns log(sum_i exp(x_i)) with max-shifting for

@@ -64,20 +64,6 @@ func TestAxpyScale(t *testing.T) {
 	}
 }
 
-func TestAddSubTo(t *testing.T) {
-	x := []float64{1, 2}
-	y := []float64{10, 20}
-	dst := make([]float64, 2)
-	AddTo(dst, x, y)
-	if dst[0] != 11 || dst[1] != 22 {
-		t.Fatalf("AddTo = %v", dst)
-	}
-	SubTo(dst, y, x)
-	if dst[0] != 9 || dst[1] != 18 {
-		t.Fatalf("SubTo = %v", dst)
-	}
-}
-
 func TestNorm2(t *testing.T) {
 	if got := Norm2([]float64{3, 4}); !approx(got, 5, eps) {
 		t.Fatalf("Norm2 = %v", got)
@@ -139,17 +125,6 @@ func TestMinMaxArgMax(t *testing.T) {
 	}
 	if ArgMax(x) != 2 {
 		t.Fatalf("ArgMax = %d, want first max index 2", ArgMax(x))
-	}
-}
-
-func TestClamp(t *testing.T) {
-	x := []float64{-2, 0.5, 3}
-	Clamp(x, -1, 1)
-	want := []float64{-1, 0.5, 1}
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("Clamp = %v", x)
-		}
 	}
 }
 

@@ -83,62 +83,6 @@ func (l *Ledger) RecordBulk(link Link, rounds int, messages, bytes int64) {
 	l.bytes[link] += bytes
 }
 
-// RecordMessage records a single transfer that does not open a new
-// round (e.g. a retransmission in failure-injection tests).
-func (l *Ledger) RecordMessage(link Link, bytes int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.messages[link]++
-	l.bytes[link] += bytes
-}
-
-// Rounds returns the number of synchronization passes on the link class.
-func (l *Ledger) Rounds(link Link) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rounds[link]
-}
-
-// Messages returns the number of transfers on the link class.
-func (l *Ledger) Messages(link Link) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.messages[link]
-}
-
-// Bytes returns the bytes moved on the link class.
-func (l *Ledger) Bytes(link Link) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytes[link]
-}
-
-// CloudRounds returns the rounds terminating at the cloud: the sum of
-// edge-cloud and client-cloud rounds. This is the x-axis of Figs. 3-4.
-func (l *Ledger) CloudRounds() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rounds[EdgeCloud] + l.rounds[ClientCloud]
-}
-
-// CloudBytes returns bytes over links terminating at the cloud.
-func (l *Ledger) CloudBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytes[EdgeCloud] + l.bytes[ClientCloud]
-}
-
-// TotalBytes returns bytes moved over all links.
-func (l *Ledger) TotalBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var s int64
-	for _, b := range l.bytes {
-		s += b
-	}
-	return s
-}
-
 // Snapshot returns a consistent copy of all counters.
 func (l *Ledger) Snapshot() LedgerSnapshot {
 	l.mu.Lock()
@@ -165,15 +109,6 @@ func (l *Ledger) Restore(s LedgerSnapshot) {
 	}
 }
 
-// Reset zeroes all counters.
-func (l *Ledger) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := range l.rounds {
-		l.rounds[i], l.messages[i], l.bytes[i] = 0, 0, 0
-	}
-}
-
 // LedgerSnapshot is an immutable copy of a Ledger's counters.
 type LedgerSnapshot struct {
 	Rounds   [numLinks]int64
@@ -181,13 +116,15 @@ type LedgerSnapshot struct {
 	Bytes    [numLinks]int64
 }
 
-// CloudRounds mirrors Ledger.CloudRounds for snapshots.
+// CloudRounds returns the snapshot's rounds terminating at the cloud:
+// the sum of edge-cloud and client-cloud rounds. This is the x-axis of
+// Figs. 3-4.
 func (s LedgerSnapshot) CloudRounds() int64 {
 	return s.Rounds[EdgeCloud] + s.Rounds[ClientCloud]
 }
 
 // CloudBytes returns the snapshot's bytes over links terminating at the
-// cloud, mirroring Ledger.CloudBytes.
+// cloud.
 func (s LedgerSnapshot) CloudBytes() int64 {
 	return s.Bytes[EdgeCloud] + s.Bytes[ClientCloud]
 }

@@ -45,15 +45,6 @@ func (t Topology) EdgeOf(client int) int {
 	return client / t.ClientsPerEdge
 }
 
-// Clients returns the global IDs of all clients in edge area e.
-func (t Topology) Clients(edge int) []int {
-	ids := make([]int, t.ClientsPerEdge)
-	for i := range ids {
-		ids[i] = t.ClientID(edge, i)
-	}
-	return ids
-}
-
 func (t Topology) String() string {
 	return fmt.Sprintf("cloud/%d-edges/%d-clients-each", t.NumEdges, t.ClientsPerEdge)
 }

@@ -16,10 +16,6 @@ func TestTopologyIndexing(t *testing.T) {
 	if top.EdgeOf(7) != 2 {
 		t.Fatalf("EdgeOf(7) = %d", top.EdgeOf(7))
 	}
-	ids := top.Clients(3)
-	if len(ids) != 3 || ids[0] != 9 || ids[2] != 11 {
-		t.Fatalf("Clients(3) = %v", ids)
-	}
 	// Round trip for every client.
 	for e := 0; e < 4; e++ {
 		for i := 0; i < 3; i++ {
@@ -56,24 +52,25 @@ func TestLedgerCounting(t *testing.T) {
 	l.RecordRound(EdgeCloud, 2, 50)
 	l.RecordRound(EdgeCloud, 2, 50)
 	l.RecordRound(ClientCloud, 5, 10)
-	if l.Rounds(ClientEdge) != 1 || l.Rounds(EdgeCloud) != 2 || l.Rounds(ClientCloud) != 1 {
+	s := l.Snapshot()
+	if s.Rounds[ClientEdge] != 1 || s.Rounds[EdgeCloud] != 2 || s.Rounds[ClientCloud] != 1 {
 		t.Fatal("round counts wrong")
 	}
-	if l.Messages(ClientEdge) != 3 || l.Bytes(ClientEdge) != 300 {
+	if s.Messages[ClientEdge] != 3 || s.Bytes[ClientEdge] != 300 {
 		t.Fatal("message/byte counts wrong")
 	}
-	if l.CloudRounds() != 3 {
-		t.Fatalf("CloudRounds = %d", l.CloudRounds())
+	if s.CloudRounds() != 3 {
+		t.Fatalf("CloudRounds = %d", s.CloudRounds())
 	}
-	if l.CloudBytes() != 2*2*50+5*10 {
-		t.Fatalf("CloudBytes = %d", l.CloudBytes())
+	if s.CloudBytes() != 2*2*50+5*10 {
+		t.Fatalf("CloudBytes = %d", s.CloudBytes())
 	}
-	if l.TotalBytes() != 300+200+50 {
-		t.Fatalf("TotalBytes = %d", l.TotalBytes())
+	if s.TotalBytes() != 300+200+50 {
+		t.Fatalf("TotalBytes = %d", s.TotalBytes())
 	}
-	l.RecordMessage(EdgeCloud, 7)
-	if l.Rounds(EdgeCloud) != 2 || l.Messages(EdgeCloud) != 5 || l.Bytes(EdgeCloud) != 207 {
-		t.Fatal("RecordMessage must not open a round")
+	l.RecordBulk(EdgeCloud, 0, 1, 7)
+	if s := l.Snapshot(); s.Rounds[EdgeCloud] != 2 || s.Messages[EdgeCloud] != 5 || s.Bytes[EdgeCloud] != 207 {
+		t.Fatal("a zero-round bulk record must not open a round")
 	}
 }
 
@@ -84,13 +81,14 @@ func TestLedgerSnapshotAndReset(t *testing.T) {
 	if s.CloudRounds() != 1 || s.Bytes[EdgeCloud] != 8 {
 		t.Fatal("snapshot wrong")
 	}
-	l.Reset()
-	if l.CloudRounds() != 0 || l.TotalBytes() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	// Snapshot must be immutable copy.
+	// Snapshot must be an immutable copy, and Restore its inverse.
+	l.RecordRound(EdgeCloud, 1, 8)
 	if s.CloudRounds() != 1 {
-		t.Fatal("snapshot mutated by reset")
+		t.Fatal("snapshot mutated by a later record")
+	}
+	l.Restore(LedgerSnapshot{})
+	if r := l.Snapshot(); r.CloudRounds() != 0 || r.TotalBytes() != 0 {
+		t.Fatal("restoring the zero snapshot left counts behind")
 	}
 }
 
@@ -108,11 +106,8 @@ func TestLedgerConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.Rounds(EdgeCloud) != workers*per {
-		t.Fatalf("lost updates: %d", l.Rounds(EdgeCloud))
-	}
-	if l.Bytes(EdgeCloud) != workers*per*4 {
-		t.Fatalf("lost bytes: %d", l.Bytes(EdgeCloud))
+	if s := l.Snapshot(); s.Rounds[EdgeCloud] != workers*per || s.Bytes[EdgeCloud] != workers*per*4 {
+		t.Fatalf("lost updates: %d rounds, %d bytes", s.Rounds[EdgeCloud], s.Bytes[EdgeCloud])
 	}
 }
 

@@ -291,9 +291,6 @@ func NewListener(ln net.Listener, cfg ListenerConfig) *Listener {
 	return l
 }
 
-// Addr returns the bound address (useful with ":0" listeners).
-func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
-
 // Close stops accepting and closes open connections, then waits for the
 // connection goroutines to drain.
 func (l *Listener) Close() {

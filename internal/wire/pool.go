@@ -250,24 +250,6 @@ func (p *ConnPool) reapConnLocked(ic idleConn) {
 	p.m.open.Add(-1)
 }
 
-// Reap eagerly expires idle connections; tests and long-lived runtimes
-// call it instead of waiting for the next Get.
-func (p *ConnPool) Reap() {
-	p.mu.Lock()
-	p.reapLocked()
-	n := len(p.idle)
-	p.mu.Unlock()
-	p.m.idle.Set(float64(n))
-}
-
-// Stats returns a snapshot of the cumulative counters plus the current
-// occupancy.
-func (p *ConnPool) Stats() (PoolStats, int, int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats, p.active, len(p.idle)
-}
-
 // Close closes idle connections and fails all waiters and future Gets.
 // Connections currently handed out are not touched; their Put will
 // close them.

@@ -9,6 +9,24 @@ import (
 	"time"
 )
 
+// Reap eagerly expires idle connections instead of waiting for the
+// next Get.
+func (p *ConnPool) Reap() {
+	p.mu.Lock()
+	p.reapLocked()
+	n := len(p.idle)
+	p.mu.Unlock()
+	p.m.idle.Set(float64(n))
+}
+
+// Stats returns a snapshot of the cumulative counters plus the current
+// occupancy.
+func (p *ConnPool) Stats() (PoolStats, int, int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats, p.active, len(p.idle)
+}
+
 // fakeConn is a net.Conn stub that records Close.
 type fakeConn struct {
 	net.Conn

@@ -89,6 +89,3 @@ func LoadModel(r io.Reader) (*Classifier, error) {
 	}
 	return &Classifier{kind: sm.Kind, hidden1: sm.Hidden1, hidden2: sm.Hidden2, mdl: mdl, w: sm.W}, nil
 }
-
-// encodeGob is a tiny helper shared with the tests.
-func encodeGob(w io.Writer, v any) error { return gob.NewEncoder(w).Encode(v) }

@@ -2,8 +2,13 @@ package hierfair
 
 import (
 	"bytes"
+	"encoding/gob"
+	"io"
 	"testing"
 )
+
+// encodeGob writes v in the saved-model wire encoding.
+func encodeGob(w io.Writer, v any) error { return gob.NewEncoder(w).Encode(v) }
 
 func TestSaveLoadLogReg(t *testing.T) {
 	spec := smokeSpec(AlgHierMinimax)
