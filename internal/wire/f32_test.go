@@ -58,9 +58,9 @@ func TestCodecF32RoundTrip(t *testing.T) {
 			t.Fatalf("encode f32: %v", err)
 		}
 		got := roundTrip(t, m)
-		restore()
-
+		tensor.SetKernel(tensor.KernelGeneric)
 		frame64, err := AppendMessage(nil, m)
+		restore()
 		if err != nil {
 			t.Fatalf("encode f64: %v", err)
 		}
