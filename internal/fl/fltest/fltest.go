@@ -74,6 +74,19 @@ func WideProblem(seed uint64) *fl.Problem {
 	return fl.NewProblem(fed, model.NewLinear(784, 10))
 }
 
+// PooledAllocs is testing.AllocsPerRun (which holds the process to one
+// P) with the collector paused, so sync.Pool always hands back what was
+// put and a steady-state figure of 0 is a property of the code. Under
+// the race detector sync.Pool drops items at random, so the test is
+// skipped.
+func PooledAllocs(t testing.TB, runs int, f func()) float64 {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
+}
+
 // WarmRoundBytes returns the bytes one warm training round allocates:
 // the slope of runtime.MemStats.TotalAlloc between runs of 4 and 12
 // rounds, which cancels everything a run allocates once (problem state,

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/fl"
-	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -161,46 +160,8 @@ func helloDialer(addr string, h wire.Hello) wire.Dialer {
 // payload vectors go back to the local arena and the struct to its
 // typed pool, completing the single-owner hand-off across the socket.
 func releaseMessage(pool *vecPool) func(Message) {
-	return func(m Message) {
-		switch p := m.Payload.(type) {
-		case *trainReq:
-			pool.release(p.W)
-			*p = trainReq{}
-			trainReqPool.Put(p)
-		case *trainReply:
-			pool.release(p.WFinal, p.WChk, p.IterSum)
-			quant.PutPacked(p.WFinalP)
-			quant.PutPacked(p.WChkP)
-			*p = trainReply{}
-			trainReplyPool.Put(p)
-		case *lossReq:
-			pool.release(p.W)
-			*p = lossReq{}
-			lossReqPool.Put(p)
-		case *lossReply:
-			*p = lossReply{}
-			lossReplyPool.Put(p)
-		case *edgeTrainReq:
-			pool.release(p.W)
-			*p = edgeTrainReq{}
-			edgeTrainReqPool.Put(p)
-		case *edgeTrainReply:
-			pool.release(p.WEdge, p.WChk, p.IterSum)
-			quant.PutPacked(p.WEdgeP)
-			quant.PutPacked(p.WChkP)
-			*p = edgeTrainReply{}
-			edgeTrainReplyPool.Put(p)
-		case *edgeLossReq:
-			pool.release(p.W)
-			*p = edgeLossReq{}
-			edgeLossReqPool.Put(p)
-		case *edgeLossReply:
-			*p = edgeLossReply{}
-			edgeLossReplyPool.Put(p)
-		case stopMsg:
-			// No payload to reclaim.
-		}
-	}
+	free := pool.put // one method value, not one per release
+	return func(m Message) { wire.Release(m, free) }
 }
 
 // resettingDrop wraps a drop hook so a dropped remote message also

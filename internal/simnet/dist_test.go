@@ -6,6 +6,8 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/fl"
 	"repro/internal/fl/fltest"
+	"repro/internal/quant"
+	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 )
@@ -196,5 +198,41 @@ func TestWireFingerprintCoversTrajectoryKnobs(t *testing.T) {
 		if other == fp {
 			t.Fatalf("kernel class %s not covered by the fingerprint", c)
 		}
+	}
+}
+
+// TestReleaseHookAllocatesNothing: the peer Release hook returns a sent
+// frame's vectors to the arena, its packed payloads and its struct to
+// their pools without allocating — one method value serves every call.
+func TestReleaseHookAllocatesNothing(t *testing.T) {
+	const d = 7850
+	pool := newVecPool(nil)
+	release := releaseMessage(pool)
+	x, st := make([]float64, d), *rng.New(3)
+	packed := func() *quant.Packed {
+		p := quant.GetPacked()
+		quant.Config{Bits: 8}.Pack(p, x, nil, &st)
+		return p
+	}
+	for name, msg := range map[string]func() Message{
+		"dense edge-train-reply": func() Message {
+			p := edgeTrainReplyPool.Get().(*edgeTrainReply)
+			*p = edgeTrainReply{WEdge: pool.get(d), WChk: pool.get(d), IterSum: pool.get(d)}
+			return Message{Payload: p}
+		},
+		"q8 train-reply": func() Message {
+			p := trainReplyPool.Get().(*trainReply)
+			*p = trainReply{WFinalP: packed(), WChkP: packed()}
+			return Message{Payload: p}
+		},
+	} {
+		run := func() { release(msg()) }
+		run() // warm the pools
+		if a := fltest.PooledAllocs(t, 100, run); a != 0 {
+			t.Errorf("%s: the release hook allocates %.1f times per frame", name, a)
+		}
+	}
+	if n := pool.Outstanding(); n != 0 {
+		t.Fatalf("%d vectors still outstanding after release", n)
 	}
 }

@@ -54,7 +54,7 @@ type Peer struct {
 
 	// sender-goroutine state
 	conn net.Conn
-	enc  encoder     // gather mode: vectors are cut out of buf
+	enc  coder       // gather mode: vectors are cut out of buf
 	buf  []byte      // the current frame's bytes around its cuts
 	segs net.Buffers // one write's segments; wv is the copy WriteTo consumes
 	wv   net.Buffers
@@ -72,7 +72,7 @@ func NewPeer(pool *ConnPool, cfg PeerConfig) *Peer {
 		cfg.Release = func(Message) {}
 	}
 	p := &Peer{pool: pool, cfg: cfg, q: make(chan outFrame, cfg.QueueLen), m: newPeerMetrics(),
-		enc: encoder{gather: true}}
+		enc: coder{gather: true}}
 	p.wg.Add(1)
 	go p.run()
 	return p
@@ -176,7 +176,7 @@ func (p *Peer) writeFrame(f outFrame) {
 	if head == nil {
 		defer p.cfg.Release(f.msg)
 		var err error
-		head, err = p.enc.message(p.buf[:0], f.msg)
+		head, err = p.enc.message(p.buf[:0], &f.msg)
 		if err != nil {
 			log.Printf("wire: dropping unencodable frame: %v", err)
 			return
@@ -210,7 +210,7 @@ func (p *Peer) writeFrame(f outFrame) {
 }
 
 // writeOnce writes the whole frame to the held connection: head alone
-// when the encoder set no vector aside, else head split at each cut with
+// when the coder set no vector aside, else head split at each cut with
 // the aliased vector between, as one vectored write. WriteTo consumes the
 // net.Buffers it is called on, so every attempt lays the segments out
 // again (into the same backing array).

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/quant"
 	"repro/internal/rng"
@@ -17,6 +18,11 @@ import (
 // integers are little-endian and all float64s travel as raw IEEE-754
 // bits, so a decoded payload is bitwise-identical to the encoded one —
 // the property the simnet-parity determinism contract rests on.
+//
+// Each layout is written once, as a field list: a code method per
+// payload (and for Hello, Stats, SlotAcct and the envelope) that a coder
+// runs to encode, decode or release the frame's fields, so the two
+// directions cannot drift apart.
 //
 // Decoding is hardened against hostile input: every read is
 // bounds-checked against the already-received body, so malformed,
@@ -42,6 +48,26 @@ const (
 	frameEdgeLossReply  byte = 0x17
 	frameStop           byte = 0x18
 )
+
+// messageFrames describes the message frame types in order from
+// frameTrainReq: the Kind a frame decodes to (nack when its control flag
+// is set), so logs and drop hooks see the in-process engines' names on
+// both transports, and the pool its payload struct comes from (none for
+// Stop).
+var messageFrames = [...]struct {
+	kind, nack string
+	pool       *sync.Pool
+}{
+	{"train-req", "train-req", &TrainReqPool},
+	{"train-reply", "train-nack", &TrainReplyPool},
+	{"loss-req", "loss-req", &LossReqPool},
+	{"loss-reply", "loss-nack", &LossReplyPool},
+	{"edge-train-req", "edge-train-req", &EdgeTrainReqPool},
+	{"edge-train-reply", "edge-train-nack", &EdgeTrainReplyPool},
+	{"edge-loss-req", "edge-loss-req", &EdgeLossReqPool},
+	{"edge-loss-reply", "edge-loss-nack", &EdgeLossReplyPool},
+	{"stop", "stop", nil},
+}
 
 // DefaultMaxFrame bounds one frame's body. The largest protocol frame
 // is an edge train reply carrying three model-sized vectors; 64 MiB
@@ -106,36 +132,14 @@ func (s *Stats) Add(o Stats) {
 	s.PoolAllocated += o.PoolAllocated
 }
 
-// --- encoding ---
+// --- the coder ---
 
-// appendFrame wraps body[4:] written by fn with its length prefix: fn
-// appends the body (type byte first) and appendFrame backfills the
-// length. buf's existing contents are preserved.
-func appendFrame(buf []byte, fn func([]byte) []byte) []byte {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = fn(buf)
-	binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(buf)-start-4))
-	return buf
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
+// Coder modes; the zero mode encodes.
+const (
+	encode = iota
+	decode
+	release
+)
 
 // errEmptyVec refuses a non-nil zero-length payload vector: the decoder
 // rejects a present vector of length 0, and the protocol never sends one
@@ -149,22 +153,199 @@ type vecCut struct {
 	data []byte
 }
 
-// encoder is the one protocol-frame encoder. Its zero value copies every
-// payload vector into the frame buffer (AppendMessage). With gather set,
-// float64 vectors on a little-endian host stay where they are: the frame
-// buffer receives only the bytes around them and cuts records where each
-// vector goes, so Peer can hand the kernel header bytes and payload
-// memory in one vectored write. Either way the frame's bytes, in order,
-// are the same.
-type encoder struct {
+// coder runs field lists. Each primitive takes a pointer to one field
+// and, by mode:
+//   - encode appends the field's wire form to b and never writes the
+//     field (a payload is read-only to its sender);
+//   - decode reads the field from b and never reads it first (a pooled
+//     struct may still point at state another owner holds). Errors are
+//     sticky: after the first, every field decodes to its zero value, so
+//     a field list runs straight through, the caller checks err once, and
+//     a failed frame holds only what it drew itself;
+//   - release zeroes the field, handing vectors to free (dropped when
+//     free is nil) and packed payloads back to quant's pool.
+//
+// With gather set, encode leaves float64 vectors on a little-endian host
+// where they are: b receives only the bytes around them and cuts record
+// where each vector goes, so Peer can hand the kernel header bytes and
+// payload memory in one vectored write. Either way the frame's bytes, in
+// order, are the same.
+type coder struct {
+	mode   uint8
+	b      []byte // encode: the frame so far; decode: the body
+	off    int    // encode: where the open frame starts; decode: bytes consumed
+	err    error
+	alloc  AllocFunc
+	free   func([]float64)
 	gather bool
 	cuts   []vecCut
-	err    error
 }
 
-// vec encodes a nilable payload vector: a presence byte, then the
-// length and raw IEEE bits. nil and non-nil round-trip distinctly —
-// the protocol uses nil checkpoints and iterate sums as signals.
+// open starts an encoded frame of type t after buf's contents: a length
+// prefix that close backfills, then the type byte.
+func (c *coder) open(buf []byte, t byte) {
+	c.b, c.off, c.cuts, c.err = append(buf, 0, 0, 0, 0, t), len(buf), c.cuts[:0], nil
+}
+
+// close backfills the open frame's length prefix, which counts the
+// vectors set aside in cuts too, and returns the frame.
+func (c *coder) close() ([]byte, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	n := len(c.b) - c.off - 4
+	for _, cut := range c.cuts {
+		n += len(cut.data)
+	}
+	binary.LittleEndian.PutUint32(c.b[c.off:], uint32(n))
+	return c.b, nil
+}
+
+func (c *coder) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+// take consumes the next n body bytes. It returns nil outside decode
+// mode, after an error, and when fewer than n bytes remain (which is
+// errTruncated).
+func (c *coder) take(n int) []byte {
+	if c.mode != decode || c.err != nil {
+		return nil
+	}
+	if n < 0 || c.off+n > len(c.b) {
+		c.fail(errTruncated)
+		return nil
+	}
+	s := c.b[c.off : c.off+n]
+	c.off += n
+	return s
+}
+
+// read takes an n-byte little-endian integer (n is 1, 4 or 8); 0 when
+// take yields nothing.
+func (c *coder) read(n int) uint64 {
+	switch s := c.take(n); len(s) {
+	case 1:
+		return uint64(s[0])
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(s))
+	case 8:
+		return binary.LittleEndian.Uint64(s)
+	}
+	return 0
+}
+
+// finish ends a decode with its first error, or rejects trailing
+// garbage: a valid frame is consumed exactly.
+func (c *coder) finish() error {
+	if c.err == nil && c.off != len(c.b) {
+		c.err = fmt.Errorf("wire: %d trailing bytes after frame payload", len(c.b)-c.off)
+	}
+	return c.err
+}
+
+func (c *coder) u8(v *byte) {
+	if c.mode == encode {
+		c.b = append(c.b, *v)
+		return
+	}
+	*v = byte(c.read(1))
+}
+
+func (c *coder) u32(v *uint32) {
+	if c.mode == encode {
+		c.b = binary.LittleEndian.AppendUint32(c.b, *v)
+		return
+	}
+	*v = uint32(c.read(4))
+}
+
+func (c *coder) u64(v *uint64) {
+	if c.mode == encode {
+		c.b = binary.LittleEndian.AppendUint64(c.b, *v)
+		return
+	}
+	*v = c.read(8)
+}
+
+// int codes an int in 4 bytes; it decodes non-negative.
+func (c *coder) int(v *int) {
+	if c.mode == encode {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(*v))
+		return
+	}
+	*v = int(c.read(4))
+}
+
+func (c *coder) i64(v *int64) {
+	if c.mode == encode {
+		c.b = binary.LittleEndian.AppendUint64(c.b, uint64(*v))
+		return
+	}
+	*v = int64(c.read(8))
+}
+
+func (c *coder) f64(v *float64) {
+	if c.mode == encode {
+		c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*v))
+		return
+	}
+	*v = math.Float64frombits(c.read(8))
+}
+
+// bool codes a flag as one byte; decode admits only 0 and 1.
+func (c *coder) bool(v *bool) {
+	if c.mode == encode {
+		b := byte(0)
+		if *v {
+			b = 1
+		}
+		c.b = append(c.b, b)
+		return
+	}
+	b := c.read(1)
+	if b > 1 {
+		c.fail(errors.New("wire: boolean byte must be 0 or 1"))
+	}
+	*v = b == 1
+}
+
+// stream codes an rng stream as its full generator state, so the
+// receiver continues the sender's exact deviate sequence.
+func (c *coder) stream(s *rng.Stream) {
+	if c.mode == encode {
+		c.b = s.AppendBinary(c.b)
+		return
+	}
+	*s = rng.Stream{}
+	if raw := c.take(rng.MarshaledSize); raw != nil {
+		if err := s.UnmarshalBinary(raw); err != nil {
+			c.fail(err)
+		}
+	}
+}
+
+// node codes a node ID: the kind in one byte, then the index.
+func (c *coder) node(id *NodeID) {
+	if c.mode == encode {
+		c.b = append(c.b, byte(id.Kind))
+	} else {
+		id.Kind = NodeKind(c.read(1))
+	}
+	c.int(&id.Index)
+	if id.Kind < Cloud || id.Kind > ReplyPort {
+		c.fail(fmt.Errorf("wire: unknown node kind %d", int(id.Kind)))
+	}
+}
+
+// vec codes a nilable payload vector: a presence byte, then the length
+// and the elements' IEEE bits. nil and non-nil round-trip distinctly —
+// the protocol uses nil checkpoints and iterate sums as signals. Decode
+// checks the length against the bytes actually present before drawing
+// the vector from alloc, so a corrupt count never triggers an oversized
+// allocation.
 //
 // On the avx2f32 storage tier the elements travel as 4-byte float32
 // bits: every payload vector is a model vector and the storage
@@ -172,645 +353,433 @@ type encoder struct {
 // narrowing is exact and the payload halves. Both endpoints agree on
 // the width because the handshake fingerprint includes the kernel
 // class (mixed regimes are refused before any payload flows).
-func (e *encoder) vec(b []byte, v []float64) []byte {
-	if v == nil {
-		return append(b, 0)
-	}
-	if len(v) == 0 {
-		e.err = errEmptyVec
-		return b
-	}
-	b = append(b, 1)
-	b = appendU32(b, uint32(len(v)))
-	if tensor.StorageF32() {
-		for _, x := range v {
-			b = appendU32(b, math.Float32bits(float32(x)))
+func (c *coder) vec(p *[]float64) {
+	switch c.mode {
+	case encode:
+		v := *p
+		present := v != nil
+		if c.bool(&present); !present {
+			return
 		}
-		return b
+		if len(v) == 0 {
+			c.fail(errEmptyVec)
+			return
+		}
+		n := len(v)
+		c.int(&n)
+		switch {
+		case tensor.StorageF32():
+			for _, x := range v {
+				c.b = binary.LittleEndian.AppendUint32(c.b, math.Float32bits(float32(x)))
+			}
+		case c.gather && hostLittleEndian:
+			c.cuts = append(c.cuts, vecCut{off: len(c.b), data: vecBytes(v)})
+		default:
+			c.b = appendVecData(c.b, v)
+		}
+	case decode:
+		*p = nil
+		var present bool
+		var n int
+		if c.bool(&present); !present {
+			return
+		}
+		w := tensor.ElemBytes()
+		if c.int(&n); c.err == nil && (n < 1 || c.off+n*w > len(c.b)) {
+			c.fail(errors.New("wire: vector length exceeds frame body"))
+		}
+		src := c.take(n * w)
+		if src == nil {
+			return
+		}
+		v := c.alloc(n)
+		if w == 4 {
+			for i := range v {
+				v[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:])))
+			}
+		} else {
+			readVecData(v, src)
+		}
+		*p = v
+	case release:
+		if *p != nil && c.free != nil {
+			c.free(*p)
+		}
+		*p = nil
 	}
-	if e.gather && hostLittleEndian {
-		e.cuts = append(e.cuts, vecCut{off: len(b), data: vecBytes(v)})
-		return b
-	}
-	return appendVecData(b, v)
 }
 
-// appendPacked encodes a nilable compressed payload. The leading byte is
-// 0x00 for absent, else the quant.Scheme. Uniform frames carry no code
-// length — it is implied by (dim, bits) — so a frame cannot lie about
-// its own size; top-k counts are validated against the dimension and
-// the received body before any allocation on decode.
-func appendPacked(b []byte, p *quant.Packed) []byte {
-	if p == nil {
-		return append(b, 0)
-	}
-	b = append(b, byte(p.Scheme))
-	b = appendU32(b, uint32(p.Dim))
-	switch p.Scheme {
-	case quant.SchemeUniform:
-		b = append(b, p.Bits)
-		b = appendF64(b, p.Lo)
-		b = appendF64(b, p.Hi)
-		b = append(b, p.Code...)
-	case quant.SchemeTopK:
-		b = appendU32(b, uint32(len(p.Idx)))
-		for _, i := range p.Idx {
-			b = appendU32(b, i)
+// packed codes a nilable compressed payload. The leading byte is 0 for
+// absent, else the quant.Scheme. Uniform frames carry no code length —
+// it is implied by (dim, bits) — so a frame cannot lie about its own
+// size; top-k counts are checked against the dimension and the received
+// body before anything is copied. Decode admits only the canonical form
+// (trailing bitstream bits zero, top-k indices strictly increasing below
+// the dimension) and on error returns its pooled Packed at once.
+func (c *coder) packed(pp **quant.Packed) {
+	switch c.mode {
+	case encode:
+		p := *pp
+		if p == nil {
+			c.b = append(c.b, 0)
+			return
 		}
-		for _, v := range p.Vals {
-			b = appendF64(b, v)
+		c.b = append(c.b, byte(p.Scheme))
+		c.int(&p.Dim)
+		switch p.Scheme {
+		case quant.SchemeUniform:
+			c.u8(&p.Bits)
+			c.f64(&p.Lo)
+			c.f64(&p.Hi)
+			c.b = append(c.b, p.Code...)
+		case quant.SchemeTopK:
+			k := len(p.Idx)
+			c.int(&k)
+			for i := range p.Idx {
+				c.u32(&p.Idx[i])
+			}
+			for i := range p.Vals {
+				c.f64(&p.Vals[i])
+			}
 		}
+	case decode:
+		*pp = nil
+		var scheme byte
+		var dim int
+		if c.u8(&scheme); scheme == 0 {
+			return
+		}
+		if c.int(&dim); c.err == nil && dim < 1 {
+			c.fail(errors.New("wire: packed dimension must be positive"))
+		}
+		if c.err != nil {
+			return
+		}
+		p := quant.GetPacked()
+		p.Scheme, p.Dim = quant.Scheme(scheme), dim
+		switch p.Scheme {
+		case quant.SchemeUniform:
+			c.u8(&p.Bits)
+			c.f64(&p.Lo)
+			c.f64(&p.Hi)
+			if c.err == nil && (p.Bits < 1 || p.Bits > 32) {
+				c.fail(errors.New("wire: packed bits outside [1,32]"))
+			}
+			code := c.take((dim*int(p.Bits) + 7) / 8)
+			if tb := (dim * int(p.Bits)) % 8; code != nil && tb != 0 && code[len(code)-1]>>uint(tb) != 0 {
+				c.fail(errors.New("wire: nonzero trailing bits in packed code"))
+			}
+			p.Code = append(p.Code[:0], code...)
+		case quant.SchemeTopK:
+			var k int
+			if c.int(&k); c.err == nil && (k < 1 || k > dim) {
+				c.fail(errors.New("wire: packed top-k count outside [1,dim]"))
+			}
+			if c.err == nil && c.off+k*12 > len(c.b) {
+				c.fail(errTruncated)
+			}
+			p.Idx, p.Vals = p.Idx[:0], p.Vals[:0]
+			for j := 0; j < k && c.err == nil; j++ {
+				var i uint32
+				if c.u32(&i); len(p.Idx) > 0 && i <= p.Idx[len(p.Idx)-1] || int(i) >= dim {
+					c.fail(errors.New("wire: packed top-k indices must be strictly increasing below the dimension"))
+				}
+				p.Idx = append(p.Idx, i)
+			}
+			for j := 0; j < k && c.err == nil; j++ {
+				p.Vals = append(p.Vals, 0)
+				c.f64(&p.Vals[j])
+			}
+		default:
+			c.fail(fmt.Errorf("wire: unknown packed scheme %d", scheme))
+		}
+		if c.err != nil {
+			quant.PutPacked(p)
+			return
+		}
+		*pp = p
+	case release:
+		quant.PutPacked(*pp)
+		*pp = nil
 	}
-	return b
 }
 
-func appendAcct(b []byte, a SlotAcct) []byte {
-	b = appendU32(b, uint32(a.Blocks))
-	b = appendU64(b, uint64(a.DownMsgs))
-	b = appendU64(b, uint64(a.DownBytes))
-	b = appendU64(b, uint64(a.UpMsgs))
-	b = appendU64(b, uint64(a.UpBytes))
-	return appendU32(b, uint32(a.TimeoutBlocks))
+// --- field lists ---
+
+// code is the envelope's field list: the Message fields every protocol
+// frame carries after its type byte. Kind follows from the frame type,
+// and the payload has a list of its own.
+func (m *Message) code(c *coder) {
+	c.node(&m.From)
+	c.node(&m.To)
+	c.int(&m.Round)
+	c.i64(&m.Bytes)
+	c.bool(&m.Ctrl)
 }
 
-// appendEnvelope encodes the Message fields shared by every protocol
-// frame.
-func appendEnvelope(b []byte, m Message) []byte {
-	b = append(b, byte(m.From.Kind))
-	b = appendU32(b, uint32(m.From.Index))
-	b = append(b, byte(m.To.Kind))
-	b = appendU32(b, uint32(m.To.Index))
-	b = appendU32(b, uint32(m.Round))
-	b = appendU64(b, uint64(m.Bytes))
-	return appendBool(b, m.Ctrl)
+func (p *TrainReq) code(c *coder) {
+	c.vec(&p.W)
+	c.int(&p.Steps)
+	c.int(&p.Batch)
+	c.int(&p.ChkAt)
+	c.int(&p.Block)
+	c.f64(&p.Eta)
+	c.stream(&p.Stream)
+	c.int(&p.Client)
 }
+
+func (p *TrainReply) code(c *coder) {
+	c.int(&p.Client)
+	c.vec(&p.WFinal)
+	c.vec(&p.WChk)
+	c.vec(&p.IterSum)
+	c.packed(&p.WFinalP)
+	c.packed(&p.WChkP)
+	c.bool(&p.Failed)
+}
+
+func (p *LossReq) code(c *coder) {
+	c.vec(&p.W)
+	c.int(&p.Batch)
+	c.stream(&p.Stream)
+	c.int(&p.Client)
+}
+
+func (p *LossReply) code(c *coder) {
+	c.int(&p.Client)
+	c.f64(&p.Loss)
+	c.bool(&p.Failed)
+}
+
+func (p *EdgeTrainReq) code(c *coder) {
+	c.vec(&p.W)
+	c.int(&p.C1)
+	c.int(&p.C2)
+	c.int(&p.Slot)
+	c.stream(&p.Stream)
+	c.bool(&p.Doomed)
+}
+
+func (p *EdgeTrainReply) code(c *coder) {
+	c.int(&p.Slot)
+	c.vec(&p.WEdge)
+	c.vec(&p.WChk)
+	c.vec(&p.IterSum)
+	c.packed(&p.WEdgeP)
+	c.packed(&p.WChkP)
+	c.f64(&p.IterCount)
+	c.bool(&p.Failed)
+	c.bool(&p.Doomed)
+	p.Acct.code(c)
+}
+
+func (p *EdgeLossReq) code(c *coder) {
+	c.vec(&p.W)
+	c.int(&p.Seq)
+	c.int(&p.LossBatch)
+	c.stream(&p.Stream)
+	c.bool(&p.Doomed)
+}
+
+func (p *EdgeLossReply) code(c *coder) {
+	c.int(&p.Seq)
+	c.f64(&p.Loss)
+	c.bool(&p.Failed)
+	c.bool(&p.Doomed)
+	p.Acct.code(c)
+}
+
+func (a *SlotAcct) code(c *coder) {
+	c.int(&a.Blocks)
+	c.i64(&a.DownMsgs)
+	c.i64(&a.DownBytes)
+	c.i64(&a.UpMsgs)
+	c.i64(&a.UpBytes)
+	c.int(&a.TimeoutBlocks)
+}
+
+// code is the hello's field list. Both directions refuse an address
+// longer than MaxAddrLen and an unknown role.
+func (h *Hello) code(c *coder) {
+	c.u8(&h.Role)
+	c.int(&h.Edge)
+	c.u64(&h.Fingerprint)
+	n := 0
+	if c.mode == encode {
+		n = len(h.Addr)
+	}
+	if c.int(&n); n > MaxAddrLen {
+		c.fail(fmt.Errorf("wire: hello address length %d exceeds %d", n, MaxAddrLen))
+	}
+	if c.mode == encode {
+		c.b = append(c.b, h.Addr...)
+	} else {
+		h.Addr = string(c.take(n))
+	}
+	if h.Role < RoleCloud || h.Role > RoleClientHost {
+		c.fail(fmt.Errorf("wire: unknown hello role %d", h.Role))
+	}
+}
+
+func (s *Stats) code(c *coder) {
+	for _, v := range [...]*int64{
+		&s.Sent, &s.Lost, &s.Ctrl, &s.Timeouts, &s.Retries, &s.Crashes,
+		&s.PoolOutstanding, &s.PoolRecycled, &s.PoolAllocated,
+	} {
+		c.i64(v)
+	}
+}
+
+// payload runs protocol payload p's field list and returns its frame
+// type, 0 if p is not a protocol payload. The type switch keeps every
+// call static, so a coder never leaves its caller's stack.
+func (c *coder) payload(p any) byte {
+	switch p := p.(type) {
+	case *TrainReq:
+		p.code(c)
+		return frameTrainReq
+	case *TrainReply:
+		p.code(c)
+		return frameTrainReply
+	case *LossReq:
+		p.code(c)
+		return frameLossReq
+	case *LossReply:
+		p.code(c)
+		return frameLossReply
+	case *EdgeTrainReq:
+		p.code(c)
+		return frameEdgeTrainReq
+	case *EdgeTrainReply:
+		p.code(c)
+		return frameEdgeTrainReply
+	case *EdgeLossReq:
+		p.code(c)
+		return frameEdgeLossReq
+	case *EdgeLossReply:
+		p.code(c)
+		return frameEdgeLossReply
+	case Stop:
+		return frameStop
+	}
+	return 0
+}
+
+// --- frames ---
 
 // AppendMessage appends one length-prefixed protocol frame for m to buf
 // and returns the extended slice. The payload must be one of the
 // protocol types (pointer forms) or Stop; anything else is an error —
 // the transport refuses to guess at encodings.
 func AppendMessage(buf []byte, m Message) ([]byte, error) {
-	var e encoder
-	return e.message(buf, m)
+	var c coder
+	return c.message(buf, &m)
 }
 
 // message appends m's frame to buf. In gather mode the returned bytes
-// omit the vectors recorded in e.cuts (reset on every call); the length
+// omit the vectors recorded in c.cuts (reset on every call); the length
 // prefix always counts the whole frame.
-func (e *encoder) message(buf []byte, m Message) ([]byte, error) {
-	e.cuts, e.err = e.cuts[:0], nil
-	start := len(buf)
-	b := append(buf, 0, 0, 0, 0)
-	switch p := m.Payload.(type) {
-	case *TrainReq:
-		b = append(b, frameTrainReq)
-		b = appendEnvelope(b, m)
-		b = e.vec(b, p.W)
-		b = appendU32(b, uint32(p.Steps))
-		b = appendU32(b, uint32(p.Batch))
-		b = appendU32(b, uint32(p.ChkAt))
-		b = appendU32(b, uint32(p.Block))
-		b = appendF64(b, p.Eta)
-		b = p.Stream.AppendBinary(b)
-		b = appendU32(b, uint32(p.Client))
-	case *TrainReply:
-		b = append(b, frameTrainReply)
-		b = appendEnvelope(b, m)
-		b = appendU32(b, uint32(p.Client))
-		b = e.vec(b, p.WFinal)
-		b = e.vec(b, p.WChk)
-		b = e.vec(b, p.IterSum)
-		b = appendPacked(b, p.WFinalP)
-		b = appendPacked(b, p.WChkP)
-		b = appendBool(b, p.Failed)
-	case *LossReq:
-		b = append(b, frameLossReq)
-		b = appendEnvelope(b, m)
-		b = e.vec(b, p.W)
-		b = appendU32(b, uint32(p.Batch))
-		b = p.Stream.AppendBinary(b)
-		b = appendU32(b, uint32(p.Client))
-	case *LossReply:
-		b = append(b, frameLossReply)
-		b = appendEnvelope(b, m)
-		b = appendU32(b, uint32(p.Client))
-		b = appendF64(b, p.Loss)
-		b = appendBool(b, p.Failed)
-	case *EdgeTrainReq:
-		b = append(b, frameEdgeTrainReq)
-		b = appendEnvelope(b, m)
-		b = e.vec(b, p.W)
-		b = appendU32(b, uint32(p.C1))
-		b = appendU32(b, uint32(p.C2))
-		b = appendU32(b, uint32(p.Slot))
-		b = p.Stream.AppendBinary(b)
-		b = appendBool(b, p.Doomed)
-	case *EdgeTrainReply:
-		b = append(b, frameEdgeTrainReply)
-		b = appendEnvelope(b, m)
-		b = appendU32(b, uint32(p.Slot))
-		b = e.vec(b, p.WEdge)
-		b = e.vec(b, p.WChk)
-		b = e.vec(b, p.IterSum)
-		b = appendPacked(b, p.WEdgeP)
-		b = appendPacked(b, p.WChkP)
-		b = appendF64(b, p.IterCount)
-		b = appendBool(b, p.Failed)
-		b = appendBool(b, p.Doomed)
-		b = appendAcct(b, p.Acct)
-	case *EdgeLossReq:
-		b = append(b, frameEdgeLossReq)
-		b = appendEnvelope(b, m)
-		b = e.vec(b, p.W)
-		b = appendU32(b, uint32(p.Seq))
-		b = appendU32(b, uint32(p.LossBatch))
-		b = p.Stream.AppendBinary(b)
-		b = appendBool(b, p.Doomed)
-	case *EdgeLossReply:
-		b = append(b, frameEdgeLossReply)
-		b = appendEnvelope(b, m)
-		b = appendU32(b, uint32(p.Seq))
-		b = appendF64(b, p.Loss)
-		b = appendBool(b, p.Failed)
-		b = appendBool(b, p.Doomed)
-		b = appendAcct(b, p.Acct)
-	case Stop:
-		b = append(b, frameStop)
-		b = appendEnvelope(b, m)
-	default:
+func (c *coder) message(buf []byte, m *Message) ([]byte, error) {
+	c.open(buf, 0)
+	m.code(c)
+	t := c.payload(m.Payload)
+	if t == 0 {
 		return nil, fmt.Errorf("wire: cannot encode payload type %T", m.Payload)
 	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	n := len(b) - start - 4
-	for _, c := range e.cuts {
-		n += len(c.data)
-	}
-	binary.LittleEndian.PutUint32(b[start:], uint32(n))
-	return b, nil
-}
-
-// AppendHello appends a length-prefixed hello frame.
-func AppendHello(buf []byte, h Hello) ([]byte, error) {
-	if len(h.Addr) > MaxAddrLen {
-		return nil, fmt.Errorf("wire: hello address %q exceeds %d bytes", h.Addr, MaxAddrLen)
-	}
-	return appendFrame(buf, func(b []byte) []byte {
-		b = append(b, FrameHello, h.Role)
-		b = appendU32(b, uint32(h.Edge))
-		b = appendU64(b, h.Fingerprint)
-		b = appendU32(b, uint32(len(h.Addr)))
-		return append(b, h.Addr...)
-	}), nil
-}
-
-// AppendReady appends a length-prefixed ready frame for the given edge.
-func AppendReady(buf []byte, edge int) []byte {
-	return appendFrame(buf, func(b []byte) []byte {
-		b = append(b, FrameReady)
-		return appendU32(b, uint32(edge))
-	})
-}
-
-// AppendStats appends a length-prefixed stats frame.
-func AppendStats(buf []byte, edge int, s Stats) []byte {
-	return appendFrame(buf, func(b []byte) []byte {
-		b = append(b, FrameStats)
-		b = appendU32(b, uint32(edge))
-		for _, v := range [...]int64{
-			s.Sent, s.Lost, s.Ctrl, s.Timeouts, s.Retries, s.Crashes,
-			s.PoolOutstanding, s.PoolRecycled, s.PoolAllocated,
-		} {
-			b = appendU64(b, uint64(v))
-		}
-		return b
-	})
-}
-
-// --- decoding ---
-
-// bodyReader walks a fully-received frame body with sticky error
-// handling: the first out-of-bounds read poisons the reader and every
-// later read returns zero values, so decode functions can parse
-// straight-line and check err once.
-type bodyReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *bodyReader) fail() {
-	if r.err == nil {
-		r.err = errTruncated
-	}
-}
-
-func (r *bodyReader) take(n int) []byte {
-	if r.err != nil || r.off+n > len(r.b) || n < 0 {
-		r.fail()
-		return nil
-	}
-	s := r.b[r.off : r.off+n]
-	r.off += n
-	return s
-}
-
-func (r *bodyReader) u8() byte {
-	if s := r.take(1); s != nil {
-		return s[0]
-	}
-	return 0
-}
-
-func (r *bodyReader) u32() uint32 {
-	if s := r.take(4); s != nil {
-		return binary.LittleEndian.Uint32(s)
-	}
-	return 0
-}
-
-func (r *bodyReader) u64() uint64 {
-	if s := r.take(8); s != nil {
-		return binary.LittleEndian.Uint64(s)
-	}
-	return 0
-}
-
-func (r *bodyReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *bodyReader) boolByte() bool {
-	switch r.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		if r.err == nil {
-			r.err = errors.New("wire: boolean byte must be 0 or 1")
-		}
-		return false
-	}
-}
-
-func (r *bodyReader) stream() rng.Stream {
-	var s rng.Stream
-	if raw := r.take(rng.MarshaledSize); raw != nil {
-		if err := s.UnmarshalBinary(raw); err != nil && r.err == nil {
-			r.err = err
-		}
-	}
-	return s
-}
-
-// vec decodes a nilable payload vector. The length is validated against
-// the bytes actually present before anything is allocated, so a corrupt
-// count can never trigger an oversized allocation.
-func (r *bodyReader) vec(alloc AllocFunc) []float64 {
-	if !r.boolByte() {
-		return nil
-	}
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
-	if tensor.StorageF32() {
-		if n < 1 || r.off+n*4 > len(r.b) {
-			r.err = errors.New("wire: vector length exceeds frame body")
-			return nil
-		}
-		v := alloc(n)
-		for i := range v {
-			v[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(r.b[r.off+i*4:])))
-		}
-		r.off += n * 4
-		return v
-	}
-	if n < 1 || r.off+n*8 > len(r.b) {
-		r.err = errors.New("wire: vector length exceeds frame body")
-		return nil
-	}
-	v := alloc(n)
-	readVecData(v, r.b[r.off:r.off+n*8])
-	r.off += n * 8
-	return v
-}
-
-// packed decodes a nilable compressed payload into a pooled
-// quant.Packed. Every count is validated against the bytes actually
-// present (and against the declared dimension) before anything is
-// allocated or copied, and the decoded form is canonical: trailing
-// bitstream bits must be zero and top-k indices strictly increasing
-// below the dimension. On error nothing is retained.
-func (r *bodyReader) packed() *quant.Packed {
-	scheme := r.u8()
-	if r.err != nil || scheme == 0 {
-		return nil
-	}
-	dim := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
-	if dim < 1 {
-		r.err = errors.New("wire: packed dimension must be positive")
-		return nil
-	}
-	switch quant.Scheme(scheme) {
-	case quant.SchemeUniform:
-		bits := r.u8()
-		lo := r.f64()
-		hi := r.f64()
-		if r.err != nil {
-			return nil
-		}
-		if bits < 1 || bits > 32 {
-			r.err = errors.New("wire: packed bits outside [1,32]")
-			return nil
-		}
-		code := r.take((dim*int(bits) + 7) / 8)
-		if r.err != nil {
-			return nil
-		}
-		if tb := (dim * int(bits)) % 8; tb != 0 && code[len(code)-1]>>uint(tb) != 0 {
-			r.err = errors.New("wire: nonzero trailing bits in packed code")
-			return nil
-		}
-		p := quant.GetPacked()
-		p.Scheme, p.Dim, p.Bits, p.Lo, p.Hi = quant.SchemeUniform, dim, bits, lo, hi
-		p.Code = append(p.Code[:0], code...)
-		return p
-	case quant.SchemeTopK:
-		k := int(r.u32())
-		if r.err != nil {
-			return nil
-		}
-		if k < 1 || k > dim {
-			r.err = errors.New("wire: packed top-k count outside [1,dim]")
-			return nil
-		}
-		if r.off+k*12 > len(r.b) {
-			r.fail()
-			return nil
-		}
-		p := quant.GetPacked()
-		p.Scheme, p.Dim = quant.SchemeTopK, dim
-		idx := p.Idx[:0]
-		prev := -1
-		for j := 0; j < k; j++ {
-			v := r.u32()
-			if int(v) <= prev || int(v) >= dim {
-				r.err = errors.New("wire: packed top-k indices must be strictly increasing below the dimension")
-				quant.PutPacked(p)
-				return nil
-			}
-			prev = int(v)
-			idx = append(idx, v)
-		}
-		p.Idx = idx
-		vals := p.Vals[:0]
-		for j := 0; j < k; j++ {
-			vals = append(vals, r.f64())
-		}
-		p.Vals = vals
-		return p
-	}
-	r.err = fmt.Errorf("wire: unknown packed scheme %d", scheme)
-	return nil
-}
-
-func (r *bodyReader) acct() SlotAcct {
-	var a SlotAcct
-	a.Blocks = int(r.u32())
-	a.DownMsgs = int64(r.u64())
-	a.DownBytes = int64(r.u64())
-	a.UpMsgs = int64(r.u64())
-	a.UpBytes = int64(r.u64())
-	a.TimeoutBlocks = int(r.u32())
-	return a
-}
-
-func (r *bodyReader) node() NodeID {
-	k := NodeKind(r.u8())
-	idx := int(r.u32())
-	if r.err == nil && (k < Cloud || k > ReplyPort) {
-		r.err = fmt.Errorf("wire: unknown node kind %d", int(k))
-	}
-	return NodeID{Kind: k, Index: idx}
-}
-
-func (r *bodyReader) envelope() Message {
-	var m Message
-	m.From = r.node()
-	m.To = r.node()
-	m.Round = int(r.u32())
-	m.Bytes = int64(r.u64())
-	m.Ctrl = r.boolByte()
-	return m
-}
-
-// finish rejects trailing garbage: a valid frame is consumed exactly.
-func (r *bodyReader) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("wire: %d trailing bytes after frame payload", len(r.b)-r.off)
-	}
-	return nil
-}
-
-// kindString maps a frame type and its control flag to the protocol
-// Kind the in-process engines use, so logs and drop hooks see the same
-// names on both transports.
-func kindString(t byte, ctrl bool) string {
-	switch t {
-	case frameTrainReq:
-		return "train-req"
-	case frameTrainReply:
-		if ctrl {
-			return "train-nack"
-		}
-		return "train-reply"
-	case frameLossReq:
-		return "loss-req"
-	case frameLossReply:
-		if ctrl {
-			return "loss-nack"
-		}
-		return "loss-reply"
-	case frameEdgeTrainReq:
-		return "edge-train-req"
-	case frameEdgeTrainReply:
-		if ctrl {
-			return "edge-train-nack"
-		}
-		return "edge-train-reply"
-	case frameEdgeLossReq:
-		return "edge-loss-req"
-	case frameEdgeLossReply:
-		if ctrl {
-			return "edge-loss-nack"
-		}
-		return "edge-loss-reply"
-	case frameStop:
-		return "stop"
-	}
-	return "unknown"
+	c.b[c.off+4] = t
+	return c.close()
 }
 
 // DecodeMessage decodes a protocol frame body (type byte included) into
 // a Message whose payload struct comes from the typed pools and whose
-// vectors come from alloc. On error nothing is retained: any vectors
-// already drawn are NOT returned to the arena by DecodeMessage — it
-// decodes vectors last-resort-first into locals precisely so an error
-// path has at most partially-filled locals to release, which it does
-// via the free callback (nil-safe no-op when free is nil).
+// vectors come from alloc. On error nothing is retained: Release hands
+// what the frame drew back, its vectors to free (nil drops them).
 func DecodeMessage(body []byte, alloc AllocFunc, free func([]float64)) (Message, error) {
-	if free == nil {
-		free = func([]float64) {}
+	c := coder{mode: decode, b: body, alloc: alloc}
+	var t byte
+	if c.u8(&t); c.err != nil {
+		return Message{}, c.err
 	}
-	release := func(vs ...[]float64) {
-		for _, v := range vs {
-			if v != nil {
-				free(v)
-			}
-		}
-	}
-	r := &bodyReader{b: body}
-	t := r.u8()
-	if r.err != nil {
-		return Message{}, r.err
-	}
-	m := r.envelope()
-	switch t {
-	case frameTrainReq:
-		w := r.vec(alloc)
-		p := TrainReqPool.Get().(*TrainReq)
-		*p = TrainReq{W: w, Steps: int(r.u32()), Batch: int(r.u32()), ChkAt: int(r.u32()),
-			Block: int(r.u32()), Eta: r.f64(), Stream: r.stream(), Client: int(r.u32())}
-		if err := r.finish(); err != nil {
-			release(w)
-			TrainReqPool.Put(p)
-			return Message{}, err
-		}
-		m.Payload = p
-	case frameTrainReply:
-		client := int(r.u32())
-		wFinal := r.vec(alloc)
-		wChk := r.vec(alloc)
-		iterSum := r.vec(alloc)
-		wFinalP := r.packed()
-		wChkP := r.packed()
-		p := TrainReplyPool.Get().(*TrainReply)
-		*p = TrainReply{Client: client, WFinal: wFinal, WChk: wChk, IterSum: iterSum,
-			WFinalP: wFinalP, WChkP: wChkP, Failed: r.boolByte()}
-		if err := r.finish(); err != nil {
-			release(wFinal, wChk, iterSum)
-			quant.PutPacked(wFinalP)
-			quant.PutPacked(wChkP)
-			TrainReplyPool.Put(p)
-			return Message{}, err
-		}
-		m.Payload = p
-	case frameLossReq:
-		w := r.vec(alloc)
-		p := LossReqPool.Get().(*LossReq)
-		*p = LossReq{W: w, Batch: int(r.u32()), Stream: r.stream(), Client: int(r.u32())}
-		if err := r.finish(); err != nil {
-			release(w)
-			LossReqPool.Put(p)
-			return Message{}, err
-		}
-		m.Payload = p
-	case frameLossReply:
-		p := LossReplyPool.Get().(*LossReply)
-		*p = LossReply{Client: int(r.u32()), Loss: r.f64(), Failed: r.boolByte()}
-		if err := r.finish(); err != nil {
-			LossReplyPool.Put(p)
-			return Message{}, err
-		}
-		m.Payload = p
-	case frameEdgeTrainReq:
-		w := r.vec(alloc)
-		p := EdgeTrainReqPool.Get().(*EdgeTrainReq)
-		*p = EdgeTrainReq{W: w, C1: int(r.u32()), C2: int(r.u32()), Slot: int(r.u32()),
-			Stream: r.stream(), Doomed: r.boolByte()}
-		if err := r.finish(); err != nil {
-			release(w)
-			EdgeTrainReqPool.Put(p)
-			return Message{}, err
-		}
-		m.Payload = p
-	case frameEdgeTrainReply:
-		slot := int(r.u32())
-		wEdge := r.vec(alloc)
-		wChk := r.vec(alloc)
-		iterSum := r.vec(alloc)
-		wEdgeP := r.packed()
-		wChkP := r.packed()
-		p := EdgeTrainReplyPool.Get().(*EdgeTrainReply)
-		*p = EdgeTrainReply{Slot: slot, WEdge: wEdge, WChk: wChk, IterSum: iterSum,
-			WEdgeP: wEdgeP, WChkP: wChkP,
-			IterCount: r.f64(), Failed: r.boolByte(), Doomed: r.boolByte(), Acct: r.acct()}
-		if err := r.finish(); err != nil {
-			release(wEdge, wChk, iterSum)
-			quant.PutPacked(wEdgeP)
-			quant.PutPacked(wChkP)
-			EdgeTrainReplyPool.Put(p)
-			return Message{}, err
-		}
-		m.Payload = p
-	case frameEdgeLossReq:
-		w := r.vec(alloc)
-		p := EdgeLossReqPool.Get().(*EdgeLossReq)
-		*p = EdgeLossReq{W: w, Seq: int(r.u32()), LossBatch: int(r.u32()),
-			Stream: r.stream(), Doomed: r.boolByte()}
-		if err := r.finish(); err != nil {
-			release(w)
-			EdgeLossReqPool.Put(p)
-			return Message{}, err
-		}
-		m.Payload = p
-	case frameEdgeLossReply:
-		p := EdgeLossReplyPool.Get().(*EdgeLossReply)
-		*p = EdgeLossReply{Seq: int(r.u32()), Loss: r.f64(), Failed: r.boolByte(),
-			Doomed: r.boolByte(), Acct: r.acct()}
-		if err := r.finish(); err != nil {
-			EdgeLossReplyPool.Put(p)
-			return Message{}, err
-		}
-		m.Payload = p
-	case frameStop:
-		if err := r.finish(); err != nil {
-			return Message{}, err
-		}
-		m.Payload = Stop{}
-	default:
+	i := int(t) - int(frameTrainReq)
+	if i < 0 || i >= len(messageFrames) {
 		return Message{}, fmt.Errorf("wire: unknown frame type 0x%02x", t)
 	}
-	m.Kind = kindString(t, m.Ctrl)
+	var m Message
+	m.code(&c)
+	m.Payload = Stop{}
+	if pool := messageFrames[i].pool; pool != nil {
+		m.Payload = pool.Get()
+	}
+	c.payload(m.Payload)
+	if err := c.finish(); err != nil {
+		Release(m, free)
+		return Message{}, err
+	}
+	m.Kind = messageFrames[i].kind
+	if m.Ctrl {
+		m.Kind = messageFrames[i].nack
+	}
 	return m, nil
+}
+
+// Release returns a message's payload to the pools it came from: each
+// non-nil vector to free (nil drops them), each packed payload to
+// quant's pool, and the struct, zeroed, to its typed pool. It runs the
+// payload's field list, so what a frame carries and what its release
+// returns cannot disagree. It is the sending runtime's Peer Release hook
+// and DecodeMessage's error path.
+func Release(m Message, free func([]float64)) {
+	c := coder{mode: release, free: free}
+	if t := c.payload(m.Payload); t != 0 {
+		if pool := messageFrames[t-frameTrainReq].pool; pool != nil {
+			pool.Put(m.Payload)
+		}
+	}
+}
+
+// AppendHello appends a length-prefixed hello frame.
+func AppendHello(buf []byte, h Hello) ([]byte, error) {
+	var c coder
+	c.open(buf, FrameHello)
+	h.code(&c)
+	return c.close()
+}
+
+// AppendReady appends a length-prefixed ready frame for the given edge.
+func AppendReady(buf []byte, edge int) []byte {
+	var c coder
+	c.open(buf, FrameReady)
+	c.int(&edge)
+	frame, _ := c.close() // an int always encodes
+	return frame
+}
+
+// AppendStats appends a length-prefixed stats frame.
+func AppendStats(buf []byte, edge int, s Stats) []byte {
+	var c coder
+	c.open(buf, FrameStats)
+	c.int(&edge)
+	s.code(&c)
+	frame, _ := c.close() // integers always encode
+	return frame
+}
+
+// control starts decoding a control frame body whose type must be t.
+func control(body []byte, t byte, name string) coder {
+	c := coder{mode: decode, b: body}
+	var got byte
+	if c.u8(&got); c.err == nil && got != t {
+		c.fail(fmt.Errorf("wire: expected %s frame, got type 0x%02x", name, got))
+	}
+	return c
 }
 
 // DecodeHello decodes a hello frame body (type byte included).
 func DecodeHello(body []byte) (Hello, error) {
-	r := &bodyReader{b: body}
-	if t := r.u8(); r.err == nil && t != FrameHello {
-		return Hello{}, fmt.Errorf("wire: expected hello frame, got type 0x%02x", t)
-	}
+	c := control(body, FrameHello, "hello")
 	var h Hello
-	h.Role = r.u8()
-	h.Edge = int(r.u32())
-	h.Fingerprint = r.u64()
-	n := int(r.u32())
-	if r.err == nil && n > MaxAddrLen {
-		return Hello{}, fmt.Errorf("wire: hello address length %d exceeds %d", n, MaxAddrLen)
-	}
-	h.Addr = string(r.take(n))
-	if r.err == nil && (h.Role < RoleCloud || h.Role > RoleClientHost) {
-		return Hello{}, fmt.Errorf("wire: unknown hello role %d", h.Role)
-	}
-	if err := r.finish(); err != nil {
+	h.code(&c)
+	if err := c.finish(); err != nil {
 		return Hello{}, err
 	}
 	return h, nil
@@ -818,12 +787,10 @@ func DecodeHello(body []byte) (Hello, error) {
 
 // DecodeReady decodes a ready frame body, returning the edge index.
 func DecodeReady(body []byte) (int, error) {
-	r := &bodyReader{b: body}
-	if t := r.u8(); r.err == nil && t != FrameReady {
-		return 0, fmt.Errorf("wire: expected ready frame, got type 0x%02x", t)
-	}
-	edge := int(r.u32())
-	if err := r.finish(); err != nil {
+	c := control(body, FrameReady, "ready")
+	var edge int
+	c.int(&edge)
+	if err := c.finish(); err != nil {
 		return 0, err
 	}
 	return edge, nil
@@ -831,19 +798,12 @@ func DecodeReady(body []byte) (int, error) {
 
 // DecodeStats decodes a stats frame body.
 func DecodeStats(body []byte) (int, Stats, error) {
-	r := &bodyReader{b: body}
-	if t := r.u8(); r.err == nil && t != FrameStats {
-		return 0, Stats{}, fmt.Errorf("wire: expected stats frame, got type 0x%02x", t)
-	}
-	edge := int(r.u32())
+	c := control(body, FrameStats, "stats")
+	var edge int
 	var s Stats
-	for _, dst := range []*int64{
-		&s.Sent, &s.Lost, &s.Ctrl, &s.Timeouts, &s.Retries, &s.Crashes,
-		&s.PoolOutstanding, &s.PoolRecycled, &s.PoolAllocated,
-	} {
-		*dst = int64(r.u64())
-	}
-	if err := r.finish(); err != nil {
+	c.int(&edge)
+	s.code(&c)
+	if err := c.finish(); err != nil {
 		return 0, Stats{}, err
 	}
 	return edge, s, nil

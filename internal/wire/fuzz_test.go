@@ -14,8 +14,9 @@ import (
 
 // FuzzDecodeMessage feeds arbitrary bytes into the protocol-frame
 // decoder. The invariants: never panic, never allocate vectors beyond
-// the bytes actually present, and release every allocated vector when
-// the frame is rejected.
+// the bytes actually present, release every allocated vector when the
+// frame is rejected, and admit only canonical frames — an accepted body
+// re-encodes to exactly its own bytes.
 func FuzzDecodeMessage(f *testing.F) {
 	// Seed with valid frames of each shape so the fuzzer starts from
 	// deep coverage, plus degenerate inputs.
@@ -72,10 +73,14 @@ func FuzzDecodeMessage(f *testing.F) {
 		if allocBytes > len(body) {
 			t.Fatalf("allocated %d vector bytes from a %d-byte body", allocBytes, len(body))
 		}
-		// Accepted frames must re-encode: the decoder only admits
-		// well-formed messages.
-		if _, err := AppendMessage(nil, m); err != nil {
+		// Accepted frames must re-encode to themselves: one byte
+		// representation per message.
+		again, err := AppendMessage(nil, m)
+		if err != nil {
 			t.Fatalf("decoded message does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again[4:], body) {
+			t.Fatalf("accepted frame is not canonical: %x decoded, %x re-encoded", body, again[4:])
 		}
 	})
 }
@@ -137,7 +142,9 @@ func FuzzPackedVec(f *testing.F) {
 	} {
 		p := quant.GetPacked()
 		c.Pack(p, vec, nil, rng.New(42))
-		f.Add(appendPacked(nil, p))
+		e := coder{}
+		e.packed(&p)
+		f.Add(e.b)
 		quant.PutPacked(p)
 	}
 	f.Add([]byte{0})                               // absent marker
@@ -148,8 +155,9 @@ func FuzzPackedVec(f *testing.F) {
 	f.Add([]byte{1, 255, 255, 255, 255, 32, 0, 0}) // hostile dim, short body
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r := &bodyReader{b: body}
-		p := r.packed()
+		r := coder{mode: decode, b: body}
+		var p *quant.Packed
+		r.packed(&p)
 		if r.err != nil {
 			if p != nil {
 				t.Fatal("failed decode still returned a payload")
@@ -162,8 +170,9 @@ func FuzzPackedVec(f *testing.F) {
 		defer quant.PutPacked(p)
 		// Canonical form: re-encoding reproduces exactly the consumed
 		// prefix, so there is one byte representation per payload.
-		if enc := appendPacked(nil, p); !bytes.Equal(enc, body[:r.off]) {
-			t.Fatalf("accepted frame is not canonical: %x consumed, %x re-encoded", body[:r.off], enc)
+		e := coder{}
+		if e.packed(&p); !bytes.Equal(e.b, body[:r.off]) {
+			t.Fatalf("accepted frame is not canonical: %x consumed, %x re-encoded", body[:r.off], e.b)
 		}
 		// Every accepted payload must expand cleanly and carry a
 		// positive wire price (the ledger counts it).
@@ -214,7 +223,7 @@ func FuzzVecFastMatchesPortable(f *testing.F) {
 	bits := func(ws ...uint64) []byte {
 		var b []byte
 		for _, w := range ws {
-			b = appendU64(b, w)
+			b = binary.LittleEndian.AppendUint64(b, w)
 		}
 		return b
 	}

@@ -25,7 +25,7 @@ func vecBytes(v []float64) []byte {
 // element at a time.
 func appendVecPortable(b []byte, v []float64) []byte {
 	for _, x := range v {
-		b = appendU64(b, math.Float64bits(x))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
 	return b
 }
