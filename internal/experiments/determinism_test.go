@@ -2,23 +2,147 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/tensor"
 )
+
+// pinnedDigests holds, per rounding regime, the numeric digest of every
+// experiment at Smoke scale and seed 42. The float32 storage tier has no
+// entry: it refuses the compressed uplinks two of the experiments run.
+var pinnedDigests = map[tensor.KernelClass]map[string]uint64{
+	tensor.KernelGeneric: {
+		"fig3":         0x0fc45ca6a0819c07,
+		"fig4":         0xfd6a88f347efe425,
+		"table2":       0x88de28b314fc8d06,
+		"table1":       0xff96b90ea626957a,
+		"rates":        0x42ec9068b0f03afd,
+		"stationarity": 0x5dd4a0d940506617,
+		"ablations":    0x51493cf7209f6909,
+		"chaos":        0x716ade61110a2a3c,
+		"compression":  0x3ac8b69f947d861d,
+	},
+	tensor.KernelAVX2: {
+		"fig3":         0x0fc45ca6a0819c07,
+		"fig4":         0xfd6a88f347efe425,
+		"table2":       0x88de28b314fc8d06,
+		"table1":       0xf51095a17dd4e866,
+		"rates":        0x755a00c551e7a6be,
+		"stationarity": 0x87e6687aa7b28fbe,
+		"ablations":    0x51493cf7209f6909,
+		"chaos":        0x716ade61110a2a3c,
+		"compression":  0x3ac8b69f947d861d,
+	},
+}
+
+// regimeDigests returns the pinned digests of the active class's rounding
+// regime (sse2 shares generic's), or nil when none are pinned.
+func regimeDigests() map[string]uint64 {
+	c := tensor.ActiveKernel()
+	if c == tensor.KernelSSE2 {
+		c = tensor.KernelGeneric
+	}
+	return pinnedDigests[c]
+}
+
+// numericDigest is FNV-64a over the sorted, deduplicated float64 bit
+// patterns of vals: it depends on which numbers an experiment publishes,
+// not on where its layout puts them or how often it repeats one.
+func numericDigest(vals []float64) uint64 {
+	bits := make([]uint64, len(vals))
+	for i, v := range vals {
+		bits[i] = math.Float64bits(v)
+	}
+	sort.Slice(bits, func(i, j int) bool { return bits[i] < bits[j] })
+	h := fnv.New64a()
+	var buf [8]byte
+	for i, b := range bits {
+		if i > 0 && b == bits[i-1] {
+			continue
+		}
+		binary.LittleEndian.PutUint64(buf[:], b)
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// published lists every number an artifact publishes, derived values
+// included; string keys are left out.
+func published(a Artifact) []float64 {
+	var v []float64
+	add := func(xs ...float64) { v = append(v, xs...) }
+	switch r := a.(type) {
+	case *FigResult:
+		for _, s := range r.Series {
+			for i := range s.Rounds {
+				add(float64(s.Rounds[i]), float64(s.CloudRounds[i]), s.Average[i], s.Worst[i])
+			}
+		}
+		add(r.TargetWorst)
+		for _, n := range r.ToTarget {
+			add(float64(n))
+		}
+		for _, f := range r.Final {
+			add(f.Average, f.Worst, f.Variance)
+		}
+	case *Table2Result:
+		for _, row := range r.Rows {
+			add(row.Average, row.Worst, row.Variance)
+		}
+	case *TradeoffResult:
+		add(float64(r.TotalSlots))
+		for _, p := range r.Points {
+			add(p.Alpha, float64(p.Tau1), float64(p.Tau2), float64(p.Rounds), float64(p.CloudRounds), p.DualityGap, p.FinalWorst, p.FinalAvg)
+		}
+	case *RateResult:
+		add(r.Alpha, r.FittedSlope, r.PredictedSlope)
+		for _, p := range r.Points {
+			add(float64(p.T), float64(p.Rounds), p.DualityGap, float64(p.CloudRounds))
+		}
+	case *StationarityResult:
+		add(r.First, r.Last)
+		for _, p := range r.Points {
+			add(float64(p.Round), p.MoreauGradSq, p.Worst)
+		}
+	case *AblationResult:
+		for _, row := range r.Rows {
+			add(row.Average, row.Worst, row.Variance, float64(row.CloudRounds), row.UplinkMB)
+		}
+	case *ChaosResult:
+		for _, row := range r.Rows {
+			add(row.CrashProb, row.Average, row.Worst, row.Variance, float64(row.Crashes),
+				float64(row.Timeouts), float64(row.Retries), float64(row.MessagesLost), row.SimulatedMs)
+		}
+	case *CompressionResult:
+		for _, row := range r.Rows {
+			add(row.Average, row.Worst, row.Variance, float64(row.WireBytes), row.BytesRatio,
+				float64(row.Crashes), float64(row.MessagesLost))
+		}
+	}
+	return v
+}
 
 // snapshotArtifact captures everything an experiment publishes: the
 // rendered text plus the exact bytes of every exported file (CSV, JSON,
 // SVG).
-func snapshotArtifact(t *testing.T, a Artifact) map[string][]byte {
+func snapshotArtifact(t *testing.T, arts []Artifact) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
-	if err := a.WriteFiles(dir, "out"); err != nil {
-		t.Fatal(err)
+	snap := map[string][]byte{}
+	for i, a := range arts {
+		if err := a.WriteFiles(dir, fmt.Sprint("out", i)); err != nil {
+			t.Fatal(err)
+		}
+		snap[fmt.Sprint("render", i, ".txt")] = []byte(a.Render())
 	}
-	snap := map[string][]byte{"render.txt": []byte(a.Render())}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -38,26 +162,38 @@ func snapshotArtifact(t *testing.T, a Artifact) map[string][]byte {
 // JSON, rendered tables, SVG panels — is bitwise identical whether the
 // sweep runs sequentially (-jobs 1), on 4 workers, or on an
 // intentionally awkward 13 workers. The chaos sweep is included, so the
-// contract holds under fault injection too.
+// contract holds under fault injection too. The sequential run's numbers
+// must also match the digest pinned for the active rounding regime.
 func TestArtifactsIdenticalAcrossWorkerCounts(t *testing.T) {
 	drivers := []struct {
 		name string
-		run  func(p *sched.Pool) (Artifact, error)
+		run  func(p *sched.Pool) ([]Artifact, error)
 	}{
-		{"fig3", func(p *sched.Pool) (Artifact, error) { return Fig3(p, Smoke, 42) }},
-		{"fig4", func(p *sched.Pool) (Artifact, error) { return Fig4(p, Smoke, 42) }},
-		{"table2", func(p *sched.Pool) (Artifact, error) { return Table2(p, Smoke, 42) }},
-		{"table1", func(p *sched.Pool) (Artifact, error) { return Tradeoff(p, Smoke, 42) }},
-		{"rates", func(p *sched.Pool) (Artifact, error) { return ConvergenceRate(p, Smoke, 0.5, 42) }},
-		{"stationarity", func(p *sched.Pool) (Artifact, error) { return Stationarity(p, Smoke, 42) }},
-		{"ablations", func(p *sched.Pool) (Artifact, error) { return Ablations(p, Smoke, 42) }},
-		{"chaos", func(p *sched.Pool) (Artifact, error) { return ChaosSweep(p, Smoke, 42) }},
+		{"fig3", one(func(p *sched.Pool) (Artifact, error) { return Fig3(p, Smoke, 42) })},
+		{"fig4", one(func(p *sched.Pool) (Artifact, error) { return Fig4(p, Smoke, 42) })},
+		{"table2", one(func(p *sched.Pool) (Artifact, error) { return Table2(p, Smoke, 42) })},
+		{"table1", one(func(p *sched.Pool) (Artifact, error) { return Tradeoff(p, Smoke, 42) })},
+		{"rates", func(p *sched.Pool) ([]Artifact, error) {
+			var arts []Artifact
+			for _, alpha := range []float64{0, 0.5} {
+				r, err := ConvergenceRate(p, Smoke, alpha, 42)
+				if err != nil {
+					return nil, err
+				}
+				arts = append(arts, r)
+			}
+			return arts, nil
+		}},
+		{"stationarity", one(func(p *sched.Pool) (Artifact, error) { return Stationarity(p, Smoke, 42) })},
+		{"ablations", one(func(p *sched.Pool) (Artifact, error) { return Ablations(p, Smoke, 42) })},
+		{"chaos", one(func(p *sched.Pool) (Artifact, error) { return ChaosSweep(p, Smoke, 42) })},
 		// The compression sweep rides the same contract: compressed-uplink
 		// runs (both legs, including the chaos-faulted one) must produce
 		// bitwise-identical artifacts at any worker count.
-		{"compression", func(p *sched.Pool) (Artifact, error) { return CompressionSweep(p, Smoke, 42) }},
+		{"compression", one(func(p *sched.Pool) (Artifact, error) { return CompressionSweep(p, Smoke, 42) })},
 	}
 	workerCounts := []int{1, 4, 13}
+	pinned := regimeDigests()
 	for _, d := range drivers {
 		d := d
 		t.Run(d.name, func(t *testing.T) {
@@ -67,12 +203,20 @@ func TestArtifactsIdenticalAcrossWorkerCounts(t *testing.T) {
 				if workers > 1 {
 					pool = sched.New(workers)
 				}
-				art, err := d.run(pool)
+				arts, err := d.run(pool)
 				if err != nil {
 					t.Fatalf("jobs=%d: %v", workers, err)
 				}
-				snap := snapshotArtifact(t, art)
+				snap := snapshotArtifact(t, arts)
 				if ref == nil {
+					var vals []float64
+					for _, a := range arts {
+						vals = append(vals, published(a)...)
+					}
+					got := numericDigest(vals)
+					if want, ok := pinned[d.name]; pinned != nil && (!ok || got != want) {
+						t.Errorf("numeric digest %#016x, pinned %#016x (kernel class %s)", got, want, tensor.ActiveKernel())
+					}
 					ref = snap
 					continue
 				}
@@ -90,5 +234,16 @@ func TestArtifactsIdenticalAcrossWorkerCounts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// one adapts a single-artifact driver to the list's signature.
+func one(run func(*sched.Pool) (Artifact, error)) func(*sched.Pool) ([]Artifact, error) {
+	return func(p *sched.Pool) ([]Artifact, error) {
+		a, err := run(p)
+		if err != nil {
+			return nil, err
+		}
+		return []Artifact{a}, nil
 	}
 }
