@@ -286,6 +286,42 @@ func TestQuantizedSpec(t *testing.T) {
 	}
 }
 
+// TestBaselinesRefuseUnimplementedRegimes: a baseline handed a regime it
+// does not implement must fail by name rather than run the dense, fully
+// participating trajectory, while HierMinimax runs the same Spec.
+func TestBaselinesRefuseUnimplementedRegimes(t *testing.T) {
+	knobs := []struct {
+		name, refusal string
+		set           func(*Spec)
+	}{
+		{"QuantBits=8", "does not implement uplink compression", func(s *Spec) { s.QuantBits = 8 }},
+		{"TopK=10", "does not implement uplink compression", func(s *Spec) { s.TopK = 10 }},
+		{"DropoutProb=0.5", "does not implement slot dropout", func(s *Spec) { s.DropoutProb = 0.5 }},
+	}
+	for _, k := range knobs {
+		for _, alg := range []Algorithm{AlgHierMinimax, AlgHierFAvg, AlgFedAvg, AlgAFL, AlgDRFA} {
+			spec := smokeSpec(alg)
+			spec.Rounds = 20
+			k.set(&spec)
+			_, err := Run(spec)
+			switch {
+			case alg != AlgHierMinimax:
+				if err == nil || !strings.Contains(err.Error(), k.refusal) {
+					t.Errorf("%s with %s: got error %v, want %q", alg, k.name, err, k.refusal)
+				}
+			case tensor.StorageF32() && k.name != "DropoutProb=0.5":
+				// The float32 storage tier refuses compression for every
+				// algorithm.
+				if err == nil {
+					t.Errorf("HierMinimax with %s ran on the float32 storage tier", k.name)
+				}
+			case err != nil:
+				t.Errorf("HierMinimax with %s: %v", k.name, err)
+			}
+		}
+	}
+}
+
 func TestCappedPSpec(t *testing.T) {
 	spec := smokeSpec(AlgHierMinimax)
 	spec.PCap = 0.2

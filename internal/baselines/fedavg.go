@@ -23,6 +23,9 @@ import (
 // updated. Config.Tau2 must be 1 (two-layer methods have no client-edge
 // aggregation).
 func FedAvg(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
+	if err := refuseUnimplemented("FedAvg", cfg); err != nil {
+		return nil, err
+	}
 	if err := requireTwoLayer("FedAvg", cfg); err != nil {
 		return nil, err
 	}
@@ -69,6 +72,20 @@ func FedAvg(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 func requireTwoLayer(name string, cfg fl.Config) error {
 	if cfg.Tau2 > 1 {
 		return fmt.Errorf("baselines: %s is a two-layer method; Tau2 must be 1, got %d", name, cfg.Tau2)
+	}
+	return nil
+}
+
+// refuseUnimplemented rejects the fl.Config regimes no baseline
+// implements: every baseline folds dense uplinks with every sampled
+// slot present, so a compressed or dropout config would otherwise run
+// the plain trajectory without a word.
+func refuseUnimplemented(name string, cfg fl.Config) error {
+	switch {
+	case cfg.Compression.Enabled():
+		return fmt.Errorf("baselines: %s does not implement uplink compression", name)
+	case cfg.DropoutProb > 0:
+		return fmt.Errorf("baselines: %s does not implement slot dropout", name)
 	}
 	return nil
 }

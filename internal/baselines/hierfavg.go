@@ -14,6 +14,9 @@ import (
 // The gap between HierFAvg and HierMinimax therefore isolates exactly
 // the minimax fairness mechanism (Table 2's comparison).
 func HierFAvg(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
+	if err := refuseUnimplemented("HierFAvg", cfg); err != nil {
+		return nil, err
+	}
 	pool := fl.NewModelPool(prob.Model)
 	var slots []hierSlot
 	return fl.Run("HierFAvg", prob, cfg, func(k int, st *fl.State) {

@@ -37,13 +37,20 @@ func TestPopulationSpecRunsAllAlgorithms(t *testing.T) {
 
 // TestPopulationTopKRunsAllAlgorithms pins the composition of the roster
 // regime with top-k error feedback: fl.Fold keeps one residual row per
-// cohort position, so every algorithm accepts the spec (except on the
-// float32 storage tier, which refuses compression of any kind).
+// cohort position, so HierMinimax accepts the spec (except on the
+// float32 storage tier, which refuses compression of any kind), and
+// every baseline refuses it by name, since none compresses its uplinks.
 func TestPopulationTopKRunsAllAlgorithms(t *testing.T) {
 	for _, alg := range []Algorithm{AlgHierMinimax, AlgHierFAvg, AlgFedAvg, AlgAFL, AlgDRFA} {
 		spec := popSpec(alg)
 		spec.TopK = 4
 		_, err := Run(spec)
+		if alg != AlgHierMinimax {
+			if err == nil || !strings.Contains(err.Error(), "does not implement uplink compression") {
+				t.Fatalf("%s: population x top-k: got error %v, want a refusal", alg, err)
+			}
+			continue
+		}
 		if tensor.StorageF32() {
 			if err == nil || !strings.Contains(err.Error(), "compression is not supported") {
 				t.Fatalf("%s: top-k on the float32 storage tier: got error %v, want a refusal", alg, err)
