@@ -143,10 +143,16 @@ awk -v d="$DENSE_MB" -v c="$COMP_MB" 'BEGIN { if (!(c + 0 < d + 0)) { print "ci:
 # Sparse-population smoke: the same smoke-scale Fig. 3 comparison with
 # a hundred thousand registered clients (twenty materialized per round)
 # run on 1 and then 4 sweep workers must produce byte-identical
-# artifacts — the roster sampler and the streaming cohort folds are
-# pure functions of (seed, round, edge), independent of scheduling.
+# artifacts (the curve and summary tables and both SVG panels) — the
+# roster sampler and the streaming cohort folds are pure functions of
+# (seed, round, edge), independent of scheduling. Only the figures run
+# on a sparse population: any other experiment must refuse it.
 go build -o "$SMOKE/experiments" ./cmd/experiments
 mkdir -p "$SMOKE/pop1" "$SMOKE/pop4"
 "$SMOKE/experiments" -exp fig3 -scale smoke -population 100000 -sample-per-round 20 -jobs 1 -out "$SMOKE/pop1" > /dev/null
 "$SMOKE/experiments" -exp fig3 -scale smoke -population 100000 -sample-per-round 20 -jobs 4 -out "$SMOKE/pop4" > /dev/null
 diff -r "$SMOKE/pop1" "$SMOKE/pop4"
+if "$SMOKE/experiments" -exp table2 -population 10 -sample-per-round 2 > /dev/null 2>&1; then
+	echo "ci: experiments -exp table2 accepted a sparse population"
+	exit 1
+fi

@@ -21,8 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
-	"strings"
 	"time"
 
 	"repro/internal/data"
@@ -32,13 +30,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// knownExps is the -exp vocabulary beyond "all", in the order -exp all
-// runs it.
-var knownExps = []string{"fig3", "fig4", "table2", "table1", "rates", "stationarity", "ablations", "chaos", "compression"}
-
 func main() {
-	expChoices := strings.Join(append(slices.Clip(knownExps), "all"), "|")
-	exp := flag.String("exp", "all", "experiment: "+expChoices)
+	exp := flag.String("exp", "all", "experiment: "+experiments.Names())
 	scaleName := flag.String("scale", "smoke", "scale: smoke|small|full")
 	seed := flag.Uint64("seed", 42, "random seed")
 	jobs := flag.Int("jobs", 0, "concurrent training runs (0 = GOMAXPROCS); any value yields identical artifacts")
@@ -62,16 +55,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: unknown scale %q\n", *scaleName)
 		os.Exit(1)
 	}
-	if *exp != "all" && !slices.Contains(knownExps, *exp) {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want %s)\n", *exp, expChoices)
-		os.Exit(1)
-	}
-	if (*population > 0) != (*samplePerRound > 0) {
-		fmt.Fprintf(os.Stderr, "experiments: -population and -sample-per-round must be set together\n")
-		os.Exit(1)
-	}
-	if *population > 0 && *exp != "fig3" && *exp != "fig4" {
-		fmt.Fprintf(os.Stderr, "experiments: -population applies to -exp fig3 or fig4 only\n")
+	exps, err := experiments.Select(*exp, *population, *samplePerRound)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	// Artifacts are reproducible per (seed, kernel class): the rounding
@@ -103,69 +89,26 @@ func main() {
 		}
 	}
 
-	// An experiment failure no longer aborts the invocation: the
-	// remaining experiments still run and the combined failures produce
-	// one non-zero exit at the end.
+	// An experiment failure does not abort the invocation: the remaining
+	// experiments still run and the combined failures produce one
+	// non-zero exit at the end.
 	var failures []string
 	start := time.Now()
-	run := func(name string, fn func() (experiments.Artifact, error)) {
-		fmt.Printf("[%s started at scale %s]\n", name, scale)
-		sp := obs.Start("experiment-phase", obs.Str("phase", name), obs.Str("scale", scale.String()))
-		res, err := fn()
+	for _, e := range exps {
+		fmt.Printf("[%s started at scale %s]\n", e.Name, scale)
+		sp := obs.Start("experiment-phase", obs.Str("phase", e.Name), obs.Str("scale", scale.String()))
+		tables, err := e.Run(pool, scale, *seed)
 		clearProgress()
+		if err == nil {
+			err = experiments.Export(tables, os.Stdout, *out, scale)
+		}
 		if err != nil {
 			sp.End()
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			failures = append(failures, fmt.Sprintf("%s: %v", name, err))
-			return
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.Name, err)
+			failures = append(failures, fmt.Sprintf("%s: %v", e.Name, err))
+			continue
 		}
-		if err := experiments.Export(res, os.Stdout, *out, name+"-"+scale.String()); err != nil {
-			sp.End()
-			fmt.Fprintf(os.Stderr, "experiments: export %s: %v\n", name, err)
-			failures = append(failures, fmt.Sprintf("export %s: %v", name, err))
-			return
-		}
-		fmt.Printf("[%s completed in %v at scale %s]\n\n", name, sp.End().Round(time.Millisecond), scale)
-	}
-
-	all := *exp == "all"
-	if all || *exp == "fig3" {
-		run("fig3", func() (experiments.Artifact, error) {
-			if *population > 0 {
-				return experiments.Fig3Population(pool, scale, *seed, *population, *samplePerRound)
-			}
-			return experiments.Fig3(pool, scale, *seed)
-		})
-	}
-	if all || *exp == "fig4" {
-		run("fig4", func() (experiments.Artifact, error) {
-			if *population > 0 {
-				return experiments.Fig4Population(pool, scale, *seed, *population, *samplePerRound)
-			}
-			return experiments.Fig4(pool, scale, *seed)
-		})
-	}
-	if all || *exp == "table2" {
-		run("table2", func() (experiments.Artifact, error) { return experiments.Table2(pool, scale, *seed) })
-	}
-	if all || *exp == "table1" {
-		run("table1", func() (experiments.Artifact, error) { return experiments.Tradeoff(pool, scale, *seed) })
-	}
-	if all || *exp == "rates" {
-		run("rates-alpha0", func() (experiments.Artifact, error) { return experiments.ConvergenceRate(pool, scale, 0, *seed) })
-		run("rates-alpha05", func() (experiments.Artifact, error) { return experiments.ConvergenceRate(pool, scale, 0.5, *seed) })
-	}
-	if all || *exp == "stationarity" {
-		run("stationarity", func() (experiments.Artifact, error) { return experiments.Stationarity(pool, scale, *seed) })
-	}
-	if all || *exp == "ablations" {
-		run("ablations", func() (experiments.Artifact, error) { return experiments.Ablations(pool, scale, *seed) })
-	}
-	if all || *exp == "chaos" {
-		run("chaos", func() (experiments.Artifact, error) { return experiments.ChaosSweep(pool, scale, *seed) })
-	}
-	if all || *exp == "compression" {
-		run("compression", func() (experiments.Artifact, error) { return experiments.CompressionSweep(pool, scale, *seed) })
+		fmt.Printf("[%s completed in %v at scale %s]\n\n", e.Name, sp.End().Round(time.Millisecond), scale)
 	}
 
 	done, _ := pool.Done()

@@ -3,12 +3,13 @@ package experiments
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -74,57 +75,13 @@ func numericDigest(vals []float64) uint64 {
 	return h.Sum64()
 }
 
-// published lists every number an artifact publishes, derived values
+// published lists every number the tables publish, derived values
 // included; string keys are left out.
-func published(a Artifact) []float64 {
+func published(tables []*Table) []float64 {
 	var v []float64
-	add := func(xs ...float64) { v = append(v, xs...) }
-	switch r := a.(type) {
-	case *FigResult:
-		for _, s := range r.Series {
-			for i := range s.Rounds {
-				add(float64(s.Rounds[i]), float64(s.CloudRounds[i]), s.Average[i], s.Worst[i])
-			}
-		}
-		add(r.TargetWorst)
-		for _, n := range r.ToTarget {
-			add(float64(n))
-		}
-		for _, f := range r.Final {
-			add(f.Average, f.Worst, f.Variance)
-		}
-	case *Table2Result:
-		for _, row := range r.Rows {
-			add(row.Average, row.Worst, row.Variance)
-		}
-	case *TradeoffResult:
-		add(float64(r.TotalSlots))
-		for _, p := range r.Points {
-			add(p.Alpha, float64(p.Tau1), float64(p.Tau2), float64(p.Rounds), float64(p.CloudRounds), p.DualityGap, p.FinalWorst, p.FinalAvg)
-		}
-	case *RateResult:
-		add(r.Alpha, r.FittedSlope, r.PredictedSlope)
-		for _, p := range r.Points {
-			add(float64(p.T), float64(p.Rounds), p.DualityGap, float64(p.CloudRounds))
-		}
-	case *StationarityResult:
-		add(r.First, r.Last)
-		for _, p := range r.Points {
-			add(float64(p.Round), p.MoreauGradSq, p.Worst)
-		}
-	case *AblationResult:
-		for _, row := range r.Rows {
-			add(row.Average, row.Worst, row.Variance, float64(row.CloudRounds), row.UplinkMB)
-		}
-	case *ChaosResult:
-		for _, row := range r.Rows {
-			add(row.CrashProb, row.Average, row.Worst, row.Variance, float64(row.Crashes),
-				float64(row.Timeouts), float64(row.Retries), float64(row.MessagesLost), row.SimulatedMs)
-		}
-	case *CompressionResult:
-		for _, row := range r.Rows {
-			add(row.Average, row.Worst, row.Variance, float64(row.WireBytes), row.BytesRatio,
-				float64(row.Crashes), float64(row.MessagesLost))
+	for _, t := range tables {
+		for _, r := range t.Rows {
+			v = append(v, r.Vals...)
 		}
 	}
 	return v
@@ -133,16 +90,14 @@ func published(a Artifact) []float64 {
 // snapshotArtifact captures everything an experiment publishes: the
 // rendered text plus the exact bytes of every exported file (CSV, JSON,
 // SVG).
-func snapshotArtifact(t *testing.T, arts []Artifact) map[string][]byte {
+func snapshotArtifact(t *testing.T, tables []*Table) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
-	snap := map[string][]byte{}
-	for i, a := range arts {
-		if err := a.WriteFiles(dir, fmt.Sprint("out", i)); err != nil {
-			t.Fatal(err)
-		}
-		snap[fmt.Sprint("render", i, ".txt")] = []byte(a.Render())
+	var render bytes.Buffer
+	if err := Export(tables, &render, dir, Smoke); err != nil {
+		t.Fatal(err)
 	}
+	snap := map[string][]byte{"render.txt": render.Bytes()}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -157,65 +112,64 @@ func snapshotArtifact(t *testing.T, arts []Artifact) map[string][]byte {
 	return snap
 }
 
+// committedCSVs lists the recorded reproduction's CSV files by table
+// name.
+func committedCSVs(t *testing.T) map[string]string {
+	t.Helper()
+	paths, err := filepath.Glob("../../artifacts/*-small.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, p := range paths {
+		out[strings.TrimSuffix(filepath.Base(p), "-small.csv")] = p
+	}
+	return out
+}
+
 // TestArtifactsIdenticalAcrossWorkerCounts is the scheduler's ordering
 // contract, end to end: every experiment artifact — CSV bytes, manifest
 // JSON, rendered tables, SVG panels — is bitwise identical whether the
 // sweep runs sequentially (-jobs 1), on 4 workers, or on an
 // intentionally awkward 13 workers. The chaos sweep is included, so the
-// contract holds under fault injection too. The sequential run's numbers
-// must also match the digest pinned for the active rounding regime.
+// contract holds under fault injection too, and so is the compression
+// sweep, both legs. The sequential run's numbers must also match the
+// digest pinned for the active rounding regime, and the header of every
+// table must equal the one its committed artifacts/<name>-small.csv
+// carries, with no committed CSV left over.
 func TestArtifactsIdenticalAcrossWorkerCounts(t *testing.T) {
-	drivers := []struct {
-		name string
-		run  func(p *sched.Pool) ([]Artifact, error)
-	}{
-		{"fig3", one(func(p *sched.Pool) (Artifact, error) { return Fig3(p, Smoke, 42) })},
-		{"fig4", one(func(p *sched.Pool) (Artifact, error) { return Fig4(p, Smoke, 42) })},
-		{"table2", one(func(p *sched.Pool) (Artifact, error) { return Table2(p, Smoke, 42) })},
-		{"table1", one(func(p *sched.Pool) (Artifact, error) { return Tradeoff(p, Smoke, 42) })},
-		{"rates", func(p *sched.Pool) ([]Artifact, error) {
-			var arts []Artifact
-			for _, alpha := range []float64{0, 0.5} {
-				r, err := ConvergenceRate(p, Smoke, alpha, 42)
-				if err != nil {
-					return nil, err
-				}
-				arts = append(arts, r)
-			}
-			return arts, nil
-		}},
-		{"stationarity", one(func(p *sched.Pool) (Artifact, error) { return Stationarity(p, Smoke, 42) })},
-		{"ablations", one(func(p *sched.Pool) (Artifact, error) { return Ablations(p, Smoke, 42) })},
-		{"chaos", one(func(p *sched.Pool) (Artifact, error) { return ChaosSweep(p, Smoke, 42) })},
-		// The compression sweep rides the same contract: compressed-uplink
-		// runs (both legs, including the chaos-faulted one) must produce
-		// bitwise-identical artifacts at any worker count.
-		{"compression", one(func(p *sched.Pool) (Artifact, error) { return CompressionSweep(p, Smoke, 42) })},
-	}
 	workerCounts := []int{1, 4, 13}
 	pinned := regimeDigests()
-	for _, d := range drivers {
-		d := d
-		t.Run(d.name, func(t *testing.T) {
+	committed := committedCSVs(t)
+	ran := 0
+	for _, e := range Experiments {
+		t.Run(e.Name, func(t *testing.T) {
 			var ref map[string][]byte
 			for _, workers := range workerCounts {
 				var pool *sched.Pool // workers == 1 exercises the nil inline path
 				if workers > 1 {
 					pool = sched.New(workers)
 				}
-				arts, err := d.run(pool)
+				tables, err := e.Run(pool, Smoke, 42)
 				if err != nil {
 					t.Fatalf("jobs=%d: %v", workers, err)
 				}
-				snap := snapshotArtifact(t, arts)
+				snap := snapshotArtifact(t, tables)
 				if ref == nil {
-					var vals []float64
-					for _, a := range arts {
-						vals = append(vals, published(a)...)
-					}
-					got := numericDigest(vals)
-					if want, ok := pinned[d.name]; pinned != nil && (!ok || got != want) {
+					got := numericDigest(published(tables))
+					if want, ok := pinned[e.Name]; pinned != nil && (!ok || got != want) {
 						t.Errorf("numeric digest %#016x, pinned %#016x (kernel class %s)", got, want, tensor.ActiveKernel())
+					}
+					for _, tab := range tables {
+						path, ok := committed[tab.Name]
+						if !ok {
+							t.Errorf("no committed artifacts/%s-small.csv", tab.Name)
+							continue
+						}
+						delete(committed, tab.Name)
+						if got := readCSV(t, path)[0]; !slices.Equal(got, tab.header()) {
+							t.Errorf("%s header %v, table declares %v", path, got, tab.header())
+						}
 					}
 					ref = snap
 					continue
@@ -233,17 +187,12 @@ func TestArtifactsIdenticalAcrossWorkerCounts(t *testing.T) {
 					}
 				}
 			}
+			ran++
 		})
 	}
-}
-
-// one adapts a single-artifact driver to the list's signature.
-func one(run func(*sched.Pool) (Artifact, error)) func(*sched.Pool) ([]Artifact, error) {
-	return func(p *sched.Pool) ([]Artifact, error) {
-		a, err := run(p)
-		if err != nil {
-			return nil, err
+	if ran == len(Experiments) {
+		for name := range committed {
+			t.Errorf("artifacts/%s-small.csv matches no experiment table", name)
 		}
-		return []Artifact{a}, nil
 	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -9,168 +11,201 @@ import (
 // robust at small scale; exact margins are checked manually at the
 // recorded Small scale (see EXPERIMENTS.md).
 
-func TestFig3Shape(t *testing.T) {
-	res, err := Fig3(nil, Smoke, 42)
+// runExp runs the named experiment at Smoke scale on the inline pool.
+func runExp(t *testing.T, name string, seed uint64) []*Table {
+	t.Helper()
+	exps, err := Select(name, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) != 5 {
-		t.Fatalf("expected 5 curves, got %d", len(res.Series))
+	tables, err := exps[0].Run(nil, Smoke, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	hmm := res.Final[HierMinimax]
-	hfa := res.Final[HierFAvg]
-	fed := res.Final[FedAvg]
+	return tables
+}
+
+// col returns column name of every row of tab.
+func col(tab *Table, name string) []float64 {
+	i := slices.Index(tab.Cols, name)
+	if i < 0 {
+		panic("no column " + name)
+	}
+	out := make([]float64, len(tab.Rows))
+	for r, row := range tab.Rows {
+		out[r] = row.Vals[i]
+	}
+	return out
+}
+
+// byKey maps each row's key (without the seed) joined by "/" to its
+// values keyed by column name.
+func byKey(tab *Table) map[string]map[string]float64 {
+	out := map[string]map[string]float64{}
+	for _, r := range tab.Rows {
+		m := map[string]float64{}
+		for i, c := range tab.Cols {
+			m[c] = r.Vals[i]
+		}
+		out[strings.Join(r.Key[:len(r.Key)-1], "/")] = m
+	}
+	return out
+}
+
+func TestFig3Shape(t *testing.T) {
+	tables := runExp(t, "fig3", 42)
+	if len(tables) != 2 || tables[0].Name != "fig3" || tables[1].Name != "fig3-summary" {
+		t.Fatalf("fig3 publishes %d tables", len(tables))
+	}
+	final := byKey(tables[1])
+	if len(final) != 5 {
+		t.Fatalf("expected 5 methods, got %d", len(final))
+	}
+	hmm, hfa, fed := final["HierMinimax"], final["HierFAvg"], final["FedAvg"]
 	// Minimax fairness: HierMinimax beats its minimization twin on the
 	// worst area and on variance (Fig. 3's core message).
-	if hmm.Worst <= hfa.Worst {
-		t.Fatalf("HierMinimax worst %v not above HierFAvg %v", hmm.Worst, hfa.Worst)
+	if hmm["worst"] <= hfa["worst"] {
+		t.Fatalf("HierMinimax worst %v not above HierFAvg %v", hmm["worst"], hfa["worst"])
 	}
-	if hmm.Variance >= hfa.Variance {
-		t.Fatalf("HierMinimax variance %v not below HierFAvg %v", hmm.Variance, hfa.Variance)
+	if hmm["variance"] >= hfa["variance"] {
+		t.Fatalf("HierMinimax variance %v not below HierFAvg %v", hmm["variance"], hfa["variance"])
 	}
-	if hmm.Variance >= fed.Variance {
-		t.Fatalf("HierMinimax variance %v not below FedAvg %v", hmm.Variance, fed.Variance)
+	if hmm["variance"] >= fed["variance"] {
+		t.Fatalf("HierMinimax variance %v not below FedAvg %v", hmm["variance"], fed["variance"])
 	}
 	// The price of fairness is small: average within a few points.
-	if hfa.Average-hmm.Average > 0.08 {
-		t.Fatalf("average accuracy cost too large: %v vs %v", hmm.Average, hfa.Average)
+	if hfa["average"]-hmm["average"] > 0.08 {
+		t.Fatalf("average accuracy cost too large: %v vs %v", hmm["average"], hfa["average"])
 	}
 	// Every method must have learned something real.
-	for algo, f := range res.Final {
-		if f.Average < 0.7 {
-			t.Fatalf("%s average %v", algo, f.Average)
+	for algo, f := range final {
+		if f["average"] < 0.7 {
+			t.Fatalf("%s average %v", algo, f["average"])
 		}
 	}
-	// HierMinimax reaches the worst-accuracy target; its minimization
-	// twin does not (at this scale the uniform plateau sits below it).
-	if res.ToTarget[HierMinimax] == 0 {
-		t.Fatalf("HierMinimax never reached the %v target", res.TargetWorst)
+	// HierMinimax reaches the worst-accuracy target.
+	if hmm["rounds_to_target"] == 0 {
+		t.Fatalf("HierMinimax never reached the %v target", hmm["target_worst"])
 	}
-	if txt := res.Render(); !strings.Contains(txt, "HierMinimax") || !strings.Contains(txt, "Rounds to reach") {
+	// The summary's final values are the curves' last snapshot.
+	curves := tables[0]
+	last := curves.Rows[len(curves.Rows)-1]
+	if last.Key[0] != "HierMinimax" || last.Vals[2] != hmm["average"] || last.Vals[3] != hmm["worst"] {
+		t.Fatalf("last curve row %v does not match the summary %v", last, hmm)
+	}
+	if txt := tables[1].Render(); !strings.Contains(txt, "HierMinimax") || !strings.Contains(txt, "rounds_to_target") {
 		t.Fatal("Render incomplete")
 	}
 }
 
 func TestFig3CurvesAligned(t *testing.T) {
-	res, err := Fig3(nil, Smoke, 7)
-	if err != nil {
-		t.Fatal(err)
+	curves := runExp(t, "fig3", 7)[0]
+	round, cloud := col(curves, "round"), col(curves, "cloud_rounds")
+	methods := 0
+	for i, r := range curves.Rows {
+		if i == 0 || r.Key[0] != curves.Rows[i-1].Key[0] {
+			methods++
+			continue
+		}
+		if round[i] <= round[i-1] || cloud[i] < cloud[i-1] {
+			t.Fatalf("%s: non-monotone axes at row %d", r.Key[0], i)
+		}
 	}
-	for _, s := range res.Series {
-		if len(s.Rounds) != len(s.Average) || len(s.Rounds) != len(s.Worst) || len(s.Rounds) != len(s.CloudRounds) {
-			t.Fatalf("%s: ragged series", s.Algorithm)
-		}
-		for i := 1; i < len(s.Rounds); i++ {
-			if s.Rounds[i] <= s.Rounds[i-1] || s.CloudRounds[i] < s.CloudRounds[i-1] {
-				t.Fatalf("%s: non-monotone axes", s.Algorithm)
-			}
-		}
+	if methods != len(AllAlgorithms) || len(curves.Rows)%methods != 0 {
+		t.Fatalf("%d rows over %d methods: ragged curves", len(curves.Rows), methods)
 	}
 }
 
 func TestFig4Shape(t *testing.T) {
-	res, err := Fig4(nil, Smoke, 42)
-	if err != nil {
-		t.Fatal(err)
+	final := byKey(runExp(t, "fig4", 42)[1])
+	hmm, hfa := final["HierMinimax"], final["HierFAvg"]
+	if hmm["worst"] <= hfa["worst"] {
+		t.Fatalf("HierMinimax worst %v not above HierFAvg %v", hmm["worst"], hfa["worst"])
 	}
-	hmm := res.Final[HierMinimax]
-	hfa := res.Final[HierFAvg]
-	if hmm.Worst <= hfa.Worst {
-		t.Fatalf("HierMinimax worst %v not above HierFAvg %v", hmm.Worst, hfa.Worst)
-	}
-	if hmm.Variance >= hfa.Variance {
-		t.Fatalf("HierMinimax variance %v not below HierFAvg %v", hmm.Variance, hfa.Variance)
+	if hmm["variance"] >= hfa["variance"] {
+		t.Fatalf("HierMinimax variance %v not below HierFAvg %v", hmm["variance"], hfa["variance"])
 	}
 	// Hierarchical methods do tau1*tau2 local slots per round vs tau1
 	// (or 1) for the two-layer ones, so at equal rounds they lead on
 	// average accuracy — the §6.2 communication-efficiency effect.
-	if hmm.Average <= res.Final[StochasticAFL].Average {
-		t.Fatalf("HierMinimax average %v not above AFL %v", hmm.Average, res.Final[StochasticAFL].Average)
+	if afl := final["Stochastic-AFL"]; hmm["average"] <= afl["average"] {
+		t.Fatalf("HierMinimax average %v not above AFL %v", hmm["average"], afl["average"])
 	}
 }
 
 func TestTable2Shape(t *testing.T) {
-	res, err := Table2(nil, Smoke, 42)
-	if err != nil {
-		t.Fatal(err)
+	tab := runExp(t, "table2", 42)[0]
+	if len(tab.Rows) != 10 {
+		t.Fatalf("expected 10 rows, got %d", len(tab.Rows))
 	}
-	if len(res.Rows) != 10 {
-		t.Fatalf("expected 10 rows, got %d", len(res.Rows))
-	}
+	rows := byKey(tab)
 	// The headline datasets must show the fairness win.
 	for _, ds := range []string{"emnist-digits-like", "fashion-mnist-like"} {
-		hfa := res.Row(ds, HierFAvg)
-		hmm := res.Row(ds, HierMinimax)
+		hfa, hmm := rows[ds+"/HierFAvg"], rows[ds+"/HierMinimax"]
 		if hfa == nil || hmm == nil {
 			t.Fatalf("missing rows for %s", ds)
 		}
-		if hmm.Worst <= hfa.Worst {
-			t.Fatalf("%s: HierMinimax worst %v not above HierFAvg %v", ds, hmm.Worst, hfa.Worst)
+		if hmm["worst"] <= hfa["worst"] {
+			t.Fatalf("%s: HierMinimax worst %v not above HierFAvg %v", ds, hmm["worst"], hfa["worst"])
 		}
-		if hmm.Variance >= hfa.Variance {
+		if hmm["variance"] >= hfa["variance"] {
 			t.Fatalf("%s: variance not reduced", ds)
 		}
 	}
 	// All rows carry sane numbers.
-	for _, r := range res.Rows {
-		if r.Average <= 0 || r.Average > 1 || r.Worst < 0 || r.Worst > 1 || r.Variance < 0 {
-			t.Fatalf("row %+v out of range", r)
+	for key, r := range rows {
+		if r["average"] <= 0 || r["average"] > 1 || r["worst"] < 0 || r["worst"] > 1 || r["variance"] < 0 {
+			t.Fatalf("row %s %v out of range", key, r)
 		}
 	}
-	if !strings.Contains(res.Render(), "synthetic") {
+	if !strings.Contains(tab.Render(), "synthetic") {
 		t.Fatal("Render incomplete")
 	}
 }
 
 func TestTradeoffShape(t *testing.T) {
-	res, err := Tradeoff(nil, Smoke, 42)
-	if err != nil {
-		t.Fatal(err)
+	tab := runExp(t, "table1", 42)[0]
+	if len(tab.Rows) != 4 {
+		t.Fatalf("expected 4 alphas, got %d", len(tab.Rows))
 	}
-	if len(res.Points) != 4 {
-		t.Fatalf("expected 4 alphas, got %d", len(res.Points))
-	}
-	for i := 1; i < len(res.Points); i++ {
-		prev, cur := res.Points[i-1], res.Points[i]
+	alpha, cloud, gap := col(tab, "alpha"), col(tab, "cloud_rounds"), col(tab, "duality_gap")
+	tau1, tau2 := col(tab, "tau1"), col(tab, "tau2")
+	for i := 1; i < len(tab.Rows); i++ {
 		// Larger alpha => strictly less cloud communication (Table 1's
 		// Theta(T^{1-alpha}) column).
-		if cur.CloudRounds >= prev.CloudRounds {
-			t.Fatalf("cloud rounds not decreasing: %d -> %d", prev.CloudRounds, cur.CloudRounds)
+		if cloud[i] >= cloud[i-1] {
+			t.Fatalf("cloud rounds not decreasing: %v -> %v", cloud[i-1], cloud[i])
 		}
-		if cur.Tau1*cur.Tau2 <= prev.Tau1*prev.Tau2 {
+		if tau1[i]*tau2[i] <= tau1[i-1]*tau2[i-1] {
 			t.Fatal("tau product not increasing in alpha")
 		}
 	}
 	// The convergence side: the duality gap at alpha=0 must beat the gap
 	// at the most communication-starved alpha=0.75.
-	if res.Points[0].DualityGap >= res.Points[3].DualityGap {
-		t.Fatalf("duality gap not degrading with alpha: %v vs %v",
-			res.Points[0].DualityGap, res.Points[3].DualityGap)
+	if gap[0] >= gap[3] {
+		t.Fatalf("duality gap not degrading with alpha: %v vs %v", gap[0], gap[3])
 	}
-	for _, p := range res.Points {
-		if p.DualityGap < -1e-6 {
-			t.Fatalf("negative duality gap %v at alpha %v", p.DualityGap, p.Alpha)
+	for i, g := range gap {
+		if g < -1e-6 {
+			t.Fatalf("negative duality gap %v at alpha %v", g, alpha[i])
 		}
 	}
-	if !strings.Contains(res.Render(), "alpha") {
+	if !strings.Contains(tab.Render(), "alpha") {
 		t.Fatal("Render incomplete")
 	}
 }
 
 func TestAblationsShape(t *testing.T) {
-	res, err := Ablations(nil, Smoke, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byStudy := map[string][]AblationRow{}
-	for _, r := range res.Rows {
-		byStudy[r.Study] = append(byStudy[r.Study], r)
+	tab := runExp(t, "ablations", 42)[0]
+	byStudy := map[string][]map[string]float64{}
+	rows := byKey(tab)
+	for _, r := range tab.Rows {
+		byStudy[r.Key[0]] = append(byStudy[r.Key[0]], rows[r.Key[0]+"/"+r.Key[1]])
 	}
 	if len(byStudy["A1-checkpoint"]) != 2 {
 		t.Fatal("A1 incomplete")
 	}
-	// A2: more participation must not reduce cloud rounds (same count)
-	// but the rows must exist for each m_E.
+	// A2: a row for each m_E.
 	if len(byStudy["A2-participation"]) != 4 {
 		t.Fatalf("A2 rows: %d", len(byStudy["A2-participation"]))
 	}
@@ -179,13 +214,13 @@ func TestAblationsShape(t *testing.T) {
 	if len(a3) != 3 {
 		t.Fatalf("A3 rows: %d", len(a3))
 	}
-	if !(a3[0].UplinkMB > a3[1].UplinkMB && a3[1].UplinkMB > a3[2].UplinkMB) {
-		t.Fatalf("uplink MB not decreasing with bits: %v %v %v", a3[0].UplinkMB, a3[1].UplinkMB, a3[2].UplinkMB)
+	if !(a3[0]["uplink_mb"] > a3[1]["uplink_mb"] && a3[1]["uplink_mb"] > a3[2]["uplink_mb"]) {
+		t.Fatalf("uplink MB not decreasing with bits: %v %v %v", a3[0]["uplink_mb"], a3[1]["uplink_mb"], a3[2]["uplink_mb"])
 	}
 	// Quantization must not destroy learning.
-	for _, r := range a3 {
-		if r.Average < 0.7 {
-			t.Fatalf("A3 %s average %v", r.Variant, r.Average)
+	for i, r := range a3 {
+		if r["average"] < 0.7 {
+			t.Fatalf("A3 variant %d average %v", i, r["average"])
 		}
 	}
 	// A4: every capped run respects learning sanity.
@@ -198,127 +233,98 @@ func TestAblationsShape(t *testing.T) {
 	if len(a5) != 2 {
 		t.Fatalf("A5 rows: %d", len(a5))
 	}
-	if a5[1].CloudRounds >= a5[0].CloudRounds {
-		t.Fatalf("4-layer cloud rounds %d not below 3-layer %d", a5[1].CloudRounds, a5[0].CloudRounds)
+	if a5[1]["cloud_rounds"] >= a5[0]["cloud_rounds"] {
+		t.Fatalf("4-layer cloud rounds %v not below 3-layer %v", a5[1]["cloud_rounds"], a5[0]["cloud_rounds"])
 	}
-	for _, r := range a5 {
-		if r.Average < 0.7 {
-			t.Fatalf("A5 %s average %v", r.Variant, r.Average)
+	for i, r := range a5 {
+		if r["average"] < 0.7 {
+			t.Fatalf("A5 variant %d average %v", i, r["average"])
 		}
 	}
-	if !strings.Contains(res.Render(), "A3-quantization") {
+	if !strings.Contains(tab.Render(), "A3-quantization") {
 		t.Fatal("Render incomplete")
 	}
 }
 
 func TestChaosSweepShape(t *testing.T) {
-	res, err := ChaosSweep(nil, Smoke, 42)
-	if err != nil {
-		t.Fatal(err)
+	tab := runExp(t, "chaos", 42)[0]
+	if len(tab.Rows) != 5 {
+		t.Fatalf("expected 5 crash rates, got %d", len(tab.Rows))
 	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("expected 5 crash rates, got %d", len(res.Rows))
+	rate, crashes, timeouts := col(tab, "crash_prob"), col(tab, "crashes"), col(tab, "timeouts")
+	lost, simMs := col(tab, "messages_lost"), col(tab, "simulated_ms")
+	avg, worst := col(tab, "average"), col(tab, "worst")
+	if rate[0] != 0 || crashes[0] != 0 || timeouts[0] != 0 || lost[0] != 0 {
+		t.Fatalf("fault-free row reports fault activity: %v", tab.Rows[0])
 	}
-	base := res.Rows[0]
-	if base.CrashProb != 0 || base.Crashes != 0 || base.Timeouts != 0 || base.MessagesLost != 0 {
-		t.Fatalf("fault-free row reports fault activity: %+v", base)
-	}
-	for i := 1; i < len(res.Rows); i++ {
-		prev, cur := res.Rows[i-1], res.Rows[i]
-		if cur.Crashes == 0 {
-			t.Fatalf("crash rate %v produced no crashes", cur.CrashProb)
+	for i := 1; i < len(tab.Rows); i++ {
+		if crashes[i] == 0 {
+			t.Fatalf("crash rate %v produced no crashes", rate[i])
 		}
 		// One shared fault seed makes the crash sets nested in the rate.
-		if cur.Crashes < prev.Crashes {
-			t.Fatalf("crashes not monotone in rate: %d at %v, %d at %v",
-				prev.Crashes, prev.CrashProb, cur.Crashes, cur.CrashProb)
+		if crashes[i] < crashes[i-1] {
+			t.Fatalf("crashes not monotone in rate: %v at %v, %v at %v", crashes[i-1], rate[i-1], crashes[i], rate[i])
 		}
-		if cur.SimulatedMs <= base.SimulatedMs {
-			t.Fatalf("timeout charges did not stretch simulated time at rate %v", cur.CrashProb)
+		if simMs[i] <= simMs[0] {
+			t.Fatalf("timeout charges did not stretch simulated time at rate %v", rate[i])
 		}
 	}
 	// Graceful degradation: training still works at a 30% crash rate.
-	worstCase := res.Rows[len(res.Rows)-1]
-	if worstCase.Average < base.Average-0.15 {
-		t.Fatalf("average collapsed under faults: %v vs fault-free %v", worstCase.Average, base.Average)
+	n := len(tab.Rows) - 1
+	if avg[n] < avg[0]-0.15 {
+		t.Fatalf("average collapsed under faults: %v vs fault-free %v", avg[n], avg[0])
 	}
-	if worstCase.Worst < 0.3 {
-		t.Fatalf("worst-group accuracy collapsed under faults: %v", worstCase.Worst)
+	if worst[n] < 0.3 {
+		t.Fatalf("worst-group accuracy collapsed under faults: %v", worst[n])
 	}
-	if txt := res.Render(); !strings.Contains(txt, "crash") || !strings.Contains(txt, "timeouts") {
+	if txt := tab.Render(); !strings.Contains(txt, "crash_prob") || !strings.Contains(txt, "timeouts") {
 		t.Fatal("Render incomplete")
 	}
 }
 
 func TestCompressionSweepShape(t *testing.T) {
-	res, err := CompressionSweep(nil, Smoke, 42)
-	if err != nil {
-		t.Fatal(err)
+	tab := runExp(t, "compression", 42)[0]
+	regimes := len(compressionRegimes(1))
+	if len(tab.Rows) != regimes*2 {
+		t.Fatalf("expected %d rows, got %d", regimes*2, len(tab.Rows))
 	}
-	if len(res.Rows) != compressionRegimes*2 {
-		t.Fatalf("expected %d rows, got %d", compressionRegimes*2, len(res.Rows))
-	}
+	bytes, ratio := col(tab, "wire_bytes"), col(tab, "bytes_ratio")
+	crashes, lost, avg := col(tab, "crashes"), col(tab, "messages_lost"), col(tab, "average")
 	for leg := 0; leg < 2; leg++ {
-		rows := res.Rows[leg*compressionRegimes : (leg+1)*compressionRegimes]
-		dense := rows[0]
-		if dense.Regime != "none" || dense.BytesRatio != 1 {
-			t.Fatalf("leg %d: dense reference row is %+v", leg, dense)
+		d := leg * regimes // the leg's dense reference row
+		if tab.Rows[d].Key[0] != "none" || ratio[d] != 1 {
+			t.Fatalf("leg %d: dense reference row is %v", leg, tab.Rows[d])
 		}
 		faulted := leg == 1
-		for _, r := range rows {
-			if r.Faulted != faulted {
-				t.Fatalf("row %+v on wrong leg", r)
+		for i := d; i < d+regimes; i++ {
+			r := tab.Rows[i]
+			if r.Key[1] != strconv.FormatBool(faulted) {
+				t.Fatalf("row %v on wrong leg", r)
 			}
-			if faulted && (r.Crashes == 0 || r.MessagesLost == 0) {
-				t.Fatalf("chaos leg %s saw no faults: %+v", r.Regime, r)
+			if faulted && (crashes[i] == 0 || lost[i] == 0) {
+				t.Fatalf("chaos leg %s saw no faults: %v", r.Key[0], r)
 			}
-			if !faulted && (r.Crashes != 0 || r.MessagesLost != 0) {
-				t.Fatalf("clean leg %s reports fault activity: %+v", r.Regime, r)
+			if !faulted && (crashes[i] != 0 || lost[i] != 0) {
+				t.Fatalf("clean leg %s reports fault activity: %v", r.Key[0], r)
 			}
 			// Compression is a usable operating point, not just a
 			// consistent one: every regime still learns.
-			if r.Average < 0.6 {
-				t.Fatalf("%s (faulted=%v) average %v", r.Regime, faulted, r.Average)
+			if avg[i] < 0.6 {
+				t.Fatalf("%s (faulted=%v) average %v", r.Key[0], faulted, avg[i])
+			}
+			// Every compressed regime moves strictly fewer bytes than dense.
+			if i > d && (bytes[i] >= bytes[d] || ratio[i] >= 1) {
+				t.Fatalf("%s (faulted=%v) not cheaper than dense: %v vs %v", r.Key[0], faulted, bytes[i], bytes[d])
 			}
 		}
-		// Every compressed regime moves strictly fewer bytes than dense,
-		// and the uniform widths order as 16 > 8 > 4 bits.
-		for _, r := range rows[1:] {
-			if r.WireBytes >= dense.WireBytes || r.BytesRatio >= 1 {
-				t.Fatalf("%s (faulted=%v) not cheaper than dense: %d vs %d", r.Regime, faulted, r.WireBytes, dense.WireBytes)
-			}
-		}
-		if !(rows[1].WireBytes > rows[2].WireBytes && rows[2].WireBytes > rows[3].WireBytes) {
-			t.Fatalf("uniform widths not ordered: %d, %d, %d bytes",
-				rows[1].WireBytes, rows[2].WireBytes, rows[3].WireBytes)
+		// The uniform widths order as 16 > 8 > 4 bits.
+		if !(bytes[d+1] > bytes[d+2] && bytes[d+2] > bytes[d+3]) {
+			t.Fatalf("uniform widths not ordered: %v, %v, %v bytes", bytes[d+1], bytes[d+2], bytes[d+3])
 		}
 	}
-	txt := res.Render()
-	if !strings.Contains(txt, "uniform-8bit") || !strings.Contains(txt, "topk-") || !strings.Contains(txt, "chaos") {
+	txt := tab.Render()
+	if !strings.Contains(txt, "uniform-8bit") || !strings.Contains(txt, "topk-") || !strings.Contains(txt, "true") {
 		t.Fatal("Render incomplete")
-	}
-}
-
-func TestCompressionExport(t *testing.T) {
-	dir := t.TempDir()
-	res := &CompressionResult{Rows: []CompressionRow{{
-		Regime: "uniform-8bit", Faulted: true,
-		Summary:   Summary{Average: 0.9, Worst: 0.8, Variance: 1.5},
-		WireBytes: 123456, BytesRatio: 0.5, Crashes: 2, MessagesLost: 3,
-	}}}
-	if err := res.WriteFiles(dir, "compression"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChaosExport(t *testing.T) {
-	dir := t.TempDir()
-	res := &ChaosResult{Rows: []ChaosRow{{
-		CrashProb: 0.1, Summary: Summary{Average: 0.9, Worst: 0.8, Variance: 1.5},
-		Crashes: 4, Timeouts: 2, Retries: 1, MessagesLost: 3, SimulatedMs: 1000,
-	}}}
-	if err := res.WriteFiles(dir, "chaos"); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -332,52 +338,48 @@ func TestScaleAndAlgoHelpers(t *testing.T) {
 }
 
 func TestConvergenceRateShape(t *testing.T) {
-	res, err := ConvergenceRate(nil, Smoke, 0, 42)
-	if err != nil {
-		t.Fatal(err)
+	tab := runExp(t, "rates", 42)[0]
+	horizons := len(gapScaleFor(Smoke).horizons)
+	if len(tab.Rows) != horizons*len(rateAlphas) {
+		t.Fatalf("rows: %d", len(tab.Rows))
 	}
-	if len(res.Points) != 3 {
-		t.Fatalf("points: %d", len(res.Points))
-	}
-	// The gap must shrink with the horizon (Theorem 1's headline), and
-	// the fitted slope must be clearly negative and in the ballpark of
-	// the predicted T^{-1/2}.
-	for i := 1; i < len(res.Points); i++ {
-		if res.Points[i].DualityGap >= res.Points[i-1].DualityGap {
-			t.Fatalf("gap not decreasing: %v", res.Points)
+	// At alpha = 0 the gap must shrink with the horizon (Theorem 1's
+	// headline), and the fitted slope must be clearly negative and in
+	// the ballpark of the predicted T^{-1/2}.
+	gap, fitted, predicted := col(tab, "duality_gap"), col(tab, "fitted_slope"), col(tab, "predicted_slope")
+	for i := 1; i < horizons; i++ {
+		if gap[i] >= gap[i-1] {
+			t.Fatalf("gap not decreasing: %v", gap[:horizons])
 		}
 	}
-	if res.FittedSlope > -0.2 {
-		t.Fatalf("fitted slope %v too shallow for alpha=0", res.FittedSlope)
+	if fitted[0] > -0.2 {
+		t.Fatalf("fitted slope %v too shallow for alpha=0", fitted[0])
 	}
-	if res.PredictedSlope != -0.5 {
-		t.Fatalf("predicted slope %v", res.PredictedSlope)
+	if predicted[0] != -0.5 || predicted[horizons] != -0.25 {
+		t.Fatalf("predicted slopes %v", predicted)
 	}
-	if !strings.Contains(res.Render(), "fitted log-log slope") {
+	for i := range tab.Rows {
+		a := i / horizons
+		if fitted[i] != fitted[a*horizons] || predicted[i] != predicted[a*horizons] {
+			t.Fatalf("alpha %v rows disagree on their slopes: %v %v", rateAlphas[a], fitted, predicted)
+		}
+	}
+	if !strings.Contains(tab.Render(), "fitted_slope") {
 		t.Fatal("render incomplete")
 	}
 }
 
 func TestFitLogLogSlope(t *testing.T) {
 	// Exact power law gap = T^{-0.5}.
-	pts := []RatePoint{
-		{T: 100, DualityGap: 0.1},
-		{T: 10000, DualityGap: 0.01},
+	rows := []Row{
+		{Vals: []float64{0, 100, 0, 0, 0.1}},
+		{Vals: []float64{0, 10000, 0, 0, 0.01}},
 	}
-	if got := fitLogLogSlope(pts); got < -0.5001 || got > -0.4999 {
+	if got := fitLogLogSlope(rows); got < -0.5001 || got > -0.4999 {
 		t.Fatalf("slope = %v", got)
 	}
-	if fitLogLogSlope(pts[:1]) != 0 {
+	if fitLogLogSlope(rows[:1]) != 0 {
 		t.Fatal("degenerate fit should be 0")
-	}
-}
-
-func TestRateExport(t *testing.T) {
-	dir := t.TempDir()
-	res := &RateResult{Alpha: 0, PredictedSlope: -0.5, FittedSlope: -0.4,
-		Points: []RatePoint{{T: 10, Rounds: 10, DualityGap: 0.5, CloudRounds: 40}}}
-	if err := res.WriteFiles(dir, "rates"); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -408,33 +410,47 @@ func TestSustainedCrossing(t *testing.T) {
 }
 
 func TestStationarityShape(t *testing.T) {
-	res, err := Stationarity(nil, Smoke, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) < 3 {
-		t.Fatalf("points: %d", len(res.Points))
+	tab := runExp(t, "stationarity", 42)[0]
+	if len(tab.Rows) < 3 {
+		t.Fatalf("points: %d", len(tab.Rows))
 	}
 	// Theorem 2's headline: the stationarity measure decays along
 	// training (allowing for stochastic wiggle, first vs last must drop
 	// substantially).
-	if res.Last >= res.First*0.8 {
-		t.Fatalf("Moreau surrogate did not decay: %v -> %v", res.First, res.Last)
+	grad := col(tab, "moreau_grad_sq")
+	if first, last := grad[0], grad[len(grad)-1]; last >= first*0.8 {
+		t.Fatalf("Moreau surrogate did not decay: %v -> %v", first, last)
 	}
-	for _, p := range res.Points {
-		if p.MoreauGradSq < 0 {
-			t.Fatalf("negative squared norm at round %d", p.Round)
+	for i, g := range grad {
+		if g < 0 {
+			t.Fatalf("negative squared norm at row %d", i)
 		}
 	}
-	if !strings.Contains(res.Render(), "Theorem 2") {
+	if !strings.Contains(tab.Render(), "Theorem 2") {
 		t.Fatal("render incomplete")
 	}
 }
 
-func TestStationarityExport(t *testing.T) {
-	dir := t.TempDir()
-	res := &StationarityResult{Points: []StationarityPoint{{Round: 10, MoreauGradSq: 0.5, Worst: 0.3}}}
-	if err := res.WriteFiles(dir, "stat"); err != nil {
-		t.Fatal(err)
+// TestSelect: -exp names resolve through the one experiment list, and a
+// sparse population is refused by every experiment but the figures.
+func TestSelect(t *testing.T) {
+	all, err := Select("all", 0, 0)
+	if err != nil || len(all) != len(Experiments) {
+		t.Fatalf("all: %d experiments, %v", len(all), err)
+	}
+	if _, err := Select("fig5", 0, 0); err == nil || !strings.Contains(err.Error(), "fig3|fig4") {
+		t.Fatalf("unknown experiment: %v", err)
+	}
+	if _, err := Select("fig3", 100, 0); err == nil {
+		t.Fatal("population without a per-round sample accepted")
+	}
+	for _, name := range []string{"table2", "all"} {
+		if _, err := Select(name, 100, 5); err == nil || !strings.Contains(err.Error(), "fig3 and fig4 only") {
+			t.Fatalf("%s with a population: %v", name, err)
+		}
+	}
+	figs, err := Select("fig4", 100, 5)
+	if err != nil || figs[0].fig(Smoke, 1).Base.Population != 100 {
+		t.Fatalf("fig4 with a population: %v", err)
 	}
 }

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/fl"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -21,22 +20,25 @@ type Series struct {
 	Worst       []float64
 }
 
-// FigResult is one figure reproduction: all five curves plus the
-// rounds-to-target headline comparison the paper reports in prose.
+// FigResult is one figure reproduction: all five curves and each
+// algorithm's final summary.
 type FigResult struct {
 	Name        string
 	Series      []Series
 	TargetWorst float64
-	// ToTarget[algo] is the first training round whose worst accuracy
-	// reaches TargetWorst (0 = never reached within the run).
-	ToTarget map[AlgorithmName]int
 	// Final holds each algorithm's last-snapshot summary.
 	Final map[AlgorithmName]Summary
 }
 
 // Summary is the (average, worst, variance) triple of §6.
-type Summary struct {
-	Average, Worst, Variance float64
+type Summary = metrics.Fairness
+
+// fairCols names the Summary columns; fair extracts them from a run.
+var fairCols = []string{"average", "worst", "variance"}
+
+func fair(out *fl.Result) []float64 {
+	f := out.History.Final().Fair
+	return []float64{f.Average, f.Worst, f.Variance}
 }
 
 // runAlgorithm dispatches to the right engine.
@@ -56,16 +58,31 @@ func runAlgorithm(algo AlgorithmName, prob *fl.Problem, cfg fl.Config) (*fl.Resu
 	return nil, fmt.Errorf("experiments: unknown algorithm %q", algo)
 }
 
+// train runs algo in process on a fresh problem over setup's workload
+// with the algorithm's §6 config; mutate, when set, adjusts the problem
+// and the config first.
+func train(setup FigSetup, algo AlgorithmName, mutate func(*fl.Problem, *fl.Config)) (*fl.Result, error) {
+	prob := fl.NewProblem(setup.Fed, setup.Model.Clone())
+	cfg := configFor(setup.Base, algo)
+	if mutate != nil {
+		mutate(prob, &cfg)
+	}
+	out, err := runAlgorithm(algo, prob, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s on %s: %w", algo, setup.Name, err)
+	}
+	return out, nil
+}
+
 // AllAlgorithms lists the five methods in the paper's presentation order.
 var AllAlgorithms = []AlgorithmName{FedAvg, StochasticAFL, DRFA, HierFAvg, HierMinimax}
 
 // figRun is one algorithm's committed result within a figure sweep.
 type figRun struct {
-	series   Series
-	toTarget int
-	final    Summary
-	name     string
-	target   float64
+	series Series
+	final  Summary
+	name   string
+	target float64
 }
 
 // RunFigure runs every algorithm on the workload and assembles the
@@ -77,11 +94,9 @@ func RunFigure(pool *sched.Pool, build func() FigSetup, algos []AlgorithmName) (
 	runs, err := sched.Map(pool, "figure", len(algos), func(i int) (figRun, error) {
 		setup := build()
 		algo := algos[i]
-		prob := fl.NewProblem(setup.Fed, setup.Model.Clone())
-		cfg := configFor(setup.Base, algo)
-		out, err := runAlgorithm(algo, prob, cfg)
+		out, err := train(setup, algo, nil)
 		if err != nil {
-			return figRun{}, fmt.Errorf("experiments: %s on %s: %w", algo, setup.Name, err)
+			return figRun{}, err
 		}
 		s := Series{Algorithm: algo}
 		for _, snap := range out.History.Snapshots {
@@ -90,26 +105,15 @@ func RunFigure(pool *sched.Pool, build func() FigSetup, algos []AlgorithmName) (
 			s.Average = append(s.Average, snap.Fair.Average)
 			s.Worst = append(s.Worst, snap.Fair.Worst)
 		}
-		f := out.History.Final().Fair
-		return figRun{
-			series:   s,
-			toTarget: sustainedCrossing(s, setup.TargetWorst),
-			final:    Summary{Average: f.Average, Worst: f.Worst, Variance: f.Variance},
-			name:     setup.Name,
-			target:   setup.TargetWorst,
-		}, nil
+		return figRun{series: s, final: out.History.Final().Fair, name: setup.Name, target: setup.TargetWorst}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &FigResult{
-		ToTarget: make(map[AlgorithmName]int),
-		Final:    make(map[AlgorithmName]Summary),
-	}
+	res := &FigResult{Final: make(map[AlgorithmName]Summary)}
 	for i, r := range runs {
 		res.Name, res.TargetWorst = r.name, r.target
 		res.Series = append(res.Series, r.series)
-		res.ToTarget[algos[i]] = r.toTarget
 		res.Final[algos[i]] = r.final
 	}
 	return res, nil
@@ -118,9 +122,6 @@ func RunFigure(pool *sched.Pool, build func() FigSetup, algos []AlgorithmName) (
 // SetupFig3 exposes the Fig. 3 workload construction (used by the bench
 // harness to run one algorithm at a time).
 func SetupFig3(scale Scale, seed uint64) FigSetup { return convexSetup(scale, seed) }
-
-// SetupFig4 exposes the Fig. 4 workload construction.
-func SetupFig4(scale Scale, seed uint64) FigSetup { return nonConvexSetup(scale, seed) }
 
 // sustainedCrossing returns the first round whose worst accuracy reaches
 // target AND stays there at the following snapshot (a single noisy spike
@@ -138,69 +139,23 @@ func sustainedCrossing(s Series, target float64) int {
 	return 0
 }
 
-// Fig3 reproduces Figure 3 (convex loss, EMNIST-Digits substitute).
-func Fig3(pool *sched.Pool, scale Scale, seed uint64) (*FigResult, error) {
-	return RunFigure(pool, func() FigSetup { return convexSetup(scale, seed) }, AllAlgorithms)
-}
-
-// Fig4 reproduces Figure 4 (non-convex loss, Fashion-MNIST substitute).
-func Fig4(pool *sched.Pool, scale Scale, seed uint64) (*FigResult, error) {
-	return RunFigure(pool, func() FigSetup { return nonConvexSetup(scale, seed) }, AllAlgorithms)
-}
-
-// Fig3Population runs the Fig. 3 comparison with each round's clients
-// drawn from a sparse registered population instead of the resident
-// N_E x N0 roster: population clients exist as (seed, edge) records and
-// samplePerRound of them materialize per round. Artifacts remain
-// bitwise identical for any -jobs worker count, exactly like Fig3.
-func Fig3Population(pool *sched.Pool, scale Scale, seed uint64, population, samplePerRound int) (*FigResult, error) {
-	return RunFigure(pool, func() FigSetup {
-		return convexSetup(scale, seed).WithPopulation(population, samplePerRound)
-	}, AllAlgorithms)
-}
-
-// Fig4Population is Fig4 under the sparse-population regime.
-func Fig4Population(pool *sched.Pool, scale Scale, seed uint64, population, samplePerRound int) (*FigResult, error) {
-	return RunFigure(pool, func() FigSetup {
-		return nonConvexSetup(scale, seed).WithPopulation(population, samplePerRound)
-	}, AllAlgorithms)
-}
-
-// Render prints the figure data as aligned text: one block per curve
-// plus the rounds-to-target summary, mirroring how §6.1/§6.2 report the
-// result.
-func (r *FigResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", r.Name)
+// tables publishes the figure as two tables: name holds the curves, one
+// row per method and snapshot, and draws the paper's average and worst
+// accuracy panels; name-summary holds one row per method with its final
+// summary and the rounds its worst accuracy needs to reach the target
+// (0 = not reached), the headline §6.1 and §6.2 report in prose.
+func (r *FigResult) tables(name string, seed uint64) []*Table {
+	curves := newTable(name, r.Name, seed, []string{"method"}, "round", "cloud_rounds", "average", "worst")
+	curves.Plot = []string{"average", "worst"}
+	summary := newTable(name+"-summary", r.Name+": final accuracy and rounds to the worst-accuracy target",
+		seed, []string{"method"}, append(fairCols, "target_worst", "rounds_to_target")...)
 	for _, s := range r.Series {
-		fmt.Fprintf(&b, "\n%s (round: average / worst)\n", s.Algorithm)
+		key := []string{string(s.Algorithm)}
 		for i := range s.Rounds {
-			fmt.Fprintf(&b, "  %6d: %.4f / %.4f\n", s.Rounds[i], s.Average[i], s.Worst[i])
+			curves.add(key, float64(s.Rounds[i]), float64(s.CloudRounds[i]), s.Average[i], s.Worst[i])
 		}
+		f := r.Final[s.Algorithm]
+		summary.add(key, f.Average, f.Worst, f.Variance, r.TargetWorst, float64(sustainedCrossing(s, r.TargetWorst)))
 	}
-	fmt.Fprintf(&b, "\nRounds to reach %.0f%% worst accuracy:\n", 100*r.TargetWorst)
-	algos := make([]AlgorithmName, 0, len(r.ToTarget))
-	for a := range r.ToTarget {
-		algos = append(algos, a)
-	}
-	sort.Slice(algos, func(i, j int) bool { return algos[i] < algos[j] })
-	hmm := r.ToTarget[HierMinimax]
-	for _, a := range algos {
-		v := r.ToTarget[a]
-		if v == 0 {
-			fmt.Fprintf(&b, "  %-14s not reached\n", a)
-			continue
-		}
-		if a != HierMinimax && hmm > 0 {
-			fmt.Fprintf(&b, "  %-14s %6d  (HierMinimax reduction: %.0f%%)\n", a, v, 100*(1-float64(hmm)/float64(v)))
-		} else {
-			fmt.Fprintf(&b, "  %-14s %6d\n", a, v)
-		}
-	}
-	fmt.Fprintf(&b, "\nFinal (average / worst / variance):\n")
-	for _, a := range algos {
-		f := r.Final[a]
-		fmt.Fprintf(&b, "  %-14s %.4f / %.4f / %.4f\n", a, f.Average, f.Worst, f.Variance)
-	}
-	return b.String()
+	return []*Table{curves, summary}
 }

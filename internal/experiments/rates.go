@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -15,96 +13,130 @@ import (
 	"repro/internal/sched"
 )
 
-// RatePoint is one horizon on the convergence curve.
-type RatePoint struct {
-	T           int // total slots
-	Rounds      int
-	DualityGap  float64
-	CloudRounds int64
+// gapScale sizes the theory checks: the corpus and model, the Table 1
+// slot budget and the Theorem 1 horizons.
+type gapScale struct {
+	perTrain, perTest, dim, T int
+	horizons                  []int
 }
 
-// RateResult verifies Theorem 1's convergence scaling empirically: at a
-// fixed alpha, the duality gap of the averaged iterates should decay
-// like T^{-(1-alpha)/2}; the fitted log-log slope is reported against
-// that prediction.
-type RateResult struct {
-	Alpha          float64
-	Points         []RatePoint
-	FittedSlope    float64
-	PredictedSlope float64
-}
-
-// ConvergenceRate runs HierMinimax at geometrically increasing horizons
-// T with tau1*tau2 ~ T^alpha and the Theorem-1 learning-rate schedule,
-// measures the realized duality gap at each horizon, and fits the
-// log-log slope. Each horizon is an independent scheduler job sharing
-// one cached corpus.
-func ConvergenceRate(pool *sched.Pool, scale Scale, alpha float64, seed uint64) (*RateResult, error) {
-	var horizons []int
-	var perTrain, perTest, dim int
+func gapScaleFor(scale Scale) gapScale {
 	switch scale {
 	case Smoke:
-		horizons = []int{256, 1024, 4096}
-		perTrain, perTest, dim = 40, 20, 32
+		return gapScale{40, 20, 32, 768, []int{256, 1024, 4096}}
 	case Small:
-		horizons = []int{1024, 4096, 16384}
-		perTrain, perTest, dim = 120, 60, 64
-	default:
-		horizons = []int{4096, 16384, 65536}
-		perTrain, perTest, dim = 300, 100, 128
+		return gapScale{120, 60, 64, 8192, []int{1024, 4096, 16384}}
 	}
-	profile := data.EMNISTDigitsLike()
-	profile.Dim = dim
-
-	points, err := sched.Map(pool, "rates", len(horizons), func(i int) (RatePoint, error) {
-		T := horizons[i]
-		train, test := profile.GenerateShared(perTrain, perTest, seed)
-		fed := data.OneClassPerArea(train, test, 3, seed+1)
-		tau1, tau2 := optim.TausForAlpha(T, alpha)
-		rounds := T / (tau1 * tau2)
-		if rounds < 1 {
-			rounds = 1
-		}
-		lr := optim.ConvexSchedule(T, alpha, 3.0, 0.05)
-		prob := fl.NewProblem(fed, model.NewLinear(dim, profile.Classes))
-		cfg := fl.Config{
-			Rounds: rounds, Tau1: tau1, Tau2: tau2,
-			EtaW: lr.EtaW, EtaP: lr.EtaP,
-			BatchSize: 4, LossBatch: 16,
-			SampledEdges: 5, Seed: seed,
-			TrackAverages: true,
-		}
-		out, err := core.HierMinimax(prob, cfg)
-		if err != nil {
-			return RatePoint{}, fmt.Errorf("experiments: rate T=%d: %w", T, err)
-		}
-		gap := metrics.DualityGap(prob.Model, out.WHat, out.PHat, fed, prob.W, prob.P, 200, lr.EtaW)
-		if gap < 1e-12 {
-			gap = 1e-12 // guard the log fit against numerically zero gaps
-		}
-		return RatePoint{
-			T: T, Rounds: rounds, DualityGap: gap,
-			CloudRounds: out.Ledger.CloudRounds(),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &RateResult{Alpha: alpha, PredictedSlope: -(1 - alpha) / 2, Points: points}
-	res.FittedSlope = fitLogLogSlope(res.Points)
-	return res, nil
+	return gapScale{300, 100, 128, 65536, []int{4096, 16384, 65536}}
 }
 
-// fitLogLogSlope least-squares fits log(gap) against log(T).
-func fitLogLogSlope(pts []RatePoint) float64 {
-	n := float64(len(pts))
+// gapRun is one convex HierMinimax run of T slots with tau1*tau2 ~
+// T^alpha local work per round and the learning rates prescribed after
+// Theorem 1, measured by the duality gap (Eq. 8) of its averaged
+// iterates.
+type gapRun struct {
+	tau1, tau2, rounds int
+	out                *fl.Result
+	gap                float64
+}
+
+func runGap(g gapScale, seed uint64, T int, alpha float64) (gapRun, error) {
+	profile := data.EMNISTDigitsLike()
+	profile.Dim = g.dim
+	train, test := profile.GenerateShared(g.perTrain, g.perTest, seed)
+	fed := data.OneClassPerArea(train, test, 3, seed+1)
+	tau1, tau2 := optim.TausForAlpha(T, alpha)
+	rounds := max(T/(tau1*tau2), 1)
+	lr := optim.ConvexSchedule(T, alpha, 3.0, 0.05)
+	prob := fl.NewProblem(fed, model.NewLinear(g.dim, profile.Classes))
+	out, err := core.HierMinimax(prob, fl.Config{
+		Rounds: rounds, Tau1: tau1, Tau2: tau2,
+		EtaW: lr.EtaW, EtaP: lr.EtaP,
+		BatchSize: 4, LossBatch: 16,
+		SampledEdges: 5, Seed: seed,
+		TrackAverages: true,
+	})
+	if err != nil {
+		return gapRun{}, fmt.Errorf("experiments: T=%d alpha=%g: %w", T, alpha, err)
+	}
+	gap := metrics.DualityGap(prob.Model, out.WHat, out.PHat, fed, prob.W, prob.P, 200, lr.EtaW)
+	return gapRun{tau1, tau2, rounds, out, gap}, nil
+}
+
+// tradeoff is the empirical companion to Table 1 and §5.1: at a fixed
+// slot budget T it sweeps alpha, trading edge-cloud communication
+// (Theta(T^{1-alpha}) rounds) against the duality-gap bound
+// O(1/T^{(1-alpha)/2}). Each alpha is an independent scheduler job; all
+// draw the same corpus from the shared-dataset cache.
+func tradeoff(pool *sched.Pool, scale Scale, seed uint64) (*Table, error) {
+	g := gapScaleFor(scale)
+	t := newTable("table1", fmt.Sprintf("Table 1 companion: communication/convergence trade-off (T=%d slots)", g.T),
+		seed, nil, "alpha", "T", "tau1", "tau2", "rounds", "cloud_rounds", "duality_gap", "average", "worst")
+	var jobs []job
+	for _, alpha := range []float64{0, 0.25, 0.5, 0.75} {
+		jobs = append(jobs, job{nil, func() ([]float64, error) {
+			r, err := runGap(g, seed, g.T, alpha)
+			if err != nil {
+				return nil, err
+			}
+			f := r.out.History.Final().Fair
+			return []float64{alpha, float64(g.T), float64(r.tau1), float64(r.tau2), float64(r.rounds),
+				float64(r.out.Ledger.CloudRounds()), r.gap, f.Average, f.Worst}, nil
+		}})
+	}
+	if err := t.fill(pool, jobs); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// rateAlphas are the alphas of the Theorem 1 rate check.
+var rateAlphas = []float64{0, 0.5}
+
+// rates verifies Theorem 1's convergence scaling: at each alpha the
+// duality gap should decay like T^{-(1-alpha)/2} over geometrically
+// growing horizons, so each alpha's rows carry the fitted log-log slope
+// beside that prediction.
+func rates(pool *sched.Pool, scale Scale, seed uint64) (*Table, error) {
+	g := gapScaleFor(scale)
+	t := newTable("rates", "Theorem 1 rate check: duality gap against horizon T", seed, nil,
+		"alpha", "T", "rounds", "cloud_rounds", "duality_gap", "fitted_slope", "predicted_slope")
+	var jobs []job
+	for _, alpha := range rateAlphas {
+		for _, T := range g.horizons {
+			jobs = append(jobs, job{nil, func() ([]float64, error) {
+				r, err := runGap(g, seed, T, alpha)
+				if err != nil {
+					return nil, err
+				}
+				return []float64{alpha, float64(T), float64(r.rounds), float64(r.out.Ledger.CloudRounds()), r.gap}, nil
+			}})
+		}
+	}
+	if err := t.fill(pool, jobs); err != nil {
+		return nil, err
+	}
+	for i := range rateAlphas {
+		rows := t.Rows[i*len(g.horizons) : (i+1)*len(g.horizons)]
+		slope, predicted := fitLogLogSlope(rows), -(1-rows[0].Vals[0])/2
+		for j := range rows {
+			rows[j].Vals = append(rows[j].Vals, slope, predicted)
+		}
+	}
+	return t, nil
+}
+
+// fitLogLogSlope least-squares fits log(gap) against log(T) over rate
+// rows (T in column 1, the gap in column 4).
+func fitLogLogSlope(rows []Row) float64 {
+	n := float64(len(rows))
 	if n < 2 {
 		return 0
 	}
 	var sx, sy, sxx, sxy float64
-	for _, p := range pts {
-		x := math.Log(float64(p.T))
-		y := math.Log(p.DualityGap)
+	for _, r := range rows {
+		x := math.Log(r.Vals[1])
+		y := math.Log(max(r.Vals[4], 1e-12)) // guard the fit against numerically zero gaps
 		sx += x
 		sy += y
 		sxx += x * x
@@ -115,32 +147,4 @@ func fitLogLogSlope(pts []RatePoint) float64 {
 		return 0
 	}
 	return (n*sxy - sx*sy) / denom
-}
-
-// Render prints the rate verification table.
-func (r *RateResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== Theorem 1 rate check (alpha=%.2f): gap ~ T^%.2f predicted ==\n", r.Alpha, r.PredictedSlope)
-	fmt.Fprintf(&b, "%10s %8s %12s %12s\n", "T", "K", "cloudRounds", "dualityGap")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%10d %8d %12d %12.5f\n", p.T, p.Rounds, p.CloudRounds, p.DualityGap)
-	}
-	fmt.Fprintf(&b, "fitted log-log slope: %.3f (theory upper bound slope: %.3f)\n", r.FittedSlope, r.PredictedSlope)
-	return b.String()
-}
-
-// WriteFiles exports the rate points.
-func (r *RateResult) WriteFiles(dir, base string) error {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.T), fmt.Sprintf("%d", p.Rounds),
-			fmt.Sprintf("%d", p.CloudRounds), ftoa(p.DualityGap),
-		})
-	}
-	if err := writeCSV(filepath.Join(dir, base+".csv"),
-		[]string{"T", "rounds", "cloud_rounds", "duality_gap"}, rows); err != nil {
-		return err
-	}
-	return writeJSON(filepath.Join(dir, base+".json"), r)
 }

@@ -1,19 +1,101 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6): Fig. 3 (convex comparison), Fig. 4 (non-convex
 // comparison), Table 2 (HierFAvg vs HierMinimax fairness across five
-// datasets), and an empirical companion to Table 1 (the
-// communication/convergence trade-off of §5). Each experiment has a
-// scale knob so the same harness drives fast benchmark runs and the full
-// recorded reproduction.
+// datasets), an empirical companion to Table 1 (the
+// communication/convergence trade-off of §5), the Theorem 1 and 2
+// checks, the ablations and the fault and compression sweeps. Every
+// experiment publishes Tables: one row per run, one column per metric.
+// Each experiment has a scale knob so the same harness drives fast
+// test runs and the full recorded reproduction.
 package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/model"
+	"repro/internal/sched"
 )
+
+// Experiment is one entry of the reproduction.
+type Experiment struct {
+	Name string
+	run  func(pool *sched.Pool, scale Scale, seed uint64) (*Table, error)
+	// fig builds the workload of a comparison figure, which runs every
+	// algorithm; only figures run on a sparse population.
+	fig func(Scale, uint64) FigSetup
+}
+
+// Experiments lists every experiment in the order "all" runs them.
+var Experiments = []Experiment{
+	{Name: "fig3", fig: convexSetup},
+	{Name: "fig4", fig: nonConvexSetup},
+	{Name: "table2", run: table2},
+	{Name: "table1", run: tradeoff},
+	{Name: "rates", run: rates},
+	{Name: "stationarity", run: stationarity},
+	{Name: "ablations", run: ablations},
+	{Name: "chaos", run: ChaosSweep},
+	{Name: "compression", run: compression},
+}
+
+// Run computes the experiment's tables. The scheduler commits every
+// job in submission order, so they are identical for any worker count.
+func (e Experiment) Run(pool *sched.Pool, scale Scale, seed uint64) ([]*Table, error) {
+	if e.fig == nil {
+		t, err := e.run(pool, scale, seed)
+		if err != nil {
+			return nil, err
+		}
+		return []*Table{t}, nil
+	}
+	res, err := RunFigure(pool, func() FigSetup { return e.fig(scale, seed) }, AllAlgorithms)
+	if err != nil {
+		return nil, err
+	}
+	return res.tables(e.Name, seed), nil
+}
+
+// Select returns the experiment called name, or every experiment for
+// "all". A population > 0 draws each round's samplePerRound clients
+// from that many registered ones (see FigSetup.WithPopulation); only
+// the figures accept it.
+func Select(name string, population, samplePerRound int) ([]Experiment, error) {
+	if (population > 0) != (samplePerRound > 0) {
+		return nil, fmt.Errorf("experiments: a population and a per-round sample size must be set together")
+	}
+	var out []Experiment
+	for _, e := range Experiments {
+		if name != "all" && name != e.Name {
+			continue
+		}
+		if population > 0 {
+			if e.fig == nil {
+				return nil, fmt.Errorf("experiments: a sparse population applies to fig3 and fig4 only, not %s", e.Name)
+			}
+			fig := e.fig
+			e.fig = func(scale Scale, seed uint64) FigSetup {
+				return fig(scale, seed).WithPopulation(population, samplePerRound)
+			}
+		}
+		out = append(out, e)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("experiments: unknown experiment %q (want %s)", name, Names())
+	}
+	return out, nil
+}
+
+// Names lists the experiment names Select accepts.
+func Names() string {
+	names := make([]string, 0, len(Experiments)+1)
+	for _, e := range Experiments {
+		names = append(names, e.Name)
+	}
+	return strings.Join(append(names, "all"), "|")
+}
 
 // Scale selects the experiment size.
 type Scale int
@@ -74,20 +156,21 @@ func (s FigSetup) WithPopulation(population, samplePerRound int) FigSetup {
 }
 
 // convexParams are the scale-dependent knobs shared by the convex
-// experiments (Fig. 3, Table 2, ablations).
+// experiments (Fig. 3, Table 2, ablations), with Fig. 3's
+// worst-accuracy target.
 type convexParams struct {
 	dim, perTrain, perTest, rounds, evalEvery int
-	etaW, etaP                                float64
+	etaW, etaP, targetWorst                   float64
 }
 
 func convexParamsFor(scale Scale) convexParams {
 	switch scale {
 	case Smoke:
-		return convexParams{48, 400, 150, 600, 25, 0.01, 0.001}
+		return convexParams{48, 400, 150, 600, 25, 0.01, 0.001, 0.75}
 	case Small:
-		return convexParams{784, 2000, 150, 6000, 200, 0.002, 0.0003}
+		return convexParams{784, 2000, 150, 6000, 200, 0.002, 0.0003, 0.70}
 	default: // Full
-		return convexParams{784, 4000, 300, 20000, 250, 0.001, 0.0001}
+		return convexParams{784, 4000, 300, 20000, 250, 0.001, 0.0001, 0.75}
 	}
 }
 
@@ -114,7 +197,7 @@ func convexSetup(scale Scale, seed uint64) FigSetup {
 		Fed:         fed,
 		Model:       model.NewLinear(p.dim, profile.Classes),
 		Base:        p.base(seed),
-		TargetWorst: targetFor(scale, 0.75, 0.70, 0.75),
+		TargetWorst: p.targetWorst,
 	}
 }
 
@@ -123,7 +206,7 @@ func convexSetup(scale Scale, seed uint64) FigSetup {
 // (§6.2).
 func nonConvexSetup(scale Scale, seed uint64) FigSetup {
 	var perTrain, perTest, rounds, evalEvery, testPerArea int
-	var etaW, etaP float64
+	var etaW, etaP, target float64
 	var dim, h1, h2 int
 	switch scale {
 	case Smoke:
@@ -131,18 +214,18 @@ func nonConvexSetup(scale Scale, seed uint64) FigSetup {
 		// regime where the minimax effect is strongest (see DESIGN.md).
 		dim, h1, h2 = 48, 24, 12
 		perTrain, perTest, rounds, evalEvery, testPerArea = 400, 100, 600, 25, 200
-		etaW, etaP = 0.01, 0.001
+		etaW, etaP, target = 0.01, 0.001, 0.45
 	case Small:
 		// 14x14 downscale with the paper's 300-100 architecture; enough
 		// training data per class that the MLP cannot interpolate (the
 		// regime real Fashion-MNIST sits in with 6000 samples per class).
 		dim, h1, h2 = 196, 300, 100
 		perTrain, perTest, rounds, evalEvery, testPerArea = 3000, 150, 1500, 50, 400
-		etaW, etaP = 0.01, 0.002
+		etaW, etaP, target = 0.01, 0.002, 0.50
 	default: // Full
 		dim, h1, h2 = 784, 300, 100
 		perTrain, perTest, rounds, evalEvery, testPerArea = 6000, 200, 50000, 500, 600
-		etaW, etaP = 0.001, 0.0001
+		etaW, etaP, target = 0.001, 0.0001, 0.50
 	}
 	profile := data.FashionMNISTLike()
 	profile.Dim = dim
@@ -158,18 +241,7 @@ func nonConvexSetup(scale Scale, seed uint64) FigSetup {
 			BatchSize: 8, LossBatch: 16,
 			SampledEdges: 2, Seed: seed, EvalEvery: evalEvery,
 		},
-		TargetWorst: targetFor(scale, 0.45, 0.50, 0.50),
-	}
-}
-
-func targetFor(scale Scale, smoke, small, full float64) float64 {
-	switch scale {
-	case Smoke:
-		return smoke
-	case Small:
-		return small
-	default:
-		return full
+		TargetWorst: target,
 	}
 }
 

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -13,29 +11,14 @@ import (
 	"repro/internal/sched"
 )
 
-// StationarityPoint is one snapshot of the Theorem-2 measurement.
-type StationarityPoint struct {
-	Round int
-	// MoreauGradSq is the squared norm of the (1/2L)-Moreau envelope
-	// gradient of Phi(w) = max_p F(w, p) — the §5.2 optimality measure.
-	MoreauGradSq float64
-	Worst        float64
-}
-
-// StationarityResult verifies Theorem 2 empirically: along a non-convex
-// HierMinimax run, the Moreau-envelope stationarity measure
-// ||∇Φ_{1/2L}(w)||² must trend to zero.
-type StationarityResult struct {
-	Points []StationarityPoint
-	// First and Last summarize the trend the theorem predicts.
-	First, Last float64
-}
-
-// Stationarity trains the non-convex workload and measures the Moreau
+// stationarity is the Theorem 2 companion: along a non-convex
+// HierMinimax run, the squared norm of the (1/2L)-Moreau envelope
+// gradient of Phi(w) = max_p F(w, p), the §5.2 optimality measure, must
+// trend to zero. It trains the non-convex workload and measures the
 // surrogate at checkpoints along the trajectory. The training run is
 // one scheduler job (checkpoints are inherently sequential); the probe
 // at each captured model is then an independent job.
-func Stationarity(pool *sched.Pool, scale Scale, seed uint64) (*StationarityResult, error) {
+func stationarity(pool *sched.Pool, scale Scale, seed uint64) (*Table, error) {
 	var dim, h1, h2, perTrain, perTest, rounds, probes int
 	var etaW, etaP float64
 	switch scale {
@@ -83,51 +66,19 @@ func Stationarity(pool *sched.Pool, scale Scale, seed uint64) (*StationarityResu
 	// moderate value is used consistently across snapshots (only the
 	// trend matters).
 	const lSmooth = 1.0
-	points, err := sched.Map(pool, "stationarity-probe", len(checkpoints), func(i int) (StationarityPoint, error) {
-		c := checkpoints[i]
-		m := prob.Model.Clone()
-		grad2 := metrics.MoreauGradNormSq(m, c.W, fed, prob.W, prob.P, lSmooth, 25, etaW)
-		ev := metrics.EvaluateAreas(m, c.W, fed)
-		return StationarityPoint{
-			Round:        c.Round,
-			MoreauGradSq: grad2,
-			Worst:        metrics.Worst(ev.Accuracy),
-		}, nil
-	})
-	if err != nil {
+	t := newTable("stationarity", "Theorem 2 companion: Moreau-envelope stationarity along a non-convex run (predicted to decay toward 0)",
+		seed, nil, "round", "moreau_grad_sq", "worst")
+	jobs := make([]job, len(checkpoints))
+	for i, c := range checkpoints {
+		jobs[i] = job{nil, func() ([]float64, error) {
+			m := prob.Model.Clone()
+			grad2 := metrics.MoreauGradNormSq(m, c.W, fed, prob.W, prob.P, lSmooth, 25, etaW)
+			ev := metrics.EvaluateAreas(m, c.W, fed)
+			return []float64{float64(c.Round), grad2, metrics.Worst(ev.Accuracy)}, nil
+		}}
+	}
+	if err := t.fill(pool, jobs); err != nil {
 		return nil, fmt.Errorf("experiments: stationarity: %w", err)
 	}
-	res := &StationarityResult{Points: points}
-	if len(res.Points) > 0 {
-		res.First = res.Points[0].MoreauGradSq
-		res.Last = res.Points[len(res.Points)-1].MoreauGradSq
-	}
-	return res, nil
-}
-
-// Render prints the stationarity trajectory.
-func (r *StationarityResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== Theorem 2 companion: Moreau-envelope stationarity along a non-convex run ==\n")
-	fmt.Fprintf(&b, "%8s %16s %9s\n", "round", "||dPhi_1/2L||^2", "worst")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%8d %16.5f %9.4f\n", p.Round, p.MoreauGradSq, p.Worst)
-	}
-	fmt.Fprintf(&b, "trend: %.5f -> %.5f (Theorem 2 predicts decay toward 0)\n", r.First, r.Last)
-	return b.String()
-}
-
-// WriteFiles exports the trajectory.
-func (r *StationarityResult) WriteFiles(dir, base string) error {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.Round), ftoa(p.MoreauGradSq), ftoa(p.Worst),
-		})
-	}
-	if err := writeCSV(filepath.Join(dir, base+".csv"),
-		[]string{"round", "moreau_grad_sq", "worst"}, rows); err != nil {
-		return err
-	}
-	return writeJSON(filepath.Join(dir, base+".json"), r)
+	return t, nil
 }

@@ -1,65 +1,42 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/data"
-	"repro/internal/fl"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sched"
 )
 
-// Table2Row is one (dataset, method) cell group of Table 2.
-type Table2Row struct {
-	Dataset  string
-	Method   AlgorithmName
-	Average  float64
-	Worst    float64 // worst-10% for Synthetic, per §6.3
-	Variance float64
-}
-
-// Table2Result reproduces Table 2: HierFAvg vs HierMinimax on five
-// datasets, reporting average / worst / variance of per-area accuracy.
-type Table2Result struct {
-	Rows []Table2Row
-}
-
 // table2Workload is one dataset row's setup.
 type table2Workload struct {
 	name      string
-	fed       *data.Federation
-	model     model.Model
-	cfg       fl.Config
+	build     func() FigSetup
 	worstFrac float64 // 1.0 = plain worst; 0.1 = worst-10% (Synthetic)
 }
 
-// table2Builders returns one constructor per Table 2 dataset, in row
+// table2Workloads returns one workload per Table 2 dataset, in row
 // order. Each scheduler job invokes its own builder so jobs stay pure;
 // the shared-dataset cache collapses the duplicate generation work
 // (five datasets x two algorithms = ten jobs, five distinct corpora).
 // Learning rates follow §6.1/§6.3 scaled to the run length.
-func table2Builders(scale Scale, seed uint64) []func() table2Workload {
+func table2Workloads(scale Scale, seed uint64) []table2Workload {
 	p := convexParamsFor(scale)
 	base := p.base(seed)
-	var out []func() table2Workload
+	var out []table2Workload
 
 	// Three image datasets, logistic regression, one class per area.
 	for _, prof := range []data.ImageProfile{data.EMNISTDigitsLike(), data.FashionMNISTLike(), data.MNISTLike()} {
 		profile := prof
 		profile.Dim = p.dim
-		out = append(out, func() table2Workload {
+		out = append(out, table2Workload{profile.Name, func() FigSetup {
 			train, test := profile.GenerateShared(p.perTrain, p.perTest, seed)
-			fed := data.OneClassPerArea(train, test, 3, seed+1)
-			return table2Workload{
-				name:      profile.Name,
-				fed:       fed,
-				model:     model.NewLinear(p.dim, profile.Classes),
-				cfg:       base,
-				worstFrac: 1,
+			return FigSetup{
+				Name:  profile.Name,
+				Fed:   data.OneClassPerArea(train, test, 3, seed+1),
+				Model: model.NewLinear(p.dim, profile.Classes),
+				Base:  base,
 			}
-		})
+		}, 1})
 	}
 
 	// Adult: 2 edge areas (Doctorate / non-Doctorate), eta_p one decade
@@ -71,16 +48,14 @@ func table2Builders(scale Scale, seed uint64) []func() table2Workload {
 	if scale == Smoke {
 		adult.TrainPerArea, adult.TestPerArea = 600, 200
 	}
-	out = append(out, func() table2Workload {
-		adultFed := data.GenerateAdultShared(adult, 3, seed+2)
-		return table2Workload{
-			name:      "adult",
-			fed:       adultFed,
-			model:     model.NewLinear(adult.InputDim(), 2),
-			cfg:       adultCfg,
-			worstFrac: 1,
+	out = append(out, table2Workload{"adult", func() FigSetup {
+		return FigSetup{
+			Name:  "adult",
+			Fed:   data.GenerateAdultShared(adult, 3, seed+2),
+			Model: model.NewLinear(adult.InputDim(), 2),
+			Base:  adultCfg,
 		}
-	})
+	}, 1})
 
 	// Synthetic (Li et al.): 100 edge areas, worst-10% accuracy.
 	synth := data.DefaultLiSynthetic()
@@ -91,73 +66,41 @@ func table2Builders(scale Scale, seed uint64) []func() table2Workload {
 	synthCfg.SampledEdges = synth.NumDevices / 4
 	synthCfg.EtaW = p.etaW / 2
 	synthCfg.EtaP = p.etaP / 2
-	out = append(out, func() table2Workload {
-		synthFed := data.GenerateLiSyntheticShared(synth, 2, seed+3)
-		return table2Workload{
-			name:      "synthetic",
-			fed:       synthFed,
-			model:     model.NewLinear(synth.Dim, synth.Classes),
-			cfg:       synthCfg,
-			worstFrac: 0.1,
+	out = append(out, table2Workload{"synthetic", func() FigSetup {
+		return FigSetup{
+			Name:  "synthetic",
+			Fed:   data.GenerateLiSyntheticShared(synth, 2, seed+3),
+			Model: model.NewLinear(synth.Dim, synth.Classes),
+			Base:  synthCfg,
 		}
-	})
+	}, 0.1})
 	return out
 }
 
-// table2Algos is the method pair of every Table 2 row group.
-var table2Algos = []AlgorithmName{HierFAvg, HierMinimax}
-
-// Table2 runs HierFAvg and HierMinimax on all five datasets. The ten
-// (dataset, method) cells are independent scheduler jobs, flattened
-// workload-major so the committed row order matches the sequential
-// nesting exactly.
-func Table2(pool *sched.Pool, scale Scale, seed uint64) (*Table2Result, error) {
-	builders := table2Builders(scale, seed)
-	n := len(builders) * len(table2Algos)
-	rows, err := sched.Map(pool, "table2", n, func(i int) (Table2Row, error) {
-		w := builders[i/len(table2Algos)]()
-		algo := table2Algos[i%len(table2Algos)]
-		prob := fl.NewProblem(w.fed, w.model.Clone())
-		out, err := runAlgorithm(algo, prob, w.cfg)
-		if err != nil {
-			return Table2Row{}, fmt.Errorf("experiments: table2 %s/%s: %w", w.name, algo, err)
+// table2 reproduces Table 2: HierFAvg vs HierMinimax on five datasets,
+// reporting average / worst / variance of per-area accuracy (worst-10%
+// for Synthetic, per §6.3). The ten (dataset, method) cells are
+// independent scheduler jobs, dataset-major.
+func table2(pool *sched.Pool, scale Scale, seed uint64) (*Table, error) {
+	t := newTable("table2", "Table 2: HierFAvg vs HierMinimax", seed, []string{"dataset", "method"}, fairCols...)
+	var jobs []job
+	for _, w := range table2Workloads(scale, seed) {
+		for _, algo := range []AlgorithmName{HierFAvg, HierMinimax} {
+			jobs = append(jobs, job{[]string{w.name, string(algo)}, func() ([]float64, error) {
+				out, err := train(w.build(), algo, nil)
+				if err != nil {
+					return nil, err
+				}
+				v := fair(out)
+				if w.worstFrac < 1 {
+					v[1] = metrics.WorstK(out.History.Final().Areas.Accuracy, w.worstFrac)
+				}
+				return v, nil
+			}})
 		}
-		final := out.History.Final()
-		worst := final.Fair.Worst
-		if w.worstFrac < 1 {
-			worst = metrics.WorstK(final.Areas.Accuracy, w.worstFrac)
-		}
-		return Table2Row{
-			Dataset:  w.name,
-			Method:   algo,
-			Average:  final.Fair.Average,
-			Worst:    worst,
-			Variance: final.Fair.Variance,
-		}, nil
-	})
-	if err != nil {
+	}
+	if err := t.fill(pool, jobs); err != nil {
 		return nil, err
 	}
-	return &Table2Result{Rows: rows}, nil
-}
-
-// Render prints Table 2 in the paper's layout.
-func (t *Table2Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== Table 2: HierFAvg vs HierMinimax ==\n")
-	fmt.Fprintf(&b, "%-22s %-13s %9s %9s %10s\n", "Dataset", "Method", "Average", "Worst", "Variance")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-22s %-13s %9.4f %9.4f %10.4f\n", r.Dataset, string(r.Method), r.Average, r.Worst, r.Variance)
-	}
-	return b.String()
-}
-
-// Row returns the row for (dataset, method), or nil.
-func (t *Table2Result) Row(dataset string, method AlgorithmName) *Table2Row {
-	for i := range t.Rows {
-		if t.Rows[i].Dataset == dataset && t.Rows[i].Method == method {
-			return &t.Rows[i]
-		}
-	}
-	return nil
+	return t, nil
 }
