@@ -140,6 +140,32 @@ DENSE_MB=$(sed -n 's/^traffic: cloud [0-9.]* MB, total \([0-9.]*\) MB$/\1/p' "$S
 COMP_MB=$(sed -n 's/^traffic: cloud [0-9.]* MB, total \([0-9.]*\) MB$/\1/p' "$SMOKE/compressed/ref.out")
 awk -v d="$DENSE_MB" -v c="$COMP_MB" 'BEGIN { if (!(c + 0 < d + 0)) { print "ci: compressed traffic " c " MB not below dense " d " MB"; exit 1 } }'
 
+# A mismatched process fails the handshake fast and by name: an edge and
+# its client host built for one more round than the cloud are refused at
+# the cloud's listener, and the cloud exits non-zero long before its 30 s
+# handshake deadline, naming the fingerprint mismatch. The edge and the
+# client host then wait for a cloud that is gone (there are no liveness
+# timeouts yet), so they are killed.
+MIS="$SMOKE/mismatch"
+mkdir -p "$MIS"
+timeout 20 "$SMOKE/hierminimax" $WARGS -role cloud -listen 127.0.0.1:0 > "$MIS/cloud.out" 2> "$MIS/cloud.err" &
+CLOUD=$!
+CLOUD_ADDR=$(wire_addr "$MIS/cloud.out" cloud)
+"$SMOKE/hierminimax" $WARGS -rounds 7 -role edge -edge-index 0 -listen 127.0.0.1:0 -connect "$CLOUD_ADDR" > "$MIS/edge0.out" 2>&1 &
+EDGE=$!
+EDGE_ADDR=$(wire_addr "$MIS/edge0.out" edge)
+"$SMOKE/hierminimax" $WARGS -rounds 7 -role client-host -edge-index 0 -listen 127.0.0.1:0 -connect "$EDGE_ADDR" > "$MIS/ch0.out" 2>&1 &
+CH=$!
+CLOUD_RC=0
+wait $CLOUD || CLOUD_RC=$?
+kill $EDGE $CH 2> /dev/null || true
+wait $EDGE $CH || true
+if [ "$CLOUD_RC" -eq 0 ] || [ "$CLOUD_RC" -eq 124 ]; then
+	echo "ci: the cloud exited $CLOUD_RC with a mismatched edge (want a fast non-zero exit)"
+	exit 1
+fi
+grep 'fingerprint mismatch' "$MIS/cloud.err"
+
 # Sparse-population smoke: the same smoke-scale Fig. 3 comparison with
 # a hundred thousand registered clients (twenty materialized per round)
 # run on 1 and then 4 sweep workers must produce byte-identical

@@ -85,32 +85,46 @@ func packedBytes(ps ...*quant.Packed) int64 {
 	return n
 }
 
-// nackTrainReply releases the reply's pooled vectors back to the arena
-// and converts it into a timeout nack: the struct itself travels on as
-// control traffic (abandoned payloads must not leak — the vectors stay
-// home, only the Failed flag and the stats fields cross the wire).
-// These are functions rather than methods because the reply types are
-// aliases into internal/wire.
-func nackTrainReply(r *trainReply, pool *vecPool) {
-	pool.release(r.WFinal, r.WChk, r.IterSum)
-	r.WFinal, r.WChk, r.IterSum = nil, nil, nil
-	quant.PutPacked(r.WFinalP)
-	quant.PutPacked(r.WChkP)
-	r.WFinalP, r.WChkP = nil, nil
-	r.Failed = true
+// nack sends payload back to the sender of req as a timeout nack:
+// control traffic, which is never lost.
+func (n *Network) nack(from NodeID, req Message, kind string, payload any) {
+	n.Send(Message{From: from, To: req.From, Kind: kind, Round: req.Round, Ctrl: true, Payload: payload})
 }
 
-// nackEdgeTrainReply releases the edge reply's pooled vectors and marks
-// it failed; the delivered-traffic account survives so the cloud's
-// ledger stays exact even when the model itself was lost.
-func nackEdgeTrainReply(r *edgeTrainReply, pool *vecPool) {
-	pool.release(r.WEdge, r.WChk, r.IterSum)
-	r.WEdge, r.WChk, r.IterSum = nil, nil, nil
-	quant.PutPacked(r.WEdgeP)
-	quant.PutPacked(r.WChkP)
-	r.WEdgeP, r.WChkP = nil, nil
-	r.IterCount = 0
-	r.Failed = true
+// respond answers req with payload under kind, re-offering it up to
+// retries times. A reply whose every attempt is lost becomes its timeout
+// nack and travels on as nackKind.
+func (n *Network) respond(from NodeID, req Message, retries int, kind, nackKind string, bytes int64, payload any) {
+	if !n.SendRetry(Message{From: from, To: req.From, Kind: kind, Round: req.Round, Bytes: bytes, Payload: payload}, retries) {
+		failReply(payload, n.pool)
+		n.nack(from, req, nackKind, payload)
+	}
+}
+
+// failReply converts an undeliverable reply into a timeout nack: its pooled
+// vectors and packed payloads go back home (abandoned payloads must not
+// leak — only the Failed flag and the stats fields cross the wire). An
+// edge train reply keeps its delivered-traffic account, so the cloud's
+// ledger stays exact even when the model itself was lost. It switches on
+// the type rather than dispatching a method because the reply types are
+// aliases into internal/wire.
+func failReply(payload any, pool *vecPool) {
+	switch r := payload.(type) {
+	case *trainReply:
+		pool.release(r.WFinal, r.WChk, r.IterSum)
+		quant.PutPacked(r.WFinalP)
+		quant.PutPacked(r.WChkP)
+		*r = trainReply{Client: r.Client, Failed: true}
+	case *edgeTrainReply:
+		pool.release(r.WEdge, r.WChk, r.IterSum)
+		quant.PutPacked(r.WEdgeP)
+		quant.PutPacked(r.WChkP)
+		*r = edgeTrainReply{Slot: r.Slot, Failed: true, Doomed: r.Doomed, Acct: r.Acct}
+	case *lossReply:
+		r.Loss, r.Failed = 0, true
+	case *edgeLossReply:
+		r.Loss, r.Failed = 0, true
+	}
 }
 
 // clientActor owns one client's shard and model instance and serves
@@ -158,10 +172,7 @@ func (c *clientActor) run(wg *sync.WaitGroup) {
 				c.net.noteCrash()
 				reply := trainReplyPool.Get().(*trainReply)
 				*reply = trainReply{Client: client, Failed: true}
-				c.net.Send(Message{
-					From: c.id, To: msg.From, Kind: "train-nack",
-					Round: msg.Round, Ctrl: true, Payload: reply,
-				})
+				c.net.nack(c.id, msg, "train-nack", reply)
 				continue
 			}
 			if c.straggle != nil {
@@ -216,17 +227,8 @@ func (c *clientActor) run(wg *sync.WaitGroup) {
 			trainReqPool.Put(req)
 			reply := trainReplyPool.Get().(*trainReply)
 			*reply = trainReply{Client: client, WFinal: w, WChk: wChk, WFinalP: wp, WChkP: chkp, IterSum: iterSum}
-			ok := c.net.SendRetry(Message{
-				From: c.id, To: msg.From, Kind: "train-reply",
-				Round: msg.Round, Bytes: payloadBytes(w, wChk, iterSum) + packedBytes(wp, chkp), Payload: reply,
-			}, c.retries)
-			if !ok {
-				nackTrainReply(reply, pool)
-				c.net.Send(Message{
-					From: c.id, To: msg.From, Kind: "train-nack",
-					Round: msg.Round, Ctrl: true, Payload: reply,
-				})
-			}
+			c.net.respond(c.id, msg, c.retries, "train-reply", "train-nack",
+				payloadBytes(w, wChk, iterSum)+packedBytes(wp, chkp), reply)
 		case *lossReq:
 			if c.chaos.ClientCrashed(msg.Round, c.id.Index) {
 				pool.put(req.W)
@@ -235,10 +237,7 @@ func (c *clientActor) run(wg *sync.WaitGroup) {
 				c.net.noteCrash()
 				reply := lossReplyPool.Get().(*lossReply)
 				*reply = lossReply{Client: client, Failed: true}
-				c.net.Send(Message{
-					From: c.id, To: msg.From, Kind: "loss-nack",
-					Round: msg.Round, Ctrl: true, Payload: reply,
-				})
+				c.net.nack(c.id, msg, "loss-nack", reply)
 				continue
 			}
 			loss := fl.ShardLossEstimate(c.model, req.W, c.shard, req.Batch, &req.Stream, &c.scratch)
@@ -247,18 +246,7 @@ func (c *clientActor) run(wg *sync.WaitGroup) {
 			lossReqPool.Put(req)
 			reply := lossReplyPool.Get().(*lossReply)
 			*reply = lossReply{Client: client, Loss: loss}
-			ok := c.net.SendRetry(Message{
-				From: c.id, To: msg.From, Kind: "loss-reply",
-				Round: msg.Round, Bytes: 8, Payload: reply,
-			}, c.retries)
-			if !ok {
-				reply.Loss = 0
-				reply.Failed = true
-				c.net.Send(Message{
-					From: c.id, To: msg.From, Kind: "loss-nack",
-					Round: msg.Round, Ctrl: true, Payload: reply,
-				})
-			}
+			c.net.respond(c.id, msg, c.retries, "loss-reply", "loss-nack", 8, reply)
 		case stopMsg:
 			return
 		default:
@@ -308,7 +296,6 @@ func (e *edgeActor) run(wg *sync.WaitGroup) {
 	for msg := range e.inbox {
 		switch req := msg.Payload.(type) {
 		case *edgeTrainReq:
-			round := msg.Round
 			if req.Doomed {
 				// Algorithm-level dropout: the slot fails before any
 				// client-edge traffic, exactly like core's dropped slots.
@@ -317,28 +304,14 @@ func (e *edgeActor) run(wg *sync.WaitGroup) {
 				edgeTrainReqPool.Put(req)
 				reply := edgeTrainReplyPool.Get().(*edgeTrainReply)
 				*reply = edgeTrainReply{Slot: slot, Failed: true, Doomed: true}
-				e.net.Send(Message{
-					From: e.id, To: msg.From, Kind: "edge-train-nack",
-					Round: round, Ctrl: true, Payload: reply,
-				})
+				e.net.nack(e.id, msg, "edge-train-nack", reply)
 				continue
 			}
-			reply := e.modelUpdate(req, round)
+			reply := e.modelUpdate(req, msg.Round)
 			edgeTrainReqPool.Put(req)
-			ok := e.net.SendRetry(Message{
-				From: e.id, To: msg.From, Kind: "edge-train-reply", Round: round,
-				Bytes: payloadBytes(reply.WEdge, reply.WChk, reply.IterSum) +
-					packedBytes(reply.WEdgeP, reply.WChkP), Payload: reply,
-			}, e.retries)
-			if !ok {
-				nackEdgeTrainReply(reply, pool)
-				e.net.Send(Message{
-					From: e.id, To: msg.From, Kind: "edge-train-nack",
-					Round: round, Ctrl: true, Payload: reply,
-				})
-			}
+			e.net.respond(e.id, msg, e.retries, "edge-train-reply", "edge-train-nack",
+				payloadBytes(reply.WEdge, reply.WChk, reply.IterSum)+packedBytes(reply.WEdgeP, reply.WChkP), reply)
 		case *edgeLossReq:
-			round := msg.Round
 			var loss float64
 			var alive bool
 			var acct slotAcct
@@ -346,7 +319,7 @@ func (e *edgeActor) run(wg *sync.WaitGroup) {
 			if req.Doomed {
 				pool.put(req.W)
 			} else {
-				loss, alive, acct = e.lossEstimate(req, round)
+				loss, alive, acct = e.lossEstimate(req, msg.Round)
 			}
 			doomed := req.Doomed
 			edgeLossReqPool.Put(req)
@@ -355,19 +328,11 @@ func (e *edgeActor) run(wg *sync.WaitGroup) {
 			// The scalar travels as a real 8-byte message even for doomed
 			// edges — core accounts a Phase-2 uplink for every sampled
 			// edge, dead or alive.
-			ok := e.net.SendRetry(Message{
-				From: e.id, To: msg.From, Kind: "edge-loss-reply",
-				Round: round, Bytes: 8, Payload: reply,
-			}, e.retries)
-			if !ok {
-				reply.Loss = 0
-				reply.Failed = true
-				e.net.Send(Message{
-					From: e.id, To: msg.From, Kind: "edge-loss-nack",
-					Round: round, Ctrl: true, Payload: reply,
-				})
-			}
+			e.net.respond(e.id, msg, e.retries, "edge-loss-reply", "edge-loss-nack", 8, reply)
 		case stopMsg:
+			for _, c := range e.clients {
+				e.net.Send(Message{From: e.id, To: c, Kind: "stop", Payload: stopMsg{}})
+			}
 			return
 		default:
 			panic("simnet: edge received unknown message kind " + msg.Kind)

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 	"net"
@@ -17,11 +16,14 @@ import (
 // This file runs HierMinimax over real TCP sockets: the cloud, each edge
 // server and each edge's client host are separate processes (or separate
 // runtimes inside one test process) connected by internal/wire peers.
-// Every process builds the same Problem from the same seed, hosts its
-// own slice of the actor fleet on a local Network, and routes the rest
-// through RegisterRemote sinks that enqueue onto wire.Peer send queues.
-// Inbound frames are decoded by a wire.Listener and Injected into the
-// local mailboxes.
+// Every process builds the same Problem from the same seed and runs one
+// skeleton (proc, dist_roles.go): it hosts its own slice of the actor
+// fleet on a local Network, routes the rest through RegisterRemote sinks
+// that enqueue onto wire.Peer send queues, and Injects the frames its
+// wire.Listener decodes into the local mailboxes. The processes below it
+// dial in and are tracked in one table; a role only says which actors it
+// hosts and which ids route to which peer. Stops flow down the tree (the
+// cloud stops its edges, each edge its clients) and stats flow back up.
 //
 // Determinism contract (DESIGN.md §12): the cloud runs core's round over
 // the same engine transport as the in-process run, every message is
@@ -34,9 +36,11 @@ import (
 // no counted frame is lost), and scheduled stragglers really sleep on
 // the client host. Neither changes a single decision.
 //
-// Known limitation: there are no real-time protocol timeouts yet. An
-// uninjected peer death (killed process, unplugged cable) stalls the
-// fan-in that awaits it; only scheduled faults are survivable.
+// Known limitation: there are no real-time protocol timeouts yet. A peer
+// that fails the handshake (a different Spec, a malformed frame) fails
+// the process it dialed at once, naming the error, but an uninjected
+// peer death (killed process, unplugged cable) stalls the fan-in that
+// awaits it; only scheduled faults are survivable.
 
 // DistConfig configures one process of a distributed run.
 type DistConfig struct {
@@ -53,27 +57,16 @@ type DistConfig struct {
 	// before any handshake traffic — tests and scripts use it to learn
 	// ":0" allocations.
 	Started func(addr string)
-	// HandshakeTimeout bounds every wait for hellos, readiness and final
-	// stats (0 = 30s).
-	HandshakeTimeout time.Duration
-	// StraggleScale converts scheduled straggler delay (simulated ms)
-	// into real client-host sleep: sleep = StraggleMs * StraggleScale as
-	// milliseconds. 0 keeps a small default (0.01, i.e. 10µs per
-	// simulated ms) so chaos runs visibly stall sockets without slowing
-	// tests; negative disables real sleeps.
-	StraggleScale float64
-	// QueueLen bounds each peer's send queue (0 = wire default).
-	QueueLen int
 }
 
-func (dc *DistConfig) normalize() {
-	if dc.HandshakeTimeout <= 0 {
-		dc.HandshakeTimeout = 30 * time.Second
-	}
-	if dc.StraggleScale == 0 {
-		dc.StraggleScale = 0.01
-	}
-}
+// handshakeTimeout bounds every wait of a process on the processes below
+// it: their hellos, their readiness and their final stats.
+const handshakeTimeout = 30 * time.Second
+
+// straggleScale converts a scheduled straggler delay (simulated ms) into
+// a real client-host sleep of StraggleMs * straggleScale ms: 10µs per
+// simulated ms, so chaos runs visibly stall sockets without slowing tests.
+const straggleScale = 0.01
 
 // Fingerprint folds every trajectory-relevant knob of a run into one
 // value; the wire handshake rejects peers whose fingerprint differs, so
@@ -164,23 +157,6 @@ func releaseMessage(pool *vecPool) func(Message) {
 	return func(m Message) { wire.Release(m, free) }
 }
 
-// resettingDrop wraps a drop hook so a dropped remote message also
-// resets the peer carrying that link: the transport genuinely closes the
-// connection (after flushing everything already counted as delivered)
-// and later traffic redials. peerFor maps a destination to its peer, nil
-// for local destinations.
-func resettingDrop(base DropFunc, peerFor func(NodeID) *wire.Peer) DropFunc {
-	return func(m Message) bool {
-		if !base(m) {
-			return false
-		}
-		if p := peerFor(m.To); p != nil {
-			p.Reset()
-		}
-		return true
-	}
-}
-
 // localStats snapshots a process's protocol counters into a wire.Stats
 // frame for up-tree aggregation at shutdown.
 func localStats(n *Network) wire.Stats {
@@ -197,10 +173,10 @@ func localStats(n *Network) wire.Stats {
 	}
 }
 
-// pulse is a condition-variable channel: pulse() wakes one waiter (and
-// never blocks the caller), awaitCond re-checks its predicate on every
-// wake. Listener callbacks use it so mid-run events (reconnect hellos
-// after chaos resets) can never stall a reader goroutine.
+// pulse is a condition-variable channel: wake() wakes one waiter (and
+// never blocks the caller), and the waiter re-checks its predicate on
+// every wake. Listener callbacks use it so mid-run events (reconnect
+// hellos after chaos resets) can never stall a reader goroutine.
 type pulse chan struct{}
 
 func newPulse() pulse { return make(chan struct{}, 1) }
@@ -209,23 +185,5 @@ func (p pulse) wake() {
 	select {
 	case p <- struct{}{}:
 	default:
-	}
-}
-
-func awaitCond(p pulse, timeout time.Duration, cond func() bool, what string) error {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		if cond() {
-			return nil
-		}
-		select {
-		case <-p:
-		case <-deadline.C:
-			if cond() {
-				return nil
-			}
-			return fmt.Errorf("simnet: timed out waiting for %s", what)
-		}
 	}
 }

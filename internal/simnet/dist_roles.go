@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -13,420 +12,322 @@ import (
 	"repro/internal/wire"
 )
 
-// ServeCloud runs the cloud role of a distributed HierMinimax run: it
-// binds dc.Listen, waits for every edge server's hello (which carries
-// the edge's own listen address) and readiness, dials each edge back,
-// and then drives core's round over the same transport as HierMinimax —
-// only the routes differ, so the returned Result is bitwise-identical
-// to HierMinimax on the same problem, config and fault schedule. The
-// returned RunStats aggregates the protocol counters of the whole tree
-// (each process reports its own at shutdown via stats frames).
-func ServeCloud(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) (*fl.Result, RunStats, error) {
-	dc.normalize()
+// child is one process that dials in below a role process: the address
+// its hello advertised, whether its fleet is up, and whether its stats
+// frame has arrived.
+type child struct {
+	addr            string
+	ready, reported bool
+}
+
+// proc is the skeleton every role process runs on: the engine of its
+// slice of the fleet, the listener the processes below it dial into, the
+// table of those processes, and the peers behind its remote routes.
+type proc struct {
+	*engine
+	addr string // the bound listen address
+	fp   uint64
+	lis  *wire.Listener
+
+	// Written by listener callbacks (connection reader goroutines) under
+	// mu and awaited through sig. Reconnect hellos after chaos resets land
+	// here too; they only refresh the address.
+	mu    sync.Mutex
+	sig   pulse
+	kid   byte   // the wire role of the processes below
+	kin   string // names them in await's errors
+	first int    // the edge index of below[0]
+	below []child
+	down  wire.Stats // the children's stats, summed
+	err   error      // the first listener error
+
+	routes map[NodeID]*wire.Peer
+	peers  []*wire.Peer
+	pools  []*wire.ConnPool
+}
+
+// open builds the engine of one role process and starts serving: it
+// validates the edge index, fingerprints the run, binds dc.Listen,
+// reports the address and starts the listener. The cloud's children are
+// its NumEdges edges, an edge's child is its client host, and a client
+// host has none.
+func open(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts []Option, role byte) (*proc, error) {
 	e, err := newEngine(prob, cfg, opts)
 	if err != nil {
-		return nil, RunStats{}, err
+		return nil, err
 	}
-	top := e.top
-	fp := Fingerprint(e.cfg, top, e.chaos)
-
+	p := &proc{engine: e, sig: newPulse(), routes: make(map[NodeID]*wire.Peer)}
+	switch {
+	case role == wire.RoleCloud:
+		p.kid, p.kin, p.below = wire.RoleEdge, "edge ", make([]child, e.top.NumEdges)
+	case dc.Edge < 0 || dc.Edge >= e.top.NumEdges:
+		return nil, fmt.Errorf("simnet: edge index %d outside topology (%d edges)", dc.Edge, e.top.NumEdges)
+	case role == wire.RoleEdge:
+		p.kid, p.kin, p.first, p.below = wire.RoleClientHost, "client-host ", dc.Edge, make([]child, 1)
+	}
+	p.fp = Fingerprint(e.cfg, e.top, e.chaos)
 	ln, err := net.Listen("tcp", dc.Listen)
 	if err != nil {
-		return nil, RunStats{}, err
+		return nil, err
 	}
+	p.addr = ln.Addr().String()
 	if dc.Started != nil {
-		dc.Started(ln.Addr().String())
+		dc.Started(p.addr)
 	}
-
 	e.net = NewNetwork()
-	e.inbox = e.net.Register(NodeID{Kind: Cloud, Index: 0}, 2*e.cfg.SampledEdges+4)
-
-	// Handshake state, written by listener callbacks (connection reader
-	// goroutines) and awaited below. Reconnect hellos after chaos resets
-	// land here too; they only refresh the address.
-	var mu sync.Mutex
-	addrs := make([]string, top.NumEdges)
-	readys := make([]bool, top.NumEdges)
-	statsGot := make([]bool, top.NumEdges)
-	var downStats wire.Stats
-	sig := newPulse()
-
-	lis := wire.NewListener(ln, wire.ListenerConfig{
-		Fingerprint: fp,
+	p.lis = wire.NewListener(ln, wire.ListenerConfig{
+		Fingerprint: p.fp,
 		Alloc:       e.net.pool.get,
 		Free:        e.net.pool.put,
 		OnMessage:   e.net.Inject,
-		OnHello: func(h wire.Hello) {
-			if h.Role != wire.RoleEdge || h.Edge < 0 || h.Edge >= top.NumEdges {
-				return
-			}
-			mu.Lock()
-			addrs[h.Edge] = h.Addr
-			mu.Unlock()
-			sig.wake()
-		},
-		OnReady: func(edge int) {
-			if edge < 0 || edge >= top.NumEdges {
-				return
-			}
-			mu.Lock()
-			readys[edge] = true
-			mu.Unlock()
-			sig.wake()
-		},
+		OnHello:     func(h wire.Hello) { p.note(h.Role, h.Edge, func(c *child) { c.addr = h.Addr }) },
+		OnReady:     func(edge int) { p.note(p.kid, edge, func(c *child) { c.ready = true }) },
 		OnStats: func(edge int, s wire.Stats) {
-			mu.Lock()
-			if edge >= 0 && edge < top.NumEdges && !statsGot[edge] {
-				statsGot[edge] = true
-				downStats.Add(s)
+			p.note(p.kid, edge, func(c *child) {
+				if !c.reported {
+					c.reported = true
+					p.down.Add(s)
+				}
+			})
+		},
+		OnError: func(err error) {
+			p.mu.Lock()
+			if p.err == nil {
+				p.err = err
 			}
-			mu.Unlock()
-			sig.wake()
+			p.mu.Unlock()
+			p.sig.wake()
 		},
 	})
-	defer lis.Close()
+	return p, nil
+}
 
-	all := func(flags []bool) func() bool {
-		return func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, ok := range flags {
-				if !ok {
-					return false
-				}
-			}
-			return true
+// note applies f to the child a control frame came from and wakes await;
+// frames from a role or edge outside the table are ignored.
+func (p *proc) note(role byte, edge int, f func(*child)) {
+	i := edge - p.first
+	if role != p.kid || i < 0 || i >= len(p.below) {
+		return
+	}
+	p.mu.Lock()
+	f(&p.below[i])
+	p.mu.Unlock()
+	p.sig.wake()
+}
+
+// await blocks until ok holds for every child. It fails with the first
+// listener error — a peer with a different Spec, a malformed frame — or
+// at the handshake deadline, naming phase either way.
+func (p *proc) await(phase string, ok func(child) bool) error {
+	deadline := time.NewTimer(handshakeTimeout)
+	defer deadline.Stop()
+	for expired := false; ; {
+		p.mu.Lock()
+		err, done := p.err, true
+		for _, c := range p.below {
+			done = done && ok(c)
+		}
+		p.mu.Unlock()
+		switch {
+		case err != nil:
+			return fmt.Errorf("simnet: awaiting %s%s: %w", p.kin, phase, err)
+		case done:
+			return nil
+		case expired:
+			return fmt.Errorf("simnet: timed out awaiting %s%s", p.kin, phase)
+		}
+		select {
+		case <-p.sig:
+		case <-deadline.C:
+			expired = true
 		}
 	}
-	haveAddrs := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, a := range addrs {
-			if a == "" {
+}
+
+// addrs returns the addresses the children advertised.
+func (p *proc) addrs() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]string, len(p.below))
+	for i, c := range p.below {
+		out[i] = c.addr
+	}
+	return out
+}
+
+// dial starts a peer to the process listening at addr, leading every
+// connection with h; sent frames release into the local arena.
+func (p *proc) dial(addr string, h wire.Hello) *wire.Peer {
+	h.Fingerprint = p.fp
+	pool := wire.NewConnPool(helloDialer(addr, h), wire.PoolConfig{})
+	peer := wire.NewPeer(pool, wire.PeerConfig{Release: releaseMessage(p.net.pool)})
+	p.pools = append(p.pools, pool)
+	p.peers = append(p.peers, peer)
+	return peer
+}
+
+// route sends every message for ids through peer.
+func (p *proc) route(peer *wire.Peer, ids ...NodeID) {
+	for _, id := range ids {
+		p.net.RegisterRemote(id, peer.Send)
+		p.routes[id] = peer
+	}
+}
+
+// seal installs the fault hook and freezes the route table. A chaos drop
+// on a remote link also resets the peer carrying it: the transport really
+// closes the connection (after flushing every frame already counted as
+// delivered) and later traffic redials.
+func (p *proc) seal() {
+	if p.chaos.Enabled() {
+		drop := newFaultHook(p.chaos, p.top).drop
+		p.net.SetDrop(func(m Message) bool {
+			if !drop(m) {
 				return false
 			}
-		}
-		return true
+			if peer := p.routes[m.To]; peer != nil {
+				peer.Reset()
+			}
+			return true
+		})
 	}
-	if err := awaitCond(sig, dc.HandshakeTimeout, haveAddrs, "edge hellos"); err != nil {
+	p.net.Seal()
+}
+
+// finish flushes every peer, so in-flight payloads are back home, awaits
+// the children's stats, and returns the subtree's protocol counters.
+func (p *proc) finish() (wire.Stats, error) {
+	for _, peer := range p.peers {
+		peer.Flush()
+	}
+	if err := p.await("stats", func(c child) bool { return c.reported }); err != nil {
+		return wire.Stats{}, err
+	}
+	st := localStats(p.net)
+	p.mu.Lock()
+	st.Add(p.down)
+	p.mu.Unlock()
+	return st, nil
+}
+
+// report tells up that the local fleet is running, waits until it has
+// stopped, and sends the subtree's counters up once every child reported.
+func (p *proc) report(up *wire.Peer, edge int) error {
+	up.SendRaw(wire.AppendReady(nil, edge))
+	p.wg.Wait()
+	st, err := p.finish()
+	if err != nil {
+		return err
+	}
+	up.SendRaw(wire.AppendStats(nil, edge, st))
+	up.Flush()
+	return nil
+}
+
+// close stops the peers, then the listener.
+func (p *proc) close() {
+	for i, peer := range p.peers {
+		peer.Close()
+		p.pools[i].Close()
+	}
+	p.lis.Close()
+}
+
+// ServeCloud runs the cloud role of a distributed HierMinimax run: it
+// binds dc.Listen, waits for every edge server's hello (which carries
+// the edge's own listen address), dials each edge back, waits for their
+// readiness, and then drives core's round over the same transport as
+// HierMinimax — only the routes differ, so the returned Result is
+// bitwise-identical to HierMinimax on the same problem, config and fault
+// schedule. The returned RunStats aggregates the protocol counters of
+// the whole tree (each process reports its own at shutdown via stats
+// frames).
+func ServeCloud(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) (*fl.Result, RunStats, error) {
+	p, err := open(prob, cfg, dc, opts, wire.RoleCloud)
+	if err != nil {
 		return nil, RunStats{}, err
 	}
-
-	// Dial every edge back on its advertised address; the peers are the
-	// remote routes for the edges and, via each edge's relay, for the
-	// clients it hosts (the only cloud→client traffic is stop frames).
-	peers := make([]*wire.Peer, top.NumEdges)
-	pools := make([]*wire.ConnPool, top.NumEdges)
-	mu.Lock()
-	bound := append([]string(nil), addrs...)
-	mu.Unlock()
-	closeAll := func() {
-		for i := range peers {
-			if peers[i] != nil {
-				peers[i].Close()
-				pools[i].Close()
-			}
-		}
+	defer p.close()
+	p.inbox = p.net.Register(NodeID{Kind: Cloud, Index: 0}, 2*p.cfg.SampledEdges+4)
+	if err := p.await("hellos", func(c child) bool { return c.addr != "" }); err != nil {
+		return nil, RunStats{}, err
 	}
-	for edge := 0; edge < top.NumEdges; edge++ {
-		pools[edge] = wire.NewConnPool(
-			helloDialer(bound[edge], wire.Hello{Role: wire.RoleCloud, Fingerprint: fp}),
-			wire.PoolConfig{})
-		peers[edge] = wire.NewPeer(pools[edge], wire.PeerConfig{
-			QueueLen: dc.QueueLen, Release: releaseMessage(e.net.pool),
-		})
-		e.net.RegisterRemote(NodeID{Kind: Edge, Index: edge}, peers[edge].Send)
-		for c := 0; c < top.ClientsPerEdge; c++ {
-			e.net.RegisterRemote(NodeID{Kind: Client, Index: top.ClientID(edge, c)}, peers[edge].Send)
-		}
+	for edge, addr := range p.addrs() {
+		p.route(p.dial(addr, wire.Hello{Role: wire.RoleCloud}), NodeID{Kind: Edge, Index: edge})
 	}
-	if e.chaos.Enabled() {
-		base := newFaultHook(e.chaos, top).drop
-		e.net.SetDrop(resettingDrop(base, func(id NodeID) *wire.Peer {
-			switch id.Kind {
-			case Edge, ReplyPort:
-				return peers[id.Index]
-			case Client:
-				return peers[top.EdgeOf(id.Index)]
-			}
-			return nil
-		}))
-	}
-	e.net.Seal()
-
-	if err := awaitCond(sig, dc.HandshakeTimeout, all(readys), "edge readiness"); err != nil {
-		closeAll()
+	p.seal()
+	if err := p.await("readiness", func(c child) bool { return c.ready }); err != nil {
 		return nil, RunStats{}, err
 	}
 
 	h, t0 := obs.Get(), obs.Now()
-	res, err := core.HierMinimaxOver("HierMinimax/wire", prob, cfg, e)
-	// Stop flows down the tree on both paths: edge actors exit, each
-	// edge relays its clients' stops, and every process answers with a
-	// stats frame once its fleet has drained.
-	e.stop()
-	for _, p := range peers {
-		p.Flush()
+	res, err := core.HierMinimaxOver("HierMinimax/wire", prob, cfg, p.engine)
+	// Stop flows down the tree on both paths: edge actors stop their
+	// clients and exit, and every process answers with a stats frame once
+	// its fleet has drained.
+	p.stop()
+	total, statsErr := p.finish()
+	if err == nil {
+		err = statsErr
 	}
-	statsErr := awaitCond(sig, dc.HandshakeTimeout, all(statsGot), "edge stats")
-	closeAll()
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	if statsErr != nil {
-		return nil, RunStats{}, statsErr
-	}
-	e.publishTimes(h, t0)
-	total := localStats(e.net)
-	mu.Lock()
-	total.Add(downStats)
-	mu.Unlock()
-	return res, e.runStats(total), nil
+	p.publishTimes(h, t0)
+	return res, p.runStats(total), nil
 }
 
 // ServeEdge runs one edge-server role: it hosts the edge actor (request
 // mailbox plus reply port), learns its client host's address from the
-// downstream hello, relays cloud→client control frames, and reports the
-// subtree's protocol counters to the cloud at shutdown. Blocks until
-// the run completes.
+// downstream hello, and reports the subtree's protocol counters to the
+// cloud at shutdown. Blocks until the run completes.
 func ServeEdge(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) error {
-	dc.normalize()
-	e, err := newEngine(prob, cfg, opts)
+	p, err := open(prob, cfg, dc, opts, wire.RoleEdge)
 	if err != nil {
 		return err
 	}
-	top := e.top
-	if dc.Edge < 0 || dc.Edge >= top.NumEdges {
-		return fmt.Errorf("simnet: edge index %d outside topology (%d edges)", dc.Edge, top.NumEdges)
-	}
-	edge := dc.Edge
-	fp := Fingerprint(e.cfg, top, e.chaos)
-
-	ln, err := net.Listen("tcp", dc.Listen)
-	if err != nil {
+	defer p.close()
+	a := p.newEdgeActor(p.net, dc.Edge, nil)
+	if err := p.await("hello", func(c child) bool { return c.addr != "" && c.ready }); err != nil {
 		return err
 	}
-	myAddr := ln.Addr().String()
-	if dc.Started != nil {
-		dc.Started(myAddr)
-	}
-
-	nw := NewNetwork()
-	a := e.newEdgeActor(nw, edge, nil)
-
-	var mu sync.Mutex
-	var chAddr string
-	chReady := false
-	var chStats wire.Stats
-	chStatsGot := false
-	sig := newPulse()
-	var chPeer atomic.Pointer[wire.Peer] // set once, before readiness goes up
-
-	lis := wire.NewListener(ln, wire.ListenerConfig{
-		Fingerprint: fp,
-		Alloc:       nw.pool.get,
-		Free:        nw.pool.put,
-		OnMessage: func(m Message) {
-			if m.To == a.id || m.To == a.port {
-				nw.Inject(m)
-				return
-			}
-			if m.To.Kind == Client {
-				// Relay cloud→client traffic to the client host without
-				// recounting: the cloud already counted it once.
-				if p := chPeer.Load(); p != nil {
-					p.Send(m)
-					return
-				}
-			}
-			panic("simnet: edge " + a.id.String() + " cannot route frame for " + m.To.String())
-		},
-		OnHello: func(h wire.Hello) {
-			if h.Role != wire.RoleClientHost || h.Edge != edge {
-				return
-			}
-			mu.Lock()
-			chAddr = h.Addr
-			mu.Unlock()
-			sig.wake()
-		},
-		OnReady: func(eidx int) {
-			if eidx != edge {
-				return
-			}
-			mu.Lock()
-			chReady = true
-			mu.Unlock()
-			sig.wake()
-		},
-		OnStats: func(eidx int, s wire.Stats) {
-			mu.Lock()
-			if !chStatsGot {
-				chStatsGot = true
-				chStats = s
-			}
-			mu.Unlock()
-			sig.wake()
-		},
-	})
-	defer lis.Close()
-
-	if err := awaitCond(sig, dc.HandshakeTimeout, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return chAddr != "" && chReady
-	}, "client-host hello"); err != nil {
-		return err
-	}
-	mu.Lock()
-	downAddr := chAddr
-	mu.Unlock()
-
-	chPool := wire.NewConnPool(
-		helloDialer(downAddr, wire.Hello{Role: wire.RoleEdge, Edge: edge, Fingerprint: fp}),
-		wire.PoolConfig{})
-	chp := wire.NewPeer(chPool, wire.PeerConfig{QueueLen: dc.QueueLen, Release: releaseMessage(nw.pool)})
-	chPeer.Store(chp)
-	cloudPool := wire.NewConnPool(
-		helloDialer(dc.Connect, wire.Hello{Role: wire.RoleEdge, Edge: edge, Addr: myAddr, Fingerprint: fp}),
-		wire.PoolConfig{})
-	cloudPeer := wire.NewPeer(cloudPool, wire.PeerConfig{QueueLen: dc.QueueLen, Release: releaseMessage(nw.pool)})
-	defer func() {
-		chp.Close()
-		chPool.Close()
-		cloudPeer.Close()
-		cloudPool.Close()
-	}()
-
-	nw.RegisterRemote(NodeID{Kind: Cloud, Index: 0}, cloudPeer.Send)
-	for c := 0; c < top.ClientsPerEdge; c++ {
-		nw.RegisterRemote(NodeID{Kind: Client, Index: top.ClientID(edge, c)}, chp.Send)
-	}
-	if e.chaos.Enabled() {
-		base := newFaultHook(e.chaos, top).drop
-		nw.SetDrop(resettingDrop(base, func(id NodeID) *wire.Peer {
-			switch id.Kind {
-			case Cloud:
-				return cloudPeer
-			case Client:
-				return chp
-			}
-			return nil
-		}))
-	}
-	nw.Seal()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go a.run(&wg)
-	cloudPeer.SendRaw(wire.AppendReady(nil, edge))
-	wg.Wait()
-
-	// The client host's stats frame arrives only after its actors have
-	// drained, which needs the relayed stops to be through; flush both
-	// peers before snapshotting so in-flight payloads are back home.
-	chp.Flush()
-	cloudPeer.Flush()
-	if err := awaitCond(sig, dc.HandshakeTimeout, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return chStatsGot
-	}, "client-host stats"); err != nil {
-		return err
-	}
-	st := localStats(nw)
-	mu.Lock()
-	st.Add(chStats)
-	mu.Unlock()
-	cloudPeer.SendRaw(wire.AppendStats(nil, edge, st))
-	cloudPeer.Flush()
-	nw.Close()
-	return nil
+	hello := wire.Hello{Role: wire.RoleEdge, Edge: dc.Edge, Addr: p.addr}
+	p.route(p.dial(p.addrs()[0], hello), a.clients...)
+	up := p.dial(dc.Connect, hello)
+	p.route(up, NodeID{Kind: Cloud, Index: 0})
+	p.seal()
+	p.wg.Add(1)
+	go a.run(&p.wg)
+	return p.report(up, dc.Edge)
 }
 
 // ServeClientHost runs the client-host role for one edge area: every
 // client actor of that area lives here, served over TCP from its edge.
-// Scheduled stragglers really sleep (scaled by DistConfig.StraggleScale)
-// before working, so chaos runs hold sockets open the way slow clients
-// would. Blocks until the run completes.
+// Scheduled stragglers really sleep (scaled by straggleScale) before
+// working, so chaos runs hold sockets open the way slow clients would.
+// Blocks until the run completes.
 func ServeClientHost(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) error {
-	dc.normalize()
-	e, err := newEngine(prob, cfg, opts)
+	p, err := open(prob, cfg, dc, opts, wire.RoleClientHost)
 	if err != nil {
 		return err
 	}
-	top := e.top
-	if dc.Edge < 0 || dc.Edge >= top.NumEdges {
-		return fmt.Errorf("simnet: edge index %d outside topology (%d edges)", dc.Edge, top.NumEdges)
-	}
+	defer p.close()
 	edge := dc.Edge
-	fp := Fingerprint(e.cfg, top, e.chaos)
-
-	ln, err := net.Listen("tcp", dc.Listen)
-	if err != nil {
-		return err
-	}
-	myAddr := ln.Addr().String()
-	if dc.Started != nil {
-		dc.Started(myAddr)
-	}
-
-	nw := NewNetwork()
-	var wg sync.WaitGroup
-	actors := make([]*clientActor, 0, top.ClientsPerEdge)
-	for c := 0; c < top.ClientsPerEdge; c++ {
-		ca := e.newClientActor(nw, top, edge, c)
-		if e.chaos != nil && e.chaos.StragglerProb > 0 && dc.StraggleScale > 0 {
-			sched, idx, scale := e.chaos, ca.id.Index, dc.StraggleScale
+	up := p.dial(dc.Connect, wire.Hello{Role: wire.RoleClientHost, Edge: edge, Addr: p.addr})
+	p.route(up, NodeID{Kind: Edge, Index: edge}, NodeID{Kind: ReplyPort, Index: edge})
+	for c := 0; c < p.top.ClientsPerEdge; c++ {
+		ca := p.newClientActor(p.net, p.top, edge, c)
+		if p.chaos != nil && p.chaos.StragglerProb > 0 {
+			sched, idx := p.chaos, ca.id.Index
 			ca.straggle = func(round int) {
 				if ms := sched.StraggleMs(round, idx); ms > 0 {
-					time.Sleep(time.Duration(ms * scale * float64(time.Millisecond)))
+					time.Sleep(time.Duration(ms * straggleScale * float64(time.Millisecond)))
 				}
 			}
 		}
-		actors = append(actors, ca)
+		p.wg.Add(1)
+		go ca.run(&p.wg)
 	}
-
-	lis := wire.NewListener(ln, wire.ListenerConfig{
-		Fingerprint: fp,
-		Alloc:       nw.pool.get,
-		Free:        nw.pool.put,
-		OnMessage:   nw.Inject, // everything inbound is for a local client
-	})
-	defer lis.Close()
-
-	edgePool := wire.NewConnPool(
-		helloDialer(dc.Connect, wire.Hello{Role: wire.RoleClientHost, Edge: edge, Addr: myAddr, Fingerprint: fp}),
-		wire.PoolConfig{})
-	edgePeer := wire.NewPeer(edgePool, wire.PeerConfig{QueueLen: dc.QueueLen, Release: releaseMessage(nw.pool)})
-	defer func() {
-		edgePeer.Close()
-		edgePool.Close()
-	}()
-	nw.RegisterRemote(NodeID{Kind: Edge, Index: edge}, edgePeer.Send)
-	nw.RegisterRemote(NodeID{Kind: ReplyPort, Index: edge}, edgePeer.Send)
-	if e.chaos.Enabled() {
-		base := newFaultHook(e.chaos, top).drop
-		nw.SetDrop(resettingDrop(base, func(id NodeID) *wire.Peer {
-			if id.Kind == Edge || id.Kind == ReplyPort {
-				return edgePeer
-			}
-			return nil
-		}))
-	}
-	nw.Seal()
-
-	for _, ca := range actors {
-		wg.Add(1)
-		go ca.run(&wg)
-	}
-	// The hello (riding the first dial) advertises our address; readiness
-	// tells the edge the fleet is up.
-	edgePeer.SendRaw(wire.AppendReady(nil, edge))
-	wg.Wait()
-	edgePeer.Flush()
-	edgePeer.SendRaw(wire.AppendStats(nil, edge, localStats(nw)))
-	edgePeer.Flush()
-	nw.Close()
-	return nil
+	p.seal()
+	return p.report(up, edge)
 }

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/fl"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 // runWire executes a full distributed run on loopback TCP via
@@ -125,6 +128,46 @@ func TestWireMatchesSimnetUnderChaos(t *testing.T) {
 	}
 	got, gotStats := runWire(t, cfg, 4, WithChaos(sched))
 	assertSameRun(t, ref, got, refStats, gotStats)
+}
+
+// TestWireHandshakeErrorsAreNamed: a peer built from a different run
+// config fails the cloud's handshake at once, naming the mismatch,
+// instead of running into the handshake deadline; an edge index outside
+// the topology is refused before anything listens.
+func TestWireHandshakeErrorsAreNamed(t *testing.T) {
+	cfg := fltest.ToyConfig()
+	prob := fltest.ToyProblem(3)
+	top := prob.Topology()
+	addr := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := ServeCloud(prob, cfg, DistConfig{Listen: "127.0.0.1:0", Started: func(a string) { addr <- a }})
+		done <- err
+	}()
+	conn, err := helloDialer(<-addr, wire.Hello{
+		Role: wire.RoleEdge, Addr: "127.0.0.1:1", Fingerprint: Fingerprint(cfg.WithDefaults(), top, nil) + 1,
+	})()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+			t.Fatalf("cloud returned %v, want a fingerprint mismatch", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cloud still waiting 5 s after a mismatched hello")
+	}
+
+	for name, serve := range map[string]func(*fl.Problem, fl.Config, DistConfig, ...Option) error{
+		"edge": ServeEdge, "client-host": ServeClientHost,
+	} {
+		err := serve(prob, cfg, DistConfig{Listen: "127.0.0.1:0", Connect: "127.0.0.1:1", Edge: top.NumEdges})
+		if err == nil || !strings.Contains(err.Error(), "outside topology") {
+			t.Fatalf("%s with edge %d of %d returned %v, want the topology error", name, top.NumEdges, top.NumEdges, err)
+		}
+	}
 }
 
 func TestWireFingerprintCoversTrajectoryKnobs(t *testing.T) {

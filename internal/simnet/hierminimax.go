@@ -223,16 +223,12 @@ func (e *engine) newClientActor(nw *Network, top topology.Topology, edge, c int)
 	}
 }
 
-// stop terminates all actors and waits for them.
+// stop terminates all actors and waits for them. Stops flow down the
+// tree: the cloud stops its edges, and each edge stops its clients before
+// it exits.
 func (e *engine) stop() {
 	for edge := 0; edge < e.top.NumEdges; edge++ {
 		e.net.Send(Message{From: NodeID{Kind: Cloud, Index: 0}, To: NodeID{Kind: Edge, Index: edge}, Kind: "stop", Payload: stopMsg{}})
-		if e.cfg.PopulationEnabled() {
-			continue // clients are roster records, not actors
-		}
-		for c := 0; c < e.top.ClientsPerEdge; c++ {
-			e.net.Send(Message{From: NodeID{Kind: Cloud, Index: 0}, To: NodeID{Kind: Client, Index: e.top.ClientID(edge, c)}, Kind: "stop", Payload: stopMsg{}})
-		}
 	}
 	e.wg.Wait()
 	e.net.Close()

@@ -11,7 +11,8 @@ import (
 // DistConfig places one process of a distributed (real-TCP) run. Every
 // process of the run must be given the same Spec: each one rebuilds the
 // same problem from the same seed, and a fingerprint handshake rejects
-// peers whose trajectory-relevant knobs differ.
+// peers whose trajectory-relevant knobs differ. Its fields are
+// simnet.DistConfig's, so the role functions convert it.
 type DistConfig struct {
 	// Listen is this process's TCP bind address (":0" picks a free
 	// port; Started reports the choice).
@@ -69,10 +70,7 @@ func RunCloud(spec Spec, dist DistConfig) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, stats, err := simnet.ServeCloud(prob, cfg, simnet.DistConfig{
-		Listen:  dist.Listen,
-		Started: dist.Started,
-	}, spec.distOpts(sched)...)
+	res, stats, err := simnet.ServeCloud(prob, cfg, simnet.DistConfig(dist), spec.distOpts(sched)...)
 	if err != nil {
 		return nil, err
 	}
@@ -87,12 +85,7 @@ func RunEdge(spec Spec, dist DistConfig) error {
 	if err != nil {
 		return err
 	}
-	return simnet.ServeEdge(prob, cfg, simnet.DistConfig{
-		Listen:  dist.Listen,
-		Connect: dist.Connect,
-		Edge:    dist.Edge,
-		Started: dist.Started,
-	}, spec.distOpts(sched)...)
+	return simnet.ServeEdge(prob, cfg, simnet.DistConfig(dist), spec.distOpts(sched)...)
 }
 
 // RunClientHost serves the client actors of one edge area, connecting up
@@ -103,10 +96,5 @@ func RunClientHost(spec Spec, dist DistConfig) error {
 	if err != nil {
 		return err
 	}
-	return simnet.ServeClientHost(prob, cfg, simnet.DistConfig{
-		Listen:  dist.Listen,
-		Connect: dist.Connect,
-		Edge:    dist.Edge,
-		Started: dist.Started,
-	}, spec.distOpts(sched)...)
+	return simnet.ServeClientHost(prob, cfg, simnet.DistConfig(dist), spec.distOpts(sched)...)
 }
