@@ -166,6 +166,21 @@ if [ "$CLOUD_RC" -eq 0 ] || [ "$CLOUD_RC" -eq 124 ]; then
 fi
 grep 'fingerprint mismatch' "$MIS/cloud.err"
 
+# The regime table refuses by name before any work starts: an engine Run
+# does not have names the ones it does, and a baseline asked to serve a
+# wire role names the distributed roles (not the simnet engine the cloud
+# role runs behind).
+if "$SMOKE/hierminimax" $WARGS -engine wire > /dev/null 2> "$SMOKE/engine.err"; then
+	echo "ci: -engine wire was accepted"
+	exit 1
+fi
+grep 'want inprocess or simnet' "$SMOKE/engine.err"
+if timeout 20 "$SMOKE/hierminimax" $WARGS -alg drfa -role cloud -listen 127.0.0.1:0 > /dev/null 2> "$SMOKE/roles.err"; then
+	echo "ci: -alg drfa -role cloud was accepted"
+	exit 1
+fi
+grep 'drfa does not .* on the distributed roles' "$SMOKE/roles.err"
+
 # Sparse-population smoke: the same smoke-scale Fig. 3 comparison with
 # a hundred thousand registered clients (twenty materialized per round)
 # run on 1 and then 4 sweep workers must produce byte-identical

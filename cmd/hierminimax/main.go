@@ -37,7 +37,7 @@ func main() {
 	flag.StringVar(&dataset, "dataset", "emnist", "dataset: emnist|mnist|fashion|adult|synthetic")
 	flag.StringVar(&partition, "partition", "one-class", "partition: one-class|similarity|dirichlet")
 	flag.StringVar(&mdl, "model", "logreg", "model: logreg|mlp")
-	flag.StringVar(&engine, "engine", "inprocess", "engine: inprocess|simnet")
+	flag.StringVar(&engine, "engine", "inprocess", "engine: inprocess|simnet (-role splits a run across processes)")
 	role := flag.String("role", "", "distributed role: cloud|edge|client-host (default: whole run in this process)")
 	listen := flag.String("listen", "", "TCP listen address for -role (\":0\" picks a free port)")
 	connect := flag.String("connect", "", "upstream address: the cloud for -role edge, the edge for -role client-host")
@@ -57,7 +57,6 @@ func main() {
 	flag.IntVar(&spec.SampledEdges, "me", 5, "sampled edges per round m_E")
 	flag.IntVar(&spec.Population, "population", 0, "registered client population for the sparse regime: clients exist as seed records and only sampled cohorts materialize (0 = every client resident; requires -sample-per-round)")
 	flag.IntVar(&spec.SamplePerRound, "sample-per-round", 0, "clients sampled per round from -population, split evenly across the sampled edges")
-	flag.UintVar(&spec.QuantBits, "quant", 0, "uplink quantization bits (0 = exact; alias of -quant-bits)")
 	flag.UintVar(&spec.QuantBits, "quant-bits", 0, "stochastic uniform uplink quantization bits in [1,32] (0 = exact)")
 	flag.IntVar(&spec.TopK, "topk", 0, "top-k sparsified uplinks with error feedback: coordinates kept per vector (0 = exact; excludes -quant-bits)")
 	flag.Float64Var(&spec.DropoutProb, "dropout", 0, "per-slot dropout probability")
@@ -80,10 +79,10 @@ func main() {
 	flag.Parse()
 
 	if *printKernel {
-		// First line: the bare active class (scripted by bench.sh).
-		// Then the full dispatch ladder, fastest first, with each
-		// rung's backing on this machine — off amd64 the avx2f32 tier
-		// shows pure-go: selectable and bit-identical, just unaccelerated.
+		// First line: the bare active class. Then the full dispatch
+		// ladder, fastest first, with each rung's backing on this machine
+		// — off amd64 the avx2f32 tier shows pure-go: selectable and
+		// bit-identical, just unaccelerated.
 		fmt.Println(tensor.ActiveKernel())
 		fmt.Printf("detected: %s\n", tensor.DetectedKernel())
 		fmt.Printf("ladder: %s\n", tensor.Ladder())

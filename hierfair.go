@@ -25,6 +25,10 @@ type Point struct {
 	EdgeWeights []float64
 }
 
+// RunStats reports the distributed-execution metrics of a simnet or wire
+// run.
+type RunStats = simnet.RunStats
+
 // Report is the outcome of one Run.
 type Report struct {
 	Algorithm string
@@ -37,23 +41,10 @@ type Report struct {
 	EdgeWeights []float64
 	// Communication totals.
 	CloudRounds, CloudBytes, TotalBytes int64
-	// SimulatedMs is the modeled wall-clock time (simnet engine only).
-	SimulatedMs float64
-	// MessagesSent counts protocol messages; ControlMessages counts the
-	// actor-lifecycle traffic kept out of that figure (simnet only).
-	MessagesSent    int64
-	ControlMessages int64
-	// Fault outcomes under a Chaos plan (simnet only): messages lost in
-	// transit, fan-in deadlines that fired, retransmissions spent, and
-	// client-rounds lost to crashes. All zero on a fault-free run.
-	MessagesLost int64
-	Timeouts     int64
-	Retries      int64
-	Crashes      int64
-	// PoolRecycled and PoolAllocated report how the payload arena served
-	// the run's weight traffic: recycled vectors vs fresh allocations
-	// (simnet engine only; allocated stays flat after warm-up).
-	PoolRecycled, PoolAllocated int64
+	// RunStats holds the simnet and wire engines' counters: simulated
+	// wall-clock time, protocol and control messages, fault outcomes
+	// under a Chaos plan, and payload-arena health. All zero in-process.
+	RunStats
 
 	mdl model.Model
 	w   []float64
@@ -69,42 +60,29 @@ func (r *Report) Parameters() []float64 {
 	return append([]float64(nil), r.w...)
 }
 
+// baselineRuns runs the four comparison methods on the in-process engine.
+var baselineRuns = map[Algorithm]func(*fl.Problem, fl.Config) (*fl.Result, error){
+	AlgHierFAvg: baselines.HierFAvg,
+	AlgFedAvg:   baselines.FedAvg,
+	AlgAFL:      baselines.StochasticAFL,
+	AlgDRFA:     baselines.DRFA,
+}
+
 // Run trains one Spec and reports the result.
 func Run(spec Spec) (*Report, error) {
-	if err := spec.normalize(); err != nil {
-		return nil, err
-	}
-	prob, cfg, err := spec.buildProblem()
+	prob, cfg, opts, err := spec.plan(false)
 	if err != nil {
 		return nil, err
 	}
-
 	var res *fl.Result
-	var stats simnet.RunStats
+	var stats RunStats
 	switch {
-	case len(spec.Branching) > 0 && (spec.Algorithm != AlgHierMinimax || spec.Engine == EngineSimNet):
-		return nil, fmt.Errorf("hierfair: multi-layer trees only run %s on the in-process engine", AlgHierMinimax)
 	case spec.Engine == EngineSimNet:
-		var opts []simnet.Option
-		if sched := spec.Chaos.schedule(spec.Seed); sched != nil {
-			opts = append(opts, simnet.WithChaos(sched))
-		}
 		res, stats, err = simnet.HierMinimax(prob, cfg, opts...)
+	case spec.Algorithm == AlgHierMinimax:
+		res, err = core.HierMinimaxTree(prob, cfg, core.Tree{Branching: spec.Branching, Taus: spec.Taus})
 	default:
-		switch spec.Algorithm {
-		case AlgHierMinimax:
-			res, err = core.HierMinimaxTree(prob, cfg, core.Tree{Branching: spec.Branching, Taus: spec.Taus})
-		case AlgHierFAvg:
-			res, err = baselines.HierFAvg(prob, cfg)
-		case AlgFedAvg:
-			res, err = baselines.FedAvg(prob, cfg)
-		case AlgAFL:
-			res, err = baselines.StochasticAFL(prob, cfg)
-		case AlgDRFA:
-			res, err = baselines.DRFA(prob, cfg)
-		default:
-			return nil, fmt.Errorf("hierfair: unknown algorithm %q", spec.Algorithm)
-		}
+		res, err = baselineRuns[spec.Algorithm](prob, cfg)
 	}
 	if err != nil {
 		return nil, err
@@ -114,24 +92,16 @@ func Run(spec Spec) (*Report, error) {
 
 // newReport folds an engine result and its run statistics into the
 // public Report shape.
-func newReport(prob *fl.Problem, res *fl.Result, stats simnet.RunStats) *Report {
+func newReport(prob *fl.Problem, res *fl.Result, stats RunStats) *Report {
 	rep := &Report{
-		Algorithm:       res.Algorithm,
-		EdgeWeights:     append([]float64(nil), res.PWeights...),
-		CloudRounds:     res.Ledger.CloudRounds(),
-		CloudBytes:      res.Ledger.CloudBytes(),
-		TotalBytes:      res.Ledger.TotalBytes(),
-		SimulatedMs:     stats.SimulatedMs,
-		MessagesSent:    stats.MessagesSent,
-		ControlMessages: stats.ControlMessages,
-		MessagesLost:    stats.MessagesLost,
-		Timeouts:        stats.Timeouts,
-		Retries:         stats.Retries,
-		Crashes:         stats.Crashes,
-		PoolRecycled:    stats.PoolRecycled,
-		PoolAllocated:   stats.PoolAllocated,
-		mdl:             prob.Model,
-		w:               res.W,
+		Algorithm:   res.Algorithm,
+		EdgeWeights: append([]float64(nil), res.PWeights...),
+		CloudRounds: res.Ledger.CloudRounds(),
+		CloudBytes:  res.Ledger.CloudBytes(),
+		TotalBytes:  res.Ledger.TotalBytes(),
+		RunStats:    stats,
+		mdl:         prob.Model,
+		w:           res.W,
 	}
 	for _, s := range res.History.Snapshots {
 		rep.History = append(rep.History, Point{

@@ -18,9 +18,6 @@ import (
 // projected gradient ascent on uniformly-sampled loss estimates of
 // w^(k+1). Config.Tau1 and Config.Tau2 must both be 1.
 func StochasticAFL(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
-	if err := refuseUnimplemented("Stochastic-AFL", cfg); err != nil {
-		return nil, err
-	}
 	if err := requireTwoLayer("Stochastic-AFL", cfg); err != nil {
 		return nil, err
 	}
@@ -40,9 +37,6 @@ func StochasticAFL(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 // the p-gradient is estimated — the two-layer special case (tau2 = 1) of
 // the checkpoint mechanism. Config.Tau2 must be 1.
 func DRFA(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
-	if err := refuseUnimplemented("DRFA", cfg); err != nil {
-		return nil, err
-	}
 	if err := requireTwoLayer("DRFA", cfg); err != nil {
 		return nil, err
 	}

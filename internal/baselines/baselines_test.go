@@ -172,9 +172,9 @@ func TestBaselinesDeterministic(t *testing.T) {
 				t.Fatalf("%s: nondeterministic", c.name)
 			}
 		}
-		// Sequential mode must match parallel mode.
+		// One worker must match the parallel pool.
 		seq := c.cfg
-		seq.Sequential = true
+		seq.Workers = 1
 		s, err := c.run(fltest.ToyProblem(1), seq)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)

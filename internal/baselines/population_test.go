@@ -40,14 +40,13 @@ func TestBaselinesPopulationDeterministicAcrossWorkers(t *testing.T) {
 			cfg.Population = 400
 			cfg.SamplePerRound = 6
 			b.prep(&cfg)
-			cfg.Sequential = true
+			cfg.Workers = 1
 			ref, err := b.run(fltest.ToyProblem(1), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4, 13} {
 				c := cfg
-				c.Sequential = false
 				c.Workers = workers
 				got, err := b.run(fltest.ToyProblem(1), c)
 				if err != nil {

@@ -522,7 +522,7 @@ func modelUpdate32(a modelUpdateArgs) Slot {
 				fl.LocalSGD32Scratch(fm, wf, clients[c], cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, r, chkAt, clientSum, s.chks32[c], sc)
 			}
 		}
-		if cfg.Sequential {
+		if cfg.Workers == 1 {
 			runClients(0, n0)
 		} else {
 			tensor.ParallelFor(n0, 1, runClients)

@@ -36,9 +36,9 @@ func TestHierMinimaxLearns(t *testing.T) {
 func TestSequentialParallelIdentical(t *testing.T) {
 	cfgSeq := fltest.ToyConfig()
 	cfgSeq.Rounds = 30
-	cfgSeq.Sequential = true
+	cfgSeq.Workers = 1
 	cfgPar := cfgSeq
-	cfgPar.Sequential = false
+	cfgPar.Workers = 0
 
 	a, err := HierMinimax(fltest.ToyProblem(1), cfgSeq)
 	if err != nil {

@@ -19,7 +19,7 @@ func TestPopulationWorkerCountInvariant(t *testing.T) {
 	base.TrackAverages = true
 	base.Population = 400
 	base.SamplePerRound = 6
-	base.Sequential = true
+	base.Workers = 1
 
 	ref, err := HierMinimax(fltest.ToyProblem(1), base)
 	if err != nil {
@@ -27,7 +27,6 @@ func TestPopulationWorkerCountInvariant(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 13} {
 		cfg := base
-		cfg.Sequential = false
 		cfg.Workers = workers
 		got, err := HierMinimax(fltest.ToyProblem(1), cfg)
 		if err != nil {

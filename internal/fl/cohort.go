@@ -88,7 +88,7 @@ func (c *Cohort) shard(i int, s *population.ShardScratch) data.Subset {
 // Members run on cohortChunk lanes, each with its own result rows, and
 // fold into streaming means in cohort order, so memory is
 // O(cohortChunk*d) and the result is independent of chunking, worker
-// count and cfg.Sequential. tensor.MeanAccumulator is bitwise
+// count. tensor.MeanAccumulator is bitwise
 // AverageInto over the same list in every kernel class.
 //
 // The zero value is ready to use and allocates nothing once warm. A
@@ -189,7 +189,7 @@ func (f *Fold) Block(start []float64, streams rng.Stream, chkAt int, iterSum []f
 	f.start, f.streams, f.chkAt, f.track = start, streams, chkAt, iterSum != nil
 	for f.base = 0; f.base < n; f.base += cohortChunk {
 		span := min(cohortChunk, n-f.base)
-		if f.cfg.Sequential {
+		if f.cfg.Workers == 1 {
 			f.worker(0, span)
 		} else {
 			tensor.ParallelFor(span, 1, f.worker)

@@ -16,7 +16,7 @@ import (
 // neither trains nor folds in, and the survivors' mean is exactly
 // AverageInto over what those members produce on their own (a member's
 // result depends only on its position), across a chunk boundary and
-// with Sequential on and off. With every position skipped, Finish
+// with one worker and the default pool. With every position skipped, Finish
 // reports it and leaves w and chk untouched.
 func TestFoldSkip(t *testing.T) {
 	const n, chkAt = cohortChunk + 5, 2
@@ -42,8 +42,8 @@ func TestFoldSkip(t *testing.T) {
 	}
 
 	skip := func(i int) bool { return i%3 == 1 || i == cohortChunk }
-	for _, seq := range []bool{true, false} {
-		cfg := &Config{Tau1: 3, BatchSize: 2, EtaW: 0.1, TrackAverages: true, Sequential: seq}
+	for _, workers := range []int{1, 0} {
+		cfg := &Config{Tau1: 3, BatchSize: 2, EtaW: 0.1, TrackAverages: true, Workers: workers}
 		prob := &Problem{Model: m, W: W}
 		for _, tc := range []struct {
 			name string
@@ -67,11 +67,11 @@ func TestFoldSkip(t *testing.T) {
 			w, chk, sum := make([]float64, d), make([]float64, d), make([]float64, d)
 			f.Block(start, streams, chkAt, sum)
 			if !f.Finish(w, chk) {
-				t.Fatalf("seq=%v %s: Finish reports nothing folded", seq, tc.name)
+				t.Fatalf("workers=%d %s: Finish reports nothing folded", workers, tc.name)
 			}
 			for j := range w {
 				if w[j] != wantW[j] || chk[j] != wantChk[j] || sum[j] != wantSum[j] {
-					t.Fatalf("seq=%v %s: coordinate %d differs from AverageInto over the survivors", seq, tc.name, j)
+					t.Fatalf("workers=%d %s: coordinate %d differs from AverageInto over the survivors", workers, tc.name, j)
 				}
 			}
 		}
@@ -81,7 +81,7 @@ func TestFoldSkip(t *testing.T) {
 		w, chk := []float64{7}, []float64{9}
 		f.Block(start, streams, chkAt, nil)
 		if f.Finish(w, chk) || w[0] != 7 || chk[0] != 9 {
-			t.Fatalf("seq=%v: all skipped: Finish touched w/chk or reported a fold", seq)
+			t.Fatalf("workers=%d: all skipped: Finish touched w/chk or reported a fold", workers)
 		}
 	}
 }

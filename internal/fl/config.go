@@ -33,12 +33,10 @@ type Config struct {
 	// (plus one before training and one after the last round). 0 means
 	// only initial and final snapshots.
 	EvalEvery int
-	// Sequential forces the single-goroutine reference engine; when
-	// false, independent slots run on parallel workers (identical
-	// results by the determinism contract).
-	Sequential bool
-	// Workers bounds the goroutines ForEach uses in parallel mode. 0
-	// (the default) means GOMAXPROCS; ignored when Sequential.
+	// Workers bounds the goroutines ForEach uses; 0 (the default) means
+	// GOMAXPROCS. Workers == 1 is the single-goroutine reference engine:
+	// slots, client blocks and cohorts all run in the calling goroutine
+	// (identical results by the determinism contract).
 	Workers int
 	// TrackAverages maintains the time-averaged iterates (wHat, pHat)
 	// that the convex analysis evaluates (Eq. 8). Costs one extra

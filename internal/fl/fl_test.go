@@ -274,13 +274,13 @@ func ledgerWith(cloudRounds int64) topology.LedgerSnapshot {
 }
 
 func TestForEachBothModes(t *testing.T) {
-	for _, seq := range []bool{true, false} {
-		cfg := Config{Sequential: seq}
+	for _, workers := range []int{1, 0} {
+		cfg := Config{Workers: workers}
 		out := make([]int, 20)
 		cfg.ForEach(20, func(i int) { out[i] = i * i })
 		for i := range out {
 			if out[i] != i*i {
-				t.Fatalf("seq=%v index %d not processed", seq, i)
+				t.Fatalf("workers=%d index %d not processed", workers, i)
 			}
 		}
 	}

@@ -86,16 +86,3 @@ func TestForEachWorkerPool(t *testing.T) {
 		}
 	}
 }
-
-// TestForEachSequentialIgnoresWorkers: Sequential mode must run in index
-// order on the calling goroutine regardless of Workers.
-func TestForEachSequentialIgnoresWorkers(t *testing.T) {
-	cfg := Config{Sequential: true, Workers: 8}
-	var order []int
-	cfg.ForEach(10, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("sequential order %v", order)
-		}
-	}
-}

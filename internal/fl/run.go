@@ -167,11 +167,11 @@ func RunWithOptions(algorithm string, prob *Problem, cfg Config, roundFn RoundFu
 	return res, nil
 }
 
-// ForEach runs fn(i) for every i in [0, n): sequentially when
-// cfg.Sequential, otherwise on a bounded pool of Workers goroutines
-// (default GOMAXPROCS) pulling indices from a shared counter. fn must
-// confine its writes to index-i outputs and derive randomness from
-// index-keyed streams so both modes produce identical results.
+// ForEach runs fn(i) for every i in [0, n) on a bounded pool of Workers
+// goroutines (default GOMAXPROCS; in order on the caller when 1) pulling
+// indices from a shared counter. fn must confine its writes to index-i
+// outputs and derive randomness from index-keyed streams so every worker
+// count produces identical results.
 func (c Config) ForEach(n int, fn func(i int)) {
 	workers := c.Workers
 	if workers <= 0 {
@@ -180,7 +180,7 @@ func (c Config) ForEach(n int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	if c.Sequential || workers <= 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}

@@ -99,10 +99,10 @@ func hashStats(st simnet.RunStats) string {
 // stats under "stats/<case>".
 func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 	seqCfg := fltest.ToyConfig()
-	seqCfg.Sequential = true
+	seqCfg.Workers = 1
 
 	parCfg := fltest.ToyConfig()
-	parCfg.Sequential = false
+	parCfg.Workers = 0
 
 	avgCfg := fltest.ToyConfig()
 	avgCfg.TrackAverages = true

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -240,6 +241,64 @@ func TestWireFingerprintCoversTrajectoryKnobs(t *testing.T) {
 		restore()
 		if other == fp {
 			t.Fatalf("kernel class %s not covered by the fingerprint", c)
+		}
+	}
+}
+
+// fingerprintExempt lists the fl.Config fields Fingerprint leaves out on
+// purpose; every other field, nested ones included, must move it.
+var fingerprintExempt = map[string]bool{
+	// The worker count never changes a trajectory (the determinism
+	// contract), so peers may differ in it.
+	"Workers": true,
+	// The regime table refuses a sparse population on the wire roles;
+	// the hash must take both fields once the wire roles run one.
+	"Population":     true,
+	"SamplePerRound": true,
+}
+
+// TestFingerprintCoversEveryField perturbs, by reflection, every field of
+// fl.Config (quant.Config's included) and of chaos.Schedule: a field the
+// handshake does not hash would let two processes that disagree on it
+// run different trajectories without a word.
+func TestFingerprintCoversEveryField(t *testing.T) {
+	top := topology.Topology{NumEdges: 4, ClientsPerEdge: 2}
+	cfg := fltest.ToyConfig()
+	sched := chaos.Schedule{Seed: 1, LossProb: 0.1}
+	fp := Fingerprint(cfg, top, &sched)
+	seen := map[string]bool{}
+	var perturb func(v reflect.Value, path string, changed func() bool)
+	perturb = func(v reflect.Value, path string, changed func() bool) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			seen[name] = true
+			old := reflect.ValueOf(f.Interface())
+			switch f.Kind() {
+			case reflect.Struct:
+				perturb(f, name+".", changed)
+				continue
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint, reflect.Uint64:
+				f.SetUint(f.Uint() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.25)
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			default:
+				t.Fatalf("%s: no perturbation for kind %s", name, f.Kind())
+			}
+			if moved := changed(); moved == fingerprintExempt[name] {
+				t.Errorf("%s: fingerprint moved = %v, want %v", name, moved, !moved)
+			}
+			f.Set(old)
+		}
+	}
+	perturb(reflect.ValueOf(&cfg).Elem(), "", func() bool { return Fingerprint(cfg, top, &sched) != fp })
+	perturb(reflect.ValueOf(&sched).Elem(), "chaos.", func() bool { return Fingerprint(cfg, top, &sched) != fp })
+	for name := range fingerprintExempt {
+		if !seen[name] {
+			t.Errorf("exempt field %s is not an fl.Config field", name)
 		}
 	}
 }

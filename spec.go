@@ -13,6 +13,7 @@ package hierfair
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/chaos"
 	"repro/internal/data"
@@ -86,9 +87,11 @@ const (
 // Engine selects the execution substrate.
 type Engine string
 
-// Engines. Both produce identical trajectories for AlgHierMinimax; the
-// simnet engine runs every node as a goroutine actor and additionally
-// reports simulated wall-clock time.
+// Engines Run accepts; the distributed roles run through RunCloud, RunEdge
+// and RunClientHost. Both produce identical trajectories for
+// AlgHierMinimax; the simnet engine runs every node as a goroutine actor
+// and additionally reports simulated wall-clock time. Which algorithm
+// runs which regime on which engine is the regime table's (regimes.go).
 const (
 	EngineInProcess Engine = "inprocess"
 	EngineSimNet    Engine = "simnet"
@@ -138,8 +141,7 @@ type Spec struct {
 	// (core.Tree; Algorithm 1 is its three-layer case): Branching[v]
 	// children per level-(v+1) node (last entry = top-level areas),
 	// Taus[v] the aggregation period at level v. ClientsPerEdge must equal
-	// the product of Branching[:len-1]. HierMinimax in-process only;
-	// Tau1/Tau2 are ignored when set.
+	// the product of Branching[:len-1]. Tau1/Tau2 are ignored when set.
 	Branching []int
 	Taus      []int
 
@@ -160,7 +162,7 @@ type Spec struct {
 	DropoutProb float64
 	PCap        float64 // >0: P = capped simplex {p : p_e <= PCap}
 	// CheckpointOff replaces the Phase-2 random checkpoint with the
-	// end-of-round model (the A1 ablation; HierMinimax only).
+	// end-of-round model (the A1 ablation).
 	CheckpointOff bool
 
 	// Population and SamplePerRound switch the run into the sparse
@@ -171,17 +173,15 @@ type Spec struct {
 	// per sampled edge slot), materializing their shards lazily out of
 	// the per-area corpora. Memory and per-round work are O(sampled),
 	// never O(Population), so million-client runs are routine. Both must
-	// be set together; requires the single-process engines (the wire
-	// roles spawn one OS client host per resident client) and the
-	// 3-layer algorithms' standard form (no Branching/Taus trees). Both
-	// compression regimes compose; a top-k residual lives for one slot
-	// per cohort position.
+	// be set together. Both compression regimes compose; a top-k
+	// residual lives for one slot per cohort position.
 	Population     int
 	SamplePerRound int
 
-	// Chaos injects deterministic transport faults (simnet engine only):
-	// crashes, partitions, link loss, stragglers. The zero value injects
-	// nothing. See DESIGN.md §10 for the fault model.
+	// Chaos injects deterministic transport faults: crashes, partitions,
+	// link loss, stragglers. The zero value injects nothing; a zero
+	// Chaos.Seed is derived from Seed. See DESIGN.md §10 for the fault
+	// model.
 	Chaos Chaos
 
 	Seed          uint64
@@ -189,45 +189,11 @@ type Spec struct {
 	TrackAverages bool
 }
 
-// Chaos is a deterministic fault plan for the simnet engine. All
-// decisions are pure functions of (Seed, round, entity), so the same
-// plan reproduces the same faulted run exactly; a run with all
-// probabilities zero is bitwise identical to a fault-free one.
-type Chaos struct {
-	CrashProb     float64 // per-round probability a client ignores its work requests
-	PartitionProb float64 // per-round probability an edge server is unreachable
-	LossProb      float64 // per-transfer probability a protocol message is lost
-	StragglerProb float64 // per-round probability a client delays each block ...
-	StragglerMs   float64 // ... by this much simulated time (trajectory unchanged)
-	TimeoutMs     float64 // fan-in deadline in simulated ms (0 = 250)
-	MaxRetries    int     // retransmissions per lost protocol message
-	Seed          uint64  // fault seed (0 = derived from Spec.Seed)
-}
-
-// schedule converts the facade plan into the internal schedule, or nil
-// when no fault injection was requested.
-func (c Chaos) schedule(trainSeed uint64) *chaos.Schedule {
-	if c == (Chaos{}) {
-		return nil
-	}
-	seed := c.Seed
-	if seed == 0 {
-		// Decoupled from the training stream tree by construction (the
-		// schedule roots its own tree), offset only so the two seeds
-		// differ visibly in logs.
-		seed = trainSeed + 7919
-	}
-	return &chaos.Schedule{
-		Seed:          seed,
-		CrashProb:     c.CrashProb,
-		PartitionProb: c.PartitionProb,
-		LossProb:      c.LossProb,
-		StragglerProb: c.StragglerProb,
-		StragglerMs:   c.StragglerMs,
-		TimeoutMs:     c.TimeoutMs,
-		MaxRetries:    c.MaxRetries,
-	}
-}
+// Chaos is a deterministic fault plan. All decisions are pure functions
+// of (Seed, round, entity), so the same plan reproduces the same faulted
+// run exactly; a run with all probabilities zero is bitwise identical to
+// a fault-free one.
+type Chaos = chaos.Schedule
 
 // DefaultSpec returns the paper's §6.1 convex configuration (EMNIST
 // substitute, logistic regression, N_E=10, N0=3, m_E=5, tau1=tau2=2)
@@ -268,20 +234,18 @@ func (s *Spec) normalize() error {
 	if s.Algorithm == "" {
 		return fmt.Errorf("hierfair: Spec.Algorithm is required")
 	}
+	if !slices.Contains(algorithms, s.Algorithm) {
+		return fmt.Errorf("hierfair: unknown algorithm %q", s.Algorithm)
+	}
 	if s.Engine == "" {
 		s.Engine = EngineInProcess
 	}
-	if s.Engine == EngineSimNet && s.Algorithm != AlgHierMinimax {
-		return fmt.Errorf("hierfair: the simnet engine only runs %s", AlgHierMinimax)
+	if _, ok := engines[s.Engine]; !ok {
+		return fmt.Errorf("hierfair: unknown Spec.Engine %q (want %s or %s; distributed runs go through RunCloud, RunEdge and RunClientHost)",
+			s.Engine, EngineInProcess, EngineSimNet)
 	}
-	if s.Chaos != (Chaos{}) && s.Engine != EngineSimNet {
-		return fmt.Errorf("hierfair: Spec.Chaos fault injection requires Engine == %q", EngineSimNet)
-	}
-	if s.QuantBits > 0 && s.TopK > 0 {
-		return fmt.Errorf("hierfair: Spec.QuantBits and Spec.TopK are mutually exclusive")
-	}
-	// The Population/SamplePerRound pairing is fl.Config.Validate's,
-	// which every engine runs.
+	// QuantBits × TopK and the Population/SamplePerRound pairing are
+	// fl.Config.Validate's, which every engine runs.
 	if s.Dataset == "" {
 		s.Dataset = DatasetEMNIST
 	}
@@ -444,6 +408,7 @@ func (s *Spec) buildProblem() (*fl.Problem, fl.Config, error) {
 		prob.P = simplex.CappedSimplex{Dim: fed.NumAreas(), Cap: s.PCap}
 	}
 	cfg := fl.Config{
+		Compression:    quant.Config{Bits: s.QuantBits, TopK: s.TopK, ErrorFeedback: s.TopK > 0},
 		Rounds:         s.Rounds,
 		Tau1:           s.Tau1,
 		Tau2:           s.Tau2,
@@ -459,12 +424,6 @@ func (s *Spec) buildProblem() (*fl.Problem, fl.Config, error) {
 		CheckpointOff:  s.CheckpointOff,
 		Population:     s.Population,
 		SamplePerRound: s.SamplePerRound,
-	}
-	if s.QuantBits > 0 {
-		cfg.Compression = quant.Config{Bits: s.QuantBits}
-	}
-	if s.TopK > 0 {
-		cfg.Compression = quant.Config{TopK: s.TopK, ErrorFeedback: true}
 	}
 	return prob, cfg, nil
 }
