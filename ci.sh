@@ -53,9 +53,10 @@ go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./i
 # run in every leg too, with the population tests, whose edge actors run
 # an fl.Fold in float32 storage on the avx2f32 tier. The wire codec
 # moves 4-byte elements on that tier, so its suite and the loopback-TCP
-# wire ≡ simnet parity tests run in every leg as well.
+# wire ≡ simnet parity tests run in every leg as well. model's batched ≡
+# per-example tests follow the class's softmax and kernel arithmetic.
 for KC in generic sse2 avx2 avx2f32; do
-	HIERFAIR_KERNEL=$KC go test -count=1 . ./internal/tensor/ ./internal/fl/ ./internal/core/ ./internal/baselines/ ./internal/invariance/ ./internal/wire/
+	HIERFAIR_KERNEL=$KC go test -count=1 . ./internal/tensor/ ./internal/model/ ./internal/fl/ ./internal/core/ ./internal/baselines/ ./internal/invariance/ ./internal/wire/
 	HIERFAIR_KERNEL=$KC go test -count=1 ./internal/simnet/ -run 'Match(es)?Core|Population|Wire'
 	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/tensor/
 done

@@ -112,8 +112,10 @@ func TestLinearBatchedMatchesPerExample(t *testing.T) {
 	}
 }
 
-// mlpReference computes the MLP's loss and mean gradient one example at
-// a time, mirroring the pre-batching backprop exactly.
+// mlpReference computes the MLP's summed loss and mean gradient one
+// example at a time, mirroring the pre-batching backprop exactly. It
+// returns the sum: Grad scales it by 1/n and Loss divides it by n, which
+// differ in the last bit for some n (13 under avx2, for one).
 func mlpReference(m *MLP, w []float64, xs [][]float64, ys []int, grad []float64) float64 {
 	W1, W2, W3, b1, b2, b3 := m.mats(w)
 	gW1, gW2, gW3, gb1, gb2, gb3 := m.mats(grad)
@@ -162,29 +164,38 @@ func mlpReference(m *MLP, w []float64, xs [][]float64, ys []int, grad []float64)
 		tensor.OuterAccum(inv, da1, x, gW1)
 		tensor.Axpy(inv, da1, gb1)
 	}
-	return total * inv
+	return total
 }
 
+// TestMLPBatchedMatchesPerExample runs a toy shape, whose panels never
+// split, and the paper's 784-300-100-10 MLP at the workload batch (16),
+// an odd tail (13) and one example past the chunk boundary (257).
 func TestMLPBatchedMatchesPerExample(t *testing.T) {
-	r := rng.New(37)
-	const n, in, h1, h2, classes = 300, 12, 9, 7, 4
-	m := NewMLP(in, h1, h2, classes)
-	w := make([]float64, m.Dim())
-	m.Init(w, rng.New(5))
-	xs, ys := randBatch(r, n, in, classes)
+	for _, s := range []struct{ n, in, h1, h2, classes int }{
+		{300, 12, 9, 7, 4},
+		{16, 784, 300, 100, 10},
+		{13, 784, 300, 100, 10},
+		{batchChunk + 1, 784, 300, 100, 10},
+	} {
+		r := rng.New(37)
+		m := NewMLP(s.in, s.h1, s.h2, s.classes)
+		w := make([]float64, m.Dim())
+		m.Init(w, rng.New(5))
+		xs, ys := randBatch(r, s.n, s.in, s.classes)
 
-	wantGrad := make([]float64, m.Dim())
-	wantLoss := mlpReference(m, w, xs, ys, wantGrad)
+		wantGrad := make([]float64, m.Dim())
+		sum := mlpReference(m, w, xs, ys, wantGrad)
 
-	gotGrad := make([]float64, m.Dim())
-	gotLoss := m.Grad(w, gotGrad, xs, ys)
-	if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-		t.Fatalf("Grad loss = %x, want %x", math.Float64bits(gotLoss), math.Float64bits(wantLoss))
-	}
-	equalBits(t, "mlp grad", gotGrad, wantGrad)
+		gotGrad := make([]float64, m.Dim())
+		gotLoss := m.Grad(w, gotGrad, xs, ys)
+		if want := sum * (1 / float64(s.n)); math.Float64bits(gotLoss) != math.Float64bits(want) {
+			t.Fatalf("%+v: Grad loss = %x, want %x", s, math.Float64bits(gotLoss), math.Float64bits(want))
+		}
+		equalBits(t, "mlp grad", gotGrad, wantGrad)
 
-	if lv := m.Loss(w, xs, ys); math.Float64bits(lv) != math.Float64bits(wantLoss) {
-		t.Fatalf("Loss = %x, want %x", math.Float64bits(lv), math.Float64bits(wantLoss))
+		if lv, want := m.Loss(w, xs, ys), sum/float64(s.n); math.Float64bits(lv) != math.Float64bits(want) {
+			t.Fatalf("%+v: Loss = %x, want %x", s, math.Float64bits(lv), math.Float64bits(want))
+		}
 	}
 }
 

@@ -583,6 +583,111 @@ func TestGemm32AgainstNaive(t *testing.T) {
 	}
 }
 
+func matrices32EqualBits(t *testing.T, name string, got, want *Matrix32) {
+	t.Helper()
+	for i, v := range got.Data {
+		if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s: element %d = %x, want %x (not bitwise equal)", name,
+				i, math.Float32bits(v), math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
+func clone32(m *Matrix32) *Matrix32 {
+	c := &Matrix32{}
+	c.Reshape(m.Rows, m.Cols)
+	copy(c.Data, m.Data)
+	return c
+}
+
+// TestGemm32BitwiseMatchesAxpySequence pins Gemm32 to the k-ascending
+// single axpy32 accumulation of each output row. k = 9, 10 and
+// gemmPanel+3 end in a one-, two- and three-term tail after the fused
+// quads; 16×100×300 is the MLP's dA1 = dZ2·W2.
+func TestGemm32BitwiseMatchesAxpySequence(t *testing.T) {
+	r := rng.New(83)
+	for _, s := range []struct{ m, k, n int }{
+		{5, 9, 12}, {16, 10, 100}, {2, gemmPanel + 3, 4}, {16, 100, 300},
+	} {
+		a := randMatrix32(r, s.m, s.k)
+		b := randMatrix32(r, s.k, s.n)
+		want := &Matrix32{}
+		want.Reshape(s.m, s.n)
+		for i := 0; i < s.m; i++ {
+			for k, aik := range a.Row(i) {
+				kernels32.axpy(2.5*aik, b.Row(k), want.Row(i))
+			}
+		}
+		got := randMatrix32(r, s.m, s.n) // beta=0 must overwrite
+		Gemm32(2.5, a, b, 0, got)
+		matrices32EqualBits(t, "Gemm32 vs axpy32 sequence", got, want)
+	}
+}
+
+// TestGemmT32BitwiseMatchesDot32 pins every GemmT32 output element to
+// alpha*dot32(row, row) + beta*c, bit for bit, at the MLP's layer
+// shapes as well as across a panel boundary.
+func TestGemmT32BitwiseMatchesDot32(t *testing.T) {
+	r := rng.New(89)
+	for _, s := range []struct{ m, k, n int }{
+		{4, 48, 10}, {3, gemmPanel + 5, 7},
+		{16, 784, 300}, {13, 784, 300}, {16, 300, 100}, {16, 100, 10},
+	} {
+		a := randMatrix32(r, s.m, s.k)
+		b := randMatrix32(r, s.n, s.k)
+		c0 := randMatrix32(r, s.m, s.n)
+		want := clone32(c0)
+		for i := 0; i < s.m; i++ {
+			for j := 0; j < s.n; j++ {
+				want.Data[i*s.n+j] = 1.5*kernels32.dot(a.Row(i), b.Row(j)) + 0.5*want.Data[i*s.n+j]
+			}
+		}
+		got := clone32(c0)
+		GemmT32(1.5, a, b, 0.5, got)
+		matrices32EqualBits(t, "GemmT32 vs dot32", got, want)
+	}
+}
+
+// TestGemmTN32BitwiseMatchesAxpySequence pins GemmTN32/GemmTNR32 to the
+// example-ascending single axpy32 sequence with the zero-coefficient
+// skip; masked cases zero the negative coefficients as ReLUGrad32 does.
+func TestGemmTN32BitwiseMatchesAxpySequence(t *testing.T) {
+	r := rng.New(97)
+	for _, s := range []struct {
+		k, m, n int
+		masked  bool
+	}{
+		{6, 10, 48, false}, {300, 10, 48, false},
+		{16, 300, 784, true}, {13, 300, 784, true}, {16, 100, 300, true}, {16, 10, 100, false},
+	} {
+		a := randMatrix32(r, s.k, s.m)
+		if s.masked {
+			ReLU32(a.Data, a.Data)
+		}
+		b := randMatrix32(r, s.k, s.n)
+		c0 := randMatrix32(r, s.m, s.n)
+		want := clone32(c0)
+		for k := 0; k < s.k; k++ {
+			for i, aki := range a.Row(k) {
+				if aki != 0 {
+					kernels32.axpy(0.3*aki, b.Row(k), want.Row(i))
+				}
+			}
+		}
+		got := clone32(c0)
+		GemmTN32(0.3, a, b, got)
+		matrices32EqualBits(t, "GemmTN32 vs axpy32 sequence", got, want)
+
+		brows := make([][]float32, s.k)
+		for i := range brows {
+			brows[i] = b.Row(i)
+		}
+		got = clone32(c0)
+		GemmTNR32(0.3, a, brows, got)
+		matrices32EqualBits(t, "GemmTNR32 vs axpy32 sequence", got, want)
+	}
+}
+
 // TestCrossEntropyRows32 checks the fused float32 softmax/cross-entropy
 // against a naive float64 per-example reference.
 func TestCrossEntropyRows32(t *testing.T) {

@@ -123,12 +123,19 @@ func TestGemmAgainstNaive(t *testing.T) {
 	}
 }
 
+// The bitwise tests below include the three layers of the paper's
+// 784-300-100-10 MLP at the workload batch (16) and an odd tail (13):
+// the shapes where panels and example blocks split for real.
+
 // TestGemmTBitwiseMatchesDot pins the determinism contract: every GemmT
 // output element is exactly alpha*Dot(row, row) + beta*c, bit for bit,
 // regardless of blocking.
 func TestGemmTBitwiseMatchesDot(t *testing.T) {
 	r := rng.New(11)
-	for _, s := range []struct{ m, k, n int }{{4, 48, 10}, {3, gemmPanel + 5, 7}, {1, 3, 13}} {
+	for _, s := range []struct{ m, k, n int }{
+		{4, 48, 10}, {3, gemmPanel + 5, 7}, {1, 3, 13},
+		{16, 784, 300}, {13, 784, 300}, {16, 300, 100}, {16, 100, 10},
+	} {
 		a := randMatrix(r, s.m, s.k)
 		b := randMatrix(r, s.n, s.k)
 		c0 := randMatrix(r, s.m, s.n)
@@ -149,7 +156,10 @@ func TestGemmTBitwiseMatchesDot(t *testing.T) {
 // k-ascending Axpy order of GemvT, column by column.
 func TestGemmBitwiseMatchesGemvT(t *testing.T) {
 	r := rng.New(13)
-	for _, s := range []struct{ m, k, n int }{{5, 9, 12}, {2, gemmPanel + 3, 4}} {
+	for _, s := range []struct{ m, k, n int }{
+		{5, 9, 12}, {2, gemmPanel + 3, 4},
+		{16, 100, 300}, {13, 100, 300}, {16, 10, 100},
+	} {
 		a := randMatrix(r, s.m, s.k)
 		b := randMatrix(r, s.k, s.n)
 
@@ -171,11 +181,22 @@ func TestGemmBitwiseMatchesGemvT(t *testing.T) {
 
 // TestGemmTNBitwiseMatchesOuterAccum pins GemmTN/GemmTNR to the
 // example-ascending OuterAccum sequence of the per-example gradient
-// path, including the zero-coefficient skip.
+// path, including the zero-coefficient skip. A masked case zeroes the
+// negative coefficients, as ReLUGrad does to the backpropagated rows.
 func TestGemmTNBitwiseMatchesOuterAccum(t *testing.T) {
 	r := rng.New(17)
-	for _, s := range []struct{ k, m, n int }{{6, 10, 48}, {300, 10, 48}} {
+	for _, s := range []struct {
+		k, m, n int
+		masked  bool
+	}{
+		{6, 10, 48, false}, {300, 10, 48, false},
+		{16, 300, 784, false}, {16, 300, 784, true}, {13, 300, 784, true},
+		{16, 100, 300, true}, {16, 10, 100, false},
+	} {
 		a := randMatrix(r, s.k, s.m)
+		if s.masked {
+			ReLU(a.Data, a.Data)
+		}
 		b := randMatrix(r, s.k, s.n)
 
 		want := randMatrix(r, s.m, s.n)
