@@ -14,9 +14,10 @@ import "math"
 // kernels these always run the FMA arithmetic (fuse4 and the fused
 // single-exponential cross-entropy are unconditional).
 
-// Gemm32 computes C = alpha*A*B + beta*C, all row-major, blocked over
-// column panels of B; each output element accumulates over k in
-// ascending order. Panics on shape mismatch.
+// Gemm32 computes C = alpha*A*B + beta*C, all row-major, one full C
+// row at a time through k-quads of the fused axpy4 and a single-axpy
+// tail; each output element accumulates over k in ascending order, with
+// no zero skip. Panics on shape mismatch.
 func Gemm32(alpha float32, a, b *Matrix32, beta float32, c *Matrix32) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic("tensor: Gemm32 shape mismatch")
@@ -26,15 +27,15 @@ func Gemm32(alpha float32, a, b *Matrix32, beta float32, c *Matrix32) {
 	} else if beta != 1 {
 		Scale32(beta, c.Data)
 	}
-	nb := panelDim(a.Cols)
-	for j0 := 0; j0 < c.Cols; j0 += nb {
-		j1 := min(j0+nb, c.Cols)
-		for i := 0; i < a.Rows; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)[j0:j1]
-			for k, aik := range arow {
-				kernels32.axpy(alpha*aik, b.Row(k)[j0:j1], crow)
-			}
+	for i := 0; i < a.Rows; i++ {
+		arow, crow := a.Row(i), c.Row(i)
+		k := 0
+		for ; k+4 <= len(arow); k += 4 {
+			kernels32.axpy4(alpha*arow[k], alpha*arow[k+1], alpha*arow[k+2], alpha*arow[k+3],
+				b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3), crow)
+		}
+		for ; k < len(arow); k++ {
+			kernels32.axpy(alpha*arow[k], b.Row(k), crow)
 		}
 	}
 	gemmFlops.Add(2 * int64(a.Rows) * int64(a.Cols) * int64(b.Cols))
@@ -60,16 +61,16 @@ func GemmT32(alpha float32, a, b *Matrix32, beta float32, c *Matrix32) {
 
 // GemmTR32 is GemmT32 with the left operand given as individual row
 // slices (the models' ungathered mini-batch feature views). Panics on
-// shape mismatch.
+// shape mismatch or a ragged row.
 func GemmTR32(alpha float32, xrows [][]float32, b *Matrix32, beta float32, c *Matrix32) {
 	if c.Rows != len(xrows) || c.Cols != b.Rows {
 		panic("tensor: GemmTR32 shape mismatch")
 	}
+	checkRows(xrows, b.Cols)
 	nb := panelDim(b.Cols)
 	for j0 := 0; j0 < b.Rows; j0 += nb {
 		j1 := min(j0+nb, b.Rows)
 		for i, x := range xrows {
-			checkLen(len(x), b.Cols)
 			gemmT32Row(alpha, x, b, beta, c.Row(i), j0, j1)
 		}
 	}
@@ -97,49 +98,31 @@ func gemmT32Row(alpha float32, x []float32, b *Matrix32, beta float32, crow []fl
 
 // GemmTN32 accumulates C += alpha*A^T*B for row-major A (k×m), B (k×n)
 // and C (m×n): the float32 batched weight-gradient kernel. Each output
-// row accumulates the examples in ascending order, skipping zero
-// coefficients (fma32(0, x, y) is not a no-op for Inf/NaN rows), with
-// nonzero quads fused into axpy4. Panics on shape mismatch.
+// row accumulates the examples in ascending order, in tnBlock blocks,
+// skipping zero coefficients (fma32(0, x, y) is not a no-op for Inf/NaN
+// rows), with nonzero quads fused into axpy4. Panics on shape mismatch.
 func GemmTN32(alpha float32, a, b, c *Matrix32) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic("tensor: GemmTN32 shape mismatch")
 	}
-	kb := panelDim(b.Cols)
-	for k0 := 0; k0 < a.Rows; k0 += kb {
-		k1 := min(k0+kb, a.Rows)
-		for i := 0; i < c.Rows; i++ {
-			crow := c.Row(i)
-			var cf [4]float32
-			var rows [4][]float32
-			nq := 0
-			for k := k0; k < k1; k++ {
-				aki := a.Data[k*a.Cols+i]
-				if aki == 0 {
-					continue
-				}
-				cf[nq] = alpha * aki
-				rows[nq] = b.Row(k)
-				if nq++; nq == 4 {
-					kernels32.axpy4(cf[0], cf[1], cf[2], cf[3], rows[0], rows[1], rows[2], rows[3], crow)
-					nq = 0
-				}
-			}
-			for q := 0; q < nq; q++ {
-				kernels32.axpy(cf[q], rows[q], crow)
-			}
-		}
-	}
-	gemmFlops.Add(2 * int64(a.Rows) * int64(a.Cols) * int64(b.Cols))
+	gemmTN32(alpha, a, b, nil, c)
 }
 
 // GemmTNR32 is GemmTN32 with the right operand given as individual row
 // slices: C += alpha*A^T*Y with Y's rows in yrows. Panics on shape
-// mismatch.
+// mismatch or a ragged row.
 func GemmTNR32(alpha float32, a *Matrix32, yrows [][]float32, c *Matrix32) {
 	if a.Rows != len(yrows) || c.Rows != a.Cols {
 		panic("tensor: GemmTNR32 shape mismatch")
 	}
-	kb := panelDim(c.Cols)
+	checkRows(yrows, c.Cols)
+	gemmTN32(alpha, a, nil, yrows, c)
+}
+
+// gemmTN32 is the body of GemmTN32 and GemmTNR32, as gemmTN is of the
+// float64 pair.
+func gemmTN32(alpha float32, a, b *Matrix32, yrows [][]float32, c *Matrix32) {
+	kb := tnBlock(c.Cols)
 	for k0 := 0; k0 < a.Rows; k0 += kb {
 		k1 := min(k0+kb, a.Rows)
 		for i := 0; i < c.Rows; i++ {
@@ -152,9 +135,12 @@ func GemmTNR32(alpha float32, a *Matrix32, yrows [][]float32, c *Matrix32) {
 				if aki == 0 {
 					continue
 				}
-				checkLen(len(yrows[k]), len(crow))
 				cf[nq] = alpha * aki
-				rows[nq] = yrows[k]
+				if yrows != nil {
+					rows[nq] = yrows[k]
+				} else {
+					rows[nq] = b.Row(k)
+				}
 				if nq++; nq == 4 {
 					kernels32.axpy4(cf[0], cf[1], cf[2], cf[3], rows[0], rows[1], rows[2], rows[3], crow)
 					nq = 0

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -120,13 +121,86 @@ func TestGemm(t *testing.T) {
 	}
 }
 
+// TestGemmShapePanics checks that all ten GEMM kernels panic on a shape
+// mismatch, and the row-slice forms on a ragged row — even one whose
+// coefficients are all zero — before they write C. beta = 0 and a
+// nonzero C make any early write visible.
 func TestGemmShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on shape mismatch")
+	mat := func(rows, cols int) *Matrix {
+		m := NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = float64(i + 1)
 		}
-	}()
-	Gemm(1, NewMatrix(2, 3), NewMatrix(2, 3), 0, NewMatrix(2, 3))
+		return m
+	}
+	mat32 := func(rows, cols int) *Matrix32 {
+		m := &Matrix32{}
+		m.Reshape(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = float32(i + 1)
+		}
+		return m
+	}
+	rows := func(lens ...int) [][]float64 {
+		rs := make([][]float64, len(lens))
+		for i, n := range lens {
+			rs[i] = mat(1, n).Data
+		}
+		return rs
+	}
+	rows32 := func(lens ...int) [][]float32 {
+		rs := make([][]float32, len(lens))
+		for i, n := range lens {
+			rs[i] = mat32(1, n).Data
+		}
+		return rs
+	}
+	// zeroRow1 is a 2×3 coefficient matrix whose second example is all
+	// zeros, so the TN kernels have no term to apply from it.
+	zeroRow1 := mat(2, 3)
+	Zero(zeroRow1.Row(1))
+	zeroRow1_32 := mat32(2, 3)
+	Zero32(zeroRow1_32.Row(1))
+
+	// Outputs, fresh per case: c for the Gemm/GemmT/GemmTR forms, g for
+	// the GemmTN/GemmTNR forms.
+	var c, g *Matrix
+	var c32, g32 *Matrix32
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Gemm", func() { Gemm(1, mat(2, 4), mat(5, 3), 0, c) }},
+		{"GemmT", func() { GemmT(1, mat(2, 4), mat(3, 5), 0, c) }},
+		{"GemmTR/shape", func() { GemmTR(1, rows(4, 4, 4), mat(3, 4), 0, c) }},
+		{"GemmTR/ragged", func() { GemmTR(1, rows(4, 3), mat(3, 4), 0, c) }},
+		{"GemmTN", func() { GemmTN(1, mat(2, 3), mat(3, 4), g) }},
+		{"GemmTNR/shape", func() { GemmTNR(1, mat(2, 3), rows(4, 4, 4), g) }},
+		{"GemmTNR/ragged", func() { GemmTNR(1, mat(2, 3), rows(4, 5), g) }},
+		{"GemmTNR/ragged-zero", func() { GemmTNR(1, zeroRow1, rows(4, 5), g) }},
+		{"Gemm32", func() { Gemm32(1, mat32(2, 4), mat32(5, 3), 0, c32) }},
+		{"GemmT32", func() { GemmT32(1, mat32(2, 4), mat32(3, 5), 0, c32) }},
+		{"GemmTR32/shape", func() { GemmTR32(1, rows32(4, 4, 4), mat32(3, 4), 0, c32) }},
+		{"GemmTR32/ragged", func() { GemmTR32(1, rows32(4, 3), mat32(3, 4), 0, c32) }},
+		{"GemmTN32", func() { GemmTN32(1, mat32(2, 3), mat32(3, 4), g32) }},
+		{"GemmTNR32/shape", func() { GemmTNR32(1, mat32(2, 3), rows32(4, 4, 4), g32) }},
+		{"GemmTNR32/ragged", func() { GemmTNR32(1, mat32(2, 3), rows32(4, 5), g32) }},
+		{"GemmTNR32/ragged-zero", func() { GemmTNR32(1, zeroRow1_32, rows32(4, 5), g32) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, c32, g, g32 = mat(2, 3), mat32(2, 3), mat(3, 4), mat32(3, 4)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+				if !reflect.DeepEqual(c, mat(2, 3)) || !reflect.DeepEqual(g, mat(3, 4)) ||
+					!reflect.DeepEqual(c32, mat32(2, 3)) || !reflect.DeepEqual(g32, mat32(3, 4)) {
+					t.Fatal("C written before the panic")
+				}
+			}()
+			tc.call()
+		})
+	}
 }
 
 func TestOuterAccum(t *testing.T) {
