@@ -383,7 +383,6 @@ func modelUpdate(a modelUpdateArgs) Slot {
 	defer foldPool.Put(f)
 	f.Cohort.SetEdge(cfg, prob.Fed, a.round, a.edge)
 	n := f.Cohort.Len()
-	copy(s.we, wStart)
 	var iterSum []float64
 	if cfg.TrackAverages {
 		iterSum = s.iterSum
@@ -393,7 +392,7 @@ func modelUpdate(a modelUpdateArgs) Slot {
 		rows += 2 * a.tree.Branching[v-1]
 	}
 	s.rows = fl.GrowRows(s.rows, rows, len(wStart))
-	a.node(top, f, 0, s.we, s.chkEdge, *a.stream, a.chk[0], iterSum, s.rows)
+	a.node(top, f, 0, wStart, s.we, s.chkEdge, *a.stream, a.chk[0], iterSum, s.rows)
 	// Edge uploads (w_e, chk_e) to the cloud; compress if configured
 	// (no error feedback: edge uplinks happen once per round).
 	if comp := cfg.Compression; comp.Enabled() {
@@ -404,13 +403,15 @@ func modelUpdate(a modelUpdateArgs) Slot {
 }
 
 // node runs a level-v node whose leaves start at client leafLo of the
-// slot's area: Taus[v] blocks from w, each aggregated into w and
-// projected. A level-1 node runs each block as one Fold block over the
-// Fold's cohort; a higher node runs its children from w in child order on
-// rows (its own children's outputs first, the levels below after them).
-// When chkAt > 0 the node is in scope: its block chk[v] also averages the
-// checkpoints, taken by the leaves after chkAt local steps, into chk.
-func (a *modelUpdateArgs) node(v int, f *fl.Fold, leafLo int, w, chk []float64, stream rng.Stream, chkAt int, iterSum []float64, rows [][]float64) {
+// slot's area: Taus[v] blocks, the first from start (read, not written)
+// and each later one from w, each aggregated into w and projected — the
+// bits of copying start into w first, without the copy. A level-1 node
+// runs each block as one Fold block over the Fold's cohort; a higher
+// node runs its children in child order on rows (its own children's
+// outputs first, the levels below after them). When chkAt > 0 the node
+// is in scope: its block chk[v] also averages the checkpoints, taken by
+// the leaves after chkAt local steps, into chk.
+func (a *modelUpdateArgs) node(v int, f *fl.Fold, leafLo int, start, w, chk []float64, stream rng.Stream, chkAt int, iterSum []float64, rows [][]float64) {
 	cfg, ledger := &a.st.Cfg, a.st.Ledger
 	dBytes := topology.ModelBytes(len(w))
 	link, n, upBytes := topology.ClientEdge, f.Cohort.Len(), dBytes
@@ -433,16 +434,19 @@ func (a *modelUpdateArgs) node(v int, f *fl.Fold, leafLo int, w, chk []float64, 
 		// The node broadcasts its model to its children.
 		ledger.RecordRound(link, n, dBytes)
 		bs := stream.ChildVal(uint64(t))
+		from := w
+		if t == 0 {
+			from = start
+		}
 		if v == 1 {
-			f.Block(w, bs, at, iterSum)
+			f.Block(from, bs, at, iterSum)
 		}
 		for j := range finals {
-			copy(finals[j], w)
 			lo := leafLo + j*leaves
 			if v == 2 {
 				f.Cohort.Clients = a.st.Prob.Fed.Areas[a.edge].Clients[lo : lo+leaves]
 			}
-			a.node(v-1, f, lo, finals[j], chks[j], bs.ChildVal(uint64(j)), at, iterSum, rows)
+			a.node(v-1, f, lo, from, finals[j], chks[j], bs.ChildVal(uint64(j)), at, iterSum, rows)
 		}
 		// Children upload their models, plus the checkpoint in block chk[v]
 		// and the iterate sum when tracking averages (dense).
@@ -455,7 +459,10 @@ func (a *modelUpdateArgs) node(v int, f *fl.Fold, leafLo int, w, chk []float64, 
 		}
 		ledger.RecordRound(link, n, up)
 		if v == 1 {
-			f.Finish(w, chk)
+			if !f.Finish(w, chk) && t == 0 {
+				// Nothing folded: the node's model stays the start.
+				copy(w, start)
+			}
 		} else {
 			tensor.AverageInto(w, finals...)
 			if at > 0 {

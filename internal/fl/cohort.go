@@ -86,10 +86,16 @@ func (c *Cohort) shard(i int, s *population.ShardScratch) data.Subset {
 // with an empty Cohort.
 //
 // Members run on cohortChunk lanes, each with its own result rows, and
-// fold into streaming means in cohort order, so memory is
-// O(cohortChunk*d) and the result is independent of chunking, worker
-// count. tensor.MeanAccumulator is bitwise
-// AverageInto over the same list in every kernel class.
+// every member reads the block's start vector in place (no per-lane
+// copy). A chunk's lanes stay pending until something needs them: when
+// a Finish follows a slot's only chunk, it averages the surviving lane
+// rows straight into w and chk with tensor.AverageInto, one pass per
+// input; anything else — the next chunk of a larger cohort, a second
+// Block before Finish (the minimax baselines), an Add — first folds the
+// pending lanes into streaming means in cohort order. So memory is
+// O(cohortChunk*d) and the result is independent of chunking and worker
+// count: tensor.MeanAccumulator is bitwise AverageInto over the same
+// list in every kernel class.
 //
 // The zero value is ready to use and allocates nothing once warm. A
 // Fold must not be copied after first use, nor used concurrently.
@@ -111,6 +117,12 @@ type Fold struct {
 	worker  func(lo, hi int)
 
 	finals, chks, sums [][]float64
+	// pending says that the last chunk Block ran has not been folded
+	// yet: live and liveChk hold its surviving members' final and
+	// checkpoint rows in cohort order (liveChk empty in a block without
+	// checkpoints). flush folds them; Finish may average them directly.
+	pending       bool
+	live, liveChk [][]float64
 	// resid holds the error-feedback residual of top-k compression, one
 	// row per cohort position: a member's residual must survive from one
 	// Block of the slot to the next, which lane rows do not.
@@ -188,25 +200,44 @@ func (f *Fold) Block(start []float64, streams rng.Stream, chkAt int, iterSum []f
 	n := f.Cohort.Len()
 	f.start, f.streams, f.chkAt, f.track = start, streams, chkAt, iterSum != nil
 	for f.base = 0; f.base < n; f.base += cohortChunk {
+		f.flush()
 		span := min(cohortChunk, n-f.base)
 		if f.cfg.Workers == 1 {
 			f.worker(0, span)
 		} else {
 			tensor.ParallelFor(span, 1, f.worker)
 		}
+		f.live, f.liveChk = f.live[:0], f.liveChk[:0]
 		for lane := 0; lane < span; lane++ {
 			if f.Cohort.skipped(f.base + lane) {
 				continue
 			}
-			var chk, sum []float64
+			f.live = append(f.live, f.finals[lane])
 			if chkAt > 0 {
-				chk = f.chks[lane]
+				f.liveChk = append(f.liveChk, f.chks[lane])
 			}
 			if iterSum != nil {
-				sum = f.sums[lane]
+				tensor.StorageAdd(iterSum, f.sums[lane])
 			}
-			f.Add(f.finals[lane], chk, sum, iterSum)
 		}
+		f.pending = true
+	}
+}
+
+// flush folds the pending chunk's members into the streaming means, in
+// cohort order, before anything overwrites the lane rows or folds a
+// later member.
+func (f *Fold) flush() {
+	if !f.pending {
+		return
+	}
+	f.pending = false
+	for j, final := range f.live {
+		var chk []float64
+		if len(f.liveChk) > 0 {
+			chk = f.liveChk[j]
+		}
+		f.fold(final, chk)
 	}
 }
 
@@ -216,6 +247,16 @@ func (f *Fold) Block(start []float64, streams rng.Stream, chkAt int, iterSum []f
 // (when non-nil) into iterSum. Callers add members in cohort order; the
 // vectors are read, not retained.
 func (f *Fold) Add(final, chk, sum, iterSum []float64) {
+	f.flush()
+	f.fold(final, chk)
+	if sum != nil {
+		tensor.StorageAdd(iterSum, sum)
+	}
+}
+
+// fold adds final to the model mean and chk, when non-nil, to the
+// checkpoint mean.
+func (f *Fold) fold(final, chk []float64) {
 	if f.n == 0 {
 		f.wAcc.Reset(len(final))
 	}
@@ -227,9 +268,6 @@ func (f *Fold) Add(final, chk, sum, iterSum []float64) {
 		}
 		f.chkAcc.Add(chk)
 		f.nChk++
-	}
-	if sum != nil {
-		tensor.StorageAdd(iterSum, sum)
 	}
 }
 
@@ -256,8 +294,7 @@ func (f *Fold) runLanes(lo, hi int) {
 			tensor.Zero(sum)
 		}
 		wf, chk := f.finals[lane], f.chks[lane]
-		copy(wf, f.start)
-		chked := LocalSGDScratch(mdl, wf, f.Cohort.shard(i, &s.shard), cfg.Tau1, cfg.BatchSize, cfg.EtaW, f.prob.W, &r, f.chkAt, sum, chk, s)
+		chked := localSGD(mdl, f.start, wf, f.Cohort.shard(i, &s.shard), cfg.Tau1, cfg.BatchSize, cfg.EtaW, f.prob.W, &r, f.chkAt, sum, chk, s)
 		// Uplink compression: members upload compressed models and the
 		// aggregator reconstructs the decoded values. Checkpoint uploads
 		// compress without error feedback (they are one-shot, not part of
@@ -282,6 +319,20 @@ func (f *Fold) runLanes(lo, hi int) {
 // and readies the accumulators for the next aggregation. It reports
 // false, leaving w and chk untouched, when every member was skipped.
 func (f *Fold) Finish(w, chk []float64) bool {
+	if f.pending && f.n == 0 {
+		// The only chunk since the last Finish: average its surviving
+		// lane rows directly, reading each once.
+		f.pending = false
+		if len(f.live) == 0 {
+			return false
+		}
+		tensor.AverageInto(w, f.live...)
+		if len(f.liveChk) > 0 {
+			tensor.AverageInto(chk, f.liveChk...)
+		}
+		return true
+	}
+	f.flush()
 	folded := f.n > 0
 	if folded {
 		f.wAcc.FinishInto(w)

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -12,76 +13,182 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestFoldSkip checks the Cohort's Skip predicate: a skipped position
-// neither trains nor folds in, and the survivors' mean is exactly
-// AverageInto over what those members produce on their own (a member's
-// result depends only on its position), across a chunk boundary and
-// with one worker and the default pool. With every position skipped, Finish
-// reports it and leaves w and chk untouched.
-func TestFoldSkip(t *testing.T) {
-	const n, chkAt = cohortChunk + 5, 2
-	m := model.NewLinear(4, 2)
-	d := m.Dim()
-	clients := make([]data.Subset, n)
-	for i := range clients {
-		clients[i] = toyShard(uint64(10+i), 12)
-	}
-	start := make([]float64, d)
-	rng.New(1).Fill(start, 0.2)
-	streams := *rng.New(2)
-	W := simplex.FullSpace{Dim: d}
-
-	// Each member alone: its final model, checkpoint and iterate sum.
-	finals, chks, sums := make([][]float64, n), make([][]float64, n), make([][]float64, n)
+// memberResults runs every member of clients alone from start, as a
+// Fold block would: its final model, checkpoint and iterate sum.
+func memberResults(m model.Model, clients []data.Subset, start []float64, streams rng.Stream, cfg *Config, W simplex.Set, chkAt int) (finals, chks, sums [][]float64) {
+	n, d := len(clients), len(start)
+	finals, chks, sums = make([][]float64, n), make([][]float64, n), make([][]float64, n)
 	var s Scratch
 	for i := range finals {
 		finals[i] = append([]float64(nil), start...)
 		chks[i], sums[i] = make([]float64, d), make([]float64, d)
 		r := streams.ChildVal(uint64(i))
-		LocalSGDScratch(m, finals[i], clients[i], 3, 2, 0.1, W, &r, chkAt, sums[i], chks[i], &s)
+		LocalSGDScratch(m, finals[i], clients[i], cfg.Tau1, cfg.BatchSize, cfg.EtaW, W, &r, chkAt, sums[i], chks[i], &s)
 	}
+	return finals, chks, sums
+}
 
+// sameBits fails unless got and want are equal bit for bit.
+func sameBits(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s: coordinate %d = %v, want %v", name, j, got[j], want[j])
+		}
+	}
+}
+
+// TestFoldSkip checks the Cohort's Skip predicate: a skipped position
+// neither trains nor folds in, and the survivors' mean is exactly
+// AverageInto over what those members produce on their own (a member's
+// result depends only on its position) — for a single-chunk cohort,
+// whose Finish averages the lane rows directly, and across a chunk
+// boundary, with the checkpoint off, after the first step and after the
+// last, with one worker and the default pool. With every position
+// skipped, Finish reports it and leaves w and chk untouched.
+func TestFoldSkip(t *testing.T) {
+	const tau1 = 3
+	m := model.NewLinear(4, 2)
+	d := m.Dim()
+	start := make([]float64, d)
+	rng.New(1).Fill(start, 0.2)
+	streams := *rng.New(2)
+	W := simplex.FullSpace{Dim: d}
 	skip := func(i int) bool { return i%3 == 1 || i == cohortChunk }
-	for _, workers := range []int{1, 0} {
-		cfg := &Config{Tau1: 3, BatchSize: 2, EtaW: 0.1, TrackAverages: true, Workers: workers}
-		prob := &Problem{Model: m, W: W}
-		for _, tc := range []struct {
-			name string
-			skip func(int) bool
-		}{{"none", nil}, {"some", skip}} {
-			var live, liveChks [][]float64
-			wantSum := make([]float64, d)
-			for i := 0; i < n; i++ {
-				if tc.skip == nil || !tc.skip(i) {
-					live = append(live, finals[i])
-					liveChks = append(liveChks, chks[i])
-					tensor.StorageAdd(wantSum, sums[i])
-				}
-			}
-			wantW, wantChk := make([]float64, d), make([]float64, d)
-			tensor.AverageInto(wantW, live...)
-			tensor.AverageInto(wantChk, liveChks...)
 
-			f := Fold{Cohort: Cohort{Clients: clients, Skip: tc.skip}}
-			f.Begin(cfg, prob, NewModelPool(m), cfg.Compression)
-			w, chk, sum := make([]float64, d), make([]float64, d), make([]float64, d)
-			f.Block(start, streams, chkAt, sum)
-			if !f.Finish(w, chk) {
-				t.Fatalf("workers=%d %s: Finish reports nothing folded", workers, tc.name)
-			}
-			for j := range w {
-				if w[j] != wantW[j] || chk[j] != wantChk[j] || sum[j] != wantSum[j] {
-					t.Fatalf("workers=%d %s: coordinate %d differs from AverageInto over the survivors", workers, tc.name, j)
+	for _, n := range []int{7, cohortChunk + 5} {
+		clients := make([]data.Subset, n)
+		for i := range clients {
+			clients[i] = toyShard(uint64(10+i), 12)
+		}
+		for _, chkAt := range []int{0, 1, tau1} {
+			for _, workers := range []int{1, 0} {
+				cfg := &Config{Tau1: tau1, BatchSize: 2, EtaW: 0.1, TrackAverages: true, Workers: workers}
+				prob := &Problem{Model: m, W: W}
+				finals, chks, sums := memberResults(m, clients, start, streams, cfg, W, chkAt)
+				for _, tc := range []struct {
+					name string
+					skip func(int) bool
+				}{{"none", nil}, {"some", skip}} {
+					name := fmt.Sprintf("n=%d chkAt=%d workers=%d %s", n, chkAt, workers, tc.name)
+					var live, liveChks [][]float64
+					wantSum := make([]float64, d)
+					for i := 0; i < n; i++ {
+						if tc.skip == nil || !tc.skip(i) {
+							live = append(live, finals[i])
+							liveChks = append(liveChks, chks[i])
+							tensor.StorageAdd(wantSum, sums[i])
+						}
+					}
+					wantW, wantChk := make([]float64, d), make([]float64, d)
+					tensor.AverageInto(wantW, live...)
+					if chkAt > 0 {
+						tensor.AverageInto(wantChk, liveChks...)
+					} else {
+						tensor.Fill(wantChk, 9) // untouched
+					}
+
+					f := Fold{Cohort: Cohort{Clients: clients, Skip: tc.skip}}
+					f.Begin(cfg, prob, NewModelPool(m), cfg.Compression)
+					w, chk, sum := make([]float64, d), make([]float64, d), make([]float64, d)
+					tensor.Fill(chk, 9)
+					f.Block(start, streams, chkAt, sum)
+					if !f.Finish(w, chk) {
+						t.Fatalf("%s: Finish reports nothing folded", name)
+					}
+					sameBits(t, name+" w", w, wantW)
+					sameBits(t, name+" chk", chk, wantChk)
+					sameBits(t, name+" iterate sum", sum, wantSum)
+				}
+
+				f := Fold{Cohort: Cohort{Clients: clients, Skip: func(int) bool { return true }}}
+				f.Begin(cfg, prob, NewModelPool(m), cfg.Compression)
+				w, chk := []float64{7}, []float64{9}
+				f.Block(start, streams, chkAt, nil)
+				if f.Finish(w, chk) || w[0] != 7 || chk[0] != 9 {
+					t.Fatalf("n=%d chkAt=%d workers=%d: all skipped: Finish touched w/chk or reported a fold", n, chkAt, workers)
 				}
 			}
 		}
+	}
+}
 
-		f := Fold{Cohort: Cohort{Clients: clients, Skip: func(int) bool { return true }}}
-		f.Begin(cfg, prob, NewModelPool(m), cfg.Compression)
-		w, chk := []float64{7}, []float64{9}
-		f.Block(start, streams, chkAt, nil)
-		if f.Finish(w, chk) || w[0] != 7 || chk[0] != 9 {
-			t.Fatalf("workers=%d: all skipped: Finish touched w/chk or reported a fold", workers)
+// TestFoldBlocksBeforeFinish covers the folds that must not take the
+// single-chunk shortcut, each bitwise against AverageInto over every
+// surviving member in fold order: two Blocks before one Finish (the
+// minimax baselines' flat average over a round's slots — the second
+// Block must fold the first one's lanes before overwriting them), and a
+// Block followed by an Add, for single- and multi-chunk cohorts, with
+// and without checkpoints and skipped members.
+func TestFoldBlocksBeforeFinish(t *testing.T) {
+	const tau1 = 3
+	m := model.NewLinear(4, 2)
+	d := m.Dim()
+	W := simplex.FullSpace{Dim: d}
+	prob := &Problem{Model: m, W: W}
+	cfg := &Config{Tau1: tau1, BatchSize: 2, EtaW: 0.1, TrackAverages: true}
+	startA, startB := make([]float64, d), make([]float64, d)
+	rng.New(5).Fill(startA, 0.2)
+	rng.New(6).Fill(startB, 0.2)
+	streamsA, streamsB := *rng.New(7), *rng.New(8)
+
+	for _, n := range []int{7, cohortChunk + 5} {
+		clients := make([]data.Subset, n)
+		for i := range clients {
+			clients[i] = toyShard(uint64(50+i), 12)
+		}
+		for _, chkAt := range []int{0, 1, tau1} {
+			for _, skip := range []func(int) bool{nil, func(i int) bool { return i%4 == 2 }} {
+				name := fmt.Sprintf("n=%d chkAt=%d skip=%v", n, chkAt, skip != nil)
+				finA, chkA, _ := memberResults(m, clients, startA, streamsA, cfg, W, chkAt)
+				finB, chkB, _ := memberResults(m, clients, startB, streamsB, cfg, W, chkAt)
+				var live, liveChks [][]float64
+				for _, res := range [][2][][]float64{{finA, chkA}, {finB, chkB}} {
+					for i := 0; i < n; i++ {
+						if skip == nil || !skip(i) {
+							live = append(live, res[0][i])
+							liveChks = append(liveChks, res[1][i])
+						}
+					}
+				}
+				wantW, wantChk := make([]float64, d), make([]float64, d)
+				tensor.AverageInto(wantW, live...)
+				if chkAt > 0 {
+					tensor.AverageInto(wantChk, liveChks...)
+				}
+
+				f := Fold{Cohort: Cohort{Clients: clients, Skip: skip}}
+				w, chk := make([]float64, d), make([]float64, d)
+				f.Begin(cfg, prob, NewModelPool(m), cfg.Compression)
+				f.Block(startA, streamsA, chkAt, nil)
+				f.Begin(cfg, prob, NewModelPool(m), cfg.Compression)
+				f.Block(startB, streamsB, chkAt, nil)
+				if !f.Finish(w, chk) {
+					t.Fatalf("%s: two blocks folded nothing", name)
+				}
+				sameBits(t, name+" two blocks w", w, wantW)
+				sameBits(t, name+" two blocks chk", chk, wantChk)
+
+				// A Block then Adds: the second block's members arrive
+				// through Add, as from a transport.
+				f.Begin(cfg, prob, NewModelPool(m), cfg.Compression)
+				f.Block(startA, streamsA, chkAt, nil)
+				for i := 0; i < n; i++ {
+					if skip != nil && skip(i) {
+						continue
+					}
+					var c []float64
+					if chkAt > 0 {
+						c = chkB[i]
+					}
+					f.Add(finB[i], c, nil, nil)
+				}
+				if !f.Finish(w, chk) {
+					t.Fatalf("%s: block + add folded nothing", name)
+				}
+				sameBits(t, name+" block+add w", w, wantW)
+				sameBits(t, name+" block+add chk", chk, wantChk)
+			}
 		}
 	}
 }
@@ -106,7 +213,7 @@ func TestFoldAddMatchesBlock(t *testing.T) {
 	prob := &Problem{Model: m, W: simplex.FullSpace{Dim: d}}
 	cfg := &Config{Tau1: 3, BatchSize: 2, EtaW: 0.1, TrackAverages: true}
 
-	for _, chkAt := range []int{0, 2} {
+	for _, chkAt := range []int{0, 1, cfg.Tau1} {
 		for _, track := range []bool{false, true} {
 			for _, skip := range []func(int) bool{nil, func(i int) bool { return i%4 == 1 }} {
 				name := func() string { return fmt.Sprintf("chkAt=%d track=%v skip=%v", chkAt, track, skip != nil) }

@@ -1,12 +1,14 @@
 package fl
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/simplex"
+	"repro/internal/tensor"
 )
 
 // TestLocalSGDScratchZeroAllocs pins the training hot path: once the
@@ -54,6 +56,62 @@ func TestLocalSGDScratchMatchesLocalSGD(t *testing.T) {
 		if w[i] != wantFinal[i] || chk[i] != wantChk[i] {
 			t.Fatal("LocalSGDScratch diverged from LocalSGD")
 		}
+	}
+}
+
+// noF32 hides a model's float32 path, so the avx2f32 tier runs it
+// through the float64 fallback regime.
+type noF32 struct{ model.Model }
+
+// TestLocalSGDFromStartMatchesCopy pins localSGD(start ≠ w) to
+// copy(w, start) + LocalSGDScratch bit for bit — final model,
+// checkpoint, iterate sum and report — with start left untouched: with
+// the checkpoint off, at the first step, mid-block and at the last step
+// (the one case that copies), with no steps, with and without the
+// iterate sum, on a free and a Ball W, in every kernel class — on the
+// avx2f32 tier both through the float32 fast path and through the
+// float64 fallback for a model without one.
+func TestLocalSGDFromStartMatchesCopy(t *testing.T) {
+	for _, c := range tensor.Classes() {
+		t.Run(c.String(), func(t *testing.T) {
+			defer tensor.SetKernel(c)()
+			lin := model.NewLinear(4, 2)
+			d := lin.Dim()
+			shard := toyShard(9, 30)
+			start := make([]float64, d)
+			rng.New(10).Fill(start, 0.5)
+			tensor.Round32(start) // storage-representable on every tier
+			orig := append([]float64(nil), start...)
+			for _, m := range []model.Model{lin, noF32{lin}} {
+				for _, W := range []simplex.Set{simplex.FullSpace{Dim: d}, simplex.Ball{Radius: 0.3}} {
+					for _, steps := range []int{0, 4} {
+						for _, chkAt := range []int{0, 1, 2, 4} {
+							for _, track := range []bool{false, true} {
+								name := fmt.Sprintf("%T W=%T steps=%d chkAt=%d track=%v", m, W, steps, chkAt, track)
+								var sumWant, sumGot []float64
+								if track {
+									sumWant, sumGot = make([]float64, d), make([]float64, d)
+								}
+								want, chkWant := append([]float64(nil), start...), make([]float64, d)
+								okWant := LocalSGDScratch(m, want, shard, steps, 3, 0.2, W, rng.New(11), chkAt, sumWant, chkWant, new(Scratch))
+
+								got, chkGot := make([]float64, d), make([]float64, d)
+								okGot := localSGD(m, start, got, shard, steps, 3, 0.2, W, rng.New(11), chkAt, sumGot, chkGot, new(Scratch))
+								if okGot != okWant {
+									t.Fatalf("%s: reported %v, want %v", name, okGot, okWant)
+								}
+								sameBits(t, name+" w", got, want)
+								sameBits(t, name+" chk", chkGot, chkWant)
+								if track {
+									sameBits(t, name+" iterate sum", sumGot, sumWant)
+								}
+								sameBits(t, name+" start", start, orig)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

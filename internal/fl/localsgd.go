@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/model"
-	"repro/internal/optim"
 	"repro/internal/population"
 	"repro/internal/rng"
 	"repro/internal/simplex"
@@ -13,12 +12,16 @@ import (
 )
 
 // Scratch holds the working buffers of a local-SGD block or a mini-batch
-// loss estimate: the gradient accumulator and the sampled batch views.
-// The zero value is ready to use; buffers grow on demand and are reused
-// across calls. Long-lived single-owner callers (the simnet client
-// actors) keep one resident so their hot path never touches a shared
-// pool; the others — a Fold's lane workers, LocalSGD, CohortLossEstimate —
-// recycle instances via sgdPool, once per worker or call.
+// loss estimate: the gradient scratch model.Step works in (the MLP
+// leaves its first-layer rows unused) and the sampled batch views. The
+// iterates themselves live in the caller's vectors: a block reads its
+// start vector and writes the caller's final and checkpoint rows, so a
+// Scratch holds no model-sized copy of them. The zero value is ready to
+// use; buffers grow on demand and are reused across calls. Long-lived
+// single-owner callers (the simnet client actors) keep one resident so
+// their hot path never touches a shared pool; the others — a Fold's
+// lane workers, LocalSGD, CohortLossEstimate — recycle instances via
+// sgdPool, once per worker or call.
 type Scratch struct {
 	grad []float64
 	xs   [][]float64
@@ -101,45 +104,62 @@ func LocalSGD(m model.Model, w0 []float64, shard data.Subset, steps, batch int, 
 // otherwise wChk is untouched. The sampling, gradient and projection
 // sequence is identical to LocalSGD's.
 func LocalSGDScratch(m model.Model, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
+	return localSGD(m, w, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
+}
+
+// localSGD is LocalSGDScratch from a separate start vector: the block
+// reads start (left unmodified) on step 0 and leaves its final iterate
+// in w — the same bits as copy(w, start) followed by LocalSGDScratch,
+// without the copy. Each step reads its iterate and writes the next one
+// through model.Step; the checkpoint step writes straight into wChk and
+// the step after it reads back from there, so no whole-model copy runs
+// unless the checkpoint is the last step (or there are no steps).
+// start may alias w.
+func localSGD(m model.Model, start, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
 	f32 := tensor.StorageF32()
 	if f32 {
 		if fm, ok := m.(model.F32Model); ok {
-			return localSGD32(fm, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
+			return localSGD32(fm, start, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
 		}
 	}
 	s.size(len(w), batch)
-	checkpointed := false
+	cur := start
 	for t := 0; t < steps; t++ {
 		if iterSum != nil {
-			tensor.StorageAdd(iterSum, w)
+			tensor.StorageAdd(iterSum, cur)
 		}
 		shard.SampleInto(r, s.xs, s.ys)
-		m.Grad(w, s.grad, s.xs, s.ys)
-		optim.SGDStep(w, s.grad, eta, W)
+		next := w
+		if t+1 == chkAt {
+			next = wChk
+		}
+		m.Step(cur, next, s.grad, s.xs, s.ys, eta)
+		W.Project(next)
 		if f32 {
 			// Fallback regime for models without a float32 path: float64
 			// arithmetic with the iterate rounded back to storage after
 			// every step. Deterministic, but a different trajectory than
 			// the native float32 path.
-			tensor.Round32(w)
+			tensor.Round32(next)
 		}
-		if t+1 == chkAt {
-			copy(wChk, w)
-			checkpointed = true
-		}
+		cur = next
 	}
-	return checkpointed
+	if &cur[0] != &w[0] {
+		copy(w, cur)
+	}
+	return chkAt >= 1 && chkAt <= steps
 }
 
-// localSGD32 is the avx2f32 fast path of LocalSGDScratch: the float64
-// boundary adapter over LocalSGD32Scratch. It converts the iterate (and
-// iterate sum) to float32 mirrors, runs the native float32 block, and
-// widens the results back. All conversions are exact under the storage
-// invariant (w and iterSum hold float32-representable values), so the
-// float64 vectors the engines see are the float32 trajectory widened.
-func localSGD32(m model.F32Model, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
+// localSGD32 is the avx2f32 fast path of localSGD: the float64
+// boundary adapter over LocalSGD32Scratch. It converts the start
+// iterate (and iterate sum) to float32 mirrors, runs the native float32
+// block, and widens the results back into w, iterSum and wChk. All
+// conversions are exact under the storage invariant (start and iterSum
+// hold float32-representable values), so the float64 vectors the
+// engines see are the float32 trajectory widened.
+func localSGD32(m model.F32Model, start, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
 	s.size32(len(w), batch)
-	tensor.ToF32(s.w32, w)
+	tensor.ToF32(s.w32, start)
 	summing := iterSum != nil
 	var sum32 []float32
 	if summing {

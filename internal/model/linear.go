@@ -124,6 +124,13 @@ func (l *Linear) Grad(w, grad []float64, xs [][]float64, ys []int) float64 {
 	return total * inv
 }
 
+// Step writes the SGD step w − eta·∇ into dst: Grad, then one AxpyTo.
+func (l *Linear) Step(w, dst, grad []float64, xs [][]float64, ys []int, eta float64) float64 {
+	loss := l.Grad(w, grad, xs, ys)
+	tensor.AxpyTo(dst, -eta, grad, w)
+	return loss
+}
+
 // Predict returns the argmax class for x.
 func (l *Linear) Predict(w []float64, x []float64) int {
 	W := l.weights(w)

@@ -29,6 +29,12 @@ type Model interface {
 	// Grad writes the mean gradient on the batch into grad and returns
 	// the mean loss. grad must have length Dim().
 	Grad(w, grad []float64, xs [][]float64, ys []int) float64
+	// Step writes one SGD step from w into dst, dst = w − eta·∇, and
+	// returns the mean loss: bit for bit Grad(w, grad, xs, ys) followed
+	// by tensor.AxpyTo(dst, -eta, grad, w), in fewer passes over the
+	// model. dst may alias w; grad is scratch of length Dim(), its
+	// contents afterwards unspecified.
+	Step(w, dst, grad []float64, xs [][]float64, ys []int, eta float64) float64
 	// Predict returns the argmax class for a single input.
 	Predict(w []float64, x []float64) int
 	// Clone returns an independent instance (separate scratch buffers)

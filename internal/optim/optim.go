@@ -1,8 +1,8 @@
-// Package optim provides the first-order update rules of the paper:
-// projected stochastic gradient descent on the model w (Eq. 4),
-// projected gradient ascent on the edge weights p (Eq. 7), and the
-// theorem-driven learning-rate schedules that realize the
-// communication/convergence trade-off of §5.
+// Package optim provides projected gradient ascent on the edge weights
+// p (Eq. 7) and the theorem-driven learning-rate schedules that realize
+// the communication/convergence trade-off of §5. The projected SGD step
+// on the model w (Eq. 4) is model.Model.Step, projected inside the
+// local-SGD block of internal/fl.
 package optim
 
 import (
@@ -11,13 +11,6 @@ import (
 	"repro/internal/simplex"
 	"repro/internal/tensor"
 )
-
-// SGDStep performs one projected SGD step in place:
-// w <- Proj_W(w - eta * grad), as in Eq. (4).
-func SGDStep(w, grad []float64, eta float64, W simplex.Set) {
-	tensor.Axpy(-eta, grad, w)
-	W.Project(w)
-}
 
 // AscentStep performs one projected gradient ascent step in place:
 // p <- Proj_P(p + eta * grad), as in Eq. (7); the caller supplies the

@@ -7,27 +7,6 @@ import (
 	"repro/internal/simplex"
 )
 
-func TestSGDStepProjects(t *testing.T) {
-	w := []float64{1, 1}
-	grad := []float64{-10, 0} // pushes w[0] to 11
-	SGDStep(w, grad, 1, simplex.Ball{Radius: 2})
-	n := math.Hypot(w[0], w[1])
-	if n > 2+1e-9 {
-		t.Fatalf("SGDStep left the ball: |w| = %v", n)
-	}
-	if w[0] <= w[1] {
-		t.Fatalf("direction lost: %v", w)
-	}
-}
-
-func TestSGDStepFullSpace(t *testing.T) {
-	w := []float64{0, 0}
-	SGDStep(w, []float64{1, -2}, 0.5, simplex.FullSpace{Dim: 2})
-	if w[0] != -0.5 || w[1] != 1 {
-		t.Fatalf("plain step wrong: %v", w)
-	}
-}
-
 func TestAscentStepStaysInSimplex(t *testing.T) {
 	p := []float64{0.5, 0.5}
 	AscentStep(p, []float64{100, 0}, 1, simplex.Simplex{Dim: 2})

@@ -92,10 +92,13 @@ const KernelEnv = "HIERFAIR_KERNEL"
 
 // kernelSet is one rung's implementation of every dispatched kernel.
 type kernelSet struct {
-	dot  func(x, y []float64) float64
-	axpy func(a float64, x, y []float64)
-	dot2 func(x, y0, y1 []float64) (r0, r1 float64)
-	dot4 func(x, y0, y1, y2, y3 []float64) (r0, r1, r2, r3 float64)
+	dot func(x, y []float64) float64
+	// axpyTo computes dst = y + a*x elementwise, one body per rung: Axpy
+	// passes y as dst, AxpyTo a separate destination, with the same
+	// per-element arithmetic.
+	axpyTo func(dst []float64, a float64, x, y []float64)
+	dot2   func(x, y0, y1 []float64) (r0, r1 float64)
+	dot4   func(x, y0, y1, y2, y3 []float64) (r0, r1, r2, r3 float64)
 	// axpy4 performs four chained Axpy accumulations into y in one
 	// pass. Per element it is exactly axpy applied four times in
 	// argument order — identical bits on every rung, fused purely so
@@ -223,8 +226,8 @@ func SetKernel(c KernelClass) (restore func()) {
 // genericKernels is the portable non-FMA rung (the semantic reference).
 func genericKernels() kernelSet {
 	return kernelSet{
-		dot: dotRef, axpy: axpyRef, dot2: dot2Ref, dot4: dot4From(dotRef),
-		axpy4:    axpy4From(axpyRef),
+		dot: dotRef, axpyTo: axpyToRef, dot2: dot2Ref, dot4: dot4From(dotRef),
+		axpy4:    axpy4From(axpyToRef),
 		expShift: expShiftRef, sumExpShift: sumExpShiftRef,
 	}
 }
@@ -234,7 +237,7 @@ func genericKernels() kernelSet {
 // (and define its semantics — see TestKernelsMatchReference).
 func fmaRefKernels() kernelSet {
 	return kernelSet{
-		dot: dotFMARef, axpy: axpyFMARef, dot2: dot2From(dotFMARef), dot4: dot4FMARef,
+		dot: dotFMARef, axpyTo: axpyToFMARef, dot2: dot2From(dotFMARef), dot4: dot4FMARef,
 		axpy4:    axpy4FMARef,
 		expShift: expShiftFMARef, sumExpShift: sumExpShiftFMARef,
 		fuse4: true, fusedCE: true,
@@ -253,12 +256,12 @@ func dot2From(dot func(x, y []float64) float64) func(x, y0, y1 []float64) (float
 // axpy4From composes the fused four-coefficient Axpy from four
 // sequential single Axpy passes — the definitional (and bitwise
 // identical) form, used by rungs without a fused implementation.
-func axpy4From(axpy func(a float64, x, y []float64)) func(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+func axpy4From(axpyTo func(dst []float64, a float64, x, y []float64)) func(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 	return func(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
-		axpy(a0, x0, y)
-		axpy(a1, x1, y)
-		axpy(a2, x2, y)
-		axpy(a3, x3, y)
+		axpyTo(y, a0, x0, y)
+		axpyTo(y, a1, x1, y)
+		axpyTo(y, a2, x2, y)
+		axpyTo(y, a3, x3, y)
 	}
 }
 

@@ -109,32 +109,32 @@ func Average32Into(dst []float32, vecs ...[]float32) {
 	Scale32(1/float32(len(vecs)), dst)
 }
 
-// avgPool recycles the float32 staging buffers of AverageInto's
+// avgPool recycles the float32 staging blocks of AverageInto's
 // storage-regime branch (accumulator + per-input narrowing scratch).
 var avgPool = sync.Pool{New: func() any { return new(avgScratch) }}
 
-type avgScratch struct{ acc, tmp []float32 }
+type avgScratch struct{ acc, tmp [avgBlock]float32 }
 
 // averageInto32Regime computes AverageInto in the avx2f32 regime from
-// float64-interchange vectors: narrow each input (exact — interchange
-// vectors are storage-representable), run the native float32 average,
-// widen the result. Bit-identical to Average32Into on the inputs'
-// float32 mirrors.
+// float64-interchange vectors, one avgBlock column block at a time:
+// narrow each input (exact — interchange vectors are
+// storage-representable), run the native float32 average, widen the
+// result. Bit-identical to Average32Into on the inputs' float32
+// mirrors.
 func averageInto32Regime(dst []float64, vecs [][]float64) {
 	s := avgPool.Get().(*avgScratch)
-	if cap(s.acc) < len(dst) {
-		s.acc = make([]float32, len(dst))
-		s.tmp = make([]float32, len(dst))
+	inv := 1 / float32(len(vecs))
+	for c0 := 0; c0 < len(dst); c0 += avgBlock {
+		c1 := min(c0+avgBlock, len(dst))
+		acc, tmp := s.acc[:c1-c0], s.tmp[:c1-c0]
+		Zero32(acc)
+		for _, v := range vecs {
+			ToF32(tmp, v[c0:c1])
+			kernels32.axpy(1, tmp, acc)
+		}
+		Scale32(inv, acc)
+		ToF64(dst[c0:c1], acc)
 	}
-	s.acc = s.acc[:len(dst)]
-	s.tmp = s.tmp[:len(dst)]
-	Zero32(s.acc)
-	for _, v := range vecs {
-		ToF32(s.tmp, v)
-		kernels32.axpy(1, s.tmp, s.acc)
-	}
-	Scale32(1/float32(len(vecs)), s.acc)
-	ToF64(dst, s.acc)
 	avgPool.Put(s)
 }
 
@@ -152,7 +152,7 @@ func StorageAdd(dst, src []float64) {
 		}
 		return
 	}
-	kernels.axpy(1, src, dst)
+	kernels.axpyTo(dst, 1, src, dst)
 }
 
 // --- float32 BLAS-1 ---

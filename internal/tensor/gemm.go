@@ -73,7 +73,7 @@ func Gemm(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 				b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3), crow)
 		}
 		for ; k < len(arow); k++ {
-			kernels.axpy(alpha*arow[k], b.Row(k), crow)
+			kernels.axpyTo(crow, alpha*arow[k], b.Row(k), crow)
 		}
 	}
 	gemmFlops.Add(2 * int64(a.Rows) * int64(a.Cols) * int64(b.Cols))
@@ -180,6 +180,31 @@ func GemmTNR(alpha float64, a *Matrix, yrows [][]float64, c *Matrix) {
 	gemmTN(alpha, a, nil, yrows, c)
 }
 
+// GemmTNRStep is GemmTNR with an SGD epilogue. With G = alpha·AᵀY the
+// gradient GemmTNR would accumulate into a zeroed C, it writes
+// dst.Row(i) = w.Row(i) − eta·G.Row(i) for every row i, computing G one
+// row at a time in buf (len = C's columns) and writing dst row i as soon
+// as that row is complete: the model-sized G never exists, and w and
+// dst are each touched once. Per element it is exactly Zero(C),
+// GemmTNR(alpha, a, yrows, C), AxpyTo(dst.Data, -eta, C.Data, w.Data) —
+// the same example-ascending order, zero skip and quads. dst may alias
+// w. Panics on shape mismatch or a ragged row, before dst is written.
+func GemmTNRStep(alpha float64, a *Matrix, yrows [][]float64, eta float64, w, dst *Matrix, buf []float64) {
+	if a.Rows != len(yrows) || w.Rows != a.Cols || dst.Rows != w.Rows || dst.Cols != w.Cols || len(buf) != w.Cols {
+		panic("tensor: GemmTNRStep shape mismatch")
+	}
+	checkRows(yrows, w.Cols)
+	kb := tnBlock(w.Cols)
+	for i := 0; i < w.Rows; i++ {
+		Zero(buf)
+		for k0 := 0; k0 < a.Rows; k0 += kb {
+			tnRow(alpha, a, nil, yrows, i, k0, min(k0+kb, a.Rows), buf)
+		}
+		kernels.axpyTo(dst.Row(i), -eta, buf, w.Row(i))
+	}
+	gemmFlops.Add(2 * int64(a.Rows) * int64(a.Cols) * int64(w.Cols))
+}
+
 // gemmTN is the body of GemmTN and GemmTNR, on shapes already checked:
 // example k's right-operand row is yrows[k] if yrows is non-nil, else
 // b.Row(k).
@@ -188,30 +213,36 @@ func gemmTN(alpha float64, a, b *Matrix, yrows [][]float64, c *Matrix) {
 	for k0 := 0; k0 < a.Rows; k0 += kb {
 		k1 := min(k0+kb, a.Rows)
 		for i := 0; i < c.Rows; i++ {
-			crow := c.Row(i)
-			var cf [4]float64
-			var rows [4][]float64
-			nq := 0
-			for k := k0; k < k1; k++ {
-				aki := a.Data[k*a.Cols+i]
-				if aki == 0 {
-					continue
-				}
-				cf[nq] = alpha * aki
-				if yrows != nil {
-					rows[nq] = yrows[k]
-				} else {
-					rows[nq] = b.Row(k)
-				}
-				if nq++; nq == 4 {
-					kernels.axpy4(cf[0], cf[1], cf[2], cf[3], rows[0], rows[1], rows[2], rows[3], crow)
-					nq = 0
-				}
-			}
-			for q := 0; q < nq; q++ {
-				kernels.axpy(cf[q], rows[q], crow)
-			}
+			tnRow(alpha, a, b, yrows, i, k0, k1, c.Row(i))
 		}
 	}
 	gemmFlops.Add(2 * int64(a.Rows) * int64(a.Cols) * int64(c.Cols))
+}
+
+// tnRow accumulates examples [k0, k1) of output row i into crow in
+// ascending order, skipping zero coefficients and fusing nonzero ones
+// into axpy4 quads (a quad never spans two example blocks).
+func tnRow(alpha float64, a, b *Matrix, yrows [][]float64, i, k0, k1 int, crow []float64) {
+	var cf [4]float64
+	var rows [4][]float64
+	nq := 0
+	for k := k0; k < k1; k++ {
+		aki := a.Data[k*a.Cols+i]
+		if aki == 0 {
+			continue
+		}
+		cf[nq] = alpha * aki
+		if yrows != nil {
+			rows[nq] = yrows[k]
+		} else {
+			rows[nq] = b.Row(k)
+		}
+		if nq++; nq == 4 {
+			kernels.axpy4(cf[0], cf[1], cf[2], cf[3], rows[0], rows[1], rows[2], rows[3], crow)
+			nq = 0
+		}
+	}
+	for q := 0; q < nq; q++ {
+		kernels.axpyTo(crow, cf[q], rows[q], crow)
+	}
 }

@@ -53,20 +53,38 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 // Average32Into), so engines holding float32 buffers and engines
 // holding widened float64 mirrors aggregate to identical bits, and the
 // result stays storage-representable.
+//
+// The work runs in column blocks of avgBlock elements: per block, zero,
+// one Axpy(1, v, ·) per input in list order, then the scale. Elements
+// are independent, so the bits are those of the three whole-vector
+// passes, while the block of dst stays in L1 and each input is read
+// once.
 func AverageInto(dst []float64, vecs ...[]float64) {
 	if len(vecs) == 0 {
 		panic("tensor: AverageInto with no inputs")
+	}
+	for _, v := range vecs {
+		checkLen(len(dst), len(v))
 	}
 	if StorageF32() {
 		averageInto32Regime(dst, vecs)
 		return
 	}
-	Zero(dst)
-	for _, v := range vecs {
-		Axpy(1, v, dst)
+	inv := 1 / float64(len(vecs))
+	for c0 := 0; c0 < len(dst); c0 += avgBlock {
+		c1 := min(c0+avgBlock, len(dst))
+		blk := dst[c0:c1]
+		Zero(blk)
+		for _, v := range vecs {
+			kernels.axpyTo(blk, 1, v[c0:c1], blk)
+		}
+		Scale(inv, blk)
 	}
-	Scale(1/float64(len(vecs)), dst)
 }
+
+// avgBlock is AverageInto's column block: 2048 float64s (16 KiB) of dst
+// stay L1-resident while the inputs stream past.
+const avgBlock = 2048
 
 // MeanAccumulator is the streaming form of AverageInto: callers fold
 // vectors in one at a time (in a deterministic order) and finish into a

@@ -20,8 +20,10 @@ import "repro/internal/tensor/cpufeat"
 //go:noescape
 func dotSSE2(x, y []float64) float64
 
+// axpyToSSE2 computes dst = y + a*x; Axpy passes y as dst.
+//
 //go:noescape
-func axpySSE2(a float64, x, y []float64)
+func axpyToSSE2(dst []float64, a float64, x, y []float64)
 
 //go:noescape
 func dot2SSE2(x, y0, y1 []float64) (r0, r1 float64)
@@ -33,8 +35,10 @@ func dot2SSE2(x, y0, y1 []float64) (r0, r1 float64)
 //go:noescape
 func dotAVX2(x, y []float64) float64
 
+// axpyToAVX2 computes dst = fma(a, x, y); Axpy passes y as dst.
+//
 //go:noescape
-func axpyAVX2(a float64, x, y []float64)
+func axpyToAVX2(dst []float64, a float64, x, y []float64)
 
 //go:noescape
 func dot4AVX2(x, y0, y1, y2, y3 []float64) (r0, r1, r2, r3 float64)
@@ -133,15 +137,15 @@ func kernelsFor(c KernelClass) kernelSet {
 			return fmaRefKernels()
 		}
 		return kernelSet{
-			dot: dotAVX2, axpy: axpyAVX2, dot2: dot2From(dotAVX2), dot4: dot4AVX2,
+			dot: dotAVX2, axpyTo: axpyToAVX2, dot2: dot2From(dotAVX2), dot4: dot4AVX2,
 			axpy4:    axpy4AVX2,
 			expShift: expShiftAsm, sumExpShift: sumExpShiftAsm,
 			fuse4: true, fusedCE: true,
 		}
 	case KernelSSE2:
 		return kernelSet{
-			dot: dotSSE2, axpy: axpySSE2, dot2: dot2SSE2, dot4: dot4From(dotSSE2),
-			axpy4:    axpy4From(axpySSE2),
+			dot: dotSSE2, axpyTo: axpyToSSE2, dot2: dot2SSE2, dot4: dot4From(dotSSE2),
+			axpy4:    axpy4From(axpyToSSE2),
 			expShift: expShiftRef, sumExpShift: sumExpShiftRef,
 		}
 	default:

@@ -59,13 +59,17 @@ ddone:
 	MOVSD X0, ret+48(FP)
 	RET
 
-// func axpySSE2(a float64, x, y []float64)
-TEXT ·axpySSE2(SB), NOSPLIT, $0-56
-	MOVSD  a+0(FP), X0
+// func axpyToSSE2(dst []float64, a float64, x, y []float64)
+//
+// dst = a*x + y; Axpy passes y as dst. Each chunk loads x and y before
+// storing dst, so dst may alias either input.
+TEXT ·axpyToSSE2(SB), NOSPLIT, $0-80
+	MOVQ   dst_base+0(FP), DI
+	MOVSD  a+24(FP), X0
 	SHUFPD $0, X0, X0         // broadcast a to both lanes
-	MOVQ   x_base+8(FP), SI
-	MOVQ   x_len+16(FP), CX
-	MOVQ   y_base+32(FP), DI
+	MOVQ   x_base+32(FP), SI
+	MOVQ   x_len+40(FP), CX
+	MOVQ   y_base+56(FP), R8
 	MOVQ   CX, BX
 	ANDQ   $-4, BX
 	XORQ   AX, AX
@@ -77,8 +81,8 @@ aloop:
 	MOVUPD 16(SI)(AX*8), X2
 	MULPD  X0, X1
 	MULPD  X0, X2
-	MOVUPD (DI)(AX*8), X3
-	MOVUPD 16(DI)(AX*8), X4
+	MOVUPD (R8)(AX*8), X3
+	MOVUPD 16(R8)(AX*8), X4
 	ADDPD  X3, X1             // a*x + y, the reference operand order
 	ADDPD  X4, X2
 	MOVUPD X1, (DI)(AX*8)
@@ -92,7 +96,7 @@ atail:
 	JGE   adone
 	MOVSD (SI)(AX*8), X1
 	MULSD X0, X1
-	ADDSD (DI)(AX*8), X1
+	ADDSD (R8)(AX*8), X1
 	MOVSD X1, (DI)(AX*8)
 	INCQ  AX
 	JMP   atail

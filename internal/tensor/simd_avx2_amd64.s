@@ -65,12 +65,16 @@ ddone:
 	VZEROUPPER
 	RET
 
-// func axpyAVX2(a float64, x, y []float64)
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
-	VBROADCASTSD a+0(FP), Y0
-	MOVQ         x_base+8(FP), SI
-	MOVQ         x_len+16(FP), CX
-	MOVQ         y_base+32(FP), DI
+// func axpyToAVX2(dst []float64, a float64, x, y []float64)
+//
+// dst = fma(a, x, y); Axpy passes y as dst. Each chunk loads x and y
+// before storing dst, so dst may alias either input.
+TEXT ·axpyToAVX2(SB), NOSPLIT, $0-80
+	MOVQ         dst_base+0(FP), DX
+	VBROADCASTSD a+24(FP), Y0
+	MOVQ         x_base+32(FP), SI
+	MOVQ         x_len+40(FP), CX
+	MOVQ         y_base+56(FP), DI
 	MOVQ         CX, BX
 	ANDQ         $-16, BX
 	XORQ         AX, AX
@@ -86,10 +90,10 @@ aloop:
 	VFMADD231PD 32(SI)(AX*8), Y0, Y2
 	VFMADD231PD 64(SI)(AX*8), Y0, Y3
 	VFMADD231PD 96(SI)(AX*8), Y0, Y4
-	VMOVUPD     Y1, (DI)(AX*8)
-	VMOVUPD     Y2, 32(DI)(AX*8)
-	VMOVUPD     Y3, 64(DI)(AX*8)
-	VMOVUPD     Y4, 96(DI)(AX*8)
+	VMOVUPD     Y1, (DX)(AX*8)
+	VMOVUPD     Y2, 32(DX)(AX*8)
+	VMOVUPD     Y3, 64(DX)(AX*8)
+	VMOVUPD     Y4, 96(DX)(AX*8)
 	ADDQ        $16, AX
 	CMPQ        AX, BX
 	JLT         aloop
@@ -98,8 +102,8 @@ atail:
 	CMPQ        AX, CX
 	JGE         adone
 	VMOVSD      (DI)(AX*8), X1
-	VFMADD231SD (SI)(AX*8), X0, X1    // y[i] = fma(a, x[i], y[i])
-	VMOVSD      X1, (DI)(AX*8)
+	VFMADD231SD (SI)(AX*8), X0, X1    // dst[i] = fma(a, x[i], y[i])
+	VMOVSD      X1, (DX)(AX*8)
 	INCQ        AX
 	JMP         atail
 

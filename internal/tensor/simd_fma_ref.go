@@ -42,20 +42,22 @@ func dotFMARef(x, y []float64) float64 {
 	return s
 }
 
-// axpyFMARef is the FMA-class Axpy kernel: y[i] = fma(a, x[i], y[i]).
-// Elements are independent, so vector width is irrelevant to the bits;
-// only the single rounding per element distinguishes it from axpyRef.
-func axpyFMARef(a float64, x, y []float64) {
+// axpyToFMARef is the FMA-class Axpy kernel with a destination:
+// dst[i] = fma(a, x[i], y[i]). Elements are independent, so vector
+// width is irrelevant to the bits; only the single rounding per element
+// distinguishes it from axpyToRef.
+func axpyToFMARef(dst []float64, a float64, x, y []float64) {
 	n := len(x)
 	y = y[:n]
+	dst = dst[:n]
 	for i := 0; i < n; i++ {
-		y[i] = math.FMA(a, x[i], y[i])
+		dst[i] = math.FMA(a, x[i], y[i])
 	}
 }
 
 // axpy4FMARef is the FMA-class fused four-coefficient Axpy:
 // y[i] = fma(a3,x3[i], fma(a2,x2[i], fma(a1,x1[i], fma(a0,x0[i],y[i])))).
-// Per element this is exactly four sequential axpyFMARef passes, so
+// Per element this is exactly four sequential axpyToFMARef passes, so
 // fusing never changes a bit — it only amortizes the loads and stores
 // of y fourfold (GemmTN/GemmTNR use it for the batched weight
 // gradient).

@@ -29,19 +29,25 @@ func dotRef(x, y []float64) float64 {
 	return s
 }
 
-// axpyRef is the scalar Axpy kernel: y += a*x, elementwise.
-func axpyRef(a float64, x, y []float64) {
+// axpyToRef is the scalar Axpy kernel with a destination:
+// dst = y + a*x, elementwise. The explicit float64 conversion rounds the
+// product before the add, so no compiler may fuse the two into an FMA
+// (the Go spec allows that for an unconverted x*y + z, and the non-amd64
+// backends do it). dst may alias x or y; partial overlap is not
+// supported.
+func axpyToRef(dst []float64, a float64, x, y []float64) {
 	n := len(x)
 	y = y[:n]
+	dst = dst[:n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		y[i] += a * x[i]
-		y[i+1] += a * x[i+1]
-		y[i+2] += a * x[i+2]
-		y[i+3] += a * x[i+3]
+		dst[i] = y[i] + float64(a*x[i])
+		dst[i+1] = y[i+1] + float64(a*x[i+1])
+		dst[i+2] = y[i+2] + float64(a*x[i+2])
+		dst[i+3] = y[i+3] + float64(a*x[i+3])
 	}
 	for ; i < n; i++ {
-		y[i] += a * x[i]
+		dst[i] = y[i] + float64(a*x[i])
 	}
 }
 

@@ -99,12 +99,22 @@ func TestKernelsMatchReference(t *testing.T) {
 
 						yk := append([]float64(nil), y1...)
 						yr := append([]float64(nil), y1...)
-						rg.impl.axpy(a, x, yk)
-						rg.ref.axpy(a, x, yr)
+						rg.impl.axpyTo(yk, a, x, yk)
+						rg.ref.axpyTo(yr, a, x, yr)
 						for i := range yk {
 							if math.Float64bits(yk[i]) != math.Float64bits(yr[i]) {
 								t.Fatalf("axpy(n=%d,off=%d)[%d] = %x, class reference %x", n, off, i,
 									math.Float64bits(yk[i]), math.Float64bits(yr[i]))
+							}
+						}
+						// A separate destination: same bits, inputs untouched.
+						dk := make([]float64, n)
+						y1c := append([]float64(nil), y1...)
+						rg.impl.axpyTo(dk, a, x, y1)
+						for i := range dk {
+							if math.Float64bits(dk[i]) != math.Float64bits(yr[i]) || math.Float64bits(y1[i]) != math.Float64bits(y1c[i]) {
+								t.Fatalf("axpyTo(n=%d,off=%d)[%d] = %x, class reference %x", n, off, i,
+									math.Float64bits(dk[i]), math.Float64bits(yr[i]))
 							}
 						}
 
@@ -204,7 +214,7 @@ func TestAxpy4MatchesSequentialAxpy(t *testing.T) {
 
 				seq := append([]float64(nil), y...)
 				for i := range xs {
-					rg.impl.axpy(as[i], xs[i], seq)
+					rg.impl.axpyTo(seq, as[i], xs[i], seq)
 				}
 				for i := range fused {
 					if math.Float64bits(fused[i]) != math.Float64bits(seq[i]) {
@@ -276,10 +286,10 @@ func TestAxpyAliasedDst(t *testing.T) {
 				a := (r.Float64() - 0.5) * 3
 
 				aliased := append([]float64(nil), base...)
-				rg.impl.axpy(a, aliased, aliased)
+				rg.impl.axpyTo(aliased, a, aliased, aliased)
 
 				want := append([]float64(nil), base...)
-				rg.ref.axpy(a, append([]float64(nil), base...), want)
+				rg.ref.axpyTo(want, a, append([]float64(nil), base...), want)
 
 				for i := range aliased {
 					if math.Float64bits(aliased[i]) != math.Float64bits(want[i]) {

@@ -22,13 +22,23 @@ func Dot(x, y []float64) float64 {
 	return kernels.dot(x, y)
 }
 
-// Axpy computes y += a*x in place (axpyRef order; elements are
+// Axpy computes y += a*x in place (axpyToRef order; elements are
 // independent, so vector width changes no result bits — only the FMA
-// tier's single rounding per element distinguishes classes). dst == x
+// tier's single rounding per element distinguishes classes). y == x
 // aliasing is supported; partial overlap is not.
 func Axpy(a float64, x, y []float64) {
 	checkLen(len(x), len(y))
-	kernels.axpy(a, x, y)
+	kernels.axpyTo(y, a, x, y)
+}
+
+// AxpyTo computes dst = y + a*x with Axpy's per-element arithmetic, so
+// copy(dst, y) followed by Axpy(a, x, dst) gives the same bits in one
+// pass instead of two. dst may alias x or y; partial overlap is not
+// supported.
+func AxpyTo(dst []float64, a float64, x, y []float64) {
+	checkLen(len(x), len(y))
+	checkLen(len(dst), len(y))
+	kernels.axpyTo(dst, a, x, y)
 }
 
 // Scale computes x *= a in place.
