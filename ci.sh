@@ -117,7 +117,8 @@ for COMPRESS in "dense:" "compressed:-quant-bits 8"; do
 	CLOUD_ADDR=$(wire_addr "$LEG/cloud.out" cloud)
 	PIDS=""
 	for e in 0 1; do
-		"$SMOKE/hierminimax" $WARGS -role edge -edge-index "$e" -listen 127.0.0.1:0 -connect "$CLOUD_ADDR" > "$LEG/edge$e.out" &
+		"$SMOKE/hierminimax" $WARGS -role edge -edge-index "$e" -listen 127.0.0.1:0 -connect "$CLOUD_ADDR" \
+			-metrics-out "$LEG/edge$e.prom" > "$LEG/edge$e.out" &
 		PIDS="$PIDS $!"
 		EDGE_ADDR=$(wire_addr "$LEG/edge$e.out" edge)
 		"$SMOKE/hierminimax" $WARGS -role client-host -edge-index "$e" -listen 127.0.0.1:0 -connect "$EDGE_ADDR" > "$LEG/ch$e.out" &
@@ -134,6 +135,15 @@ for COMPRESS in "dense:" "compressed:-quant-bits 8"; do
 	grep -v 'listening on\|simnet pool:\|model written to' "$LEG/cloud.out" \
 		| sed 's|HierMinimax/wire|HierMinimax/simnet|' > "$LEG/cloud.cmp"
 	diff "$LEG/ref.cmp" "$LEG/cloud.cmp"
+	# One connection per neighbour for the whole fault-free run: each
+	# edge dials its client host and the cloud once, and never again.
+	for e in 0 1; do
+		if ! grep -qx 'wire_dials_total 2' "$LEG/edge$e.prom"; then
+			echo "ci: edge $e of the ${COMPRESS%%:*} smoke dialed other than twice:" >&2
+			grep '^wire_dials_total' "$LEG/edge$e.prom" >&2
+			exit 1
+		fi
+	done
 done
 # The compressed leg must actually have moved fewer bytes than the
 # dense leg (the report's traffic line prices the compressed payloads).

@@ -229,17 +229,7 @@ func (c *cloud) round(k int, st *fl.State) {
 		return // every sampled edge failed this round; w and p carry over
 	}
 	// Edges upload (w_e, chk_e) — and the iterate sum when tracking.
-	// Compressed uplinks are priced at their exact wire size; the
-	// iterate sum always travels dense.
-	ecVec := dBytes
-	if cfg.Compression.Enabled() {
-		ecVec = cfg.Compression.VecWireBytes(d)
-	}
-	ecUp := 2 * ecVec
-	if cfg.TrackAverages {
-		ecUp += dBytes
-	}
-	st.Ledger.RecordRound(topology.EdgeCloud, len(c.wVecs), ecUp)
+	st.Ledger.RecordRound(topology.EdgeCloud, len(c.wVecs), cfg.UplinkBytes(d, true))
 	tensor.AverageInto(st.W, c.wVecs...)
 	tp := obs.Now()
 	fl.ProjectW(prob.W, st.W)
@@ -414,15 +404,12 @@ func modelUpdate(a modelUpdateArgs) Slot {
 func (a *modelUpdateArgs) node(v int, f *fl.Fold, leafLo int, start, w, chk []float64, stream rng.Stream, chkAt int, iterSum []float64, rows [][]float64) {
 	cfg, ledger := &a.st.Cfg, a.st.Ledger
 	dBytes := topology.ModelBytes(len(w))
-	link, n, upBytes := topology.ClientEdge, f.Cohort.Len(), dBytes
+	link, n := topology.ClientEdge, f.Cohort.Len()
 	var finals, chks [][]float64
 	if v > 1 {
 		link, n = topology.MidTier, a.tree.Branching[v-1]
 		finals, chks, rows = rows[:n], rows[n:2*n], rows[2*n:]
 	} else {
-		if cfg.Compression.Enabled() {
-			upBytes = cfg.Compression.VecWireBytes(len(w))
-		}
 		f.Begin(cfg, a.st.Prob, a.pool, cfg.Compression)
 	}
 	leaves := prod(a.tree.Branching[:v-1])
@@ -449,15 +436,10 @@ func (a *modelUpdateArgs) node(v int, f *fl.Fold, leafLo int, start, w, chk []fl
 			a.node(v-1, f, lo, from, finals[j], chks[j], bs.ChildVal(uint64(j)), at, iterSum, rows)
 		}
 		// Children upload their models, plus the checkpoint in block chk[v]
-		// and the iterate sum when tracking averages (dense).
-		up := upBytes
-		if at > 0 {
-			up *= 2
-		}
-		if cfg.TrackAverages {
-			up += dBytes
-		}
-		ledger.RecordRound(link, n, up)
+		// and the iterate sum when tracking averages. Trees deeper than
+		// three layers refuse both compression and tracking (Tree.validate),
+		// so the one rule prices the mid-tier uplinks too.
+		ledger.RecordRound(link, n, cfg.UplinkBytes(len(w), at > 0))
 		if v == 1 {
 			if !f.Finish(w, chk) && t == 0 {
 				// Nothing folded: the node's model stays the start.
@@ -542,15 +524,8 @@ func modelUpdate32(a modelUpdateArgs) Slot {
 			}
 		}
 		// Clients upload their models (plus the checkpoint in block c2,
-		// plus the uncompressed iterate sum when tracking averages).
-		up := dBytes
-		if t2 == a.chk[1] {
-			up *= 2
-		}
-		if cfg.TrackAverages {
-			up += dBytes
-		}
-		ledger.RecordRound(topology.ClientEdge, n0, up)
+		// plus the iterate sum when tracking averages).
+		ledger.RecordRound(topology.ClientEdge, n0, cfg.UplinkBytes(d, t2 == a.chk[1]))
 		// Client-edge aggregation in the regime's native float32
 		// arithmetic (the same bits AverageInto computes from widened
 		// mirrors). Under a trivial W the projection is a no-op and the

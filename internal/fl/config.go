@@ -170,5 +170,23 @@ func (c Config) Validate(p *Problem) error {
 	return nil
 }
 
+// UplinkBytes is the priced size of what one member — a client to its
+// edge, or an edge to the cloud — uploads per block: its d-dimensional
+// model, compressed when Compression is on; twice that when the block's
+// checkpoint rides along (chk); plus one dense iterate sum under
+// TrackAverages. Core's ledger, simnet's simulated time and simnet's
+// virtual roster fan-out price uplinks with it; the messages that do
+// travel report their payloads' own sizes, which equal it.
+func (c Config) UplinkBytes(d int, chk bool) int64 {
+	up := c.Compression.VecWireBytes(d) // the dense payload when disabled
+	if chk {
+		up *= 2
+	}
+	if c.TrackAverages {
+		up += int64(d) * int64(tensor.ElemBytes())
+	}
+	return up
+}
+
 // SlotsPerRound returns tau1*tau2, the local SGD slots per round.
 func (c Config) SlotsPerRound() int { return c.Tau1 * c.Tau2 }

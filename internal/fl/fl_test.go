@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/quant"
 	"repro/internal/rng"
 	"repro/internal/simplex"
 	"repro/internal/tensor"
@@ -163,6 +164,36 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	good := Config{Rounds: 1, EtaW: 0.1}.WithDefaults()
 	if err := good.Validate(prob); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestUplinkBytes(t *testing.T) {
+	const d, k = 100, 10
+	elem := int64(tensor.ElemBytes())
+	for _, r := range []struct {
+		name  string
+		q     quant.Config
+		model int64 // one model's wire size, written out by hand
+	}{
+		{"dense", quant.Config{}, d * elem},
+		{"8-bit", quant.Config{Bits: 8}, d + 16}, // a byte per element plus the range scalars
+		{"top-k", quant.Config{TopK: k}, 12 * k}, // a 4-byte index and an 8-byte value per kept element
+	} {
+		for _, chk := range []bool{false, true} {
+			for _, track := range []bool{false, true} {
+				want := r.model
+				if chk {
+					want += r.model
+				}
+				if track {
+					want += d * elem // the iterate sum travels dense
+				}
+				c := Config{Compression: r.q, TrackAverages: track}
+				if got := c.UplinkBytes(d, chk); got != want {
+					t.Errorf("%s chk=%v track=%v: %d bytes, want %d", r.name, chk, track, got, want)
+				}
+			}
+		}
 	}
 }
 

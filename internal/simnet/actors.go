@@ -460,18 +460,7 @@ func (e *edgeActor) clientBlock(round, t2 int, acct *slotAcct, we []float64, str
 // accounted by fanOut, then one fl.Fold block, whose lanes skip the
 // crashed members.
 func (e *edgeActor) rosterBlock(acct *slotAcct, we []float64, stream rng.Stream, chkAt int, iterSum []float64) (survivors int) {
-	down := payloadBytes(we)
-	up := down
-	if e.cfg.Compression.Enabled() {
-		up = e.cfg.Compression.VecWireBytes(len(we))
-	}
-	if chkAt > 0 {
-		up *= 2
-	}
-	if e.cfg.TrackAverages {
-		up += down
-	}
-	survivors = e.fanOut(acct, down, up)
+	survivors = e.fanOut(acct, payloadBytes(we), e.cfg.UplinkBytes(len(we), chkAt > 0))
 	e.fold.Block(we, stream, chkAt, iterSum)
 	return survivors
 }

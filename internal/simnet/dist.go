@@ -36,11 +36,18 @@ import (
 // no counted frame is lost), and scheduled stragglers really sleep on
 // the client host. Neither changes a single decision.
 //
+// Each peer sends over one connection, kept for the whole run and redialed
+// only after a write error or an injected reset.
+//
 // Known limitation: there are no real-time protocol timeouts yet. A peer
-// that fails the handshake (a different Spec, a malformed frame) fails
-// the process it dialed at once, naming the error, but an uninjected
-// peer death (killed process, unplugged cable) stalls the fan-in that
-// awaits it; only scheduled faults are survivable.
+// whose fingerprint differs or that sends a malformed frame fails the
+// process it dialed at once, naming the error. The fingerprint covers
+// the engine config, topology, chaos schedule and kernel class but not
+// the dataset or model (ROADMAP item 18). An uninjected peer death
+// (killed process, unplugged cable) stalls the fan-in that awaits it,
+// and a frame that exhausts its redials is dropped with a log line, so
+// the run then waits for a reply that never comes (items 7c and 12);
+// only scheduled faults are survivable.
 
 // DistConfig configures one process of a distributed run.
 type DistConfig struct {
@@ -68,16 +75,18 @@ const handshakeTimeout = 30 * time.Second
 // simulated ms, so chaos runs visibly stall sockets without slowing tests.
 const straggleScale = 0.01
 
-// Fingerprint folds every trajectory-relevant knob of a run into one
-// value; the wire handshake rejects peers whose fingerprint differs, so
-// two processes can never silently train different problems — or, since
-// the active tensor kernel class is folded in too, silently mix
-// rounding regimes (an AVX2+FMA cloud and an SSE2 edge would each be
-// self-consistent yet produce different bits; the handshake refuses the
-// pairing instead). Compression knobs are folded in for the same
-// reason: a compression setting is a rounding regime, and mixed peers
-// would silently diverge. It hashes explicit fields, never reflection
-// over Config, so the hash stays stable as Config grows.
+// Fingerprint folds a run's engine knobs into one value; the wire
+// handshake rejects peers whose fingerprint differs. It hashes exactly:
+// the active tensor kernel class (an AVX2+FMA cloud and an SSE2 edge
+// would each be self-consistent yet produce different bits); the
+// fl.Config fields Rounds, Tau1, Tau2, EtaW, EtaP, BatchSize, LossBatch,
+// SampledEdges, Seed, EvalEvery, DropoutProb, TrackAverages,
+// CheckpointOff and Compression (a compression setting is a rounding
+// regime); the topology's NumEdges and ClientsPerEdge; and the chaos
+// schedule. It hashes no dataset or model field, so two processes built
+// on different data or models of the same dimension are not refused
+// (ROADMAP item 18). It hashes explicit fields, never reflection over
+// Config, so the hash stays stable as Config grows.
 func Fingerprint(cfg fl.Config, top topology.Topology, sched *chaos.Schedule) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(tensor.ActiveKernel().String()))
@@ -127,7 +136,7 @@ func Fingerprint(cfg fl.Config, top topology.Topology, sched *chaos.Schedule) ui
 	return h.Sum64()
 }
 
-// helloDialer returns a pool dialer that connects to addr and leads with
+// helloDialer returns a peer's dialer that connects to addr and leads with
 // the given hello, the first frame every wire connection must carry.
 func helloDialer(addr string, h wire.Hello) wire.Dialer {
 	return func() (net.Conn, error) {

@@ -155,8 +155,9 @@ func (p *proc) addrs() []string {
 	return out
 }
 
-// dial starts a peer to the process listening at addr, leading every
-// connection with h; sent frames release into the local arena.
+// dial starts a peer to the process listening at addr over one
+// redialing connection, each dial led by h; sent frames release into the
+// local arena.
 func (p *proc) dial(addr string, h wire.Hello) *wire.Peer {
 	h.Fingerprint = p.fp
 	pool := wire.NewConnPool(helloDialer(addr, h), wire.PoolConfig{})
@@ -224,7 +225,7 @@ func (p *proc) report(up *wire.Peer, edge int) error {
 	return nil
 }
 
-// close stops the peers, then the listener.
+// close stops each peer and closes its connection, then the listener.
 func (p *proc) close() {
 	for i, peer := range p.peers {
 		peer.Close()

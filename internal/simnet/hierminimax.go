@@ -363,28 +363,13 @@ func (e *engine) Train(k int, st *fl.State, slots, chk []int, streams []rng.Stre
 	// payload sizes. Fault charges ride on top, and active stragglers
 	// stretch every block by the slowest delayed client.
 	lat := DefaultLatency()
-	// Uplink model transfers travel compressed when a regime is on;
-	// downlinks and iterate sums stay dense — identical to core's
-	// ledger pricing, and identical to the Bytes the messages carried.
+	// Uplinks are priced by fl.Config.UplinkBytes and downlinks travel
+	// dense — identical to core's ledger pricing, and identical to the
+	// Bytes the messages carried.
 	dBytes := topology.ModelBytes(d)
-	upVec := dBytes
-	if cfg.Compression.Enabled() {
-		upVec = cfg.Compression.VecWireBytes(d)
-	}
-	ecUp := 2 * upVec
-	if cfg.TrackAverages {
-		ecUp += dBytes
-	}
-	ms := lat.EdgeCloudCost(dBytes) + lat.EdgeCloudCost(ecUp)
+	ms := lat.EdgeCloudCost(dBytes) + lat.EdgeCloudCost(cfg.UplinkBytes(d, true))
 	for t2 := 0; t2 < cfg.Tau2; t2++ {
-		up := upVec
-		if t2 == chk[1] {
-			up += upVec
-		}
-		if cfg.TrackAverages {
-			up += dBytes
-		}
-		ms += lat.ClientEdgeCost(dBytes) + lat.ClientEdgeCost(up)
+		ms += lat.ClientEdgeCost(dBytes) + lat.ClientEdgeCost(cfg.UplinkBytes(d, t2 == chk[1]))
 	}
 	ms = f.settle(st.Ledger, ms, e.timeoutMs)
 	if straggle := e.maxStraggleMs(k, slots); straggle > 0 {

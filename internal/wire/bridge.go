@@ -21,39 +21,40 @@ type outFrame struct {
 
 // PeerConfig tunes one Peer.
 type PeerConfig struct {
-	// QueueLen bounds the send queue; <= 0 means 64. A full queue blocks
-	// Send — the backpressure that replaces the in-process fabric's
-	// buffered mailboxes.
-	QueueLen int
 	// Release is called with each protocol message after its bytes are
-	// on the wire (or after the message is dropped by a reset already
-	// queued ahead of it — it never is: resets only close the carrying
-	// connection, frames are never discarded). It returns payload
-	// structs and vectors to the sending runtime's pools.
+	// on the wire, or once the frame is given up (unencodable, or out of
+	// redials). It returns payload structs and vectors to the sending
+	// runtime's pools.
 	Release func(Message)
-	// MaxRetries bounds redials when a write fails mid-run; <= 0 means
-	// 3. Retrying re-encodes onto a fresh connection; per-link order is
-	// preserved because the single sender goroutine never reorders.
-	MaxRetries int
 }
+
+const (
+	// queueLen bounds the send queue. A full queue blocks Send — the
+	// backpressure that replaces the in-process fabric's buffered
+	// mailboxes.
+	queueLen = 64
+	// maxRetries bounds the redials after a write fails mid-run. A retry
+	// re-encodes onto a fresh connection; per-link order is preserved
+	// because the single sender goroutine never reorders.
+	maxRetries = 3
+)
 
 // Peer owns the ordered, bounded send path to one remote runtime. All
 // frames to that runtime flow through one FIFO queue drained by one
 // sender goroutine, so per-directed-link order — the property the
 // determinism contract needs — holds no matter how many actors send
-// concurrently. The goroutine holds a pooled connection only while the
-// queue is non-empty; it flushes and returns it when idle, letting the
-// pool's idle reaping and max-active accounting see real usage.
+// concurrently. The goroutine keeps one connection (the pool's) for its
+// whole life: it dials on the first frame, holds the connection across
+// idle gaps, and redials only after a write error or a Reset.
 type Peer struct {
-	pool *ConnPool
-	cfg  PeerConfig
-	q    chan outFrame
-	wg   sync.WaitGroup
-	once sync.Once
-	m    *peerMetrics
+	pool    *ConnPool
+	release func(Message)
+	q       chan outFrame
+	wg      sync.WaitGroup
+	once    sync.Once
+	m       *peerMetrics
 
 	// sender-goroutine state
-	conn net.Conn
 	enc  coder       // gather mode: vectors are cut out of buf
 	buf  []byte      // the current frame's bytes around its cuts
 	segs net.Buffers // one write's segments; wv is the copy WriteTo consumes
@@ -62,16 +63,10 @@ type Peer struct {
 
 // NewPeer starts the sender goroutine for one remote runtime.
 func NewPeer(pool *ConnPool, cfg PeerConfig) *Peer {
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 64
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 3
-	}
 	if cfg.Release == nil {
 		cfg.Release = func(Message) {}
 	}
-	p := &Peer{pool: pool, cfg: cfg, q: make(chan outFrame, cfg.QueueLen), m: newPeerMetrics(),
+	p := &Peer{pool: pool, release: cfg.Release, q: make(chan outFrame, queueLen), m: newPeerMetrics(),
 		enc: coder{gather: true}}
 	p.wg.Add(1)
 	go p.run()
@@ -93,11 +88,12 @@ func (p *Peer) SendRaw(frame []byte) {
 }
 
 // Reset enqueues an injected-fault marker: every frame queued before it
-// is written, then the carrying connection is flushed and closed
+// is written, then the live connection, if there is one, is closed
 // orderly (FIN, not RST), so the receiver sees a clean stream end and
 // must re-accept a dial. Frames queued after the reset go out on a
-// fresh connection. This realises a chaos "drop" decision at the socket
-// layer without ever losing a counted frame.
+// fresh connection. With no live connection a Reset does nothing. This
+// realises a chaos "drop" decision at the socket layer without ever
+// losing a counted frame.
 func (p *Peer) Reset() {
 	p.q <- outFrame{reset: true}
 	p.m.resets.Inc()
@@ -111,7 +107,8 @@ func (p *Peer) Flush() {
 }
 
 // Close flushes and stops the sender goroutine. Safe to call once; no
-// Send/SendRaw/Reset/Flush may race with or follow it.
+// Send/SendRaw/Reset/Flush may race with or follow it. The connection
+// stays open until the pool's Close, which follows this one.
 func (p *Peer) Close() {
 	p.once.Do(func() {
 		close(p.q)
@@ -126,46 +123,18 @@ func (p *Peer) run() {
 		case f.done != nil:
 			close(f.done)
 		case f.reset:
-			p.dropConn()
+			p.pool.drop()
 		default:
 			p.writeFrame(f)
 		}
-		if len(p.q) == 0 {
-			p.parkConn()
-		}
-	}
-	p.parkConn()
-}
-
-// dropConn orderly-closes the held connection (if any); the next frame
-// dials afresh through the pool.
-func (p *Peer) dropConn() {
-	if p.conn == nil {
-		// No connection in hand: take one and close it so the receiver
-		// observes a real reset even across idle gaps.
-		c, err := p.pool.Get()
-		if err != nil {
-			return
-		}
-		p.conn = c
-	}
-	p.conn.Close()
-	p.conn = nil
-	p.pool.Forget()
-}
-
-// parkConn returns the held connection to the pool.
-func (p *Peer) parkConn() {
-	if p.conn != nil {
-		p.pool.Put(p.conn, false)
-		p.conn = nil
 	}
 }
 
 // writeFrame encodes and writes one frame, redialing on write errors up
-// to MaxRetries. The payload is released only after a successful write;
-// a frame that exhausts retries is released too (the run is already
-// lost at that point — the error is logged, not swallowed silently).
+// to maxRetries times. The payload is released only after a successful
+// write; a frame that exhausts retries is released too (the run is
+// already lost at that point — the error is logged, not swallowed
+// silently).
 //
 // A protocol frame is gather-encoded: p.buf receives the bytes around
 // the payload's float64 vectors and the vectors themselves go to the
@@ -174,7 +143,7 @@ func (p *Peer) parkConn() {
 func (p *Peer) writeFrame(f outFrame) {
 	head, cuts := f.raw, []vecCut(nil)
 	if head == nil {
-		defer p.cfg.Release(f.msg)
+		defer p.release(f.msg)
 		var err error
 		head, err = p.enc.message(p.buf[:0], &f.msg)
 		if err != nil {
@@ -184,24 +153,19 @@ func (p *Peer) writeFrame(f outFrame) {
 		p.buf, cuts = head, p.enc.cuts
 	}
 	for attempt := 0; ; attempt++ {
-		if p.conn == nil {
-			c, err := p.pool.Get()
-			if err != nil {
-				log.Printf("wire: send failed, no connection: %v", err)
-				return
-			}
-			p.conn = c
+		conn, err := p.pool.get()
+		if err != nil {
+			log.Printf("wire: send failed, no connection: %v", err)
+			return
 		}
-		n, err := p.writeOnce(head, cuts)
+		n, err := p.writeOnce(conn, head, cuts)
 		if err == nil {
 			p.m.framesSent.Inc()
 			p.m.bytesSent.Add(n)
 			return
 		}
-		p.conn.Close()
-		p.conn = nil
-		p.pool.Forget()
-		if attempt >= p.cfg.MaxRetries {
+		p.pool.drop()
+		if attempt >= maxRetries {
 			log.Printf("wire: send failed after %d retries: %v", attempt, err)
 			return
 		}
@@ -209,14 +173,14 @@ func (p *Peer) writeFrame(f outFrame) {
 	}
 }
 
-// writeOnce writes the whole frame to the held connection: head alone
+// writeOnce writes the whole frame to conn: head alone
 // when the coder set no vector aside, else head split at each cut with
 // the aliased vector between, as one vectored write. WriteTo consumes the
 // net.Buffers it is called on, so every attempt lays the segments out
 // again (into the same backing array).
-func (p *Peer) writeOnce(head []byte, cuts []vecCut) (int64, error) {
+func (p *Peer) writeOnce(conn net.Conn, head []byte, cuts []vecCut) (int64, error) {
 	if len(cuts) == 0 {
-		n, err := p.conn.Write(head)
+		n, err := conn.Write(head)
 		return int64(n), err
 	}
 	p.segs = p.segs[:0]
@@ -227,7 +191,7 @@ func (p *Peer) writeOnce(head []byte, cuts []vecCut) (int64, error) {
 	}
 	p.segs = append(p.segs, head[at:])
 	p.wv = p.segs
-	return p.wv.WriteTo(p.conn)
+	return p.wv.WriteTo(conn)
 }
 
 // ListenerConfig tunes one Listener.

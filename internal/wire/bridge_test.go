@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,12 +98,12 @@ func TestPeerDeliversInOrder(t *testing.T) {
 	const fp = 0xABCD
 	_, addr, rec := startListener(t, fp)
 	pool := NewConnPool(helloDialer(addr, Hello{Role: RoleEdge, Edge: 1, Fingerprint: fp}),
-		PoolConfig{MaxActive: 2, IdleTimeout: time.Hour})
+		PoolConfig{})
 	defer pool.Close()
 
 	var released []int
 	var relMu sync.Mutex
-	peer := NewPeer(pool, PeerConfig{QueueLen: 8, Release: func(m Message) {
+	peer := NewPeer(pool, PeerConfig{Release: func(m Message) {
 		relMu.Lock()
 		released = append(released, m.Round)
 		relMu.Unlock()
@@ -142,9 +143,9 @@ func TestPeerResetNeverDropsQueuedFrames(t *testing.T) {
 	const fp = 0x1234
 	_, addr, rec := startListener(t, fp)
 	pool := NewConnPool(helloDialer(addr, Hello{Role: RoleCloud, Fingerprint: fp}),
-		PoolConfig{MaxActive: 2, IdleTimeout: time.Hour})
+		PoolConfig{})
 	defer pool.Close()
-	peer := NewPeer(pool, PeerConfig{QueueLen: 64})
+	peer := NewPeer(pool, PeerConfig{})
 
 	const before, after = 20, 20
 	for i := 0; i < before; i++ {
@@ -198,32 +199,166 @@ func TestPeerResetNeverDropsQueuedFrames(t *testing.T) {
 }
 
 func TestPeerBackpressureBlocksSend(t *testing.T) {
-	// With no listener consuming dials (pool dial fails), the bounded
-	// queue must fill and block the sender.
+	// The sender holds the first frame while its dial waits on the gate,
+	// so the queue takes queueLen more and the next Send blocks. Opening
+	// the gate drains every frame, in order, over the one connection.
+	const fp = 0x3131
+	_, addr, rec := startListener(t, fp)
+	dial := helloDialer(addr, Hello{Role: RoleCloud, Fingerprint: fp})
+	gate := make(chan struct{})
 	pool := NewConnPool(func() (net.Conn, error) {
-		time.Sleep(50 * time.Millisecond)
-		return nil, net.ErrClosed
-	}, PoolConfig{MaxActive: 1, IdleTimeout: time.Hour})
+		<-gate
+		return dial()
+	}, PoolConfig{})
 	defer pool.Close()
-	peer := NewPeer(pool, PeerConfig{QueueLen: 2, MaxRetries: 1})
+	peer := NewPeer(pool, PeerConfig{})
+	defer peer.Close()
 
+	const n = queueLen + 6
+	var sent atomic.Int64
 	done := make(chan struct{})
 	go func() {
-		for i := 0; i < 10; i++ {
-			peer.Send(Message{From: NodeID{Kind: Cloud}, To: NodeID{Kind: Edge, Index: 0},
-				Ctrl: true, Payload: Stop{}})
+		for i := 0; i < n; i++ {
+			peer.Send(Message{From: NodeID{Kind: Cloud}, To: NodeID{Kind: Edge, Index: 0}, Round: i,
+				Payload: &LossReply{Client: i}})
+			sent.Add(1)
 		}
 		close(done)
 	}()
-	select {
-	case <-done:
-		t.Fatal("10 sends into a 2-slot queue with a 50ms-per-frame dialer did not block")
-	case <-time.After(30 * time.Millisecond):
-		// Blocked as expected. Let the failing dialer drain the queue
-		// (frames are dropped with logged errors), then shut down.
+	deadline := time.Now().Add(5 * time.Second)
+	for sent.Load() < queueLen+1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
+	time.Sleep(30 * time.Millisecond)
+	if got := sent.Load(); got != queueLen+1 {
+		t.Fatalf("%d sends returned before the gated dial, want %d (one in the sender, %d queued)", got, queueLen+1, queueLen)
+	}
+	close(gate)
 	<-done
+	peer.Flush()
+	msgs := rec.waitMsgs(t, n)
+	for i, m := range msgs {
+		if m.Round != i {
+			t.Fatalf("message %d arrived as round %d", i, m.Round)
+		}
+	}
+	if _, hellos, _ := rec.snapshot(); hellos != 1 {
+		t.Fatalf("%d connections, want 1", hellos)
+	}
+}
+
+// countingDialer counts the dials of the dialers it wraps and the closes
+// of the connections they handed out.
+type countingDialer struct {
+	mu            sync.Mutex
+	dials, closes int
+}
+
+type countedConn struct {
+	net.Conn
+	cd *countingDialer
+}
+
+func (c *countedConn) Close() error {
+	c.cd.mu.Lock()
+	c.cd.closes++
+	c.cd.mu.Unlock()
+	return c.Conn.Close()
+}
+
+func (cd *countingDialer) wrap(d Dialer) Dialer {
+	return func() (net.Conn, error) {
+		c, err := d()
+		if err != nil {
+			return nil, err
+		}
+		cd.mu.Lock()
+		cd.dials++
+		cd.mu.Unlock()
+		return &countedConn{Conn: c, cd: cd}, nil
+	}
+}
+
+func (cd *countingDialer) counts() (dials, closes int) {
+	cd.mu.Lock()
+	defer cd.mu.Unlock()
+	return cd.dials, cd.closes
+}
+
+// open reports how many connections l is serving.
+func (l *Listener) open() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.conns)
+}
+
+func TestPeerKeepsOneConnection(t *testing.T) {
+	const fp = 0x5151
+	l, addr, rec := startListener(t, fp)
+	var cd countingDialer
+	pool := NewConnPool(cd.wrap(helloDialer(addr, Hello{Role: RoleCloud, Fingerprint: fp})), PoolConfig{})
+	peer := NewPeer(pool, PeerConfig{})
+	want := func(stage string, dials, closes, hellos int) {
+		t.Helper()
+		d, c := cd.counts()
+		_, h, errs := rec.snapshot()
+		if d != dials || c != closes || h != hellos || errs != 0 {
+			t.Fatalf("%s: %d dials, %d closes, %d hellos, %d errors; want %d, %d, %d and none",
+				stage, d, c, h, errs, dials, closes, hellos)
+		}
+	}
+	round := 0
+	burst := func() {
+		for i := 0; i < 5; i++ {
+			peer.Send(Message{From: NodeID{Kind: Cloud}, To: NodeID{Kind: Edge, Index: 0}, Round: round,
+				Payload: &LossReply{Client: round}})
+			round++
+		}
+		peer.Flush()
+		rec.waitMsgs(t, round)
+	}
+
+	peer.Reset()
+	peer.Flush()
+	want("reset before the first frame", 0, 0, 0)
+	for i := 0; i < 3; i++ {
+		burst()
+		time.Sleep(20 * time.Millisecond) // an idle gap with the queue empty
+	}
+	want("bursts across idle gaps", 1, 0, 1)
+
+	// A reset closes the live connection: the listener's reader sees the
+	// stream end and lets go of it. The next frame dials once.
+	peer.Reset()
+	peer.Flush()
+	want("reset of the live connection", 1, 1, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for l.open() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the listener never saw the reset connection end")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	burst()
+	want("first burst after the reset", 2, 1, 2)
+
+	// Back-to-back resets: the second finds no live connection.
+	peer.Reset()
+	peer.Reset()
+	peer.Flush()
+	want("reset with no live connection", 2, 2, 2)
+	burst()
+	want("first burst after the second reset", 3, 2, 3)
+
 	peer.Close()
+	pool.Close()
+	want("close", 3, 3, 3)
+	msgs := rec.waitMsgs(t, round)
+	for i, m := range msgs {
+		if m.Round != i {
+			t.Fatalf("message %d arrived as round %d", i, m.Round)
+		}
+	}
 }
 
 func TestListenerRejectsFingerprintMismatch(t *testing.T) {
@@ -289,7 +424,7 @@ func TestPeerStreamPayloadSurvivesTransport(t *testing.T) {
 	const fp = 0x55
 	_, addr, rec := startListener(t, fp)
 	pool := NewConnPool(helloDialer(addr, Hello{Role: RoleCloud, Fingerprint: fp}),
-		PoolConfig{MaxActive: 1, IdleTimeout: time.Hour})
+		PoolConfig{})
 	defer pool.Close()
 	peer := NewPeer(pool, PeerConfig{})
 	defer peer.Close()
@@ -375,15 +510,15 @@ func TestPeerRetriesAfterWriteError(t *testing.T) {
 		{"at the second vector's start", firstSeg + 8*d + 1 + 4},
 	} {
 		l, addr, rec := startListener(t, fp)
-		dial := helloDialer(addr, Hello{Role: RoleEdge, Edge: 1, Fingerprint: fp})
-		dials := 0
+		var cd countingDialer
+		dial := cd.wrap(helloDialer(addr, Hello{Role: RoleEdge, Edge: 1, Fingerprint: fp}))
 		pool := NewConnPool(func() (net.Conn, error) {
 			conn, err := dial()
-			if dials++; err != nil || dials > 1 {
+			if dials, _ := cd.counts(); err != nil || dials > 1 {
 				return conn, err
 			}
 			return &cutConn{Conn: conn, left: len(mustFrame(t, before)) + c.k}, nil
-		}, PoolConfig{MaxActive: 1, IdleTimeout: time.Hour})
+		}, PoolConfig{})
 		released := make(map[int]int)
 		var relMu sync.Mutex
 		peer := NewPeer(pool, PeerConfig{Release: func(m Message) {
@@ -404,7 +539,14 @@ func TestPeerRetriesAfterWriteError(t *testing.T) {
 		peer.Flush()
 		msgs := rec.waitMsgs(t, 3)
 		peer.Close()
+		// The cut connection was closed and one redial replaced it.
+		if dials, closes := cd.counts(); dials != 2 || closes != 1 {
+			t.Fatalf("%s: %d dials and %d closed connections, want 2 and 1", c.name, dials, closes)
+		}
 		pool.Close()
+		if _, closes := cd.counts(); closes != 2 {
+			t.Fatalf("%s: pool.Close left the live connection open", c.name)
+		}
 
 		for i, want := range []Message{before, victim, after} {
 			if msgs[i].Round != i || !sameFrame(t, msgs[i], want) {
@@ -426,9 +568,6 @@ func TestPeerRetriesAfterWriteError(t *testing.T) {
 		if got := peer.m.retries.Value() - retries; got != 1 {
 			t.Fatalf("%s: %d retries, want 1", c.name, got)
 		}
-		if st, _, _ := pool.Stats(); st.Dials != 2 || st.Discarded != 1 {
-			t.Fatalf("%s: pool stats %+v, want 2 dials and 1 discarded connection", c.name, st)
-		}
 	}
 }
 
@@ -446,7 +585,7 @@ func TestPeerByteAccounting(t *testing.T) {
 		restore := tensor.SetKernel(class)
 		l, addr, rec := startListener(t, fp)
 		pool := NewConnPool(helloDialer(addr, Hello{Role: RoleEdge, Edge: 1, Fingerprint: fp}),
-			PoolConfig{MaxActive: 1, IdleTimeout: time.Hour})
+			PoolConfig{})
 		peer := NewPeer(pool, PeerConfig{})
 		sent, recv := peer.m.bytesSent.Value(), l.m.bytesRecv.Value()
 

@@ -21,10 +21,7 @@ func registry() *obs.Registry {
 type poolMetrics struct {
 	dials      *obs.Counter
 	dialErrors *obs.Counter
-	reaped     *obs.Counter
 	open       *obs.Gauge // currently open connections
-	idle       *obs.Gauge // currently idle connections
-	waiters    *obs.Gauge // high-water mark of blocked Gets
 }
 
 func newPoolMetrics() *poolMetrics {
@@ -32,10 +29,7 @@ func newPoolMetrics() *poolMetrics {
 	return &poolMetrics{
 		dials:      r.Counter("wire_dials_total"),
 		dialErrors: r.Counter("wire_dial_errors_total"),
-		reaped:     r.Counter("wire_conns_reaped_total"),
 		open:       r.Gauge("wire_conns_open"),
-		idle:       r.Gauge("wire_conns_idle"),
-		waiters:    r.Gauge("wire_pool_waiters_peak"),
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package wire is the real transport behind the simnet message fabric:
 // a stdlib-only TCP transport with a length-prefixed binary codec for
-// the hierarchical protocol's message types, a dialing connection pool
-// with idle reaping, max-active limits and wait queues, and bounded
-// per-peer send queues that exert backpressure instead of the
-// in-process fabric's buffered mailboxes.
+// the hierarchical protocol's message types, and per-peer senders that
+// each keep one redialing connection behind a bounded send queue, which
+// exerts backpressure instead of the in-process fabric's buffered
+// mailboxes.
 //
 // The package owns the protocol vocabulary — node identifiers, the
 // message envelope, and the typed payload structs — which

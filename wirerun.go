@@ -5,7 +5,8 @@ import "repro/internal/simnet"
 // DistConfig places one process of a distributed (real-TCP) run. Every
 // process of the run must be given the same Spec: each one rebuilds the
 // same problem from the same seed, and a fingerprint handshake rejects
-// peers whose trajectory-relevant knobs differ. Its fields are
+// peers whose engine config, topology, fault schedule or kernel class
+// differ (not yet their dataset or model; see simnet.Fingerprint). Its fields are
 // simnet.DistConfig's, so the role functions convert it.
 type DistConfig struct {
 	// Listen is this process's TCP bind address (":0" picks a free
