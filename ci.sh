@@ -14,6 +14,8 @@ set -eux
 
 go build ./...
 go vet ./...
+# Every Go file is gofmt-clean, the benchmark module's included.
+test -z "$(gofmt -l .)"
 go test ./...
 
 # The wire codec moves float64 vectors as raw bytes on a little-endian
@@ -46,12 +48,12 @@ go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./i
 # per-class behaviour the internal fixtures don't: the sparse regime's
 # lazily materialized shards (notably the float32 shard-mirror
 # resolution) and the float32 tier's refusal of compression. core and
-# baselines are in the loop because the slot path dispatches on the class
-# (the float32 tier has its own resident slot and refuses compression), so
+# baselines are in the loop because their one slot, fl.Fold, trains
+# float32 lane rows on the float32 tier (which refuses compression), so
 # their suites and allocation guards are not class-independent. Simnet's
 # cloud round is core's on every class, so the simnet ≡ core parity tests
 # run in every leg too, with the population tests, whose edge actors run
-# an fl.Fold in float32 storage on the avx2f32 tier. The wire codec
+# the same fl.Fold. The wire codec
 # moves 4-byte elements on that tier, so its suite and the loopback-TCP
 # wire ≡ simnet parity tests run in every leg as well. model's batched ≡
 # per-example tests follow the class's softmax and kernel arithmetic.

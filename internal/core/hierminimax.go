@@ -11,11 +11,9 @@ import (
 	"sync"
 
 	"repro/internal/fl"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/optim"
 	"repro/internal/rng"
-	"repro/internal/simplex"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 )
@@ -110,18 +108,10 @@ type Transport interface {
 // slotScratch holds a slot's outputs (edge model, edge checkpoint,
 // iterate sum), which live until round has aggregated them. Instances
 // recycle through slotPool, so after the first few rounds Phase 1 runs
-// without allocating model-sized vectors. On the avx2f32 tier a resident
-// slot runs in float32 storage (modelUpdate32) on the float32 mirrors
-// below, and only the outputs are materialized in float64 for the cloud
-// aggregation.
+// without allocating model-sized vectors.
 type slotScratch struct {
 	we, chkEdge, iterSum []float64
 	rows                 [][]float64 // child outputs above level 1 (node)
-
-	we32, chkEdge32  []float32
-	iterSum32        []float32
-	finals32, chks32 [][]float32
-	sums32           [][]float32
 }
 
 var slotPool = sync.Pool{New: func() any { return new(slotScratch) }}
@@ -131,9 +121,6 @@ var slotPool = sync.Pool{New: func() any { return new(slotScratch) }}
 // apart from the slot outputs: as many exist as slots train at once, not
 // as a round samples, and the next slot finds them warm in cache.
 var foldPool = sync.Pool{New: func() any { return new(fl.Fold) }}
-
-// scratchPool recycles the per-worker SGD scratch of modelUpdate32.
-var scratchPool = sync.Pool{New: func() any { return new(fl.Scratch) }}
 
 // getSlotScratch sizes a pooled scratch's slot outputs for a d-parameter
 // model. iterSum starts zeroed; the other buffers are overwritten before
@@ -357,17 +344,11 @@ type modelUpdateArgs struct {
 // (c2, c1) checkpoint recorded in block c2 after c1 steps — on a deeper
 // tree, the same blocks at every level-1 node under the slot's area
 // (node). The client block itself is fl.Fold, for every cohort source,
-// worker count and kernel class; this function is the edge around it.
+// worker count and kernel class (float32 lanes on the avx2f32 tier);
+// this function is the edge around it.
 func modelUpdate(a modelUpdateArgs) Slot {
 	cfg, prob, wStart := &a.st.Cfg, a.st.Prob, a.st.W
 	top := len(a.tree.Taus) - 1
-	if top == 1 && tensor.StorageF32() && !cfg.PopulationEnabled() {
-		// Validate refuses Compression on the f32 tier, so the float32
-		// fast path never has to model compressed uplinks.
-		if _, ok := prob.Model.(model.F32Model); ok {
-			return modelUpdate32(a)
-		}
-	}
 	s := getSlotScratch(len(wStart), cfg.TrackAverages)
 	f := foldPool.Get().(*fl.Fold)
 	defer foldPool.Put(f)
@@ -453,100 +434,4 @@ func (a *modelUpdateArgs) node(v int, f *fl.Fold, leafLo int, start, w, chk []fl
 		}
 		fl.ProjectW(a.st.Prob.W, w)
 	}
-}
-
-// modelUpdate32 is modelUpdate on the avx2f32 tier for models with a
-// native float32 path (never with compression — fl.Config.Validate
-// refuses that combination): the whole slot stays in float32 storage. Clients run
-// LocalSGD32Scratch on float32 slot buffers — no per-client float64
-// round-trips — and the per-block aggregation widens the float32 finals
-// into a float64 accumulator with a single rounding back to storage
-// (AverageWidenInto), which is bit-for-bit AverageInto + Round32 on the
-// widened vectors. The trajectory is therefore identical to the
-// float64-interchange path while every client block moves half the
-// bytes; only the slot outputs (we, chkEdge, iterSum) are widened for
-// the cloud-level aggregation, once per slot.
-func modelUpdate32(a modelUpdateArgs) Slot {
-	cfg, prob, wStart, ledger := &a.st.Cfg, a.st.Prob, a.st.W, a.st.Ledger
-	clients := prob.Fed.Areas[a.edge].Clients
-	n0, d := len(clients), len(wStart)
-	dBytes := topology.ModelBytes(d)
-
-	s := getSlotScratch(d, cfg.TrackAverages)
-	s.we32 = fl.GrowVec(s.we32, d)
-	s.chkEdge32 = fl.GrowVec(s.chkEdge32, d)
-	s.finals32 = fl.GrowRows(s.finals32, n0, d)
-	s.chks32 = fl.GrowRows(s.chks32, n0, d)
-	if cfg.TrackAverages {
-		s.iterSum32 = fl.GrowVec(s.iterSum32, d)
-		tensor.Zero32(s.iterSum32)
-		s.sums32 = fl.GrowRows(s.sums32, n0, d)
-	}
-	// Exact narrowing: the broadcast model is storage-representable.
-	tensor.ToF32(s.we32, wStart)
-	_, freeW := prob.W.(simplex.FullSpace)
-
-	for t2 := 0; t2 < cfg.Tau2; t2++ {
-		// Edge broadcasts w_e^(k,t2) to its clients.
-		ledger.RecordRound(topology.ClientEdge, n0, dBytes)
-		chkAt := 0
-		if t2 == a.chk[1] {
-			chkAt = a.chk[0]
-		}
-		runClients := func(lo, hi int) {
-			mdl := a.pool.Get()
-			defer a.pool.Put(mdl)
-			fm := mdl.(model.F32Model)
-			sc := scratchPool.Get().(*fl.Scratch)
-			defer scratchPool.Put(sc)
-			for c := lo; c < hi; c++ {
-				r := a.stream.ChildN(uint64(t2), uint64(c))
-				var clientSum []float32
-				if cfg.TrackAverages {
-					clientSum = s.sums32[c]
-					tensor.Zero32(clientSum)
-				}
-				wf := s.finals32[c]
-				copy(wf, s.we32)
-				fl.LocalSGD32Scratch(fm, wf, clients[c], cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, r, chkAt, clientSum, s.chks32[c], sc)
-			}
-		}
-		if cfg.Workers == 1 {
-			runClients(0, n0)
-		} else {
-			tensor.ParallelFor(n0, 1, runClients)
-		}
-		// Per-client iterate sums reduced in client order with float32
-		// adds — exactly StorageAdd on the widened mirrors.
-		if cfg.TrackAverages {
-			for c := 0; c < n0; c++ {
-				tensor.Axpy32(1, s.sums32[c], s.iterSum32)
-			}
-		}
-		// Clients upload their models (plus the checkpoint in block c2,
-		// plus the iterate sum when tracking averages).
-		ledger.RecordRound(topology.ClientEdge, n0, cfg.UplinkBytes(d, t2 == a.chk[1]))
-		// Client-edge aggregation in the regime's native float32
-		// arithmetic (the same bits AverageInto computes from widened
-		// mirrors). Under a trivial W the projection is a no-op and the
-		// average is already storage-representable, so the float64
-		// round-trip is skipped entirely.
-		tensor.Average32Into(s.we32, s.finals32...)
-		if !freeW {
-			tensor.ToF64(s.we, s.we32)
-			fl.ProjectW(prob.W, s.we)
-			tensor.ToF32(s.we32, s.we)
-		}
-		if t2 == a.chk[1] {
-			tensor.Average32Into(s.chkEdge32, s.chks32...)
-		}
-	}
-	// Widen the slot outputs once for the float64-interchange cloud
-	// aggregation (exact: all three hold storage-representable values).
-	tensor.ToF64(s.we, s.we32)
-	tensor.ToF64(s.chkEdge, s.chkEdge32)
-	if cfg.TrackAverages {
-		tensor.ToF64(s.iterSum, s.iterSum32)
-	}
-	return s.slot(cfg, n0)
 }

@@ -97,6 +97,14 @@ func (c *Cohort) shard(i int, s *population.ShardScratch) data.Subset {
 // count: tensor.MeanAccumulator is bitwise AverageInto over the same
 // list in every kernel class.
 //
+// On the avx2f32 storage tier the lane rows are float32: Block narrows
+// start once, each lane copies it and runs the native float32 block,
+// and the surviving rows fold into the means (MeanAccumulator.Add32)
+// and iterSum in cohort order as soon as the chunk ends, so nothing is
+// widened until Finish. The means are the bits AverageInto computes
+// from the widened rows, so every engine and cohort source shares this
+// one slot on every class.
+//
 // The zero value is ready to use and allocates nothing once warm. A
 // Fold must not be copied after first use, nor used concurrently.
 type Fold struct {
@@ -110,6 +118,7 @@ type Fold struct {
 	// State of the running Block, read by the lane worker. It lives here
 	// rather than in a per-block closure so the worker is created once.
 	start   []float64
+	start32 []float32 // start narrowed, on the float32 tier
 	streams rng.Stream
 	chkAt   int
 	base    int // cohort position of lane 0 in the running chunk
@@ -117,6 +126,10 @@ type Fold struct {
 	worker  func(lo, hi int)
 
 	finals, chks, sums [][]float64
+	// f32 says the lanes train in float32 storage (tensor.StorageF32 at
+	// Begin), on the float32 rows.
+	f32                      bool
+	finals32, chks32, sums32 [][]float32
 	// pending says that the last chunk Block ran has not been folded
 	// yet: live and liveChk hold its surviving members' final and
 	// checkpoint rows in cohort order (liveChk empty in a block without
@@ -158,10 +171,11 @@ func GrowRows[T any](rows [][]T, n, d int) [][]T {
 
 // Begin starts a slot for the current Cohort: blocks will run cfg.Tau1
 // steps of prob's model on pooled clones, compressing member uplinks
-// under comp (the zero Config uploads exactly). Lane rows are sized for
-// the Cohort and error-feedback residual rows only under comp's error
-// feedback, so a fold fed through Add (empty Cohort, zero comp) sizes
-// neither. Residuals are slot-scoped and start at zero here.
+// under comp (the zero Config uploads exactly). Lane rows (float32 ones
+// on the float32 tier) are sized for the Cohort and error-feedback
+// residual rows only under comp's error feedback, so a fold fed through
+// Add (empty Cohort, zero comp) sizes neither. Residuals are
+// slot-scoped and start at zero here.
 func (f *Fold) Begin(cfg *Config, prob *Problem, pool *ModelPool, comp quant.Config) {
 	f.cfg, f.prob, f.pool, f.comp = cfg, prob, pool, comp
 	n, d := f.Cohort.Len(), prob.Model.Dim()
@@ -173,10 +187,19 @@ func (f *Fold) Begin(cfg *Config, prob *Problem, pool *ModelPool, comp quant.Con
 		f.chkAcc.Reset(d)
 	}
 	lanes := min(cohortChunk, n)
-	f.finals = GrowRows(f.finals, lanes, d)
-	f.chks = GrowRows(f.chks, lanes, d)
-	if cfg.TrackAverages {
-		f.sums = GrowRows(f.sums, lanes, d)
+	f.f32 = tensor.StorageF32()
+	if f.f32 {
+		f.finals32 = GrowRows(f.finals32, lanes, d)
+		f.chks32 = GrowRows(f.chks32, lanes, d)
+		if cfg.TrackAverages {
+			f.sums32 = GrowRows(f.sums32, lanes, d)
+		}
+	} else {
+		f.finals = GrowRows(f.finals, lanes, d)
+		f.chks = GrowRows(f.chks, lanes, d)
+		if cfg.TrackAverages {
+			f.sums = GrowRows(f.sums, lanes, d)
+		}
 	}
 	if comp.ErrorFeedback {
 		f.resid = GrowRows(f.resid, n, d)
@@ -199,6 +222,11 @@ func (f *Fold) Begin(cfg *Config, prob *Problem, pool *ModelPool, comp quant.Con
 func (f *Fold) Block(start []float64, streams rng.Stream, chkAt int, iterSum []float64) {
 	n := f.Cohort.Len()
 	f.start, f.streams, f.chkAt, f.track = start, streams, chkAt, iterSum != nil
+	if f.f32 {
+		// Exact: start is storage-representable.
+		f.start32 = GrowVec(f.start32, len(start))
+		tensor.ToF32(f.start32, start)
+	}
 	for f.base = 0; f.base < n; f.base += cohortChunk {
 		f.flush()
 		span := min(cohortChunk, n-f.base)
@@ -212,6 +240,10 @@ func (f *Fold) Block(start []float64, streams rng.Stream, chkAt int, iterSum []f
 			if f.Cohort.skipped(f.base + lane) {
 				continue
 			}
+			if f.f32 {
+				f.fold32(lane, chkAt > 0, iterSum)
+				continue
+			}
 			f.live = append(f.live, f.finals[lane])
 			if chkAt > 0 {
 				f.liveChk = append(f.liveChk, f.chks[lane])
@@ -220,7 +252,9 @@ func (f *Fold) Block(start []float64, streams rng.Stream, chkAt int, iterSum []f
 				tensor.StorageAdd(iterSum, f.sums[lane])
 			}
 		}
-		f.pending = true
+		// Float32 rows are folded already; float64 ones wait for flush or
+		// Finish.
+		f.pending = !f.f32
 	}
 }
 
@@ -257,16 +291,40 @@ func (f *Fold) Add(final, chk, sum, iterSum []float64) {
 // fold adds final to the model mean and chk, when non-nil, to the
 // checkpoint mean.
 func (f *Fold) fold(final, chk []float64) {
-	if f.n == 0 {
-		f.wAcc.Reset(len(final))
-	}
+	f.count(len(final), chk != nil)
 	f.wAcc.Add(final)
-	f.n++
 	if chk != nil {
-		if f.nChk == 0 {
-			f.chkAcc.Reset(len(chk))
-		}
 		f.chkAcc.Add(chk)
+	}
+}
+
+// fold32 is fold for the float32 rows of a lane, which go into the
+// means unwidened, plus the member's iterate sum, added to iterSum
+// (when non-nil) with StorageAdd's float32 add.
+func (f *Fold) fold32(lane int, chk bool, iterSum []float64) {
+	f.count(len(f.start32), chk)
+	f.wAcc.Add32(f.finals32[lane])
+	if chk {
+		f.chkAcc.Add32(f.chks32[lane])
+	}
+	if iterSum != nil {
+		for j, v := range f.sums32[lane] {
+			iterSum[j] = float64(float32(iterSum[j]) + v)
+		}
+	}
+}
+
+// count notes one more d-dimensional member in the model mean and, with
+// chk, in the checkpoint mean, resetting each before its first member.
+func (f *Fold) count(d int, chk bool) {
+	if f.n == 0 {
+		f.wAcc.Reset(d)
+	}
+	f.n++
+	if chk {
+		if f.nChk == 0 {
+			f.chkAcc.Reset(d)
+		}
 		f.nChk++
 	}
 }
@@ -288,6 +346,18 @@ func (f *Fold) runLanes(lo, hi int) {
 			continue
 		}
 		r := f.streams.ChildVal(uint64(i))
+		if f.f32 {
+			// Validate refuses compression on this tier.
+			var sum []float32
+			if f.track {
+				sum = f.sums32[lane]
+				tensor.Zero32(sum)
+			}
+			wf := f.finals32[lane]
+			copy(wf, f.start32)
+			sgd32(mdl, wf, f.Cohort.shard(i, &s.shard), cfg.Tau1, cfg.BatchSize, cfg.EtaW, f.prob.W, &r, f.chkAt, sum, f.chks32[lane], s)
+			continue
+		}
 		var sum []float64
 		if f.track {
 			sum = f.sums[lane]
@@ -368,12 +438,12 @@ func (c *Cohort) LossEstimate(m model.Model, w []float64, batch int, r *rng.Stre
 }
 
 func (c *Cohort) lossEstimate(m model.Model, w []float64, batch int, r *rng.Stream, s *Scratch) (float64, int) {
-	fm, ok := m.(model.F32Model)
-	f32 := ok && tensor.StorageF32()
+	f32 := tensor.StorageF32()
 	if f32 {
 		// Narrow the checkpoint once per edge, not once per client: same
 		// w32 bits and stream draws as ShardLossEstimate per client.
-		s.size32(len(w), batch)
+		s.size32(batch)
+		s.w32 = GrowVec(s.w32, len(w))
 		tensor.ToF32(s.w32, w)
 	}
 	total := 0.0
@@ -386,7 +456,7 @@ func (c *Cohort) lossEstimate(m model.Model, w []float64, batch int, r *rng.Stre
 		shard := c.shard(i, &s.shard)
 		if f32 {
 			shard.SampleInto32(&cs, s.xs32, s.ys)
-			total += float64(fm.LossF32(s.w32, s.xs32, s.ys))
+			total += float64(m.LossF32(s.w32, s.xs32, s.ys))
 		} else {
 			total += ShardLossEstimate(m, w, shard, batch, &cs, s)
 		}

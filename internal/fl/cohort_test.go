@@ -257,7 +257,7 @@ func TestFoldAddMatchesBlock(t *testing.T) {
 						t.Fatalf("%s: coordinate %d differs from Block", name(), j)
 					}
 				}
-				if len(add.finals) != 0 || len(add.chks) != 0 || len(add.sums) != 0 || add.resid != nil {
+				if len(add.finals)+len(add.chks)+len(add.sums)+len(add.finals32)+len(add.chks32)+len(add.sums32) != 0 || add.resid != nil {
 					t.Fatalf("%s: an empty-cohort fold sized lane or residual rows", name())
 				}
 			}
@@ -275,5 +275,73 @@ func TestFoldAddMatchesBlock(t *testing.T) {
 	slot()
 	if a := testing.AllocsPerRun(20, slot); a != 0 {
 		t.Fatalf("a warm empty-cohort fold allocates %v per slot", a)
+	}
+}
+
+// TestFoldFloat32LanesMatchAdd pins the float32 lanes of the avx2f32
+// tier: Block + Finish over a 40-member cohort (two chunks) with skipped
+// members and iterate sums equals, bit for bit, every surviving member
+// run alone through LocalSGDScratch (the float64 adapter) and folded in
+// with Add — with the checkpoint off, after the first step and after
+// the last, under the identity and a non-trivial W, with one worker and
+// the default pool.
+func TestFoldFloat32LanesMatchAdd(t *testing.T) {
+	defer tensor.SetKernel(tensor.KernelAVX2F32)()
+	const n, tau1 = 40, 3
+	m := model.NewLinear(4, 2)
+	d := m.Dim()
+	clients := make([]data.Subset, n)
+	for i := range clients {
+		clients[i] = toyShard(uint64(70+i), 12)
+	}
+	start := make([]float64, d)
+	rng.New(9).Fill(start, 0.2)
+	tensor.Round32(start)
+	streams := *rng.New(10)
+	skip := func(i int) bool { return i%5 == 3 || i == cohortChunk }
+
+	for _, W := range []simplex.Set{simplex.FullSpace{Dim: d}, simplex.Ball{Radius: 0.5}} {
+		prob := &Problem{Model: m, W: W}
+		for _, chkAt := range []int{0, 1, tau1} {
+			for _, workers := range []int{1, 0} {
+				name := fmt.Sprintf("W=%v chkAt=%d workers=%d", W, chkAt, workers)
+				cfg := &Config{Tau1: tau1, BatchSize: 2, EtaW: 0.1, TrackAverages: true, Workers: workers}
+
+				var add Fold
+				add.Begin(cfg, prob, nil, quant.Config{})
+				var s Scratch
+				wantSum := make([]float64, d)
+				for i := 0; i < n; i++ {
+					if skip(i) {
+						continue
+					}
+					final, chk, sum := append([]float64(nil), start...), make([]float64, d), make([]float64, d)
+					r := streams.ChildVal(uint64(i))
+					LocalSGDScratch(m, final, clients[i], cfg.Tau1, cfg.BatchSize, cfg.EtaW, W, &r, chkAt, sum, chk, &s)
+					if chkAt == 0 {
+						chk = nil
+					}
+					add.Add(final, chk, sum, wantSum)
+				}
+				wantW, wantChk := make([]float64, d), make([]float64, d)
+				if !add.Finish(wantW, wantChk) {
+					t.Fatalf("%s: Add folded nothing", name)
+				}
+
+				f := Fold{Cohort: Cohort{Clients: clients, Skip: skip}}
+				f.Begin(cfg, prob, NewModelPool(m), cfg.Compression)
+				w, chk, sum := make([]float64, d), make([]float64, d), make([]float64, d)
+				f.Block(start, streams, chkAt, sum)
+				if !f.Finish(w, chk) {
+					t.Fatalf("%s: Block folded nothing", name)
+				}
+				if len(f.finals32) != cohortChunk || len(f.finals) != 0 {
+					t.Fatalf("%s: %d float32 and %d float64 lane rows, want float32 lanes only", name, len(f.finals32), len(f.finals))
+				}
+				sameBits(t, name+" w", w, wantW)
+				sameBits(t, name+" chk", chk, wantChk)
+				sameBits(t, name+" iterate sum", sum, wantSum)
+			}
+		}
 	}
 }

@@ -26,14 +26,15 @@ type Scratch struct {
 	grad []float64
 	xs   [][]float64
 	ys   []int
-	// Float32 mirrors for the avx2f32 storage tier's fast path: the
-	// iterate, gradient, iterate-sum and batch views in native float32,
-	// plus a float64 staging buffer for non-trivial projections. Sized
-	// only when the fast path runs.
-	w32, grad32, iterSum32 []float32
-	chk32                  []float32
-	xs32                   [][]float32
-	proj                   []float64
+	// Float32 state of the avx2f32 storage tier: the gradient and batch
+	// views of the native float32 block (sgd32), a float64 staging
+	// buffer for non-trivial projections, and the float32 mirrors of a
+	// float64 caller's iterate, iterate sum and checkpoint (localSGD32,
+	// and the iterate alone for the loss estimates). Each is sized only
+	// where it is used.
+	grad32, w32, iterSum32, chk32 []float32
+	xs32                          [][]float32
+	proj                          []float64
 	// Cohort-side state of the Scratch's owner: the row-alias tables of
 	// the population shard it last materialized (Cohort.shard) and, for
 	// CohortLossEstimate, the cohort being evaluated.
@@ -56,24 +57,11 @@ func (s *Scratch) size(dim, batch int) {
 	s.ys = s.ys[:batch]
 }
 
-// size32 sizes the float32 mirrors (the float64 ys buffer is shared
-// with the regular path via size).
-func (s *Scratch) size32(dim, batch int) {
+// size32 sizes the float32 batch views (the ys buffer is shared with
+// the float64 path via size).
+func (s *Scratch) size32(batch int) {
 	s.size(0, batch)
-	if cap(s.w32) < dim {
-		s.w32 = make([]float32, dim)
-		s.grad32 = make([]float32, dim)
-		s.iterSum32 = make([]float32, dim)
-		s.chk32 = make([]float32, dim)
-	}
-	s.w32 = s.w32[:dim]
-	s.grad32 = s.grad32[:dim]
-	s.iterSum32 = s.iterSum32[:dim]
-	s.chk32 = s.chk32[:dim]
-	if cap(s.xs32) < batch {
-		s.xs32 = make([][]float32, batch)
-	}
-	s.xs32 = s.xs32[:batch]
+	s.xs32 = GrowVec(s.xs32, batch)
 }
 
 // LocalSGD runs `steps` projected SGD steps (Eq. 4) on one client's
@@ -114,13 +102,11 @@ func LocalSGDScratch(m model.Model, w []float64, shard data.Subset, steps, batch
 // through model.Step; the checkpoint step writes straight into wChk and
 // the step after it reads back from there, so no whole-model copy runs
 // unless the checkpoint is the last step (or there are no steps).
-// start may alias w.
+// start may alias w. On the avx2f32 tier the block runs natively in
+// float32 (localSGD32).
 func localSGD(m model.Model, start, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
-	f32 := tensor.StorageF32()
-	if f32 {
-		if fm, ok := m.(model.F32Model); ok {
-			return localSGD32(fm, start, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
-		}
+	if tensor.StorageF32() {
+		return localSGD32(m, start, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
 	}
 	s.size(len(w), batch)
 	cur := start
@@ -135,13 +121,6 @@ func localSGD(m model.Model, start, w []float64, shard data.Subset, steps, batch
 		}
 		m.Step(cur, next, s.grad, s.xs, s.ys, eta)
 		W.Project(next)
-		if f32 {
-			// Fallback regime for models without a float32 path: float64
-			// arithmetic with the iterate rounded back to storage after
-			// every step. Deterministic, but a different trajectory than
-			// the native float32 path.
-			tensor.Round32(next)
-		}
 		cur = next
 	}
 	if &cur[0] != &w[0] {
@@ -150,26 +129,28 @@ func localSGD(m model.Model, start, w []float64, shard data.Subset, steps, batch
 	return chkAt >= 1 && chkAt <= steps
 }
 
-// localSGD32 is the avx2f32 fast path of localSGD: the float64
-// boundary adapter over LocalSGD32Scratch. It converts the start
-// iterate (and iterate sum) to float32 mirrors, runs the native float32
-// block, and widens the results back into w, iterSum and wChk. All
+// localSGD32 is localSGD on the avx2f32 tier for float64 callers (the
+// simnet client actors and LocalSGD): it narrows the start iterate (and
+// iterate sum) into float32 mirrors, runs the native float32 block
+// sgd32, and widens the results back into w, iterSum and wChk. All
 // conversions are exact under the storage invariant (start and iterSum
 // hold float32-representable values), so the float64 vectors the
-// engines see are the float32 trajectory widened.
-func localSGD32(m model.F32Model, start, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
-	s.size32(len(w), batch)
+// callers see are the float32 trajectory widened. A Fold's lanes skip
+// this adapter and run sgd32 on float32 rows.
+func localSGD32(m model.Model, start, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
+	d := len(w)
+	s.w32, s.chk32 = GrowVec(s.w32, d), GrowVec(s.chk32, d)
 	tensor.ToF32(s.w32, start)
-	summing := iterSum != nil
 	var sum32 []float32
-	if summing {
+	if iterSum != nil {
+		s.iterSum32 = GrowVec(s.iterSum32, d)
 		tensor.ToF32(s.iterSum32, iterSum)
 		sum32 = s.iterSum32
 	}
-	checkpointed := LocalSGD32Scratch(m, s.w32, shard, steps, batch, eta, W, r, chkAt, sum32, s.chk32, s)
+	checkpointed := sgd32(m, s.w32, shard, steps, batch, eta, W, r, chkAt, sum32, s.chk32, s)
 	tensor.ToF64(w, s.w32)
-	if summing {
-		tensor.ToF64(iterSum, s.iterSum32)
+	if sum32 != nil {
+		tensor.ToF64(iterSum, sum32)
 	}
 	if checkpointed {
 		tensor.ToF64(wChk, s.chk32)
@@ -177,21 +158,18 @@ func localSGD32(m model.F32Model, start, w []float64, shard data.Subset, steps, 
 	return checkpointed
 }
 
-// LocalSGD32Scratch is the native-float32 local SGD block: it advances
-// w32 in place through `steps` projected SGD steps with float32
-// sampling (same stream draws as the float64 path), GradF32 and a
-// float32 step, never leaving float32 storage except for a non-trivial
-// projection (the simplex.Set contract is float64). If chkAt is in
-// [1, steps], the iterate after chkAt steps is copied into wChk32 and
-// the function reports true. If iterSum32 is non-nil every pre-step
-// iterate is accumulated into it with one fma32 rounding per element —
-// exactly StorageAdd's float32 addition on the widened mirrors. w32,
-// wChk32 and iterSum32 may alias the scratch's own buffers or be
-// caller-owned (the core engine's float32 slot path passes its pooled
-// slot buffers directly, so client blocks run without any float64
-// round-trips).
-func LocalSGD32Scratch(m model.F32Model, w32 []float32, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum32, wChk32 []float32, s *Scratch) bool {
-	s.size32(len(w32), batch)
+// sgd32 is the native-float32 local SGD block: it advances w32 in place
+// through `steps` projected SGD steps with float32 sampling (same
+// stream draws as the float64 path), GradF32 and a float32 step, never
+// leaving float32 storage except for a non-trivial projection (the
+// simplex.Set contract is float64). If chkAt is in [1, steps], the
+// iterate after chkAt steps is copied into wChk32 and the function
+// reports true. If iterSum32 is non-nil every pre-step iterate is
+// accumulated into it with one fma32 rounding per element — exactly
+// StorageAdd's float32 addition on the widened mirrors.
+func sgd32(m model.Model, w32 []float32, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum32, wChk32 []float32, s *Scratch) bool {
+	s.size32(batch)
+	s.grad32 = GrowVec(s.grad32, len(w32))
 	_, freeW := W.(simplex.FullSpace)
 	eta32 := float32(eta)
 	checkpointed := false
@@ -205,10 +183,7 @@ func LocalSGD32Scratch(m model.F32Model, w32 []float32, shard data.Subset, steps
 		if !freeW {
 			// Non-trivial W: project in float64 (the Set contract) and
 			// round back to storage.
-			if cap(s.proj) < len(w32) {
-				s.proj = make([]float64, len(w32))
-			}
-			s.proj = s.proj[:len(w32)]
+			s.proj = GrowVec(s.proj, len(w32))
 			tensor.ToF64(s.proj, w32)
 			W.Project(s.proj)
 			tensor.Round32(s.proj)
@@ -229,12 +204,11 @@ func LocalSGD32Scratch(m model.F32Model, w32 []float32, shard data.Subset, steps
 // (CohortLossEstimate is the edge half).
 func ShardLossEstimate(m model.Model, w []float64, shard data.Subset, batch int, r *rng.Stream, s *Scratch) float64 {
 	if tensor.StorageF32() {
-		if fm, ok := m.(model.F32Model); ok {
-			s.size32(len(w), batch)
-			tensor.ToF32(s.w32, w)
-			shard.SampleInto32(r, s.xs32, s.ys)
-			return float64(fm.LossF32(s.w32, s.xs32, s.ys))
-		}
+		s.size32(batch)
+		s.w32 = GrowVec(s.w32, len(w))
+		tensor.ToF32(s.w32, w)
+		shard.SampleInto32(r, s.xs32, s.ys)
+		return float64(m.LossF32(s.w32, s.xs32, s.ys))
 	}
 	s.size(0, batch)
 	shard.SampleInto(r, s.xs, s.ys)
@@ -246,8 +220,14 @@ func ShardLossEstimate(m model.Model, w []float64, shard data.Subset, batch int,
 // storage so the projected iterate stays float32-representable. Every
 // engine-side projection of a model vector goes through this helper
 // (the in-block projection of the SGD hot path handles the regime
-// itself).
+// itself). Under simplex.FullSpace it returns at once: the projection
+// is the identity and every caller passes a storage-representable
+// vector (an average, or w^(0) after Run rounds it), so the rounding
+// would change no bit.
 func ProjectW(W simplex.Set, w []float64) {
+	if _, ok := W.(simplex.FullSpace); ok {
+		return
+	}
 	W.Project(w)
 	if tensor.StorageF32() {
 		tensor.Round32(w)

@@ -7,31 +7,16 @@ import (
 )
 
 // Float32 training paths for the avx2f32 storage tier: both models run
-// their batched loss and gradient entirely through the float32 kernel
-// family (Gemm32/CrossEntropyRows32), reading float32 parameter and
-// feature views. The engines use these via fl's float32 fast path when
-// tensor.StorageF32() holds; the float64 Model methods stay the
-// evaluation and non-f32 path.
+// their batched loss and gradient (Model.LossF32 and Model.GradF32)
+// entirely through the float32 kernel family (Gemm32/CrossEntropyRows32),
+// reading float32 parameter and feature views. fl trains every client
+// through them when tensor.StorageF32() holds; the float64 methods stay
+// the evaluation path and the path of every other class.
 //
 // The structure of each method mirrors its float64 sibling line for
 // line — same chunking, same kernel call order, same mean scaling — so
 // the float32 trajectory is the float64 algorithm in the float32
 // rounding regime, not a different algorithm.
-
-// F32Model is implemented by models whose batched loss and gradient can
-// run entirely in float32 arithmetic over float32 feature rows. Both
-// repo models implement it; fl's training hot path type-asserts and
-// falls back to per-step float64+rounding when absent.
-type F32Model interface {
-	Model
-	// LossF32 returns the mean cross-entropy of parameters w on the
-	// batch, computed in the float32 regime.
-	LossF32(w []float32, xs [][]float32, ys []int) float32
-	// GradF32 writes the mean gradient on the batch into grad and
-	// returns the mean loss, all in the float32 regime. grad must have
-	// length Dim().
-	GradF32(w, grad []float32, xs [][]float32, ys []int) float32
-}
 
 // --- Linear ---
 

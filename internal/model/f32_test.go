@@ -33,10 +33,6 @@ func makeBatch32(r *rng.Stream, n, dim, classes int) (xs [][]float64, xs32 [][]f
 // parameters and batches, within float32 accumulation tolerance.
 func testF32AgainstF64(t *testing.T, m Model, seed uint64, tol float64) {
 	t.Helper()
-	fm, ok := m.(F32Model)
-	if !ok {
-		t.Fatalf("%T does not implement F32Model", m)
-	}
 	r := rng.New(seed)
 	w := make([]float64, m.Dim())
 	m.Init(w, r.Child(1))
@@ -47,7 +43,7 @@ func testF32AgainstF64(t *testing.T, m Model, seed uint64, tol float64) {
 	xs, xs32, ys := makeBatch32(r.Child(2), 37, m.InputDim(), m.NumClasses())
 
 	l64 := m.Loss(w, xs, ys)
-	l32 := float64(fm.LossF32(w32, xs32, ys))
+	l32 := float64(m.LossF32(w32, xs32, ys))
 	if math.Abs(l64-l32) > tol*(1+math.Abs(l64)) {
 		t.Fatalf("%T LossF32 = %g, Loss = %g", m, l32, l64)
 	}
@@ -55,7 +51,7 @@ func testF32AgainstF64(t *testing.T, m Model, seed uint64, tol float64) {
 	g64 := make([]float64, m.Dim())
 	g32 := make([]float32, m.Dim())
 	m.Grad(w, g64, xs, ys)
-	gl := float64(fm.GradF32(w32, g32, xs32, ys))
+	gl := float64(m.GradF32(w32, g32, xs32, ys))
 	if math.Abs(l64-gl) > tol*(1+math.Abs(l64)) {
 		t.Fatalf("%T GradF32 loss = %g, Loss = %g", m, gl, l64)
 	}
@@ -82,8 +78,7 @@ func TestMLPF32MatchesF64(t *testing.T) {
 // independent clones on the same inputs produce identical float32 bits.
 func TestF32GradDeterministic(t *testing.T) {
 	for _, m := range []Model{NewLinear(7, 3), NewMLP(6, 10, 7, 3)} {
-		fm := m.(F32Model)
-		fm2 := m.Clone().(F32Model)
+		m2 := m.Clone()
 		r := rng.New(23)
 		w := make([]float64, m.Dim())
 		m.Init(w, r.Child(1))
@@ -92,8 +87,8 @@ func TestF32GradDeterministic(t *testing.T) {
 		_, xs32, ys := makeBatch32(r.Child(2), 19, m.InputDim(), m.NumClasses())
 		a := make([]float32, m.Dim())
 		b := make([]float32, m.Dim())
-		la := fm.GradF32(w32, a, xs32, ys)
-		lb := fm2.GradF32(w32, b, xs32, ys)
+		la := m.GradF32(w32, a, xs32, ys)
+		lb := m2.GradF32(w32, b, xs32, ys)
 		if math.Float32bits(la) != math.Float32bits(lb) {
 			t.Fatalf("%T: clone loss differs: %x vs %x", m, math.Float32bits(la), math.Float32bits(lb))
 		}
@@ -108,14 +103,13 @@ func TestF32GradDeterministic(t *testing.T) {
 // TestF32EmptyBatch mirrors TestEmptyBatch for the float32 path.
 func TestF32EmptyBatch(t *testing.T) {
 	for _, m := range []Model{NewLinear(4, 2), NewMLP(4, 5, 3, 2)} {
-		fm := m.(F32Model)
 		w32 := make([]float32, m.Dim())
 		g32 := make([]float32, m.Dim())
 		g32[0] = 7
-		if l := fm.LossF32(w32, nil, nil); l != 0 {
+		if l := m.LossF32(w32, nil, nil); l != 0 {
 			t.Fatalf("%T LossF32 on empty batch = %v", m, l)
 		}
-		if l := fm.GradF32(w32, g32, nil, nil); l != 0 || g32[0] != 0 {
+		if l := m.GradF32(w32, g32, nil, nil); l != 0 || g32[0] != 0 {
 			t.Fatalf("%T GradF32 on empty batch: loss %v, grad[0] %v", m, l, g32[0])
 		}
 	}

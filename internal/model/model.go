@@ -35,6 +35,12 @@ type Model interface {
 	// model. dst may alias w; grad is scratch of length Dim(), its
 	// contents afterwards unspecified.
 	Step(w, dst, grad []float64, xs [][]float64, ys []int, eta float64) float64
+	// LossF32 is Loss in the float32 regime of the avx2f32 storage tier,
+	// over float32 parameter and feature views.
+	LossF32(w []float32, xs [][]float32, ys []int) float32
+	// GradF32 is Grad in the float32 regime: it writes the mean gradient
+	// into grad (length Dim()) and returns the mean loss.
+	GradF32(w, grad []float32, xs [][]float32, ys []int) float32
 	// Predict returns the argmax class for a single input.
 	Predict(w []float64, x []float64) int
 	// Clone returns an independent instance (separate scratch buffers)

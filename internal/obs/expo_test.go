@@ -92,10 +92,10 @@ func TestWriteJSONSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap map[string]struct {
-		Type  string   `json:"type"`
-		Value *float64 `json:"value"`
-		Sum   *float64 `json:"sum"`
-		Count *int64   `json:"count"`
+		Type    string   `json:"type"`
+		Value   *float64 `json:"value"`
+		Sum     *float64 `json:"sum"`
+		Count   *int64   `json:"count"`
 		Buckets []struct {
 			LE    string `json:"le"`
 			Count int64  `json:"count"`

@@ -90,25 +90,6 @@ func ToF64(dst []float64, src []float32) {
 	cvtTo64(dst, src)
 }
 
-// Average32Into averages the float32 vectors into dst in the avx2f32
-// regime's native aggregation arithmetic: zero, one fma32-rounded add
-// per input in argument order (Axpy32(1, v, dst) — exactly a float32
-// add), one float32 scale. This IS the regime's definition of model
-// averaging; AverageInto's float32-storage branch computes the same
-// bits from float64-interchange vectors, so every engine aggregates
-// identically whether it holds float32 buffers or widened mirrors.
-func Average32Into(dst []float32, vecs ...[]float32) {
-	if len(vecs) == 0 {
-		panic("tensor: Average32Into with no inputs")
-	}
-	Zero32(dst)
-	for _, v := range vecs {
-		checkLen(len(dst), len(v))
-		kernels32.axpy(1, v, dst)
-	}
-	Scale32(1/float32(len(vecs)), dst)
-}
-
 // avgPool recycles the float32 staging blocks of AverageInto's
 // storage-regime branch (accumulator + per-input narrowing scratch).
 var avgPool = sync.Pool{New: func() any { return new(avgScratch) }}
@@ -118,9 +99,10 @@ type avgScratch struct{ acc, tmp [avgBlock]float32 }
 // averageInto32Regime computes AverageInto in the avx2f32 regime from
 // float64-interchange vectors, one avgBlock column block at a time:
 // narrow each input (exact — interchange vectors are
-// storage-representable), run the native float32 average, widen the
-// result. Bit-identical to Average32Into on the inputs' float32
-// mirrors.
+// storage-representable), zero a float32 accumulator, add the inputs
+// in list order (one float32 add each, Axpy32 with a = 1), multiply by
+// 1/float32(n) and widen. This is the regime's definition of model
+// averaging; MeanAccumulator streams the same arithmetic.
 func averageInto32Regime(dst []float64, vecs [][]float64) {
 	s := avgPool.Get().(*avgScratch)
 	inv := 1 / float32(len(vecs))

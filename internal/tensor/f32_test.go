@@ -848,28 +848,31 @@ func TestSumExpShift32MatchesExpShift(t *testing.T) {
 	}
 }
 
-// TestAverage32IntoMatchesRegimeAverage pins the avx2f32 aggregation
-// arithmetic three ways: the native float32 Average32Into, the
-// float64-interchange branch AverageInto takes in the float32 regime,
-// and a scalar reference (float32 adds in argument order, one float32
-// scale) must all agree bit for bit.
-func TestAverage32IntoMatchesRegimeAverage(t *testing.T) {
+// TestFloat32AverageMatchesScalarRef pins the avx2f32 aggregation
+// arithmetic three ways: the float32 branch AverageInto takes on the
+// storage tier, the MeanAccumulator's float32 fold (Add32 rows, then
+// FinishInto) and a scalar reference (float32 adds in argument order,
+// one float32 scale) must all agree bit for bit.
+func TestFloat32AverageMatchesScalarRef(t *testing.T) {
+	defer SetKernel(KernelAVX2F32)()
 	r := rng.New(80)
 	for _, n := range tailLengths {
 		for _, k := range []int{1, 2, 3, 5} {
 			vecs32 := make([][]float32, k)
 			vecs64 := make([][]float64, k)
+			var acc MeanAccumulator
+			acc.Reset(n)
 			for i := range vecs32 {
 				vecs32[i] = make([]float32, n)
 				fillSpecial32(r, vecs32[i])
 				vecs64[i] = make([]float64, n)
 				ToF64(vecs64[i], vecs32[i])
+				acc.Add32(vecs32[i])
 			}
-			got := make([]float32, n)
-			Average32Into(got, vecs32...)
-
-			regime := make([]float64, n)
-			averageInto32Regime(regime, vecs64)
+			avg := make([]float64, n)
+			AverageInto(avg, vecs64...)
+			folded := make([]float64, n)
+			acc.FinishInto(folded)
 
 			inv := float32(1) / float32(k)
 			for i := 0; i < n; i++ {
@@ -877,12 +880,12 @@ func TestAverage32IntoMatchesRegimeAverage(t *testing.T) {
 				for _, v := range vecs32 {
 					s += v[i]
 				}
-				want := s * inv
-				if math.Float32bits(got[i]) != math.Float32bits(want) {
-					t.Fatalf("Average32Into n=%d k=%d: [%d] = %x, scalar ref %x", n, k, i, math.Float32bits(got[i]), math.Float32bits(want))
+				want := math.Float64bits(float64(s * inv))
+				if got := math.Float64bits(avg[i]); got != want {
+					t.Fatalf("AverageInto n=%d k=%d: [%d] = %x, scalar ref %x", n, k, i, got, want)
 				}
-				if math.Float64bits(regime[i]) != math.Float64bits(float64(want)) {
-					t.Fatalf("averageInto32Regime n=%d k=%d: [%d] = %x, want %x", n, k, i, math.Float64bits(regime[i]), math.Float64bits(float64(want)))
+				if got := math.Float64bits(folded[i]); got != want {
+					t.Fatalf("MeanAccumulator.Add32 n=%d k=%d: [%d] = %x, scalar ref %x", n, k, i, got, want)
 				}
 			}
 		}

@@ -50,9 +50,9 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 // single chokepoint that defines the regime's averaging arithmetic. On
 // the float32 storage tier the average is computed natively in float32
 // (one float32 add per input in list order, one float32 scale; see
-// Average32Into), so engines holding float32 buffers and engines
-// holding widened float64 mirrors aggregate to identical bits, and the
-// result stays storage-representable.
+// averageInto32Regime), so engines that fold float32 rows through a
+// MeanAccumulator and engines holding widened float64 mirrors aggregate
+// to identical bits, and the result stays storage-representable.
 //
 // The work runs in column blocks of avgBlock elements: per block, zero,
 // one Axpy(1, v, ·) per input in list order, then the scale. Elements
@@ -127,13 +127,21 @@ func (a *MeanAccumulator) Reset(d int) {
 
 // Add folds one vector into the running sum.
 func (a *MeanAccumulator) Add(v []float64) {
-	a.n++
 	if a.f32 {
 		ToF32(a.tmp32, v)
-		kernels32.axpy(1, a.tmp32, a.acc32)
+		a.Add32(a.tmp32)
 		return
 	}
+	a.n++
 	Axpy(1, v, a.acc)
+}
+
+// Add32 folds one float32 vector into a storage-tier accumulator (reset
+// while StorageF32 holds): Add's float32 add without the narrowing, for
+// callers whose rows are already float32.
+func (a *MeanAccumulator) Add32(v []float32) {
+	a.n++
+	Axpy32(1, v, a.acc32)
 }
 
 // FinishInto writes the mean of the folded vectors into dst and leaves
@@ -143,13 +151,17 @@ func (a *MeanAccumulator) FinishInto(dst []float64) {
 	if a.n == 0 {
 		panic("tensor: MeanAccumulator.FinishInto with no inputs")
 	}
+	// Scale while copying out: the same multiplication per element as
+	// AverageInto's in-place Scale (and, on the storage tier, the same
+	// widening), in one pass over dst.
 	if a.f32 {
-		Scale32(1/float32(a.n), a.acc32)
-		ToF64(dst, a.acc32)
+		checkLen(len(dst), len(a.acc32))
+		inv := 1 / float32(a.n)
+		for i, v := range a.acc32 {
+			dst[i] = float64(v * inv)
+		}
 		return
 	}
-	// Scale while copying out: the same multiplication per element as
-	// AverageInto's in-place Scale, in one pass over dst instead of two.
 	checkLen(len(dst), len(a.acc))
 	inv := 1 / float64(a.n)
 	for i, v := range a.acc {

@@ -165,7 +165,7 @@ func TestGemmTNRStepRaggedRowPanics(t *testing.T) {
 // TestAverageIntoBlockedMatchesPasses pins the column-blocked
 // AverageInto to its definition in every class: three whole-vector
 // passes (Zero, one Axpy per input in list order, Scale) on the float64
-// classes, Average32Into on the float32 mirrors on the storage tier —
+// classes, the same passes in float32 arithmetic on the storage tier —
 // at lengths around the block size.
 func TestAverageIntoBlockedMatchesPasses(t *testing.T) {
 	forEachClass(t, func(t *testing.T) {
@@ -179,14 +179,13 @@ func TestAverageIntoBlockedMatchesPasses(t *testing.T) {
 			}
 			want := make([]float64, d)
 			if StorageF32() {
-				v32 := make([][]float32, len(vecs))
-				for i, v := range vecs {
-					v32[i] = make([]float32, d)
-					ToF32(v32[i], v)
-				}
 				w32 := make([]float32, d)
-				Average32Into(w32, v32...)
-				ToF64(want, w32)
+				for j := range w32 {
+					for _, v := range vecs {
+						w32[j] += float32(v[j])
+					}
+					want[j] = float64(w32[j] * (1 / float32(len(vecs))))
+				}
 			} else {
 				for _, v := range vecs {
 					Axpy(1, v, want)
