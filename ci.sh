@@ -25,6 +25,11 @@ go test ./...
 # lanes and of the tensor kernels, whose assembly exists only on amd64.
 GOARCH=s390x go build ./...
 GOARCH=s390x go vet ./internal/wire ./internal/quant ./internal/rng ./internal/tensor
+# arm64 is the other non-amd64 file set the tensor, model and fl code
+# splits on (and the one the dead-code gate analyses): keep it building
+# and vetted too.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor ./internal/model ./internal/fl ./internal/quant ./internal/rng ./internal/wire
 
 # The benchmark harness is a module of its own (repro/benchmark, replacing
 # repro with ../), so the three commands above neither build nor run it.

@@ -351,7 +351,7 @@ func (f *Fold) runLanes(lo, hi int) {
 			var sum []float32
 			if f.track {
 				sum = f.sums32[lane]
-				tensor.Zero32(sum)
+				tensor.Zero(sum)
 			}
 			wf := f.finals32[lane]
 			copy(wf, f.start32)

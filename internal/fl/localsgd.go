@@ -175,11 +175,11 @@ func sgd32(m model.Model, w32 []float32, shard data.Subset, steps, batch int, et
 	checkpointed := false
 	for t := 0; t < steps; t++ {
 		if iterSum32 != nil {
-			tensor.Axpy32(1, w32, iterSum32)
+			tensor.Axpy(1, w32, iterSum32)
 		}
 		shard.SampleInto32(r, s.xs32, s.ys)
 		m.GradF32(w32, s.grad32, s.xs32, s.ys)
-		tensor.Axpy32(-eta32, s.grad32, w32)
+		tensor.Axpy(-eta32, s.grad32, w32)
 		if !freeW {
 			// Non-trivial W: project in float64 (the Set contract) and
 			// round back to storage.

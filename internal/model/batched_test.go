@@ -61,8 +61,7 @@ func equalBits(t *testing.T, name string, got, want []float64) {
 // linearReference computes Linear's loss and mean gradient one example
 // at a time with BLAS-1/2 primitives only.
 func linearReference(l *Linear, w []float64, xs [][]float64, ys []int, grad []float64) float64 {
-	W := l.weights(w)
-	b := l.bias(w)
+	W, b := linearParams(l, w)
 	gFlat := tensor.MatrixFrom(grad[:l.classes*l.in], l.classes, l.in)
 	gb := grad[l.classes*l.in:]
 	tensor.Zero(grad)
@@ -117,8 +116,8 @@ func TestLinearBatchedMatchesPerExample(t *testing.T) {
 // returns the sum: Grad scales it by 1/n and Loss divides it by n, which
 // differ in the last bit for some n (13 under avx2, for one).
 func mlpReference(m *MLP, w []float64, xs [][]float64, ys []int, grad []float64) float64 {
-	W1, W2, W3, b1, b2, b3 := m.mats(w)
-	gW1, gW2, gW3, gb1, gb2, gb3 := m.mats(grad)
+	W1, W2, W3, b1, b2, b3 := mlpMats(m, w)
+	gW1, gW2, gW3, gb1, gb2, gb3 := mlpMats(m, grad)
 	tensor.Zero(grad)
 	z1 := make([]float64, m.h1)
 	a1 := make([]float64, m.h1)
@@ -147,21 +146,21 @@ func mlpReference(m *MLP, w []float64, xs [][]float64, ys []int, grad []float64)
 		softmaxGrad(dz3, z3, lse)
 		dz3[ys[k]]--
 
-		tensor.OuterAccum(inv, dz3, a2, gW3)
+		tensor.OuterAccum(inv, dz3, a2, &gW3)
 		tensor.Axpy(inv, dz3, gb3)
 		tensor.Zero(da2)
 		for j, d := range dz3 {
 			tensor.Axpy(1*d, W3.Row(j), da2)
 		}
 		tensor.ReLUGrad(da2, da2, z2)
-		tensor.OuterAccum(inv, da2, a1, gW2)
+		tensor.OuterAccum(inv, da2, a1, &gW2)
 		tensor.Axpy(inv, da2, gb2)
 		tensor.Zero(da1)
 		for j, d := range da2 {
 			tensor.Axpy(1*d, W2.Row(j), da1)
 		}
 		tensor.ReLUGrad(da1, da1, z1)
-		tensor.OuterAccum(inv, da1, x, gW1)
+		tensor.OuterAccum(inv, da1, x, &gW1)
 		tensor.Axpy(inv, da1, gb1)
 	}
 	return total

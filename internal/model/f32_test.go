@@ -114,3 +114,37 @@ func TestF32EmptyBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmCallsAllocateNothing guards the generic model bodies at both
+// storage widths: after one warm-up call has sized the activation
+// scratch, Loss, Grad, Step, LossF32 and GradF32 allocate nothing on
+// Linear and on the §6.2 MLP (784-300-100-10) at the benchmark batch of
+// 16. A type dispatch or an interface conversion that starts to
+// allocate inside a generic body fails here.
+func TestWarmCallsAllocateNothing(t *testing.T) {
+	for _, m := range []Model{NewLinear(784, 10), NewMLP(784, 300, 100, 10)} {
+		r := rng.New(7)
+		d := m.Dim()
+		w, dst, grad := make([]float64, d), make([]float64, d), make([]float64, d)
+		m.Init(w, r.Child(1))
+		tensor.Round32(w)
+		w32, grad32 := make([]float32, d), make([]float32, d)
+		tensor.ToF32(w32, w)
+		xs, xs32, ys := makeBatch32(r.Child(2), 16, m.InputDim(), m.NumClasses())
+		for _, c := range []struct {
+			name string
+			call func()
+		}{
+			{"Loss", func() { m.Loss(w, xs, ys) }},
+			{"Grad", func() { m.Grad(w, grad, xs, ys) }},
+			{"Step", func() { m.Step(w, dst, grad, xs, ys, 0.01) }},
+			{"LossF32", func() { m.LossF32(w32, xs32, ys) }},
+			{"GradF32", func() { m.GradF32(w32, grad32, xs32, ys) }},
+		} {
+			c.call()
+			if a := testing.AllocsPerRun(5, c.call); a != 0 {
+				t.Errorf("%T.%s: %v allocs per warm call, want 0", m, c.name, a)
+			}
+		}
+	}
+}

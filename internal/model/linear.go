@@ -16,16 +16,21 @@ import (
 // blocked GEMM kernels; the activation scratch grows to the largest
 // batch chunk seen and is reused, so steady-state training allocates
 // nothing. The batched path is bitwise-identical to per-example
-// evaluation (see internal/tensor's determinism contract).
+// evaluation (see internal/tensor's determinism contract). LossF32 and
+// GradF32 run the same generic bodies on float32 operands (the avx2f32
+// storage tier), with scratch of their own.
 type Linear struct {
 	in, classes int
 	// Per-example scratch (Predict).
 	logits []float64
-	// Batched scratch, reshaped per chunk.
-	z, dz tensor.Matrix
-	// Float32 batched scratch (the avx2f32 storage tier; see f32.go).
-	fz, fdz tensor.Matrix32
+	// Batched scratch per storage width, reshaped per chunk: s64 for
+	// Loss and Grad, s32 for LossF32 and GradF32.
+	s64 linearScratch[float64]
+	s32 linearScratch[float32]
 }
+
+// linearScratch is Linear's batched activation scratch at width T.
+type linearScratch[T tensor.Float] struct{ z, dz tensor.Mat[T] }
 
 // NewLinear returns a logistic-regression model for inputDim features and
 // numClasses classes.
@@ -55,70 +60,83 @@ func (l *Linear) Clone() Model { return NewLinear(l.in, l.classes) }
 // Init zeroes the parameters; the convex problem needs no symmetry
 // breaking and zero init matches the common logistic-regression start.
 func (l *Linear) Init(w []float64, _ *rng.Stream) {
-	l.checkDim(w)
+	l.checkDim(len(w))
 	tensor.Zero(w)
 }
 
-// weights views w as the C×D weight matrix; bias views the trailing C
-// entries.
-func (l *Linear) weights(w []float64) *tensor.Matrix {
-	return tensor.MatrixFrom(w[:l.classes*l.in], l.classes, l.in)
+// linearParams views w (checked to have length Dim) as the C×D weight
+// matrix W and the trailing C bias entries b.
+func linearParams[T tensor.Float](l *Linear, w []T) (W tensor.Mat[T], b []T) {
+	return tensor.Mat[T]{Rows: l.classes, Cols: l.in, Data: w[:l.classes*l.in]}, w[l.classes*l.in:]
 }
 
-func (l *Linear) bias(w []float64) []float64 {
-	return w[l.classes*l.in:]
-}
-
-// forwardChunk computes the logits of one batch chunk into l.z: each row
-// gets the bias, then one blocked X·Wᵀ product adds the weight terms,
-// reading the feature vectors in place (no gather copy).
-func (l *Linear) forwardChunk(w []float64, xs [][]float64) {
+// linearForward computes the logits of one batch chunk into s.z: each
+// row gets the bias, then one blocked X·Wᵀ product adds the weight
+// terms, reading the feature vectors in place (no gather copy).
+func linearForward[T tensor.Float](l *Linear, s *linearScratch[T], w []T, xs [][]T) {
 	n := len(xs)
-	l.z.Reshape(n, l.classes)
-	b := l.bias(w)
+	s.z.Reshape(n, l.classes)
+	W, b := linearParams(l, w)
 	for r := 0; r < n; r++ {
-		copy(l.z.Row(r), b)
+		copy(s.z.Row(r), b)
 	}
-	tensor.GemmTR(1, xs, l.weights(w), 1, &l.z)
+	tensor.GemmTR(1, xs, &W, 1, &s.z)
 }
 
 // Loss returns the mean cross-entropy over the batch.
 func (l *Linear) Loss(w []float64, xs [][]float64, ys []int) float64 {
-	l.checkDim(w)
+	return linearLoss(l, &l.s64, w, xs, ys)
+}
+
+// LossF32 is Loss on the float32 storage tier.
+func (l *Linear) LossF32(w []float32, xs [][]float32, ys []int) float32 {
+	return linearLoss(l, &l.s32, w, xs, ys)
+}
+
+func linearLoss[T tensor.Float](l *Linear, s *linearScratch[T], w []T, xs [][]T, ys []int) T {
+	l.checkDim(len(w))
 	if len(xs) == 0 {
 		return 0
 	}
-	total := 0.0
+	var total T
 	for lo := 0; lo < len(xs); lo += batchChunk {
 		hi := min(lo+batchChunk, len(xs))
-		l.forwardChunk(w, xs[lo:hi])
-		total = tensor.CrossEntropyLossRows(&l.z, ys[lo:hi], total)
+		linearForward(l, s, w, xs[lo:hi])
+		total = tensor.CrossEntropyLossRows(&s.z, ys[lo:hi], total)
 	}
-	return total / float64(len(xs))
+	return total / T(len(xs))
 }
 
 // Grad writes the mean gradient into grad and returns the mean loss.
 func (l *Linear) Grad(w, grad []float64, xs [][]float64, ys []int) float64 {
-	l.checkDim(w)
-	l.checkDim(grad)
+	return linearGrad(l, &l.s64, w, grad, xs, ys)
+}
+
+// GradF32 is Grad on the float32 storage tier.
+func (l *Linear) GradF32(w, grad []float32, xs [][]float32, ys []int) float32 {
+	return linearGrad(l, &l.s32, w, grad, xs, ys)
+}
+
+func linearGrad[T tensor.Float](l *Linear, s *linearScratch[T], w, grad []T, xs [][]T, ys []int) T {
+	l.checkDim(len(w))
+	l.checkDim(len(grad))
 	tensor.Zero(grad)
 	if len(xs) == 0 {
 		return 0
 	}
-	gW := l.weights(grad)
-	gb := l.bias(grad)
-	total := 0.0
-	inv := 1 / float64(len(xs))
+	gW, gb := linearParams(l, grad)
+	var total T
+	inv := 1 / T(len(xs))
 	for lo := 0; lo < len(xs); lo += batchChunk {
 		hi := min(lo+batchChunk, len(xs))
 		n := hi - lo
-		l.forwardChunk(w, xs[lo:hi])
-		l.dz.Reshape(n, l.classes)
-		total = tensor.CrossEntropyRows(&l.dz, &l.z, ys[lo:hi], total)
+		linearForward(l, s, w, xs[lo:hi])
+		s.dz.Reshape(n, l.classes)
+		total = tensor.CrossEntropyRows(&s.dz, &s.z, ys[lo:hi], total)
 		// dW += inv * dlogitsᵀ X ; db += inv * column sums of dlogits.
-		tensor.GemmTNR(inv, &l.dz, xs[lo:hi], gW)
+		tensor.GemmTNR(inv, &s.dz, xs[lo:hi], &gW)
 		for r := 0; r < n; r++ {
-			tensor.Axpy(inv, l.dz.Row(r), gb)
+			tensor.Axpy(inv, s.dz.Row(r), gb)
 		}
 	}
 	return total * inv
@@ -133,16 +151,16 @@ func (l *Linear) Step(w, dst, grad []float64, xs [][]float64, ys []int, eta floa
 
 // Predict returns the argmax class for x.
 func (l *Linear) Predict(w []float64, x []float64) int {
-	W := l.weights(w)
-	copy(l.logits, l.bias(w))
+	W, b := linearParams(l, w)
+	copy(l.logits, b)
 	for c := 0; c < l.classes; c++ {
 		l.logits[c] += tensor.Dot(W.Row(c), x)
 	}
 	return tensor.ArgMax(l.logits)
 }
 
-func (l *Linear) checkDim(w []float64) {
-	if len(w) != l.Dim() {
-		panic(fmt.Sprintf("model: Linear parameter length %d, want %d", len(w), l.Dim()))
+func (l *Linear) checkDim(n int) {
+	if n != l.Dim() {
+		panic(fmt.Sprintf("model: Linear parameter length %d, want %d", n, l.Dim()))
 	}
 }

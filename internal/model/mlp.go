@@ -21,20 +21,26 @@ import (
 // reused across calls so the training hot path allocates nothing after
 // warm-up. The batched pass is bitwise-identical to per-example
 // evaluation — see the determinism contract in internal/tensor.
+// LossF32 and GradF32 run the same generic bodies on float32 operands
+// (the avx2f32 storage tier), with scratch of their own.
 type MLP struct {
 	in, h1, h2, classes int
 	// Slice offsets into the flat parameter vector.
 	oW1, ob1, oW2, ob2, oW3, ob3, dim int
 	// Per-example scratch (Predict).
 	z1, a1, z2, a2, logits []float64
-	// Batched scratch, reshaped per chunk.
-	bz1, ba1, bz2, ba2, bz3 tensor.Matrix
-	dz3, da2, da1           tensor.Matrix
+	// Batched scratch per storage width, reshaped per chunk: s64 for
+	// Loss, Grad and Step, s32 for LossF32 and GradF32.
+	s64 mlpScratch[float64]
+	s32 mlpScratch[float32]
 	// g1 holds one row of the first-layer weight gradient (Step).
 	g1 []float64
-	// Float32 batched scratch (the avx2f32 storage tier; see f32.go).
-	fz1, fa1, fz2, fa2, fz3 tensor.Matrix32
-	fdz3, fda2, fda1        tensor.Matrix32
+}
+
+// mlpScratch is the MLP's batched activation scratch at width T.
+type mlpScratch[T tensor.Float] struct {
+	z1, a1, z2, a2, z3 tensor.Mat[T]
+	dz3, da2, da1      tensor.Mat[T]
 }
 
 // NewMLP returns an MLP with the given layer sizes.
@@ -77,7 +83,7 @@ func (m *MLP) Clone() Model { return NewMLP(m.in, m.h1, m.h2, m.classes) }
 // Init fills w with He-normal weights (std sqrt(2/fanIn), appropriate for
 // ReLU) and zero biases.
 func (m *MLP) Init(w []float64, r *rng.Stream) {
-	m.checkDim(w)
+	m.checkDim(len(w))
 	r.Fill(w[m.oW1:m.ob1], math.Sqrt(2/float64(m.in)))
 	tensor.Zero(w[m.ob1:m.oW2])
 	r.Fill(w[m.oW2:m.ob2], math.Sqrt(2/float64(m.h1)))
@@ -86,86 +92,108 @@ func (m *MLP) Init(w []float64, r *rng.Stream) {
 	tensor.Zero(w[m.ob3:])
 }
 
-func (m *MLP) mats(w []float64) (W1, W2, W3 *tensor.Matrix, b1, b2, b3 []float64) {
-	W1 = tensor.MatrixFrom(w[m.oW1:m.ob1], m.h1, m.in)
+// mlpMats views w (checked to have length Dim) as the three weight
+// matrices and the three bias vectors. The matrices are returned by
+// value: the function is too large to inline, and pointers would move
+// every view to the heap on every call.
+func mlpMats[T tensor.Float](m *MLP, w []T) (W1, W2, W3 tensor.Mat[T], b1, b2, b3 []T) {
+	W1 = tensor.Mat[T]{Rows: m.h1, Cols: m.in, Data: w[m.oW1:m.ob1]}
 	b1 = w[m.ob1:m.oW2]
-	W2 = tensor.MatrixFrom(w[m.oW2:m.ob2], m.h2, m.h1)
+	W2 = tensor.Mat[T]{Rows: m.h2, Cols: m.h1, Data: w[m.oW2:m.ob2]}
 	b2 = w[m.ob2:m.oW3]
-	W3 = tensor.MatrixFrom(w[m.oW3:m.ob3], m.classes, m.h2)
+	W3 = tensor.Mat[T]{Rows: m.classes, Cols: m.h2, Data: w[m.oW3:m.ob3]}
 	b3 = w[m.ob3:]
 	return
 }
 
 func (m *MLP) forward(w, x []float64) {
-	W1, W2, W3, b1, b2, b3 := m.mats(w)
+	W1, W2, W3, b1, b2, b3 := mlpMats(m, w)
 	copy(m.z1, b1)
-	tensor.Gemv(1, W1, x, 1, m.z1)
+	tensor.Gemv(1, &W1, x, 1, m.z1)
 	tensor.ReLU(m.a1, m.z1)
 	copy(m.z2, b2)
-	tensor.Gemv(1, W2, m.a1, 1, m.z2)
+	tensor.Gemv(1, &W2, m.a1, 1, m.z2)
 	tensor.ReLU(m.a2, m.z2)
 	copy(m.logits, b3)
-	tensor.Gemv(1, W3, m.a2, 1, m.logits)
+	tensor.Gemv(1, &W3, m.a2, 1, m.logits)
 }
 
-// forwardChunk runs the batched forward pass for one chunk, leaving the
-// chunk's logits in m.bz3 and the pre/post activations in m.bz*/m.ba*.
+// mlpForward runs the batched forward pass for one chunk, leaving the
+// chunk's logits in s.z3 and the pre/post activations in s.z*/s.a*.
 // The feature vectors are read in place (no gather copy); ReLU over the
 // flat backing array equals the row-wise application.
-func (m *MLP) forwardChunk(w []float64, xs [][]float64) {
-	W1, W2, W3, b1, b2, b3 := m.mats(w)
+func mlpForward[T tensor.Float](m *MLP, s *mlpScratch[T], w []T, xs [][]T) {
+	W1, W2, W3, b1, b2, b3 := mlpMats(m, w)
 	n := len(xs)
-	m.bz1.Reshape(n, m.h1)
-	m.ba1.Reshape(n, m.h1)
-	m.bz2.Reshape(n, m.h2)
-	m.ba2.Reshape(n, m.h2)
-	m.bz3.Reshape(n, m.classes)
+	s.z1.Reshape(n, m.h1)
+	s.a1.Reshape(n, m.h1)
+	s.z2.Reshape(n, m.h2)
+	s.a2.Reshape(n, m.h2)
+	s.z3.Reshape(n, m.classes)
 	for r := 0; r < n; r++ {
-		copy(m.bz1.Row(r), b1)
+		copy(s.z1.Row(r), b1)
 	}
-	tensor.GemmTR(1, xs, W1, 1, &m.bz1)
-	tensor.ReLU(m.ba1.Data, m.bz1.Data)
+	tensor.GemmTR(1, xs, &W1, 1, &s.z1)
+	tensor.ReLU(s.a1.Data, s.z1.Data)
 	for r := 0; r < n; r++ {
-		copy(m.bz2.Row(r), b2)
+		copy(s.z2.Row(r), b2)
 	}
-	tensor.GemmT(1, &m.ba1, W2, 1, &m.bz2)
-	tensor.ReLU(m.ba2.Data, m.bz2.Data)
+	tensor.GemmT(1, &s.a1, &W2, 1, &s.z2)
+	tensor.ReLU(s.a2.Data, s.z2.Data)
 	for r := 0; r < n; r++ {
-		copy(m.bz3.Row(r), b3)
+		copy(s.z3.Row(r), b3)
 	}
-	tensor.GemmT(1, &m.ba2, W3, 1, &m.bz3)
+	tensor.GemmT(1, &s.a2, &W3, 1, &s.z3)
 }
 
 // Loss returns the mean cross-entropy over the batch.
 func (m *MLP) Loss(w []float64, xs [][]float64, ys []int) float64 {
-	m.checkDim(w)
+	return mlpLoss(m, &m.s64, w, xs, ys)
+}
+
+// LossF32 is Loss on the float32 storage tier.
+func (m *MLP) LossF32(w []float32, xs [][]float32, ys []int) float32 {
+	return mlpLoss(m, &m.s32, w, xs, ys)
+}
+
+func mlpLoss[T tensor.Float](m *MLP, s *mlpScratch[T], w []T, xs [][]T, ys []int) T {
+	m.checkDim(len(w))
 	if len(xs) == 0 {
 		return 0
 	}
-	total := 0.0
+	var total T
 	for lo := 0; lo < len(xs); lo += batchChunk {
 		hi := min(lo+batchChunk, len(xs))
-		m.forwardChunk(w, xs[lo:hi])
-		total = tensor.CrossEntropyLossRows(&m.bz3, ys[lo:hi], total)
+		mlpForward(m, s, w, xs[lo:hi])
+		total = tensor.CrossEntropyLossRows(&s.z3, ys[lo:hi], total)
 	}
-	return total / float64(len(xs))
+	return total / T(len(xs))
 }
 
 // Grad writes the mean gradient into grad and returns the mean loss.
 func (m *MLP) Grad(w, grad []float64, xs [][]float64, ys []int) float64 {
-	m.checkDim(w)
-	m.checkDim(grad)
+	return mlpGrad(m, &m.s64, w, grad, xs, ys)
+}
+
+// GradF32 is Grad on the float32 storage tier.
+func (m *MLP) GradF32(w, grad []float32, xs [][]float32, ys []int) float32 {
+	return mlpGrad(m, &m.s32, w, grad, xs, ys)
+}
+
+func mlpGrad[T tensor.Float](m *MLP, s *mlpScratch[T], w, grad []T, xs [][]T, ys []int) T {
+	m.checkDim(len(w))
+	m.checkDim(len(grad))
 	tensor.Zero(grad)
 	if len(xs) == 0 {
 		return 0
 	}
-	gW1, _, _, _, _, _ := m.mats(grad)
-	total := 0.0
-	inv := 1 / float64(len(xs))
+	gW1, _, _, _, _, _ := mlpMats(m, grad)
+	var total T
+	inv := 1 / T(len(xs))
 	for lo := 0; lo < len(xs); lo += batchChunk {
 		hi := min(lo+batchChunk, len(xs))
-		total = m.backChunk(w, grad, xs[lo:hi], ys[lo:hi], inv, total)
-		tensor.GemmTNR(inv, &m.da1, xs[lo:hi], gW1)
+		total = mlpBackChunk(m, s, w, grad, xs[lo:hi], ys[lo:hi], inv, total)
+		tensor.GemmTNR(inv, &s.da1, xs[lo:hi], &gW1)
 	}
 	return total * inv
 }
@@ -183,49 +211,49 @@ func (m *MLP) Step(w, dst, grad []float64, xs [][]float64, ys []int, eta float64
 		tensor.AxpyTo(dst, -eta, grad, w)
 		return loss
 	}
-	m.checkDim(w)
-	m.checkDim(dst)
-	m.checkDim(grad)
+	m.checkDim(len(w))
+	m.checkDim(len(dst))
+	m.checkDim(len(grad))
 	tensor.Zero(grad[m.ob1:])
 	inv := 1 / float64(len(xs))
-	total := m.backChunk(w, grad, xs, ys, inv, 0)
-	W1 := tensor.MatrixFrom(w[m.oW1:m.ob1], m.h1, m.in)
-	dW1 := tensor.MatrixFrom(dst[m.oW1:m.ob1], m.h1, m.in)
-	tensor.GemmTNRStep(inv, &m.da1, xs, eta, W1, dW1, m.g1)
+	total := mlpBackChunk(m, &m.s64, w, grad, xs, ys, inv, 0)
+	W1, _, _, _, _, _ := mlpMats(m, w)
+	dW1, _, _, _, _, _ := mlpMats(m, dst)
+	tensor.GemmTNRStep(inv, &m.s64.da1, xs, eta, &W1, &dW1, m.g1)
 	tensor.AxpyTo(dst[m.ob1:], -eta, grad[m.ob1:], w[m.ob1:])
 	return total * inv
 }
 
-// backChunk runs one chunk's forward and backward pass, accumulating
+// mlpBackChunk runs one chunk's forward and backward pass, accumulating
 // every gradient but the first-layer weights' into grad and leaving the
-// masked first-layer deltas in m.da1 for the caller's weight-gradient
+// masked first-layer deltas in s.da1 for the caller's weight-gradient
 // kernel. It returns the running loss total.
-func (m *MLP) backChunk(w, grad []float64, xs [][]float64, ys []int, inv, total float64) float64 {
-	_, W2, W3, _, _, _ := m.mats(w)
-	_, gW2, gW3, gb1, gb2, gb3 := m.mats(grad)
+func mlpBackChunk[T tensor.Float](m *MLP, s *mlpScratch[T], w, grad []T, xs [][]T, ys []int, inv, total T) T {
+	_, W2, W3, _, _, _ := mlpMats(m, w)
+	_, gW2, gW3, gb1, gb2, gb3 := mlpMats(m, grad)
 	n := len(xs)
-	m.forwardChunk(w, xs)
-	m.dz3.Reshape(n, m.classes)
-	total = tensor.CrossEntropyRows(&m.dz3, &m.bz3, ys, total)
+	mlpForward(m, s, w, xs)
+	s.dz3.Reshape(n, m.classes)
+	total = tensor.CrossEntropyRows(&s.dz3, &s.z3, ys, total)
 	// Layer 3: gW3 += inv * dZ3ᵀ A2 ; gb3 += inv * column sums.
-	tensor.GemmTN(inv, &m.dz3, &m.ba2, gW3)
+	tensor.GemmTN(inv, &s.dz3, &s.a2, &gW3)
 	for r := 0; r < n; r++ {
-		tensor.Axpy(inv, m.dz3.Row(r), gb3)
+		tensor.Axpy(inv, s.dz3.Row(r), gb3)
 	}
 	// dA2 = dZ3 W3, masked by relu'(Z2).
-	m.da2.Reshape(n, m.h2)
-	tensor.Gemm(1, &m.dz3, W3, 0, &m.da2)
-	tensor.ReLUGrad(m.da2.Data, m.da2.Data, m.bz2.Data)
-	tensor.GemmTN(inv, &m.da2, &m.ba1, gW2)
+	s.da2.Reshape(n, m.h2)
+	tensor.Gemm(1, &s.dz3, &W3, 0, &s.da2)
+	tensor.ReLUGrad(s.da2.Data, s.da2.Data, s.z2.Data)
+	tensor.GemmTN(inv, &s.da2, &s.a1, &gW2)
 	for r := 0; r < n; r++ {
-		tensor.Axpy(inv, m.da2.Row(r), gb2)
+		tensor.Axpy(inv, s.da2.Row(r), gb2)
 	}
 	// dA1 = dZ2 W2, masked by relu'(Z1); gb1 += inv * column sums.
-	m.da1.Reshape(n, m.h1)
-	tensor.Gemm(1, &m.da2, W2, 0, &m.da1)
-	tensor.ReLUGrad(m.da1.Data, m.da1.Data, m.bz1.Data)
+	s.da1.Reshape(n, m.h1)
+	tensor.Gemm(1, &s.da2, &W2, 0, &s.da1)
+	tensor.ReLUGrad(s.da1.Data, s.da1.Data, s.z1.Data)
 	for r := 0; r < n; r++ {
-		tensor.Axpy(inv, m.da1.Row(r), gb1)
+		tensor.Axpy(inv, s.da1.Row(r), gb1)
 	}
 	return total
 }
@@ -236,8 +264,8 @@ func (m *MLP) Predict(w []float64, x []float64) int {
 	return tensor.ArgMax(m.logits)
 }
 
-func (m *MLP) checkDim(w []float64) {
-	if len(w) != m.dim {
-		panic(fmt.Sprintf("model: MLP parameter length %d, want %d", len(w), m.dim))
+func (m *MLP) checkDim(n int) {
+	if n != m.dim {
+		panic(fmt.Sprintf("model: MLP parameter length %d, want %d", n, m.dim))
 	}
 }

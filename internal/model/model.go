@@ -36,10 +36,13 @@ type Model interface {
 	// contents afterwards unspecified.
 	Step(w, dst, grad []float64, xs [][]float64, ys []int, eta float64) float64
 	// LossF32 is Loss in the float32 regime of the avx2f32 storage tier,
-	// over float32 parameter and feature views.
+	// over float32 parameter and feature views. Both models run it
+	// through the same generic body as Loss; the method exists because
+	// Go methods cannot take type parameters.
 	LossF32(w []float32, xs [][]float32, ys []int) float32
 	// GradF32 is Grad in the float32 regime: it writes the mean gradient
-	// into grad (length Dim()) and returns the mean loss.
+	// into grad (length Dim()) and returns the mean loss, through the
+	// same generic body as Grad.
 	GradF32(w, grad []float32, xs [][]float32, ys []int) float32
 	// Predict returns the argmax class for a single input.
 	Predict(w []float64, x []float64) int

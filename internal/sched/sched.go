@@ -52,7 +52,6 @@ type Pool struct {
 	mu          sync.Mutex
 	progress    func(done, total int)
 	done, total int
-	busySec     float64 // cumulative job-seconds, for runs_per_sec
 	started     time.Time
 }
 
@@ -108,7 +107,7 @@ func (p *Pool) submit(n int) {
 }
 
 // complete accounts one finished job and fires the progress callback.
-func (p *Pool) complete(dur time.Duration, failed bool) {
+func (p *Pool) complete(failed bool) {
 	runsTotal.Inc()
 	if failed {
 		runsFailed.Inc()
@@ -118,7 +117,6 @@ func (p *Pool) complete(dur time.Duration, failed bool) {
 	}
 	p.mu.Lock()
 	p.done++
-	p.busySec += dur.Seconds()
 	if wall := time.Since(p.started).Seconds(); wall > 0 {
 		runsPerSec.Set(float64(p.done) / wall)
 	}
@@ -172,10 +170,9 @@ func Map[T any](p *Pool, name string, n int, job func(i int) (T, error)) ([]T, e
 
 	runOne := func(i int) {
 		sp := obs.Start("sweep-job", obs.Str("sweep", name), obs.Int("job", i))
-		t0 := time.Now()
 		results[i], errs[i] = job(i)
 		sp.End()
-		p.complete(time.Since(t0), errs[i] != nil)
+		p.complete(errs[i] != nil)
 	}
 
 	workers := p.Workers()

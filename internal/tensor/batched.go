@@ -4,9 +4,10 @@ import "math"
 
 // Row-wise softmax / cross-entropy helpers for the batched training
 // path. Each row is processed with exactly the per-example arithmetic
-// of the active kernel class, and row losses chain onto the
-// caller-supplied running total in row order, so chunked batches
-// reproduce the per-example summation bitwise within a class.
+// of the active kernel class (of the float32 tier on float32 operands),
+// and row losses chain onto the caller-supplied running total in row
+// order, so chunked batches reproduce the per-example summation bitwise
+// within a class.
 
 // SoftmaxRows writes the row-wise softmax of z into dst (dst may alias
 // z). Panics on shape mismatch.
@@ -30,24 +31,26 @@ func SoftmaxRows(dst, z *Matrix) {
 // two math.Exp per logit). The FMA tier uses the fused single-
 // exponential form: softmax = exp(z−max)/sum with the vectorized class
 // exponential, and lse = max + log(sum), which both halves the
-// exponential count and batches it 4-wide. Each form is pinned by its
-// regime's golden fixtures.
-func CrossEntropyRows(dz, z *Matrix, ys []int, total float64) float64 {
+// exponential count and batches it 4-wide. The float32 tier always
+// takes the fused form, with its 8-wide float32 exponential and the log
+// rounded through float64 math.Log. Each form is pinned by its regime's
+// golden fixtures.
+func CrossEntropyRows[T Float](dz, z *Mat[T], ys []int, total T) T {
 	if dz.Rows != z.Rows || dz.Cols != z.Cols {
 		panic("tensor: CrossEntropyRows shape mismatch")
 	}
 	checkLen(len(ys), z.Rows)
-	if kernels.fusedCE {
+	if ks := kernelsOf[T](); ks.fusedCE {
 		for i := 0; i < z.Rows; i++ {
 			zi := z.Row(i)
 			di := dz.Row(i)
 			m := Max(zi)
-			kernels.expShift(di, zi, m)
-			s := 0.0
+			ks.expShift(di, zi, m)
+			var s T
 			for _, e := range di {
 				s += e
 			}
-			total += m + math.Log(s) - zi[ys[i]]
+			total += m + T(math.Log(float64(s))) - zi[ys[i]]
 			inv := 1 / s
 			for j := range di {
 				di[j] *= inv
@@ -62,7 +65,7 @@ func CrossEntropyRows(dz, z *Matrix, ys []int, total float64) float64 {
 		lse := LogSumExp(zi)
 		total += lse - zi[ys[i]]
 		for j, v := range zi {
-			di[j] = math.Exp(v - lse)
+			di[j] = T(math.Exp(float64(v - lse)))
 		}
 		di[ys[i]] -= 1
 	}
@@ -72,7 +75,7 @@ func CrossEntropyRows(dz, z *Matrix, ys []int, total float64) float64 {
 // CrossEntropyLossRows returns total with each row's cross-entropy
 // (LogSumExp(z_i) − z_i[y_i]) added in row order, without computing
 // gradients. Panics on length mismatch.
-func CrossEntropyLossRows(z *Matrix, ys []int, total float64) float64 {
+func CrossEntropyLossRows[T Float](z *Mat[T], ys []int, total T) T {
 	checkLen(len(ys), z.Rows)
 	for i := 0; i < z.Rows; i++ {
 		zi := z.Row(i)

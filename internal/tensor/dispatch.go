@@ -90,28 +90,34 @@ func ParseKernel(v string) (KernelClass, error) {
 // message) rather than silently training in an unexpected regime.
 const KernelEnv = "HIERFAIR_KERNEL"
 
-// kernelSet is one rung's implementation of every dispatched kernel.
-type kernelSet struct {
-	dot func(x, y []float64) float64
+// kernelSet is one rung's implementation of every dispatched kernel at
+// storage width T. The float64 set is the active class's (kernels); the
+// float32 set is the avx2f32 tier's (kernels32). The generic bodies of
+// the GEMM, cross-entropy and BLAS-1 routines fetch the set of their
+// element type once per call (kernelsOf), so one body serves both
+// widths.
+type kernelSet[T Float] struct {
+	dot func(x, y []T) T
 	// axpyTo computes dst = y + a*x elementwise, one body per rung: Axpy
 	// passes y as dst, AxpyTo a separate destination, with the same
 	// per-element arithmetic.
-	axpyTo func(dst []float64, a float64, x, y []float64)
-	dot2   func(x, y0, y1 []float64) (r0, r1 float64)
-	dot4   func(x, y0, y1, y2, y3 []float64) (r0, r1, r2, r3 float64)
+	axpyTo func(dst []T, a T, x, y []T)
+	dot2   func(x, y0, y1 []T) (r0, r1 T)
+	dot4   func(x, y0, y1, y2, y3 []T) (r0, r1, r2, r3 T)
 	// axpy4 performs four chained Axpy accumulations into y in one
 	// pass. Per element it is exactly axpy applied four times in
 	// argument order — identical bits on every rung, fused purely so
 	// the gradient kernels load and store y once instead of four times.
-	axpy4 func(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
+	axpy4 func(a0, a1, a2, a3 T, x0, x1, x2, x3, y []T)
 	// expShift computes dst[i] = exp(x[i]-shift) elementwise and
 	// sumExpShift the sequential (index-order) sum of the same values.
 	// The non-FMA rungs bind math.Exp — the historical LogSumExp /
 	// Softmax bits — while the AVX2 tier binds its own vectorized
 	// polynomial exponential (exp_fma_ref.go), a second way that class
-	// is a distinct rounding regime.
-	expShift    func(dst, x []float64, shift float64)
-	sumExpShift func(x []float64, shift float64) float64
+	// is a distinct rounding regime, and the float32 tier an 8-wide
+	// float32 one (exp_f32_ref.go).
+	expShift    func(dst, x []T, shift T)
+	sumExpShift func(x []T, shift T) T
 	// fuse4 selects the 4-row GEMM microkernel fusion (gemmTRow): the
 	// AVX2 tier has 16 vector registers, so four fused rows fit; the
 	// SSE2/generic tiers stay at 2-row fusion (4-row spills, measured
@@ -120,9 +126,18 @@ type kernelSet struct {
 	fuse4 bool
 	// fusedCE selects the single-exponential cross-entropy form in
 	// CrossEntropyRows (softmax = exp(z-max)/sum instead of
-	// exp(z-logsumexp), halving exp calls). Only the FMA regime uses
+	// exp(z-logsumexp), halving exp calls). Only the FMA regimes use
 	// it; the non-FMA rungs keep the historical two-pass arithmetic.
 	fusedCE bool
+}
+
+// kernelsOf returns the kernel set of element type T: the active
+// class's float64 set or the float32 tier's.
+func kernelsOf[T Float]() *kernelSet[T] {
+	if ks, ok := any(&kernels32).(*kernelSet[T]); ok {
+		return ks
+	}
+	return any(&kernels).(*kernelSet[T])
 }
 
 // The active rung. Swapped only by SetKernel; reads are not
@@ -130,7 +145,7 @@ type kernelSet struct {
 // sequential test setup, never while kernels run.
 var (
 	activeKernel KernelClass
-	kernels      kernelSet
+	kernels      kernelSet[float64]
 )
 
 func init() {
@@ -224,8 +239,8 @@ func SetKernel(c KernelClass) (restore func()) {
 }
 
 // genericKernels is the portable non-FMA rung (the semantic reference).
-func genericKernels() kernelSet {
-	return kernelSet{
+func genericKernels() kernelSet[float64] {
+	return kernelSet[float64]{
 		dot: dotRef, axpyTo: axpyToRef, dot2: dot2Ref, dot4: dot4From(dotRef),
 		axpy4:    axpy4From(axpyToRef),
 		expShift: expShiftRef, sumExpShift: sumExpShiftRef,
@@ -235,8 +250,8 @@ func genericKernels() kernelSet {
 // fmaRefKernels is the pure-Go twin of the AVX2+FMA rung: math.FMA is
 // correctly rounded, so these bodies reproduce the assembly bit for bit
 // (and define its semantics — see TestKernelsMatchReference).
-func fmaRefKernels() kernelSet {
-	return kernelSet{
+func fmaRefKernels() kernelSet[float64] {
+	return kernelSet[float64]{
 		dot: dotFMARef, axpyTo: axpyToFMARef, dot2: dot2From(dotFMARef), dot4: dot4FMARef,
 		axpy4:    axpy4FMARef,
 		expShift: expShiftFMARef, sumExpShift: sumExpShiftFMARef,
@@ -247,8 +262,8 @@ func fmaRefKernels() kernelSet {
 // dot2From composes a two-output fused dot from singles. Used for rungs
 // whose fused kernel is defined as "exactly the singles, sharing loads"
 // when the fused assembly form isn't part of that rung's hot path.
-func dot2From(dot func(x, y []float64) float64) func(x, y0, y1 []float64) (float64, float64) {
-	return func(x, y0, y1 []float64) (float64, float64) {
+func dot2From[T Float](dot func(x, y []T) T) func(x, y0, y1 []T) (T, T) {
+	return func(x, y0, y1 []T) (T, T) {
 		return dot(x, y0), dot(x, y1)
 	}
 }

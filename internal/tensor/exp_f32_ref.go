@@ -2,8 +2,8 @@ package tensor
 
 import "math"
 
-// The float32-class exponential: the avx2f32 tier's CrossEntropyRows32
-// and LogSumExp32 replace expFMA with an 8-wide float32 polynomial
+// The float32-class exponential: CrossEntropyRows and LogSumExp on
+// float32 operands replace expFMA with an 8-wide float32 polynomial
 // exponential. exp32 below is the scalar twin of one assembly lane
 // (simd_avx2f32_amd64.s): every operation is a correctly-rounded
 // float32 operation — fma32 for the fused steps — so assembly and twin

@@ -124,8 +124,8 @@ func TestKernels32MatchReference(t *testing.T) {
 
 				yk := append([]float32(nil), y1...)
 				yr := append([]float32(nil), y1...)
-				kernels32.axpy(a, x, yk)
-				axpy32Ref(a, x, yr)
+				kernels32.axpyTo(yk, a, x, yk)
+				axpyTo32Ref(yr, a, x, yr)
 				for i := range yk {
 					if math.Float32bits(yk[i]) != math.Float32bits(yr[i]) {
 						t.Fatalf("axpy32(n=%d,off=%d)[%d] = %x, twin %x", n, off, i,
@@ -163,7 +163,7 @@ func TestKernels32MatchReference(t *testing.T) {
 	}
 }
 
-// TestFusedDots32MatchSingles pins the intra-class contract gemmT32Row
+// TestFusedDots32MatchSingles pins the intra-class contract gemmTRow
 // relies on: dot432 accumulates each output in exactly dot32's order.
 func TestFusedDots32MatchSingles(t *testing.T) {
 	r := rng.New(47)
@@ -186,7 +186,7 @@ func TestFusedDots32MatchSingles(t *testing.T) {
 	}
 }
 
-// TestAxpy432MatchesSequentialAxpy pins the contract the GemmTN32 quad
+// TestAxpy432MatchesSequentialAxpy pins the contract the float32 GemmTN quad
 // gathering relies on: fused axpy4 ≡ four sequential axpy passes.
 func TestAxpy432MatchesSequentialAxpy(t *testing.T) {
 	r := rng.New(53)
@@ -206,7 +206,7 @@ func TestAxpy432MatchesSequentialAxpy(t *testing.T) {
 
 		seq := append([]float32(nil), y...)
 		for i := range xs {
-			kernels32.axpy(as[i], xs[i], seq)
+			kernels32.axpyTo(seq, as[i], xs[i], seq)
 		}
 		for i := range fused {
 			if math.Float32bits(fused[i]) != math.Float32bits(seq[i]) {
@@ -228,10 +228,10 @@ func TestAxpy32AliasedDst(t *testing.T) {
 		a := float32((r.Float64() - 0.5) * 3)
 
 		aliased := append([]float32(nil), base...)
-		kernels32.axpy(a, aliased, aliased)
+		kernels32.axpyTo(aliased, a, aliased, aliased)
 
 		want := append([]float32(nil), base...)
-		axpy32Ref(a, append([]float32(nil), base...), want)
+		axpyTo32Ref(want, a, append([]float32(nil), base...), want)
 
 		for i := range aliased {
 			if math.Float32bits(aliased[i]) != math.Float32bits(want[i]) {
@@ -455,8 +455,8 @@ func TestAverageIntoRounds32(t *testing.T) {
 	}
 }
 
-func randMatrix32(r *rng.Stream, rows, cols int) *Matrix32 {
-	m := &Matrix32{}
+func randMatrix32(r *rng.Stream, rows, cols int) *Mat[float32] {
+	m := &Mat[float32]{}
 	m.Reshape(rows, cols)
 	for i := range m.Data {
 		if r.Intn(11) == 0 {
@@ -468,7 +468,7 @@ func randMatrix32(r *rng.Stream, rows, cols int) *Matrix32 {
 	return m
 }
 
-func matrices32Close(t *testing.T, name string, got *Matrix32, want *Matrix, tol float64) {
+func matrices32Close(t *testing.T, name string, got *Mat[float32], want *Matrix, tol float64) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape (%d,%d) != (%d,%d)", name, got.Rows, got.Cols, want.Rows, want.Cols)
@@ -481,7 +481,7 @@ func matrices32Close(t *testing.T, name string, got *Matrix32, want *Matrix, tol
 	}
 }
 
-func toF64Matrix(m *Matrix32) *Matrix {
+func toF64Matrix(m *Mat[float32]) *Matrix {
 	o := NewMatrix(m.Rows, m.Cols)
 	for i, v := range m.Data {
 		o.Data[i] = float64(v)
@@ -491,7 +491,7 @@ func toF64Matrix(m *Matrix32) *Matrix {
 
 // TestGemm32AgainstNaive checks the float32 BLAS-3 family against the
 // float64 textbook triple loop at shapes spanning the blocking
-// boundary, and pins the row-slice forms (GemmTR32/GemmTNR32) bitwise
+// boundary, and pins the row-slice forms (GemmTR/GemmTNR) bitwise
 // to their matrix forms.
 func TestGemm32AgainstNaive(t *testing.T) {
 	r := rng.New(73)
@@ -502,7 +502,7 @@ func TestGemm32AgainstNaive(t *testing.T) {
 	for _, s := range shapes {
 		a := randMatrix32(r, s.m, s.k)
 		b := randMatrix32(r, s.k, s.n)
-		bt := &Matrix32{}
+		bt := &Mat[float32]{}
 		bt.Reshape(s.n, s.k)
 		for i := 0; i < s.k; i++ {
 			for j := 0; j < s.n; j++ {
@@ -515,42 +515,42 @@ func TestGemm32AgainstNaive(t *testing.T) {
 		for _, ab := range []struct{ alpha, beta float32 }{{1, 0}, {1, 1}, {-0.5, 2}} {
 			c := randMatrix32(r, s.m, s.n)
 			cw := toF64Matrix(c)
-			Gemm32(ab.alpha, a, b, ab.beta, c)
+			Gemm(ab.alpha, a, b, ab.beta, c)
 			naiveGemm(float64(ab.alpha), a64, b64, float64(ab.beta), cw)
-			matrices32Close(t, "Gemm32", c, cw, tol)
+			matrices32Close(t, "Gemm", c, cw, tol)
 
 			c2 := randMatrix32(r, s.m, s.n)
 			cw2 := toF64Matrix(c2)
-			GemmT32(ab.alpha, a, bt, ab.beta, c2)
+			GemmT(ab.alpha, a, bt, ab.beta, c2)
 			naiveGemm(float64(ab.alpha), a64, b64, float64(ab.beta), cw2)
-			matrices32Close(t, "GemmT32", c2, cw2, tol)
+			matrices32Close(t, "GemmT", c2, cw2, tol)
 
-			// GemmTR32 with row views of a ≡ GemmT32, bit for bit.
-			c3 := &Matrix32{}
+			// GemmTR with row views of a ≡ GemmT, bit for bit.
+			c3 := &Mat[float32]{}
 			c3.Reshape(s.m, s.n)
 			copy(c3.Data, c2.Data)
 			// reset c3 to c2's pre-call contents
 			c3b := randMatrix32(r, s.m, s.n)
-			c3c := &Matrix32{}
+			c3c := &Mat[float32]{}
 			c3c.Reshape(s.m, s.n)
 			copy(c3c.Data, c3b.Data)
 			rows := make([][]float32, s.m)
 			for i := range rows {
 				rows[i] = a.Row(i)
 			}
-			GemmTR32(ab.alpha, rows, bt, ab.beta, c3b)
-			GemmT32(ab.alpha, a, bt, ab.beta, c3c)
+			GemmTR(ab.alpha, rows, bt, ab.beta, c3b)
+			GemmT(ab.alpha, a, bt, ab.beta, c3c)
 			for i := range c3b.Data {
 				if math.Float32bits(c3b.Data[i]) != math.Float32bits(c3c.Data[i]) {
-					t.Fatalf("GemmTR32 element %d = %x, GemmT32 %x", i,
+					t.Fatalf("GemmTR element %d = %x, GemmT %x", i,
 						math.Float32bits(c3b.Data[i]), math.Float32bits(c3c.Data[i]))
 				}
 			}
 		}
 
-		// GemmTN32: C += alpha*A^T*B with A (k×m) — reuse a as (m×k)
+		// GemmTN: C += alpha*A^T*B with A (k×m) — reuse a as (m×k)
 		// transposed operand by building at (k×m).
-		at := &Matrix32{}
+		at := &Mat[float32]{}
 		at.Reshape(s.k, s.m)
 		for i := 0; i < s.m; i++ {
 			for j := 0; j < s.k; j++ {
@@ -559,31 +559,31 @@ func TestGemm32AgainstNaive(t *testing.T) {
 		}
 		c4 := randMatrix32(r, s.m, s.n)
 		cw4 := toF64Matrix(c4)
-		GemmTN32(0.75, at, b, c4)
+		GemmTN(0.75, at, b, c4)
 		naiveGemm(0.75, a64, b64, 1, cw4)
-		matrices32Close(t, "GemmTN32", c4, cw4, tol)
+		matrices32Close(t, "GemmTN", c4, cw4, tol)
 
-		// GemmTNR32 with row views of b ≡ GemmTN32, bit for bit.
+		// GemmTNR with row views of b ≡ GemmTN, bit for bit.
 		c5 := randMatrix32(r, s.m, s.n)
-		c6 := &Matrix32{}
+		c6 := &Mat[float32]{}
 		c6.Reshape(s.m, s.n)
 		copy(c6.Data, c5.Data)
 		brows := make([][]float32, s.k)
 		for i := range brows {
 			brows[i] = b.Row(i)
 		}
-		GemmTNR32(0.75, at, brows, c5)
-		GemmTN32(0.75, at, b, c6)
+		GemmTNR(0.75, at, brows, c5)
+		GemmTN(0.75, at, b, c6)
 		for i := range c5.Data {
 			if math.Float32bits(c5.Data[i]) != math.Float32bits(c6.Data[i]) {
-				t.Fatalf("GemmTNR32 element %d = %x, GemmTN32 %x", i,
+				t.Fatalf("GemmTNR element %d = %x, GemmTN %x", i,
 					math.Float32bits(c5.Data[i]), math.Float32bits(c6.Data[i]))
 			}
 		}
 	}
 }
 
-func matrices32EqualBits(t *testing.T, name string, got, want *Matrix32) {
+func matrices32EqualBits(t *testing.T, name string, got, want *Mat[float32]) {
 	t.Helper()
 	for i, v := range got.Data {
 		if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
@@ -593,14 +593,14 @@ func matrices32EqualBits(t *testing.T, name string, got, want *Matrix32) {
 	}
 }
 
-func clone32(m *Matrix32) *Matrix32 {
-	c := &Matrix32{}
+func clone32(m *Mat[float32]) *Mat[float32] {
+	c := &Mat[float32]{}
 	c.Reshape(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
-// TestGemm32BitwiseMatchesAxpySequence pins Gemm32 to the k-ascending
+// TestGemm32BitwiseMatchesAxpySequence pins float32 Gemm to the k-ascending
 // single axpy32 accumulation of each output row. k = 9, 10 and
 // gemmPanel+3 end in a one-, two- and three-term tail after the fused
 // quads; 16×100×300 is the MLP's dA1 = dZ2·W2.
@@ -611,20 +611,20 @@ func TestGemm32BitwiseMatchesAxpySequence(t *testing.T) {
 	} {
 		a := randMatrix32(r, s.m, s.k)
 		b := randMatrix32(r, s.k, s.n)
-		want := &Matrix32{}
+		want := &Mat[float32]{}
 		want.Reshape(s.m, s.n)
 		for i := 0; i < s.m; i++ {
 			for k, aik := range a.Row(i) {
-				kernels32.axpy(2.5*aik, b.Row(k), want.Row(i))
+				kernels32.axpyTo(want.Row(i), 2.5*aik, b.Row(k), want.Row(i))
 			}
 		}
 		got := randMatrix32(r, s.m, s.n) // beta=0 must overwrite
-		Gemm32(2.5, a, b, 0, got)
-		matrices32EqualBits(t, "Gemm32 vs axpy32 sequence", got, want)
+		Gemm(2.5, a, b, 0, got)
+		matrices32EqualBits(t, "Gemm vs axpy32 sequence", got, want)
 	}
 }
 
-// TestGemmT32BitwiseMatchesDot32 pins every GemmT32 output element to
+// TestGemmT32BitwiseMatchesDot32 pins every float32 GemmT output element to
 // alpha*dot32(row, row) + beta*c, bit for bit, at the MLP's layer
 // shapes as well as across a panel boundary.
 func TestGemmT32BitwiseMatchesDot32(t *testing.T) {
@@ -643,14 +643,14 @@ func TestGemmT32BitwiseMatchesDot32(t *testing.T) {
 			}
 		}
 		got := clone32(c0)
-		GemmT32(1.5, a, b, 0.5, got)
-		matrices32EqualBits(t, "GemmT32 vs dot32", got, want)
+		GemmT(1.5, a, b, 0.5, got)
+		matrices32EqualBits(t, "GemmT vs dot32", got, want)
 	}
 }
 
-// TestGemmTN32BitwiseMatchesAxpySequence pins GemmTN32/GemmTNR32 to the
+// TestGemmTN32BitwiseMatchesAxpySequence pins float32 GemmTN/GemmTNR to the
 // example-ascending single axpy32 sequence with the zero-coefficient
-// skip; masked cases zero the negative coefficients as ReLUGrad32 does.
+// skip; masked cases zero the negative coefficients as ReLUGrad does.
 func TestGemmTN32BitwiseMatchesAxpySequence(t *testing.T) {
 	r := rng.New(97)
 	for _, s := range []struct {
@@ -662,7 +662,7 @@ func TestGemmTN32BitwiseMatchesAxpySequence(t *testing.T) {
 	} {
 		a := randMatrix32(r, s.k, s.m)
 		if s.masked {
-			ReLU32(a.Data, a.Data)
+			ReLU(a.Data, a.Data)
 		}
 		b := randMatrix32(r, s.k, s.n)
 		c0 := randMatrix32(r, s.m, s.n)
@@ -670,21 +670,21 @@ func TestGemmTN32BitwiseMatchesAxpySequence(t *testing.T) {
 		for k := 0; k < s.k; k++ {
 			for i, aki := range a.Row(k) {
 				if aki != 0 {
-					kernels32.axpy(0.3*aki, b.Row(k), want.Row(i))
+					kernels32.axpyTo(want.Row(i), 0.3*aki, b.Row(k), want.Row(i))
 				}
 			}
 		}
 		got := clone32(c0)
-		GemmTN32(0.3, a, b, got)
-		matrices32EqualBits(t, "GemmTN32 vs axpy32 sequence", got, want)
+		GemmTN(0.3, a, b, got)
+		matrices32EqualBits(t, "GemmTN vs axpy32 sequence", got, want)
 
 		brows := make([][]float32, s.k)
 		for i := range brows {
 			brows[i] = b.Row(i)
 		}
 		got = clone32(c0)
-		GemmTNR32(0.3, a, brows, got)
-		matrices32EqualBits(t, "GemmTNR32 vs axpy32 sequence", got, want)
+		GemmTNR(0.3, a, brows, got)
+		matrices32EqualBits(t, "GemmTNR vs axpy32 sequence", got, want)
 	}
 }
 
@@ -694,20 +694,20 @@ func TestCrossEntropyRows32(t *testing.T) {
 	r := rng.New(79)
 	for _, shape := range []struct{ rows, cols int }{{1, 2}, {4, 10}, {7, 33}} {
 		z := randMatrix32(r, shape.rows, shape.cols)
-		Scale32(6, z.Data) // spread logits
+		Scale(6, z.Data) // spread logits
 		ys := make([]int, shape.rows)
 		for i := range ys {
 			ys[i] = r.Intn(shape.cols)
 		}
-		dz := &Matrix32{}
+		dz := &Mat[float32]{}
 		dz.Reshape(shape.rows, shape.cols)
-		total := CrossEntropyRows32(dz, z, ys, 0.5)
-		lossOnly := CrossEntropyLossRows32(z, ys, 0.5)
+		total := CrossEntropyRows(dz, z, ys, 0.5)
+		lossOnly := CrossEntropyLossRows(z, ys, 0.5)
 
 		want := 0.5
 		for i := 0; i < shape.rows; i++ {
 			zi := z.Row(i)
-			m := float64(Max32(zi))
+			m := float64(Max(zi))
 			s := 0.0
 			for _, v := range zi {
 				s += math.Exp(float64(v) - m)
@@ -724,15 +724,15 @@ func TestCrossEntropyRows32(t *testing.T) {
 			}
 		}
 		if math.Abs(float64(total)-want) > 1e-4*(1+math.Abs(want)) {
-			t.Fatalf("CrossEntropyRows32 total = %g, want %g", total, want)
+			t.Fatalf("float32 CrossEntropyRows total = %g, want %g", total, want)
 		}
 		if math.Abs(float64(lossOnly)-want) > 1e-4*(1+math.Abs(want)) {
-			t.Fatalf("CrossEntropyLossRows32 = %g, want %g", lossOnly, want)
+			t.Fatalf("float32 CrossEntropyLossRows = %g, want %g", lossOnly, want)
 		}
 	}
 }
 
-// TestSoftmax32 checks the float32 softmax normalizer, LogSumExp32,
+// TestSoftmax32 checks the float32 softmax normalizer, LogSumExp,
 // against the float64 reference, on both short (vectorized) and long
 // (scalar fallback) paths.
 func TestSoftmax32(t *testing.T) {
@@ -742,15 +742,15 @@ func TestSoftmax32(t *testing.T) {
 		for i := range v {
 			v[i] = float32(r.NormFloat64() * 10)
 		}
-		got := float64(LogSumExp32(v))
-		m := float64(Max32(v))
+		got := float64(LogSumExp(v))
+		m := float64(Max(v))
 		s := 0.0
 		for _, e := range v {
 			s += math.Exp(float64(e) - m)
 		}
 		want := m + math.Log(s)
 		if math.Abs(got-want) > 1e-5*(1+math.Abs(want)) {
-			t.Fatalf("LogSumExp32(n=%d) = %g, want %g", n, got, want)
+			t.Fatalf("float32 LogSumExp(n=%d) = %g, want %g", n, got, want)
 		}
 	}
 }
@@ -830,7 +830,7 @@ func TestSumExpShift32MatchesExpShift(t *testing.T) {
 		for rep := 0; rep < 3; rep++ {
 			x := make([]float32, n)
 			fillSpecial32(r, x)
-			shift := Max32(append([]float32{0}, x...))
+			shift := Max(append([]float32{0}, x...))
 			got := kernels32.sumExpShift(x, shift)
 			buf := make([]float32, n)
 			kernels32.expShift(buf, x, shift)

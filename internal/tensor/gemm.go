@@ -2,7 +2,10 @@ package tensor
 
 import "repro/internal/obs"
 
-// Cache-blocked BLAS-3 kernels for the batched training path.
+// Cache-blocked BLAS-3 kernels for the batched training path, one
+// generic body per kernel for both storage widths: on float64 operands
+// they run the active class's kernel set, on float32 operands the
+// avx2f32 tier's (kernels32, an FMA tier, so 4-row dot fusion).
 //
 // Determinism contract: every kernel accumulates each output element in
 // a fixed index order identical to the per-example BLAS-1/2 path it
@@ -42,7 +45,7 @@ func tnBlock(n int) int {
 
 // checkRows panics unless every row has length n. The row-slice kernels
 // call it once, before they write C.
-func checkRows[T float32 | float64](rows [][]T, n int) {
+func checkRows[T Float](rows [][]T, n int) {
 	for _, r := range rows {
 		checkLen(len(r), n)
 	}
@@ -56,10 +59,11 @@ func checkRows[T float32 | float64](rows [][]T, n int) {
 // floating-point sequence GemvT produces column-wise — the batched
 // backprop through a weight matrix relies on that equivalence. There is
 // no zero skip. Panics on shape mismatch.
-func Gemm(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
+func Gemm[T Float](alpha T, a, b *Mat[T], beta T, c *Mat[T]) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic("tensor: Gemm shape mismatch")
 	}
+	ks := kernelsOf[T]()
 	if beta == 0 {
 		Zero(c.Data)
 	} else if beta != 1 {
@@ -69,11 +73,11 @@ func Gemm(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 		arow, crow := a.Row(i), c.Row(i)
 		k := 0
 		for ; k+4 <= len(arow); k += 4 {
-			kernels.axpy4(alpha*arow[k], alpha*arow[k+1], alpha*arow[k+2], alpha*arow[k+3],
+			ks.axpy4(alpha*arow[k], alpha*arow[k+1], alpha*arow[k+2], alpha*arow[k+3],
 				b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3), crow)
 		}
 		for ; k < len(arow); k++ {
-			kernels.axpyTo(crow, alpha*arow[k], b.Row(k), crow)
+			ks.axpyTo(crow, alpha*arow[k], b.Row(k), crow)
 		}
 	}
 	gemmFlops.Add(2 * int64(a.Rows) * int64(a.Cols) * int64(b.Cols))
@@ -84,15 +88,16 @@ func Gemm(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 // the rows of A stream past it. Every output element is one Dot of two
 // contiguous rows — bitwise-identical to the per-example Gemv forward
 // pass. Panics on shape mismatch.
-func GemmT(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
+func GemmT[T Float](alpha T, a, b *Mat[T], beta T, c *Mat[T]) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic("tensor: GemmT shape mismatch")
 	}
+	ks := kernelsOf[T]()
 	nb := panelDim(a.Cols)
 	for j0 := 0; j0 < b.Rows; j0 += nb {
 		j1 := min(j0+nb, b.Rows)
 		for i := 0; i < a.Rows; i++ {
-			gemmTRow(alpha, a.Row(i), b, beta, c.Row(i), j0, j1)
+			gemmTRow(ks, alpha, a.Row(i), b, beta, c.Row(i), j0, j1)
 		}
 	}
 	gemmFlops.Add(2 * int64(a.Rows) * int64(a.Cols) * int64(b.Rows))
@@ -103,34 +108,35 @@ func GemmT(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 // their mini-batch feature vectors directly, skipping the gather copy
 // into a contiguous matrix; results are identical to GemmT on the
 // gathered matrix. Panics on shape mismatch or a ragged row.
-func GemmTR(alpha float64, xrows [][]float64, b *Matrix, beta float64, c *Matrix) {
+func GemmTR[T Float](alpha T, xrows [][]T, b *Mat[T], beta T, c *Mat[T]) {
 	if c.Rows != len(xrows) || c.Cols != b.Rows {
 		panic("tensor: GemmTR shape mismatch")
 	}
 	checkRows(xrows, b.Cols)
+	ks := kernelsOf[T]()
 	nb := panelDim(b.Cols)
 	for j0 := 0; j0 < b.Rows; j0 += nb {
 		j1 := min(j0+nb, b.Rows)
 		for i, x := range xrows {
-			gemmTRow(alpha, x, b, beta, c.Row(i), j0, j1)
+			gemmTRow(ks, alpha, x, b, beta, c.Row(i), j0, j1)
 		}
 	}
 	gemmFlops.Add(2 * int64(len(xrows)) * int64(b.Cols) * int64(b.Rows))
 }
 
-// gemmTRow fills crow[j] = alpha*Dot(x, B.Row(j)) + beta*crow[j] for j in
+// gemmTRow fills crow[j] = alpha*dot(x, B.Row(j)) + beta*crow[j] for j in
 // [j0, j1), fusing multiple B rows per pass to share the loads of x. The
-// fusion width is a property of the kernel class: the AVX2+FMA tier
-// fuses four rows (8 independent FMA chains fill the 16-register YMM
+// fusion width is a property of the kernel class: the AVX2+FMA tiers
+// fuse four rows (8 independent FMA chains fill the 16-register YMM
 // file), the SSE2/generic tiers two (four concurrent 4-way dot
 // accumulations exceed the 8-register XMM file and spill — measured
 // slower). Each fused output accumulates in exactly the class's single
-// Dot order, so the fusion width never changes a bit within a class.
-func gemmTRow(alpha float64, x []float64, b *Matrix, beta float64, crow []float64, j0, j1 int) {
+// dot order, so the fusion width never changes a bit within a class.
+func gemmTRow[T Float](ks *kernelSet[T], alpha T, x []T, b *Mat[T], beta T, crow []T, j0, j1 int) {
 	j := j0
-	if kernels.fuse4 {
+	if ks.fuse4 {
 		for ; j+4 <= j1; j += 4 {
-			d0, d1, d2, d3 := kernels.dot4(x, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
+			d0, d1, d2, d3 := ks.dot4(x, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
 			crow[j] = alpha*d0 + beta*crow[j]
 			crow[j+1] = alpha*d1 + beta*crow[j+1]
 			crow[j+2] = alpha*d2 + beta*crow[j+2]
@@ -138,13 +144,13 @@ func gemmTRow(alpha float64, x []float64, b *Matrix, beta float64, crow []float6
 		}
 	} else {
 		for ; j+2 <= j1; j += 2 {
-			d0, d1 := kernels.dot2(x, b.Row(j), b.Row(j+1))
+			d0, d1 := ks.dot2(x, b.Row(j), b.Row(j+1))
 			crow[j] = alpha*d0 + beta*crow[j]
 			crow[j+1] = alpha*d1 + beta*crow[j+1]
 		}
 	}
 	for ; j < j1; j++ {
-		crow[j] = alpha*Dot(x, b.Row(j)) + beta*crow[j]
+		crow[j] = alpha*ks.dot(x, b.Row(j)) + beta*crow[j]
 	}
 }
 
@@ -161,7 +167,7 @@ func gemmTRow(alpha float64, x []float64, b *Matrix, beta float64, crow []float6
 // storing crow once instead of four times. The zero skip must stay a
 // skip — fma(0, x, y) is not a no-op for Inf/NaN rows — so only nonzero
 // quads are fused. Panics on shape mismatch.
-func GemmTN(alpha float64, a, b, c *Matrix) {
+func GemmTN[T Float](alpha T, a, b, c *Mat[T]) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic("tensor: GemmTN shape mismatch")
 	}
@@ -172,7 +178,7 @@ func GemmTN(alpha float64, a, b, c *Matrix) {
 // slices: C += alpha*A^T*Y with Y's rows in yrows. The weight-gradient
 // kernel for an ungathered mini-batch; results are identical to GemmTN
 // on the gathered matrix. Panics on shape mismatch or a ragged row.
-func GemmTNR(alpha float64, a *Matrix, yrows [][]float64, c *Matrix) {
+func GemmTNR[T Float](alpha T, a *Mat[T], yrows [][]T, c *Mat[T]) {
 	if a.Rows != len(yrows) || c.Rows != a.Cols {
 		panic("tensor: GemmTNR shape mismatch")
 	}
@@ -198,7 +204,7 @@ func GemmTNRStep(alpha float64, a *Matrix, yrows [][]float64, eta float64, w, ds
 	for i := 0; i < w.Rows; i++ {
 		Zero(buf)
 		for k0 := 0; k0 < a.Rows; k0 += kb {
-			tnRow(alpha, a, nil, yrows, i, k0, min(k0+kb, a.Rows), buf)
+			tnRow(&kernels, alpha, a, nil, yrows, i, k0, min(k0+kb, a.Rows), buf)
 		}
 		kernels.axpyTo(dst.Row(i), -eta, buf, w.Row(i))
 	}
@@ -208,12 +214,13 @@ func GemmTNRStep(alpha float64, a *Matrix, yrows [][]float64, eta float64, w, ds
 // gemmTN is the body of GemmTN and GemmTNR, on shapes already checked:
 // example k's right-operand row is yrows[k] if yrows is non-nil, else
 // b.Row(k).
-func gemmTN(alpha float64, a, b *Matrix, yrows [][]float64, c *Matrix) {
+func gemmTN[T Float](alpha T, a, b *Mat[T], yrows [][]T, c *Mat[T]) {
+	ks := kernelsOf[T]()
 	kb := tnBlock(c.Cols)
 	for k0 := 0; k0 < a.Rows; k0 += kb {
 		k1 := min(k0+kb, a.Rows)
 		for i := 0; i < c.Rows; i++ {
-			tnRow(alpha, a, b, yrows, i, k0, k1, c.Row(i))
+			tnRow(ks, alpha, a, b, yrows, i, k0, k1, c.Row(i))
 		}
 	}
 	gemmFlops.Add(2 * int64(a.Rows) * int64(a.Cols) * int64(c.Cols))
@@ -222,9 +229,9 @@ func gemmTN(alpha float64, a, b *Matrix, yrows [][]float64, c *Matrix) {
 // tnRow accumulates examples [k0, k1) of output row i into crow in
 // ascending order, skipping zero coefficients and fusing nonzero ones
 // into axpy4 quads (a quad never spans two example blocks).
-func tnRow(alpha float64, a, b *Matrix, yrows [][]float64, i, k0, k1 int, crow []float64) {
-	var cf [4]float64
-	var rows [4][]float64
+func tnRow[T Float](ks *kernelSet[T], alpha T, a, b *Mat[T], yrows [][]T, i, k0, k1 int, crow []T) {
+	var cf [4]T
+	var rows [4][]T
 	nq := 0
 	for k := k0; k < k1; k++ {
 		aki := a.Data[k*a.Cols+i]
@@ -238,11 +245,11 @@ func tnRow(alpha float64, a, b *Matrix, yrows [][]float64, i, k0, k1 int, crow [
 			rows[nq] = b.Row(k)
 		}
 		if nq++; nq == 4 {
-			kernels.axpy4(cf[0], cf[1], cf[2], cf[3], rows[0], rows[1], rows[2], rows[3], crow)
+			ks.axpy4(cf[0], cf[1], cf[2], cf[3], rows[0], rows[1], rows[2], rows[3], crow)
 			nq = 0
 		}
 	}
 	for q := 0; q < nq; q++ {
-		kernels.axpyTo(crow, cf[q], rows[q], crow)
+		ks.axpyTo(crow, cf[q], rows[q], crow)
 	}
 }

@@ -10,20 +10,18 @@ import (
 // and models index Data directly.
 
 // At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 {
+func (m *Mat[T]) At(i, j int) T {
 	return m.Data[i*m.Cols+j]
 }
 
 // Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) {
+func (m *Mat[T]) Set(i, j int, v T) {
 	m.Data[i*m.Cols+j] = v
 }
 
 // Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
+func (m *Mat[T]) Clone() *Mat[T] {
+	return &Mat[T]{Rows: m.Rows, Cols: m.Cols, Data: append([]T(nil), m.Data...)}
 }
 
 // GemvT computes y = alpha*A^T*x + beta*y for a row-major A, by
@@ -133,8 +131,8 @@ func TestGemmShapePanics(t *testing.T) {
 		}
 		return m
 	}
-	mat32 := func(rows, cols int) *Matrix32 {
-		m := &Matrix32{}
+	mat32 := func(rows, cols int) *Mat[float32] {
+		m := &Mat[float32]{}
 		m.Reshape(rows, cols)
 		for i := range m.Data {
 			m.Data[i] = float32(i + 1)
@@ -160,12 +158,12 @@ func TestGemmShapePanics(t *testing.T) {
 	zeroRow1 := mat(2, 3)
 	Zero(zeroRow1.Row(1))
 	zeroRow1_32 := mat32(2, 3)
-	Zero32(zeroRow1_32.Row(1))
+	Zero(zeroRow1_32.Row(1))
 
 	// Outputs, fresh per case: c for the Gemm/GemmT/GemmTR forms, g for
 	// the GemmTN/GemmTNR forms.
 	var c, g *Matrix
-	var c32, g32 *Matrix32
+	var c32, g32 *Mat[float32]
 	for _, tc := range []struct {
 		name string
 		call func()
@@ -178,14 +176,14 @@ func TestGemmShapePanics(t *testing.T) {
 		{"GemmTNR/shape", func() { GemmTNR(1, mat(2, 3), rows(4, 4, 4), g) }},
 		{"GemmTNR/ragged", func() { GemmTNR(1, mat(2, 3), rows(4, 5), g) }},
 		{"GemmTNR/ragged-zero", func() { GemmTNR(1, zeroRow1, rows(4, 5), g) }},
-		{"Gemm32", func() { Gemm32(1, mat32(2, 4), mat32(5, 3), 0, c32) }},
-		{"GemmT32", func() { GemmT32(1, mat32(2, 4), mat32(3, 5), 0, c32) }},
-		{"GemmTR32/shape", func() { GemmTR32(1, rows32(4, 4, 4), mat32(3, 4), 0, c32) }},
-		{"GemmTR32/ragged", func() { GemmTR32(1, rows32(4, 3), mat32(3, 4), 0, c32) }},
-		{"GemmTN32", func() { GemmTN32(1, mat32(2, 3), mat32(3, 4), g32) }},
-		{"GemmTNR32/shape", func() { GemmTNR32(1, mat32(2, 3), rows32(4, 4, 4), g32) }},
-		{"GemmTNR32/ragged", func() { GemmTNR32(1, mat32(2, 3), rows32(4, 5), g32) }},
-		{"GemmTNR32/ragged-zero", func() { GemmTNR32(1, zeroRow1_32, rows32(4, 5), g32) }},
+		{"Gemm32", func() { Gemm(1, mat32(2, 4), mat32(5, 3), 0, c32) }},
+		{"GemmT32", func() { GemmT(1, mat32(2, 4), mat32(3, 5), 0, c32) }},
+		{"GemmTR32/shape", func() { GemmTR(1, rows32(4, 4, 4), mat32(3, 4), 0, c32) }},
+		{"GemmTR32/ragged", func() { GemmTR(1, rows32(4, 3), mat32(3, 4), 0, c32) }},
+		{"GemmTN32", func() { GemmTN(1, mat32(2, 3), mat32(3, 4), g32) }},
+		{"GemmTNR32/shape", func() { GemmTNR(1, mat32(2, 3), rows32(4, 4, 4), g32) }},
+		{"GemmTNR32/ragged", func() { GemmTNR(1, mat32(2, 3), rows32(4, 5), g32) }},
+		{"GemmTNR32/ragged-zero", func() { GemmTNR(1, zeroRow1_32, rows32(4, 5), g32) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, c32, g, g32 = mat(2, 3), mat32(2, 3), mat(3, 4), mat32(3, 4)

@@ -115,7 +115,7 @@ func (a *MeanAccumulator) Reset(d int) {
 			a.tmp32 = make([]float32, d)
 		}
 		a.acc32, a.tmp32 = a.acc32[:d], a.tmp32[:d]
-		Zero32(a.acc32)
+		Zero(a.acc32)
 		return
 	}
 	if cap(a.acc) < d {
@@ -141,7 +141,7 @@ func (a *MeanAccumulator) Add(v []float64) {
 // callers whose rows are already float32.
 func (a *MeanAccumulator) Add32(v []float32) {
 	a.n++
-	Axpy32(1, v, a.acc32)
+	Axpy(1, v, a.acc32)
 }
 
 // FinishInto writes the mean of the folded vectors into dst and leaves

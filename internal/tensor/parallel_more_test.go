@@ -109,9 +109,11 @@ func TestCopyAndFill(t *testing.T) {
 func TestMinMaxPanicsOnEmpty(t *testing.T) {
 	for _, fn := range []func(){
 		func() { Min(nil) },
-		func() { Max(nil) },
+		func() { Max[float64](nil) },
+		func() { Max[float32](nil) },
 		func() { ArgMax(nil) },
-		func() { LogSumExp(nil) },
+		func() { LogSumExp[float64](nil) },
+		func() { LogSumExp[float32](nil) },
 	} {
 		func() {
 			defer func() {

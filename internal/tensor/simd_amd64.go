@@ -129,21 +129,21 @@ func defaultKernel() KernelClass {
 // kernelsFor binds a class to its amd64 implementations. The avx2f32
 // class binds the avx2 float64 set: its residual float64 arithmetic is
 // defined to be the FMA regime's, and the float32 hot path dispatches
-// separately through kernels32 (simd_f32_amd64.go).
-func kernelsFor(c KernelClass) kernelSet {
+// separately through kernels32 (f32.go, simd_f32_amd64.go).
+func kernelsFor(c KernelClass) kernelSet[float64] {
 	switch c {
 	case KernelAVX2, KernelAVX2F32:
 		if !haveAVX2Asm() {
 			return fmaRefKernels()
 		}
-		return kernelSet{
+		return kernelSet[float64]{
 			dot: dotAVX2, axpyTo: axpyToAVX2, dot2: dot2From(dotAVX2), dot4: dot4AVX2,
 			axpy4:    axpy4AVX2,
 			expShift: expShiftAsm, sumExpShift: sumExpShiftAsm,
 			fuse4: true, fusedCE: true,
 		}
 	case KernelSSE2:
-		return kernelSet{
+		return kernelSet[float64]{
 			dot: dotSSE2, axpyTo: axpyToSSE2, dot2: dot2SSE2, dot4: dot4From(dotSSE2),
 			axpy4:    axpy4From(axpyToSSE2),
 			expShift: expShiftRef, sumExpShift: sumExpShiftRef,

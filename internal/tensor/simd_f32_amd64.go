@@ -3,10 +3,10 @@
 package tensor
 
 // Float32 assembly kernel declarations and the tier binding. The
-// avx2f32 tier binds the 8-wide AVX2+FMA float32 assembly when the
-// CPUID probe confirms the features, and otherwise falls back to the
-// bit-identical fma32 pure-Go twins (simd_f32_ref.go) — same contract
-// as the float64 avx2 tier.
+// avx2f32 tier rebinds kernels32 to the 8-wide AVX2+FMA float32
+// assembly when the CPUID probe confirms the features, and otherwise
+// keeps the bit-identical fma32 pure-Go twins (simd_f32_ref.go) — same
+// contract as the float64 avx2 tier.
 
 // Float32 AVX2+FMA kernels (simd_avx2f32_amd64.s), bit-identical to
 // the fma32 twins: VFMADD231PS rounds a·b+c once to float32, exactly
@@ -17,6 +17,14 @@ func dot32AVX2(x, y []float32) float32
 
 //go:noescape
 func axpy32AVX2(a float32, x, y []float32)
+
+// axpyTo32Asm adapts the in-place assembly to the kernelSet's axpyTo
+// form, dst = y + a*x. dst may be y (the copy is then skipped); a
+// separate dst must not overlap x. The float32 bodies all pass y.
+func axpyTo32Asm(dst []float32, a float32, x, y []float32) {
+	copy(dst, y)
+	axpy32AVX2(a, x, dst)
+}
 
 //go:noescape
 func dot432AVX2(x, y0, y1, y2, y3 []float32) (r0, r1, r2, r3 float32)
@@ -31,7 +39,7 @@ func axpy432AVX2(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32)
 //go:noescape
 func expShift32AVX2(dst, x []float32, shift float32)
 
-// expShift32Asm adapts the assembly to the kernelSet32 signature.
+// expShift32Asm adapts the assembly to the kernelSet signature.
 func expShift32Asm(dst, x []float32, shift float32) {
 	if len(x) == 0 {
 		return
@@ -78,19 +86,6 @@ func sumExpShift32AsmChunked(x []float32, shift float32) float32 {
 	return s
 }
 
-func kernels32Impl() kernelSet32 {
-	if !haveAVX2Asm() {
-		return kernelSet32{
-			dot: dot32Ref, axpy: axpy32Ref, dot4: dot432Ref, axpy4: axpy432Ref,
-			expShift: expShift32Ref, sumExpShift: sumExpShift32Ref,
-		}
-	}
-	return kernelSet32{
-		dot: dot32AVX2, axpy: axpy32AVX2, dot4: dot432AVX2, axpy4: axpy432AVX2,
-		expShift: expShift32Asm, sumExpShift: sumExpShift32Asm,
-	}
-}
-
 // Regime-boundary conversion kernels (VCVTPD2PS / VCVTPS2PD): a single
 // IEEE conversion per element, bit-identical to the scalar loops on
 // every input, so they bind on CPU capability alone (see f32.go).
@@ -106,6 +101,11 @@ func round32AVX2(x []float64)
 
 func init() {
 	if haveAVX2Asm() {
+		kernels32 = kernelSet[float32]{
+			dot: dot32AVX2, axpyTo: axpyTo32Asm, dot2: dot2From(dot32AVX2), dot4: dot432AVX2,
+			axpy4: axpy432AVX2, expShift: expShift32Asm, sumExpShift: sumExpShift32Asm,
+			fuse4: true, fusedCE: true,
+		}
 		cvtTo32 = cvt64to32AVX2
 		cvtTo64 = cvt32to64AVX2
 		roundTo32 = round32AVX2

@@ -75,21 +75,21 @@ func dot32Ref(x, y []float32) float32 {
 	return s
 }
 
-// axpy32Ref is the float32 FMA-class Axpy kernel:
-// y[i] = fma32(a, x[i], y[i]). Elements are independent, so vector
-// width is irrelevant to the bits.
-func axpy32Ref(a float32, x, y []float32) {
+// axpyTo32Ref is the float32 FMA-class AxpyTo kernel:
+// dst[i] = fma32(a, x[i], y[i]). Elements are independent, so vector
+// width is irrelevant to the bits, and dst may alias x or y.
+func axpyTo32Ref(dst []float32, a float32, x, y []float32) {
 	n := len(x)
-	y = y[:n]
+	y, dst = y[:n], dst[:n]
 	for i := 0; i < n; i++ {
-		y[i] = fma32(a, x[i], y[i])
+		dst[i] = fma32(a, x[i], y[i])
 	}
 }
 
 // axpy432Ref is the float32 fused four-coefficient Axpy: per element
-// exactly four sequential axpy32Ref passes (the fusion changes no
+// exactly four sequential axpyTo32Ref passes (the fusion changes no
 // bits), loading and storing y once — the batched weight-gradient
-// kernel of GemmTN32/GemmTNR32.
+// kernel of GemmTN/GemmTNR on float32 operands.
 func axpy432Ref(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
 	n := len(y)
 	x0 = x0[:n]

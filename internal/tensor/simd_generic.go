@@ -7,12 +7,12 @@ package tensor
 // the class's rounding regime is reproducible without the hardware —
 // and the avx2/avx2f32 classes by the math.FMA twins, which are
 // bit-identical to the AVX2+FMA assembly for the same reason (the
-// avx2f32 float32 hot path binds the fma32 twins via kernels32 in
-// simd_f32_generic.go).
+// avx2f32 float32 hot path keeps the fma32 twins kernels32 is
+// initialized with in f32.go).
 
 func defaultKernel() KernelClass { return KernelGeneric }
 
-func kernelsFor(c KernelClass) kernelSet {
+func kernelsFor(c KernelClass) kernelSet[float64] {
 	if c == KernelAVX2 || c == KernelAVX2F32 {
 		return fmaRefKernels()
 	}

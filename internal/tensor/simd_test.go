@@ -42,8 +42,8 @@ var tailLengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33, 4
 // reference each must reproduce bitwise.
 type rung struct {
 	name string
-	impl kernelSet
-	ref  kernelSet
+	impl kernelSet[float64]
+	ref  kernelSet[float64]
 }
 
 func testRungs(t *testing.T) []rung {

@@ -33,7 +33,7 @@ func equalBits(a, b []float64) int {
 // architecture whose table missed it (the non-amd64 table is built in
 // CI but never run there).
 func TestKernelSetsComplete(t *testing.T) {
-	sets := map[string]kernelSet{"genericKernels": genericKernels(), "fmaRefKernels": fmaRefKernels()}
+	sets := map[string]any{"genericKernels": genericKernels(), "fmaRefKernels": fmaRefKernels(), "kernels32": kernels32}
 	for _, c := range Classes() {
 		sets["kernelsFor("+c.String()+")"] = kernelsFor(c)
 	}

@@ -3,13 +3,19 @@
 // kernels, and the numerically careful reductions (log-sum-exp, softmax)
 // needed for cross-entropy training.
 //
-// Everything operates on plain []float64 and a row-major Matrix so the
+// Everything operates on plain slices and a row-major Mat so the
 // federated engines can serialize parameters as flat buffers with zero
 // copying. All kernels are allocation-free when given destination
 // buffers, which keeps the inner SGD loops off the garbage collector.
+// The routines of the training path are generic over the storage width
+// (Float): one body serves float64 and the avx2f32 tier's float32.
 package tensor
 
 import "math"
+
+// Float is the storage width of a model vector: float64, or float32 on
+// the avx2f32 tier.
+type Float interface{ float32 | float64 }
 
 // Dot returns the inner product of x and y. It panics on length
 // mismatch. The accumulation order is fixed per kernel class (partial
@@ -26,9 +32,9 @@ func Dot(x, y []float64) float64 {
 // independent, so vector width changes no result bits — only the FMA
 // tier's single rounding per element distinguishes classes). y == x
 // aliasing is supported; partial overlap is not.
-func Axpy(a float64, x, y []float64) {
+func Axpy[T Float](a T, x, y []T) {
 	checkLen(len(x), len(y))
-	kernels.axpyTo(y, a, x, y)
+	kernelsOf[T]().axpyTo(y, a, x, y)
 }
 
 // AxpyTo computes dst = y + a*x with Axpy's per-element arithmetic, so
@@ -42,14 +48,14 @@ func AxpyTo(dst []float64, a float64, x, y []float64) {
 }
 
 // Scale computes x *= a in place.
-func Scale(a float64, x []float64) {
+func Scale[T Float](a T, x []T) {
 	for i := range x {
 		x[i] *= a
 	}
 }
 
 // Zero sets every element of x to 0.
-func Zero(x []float64) {
+func Zero[T Float](x []T) {
 	for i := range x {
 		x[i] = 0
 	}
@@ -148,7 +154,7 @@ func Min(x []float64) float64 {
 }
 
 // Max returns the maximum element of x. It panics on an empty slice.
-func Max(x []float64) float64 {
+func Max[T Float](x []T) T {
 	if len(x) == 0 {
 		panic("tensor: Max of empty slice")
 	}
@@ -177,18 +183,19 @@ func ArgMax(x []float64) int {
 }
 
 // LogSumExp returns log(sum_i exp(x_i)) with max-shifting for
-// stability. The shifted exponentials come from the active kernel
-// class (math.Exp on the non-FMA rungs, the vectorized polynomial
-// exponential on the AVX2 tier) and are summed in index order.
-func LogSumExp(x []float64) float64 {
+// stability. The shifted exponentials come from the kernel set of x's
+// width (math.Exp on the non-FMA rungs, the vectorized polynomial
+// exponential on the AVX2 tier and the float32 tier) and are summed in
+// index order; the log is float64 math.Log, rounded to T.
+func LogSumExp[T Float](x []T) T {
 	if len(x) == 0 {
 		panic("tensor: LogSumExp of empty slice")
 	}
 	m := Max(x)
-	if math.IsInf(m, -1) {
-		return math.Inf(-1)
+	if math.IsInf(float64(m), -1) {
+		return T(math.Inf(-1))
 	}
-	return m + math.Log(kernels.sumExpShift(x, m))
+	return m + T(math.Log(float64(kernelsOf[T]().sumExpShift(x, m))))
 }
 
 // Softmax writes softmax(x) into dst (dst may alias x; partial overlap
@@ -208,7 +215,7 @@ func Softmax(dst, x []float64) {
 }
 
 // ReLU writes max(x, 0) elementwise into dst (dst may alias x).
-func ReLU(dst, x []float64) {
+func ReLU[T Float](dst, x []T) {
 	checkLen(len(dst), len(x))
 	for i, v := range x {
 		if v > 0 {
@@ -222,7 +229,7 @@ func ReLU(dst, x []float64) {
 // ReLUGrad multiplies grad elementwise by the ReLU derivative evaluated
 // at pre-activation z: dst[i] = grad[i] if z[i] > 0 else 0. dst may alias
 // grad.
-func ReLUGrad(dst, grad, z []float64) {
+func ReLUGrad[T Float](dst, grad, z []T) {
 	checkLen(len(dst), len(grad))
 	checkLen(len(grad), len(z))
 	for i := range dst {

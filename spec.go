@@ -105,9 +105,9 @@ type AreaSamples struct {
 	TestY  []int
 }
 
-// Spec describes one training run. Zero values get sensible defaults
-// from Validate; the only always-required fields are Algorithm, Rounds
-// and EtaW.
+// Spec describes one training run. Zero values get defaults when Run,
+// RunCloud, RunEdge or RunClientHost plans the Spec; the only
+// always-required fields are Algorithm, Rounds and EtaW.
 type Spec struct {
 	Algorithm Algorithm
 	Engine    Engine
