@@ -55,16 +55,16 @@ go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./i
 # resolution) and the float32 tier's refusal of compression. core and
 # baselines are in the loop because their one slot, fl.Fold, trains
 # float32 lane rows on the float32 tier (which refuses compression), so
-# their suites and allocation guards are not class-independent. Simnet's
-# cloud round is core's on every class, so the simnet ≡ core parity tests
-# run in every leg too, with the population tests, whose edge actors run
-# the same fl.Fold. The wire codec
-# moves 4-byte elements on that tier, so its suite and the loopback-TCP
-# wire ≡ simnet parity tests run in every leg as well. model's batched ≡
-# per-example tests follow the class's softmax and kernel arithmetic.
+# their suites and allocation guards are not class-independent. The
+# whole simnet suite runs in every leg too: its cloud round is core's,
+# its edge actors run the same fl.Fold, and its client actors train
+# through fl's float64 entry points, which run the float32 step on the
+# float32 tier — so the parity, chaos and actor-path tests are
+# per-class. The wire codec moves 4-byte elements on that tier, so its
+# suite runs in every leg as well. model's batched ≡ per-example tests
+# follow the class's softmax and kernel arithmetic.
 for KC in generic sse2 avx2 avx2f32; do
-	HIERFAIR_KERNEL=$KC go test -count=1 . ./internal/tensor/ ./internal/model/ ./internal/fl/ ./internal/core/ ./internal/baselines/ ./internal/invariance/ ./internal/wire/
-	HIERFAIR_KERNEL=$KC go test -count=1 ./internal/simnet/ -run 'Match(es)?Core|Population|Wire'
+	HIERFAIR_KERNEL=$KC go test -count=1 . ./internal/tensor/ ./internal/model/ ./internal/fl/ ./internal/core/ ./internal/baselines/ ./internal/invariance/ ./internal/wire/ ./internal/simnet/
 	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/tensor/
 done
 

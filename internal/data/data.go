@@ -18,13 +18,14 @@ import (
 	"fmt"
 
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 // Subset is a labelled sample set. Xs[i] is the feature vector of example
 // i and Ys[i] its class.
 //
 // Xs32, when non-nil, is the pre-resolved float32 mirror of Xs
-// (Xs32[i] mirrors Xs[i]) and SampleInto32 uses it directly. It MUST
+// (Xs32[i] mirrors Xs[i]) and SampleRows uses it directly. It MUST
 // be set for subsets whose Xs row table is reused scratch — the
 // population regime's lazily materialized shards — because the
 // address-keyed mirror cache would otherwise serve the mirrors of
@@ -60,15 +61,30 @@ func (s Subset) Sample(r *rng.Stream, batch int) ([][]float64, []int) {
 // feature vectors, not copies. It panics on an empty subset or length
 // mismatch.
 func (s Subset) SampleInto(r *rng.Stream, xs [][]float64, ys []int) {
+	SampleRows(s, r, xs, ys)
+}
+
+// SampleRows is SampleInto at storage width T, drawing the same
+// examples: float32 rows are the pre-resolved Xs32 mirrors when set,
+// else cached float32 mirrors of the stored rows.
+func SampleRows[T tensor.Float](s Subset, r *rng.Stream, xs [][]T, ys []int) {
 	if s.Len() == 0 {
 		panic("data: Sample from empty subset")
 	}
 	if len(xs) != len(ys) {
 		panic("data: SampleInto length mismatch")
 	}
+	rows, ok := any(s.Xs).([][]T)
+	if !ok {
+		m := s.Xs32
+		if m == nil {
+			m = s.mirror32()
+		}
+		rows = any(m).([][]T)
+	}
 	for i := range xs {
 		j := r.Intn(s.Len())
-		xs[i] = s.Xs[j]
+		xs[i] = rows[j]
 		ys[i] = s.Ys[j]
 	}
 }

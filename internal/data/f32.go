@@ -1,10 +1,6 @@
 package data
 
-import (
-	"sync"
-
-	"repro/internal/rng"
-)
+import "sync"
 
 // Float32 feature-row mirrors for the avx2f32 storage tier. The
 // training fast path samples float32 aliases of the stored float64
@@ -64,30 +60,6 @@ func (s Subset) mirror32() [][]float32 {
 	}
 	mirrorCache.Store(key, m)
 	return m
-}
-
-// SampleInto32 fills xs and ys with a uniform with-replacement draw
-// using stream r, consuming exactly the same stream values as
-// SampleInto — the float32 fast path draws the same examples the
-// float64 path would. xs entries are the subset's pre-resolved Xs32
-// mirrors when set, else cached float32 mirrors of the stored rows.
-// It panics on an empty subset or length mismatch.
-func (s Subset) SampleInto32(r *rng.Stream, xs [][]float32, ys []int) {
-	if s.Len() == 0 {
-		panic("data: Sample from empty subset")
-	}
-	if len(xs) != len(ys) {
-		panic("data: SampleInto32 length mismatch")
-	}
-	m := s.Xs32
-	if m == nil {
-		m = s.mirror32()
-	}
-	for i := range xs {
-		j := r.Intn(s.Len())
-		xs[i] = m[j]
-		ys[i] = s.Ys[j]
-	}
 }
 
 // RowsF32 returns cached float32 mirrors for every row of xs, reusing

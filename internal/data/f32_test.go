@@ -30,7 +30,7 @@ func TestSampleInto32MatchesSampleInto(t *testing.T) {
 
 	xs32 := make([][]float32, batch)
 	ys32 := make([]int, batch)
-	s.SampleInto32(rng.New(5), xs32, ys32)
+	SampleRows(s, rng.New(5), xs32, ys32)
 
 	for i := range ys {
 		if ys[i] != ys32[i] {
@@ -67,7 +67,7 @@ func TestRowF32Cached(t *testing.T) {
 // a subset's Xs row table is reused scratch (same backing array, row
 // headers rewritten per client), the address-keyed mirror cache serves
 // whichever rows it saw first, so such subsets must carry Xs32 and
-// SampleInto32 must honor it.
+// SampleRows must honor it.
 func TestSampleInto32ReusedRowTable(t *testing.T) {
 	corpus := toySubset(10, 4)
 	scratch := make([][]float64, 3)
@@ -85,7 +85,7 @@ func TestSampleInto32ReusedRowTable(t *testing.T) {
 	bys := make([]int, 8)
 	for _, lo := range []int{0, 3, 6} {
 		s := view(lo)
-		s.SampleInto32(rng.New(7), xs32, bys)
+		SampleRows(s, rng.New(7), xs32, bys)
 		for i, row := range xs32 {
 			src := corpus.Xs[lo+indexOf(t, corpus, lo, bys[i], row)]
 			for j := range row {

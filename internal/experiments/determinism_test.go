@@ -146,11 +146,13 @@ func TestArtifactsIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			var ref map[string][]byte
 			for _, workers := range workerCounts {
-				var pool *sched.Pool // workers == 1 exercises the nil inline path
-				if workers > 1 {
-					pool = sched.New(workers)
+				var tables []*Table
+				var err error
+				if workers == 1 {
+					tables, err = smokeRun(e) // the nil inline path, shared with the shape tests
+				} else {
+					tables, err = e.Run(sched.New(workers), Smoke, 42)
 				}
-				tables, err := e.Run(pool, Smoke, 42)
 				if err != nil {
 					t.Fatalf("jobs=%d: %v", workers, err)
 				}

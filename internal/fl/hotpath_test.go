@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/simplex"
@@ -59,60 +60,88 @@ func TestLocalSGDScratchMatchesLocalSGD(t *testing.T) {
 	}
 }
 
-// noF32 hides a model's float32 path, so the avx2f32 tier runs it
-// through the float64 fallback regime.
-type noF32 struct{ model.Model }
-
-// TestLocalSGDFromStartMatchesCopy pins localSGD(start ≠ w) to
-// copy(w, start) + LocalSGDScratch bit for bit — final model,
-// checkpoint, iterate sum and report — with start left untouched: with
-// the checkpoint off, at the first step, mid-block and at the last step
-// (the one case that copies), with no steps, with and without the
-// iterate sum, on a free and a Ball W, in every kernel class — on the
-// avx2f32 tier both through the float32 fast path and through the
-// float64 fallback for a model without one.
+// TestLocalSGDFromStartMatchesCopy pins localSGD(start ≠ w), the call a
+// Fold lane makes, to copy(w, start) + LocalSGDScratch bit for bit —
+// final model, checkpoint, iterate sum and report — with start left
+// untouched: with the checkpoint off, at the first step, mid-block and
+// at the last step (the one case that copies), with no steps, with and
+// without the iterate sum, on a free and a Ball W, in every kernel class
+// (on the avx2f32 tier on float32 rows, as the lanes train there).
 func TestLocalSGDFromStartMatchesCopy(t *testing.T) {
 	for _, c := range tensor.Classes() {
 		t.Run(c.String(), func(t *testing.T) {
 			defer tensor.SetKernel(c)()
-			lin := model.NewLinear(4, 2)
-			d := lin.Dim()
+			m := model.NewLinear(4, 2)
+			d := m.Dim()
 			shard := toyShard(9, 30)
 			start := make([]float64, d)
 			rng.New(10).Fill(start, 0.5)
 			tensor.Round32(start) // storage-representable on every tier
 			orig := append([]float64(nil), start...)
-			for _, m := range []model.Model{lin, noF32{lin}} {
-				for _, W := range []simplex.Set{simplex.FullSpace{Dim: d}, simplex.Ball{Radius: 0.3}} {
-					for _, steps := range []int{0, 4} {
-						for _, chkAt := range []int{0, 1, 2, 4} {
-							for _, track := range []bool{false, true} {
-								name := fmt.Sprintf("%T W=%T steps=%d chkAt=%d track=%v", m, W, steps, chkAt, track)
-								var sumWant, sumGot []float64
-								if track {
-									sumWant, sumGot = make([]float64, d), make([]float64, d)
-								}
-								want, chkWant := append([]float64(nil), start...), make([]float64, d)
-								okWant := LocalSGDScratch(m, want, shard, steps, 3, 0.2, W, rng.New(11), chkAt, sumWant, chkWant, new(Scratch))
-
-								got, chkGot := make([]float64, d), make([]float64, d)
-								okGot := localSGD(m, start, got, shard, steps, 3, 0.2, W, rng.New(11), chkAt, sumGot, chkGot, new(Scratch))
-								if okGot != okWant {
-									t.Fatalf("%s: reported %v, want %v", name, okGot, okWant)
-								}
-								sameBits(t, name+" w", got, want)
-								sameBits(t, name+" chk", chkGot, chkWant)
-								if track {
-									sameBits(t, name+" iterate sum", sumGot, sumWant)
-								}
-								sameBits(t, name+" start", start, orig)
+			for _, W := range []simplex.Set{simplex.FullSpace{Dim: d}, simplex.Ball{Radius: 0.3}} {
+				for _, steps := range []int{0, 4} {
+					for _, chkAt := range []int{0, 1, 2, 4} {
+						for _, track := range []bool{false, true} {
+							name := fmt.Sprintf("W=%T steps=%d chkAt=%d track=%v", W, steps, chkAt, track)
+							var sumWant, sumGot []float64
+							if track {
+								sumWant, sumGot = make([]float64, d), make([]float64, d)
 							}
+							want, chkWant := append([]float64(nil), start...), make([]float64, d)
+							okWant := LocalSGDScratch(m, want, shard, steps, 3, 0.2, W, rng.New(11), chkAt, sumWant, chkWant, new(Scratch))
+
+							got, chkGot := make([]float64, d), make([]float64, d)
+							var okGot bool
+							if tensor.StorageF32() {
+								okGot = fromStart32(t, m, start, got, shard, steps, W, chkAt, sumGot, chkGot)
+							} else {
+								okGot = localSGD(m, start, got, shard, steps, 3, 0.2, W, rng.New(11), chkAt, sumGot, chkGot, new(Scratch))
+							}
+							if okGot != okWant {
+								t.Fatalf("%s: reported %v, want %v", name, okGot, okWant)
+							}
+							sameBits(t, name+" w", got, want)
+							sameBits(t, name+" chk", chkGot, chkWant)
+							if track {
+								sameBits(t, name+" iterate sum", sumGot, sumWant)
+							}
+							sameBits(t, name+" start", start, orig)
 						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// fromStart32 runs the float32 localSGD from the narrowed start into
+// float32 rows and widens the final model, checkpoint and iterate sum
+// into w, wChk and iterSum, failing if it wrote to start.
+func fromStart32(t *testing.T, m model.Model, start, w []float64, shard data.Subset, steps int, W simplex.Set, chkAt int, iterSum, wChk []float64) bool {
+	t.Helper()
+	d := len(start)
+	start32, w32, chk32 := make([]float32, d), make([]float32, d), make([]float32, d)
+	tensor.ToF32(start32, start)
+	orig := append([]float32(nil), start32...)
+	var sum32 []float32
+	if iterSum != nil {
+		sum32 = make([]float32, d)
+		tensor.ToF32(sum32, iterSum)
+	}
+	ok := localSGD(m, start32, w32, shard, steps, 3, 0.2, W, rng.New(11), chkAt, sum32, chk32, new(Scratch))
+	for j := range start32 {
+		if start32[j] != orig[j] {
+			t.Fatalf("localSGD wrote to its float32 start at %d", j)
+		}
+	}
+	tensor.ToF64(w, w32)
+	if ok {
+		tensor.ToF64(wChk, chk32)
+	}
+	if sum32 != nil {
+		tensor.ToF64(iterSum, sum32)
+	}
+	return ok
 }
 
 // TestForEachWorkerPool checks the bounded pool: every index runs exactly

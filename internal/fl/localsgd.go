@@ -12,29 +12,24 @@ import (
 )
 
 // Scratch holds the working buffers of a local-SGD block or a mini-batch
-// loss estimate: the gradient scratch model.Step works in (the MLP
-// leaves its first-layer rows unused) and the sampled batch views. The
-// iterates themselves live in the caller's vectors: a block reads its
-// start vector and writes the caller's final and checkpoint rows, so a
-// Scratch holds no model-sized copy of them. The zero value is ready to
-// use; buffers grow on demand and are reused across calls. Long-lived
+// loss estimate, one set per storage width: the gradient scratch
+// model.Step works in (the MLP leaves its first-layer rows unused) and
+// the sampled batch views. The iterates live in the caller's vectors,
+// except that the float64 entry points train float32 mirrors of them
+// here on the float32 tier (mirror32). The zero value is ready to use;
+// buffers grow on demand and are reused across calls. Long-lived
 // single-owner callers (the simnet client actors) keep one resident so
 // their hot path never touches a shared pool; the others — a Fold's
 // lane workers, LocalSGD, CohortLossEstimate — recycle instances via
 // sgdPool, once per worker or call.
 type Scratch struct {
-	grad []float64
-	xs   [][]float64
-	ys   []int
-	// Float32 state of the avx2f32 storage tier: the gradient and batch
-	// views of the native float32 block (sgd32), a float64 staging
-	// buffer for non-trivial projections, and the float32 mirrors of a
-	// float64 caller's iterate, iterate sum and checkpoint (localSGD32,
-	// and the iterate alone for the loss estimates). Each is sized only
-	// where it is used.
-	grad32, w32, iterSum32, chk32 []float32
-	xs32                          [][]float32
-	proj                          []float64
+	s64 batchScratch[float64]
+	s32 batchScratch[float32]
+	// The float32 mirrors of a float64 caller's iterate, iterate sum and
+	// checkpoint, and a float64 row for projecting a float32 iterate
+	// (the simplex.Set contract is float64).
+	w32, iterSum32, chk32 []float32
+	proj                  []float64
 	// Cohort-side state of the Scratch's owner: the row-alias tables of
 	// the population shard it last materialized (Cohort.shard) and, for
 	// CohortLossEstimate, the cohort being evaluated.
@@ -42,26 +37,69 @@ type Scratch struct {
 	cohort Cohort
 }
 
-var sgdPool = sync.Pool{New: func() any { return new(Scratch) }}
-
-func (s *Scratch) size(dim, batch int) {
-	if cap(s.grad) < dim {
-		s.grad = make([]float64, dim)
-	}
-	s.grad = s.grad[:dim]
-	if cap(s.xs) < batch {
-		s.xs = make([][]float64, batch)
-		s.ys = make([]int, batch)
-	}
-	s.xs = s.xs[:batch]
-	s.ys = s.ys[:batch]
+// batchScratch is a Scratch's working state at storage width T.
+type batchScratch[T tensor.Float] struct {
+	grad []T
+	xs   [][]T
+	ys   []int
 }
 
-// size32 sizes the float32 batch views (the ys buffer is shared with
-// the float64 path via size).
-func (s *Scratch) size32(batch int) {
-	s.size(0, batch)
-	s.xs32 = GrowVec(s.xs32, batch)
+var sgdPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// at returns s's working state at storage width T.
+func at[T tensor.Float](s *Scratch) *batchScratch[T] {
+	if b, ok := any(&s.s32).(*batchScratch[T]); ok {
+		return b
+	}
+	return any(&s.s64).(*batchScratch[T])
+}
+
+func (b *batchScratch[T]) size(dim, batch int) {
+	b.grad = GrowVec(b.grad, dim)
+	b.xs, b.ys = GrowVec(b.xs, batch), GrowVec(b.ys, batch)
+}
+
+// step writes m's SGD step from w into dst on the sampled batch:
+// model.Step, or StepF32 on float32 rows.
+func (b *batchScratch[T]) step(m model.Model, w, dst []T, eta float64) {
+	if b32, ok := any(b).(*batchScratch[float32]); ok {
+		m.StepF32(any(w).([]float32), any(dst).([]float32), b32.grad, b32.xs, b32.ys, float32(eta))
+		return
+	}
+	b64 := any(b).(*batchScratch[float64])
+	m.Step(any(w).([]float64), any(dst).([]float64), b64.grad, b64.xs, b64.ys, eta)
+}
+
+// loss returns m's mean loss of w on the sampled batch: model.Loss, or
+// LossF32 on float32 rows.
+func (b *batchScratch[T]) loss(m model.Model, w []T) float64 {
+	if b32, ok := any(b).(*batchScratch[float32]); ok {
+		return float64(m.LossF32(any(w).([]float32), b32.xs, b32.ys))
+	}
+	b64 := any(b).(*batchScratch[float64])
+	return m.Loss(any(w).([]float64), b64.xs, b64.ys)
+}
+
+// mirror32 is the storage-width boundary of the float64 entry points:
+// on the float32 tier it narrows v (exactly: model vectors are
+// storage-representable there) into the Scratch's mirror, on which the
+// caller runs the float32 step; elsewhere it returns nil.
+func (s *Scratch) mirror32(v []float64) []float32 {
+	if !tensor.StorageF32() {
+		return nil
+	}
+	return narrow(&s.w32, v)
+}
+
+// narrow returns v at storage width T: v itself at float64, else v
+// rounded into *buf.
+func narrow[T tensor.Float](buf *[]T, v []float64) []T {
+	if w, ok := any(v).([]T); ok {
+		return w
+	}
+	*buf = GrowVec(*buf, len(v))
+	tensor.ToF32(any(*buf).([]float32), v)
+	return *buf
 }
 
 // LocalSGD runs `steps` projected SGD steps (Eq. 4) on one client's
@@ -92,35 +130,49 @@ func LocalSGD(m model.Model, w0 []float64, shard data.Subset, steps, batch int, 
 // otherwise wChk is untouched. The sampling, gradient and projection
 // sequence is identical to LocalSGD's.
 func LocalSGDScratch(m model.Model, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
-	return localSGD(m, w, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
+	w32 := s.mirror32(w)
+	if w32 == nil {
+		return localSGD(m, w, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
+	}
+	var sum32 []float32
+	if iterSum != nil {
+		sum32 = narrow(&s.iterSum32, iterSum)
+	}
+	s.chk32 = GrowVec(s.chk32, len(w))
+	chked := localSGD(m, w32, w32, shard, steps, batch, eta, W, r, chkAt, sum32, s.chk32, s)
+	tensor.ToF64(w, w32)
+	if sum32 != nil {
+		tensor.ToF64(iterSum, sum32)
+	}
+	if chked {
+		tensor.ToF64(wChk, s.chk32)
+	}
+	return chked
 }
 
-// localSGD is LocalSGDScratch from a separate start vector: the block
-// reads start (left unmodified) on step 0 and leaves its final iterate
-// in w — the same bits as copy(w, start) followed by LocalSGDScratch,
-// without the copy. Each step reads its iterate and writes the next one
-// through model.Step; the checkpoint step writes straight into wChk and
-// the step after it reads back from there, so no whole-model copy runs
-// unless the checkpoint is the last step (or there are no steps).
-// start may alias w. On the avx2f32 tier the block runs natively in
-// float32 (localSGD32).
-func localSGD(m model.Model, start, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
-	if tensor.StorageF32() {
-		return localSGD32(m, start, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
-	}
-	s.size(len(w), batch)
+// localSGD is the client step of every engine at both storage widths:
+// LocalSGDScratch from a separate start vector, which it leaves
+// unmodified (start may alias w). Each step writes the next iterate
+// from the current one through model.Step (StepF32 on float32 rows);
+// the checkpoint step writes straight into wChk and the step after it
+// reads back from there, so no whole-model copy runs unless the
+// checkpoint is the last step (or there are no steps). The iterate sum
+// adds with StorageAdd's arithmetic at width T.
+func localSGD[T tensor.Float](m model.Model, start, w []T, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []T, s *Scratch) bool {
+	b := at[T](s)
+	b.size(len(w), batch)
 	cur := start
 	for t := 0; t < steps; t++ {
 		if iterSum != nil {
-			tensor.StorageAdd(iterSum, cur)
+			tensor.Axpy(1, cur, iterSum)
 		}
-		shard.SampleInto(r, s.xs, s.ys)
+		data.SampleRows(shard, r, b.xs, b.ys)
 		next := w
 		if t+1 == chkAt {
 			next = wChk
 		}
-		m.Step(cur, next, s.grad, s.xs, s.ys, eta)
-		W.Project(next)
+		b.step(m, cur, next, eta)
+		project(W, next, s)
 		cur = next
 	}
 	if &cur[0] != &w[0] {
@@ -129,72 +181,21 @@ func localSGD(m model.Model, start, w []float64, shard data.Subset, steps, batch
 	return chkAt >= 1 && chkAt <= steps
 }
 
-// localSGD32 is localSGD on the avx2f32 tier for float64 callers (the
-// simnet client actors and LocalSGD): it narrows the start iterate (and
-// iterate sum) into float32 mirrors, runs the native float32 block
-// sgd32, and widens the results back into w, iterSum and wChk. All
-// conversions are exact under the storage invariant (start and iterSum
-// hold float32-representable values), so the float64 vectors the
-// callers see are the float32 trajectory widened. A Fold's lanes skip
-// this adapter and run sgd32 on float32 rows.
-func localSGD32(m model.Model, start, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
-	d := len(w)
-	s.w32, s.chk32 = GrowVec(s.w32, d), GrowVec(s.chk32, d)
-	tensor.ToF32(s.w32, start)
-	var sum32 []float32
-	if iterSum != nil {
-		s.iterSum32 = GrowVec(s.iterSum32, d)
-		tensor.ToF32(s.iterSum32, iterSum)
-		sum32 = s.iterSum32
+// project projects a step's iterate onto W, a float32 one through
+// s.proj (narrowing back rounds the projection to storage).
+func project[T tensor.Float](W simplex.Set, v []T, s *Scratch) {
+	if _, free := W.(simplex.FullSpace); free {
+		return
 	}
-	checkpointed := sgd32(m, s.w32, shard, steps, batch, eta, W, r, chkAt, sum32, s.chk32, s)
-	tensor.ToF64(w, s.w32)
-	if sum32 != nil {
-		tensor.ToF64(iterSum, sum32)
+	v32, ok := any(v).([]float32)
+	if !ok {
+		W.Project(any(v).([]float64))
+		return
 	}
-	if checkpointed {
-		tensor.ToF64(wChk, s.chk32)
-	}
-	return checkpointed
-}
-
-// sgd32 is the native-float32 local SGD block: it advances w32 in place
-// through `steps` projected SGD steps with float32 sampling (same
-// stream draws as the float64 path), GradF32 and a float32 step, never
-// leaving float32 storage except for a non-trivial projection (the
-// simplex.Set contract is float64). If chkAt is in [1, steps], the
-// iterate after chkAt steps is copied into wChk32 and the function
-// reports true. If iterSum32 is non-nil every pre-step iterate is
-// accumulated into it with one fma32 rounding per element — exactly
-// StorageAdd's float32 addition on the widened mirrors.
-func sgd32(m model.Model, w32 []float32, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum32, wChk32 []float32, s *Scratch) bool {
-	s.size32(batch)
-	s.grad32 = GrowVec(s.grad32, len(w32))
-	_, freeW := W.(simplex.FullSpace)
-	eta32 := float32(eta)
-	checkpointed := false
-	for t := 0; t < steps; t++ {
-		if iterSum32 != nil {
-			tensor.Axpy(1, w32, iterSum32)
-		}
-		shard.SampleInto32(r, s.xs32, s.ys)
-		m.GradF32(w32, s.grad32, s.xs32, s.ys)
-		tensor.Axpy(-eta32, s.grad32, w32)
-		if !freeW {
-			// Non-trivial W: project in float64 (the Set contract) and
-			// round back to storage.
-			s.proj = GrowVec(s.proj, len(w32))
-			tensor.ToF64(s.proj, w32)
-			W.Project(s.proj)
-			tensor.Round32(s.proj)
-			tensor.ToF32(w32, s.proj)
-		}
-		if t+1 == chkAt {
-			copy(wChk32, w32)
-			checkpointed = true
-		}
-	}
-	return checkpointed
+	s.proj = GrowVec(s.proj, len(v32))
+	tensor.ToF64(s.proj, v32)
+	W.Project(s.proj)
+	tensor.ToF32(v32, s.proj)
 }
 
 // ShardLossEstimate draws one mini-batch from the shard (consuming the
@@ -203,16 +204,17 @@ func sgd32(m model.Model, w32 []float32, shard data.Subset, steps, batch int, et
 // allocation-free client half of the Phase-2 LossEstimation procedure
 // (CohortLossEstimate is the edge half).
 func ShardLossEstimate(m model.Model, w []float64, shard data.Subset, batch int, r *rng.Stream, s *Scratch) float64 {
-	if tensor.StorageF32() {
-		s.size32(batch)
-		s.w32 = GrowVec(s.w32, len(w))
-		tensor.ToF32(s.w32, w)
-		shard.SampleInto32(r, s.xs32, s.ys)
-		return float64(m.LossF32(s.w32, s.xs32, s.ys))
+	if w32 := s.mirror32(w); w32 != nil {
+		return shardLoss(m, w32, shard, batch, r, s)
 	}
-	s.size(0, batch)
-	shard.SampleInto(r, s.xs, s.ys)
-	return m.Loss(w, s.xs, s.ys)
+	return shardLoss(m, w, shard, batch, r, s)
+}
+
+func shardLoss[T tensor.Float](m model.Model, w []T, shard data.Subset, batch int, r *rng.Stream, s *Scratch) float64 {
+	b := at[T](s)
+	b.size(0, batch)
+	data.SampleRows(shard, r, b.xs, b.ys)
+	return b.loss(m, w)
 }
 
 // ProjectW projects a model vector onto W in the active storage regime:

@@ -171,6 +171,12 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 			res, _, err := simnet.HierMinimax(fltest.ToyProblem(3), fltest.ToyConfig())
 			return res, err
 		},
+		// The simnet client actors' local step on the MLP (the model whose
+		// first layer takes the fused step).
+		"hierminimax-simnet-mlp": func() (*fl.Result, error) {
+			res, _, err := simnet.HierMinimax(fltest.ToyMLPProblem(5), mlpCfg)
+			return res, err
+		},
 		// The distributed runtime over loopback TCP must land on the same
 		// trajectory hash as hierminimax-simnet: real sockets are pinned
 		// to the same golden as the in-process engine.

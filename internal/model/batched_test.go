@@ -45,15 +45,14 @@ func softmaxGrad(dz, z []float64, lse float64) {
 	}
 }
 
-func equalBits(t *testing.T, name string, got, want []float64) {
+func equalBits[T tensor.Float](t *testing.T, name string, got, want []T) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
 	}
 	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: element %d = %x, want %x (not bitwise equal)",
-				name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		if g, w := math.Float64bits(float64(got[i])), math.Float64bits(float64(want[i])); g != w {
+			t.Fatalf("%s: element %d = %x, want %x (not bitwise equal)", name, i, g, w)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -28,6 +29,18 @@ func makeBatch32(r *rng.Stream, n, dim, classes int) (xs [][]float64, xs32 [][]f
 	return
 }
 
+// gradF32 is Grad on float32 operands, through m's generic gradient
+// body.
+func gradF32(m Model, w, grad []float32, xs [][]float32, ys []int) float32 {
+	switch m := m.(type) {
+	case *Linear:
+		return linearGrad(m, &m.s32, w, grad, xs, ys)
+	case *MLP:
+		return mlpGrad(m, &m.s32, w, grad, xs, ys)
+	}
+	panic(fmt.Sprintf("gradF32: %T", m))
+}
+
 // testF32AgainstF64 checks one model's float32 loss and gradient
 // against the float64 path on identical (float32-representable)
 // parameters and batches, within float32 accumulation tolerance.
@@ -51,13 +64,13 @@ func testF32AgainstF64(t *testing.T, m Model, seed uint64, tol float64) {
 	g64 := make([]float64, m.Dim())
 	g32 := make([]float32, m.Dim())
 	m.Grad(w, g64, xs, ys)
-	gl := float64(m.GradF32(w32, g32, xs32, ys))
+	gl := float64(gradF32(m, w32, g32, xs32, ys))
 	if math.Abs(l64-gl) > tol*(1+math.Abs(l64)) {
-		t.Fatalf("%T GradF32 loss = %g, Loss = %g", m, gl, l64)
+		t.Fatalf("%T float32 Grad loss = %g, Loss = %g", m, gl, l64)
 	}
 	for i := range g64 {
 		if d := math.Abs(float64(g32[i]) - g64[i]); d > tol*(1+math.Abs(g64[i])) {
-			t.Fatalf("%T GradF32[%d] = %g, Grad = %g (diff %g)", m, i, g32[i], g64[i], d)
+			t.Fatalf("%T float32 Grad[%d] = %g, Grad = %g (diff %g)", m, i, g32[i], g64[i], d)
 		}
 	}
 }
@@ -74,7 +87,7 @@ func TestMLPF32MatchesF64(t *testing.T) {
 	testF32AgainstF64(t, NewMLP(9, 12, 8, 4), 19, 5e-5)
 }
 
-// TestF32GradDeterministic pins bitwise determinism of GradF32: two
+// TestF32GradDeterministic pins bitwise determinism of the float32 gradient: two
 // independent clones on the same inputs produce identical float32 bits.
 func TestF32GradDeterministic(t *testing.T) {
 	for _, m := range []Model{NewLinear(7, 3), NewMLP(6, 10, 7, 3)} {
@@ -87,8 +100,8 @@ func TestF32GradDeterministic(t *testing.T) {
 		_, xs32, ys := makeBatch32(r.Child(2), 19, m.InputDim(), m.NumClasses())
 		a := make([]float32, m.Dim())
 		b := make([]float32, m.Dim())
-		la := m.GradF32(w32, a, xs32, ys)
-		lb := m2.GradF32(w32, b, xs32, ys)
+		la := gradF32(m, w32, a, xs32, ys)
+		lb := gradF32(m2, w32, b, xs32, ys)
 		if math.Float32bits(la) != math.Float32bits(lb) {
 			t.Fatalf("%T: clone loss differs: %x vs %x", m, math.Float32bits(la), math.Float32bits(lb))
 		}
@@ -109,15 +122,15 @@ func TestF32EmptyBatch(t *testing.T) {
 		if l := m.LossF32(w32, nil, nil); l != 0 {
 			t.Fatalf("%T LossF32 on empty batch = %v", m, l)
 		}
-		if l := m.GradF32(w32, g32, nil, nil); l != 0 || g32[0] != 0 {
-			t.Fatalf("%T GradF32 on empty batch: loss %v, grad[0] %v", m, l, g32[0])
+		if l := gradF32(m, w32, g32, nil, nil); l != 0 || g32[0] != 0 {
+			t.Fatalf("%T float32 Grad on empty batch: loss %v, grad[0] %v", m, l, g32[0])
 		}
 	}
 }
 
 // TestWarmCallsAllocateNothing guards the generic model bodies at both
 // storage widths: after one warm-up call has sized the activation
-// scratch, Loss, Grad, Step, LossF32 and GradF32 allocate nothing on
+// scratch, Loss, Grad, Step and their float32 forms allocate nothing on
 // Linear and on the §6.2 MLP (784-300-100-10) at the benchmark batch of
 // 16. A type dispatch or an interface conversion that starts to
 // allocate inside a generic body fails here.
@@ -128,7 +141,7 @@ func TestWarmCallsAllocateNothing(t *testing.T) {
 		w, dst, grad := make([]float64, d), make([]float64, d), make([]float64, d)
 		m.Init(w, r.Child(1))
 		tensor.Round32(w)
-		w32, grad32 := make([]float32, d), make([]float32, d)
+		w32, dst32, grad32 := make([]float32, d), make([]float32, d), make([]float32, d)
 		tensor.ToF32(w32, w)
 		xs, xs32, ys := makeBatch32(r.Child(2), 16, m.InputDim(), m.NumClasses())
 		for _, c := range []struct {
@@ -139,7 +152,8 @@ func TestWarmCallsAllocateNothing(t *testing.T) {
 			{"Grad", func() { m.Grad(w, grad, xs, ys) }},
 			{"Step", func() { m.Step(w, dst, grad, xs, ys, 0.01) }},
 			{"LossF32", func() { m.LossF32(w32, xs32, ys) }},
-			{"GradF32", func() { m.GradF32(w32, grad32, xs32, ys) }},
+			{"GradF32", func() { gradF32(m, w32, grad32, xs32, ys) }},
+			{"StepF32", func() { m.StepF32(w32, dst32, grad32, xs32, ys, 0.01) }},
 		} {
 			c.call()
 			if a := testing.AllocsPerRun(5, c.call); a != 0 {

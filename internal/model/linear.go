@@ -17,14 +17,14 @@ import (
 // batch chunk seen and is reused, so steady-state training allocates
 // nothing. The batched path is bitwise-identical to per-example
 // evaluation (see internal/tensor's determinism contract). LossF32 and
-// GradF32 run the same generic bodies on float32 operands (the avx2f32
+// StepF32 run the same generic bodies on float32 operands (the avx2f32
 // storage tier), with scratch of their own.
 type Linear struct {
 	in, classes int
 	// Per-example scratch (Predict).
 	logits []float64
 	// Batched scratch per storage width, reshaped per chunk: s64 for
-	// Loss and Grad, s32 for LossF32 and GradF32.
+	// Loss, Grad and Step, s32 for their float32 forms.
 	s64 linearScratch[float64]
 	s32 linearScratch[float32]
 }
@@ -112,11 +112,6 @@ func (l *Linear) Grad(w, grad []float64, xs [][]float64, ys []int) float64 {
 	return linearGrad(l, &l.s64, w, grad, xs, ys)
 }
 
-// GradF32 is Grad on the float32 storage tier.
-func (l *Linear) GradF32(w, grad []float32, xs [][]float32, ys []int) float32 {
-	return linearGrad(l, &l.s32, w, grad, xs, ys)
-}
-
 func linearGrad[T tensor.Float](l *Linear, s *linearScratch[T], w, grad []T, xs [][]T, ys []int) T {
 	l.checkDim(len(w))
 	l.checkDim(len(grad))
@@ -144,7 +139,16 @@ func linearGrad[T tensor.Float](l *Linear, s *linearScratch[T], w, grad []T, xs 
 
 // Step writes the SGD step w − eta·∇ into dst: Grad, then one AxpyTo.
 func (l *Linear) Step(w, dst, grad []float64, xs [][]float64, ys []int, eta float64) float64 {
-	loss := l.Grad(w, grad, xs, ys)
+	return linearStep(l, &l.s64, w, dst, grad, xs, ys, eta)
+}
+
+// StepF32 is Step on the float32 storage tier.
+func (l *Linear) StepF32(w, dst, grad []float32, xs [][]float32, ys []int, eta float32) float32 {
+	return linearStep(l, &l.s32, w, dst, grad, xs, ys, eta)
+}
+
+func linearStep[T tensor.Float](l *Linear, s *linearScratch[T], w, dst, grad []T, xs [][]T, ys []int, eta T) T {
+	loss := linearGrad(l, s, w, grad, xs, ys)
 	tensor.AxpyTo(dst, -eta, grad, w)
 	return loss
 }

@@ -21,7 +21,7 @@ import (
 // reused across calls so the training hot path allocates nothing after
 // warm-up. The batched pass is bitwise-identical to per-example
 // evaluation — see the determinism contract in internal/tensor.
-// LossF32 and GradF32 run the same generic bodies on float32 operands
+// LossF32 and StepF32 run the same generic bodies on float32 operands
 // (the avx2f32 storage tier), with scratch of their own.
 type MLP struct {
 	in, h1, h2, classes int
@@ -30,17 +30,17 @@ type MLP struct {
 	// Per-example scratch (Predict).
 	z1, a1, z2, a2, logits []float64
 	// Batched scratch per storage width, reshaped per chunk: s64 for
-	// Loss, Grad and Step, s32 for LossF32 and GradF32.
+	// Loss, Grad and Step, s32 for their float32 forms.
 	s64 mlpScratch[float64]
 	s32 mlpScratch[float32]
-	// g1 holds one row of the first-layer weight gradient (Step).
-	g1 []float64
 }
 
-// mlpScratch is the MLP's batched activation scratch at width T.
+// mlpScratch is the MLP's batched activation scratch at width T, plus
+// g1, one row of the first-layer weight gradient (Step).
 type mlpScratch[T tensor.Float] struct {
 	z1, a1, z2, a2, z3 tensor.Mat[T]
 	dz3, da2, da1      tensor.Mat[T]
+	g1                 []T
 }
 
 // NewMLP returns an MLP with the given layer sizes.
@@ -61,7 +61,7 @@ func NewMLP(inputDim, hidden1, hidden2, numClasses int) *MLP {
 	m.z2 = make([]float64, hidden2)
 	m.a2 = make([]float64, hidden2)
 	m.logits = make([]float64, numClasses)
-	m.g1 = make([]float64, inputDim)
+	m.s64.g1, m.s32.g1 = make([]float64, inputDim), make([]float32, inputDim)
 	return m
 }
 
@@ -175,11 +175,6 @@ func (m *MLP) Grad(w, grad []float64, xs [][]float64, ys []int) float64 {
 	return mlpGrad(m, &m.s64, w, grad, xs, ys)
 }
 
-// GradF32 is Grad on the float32 storage tier.
-func (m *MLP) GradF32(w, grad []float32, xs [][]float32, ys []int) float32 {
-	return mlpGrad(m, &m.s32, w, grad, xs, ys)
-}
-
 func mlpGrad[T tensor.Float](m *MLP, s *mlpScratch[T], w, grad []T, xs [][]T, ys []int) T {
 	m.checkDim(len(w))
 	m.checkDim(len(grad))
@@ -201,13 +196,22 @@ func mlpGrad[T tensor.Float](m *MLP, s *mlpScratch[T], w, grad []T, xs [][]T, ys
 // Step writes the SGD step w − eta·∇ into dst. A batch of one chunk
 // never materializes the first-layer weight gradient — 1.88 MB of the
 // 2.13 MB at the §6.2 shape: GemmTNRStep builds it row by row in the
-// L1-sized m.g1 and writes each dst row of W1 as soon as its gradient
+// L1-sized s.g1 and writes each dst row of W1 as soon as its gradient
 // row is complete. The smaller layers go through grad[ob1:] and one
 // AxpyTo. Bit for bit Grad followed by AxpyTo(dst, -eta, grad, w); a
 // batch that is empty or spans several chunks takes exactly that path.
 func (m *MLP) Step(w, dst, grad []float64, xs [][]float64, ys []int, eta float64) float64 {
+	return mlpStep(m, &m.s64, w, dst, grad, xs, ys, eta)
+}
+
+// StepF32 is Step on the float32 storage tier.
+func (m *MLP) StepF32(w, dst, grad []float32, xs [][]float32, ys []int, eta float32) float32 {
+	return mlpStep(m, &m.s32, w, dst, grad, xs, ys, eta)
+}
+
+func mlpStep[T tensor.Float](m *MLP, s *mlpScratch[T], w, dst, grad []T, xs [][]T, ys []int, eta T) T {
 	if len(xs) == 0 || len(xs) > batchChunk {
-		loss := m.Grad(w, grad, xs, ys)
+		loss := mlpGrad(m, s, w, grad, xs, ys)
 		tensor.AxpyTo(dst, -eta, grad, w)
 		return loss
 	}
@@ -215,11 +219,11 @@ func (m *MLP) Step(w, dst, grad []float64, xs [][]float64, ys []int, eta float64
 	m.checkDim(len(dst))
 	m.checkDim(len(grad))
 	tensor.Zero(grad[m.ob1:])
-	inv := 1 / float64(len(xs))
-	total := mlpBackChunk(m, &m.s64, w, grad, xs, ys, inv, 0)
+	inv := 1 / T(len(xs))
+	total := mlpBackChunk(m, s, w, grad, xs, ys, inv, 0)
 	W1, _, _, _, _, _ := mlpMats(m, w)
 	dW1, _, _, _, _, _ := mlpMats(m, dst)
-	tensor.GemmTNRStep(inv, &m.s64.da1, xs, eta, &W1, &dW1, m.g1)
+	tensor.GemmTNRStep(inv, &s.da1, xs, eta, &W1, &dW1, s.g1)
 	tensor.AxpyTo(dst[m.ob1:], -eta, grad[m.ob1:], w[m.ob1:])
 	return total * inv
 }

@@ -40,10 +40,9 @@ type Model interface {
 	// through the same generic body as Loss; the method exists because
 	// Go methods cannot take type parameters.
 	LossF32(w []float32, xs [][]float32, ys []int) float32
-	// GradF32 is Grad in the float32 regime: it writes the mean gradient
-	// into grad (length Dim()) and returns the mean loss, through the
-	// same generic body as Grad.
-	GradF32(w, grad []float32, xs [][]float32, ys []int) float32
+	// StepF32 is Step in the float32 regime, through the same generic
+	// body as Step (whose gradient half is Grad's generic body).
+	StepF32(w, dst, grad []float32, xs [][]float32, ys []int, eta float32) float32
 	// Predict returns the argmax class for a single input.
 	Predict(w []float64, x []float64) int
 	// Clone returns an independent instance (separate scratch buffers)

@@ -87,23 +87,27 @@ var avgPool = sync.Pool{New: func() any { return new(avgScratch) }}
 
 type avgScratch struct{ acc, tmp [avgBlock]float32 }
 
-// averageInto32Regime computes AverageInto in the avx2f32 regime from
-// float64-interchange vectors, one avgBlock column block at a time:
-// narrow each input (exact — interchange vectors are
-// storage-representable), zero a float32 accumulator, add the inputs
-// in list order (one float32 add each, Axpy with a = 1), multiply by
-// 1/float32(n) and widen. This is the regime's definition of model
-// averaging; MeanAccumulator streams the same arithmetic.
-func averageInto32Regime(dst []float64, vecs [][]float64) {
+// averageInto32Regime computes AverageInto in the avx2f32 regime, one
+// avgBlock column block at a time: zero a float32 accumulator, add the
+// inputs in list order (one float32 add each, Axpy with a = 1; a
+// float64 input narrowed first, which is exact for storage-representable
+// vectors), multiply by 1/float32(n) and widen. This is the regime's
+// definition of model averaging; MeanAccumulator streams the same
+// arithmetic.
+func averageInto32Regime[T Float](dst []float64, vecs [][]T) {
 	s := avgPool.Get().(*avgScratch)
 	inv := 1 / float32(len(vecs))
 	for c0 := 0; c0 < len(dst); c0 += avgBlock {
 		c1 := min(c0+avgBlock, len(dst))
-		acc, tmp := s.acc[:c1-c0], s.tmp[:c1-c0]
+		acc := s.acc[:c1-c0]
 		Zero(acc)
 		for _, v := range vecs {
-			ToF32(tmp, v[c0:c1])
-			Axpy(1, tmp, acc)
+			row, ok := any(v[c0:c1]).([]float32)
+			if !ok {
+				row = s.tmp[:c1-c0]
+				ToF32(row, any(v[c0:c1]).([]float64))
+			}
+			Axpy(1, row, acc)
 		}
 		Scale(inv, acc)
 		ToF64(dst[c0:c1], acc)
@@ -112,18 +116,19 @@ func averageInto32Regime(dst []float64, vecs [][]float64) {
 }
 
 // StorageAdd computes dst += src in the active storage regime's
-// arithmetic: a float32 add per element on the avx2f32 tier, the
-// class's Axpy(1, src, dst) elsewhere (bit-identical to the historical
-// call — fma(1, x, y) and x+y round the same). The engines use it for
-// every iterate-sum and WSum accumulation so the running sums stay
-// storage-representable (and hence exactly encodable on the wire).
-func StorageAdd(dst, src []float64) {
+// arithmetic: a float32 add per element on the avx2f32 tier (where src
+// may be a float32 row), the class's Axpy(1, src, dst) elsewhere
+// (bit-identical to the historical call — fma(1, x, y) and x+y round
+// the same). The engines use it for every iterate-sum and WSum
+// accumulation so the running sums stay storage-representable (and
+// hence exactly encodable on the wire).
+func StorageAdd[T Float](dst []float64, src []T) {
 	checkLen(len(dst), len(src))
-	if StorageF32() {
-		for i := range dst {
-			dst[i] = float64(float32(dst[i]) + float32(src[i]))
-		}
+	if src64, ok := any(src).([]float64); ok && !StorageF32() {
+		kernels.axpyTo(dst, 1, src64, dst)
 		return
 	}
-	kernels.axpyTo(dst, 1, src, dst)
+	for i := range dst {
+		dst[i] = float64(float32(dst[i]) + float32(src[i]))
+	}
 }

@@ -849,10 +849,11 @@ func TestSumExpShift32MatchesExpShift(t *testing.T) {
 }
 
 // TestFloat32AverageMatchesScalarRef pins the avx2f32 aggregation
-// arithmetic three ways: the float32 branch AverageInto takes on the
-// storage tier, the MeanAccumulator's float32 fold (Add32 rows, then
-// FinishInto) and a scalar reference (float32 adds in argument order,
-// one float32 scale) must all agree bit for bit.
+// arithmetic four ways: the float32 branch AverageInto takes on the
+// storage tier from float64 interchange vectors and from float32 rows,
+// the MeanAccumulator's float32 fold (float32 rows, then FinishInto) and
+// a scalar reference (float32 adds in argument order, one float32
+// scale) must all agree bit for bit.
 func TestFloat32AverageMatchesScalarRef(t *testing.T) {
 	defer SetKernel(KernelAVX2F32)()
 	r := rng.New(80)
@@ -860,17 +861,18 @@ func TestFloat32AverageMatchesScalarRef(t *testing.T) {
 		for _, k := range []int{1, 2, 3, 5} {
 			vecs32 := make([][]float32, k)
 			vecs64 := make([][]float64, k)
-			var acc MeanAccumulator
+			var acc MeanAccumulator[float32]
 			acc.Reset(n)
 			for i := range vecs32 {
 				vecs32[i] = make([]float32, n)
 				fillSpecial32(r, vecs32[i])
 				vecs64[i] = make([]float64, n)
 				ToF64(vecs64[i], vecs32[i])
-				acc.Add32(vecs32[i])
+				acc.Add(vecs32[i])
 			}
-			avg := make([]float64, n)
+			avg, avgRows := make([]float64, n), make([]float64, n)
 			AverageInto(avg, vecs64...)
+			AverageInto(avgRows, vecs32...)
 			folded := make([]float64, n)
 			acc.FinishInto(folded)
 
@@ -884,8 +886,11 @@ func TestFloat32AverageMatchesScalarRef(t *testing.T) {
 				if got := math.Float64bits(avg[i]); got != want {
 					t.Fatalf("AverageInto n=%d k=%d: [%d] = %x, scalar ref %x", n, k, i, got, want)
 				}
+				if got := math.Float64bits(avgRows[i]); got != want {
+					t.Fatalf("AverageInto float32 rows n=%d k=%d: [%d] = %x, scalar ref %x", n, k, i, got, want)
+				}
 				if got := math.Float64bits(folded[i]); got != want {
-					t.Fatalf("MeanAccumulator.Add32 n=%d k=%d: [%d] = %x, scalar ref %x", n, k, i, got, want)
+					t.Fatalf("MeanAccumulator[float32] n=%d k=%d: [%d] = %x, scalar ref %x", n, k, i, got, want)
 				}
 			}
 		}

@@ -195,18 +195,19 @@ func GemmTNR[T Float](alpha T, a *Mat[T], yrows [][]T, c *Mat[T]) {
 // GemmTNR(alpha, a, yrows, C), AxpyTo(dst.Data, -eta, C.Data, w.Data) —
 // the same example-ascending order, zero skip and quads. dst may alias
 // w. Panics on shape mismatch or a ragged row, before dst is written.
-func GemmTNRStep(alpha float64, a *Matrix, yrows [][]float64, eta float64, w, dst *Matrix, buf []float64) {
+func GemmTNRStep[T Float](alpha T, a *Mat[T], yrows [][]T, eta T, w, dst *Mat[T], buf []T) {
 	if a.Rows != len(yrows) || w.Rows != a.Cols || dst.Rows != w.Rows || dst.Cols != w.Cols || len(buf) != w.Cols {
 		panic("tensor: GemmTNRStep shape mismatch")
 	}
 	checkRows(yrows, w.Cols)
+	ks := kernelsOf[T]()
 	kb := tnBlock(w.Cols)
 	for i := 0; i < w.Rows; i++ {
 		Zero(buf)
 		for k0 := 0; k0 < a.Rows; k0 += kb {
-			tnRow(&kernels, alpha, a, nil, yrows, i, k0, min(k0+kb, a.Rows), buf)
+			tnRow(ks, alpha, a, nil, yrows, i, k0, min(k0+kb, a.Rows), buf)
 		}
-		kernels.axpyTo(dst.Row(i), -eta, buf, w.Row(i))
+		ks.axpyTo(dst.Row(i), -eta, buf, w.Row(i))
 	}
 	gemmFlops.Add(2 * int64(a.Rows) * int64(a.Cols) * int64(w.Cols))
 }

@@ -8,7 +8,9 @@ import (
 // TestMeanAccumulatorMatchesAverageInto pins the streaming-fold
 // contract: folding vectors one at a time must produce bit-for-bit the
 // vector AverageInto computes from the whole list, in every kernel
-// class (ci.sh runs this suite under all four forced classes).
+// class (ci.sh runs this suite under all four forced classes), on
+// float32 rows on the storage tier, and again once FinishInto has
+// emptied the accumulator.
 func TestMeanAccumulatorMatchesAverageInto(t *testing.T) {
 	const d = 257 // odd length exercises the kernel tails
 	state := uint64(0x9e3779b97f4a7c15)
@@ -29,29 +31,37 @@ func TestMeanAccumulatorMatchesAverageInto(t *testing.T) {
 		want := make([]float64, d)
 		AverageInto(want, vecs...)
 
-		var acc MeanAccumulator
-		acc.Reset(d)
-		for _, v := range vecs {
-			acc.Add(v)
-		}
 		got := make([]float64, d)
-		acc.FinishInto(got)
-		for j := range want {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("n=%d: streaming mean differs from AverageInto at %d: %x vs %x",
-					n, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
-			}
+		if !StorageF32() {
+			streamMean(t, n, vecs, got, want)
+			continue
 		}
+		// The storage tier streams float32 rows (the values are
+		// float32-representable).
+		rows := make([][]float32, n)
+		for i, v := range vecs {
+			rows[i] = make([]float32, d)
+			ToF32(rows[i], v)
+		}
+		streamMean(t, n, rows, got, want)
+	}
+}
 
-		// Reuse after Reset must be just as exact.
-		acc.Reset(d)
+// streamMean folds vecs through one MeanAccumulator twice — the second
+// time after FinishInto emptied it — and checks both means against want.
+func streamMean[T Float](t *testing.T, n int, vecs [][]T, got, want []float64) {
+	t.Helper()
+	var acc MeanAccumulator[T]
+	acc.Reset(len(want))
+	for pass := 0; pass < 2; pass++ {
 		for _, v := range vecs {
 			acc.Add(v)
 		}
 		acc.FinishInto(got)
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("n=%d: reused accumulator differs at %d", n, j)
+				t.Fatalf("n=%d pass %d: streaming mean differs from AverageInto at %d: %x vs %x",
+					n, pass, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
 			}
 		}
 	}
@@ -64,7 +74,7 @@ func TestMeanAccumulatorEmptyPanics(t *testing.T) {
 			t.Fatal("FinishInto with no inputs did not panic")
 		}
 	}()
-	var acc MeanAccumulator
+	var acc MeanAccumulator[float64]
 	acc.Reset(8)
 	acc.FinishInto(make([]float64, 8))
 }

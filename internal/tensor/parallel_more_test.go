@@ -132,7 +132,7 @@ func TestAverageIntoPanicsOnEmpty(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	AverageInto(make([]float64, 2))
+	AverageInto[float64](make([]float64, 2))
 }
 
 func TestNewMatrixPanicsNegative(t *testing.T) {

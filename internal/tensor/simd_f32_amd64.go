@@ -19,9 +19,13 @@ func dot32AVX2(x, y []float32) float32
 func axpy32AVX2(a float32, x, y []float32)
 
 // axpyTo32Asm adapts the in-place assembly to the kernelSet's axpyTo
-// form, dst = y + a*x. dst may be y (the copy is then skipped); a
-// separate dst must not overlap x. The float32 bodies all pass y.
+// form, dst = y + a*x: copy y into dst, then accumulate in place. A dst
+// that is x would be clobbered by the copy, so it runs the twin.
 func axpyTo32Asm(dst []float32, a float32, x, y []float32) {
+	if len(x) > 0 && &dst[0] == &x[0] && &dst[0] != &y[0] {
+		axpyTo32Ref(dst, a, x, y)
+		return
+	}
 	copy(dst, y)
 	axpy32AVX2(a, x, dst)
 }

@@ -47,97 +47,125 @@ func TestKernelSetsComplete(t *testing.T) {
 	}
 }
 
-// TestAxpyToMatchesCopyAxpy pins AxpyTo to copy(dst, y) + Axpy(a, x,
-// dst) bit for bit in every class, at lengths that are not multiples of
-// the 16-wide unroll, with a separate destination and with dst == y and
-// dst == x.
-func TestAxpyToMatchesCopyAxpy(t *testing.T) {
-	forEachClass(t, func(t *testing.T) {
-		r := rng.New(41)
-		for _, n := range []int{1, 3, 15, 17, 33, 100, 1001} {
-			x, y := make([]float64, n), make([]float64, n)
-			fillSpecial(r, x)
-			fillSpecial(r, y)
-			a := (r.Float64() - 0.5) * 3
-
-			want := append([]float64(nil), y...)
-			Axpy(a, x, want)
-
-			dst := make([]float64, n)
-			AxpyTo(dst, a, x, y)
-			if i := equalBits(dst, want); i >= 0 {
-				t.Fatalf("n=%d: AxpyTo[%d] = %x, copy+Axpy %x", n, i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
-			}
-			yy := append([]float64(nil), y...)
-			AxpyTo(yy, a, x, yy)
-			if i := equalBits(yy, want); i >= 0 {
-				t.Fatalf("n=%d: AxpyTo(dst == y)[%d] differs", n, i)
-			}
-			xx := append([]float64(nil), x...)
-			AxpyTo(xx, a, xx, y)
-			if i := equalBits(xx, want); i >= 0 {
-				t.Fatalf("n=%d: AxpyTo(dst == x)[%d] differs", n, i)
-			}
+// firstDiff returns the first index at which a and b differ in their
+// bits, or -1.
+func firstDiff[T Float](a, b []T) int {
+	for i := range a {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return i
 		}
-	})
+	}
+	return -1
+}
+
+// TestAxpyToMatchesCopyAxpy pins AxpyTo to copy(dst, y) + Axpy(a, x,
+// dst) bit for bit in every class and on float32 operands, at lengths
+// that are not multiples of the 16-wide unroll, with a separate
+// destination and with dst == y and dst == x.
+func TestAxpyToMatchesCopyAxpy(t *testing.T) {
+	forEachClass(t, func(t *testing.T) { checkAxpyTo(t, fillSpecial) })
+	t.Run("float32", func(t *testing.T) { checkAxpyTo(t, fillSpecial32) })
+}
+
+func checkAxpyTo[T Float](t *testing.T, fill func(*rng.Stream, []T)) {
+	r := rng.New(41)
+	for _, n := range []int{1, 3, 15, 17, 33, 100, 1001} {
+		x, y := make([]T, n), make([]T, n)
+		fill(r, x)
+		fill(r, y)
+		a := T((r.Float64() - 0.5) * 3)
+
+		want := append([]T(nil), y...)
+		Axpy(a, x, want)
+
+		dst := make([]T, n)
+		AxpyTo(dst, a, x, y)
+		if i := firstDiff(dst, want); i >= 0 {
+			t.Fatalf("n=%d: AxpyTo[%d] = %v, copy+Axpy %v", n, i, dst[i], want[i])
+		}
+		yy := append([]T(nil), y...)
+		AxpyTo(yy, a, x, yy)
+		if i := firstDiff(yy, want); i >= 0 {
+			t.Fatalf("n=%d: AxpyTo(dst == y)[%d] differs", n, i)
+		}
+		xx := append([]T(nil), x...)
+		AxpyTo(xx, a, xx, y)
+		if i := firstDiff(xx, want); i >= 0 {
+			t.Fatalf("n=%d: AxpyTo(dst == x)[%d] differs", n, i)
+		}
+	}
 }
 
 // TestGemmTNRStepMatchesGemmTNR pins the fused first-layer SGD step to
-// Zero + GemmTNR + AxpyTo bit for bit in every class: on ReLU-masked
-// coefficients, on batches that span several example blocks, with dst
-// aliasing w, and with an Inf example row whose coefficient is zero —
-// the skip must stay a skip, or fma(0, Inf, y) would write NaN.
+// Zero + GemmTNR + AxpyTo bit for bit in every class and on float32
+// operands: on ReLU-masked coefficients, on batches that span several
+// example blocks, with dst aliasing w, and with an Inf example row whose
+// coefficient is zero — the skip must stay a skip, or fma(0, Inf, y)
+// would write NaN.
 func TestGemmTNRStepMatchesGemmTNR(t *testing.T) {
-	forEachClass(t, func(t *testing.T) {
-		r := rng.New(43)
-		const m, cols, eta = 7, 784, 0.05
-		for _, n := range []int{13, 16, 37} {
-			a := randMatrix(r, n, m)
-			for i := range a.Data {
-				if r.Intn(3) == 0 {
-					a.Data[i] = 0 // ReLU mask
-				}
-			}
-			yrows := make([][]float64, n)
-			for k := range yrows {
-				yrows[k] = make([]float64, cols)
-				fillSpecial(r, yrows[k])
-				for j := range yrows[k] {
-					if math.IsInf(yrows[k][j], 0) {
-						yrows[k][j] = 1 // finite rows but for the one below
-					}
-				}
-			}
-			// Example 5 is an Inf row that only zero coefficients touch.
-			for j := range yrows[5] {
-				yrows[5][j] = math.Inf(1)
-			}
-			for i := 0; i < m; i++ {
-				a.Data[5*m+i] = 0
-			}
-			w := randMatrix(r, m, cols)
-			inv := 1 / float64(n)
+	forEachClass(t, func(t *testing.T) { checkGemmTNRStep(t, fillSpecial) })
+	t.Run("float32", func(t *testing.T) { checkGemmTNRStep(t, fillSpecial32) })
+}
 
-			g := NewMatrix(m, cols)
-			GemmTNR(inv, a, yrows, g)
-			want := NewMatrix(m, cols)
-			AxpyTo(want.Data, -eta, g.Data, w.Data)
-
-			buf := make([]float64, cols)
-			dst := NewMatrix(m, cols)
-			GemmTNRStep(inv, a, yrows, eta, w, dst, buf)
-			if i := equalBits(dst.Data, want.Data); i >= 0 {
-				t.Fatalf("n=%d: GemmTNRStep[%d] = %x, GemmTNR+AxpyTo %x", n, i, math.Float64bits(dst.Data[i]), math.Float64bits(want.Data[i]))
-			}
-			if !AllFinite(dst.Data) {
-				t.Fatalf("n=%d: a zero coefficient let the Inf row in", n)
-			}
-			GemmTNRStep(inv, a, yrows, eta, w, w, buf)
-			if i := equalBits(w.Data, want.Data); i >= 0 {
-				t.Fatalf("n=%d: GemmTNRStep(dst == w)[%d] differs", n, i)
+func checkGemmTNRStep[T Float](t *testing.T, fill func(*rng.Stream, []T)) {
+	r := rng.New(43)
+	const m, cols, eta = 7, 784, 0.05
+	newMat := func(rows, cols int) *Mat[T] { return &Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)} }
+	randMat := func(rows, cols int) *Mat[T] {
+		c := newMat(rows, cols)
+		for i := range c.Data {
+			c.Data[i] = T(r.Float64()*2 - 1)
+		}
+		return c
+	}
+	for _, n := range []int{13, 16, 37} {
+		a := randMat(n, m)
+		for i := range a.Data {
+			if r.Intn(3) == 0 {
+				a.Data[i] = 0 // ReLU mask
 			}
 		}
-	})
+		yrows := make([][]T, n)
+		for k := range yrows {
+			yrows[k] = make([]T, cols)
+			fill(r, yrows[k])
+			for j, v := range yrows[k] {
+				if math.IsInf(float64(v), 0) {
+					yrows[k][j] = 1 // finite rows but for the one below
+				}
+			}
+		}
+		// Example 5 is an Inf row that only zero coefficients touch.
+		for j := range yrows[5] {
+			yrows[5][j] = T(math.Inf(1))
+		}
+		for i := 0; i < m; i++ {
+			a.Data[5*m+i] = 0
+		}
+		w := randMat(m, cols)
+		inv := 1 / T(n)
+
+		g := newMat(m, cols)
+		GemmTNR(inv, a, yrows, g)
+		want := newMat(m, cols)
+		AxpyTo(want.Data, -eta, g.Data, w.Data)
+
+		buf := make([]T, cols)
+		dst := newMat(m, cols)
+		GemmTNRStep(inv, a, yrows, eta, w, dst, buf)
+		if i := firstDiff(dst.Data, want.Data); i >= 0 {
+			t.Fatalf("n=%d: GemmTNRStep[%d] = %v, GemmTNR+AxpyTo %v", n, i, dst.Data[i], want.Data[i])
+		}
+		for _, v := range dst.Data {
+			if math.IsInf(float64(v), 0) || math.IsNaN(float64(v)) {
+				t.Fatalf("n=%d: a zero coefficient let the Inf row in", n)
+			}
+		}
+		GemmTNRStep(inv, a, yrows, eta, w, w, buf)
+		if i := firstDiff(w.Data, want.Data); i >= 0 {
+			t.Fatalf("n=%d: GemmTNRStep(dst == w)[%d] differs", n, i)
+		}
+	}
 }
 
 // TestGemmTNRStepRaggedRowPanics: a ragged example row panics before

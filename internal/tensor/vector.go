@@ -41,10 +41,10 @@ func Axpy[T Float](a T, x, y []T) {
 // copy(dst, y) followed by Axpy(a, x, dst) gives the same bits in one
 // pass instead of two. dst may alias x or y; partial overlap is not
 // supported.
-func AxpyTo(dst []float64, a float64, x, y []float64) {
+func AxpyTo[T Float](dst []T, a T, x, y []T) {
 	checkLen(len(x), len(y))
 	checkLen(len(dst), len(y))
-	kernels.axpyTo(dst, a, x, y)
+	kernelsOf[T]().axpyTo(dst, a, x, y)
 }
 
 // Scale computes x *= a in place.
