@@ -7,9 +7,11 @@
 # concurrently — the shared dataset cache, and the slot paths: fl.Fold's
 # lanes and core's slots write shared rows from parallel workers).
 # go test ./... also runs the dead-code gate (internal/deadcode): every
-# non-test declaration must be reached from a main package, another
-# package's test, the benchmark module or the gate's commented
-# allowlist, with the amd64 or the arm64 file set.
+# non-test declaration must be reached from a main package, an init, the
+# benchmark module's non-test code or the gate's commented allowlist,
+# with the amd64 or the arm64 file set. Tests keep nothing alive: a
+# helper only tests need lives in their _test.go, or in internal/fl/fltest
+# when several packages' tests share it.
 set -eux
 
 go build ./...
@@ -100,9 +102,11 @@ trap 'rm -rf "$SMOKE"' EXIT
 go build -o "$SMOKE/hierminimax" ./cmd/hierminimax
 
 # wire_addr polls an output file until the role reports its bound port.
+# The file may not exist yet: the shell creates it when it starts the
+# backgrounded role, which can be after the first poll.
 wire_addr() {
 	for _ in $(seq 1 100); do
-		addr=$(sed -n "s/^$2 listening on //p" "$1")
+		addr=$(sed -n "s/^$2 listening on //p" "$1" 2>/dev/null || true)
 		if [ -n "$addr" ]; then
 			echo "$addr"
 			return 0
@@ -198,6 +202,17 @@ if timeout 20 "$SMOKE/hierminimax" $WARGS -alg drfa -role cloud -listen 127.0.0.
 	exit 1
 fi
 grep 'drfa does not .* on the distributed roles' "$SMOKE/roles.err"
+# A half-valid Spec ends in an error naming the knob, not in a panic:
+# WARGS has two edge areas, and a cap of 0.4 leaves P empty (2 x 0.4 < 1).
+if "$SMOKE/hierminimax" $WARGS -pcap 0.4 > /dev/null 2> "$SMOKE/pcap.err"; then
+	echo "ci: -pcap 0.4 on two edge areas was accepted"
+	exit 1
+fi
+grep 'Spec.PCap' "$SMOKE/pcap.err"
+if grep 'goroutine ' "$SMOKE/pcap.err"; then
+	echo "ci: -pcap 0.4 ended in a panic"
+	exit 1
+fi
 
 # Sparse-population smoke: the same smoke-scale Fig. 3 comparison with
 # a hundred thousand registered clients (twenty materialized per round)

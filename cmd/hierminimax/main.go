@@ -60,7 +60,7 @@ func main() {
 	flag.UintVar(&spec.QuantBits, "quant-bits", 0, "stochastic uniform uplink quantization bits in [1,32] (0 = exact)")
 	flag.IntVar(&spec.TopK, "topk", 0, "top-k sparsified uplinks with error feedback: coordinates kept per vector (0 = exact; excludes -quant-bits)")
 	flag.Float64Var(&spec.DropoutProb, "dropout", 0, "per-slot dropout probability")
-	flag.Float64Var(&spec.PCap, "pcap", 0, "cap for the weight simplex (0 = none)")
+	flag.Float64Var(&spec.PCap, "pcap", 0, "cap for the weight simplex (0 = none; edges x pcap must be >= 1)")
 	flag.Float64Var(&spec.Chaos.CrashProb, "crash", 0, "per-round client crash probability (simnet)")
 	flag.Float64Var(&spec.Chaos.PartitionProb, "partition-prob", 0, "per-round edge partition probability (simnet)")
 	flag.Float64Var(&spec.Chaos.LossProb, "loss", 0, "per-transfer message loss probability (simnet)")

@@ -336,6 +336,37 @@ func TestCappedPSpec(t *testing.T) {
 	}
 }
 
+// TestHalfValidSpecRefusedByName: a knob out of its range ends in an
+// error naming it, from Run and from the wire roles' plan alike, never
+// in a panic or a silent default.
+func TestHalfValidSpecRefusedByName(t *testing.T) {
+	for _, c := range []struct {
+		knob string
+		set  func(*Spec)
+	}{
+		{"PCap", func(s *Spec) { s.PCap = -1 }},
+		{"PCap", func(s *Spec) { s.PCap = math.NaN() }},
+		{"PCap", func(s *Spec) { s.PCap = 0.0999 }}, // 10 areas need a cap of at least 0.1
+		{"NumEdges", func(s *Spec) { s.NumEdges = -1 }},
+		{"ClientsPerEdge", func(s *Spec) { s.ClientsPerEdge = -1 }},
+		{"InputDim", func(s *Spec) { s.InputDim = -1 }},
+		{"TrainPerClass", func(s *Spec) { s.TrainPerClass = -1 }},
+		{"TestPerClass", func(s *Spec) { s.TestPerClass = -1 }},
+		{"Hidden1", func(s *Spec) { s.Model, s.Hidden1 = ModelMLP, -1 }},
+		{"Hidden2", func(s *Spec) { s.Model, s.Hidden2 = ModelMLP, -1 }},
+	} {
+		spec := smokeSpec(AlgHierMinimax)
+		c.set(&spec)
+		_, runErr := Run(spec)
+		_, _, _, planErr := spec.plan(true)
+		for _, err := range []error{runErr, planErr} {
+			if err == nil || !strings.Contains(err.Error(), "Spec."+c.knob) {
+				t.Errorf("Spec.%s out of range: got %v, want an error naming it", c.knob, err)
+			}
+		}
+	}
+}
+
 func TestOneClassPartitionRequiresMatchingEdges(t *testing.T) {
 	spec := smokeSpec(AlgHierMinimax)
 	spec.NumEdges = 7

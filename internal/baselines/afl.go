@@ -13,7 +13,7 @@ import (
 // StochasticAFL is the Stochastic Agnostic Federated Learning algorithm
 // of Mohri, Sivek and Suresh [25]: two-layer minimax with a single local
 // SGD step per round. Every round the server samples edge slots by
-// p^(k), each slot's clients take one projected SGD step from w^(k), the
+// p^(k), each slot's clients take one SGD step from w^(k), the
 // server averages the returned models into w^(k+1), then updates p by
 // projected gradient ascent on uniformly-sampled loss estimates of
 // w^(k+1). Config.Tau1 and Config.Tau2 must both be 1.
@@ -102,7 +102,6 @@ func minimaxTwoLayerRound(k int, st *fl.State, pool *fl.ModelPool, s *twoLayerSc
 	st.Ledger.RecordRound(topology.ClientCloud, nTot, 2*dBytes)
 	s.wChk = fl.GrowVec(s.wChk, d)
 	f.Finish(st.W, s.wChk)
-	fl.ProjectW(prob.W, st.W)
 
 	// Weight update at the checkpoint model, step eta_p * tau1.
 	v := uniformLossEstimates(k, st, pool, s.wChk, kr.Child(4))

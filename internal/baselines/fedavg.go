@@ -61,7 +61,6 @@ func FedAvg(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 		}
 		st.Ledger.RecordRound(topology.ClientCloud, n, dBytes)
 		f.Finish(st.W, nil)
-		fl.ProjectW(prob.W, st.W)
 	})
 }
 

@@ -65,7 +65,6 @@ func hierFAvgRound(k int, st *fl.State, pool *fl.ModelPool, slots []hierSlot) {
 			f.Block(s.we, sr.ChildVal(uint64(t2)), 0, iterSum)
 			st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
 			f.Finish(s.we, nil)
-			fl.ProjectW(prob.W, s.we)
 		}
 	})
 	st.Ledger.RecordRound(topology.EdgeCloud, len(edges), dBytes)
@@ -80,5 +79,4 @@ func hierFAvgRound(k int, st *fl.State, pool *fl.ModelPool, slots []hierSlot) {
 		}
 	}
 	tensor.AverageInto(st.W, wVecs...)
-	fl.ProjectW(prob.W, st.W)
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fl"
 	"repro/internal/fl/fltest"
-	"repro/internal/tensor"
 )
 
 // popBaselines enumerates every baseline under the sparse population
@@ -84,7 +83,7 @@ func TestBaselinesPopulationLearns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !tensor.AllFinite(res.W) {
+			if !fltest.AllFinite(res.W) {
 				t.Fatal("non-finite parameters")
 			}
 			if final := res.History.Final().Fair; final.Average < 0.6 {

@@ -218,9 +218,6 @@ func (c *cloud) round(k int, st *fl.State) {
 	// Edges upload (w_e, chk_e) — and the iterate sum when tracking.
 	st.Ledger.RecordRound(topology.EdgeCloud, len(c.wVecs), cfg.UplinkBytes(d, true))
 	tensor.AverageInto(st.W, c.wVecs...)
-	tp := obs.Now()
-	fl.ProjectW(prob.W, st.W)
-	obs.ObserveSince("core_projection_ms", tp)
 	tensor.AverageInto(c.wChk, c.chkVecs...)
 	if cfg.CheckpointOff {
 		// A1 ablation: estimate the p-gradient at the end-of-round model
@@ -375,7 +372,7 @@ func modelUpdate(a modelUpdateArgs) Slot {
 
 // node runs a level-v node whose leaves start at client leafLo of the
 // slot's area: Taus[v] blocks, the first from start (read, not written)
-// and each later one from w, each aggregated into w and projected — the
+// and each later one from w, each aggregated into w — the
 // bits of copying start into w first, without the copy. A level-1 node
 // runs each block as one Fold block over the Fold's cohort; a higher
 // node runs its children in child order on rows (its own children's
@@ -432,6 +429,5 @@ func (a *modelUpdateArgs) node(v int, f *fl.Fold, leafLo int, start, w, chk []fl
 				tensor.AverageInto(chk, chks...)
 			}
 		}
-		fl.ProjectW(a.st.Prob.W, w)
 	}
 }

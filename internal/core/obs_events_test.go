@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/fl"
@@ -9,12 +11,56 @@ import (
 	"repro/internal/obs"
 )
 
+// collectorSink is an obs.Sink that records every round event in
+// order, for asserting deterministic event sequences.
+type collectorSink struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (c *collectorSink) RoundStart(ev obs.RoundEvent) { c.record("start", ev) }
+
+func (c *collectorSink) RoundEnd(ev obs.RoundEvent) { c.record("end", ev) }
+
+func (c *collectorSink) record(kind string, ev obs.RoundEvent) {
+	c.mu.Lock()
+	c.events = append(c.events, kind+" "+ev.Algorithm+" "+strconv.Itoa(ev.Round))
+	c.mu.Unlock()
+}
+
+// Events returns the recorded event strings in arrival order.
+func (c *collectorSink) Events() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.events...)
+}
+
+func TestCollectorSinkOrder(t *testing.T) {
+	hub := obs.New()
+	var c collectorSink
+	hub.AddSink(&c)
+	hub.RoundStart(obs.RoundEvent{Algorithm: "A", Round: 0})
+	hub.RoundEnd(obs.RoundEvent{Algorithm: "A", Round: 0})
+	hub.RoundStart(obs.RoundEvent{Algorithm: "A", Round: 1})
+	hub.RoundEnd(obs.RoundEvent{Algorithm: "A", Round: 1})
+	got := c.Events()
+	want := []string{"start A 0", "end A 0", "start A 1", "end A 1"}
+	if len(got) != len(want) {
+		t.Fatalf("events = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("events[%d] = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
 // withCollector runs fn with a fresh global hub carrying a collector
 // sink and returns the recorded event sequence.
 func withCollector(t *testing.T, fn func()) []string {
 	t.Helper()
 	hub := obs.New()
-	var sink obs.CollectorSink
+	var sink collectorSink
 	hub.AddSink(&sink)
 	prev := obs.SetGlobal(hub)
 	defer obs.SetGlobal(prev)
@@ -53,15 +99,7 @@ func TestResumeReplaysRoundEventSequence(t *testing.T) {
 		}
 	})
 
-	// Serialize through gob like a real restart would.
-	var buf bytes.Buffer
-	if err := chk.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := fl.LoadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := gobRoundTrip(t, chk)
 	leg2 := withCollector(t, func() {
 		if _, err := HierMinimaxWithOptions(fltest.ToyProblem(1), cfg, fl.RunOptions{Resume: restored}); err != nil {
 			t.Fatal(err)
@@ -95,7 +133,7 @@ func TestTraceJournalRoundSpansMatchRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lines, err := obs.ReadTrace(bytes.NewReader(journal.Bytes()))
+	lines, err := fltest.ReadTrace(bytes.NewReader(journal.Bytes()))
 	if err != nil {
 		t.Fatalf("journal is not valid JSONL: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/fl/fltest"
-	"repro/internal/tensor"
 )
 
 // TestPopulationWorkerCountInvariant pins the population regime's
@@ -64,7 +63,7 @@ func TestPopulationLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.AllFinite(res.W) {
+	if !fltest.AllFinite(res.W) {
 		t.Fatal("non-finite parameters")
 	}
 	if final := res.History.Final().Fair; final.Average < 0.7 {

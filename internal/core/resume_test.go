@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"repro/internal/fl"
@@ -35,15 +36,7 @@ func TestResumeBitwiseIdentical(t *testing.T) {
 		t.Fatalf("no checkpoint captured: %+v", chk)
 	}
 
-	// Serialize through gob like a real restart would.
-	var buf bytes.Buffer
-	if err := chk.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := fl.LoadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := gobRoundTrip(t, chk)
 
 	// Second leg: resume to the full horizon.
 	resumed, err := HierMinimaxWithOptions(fltest.ToyProblem(1), cfg, fl.RunOptions{Resume: restored})
@@ -98,8 +91,23 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	}
 }
 
+// gobRoundTrip serializes c through encoding/gob and decodes it back,
+// as a restart from disk would.
+func gobRoundTrip(t *testing.T, c *fl.Checkpoint) *fl.Checkpoint {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+		t.Fatal(err)
+	}
+	var restored fl.Checkpoint
+	if err := gob.NewDecoder(&buf).Decode(&restored); err != nil {
+		t.Fatal(err)
+	}
+	return &restored
+}
+
 func TestCheckpointGobGarbage(t *testing.T) {
-	if _, err := fl.LoadCheckpoint(bytes.NewReader([]byte("junk"))); err == nil {
+	if err := gob.NewDecoder(bytes.NewReader([]byte("junk"))).Decode(new(fl.Checkpoint)); err == nil {
 		t.Fatal("garbage checkpoint accepted")
 	}
 }

@@ -75,7 +75,7 @@ func TestFourLayerLearns(t *testing.T) {
 	if final := res.History.Final().Fair; final.Average < 0.75 {
 		t.Fatalf("4-layer run reached only %v", final.Average)
 	}
-	if !tensor.AllFinite(res.W) {
+	if !fltest.AllFinite(res.W) {
 		t.Fatal("non-finite parameters")
 	}
 	// The mid-tier boundary must carry traffic; client-edge and

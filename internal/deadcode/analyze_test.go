@@ -44,11 +44,13 @@ type module struct {
 // unreached returns every non-test declaration of the module rooted at
 // dir that nothing reaches, sorted by position. clients are the
 // directories of further modules that import it (each loads it through
-// a replace directive); their code, tests included, only adds roots.
+// a replace directive); their non-test code only adds roots.
 //
 // Roots are main and every init, the initializers of blank package
-// vars, the allowlist, and every reference from a client module or
-// from another package's _test.go files. Reachability is transitive
+// vars, the allowlist, and every reference from a client module's
+// non-test code. No _test.go file is read: a declaration that only
+// tests name is unreached, whichever package the tests are in.
+// Reachability is transitive
 // over declarations: a reached declaration reaches what its body, type
 // or initializer names. A method is also reached when its receiver type
 // is reached and either a reached interface method has its name and
@@ -139,16 +141,12 @@ type analysis struct {
 
 // pkg is one directory's package in one pass.
 type pkg struct {
-	path       string
-	client     bool
-	bp         *build.Package
-	files      []*ast.File // GoFiles
-	tests      []*ast.File // TestGoFiles
-	xtests     []*ast.File // XTestGoFiles
-	base       *types.Package
-	info       *types.Info
-	test       *types.Package  // base plus the in-package tests
-	dependents map[string]bool // module packages that import this one, directly or not
+	path   string
+	client bool
+	bp     *build.Package
+	files  []*ast.File // GoFiles
+	base   *types.Package
+	info   *types.Info
 }
 
 // node is one judged declaration in one pass.
@@ -202,8 +200,8 @@ func (a *analysis) run(mods []module, arch string) error {
 		scan()
 	}
 	for _, path := range paths {
-		if err := p.testRefs(p.pkgs[path]); err != nil {
-			return err
+		if q := p.pkgs[path]; q.client {
+			p.clientRefs(q)
 		}
 	}
 	p.markStd()
@@ -247,17 +245,12 @@ func (p *pass) load(m module) error {
 			return err
 		}
 		q := &pkg{path: path.Join(m.path, filepath.ToSlash(rel)), client: m.client, bp: bp}
-		for _, set := range []struct {
-			names []string
-			into  *[]*ast.File
-		}{{bp.GoFiles, &q.files}, {bp.TestGoFiles, &q.tests}, {bp.XTestGoFiles, &q.xtests}} {
-			for _, name := range set.names {
-				f, err := p.parse(filepath.Join(dir, name))
-				if err != nil {
-					return err
-				}
-				*set.into = append(*set.into, f)
+		for _, name := range bp.GoFiles {
+			f, err := p.parse(filepath.Join(dir, name))
+			if err != nil {
+				return err
 			}
+			q.files = append(q.files, f)
 		}
 		p.pkgs[q.path] = q
 		return nil
@@ -276,42 +269,35 @@ func (p *pass) parse(file string) (*ast.File, error) {
 	return f, nil
 }
 
-// check type-checks files as the package path, resolving module imports
-// through imp and everything else through the source importer.
-func (p *pass) check(path string, files []*ast.File, imp func(string) (*types.Package, error)) (*types.Package, *types.Info, error) {
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+// checkBase type-checks the non-test files of the package path once,
+// resolving module imports through checkBase and everything else
+// through the source importer.
+func (p *pass) checkBase(path string) (*types.Package, error) {
+	q := p.pkgs[path]
+	if q.base != nil {
+		return q.base, nil
+	}
+	q.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
 	conf := types.Config{
 		Importer: importerFunc(func(path string) (*types.Package, error) {
 			if _, ok := p.pkgs[path]; ok {
-				return imp(path)
+				return p.checkBase(path)
 			}
 			return p.std.Import(path)
 		}),
 		Sizes: types.SizesFor("gc", p.ctxt.GOARCH),
 	}
-	tp, err := conf.Check(path, p.fset, files, info)
+	tp, err := conf.Check(path, p.fset, q.files, q.info)
 	if err != nil {
-		return nil, nil, fmt.Errorf("type-checking %s: %w", path, err)
+		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	return tp, info, nil
+	q.base = tp
+	return tp, nil
 }
 
 type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// checkBase type-checks the non-test files of the package path once.
-func (p *pass) checkBase(path string) (*types.Package, error) {
-	q := p.pkgs[path]
-	if q.base == nil {
-		tp, info, err := p.check(path, q.files, p.checkBase)
-		if err != nil {
-			return nil, err
-		}
-		q.base, q.info = tp, info
-	}
-	return q.base, nil
-}
 
 // declare records a node for every package-level declaration of q, and
 // the roots among them.
@@ -520,86 +506,11 @@ func (p *pass) uses(info *types.Info, x ast.Node, fn func(key string)) {
 	})
 }
 
-// testRefs roots every declaration of another package that q's tests
-// name, and everything a client package names.
-func (p *pass) testRefs(q *pkg) error {
-	root := func(key string) {
-		if q.client || p.nodes[key].pkg != q.path {
-			p.roots = append(p.roots, key)
-		}
+// clientRefs roots everything the client package q names.
+func (p *pass) clientRefs(q *pkg) {
+	for _, f := range q.files {
+		p.uses(q.info, f, func(key string) { p.roots = append(p.roots, key) })
 	}
-	if q.client {
-		for _, f := range q.files {
-			p.uses(q.info, f, root)
-		}
-	}
-	if len(q.tests) > 0 {
-		tp, info, err := p.check(q.path, append(append([]*ast.File(nil), q.files...), q.tests...), p.checkBase)
-		if err != nil {
-			return err
-		}
-		q.test = tp
-		for _, f := range q.tests {
-			p.uses(info, f, root)
-		}
-	}
-	if len(q.xtests) == 0 {
-		return nil
-	}
-	// As the go command does, the external test package sees q with
-	// its in-package tests, and so does every module package it imports
-	// that depends on q: those are checked again for it.
-	over := map[string]*types.Package{q.path: q.base}
-	if q.test != nil {
-		over[q.path] = q.test
-	}
-	var imp func(string) (*types.Package, error)
-	imp = func(path string) (*types.Package, error) {
-		if tp, ok := over[path]; ok {
-			return tp, nil
-		}
-		if !p.dependsOn(path, q.path) {
-			return p.checkBase(path)
-		}
-		tp, _, err := p.check(path, p.pkgs[path].files, imp)
-		over[path] = tp
-		return tp, err
-	}
-	_, info, err := p.check(q.path+"_test", q.xtests, imp)
-	if err != nil {
-		return err
-	}
-	for _, f := range q.xtests {
-		p.uses(info, f, root)
-	}
-	return nil
-}
-
-// dependsOn reports whether the package path imports target, directly
-// or not.
-func (p *pass) dependsOn(path, target string) bool {
-	t := p.pkgs[target]
-	if t.dependents == nil {
-		t.dependents = map[string]bool{}
-		var walk func(string) bool
-		seen := map[string]bool{}
-		walk = func(path string) bool {
-			if done, ok := seen[path]; ok {
-				return done
-			}
-			seen[path] = false
-			for _, imp := range p.pkgs[path].bp.Imports {
-				if _, ok := p.pkgs[imp]; ok && (imp == target || walk(imp)) {
-					seen[path] = true
-				}
-			}
-			return seen[path]
-		}
-		for path := range p.pkgs {
-			t.dependents[path] = walk(path)
-		}
-	}
-	return t.dependents[path]
 }
 
 // markStd flags each method through which its receiver satisfies an

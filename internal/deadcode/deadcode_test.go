@@ -1,8 +1,10 @@
 // Package deadcode is a test-only gate: it fails when a non-test
 // declaration of the repro module is reached by no main package, no
-// other package's test, no benchmark-module code and no allowlist
-// entry. Delete what it reports, or move it into the _test.go file of
-// the package whose tests still need it.
+// init, no non-test benchmark-module code and no allowlist entry. Tests
+// keep nothing alive, not even another package's. Delete what it
+// reports, or move it into the _test.go file of the package whose tests
+// still need it, or into the test-support package fltest
+// (internal/fl/fltest) when several packages' tests share it.
 package deadcode
 
 import (
@@ -48,14 +50,14 @@ func TestNoUnreachedDeclarations(t *testing.T) {
 		b.WriteString("\n\t" + f.String())
 		total += f.lines
 	}
-	t.Errorf("%d declarations (%d lines) are reached by nothing; delete them, or move them into the _test.go of the only package that uses them:%s",
+	t.Errorf("%d declarations (%d lines) are reached by no production code; delete them, or move them into the _test.go of the package whose tests use them (or into fltest when several packages' tests do):%s",
 		len(found), total, b.String())
 }
 
 // TestAnalyzerFixture runs the analyzer on a module built to hold one
-// case per rule.
+// case per rule, with its test-support package allowlisted.
 func TestAnalyzerFixture(t *testing.T) {
-	found, err := unreached(filepath.Join("testdata", "fixture"), nil, nil)
+	found, err := unreached(filepath.Join("testdata", "fixture"), nil, []string{"fixture/libtest.*"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +69,7 @@ func TestAnalyzerFixture(t *testing.T) {
 		"lib.deadHead":         "lib/lib.go:11 lib.deadHead (2 lines)", // a dead chain ...
 		"lib.deadTail":         "lib/lib.go:14 lib.deadTail (1 lines)",
 		"lib.OwnTestOnly":      "lib/lib.go:16 lib.OwnTestOnly (2 lines)",      // named by its own package's tests only
+		"lib.OtherTestOnly":    "lib/lib.go:19 lib.OtherTestOnly (2 lines)",    // named by another package's tests only
 		"lib.Shape.Perimeter":  "lib/lib.go:25 lib.Shape.Perimeter (1 lines)",  // an interface method nobody calls ...
 		"lib.Square.Perimeter": "lib/lib.go:34 lib.Square.Perimeter (2 lines)", // ... and its implementation
 	}
@@ -75,7 +78,7 @@ func TestAnalyzerFixture(t *testing.T) {
 			t.Errorf("want %q flagged, got %q", line, got[name])
 		}
 	}
-	// Kept: lib.OtherTestOnly (another package's test), Square.Area
+	// Kept: libtest.Square (allowlisted test support), Square.Area
 	// (interface dispatch), Stamp.String and Blob.MarshalBinary (std
 	// interfaces), archShared (named from the !amd64 file only).
 	for name, line := range got {

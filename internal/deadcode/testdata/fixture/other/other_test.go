@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"fixture/lib"
+	"fixture/libtest"
 )
 
 func TestOther(t *testing.T) {
-	if lib.OtherTestOnly() != 4 {
+	if lib.OtherTestOnly() != 4 || libtest.Square().Area() != 9 {
 		t.Fatal("OtherTestOnly")
 	}
 }

@@ -59,7 +59,7 @@ func runGap(g gapScale, seed uint64, T int, alpha float64) (gapRun, error) {
 	if err != nil {
 		return gapRun{}, fmt.Errorf("experiments: T=%d alpha=%g: %w", T, alpha, err)
 	}
-	gap := metrics.DualityGap(prob.Model, out.WHat, out.PHat, fed, prob.W, prob.P, 200, lr.EtaW)
+	gap := metrics.DualityGap(prob.Model, out.WHat, out.PHat, fed, prob.P, 200, lr.EtaW)
 	return gapRun{tau1, tau2, rounds, out, gap}, nil
 }
 

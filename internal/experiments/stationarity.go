@@ -72,7 +72,7 @@ func stationarity(pool *sched.Pool, scale Scale, seed uint64) (*Table, error) {
 	for i, c := range checkpoints {
 		jobs[i] = job{nil, func() ([]float64, error) {
 			m := prob.Model.Clone()
-			grad2 := metrics.MoreauGradNormSq(m, c.W, fed, prob.W, prob.P, lSmooth, 25, etaW)
+			grad2 := metrics.MoreauGradNormSq(m, c.W, fed, prob.P, lSmooth, 25, etaW)
 			ev := metrics.EvaluateAreas(m, c.W, fed)
 			return []float64{float64(c.Round), grad2, metrics.Worst(ev.Accuracy)}, nil
 		}}

@@ -1,11 +1,8 @@
 package fl
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
-	"repro/internal/obs"
 	"repro/internal/topology"
 )
 
@@ -23,26 +20,6 @@ type Checkpoint struct {
 	WCount    float64
 	PSum      []float64
 	Ledger    topology.LedgerSnapshot
-}
-
-// Save writes the checkpoint with encoding/gob.
-func (c *Checkpoint) Save(w io.Writer) error {
-	sp := obs.Start("checkpoint-encode", obs.Int("round", c.Round))
-	err := gob.NewEncoder(w).Encode(c)
-	sp.End()
-	return err
-}
-
-// LoadCheckpoint reads a checkpoint written by Save.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	sp := obs.Start("checkpoint-load")
-	var c Checkpoint
-	err := gob.NewDecoder(r).Decode(&c)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("fl: decode checkpoint: %w", err)
-	}
-	return &c, nil
 }
 
 // checkpointOf snapshots the run state after `round` completed rounds.

@@ -325,7 +325,7 @@ func (l *lanes[T]) run(f *Fold, lo, hi int) {
 			tensor.Zero(sum)
 		}
 		wf, chk := l.finals[lane], l.chks[lane]
-		chked := localSGD(mdl, l.start, wf, f.Cohort.shard(i, &s.shard), cfg.Tau1, cfg.BatchSize, cfg.EtaW, f.prob.W, &r, f.chkAt, sum, chk, s)
+		chked := localSGD(mdl, l.start, wf, f.Cohort.shard(i, &s.shard), cfg.Tau1, cfg.BatchSize, cfg.EtaW, &r, f.chkAt, sum, chk, s)
 		// Uplink compression: members upload compressed models and the
 		// aggregator reconstructs the decoded values. Checkpoint uploads
 		// compress without error feedback (they are one-shot, not part of

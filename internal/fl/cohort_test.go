@@ -9,13 +9,12 @@ import (
 	"repro/internal/model"
 	"repro/internal/quant"
 	"repro/internal/rng"
-	"repro/internal/simplex"
 	"repro/internal/tensor"
 )
 
 // memberResults runs every member of clients alone from start, as a
 // Fold block would: its final model, checkpoint and iterate sum.
-func memberResults(m model.Model, clients []data.Subset, start []float64, streams rng.Stream, cfg *Config, W simplex.Set, chkAt int) (finals, chks, sums [][]float64) {
+func memberResults(m model.Model, clients []data.Subset, start []float64, streams rng.Stream, cfg *Config, chkAt int) (finals, chks, sums [][]float64) {
 	n, d := len(clients), len(start)
 	finals, chks, sums = make([][]float64, n), make([][]float64, n), make([][]float64, n)
 	var s Scratch
@@ -23,7 +22,7 @@ func memberResults(m model.Model, clients []data.Subset, start []float64, stream
 		finals[i] = append([]float64(nil), start...)
 		chks[i], sums[i] = make([]float64, d), make([]float64, d)
 		r := streams.ChildVal(uint64(i))
-		LocalSGDScratch(m, finals[i], clients[i], cfg.Tau1, cfg.BatchSize, cfg.EtaW, W, &r, chkAt, sums[i], chks[i], &s)
+		LocalSGDScratch(m, finals[i], clients[i], cfg.Tau1, cfg.BatchSize, cfg.EtaW, nil, &r, chkAt, sums[i], chks[i], &s)
 	}
 	return finals, chks, sums
 }
@@ -53,7 +52,6 @@ func TestFoldSkip(t *testing.T) {
 	start := make([]float64, d)
 	rng.New(1).Fill(start, 0.2)
 	streams := *rng.New(2)
-	W := simplex.FullSpace{Dim: d}
 	skip := func(i int) bool { return i%3 == 1 || i == cohortChunk }
 
 	for _, n := range []int{7, cohortChunk + 5} {
@@ -64,8 +62,8 @@ func TestFoldSkip(t *testing.T) {
 		for _, chkAt := range []int{0, 1, tau1} {
 			for _, workers := range []int{1, 0} {
 				cfg := &Config{Tau1: tau1, BatchSize: 2, EtaW: 0.1, TrackAverages: true, Workers: workers}
-				prob := &Problem{Model: m, W: W}
-				finals, chks, sums := memberResults(m, clients, start, streams, cfg, W, chkAt)
+				prob := &Problem{Model: m}
+				finals, chks, sums := memberResults(m, clients, start, streams, cfg, chkAt)
 				for _, tc := range []struct {
 					name string
 					skip func(int) bool
@@ -124,8 +122,7 @@ func TestFoldBlocksBeforeFinish(t *testing.T) {
 	const tau1 = 3
 	m := model.NewLinear(4, 2)
 	d := m.Dim()
-	W := simplex.FullSpace{Dim: d}
-	prob := &Problem{Model: m, W: W}
+	prob := &Problem{Model: m}
 	cfg := &Config{Tau1: tau1, BatchSize: 2, EtaW: 0.1, TrackAverages: true}
 	startA, startB := make([]float64, d), make([]float64, d)
 	rng.New(5).Fill(startA, 0.2)
@@ -140,8 +137,8 @@ func TestFoldBlocksBeforeFinish(t *testing.T) {
 		for _, chkAt := range []int{0, 1, tau1} {
 			for _, skip := range []func(int) bool{nil, func(i int) bool { return i%4 == 2 }} {
 				name := fmt.Sprintf("n=%d chkAt=%d skip=%v", n, chkAt, skip != nil)
-				finA, chkA, _ := memberResults(m, clients, startA, streamsA, cfg, W, chkAt)
-				finB, chkB, _ := memberResults(m, clients, startB, streamsB, cfg, W, chkAt)
+				finA, chkA, _ := memberResults(m, clients, startA, streamsA, cfg, chkAt)
+				finB, chkB, _ := memberResults(m, clients, startB, streamsB, cfg, chkAt)
 				var live, liveChks [][]float64
 				for _, res := range [][2][][]float64{{finA, chkA}, {finB, chkB}} {
 					for i := 0; i < n; i++ {
@@ -210,7 +207,7 @@ func TestFoldAddMatchesBlock(t *testing.T) {
 	start := make([]float64, d)
 	rng.New(3).Fill(start, 0.2)
 	streams := *rng.New(4)
-	prob := &Problem{Model: m, W: simplex.FullSpace{Dim: d}}
+	prob := &Problem{Model: m}
 	cfg := &Config{Tau1: 3, BatchSize: 2, EtaW: 0.1, TrackAverages: true}
 
 	for _, chkAt := range []int{0, 1, cfg.Tau1} {
@@ -245,7 +242,7 @@ func TestFoldAddMatchesBlock(t *testing.T) {
 						sum = make([]float64, d)
 					}
 					r := streams.ChildVal(uint64(i))
-					LocalSGDScratch(m, final, clients[i], cfg.Tau1, cfg.BatchSize, cfg.EtaW, prob.W, &r, chkAt, sum, chk, &s)
+					LocalSGDScratch(m, final, clients[i], cfg.Tau1, cfg.BatchSize, cfg.EtaW, nil, &r, chkAt, sum, chk, &s)
 					add.Add(final, chk, sum, addSum)
 				}
 				gotW, gotChk := make([]float64, d), make([]float64, d)
@@ -283,8 +280,7 @@ func TestFoldAddMatchesBlock(t *testing.T) {
 // members and iterate sums equals, bit for bit, every surviving member
 // run alone through LocalSGDScratch (the float64 adapter) and folded in
 // with Add — with the checkpoint off, after the first step and after
-// the last, under the identity and a non-trivial W, with one worker and
-// the default pool.
+// the last, with one worker and the default pool.
 func TestFoldFloat32LanesMatchAdd(t *testing.T) {
 	defer tensor.SetKernel(tensor.KernelAVX2F32)()
 	const n, tau1 = 40, 3
@@ -300,48 +296,46 @@ func TestFoldFloat32LanesMatchAdd(t *testing.T) {
 	streams := *rng.New(10)
 	skip := func(i int) bool { return i%5 == 3 || i == cohortChunk }
 
-	for _, W := range []simplex.Set{simplex.FullSpace{Dim: d}, simplex.Ball{Radius: 0.5}} {
-		prob := &Problem{Model: m, W: W}
-		for _, chkAt := range []int{0, 1, tau1} {
-			for _, workers := range []int{1, 0} {
-				name := fmt.Sprintf("W=%v chkAt=%d workers=%d", W, chkAt, workers)
-				cfg := &Config{Tau1: tau1, BatchSize: 2, EtaW: 0.1, TrackAverages: true, Workers: workers}
+	prob := &Problem{Model: m}
+	for _, chkAt := range []int{0, 1, tau1} {
+		for _, workers := range []int{1, 0} {
+			name := fmt.Sprintf("chkAt=%d workers=%d", chkAt, workers)
+			cfg := &Config{Tau1: tau1, BatchSize: 2, EtaW: 0.1, TrackAverages: true, Workers: workers}
 
-				var add Fold
-				add.Begin(cfg, prob, nil, quant.Config{})
-				var s Scratch
-				wantSum := make([]float64, d)
-				for i := 0; i < n; i++ {
-					if skip(i) {
-						continue
-					}
-					final, chk, sum := append([]float64(nil), start...), make([]float64, d), make([]float64, d)
-					r := streams.ChildVal(uint64(i))
-					LocalSGDScratch(m, final, clients[i], cfg.Tau1, cfg.BatchSize, cfg.EtaW, W, &r, chkAt, sum, chk, &s)
-					if chkAt == 0 {
-						chk = nil
-					}
-					add.Add(final, chk, sum, wantSum)
+			var add Fold
+			add.Begin(cfg, prob, nil, quant.Config{})
+			var s Scratch
+			wantSum := make([]float64, d)
+			for i := 0; i < n; i++ {
+				if skip(i) {
+					continue
 				}
-				wantW, wantChk := make([]float64, d), make([]float64, d)
-				if !add.Finish(wantW, wantChk) {
-					t.Fatalf("%s: Add folded nothing", name)
+				final, chk, sum := append([]float64(nil), start...), make([]float64, d), make([]float64, d)
+				r := streams.ChildVal(uint64(i))
+				LocalSGDScratch(m, final, clients[i], cfg.Tau1, cfg.BatchSize, cfg.EtaW, nil, &r, chkAt, sum, chk, &s)
+				if chkAt == 0 {
+					chk = nil
 				}
-
-				f := Fold{Cohort: Cohort{Clients: clients, Skip: skip}}
-				f.Begin(cfg, prob, NewModelPool(m), cfg.Compression)
-				w, chk, sum := make([]float64, d), make([]float64, d), make([]float64, d)
-				f.Block(start, streams, chkAt, sum)
-				if !f.Finish(w, chk) {
-					t.Fatalf("%s: Block folded nothing", name)
-				}
-				if len(f.l32.finals) != cohortChunk || len(f.l64.finals) != 0 {
-					t.Fatalf("%s: %d float32 and %d float64 lane rows, want float32 lanes only", name, len(f.l32.finals), len(f.l64.finals))
-				}
-				sameBits(t, name+" w", w, wantW)
-				sameBits(t, name+" chk", chk, wantChk)
-				sameBits(t, name+" iterate sum", sum, wantSum)
+				add.Add(final, chk, sum, wantSum)
 			}
+			wantW, wantChk := make([]float64, d), make([]float64, d)
+			if !add.Finish(wantW, wantChk) {
+				t.Fatalf("%s: Add folded nothing", name)
+			}
+
+			f := Fold{Cohort: Cohort{Clients: clients, Skip: skip}}
+			f.Begin(cfg, prob, NewModelPool(m), cfg.Compression)
+			w, chk, sum := make([]float64, d), make([]float64, d), make([]float64, d)
+			f.Block(start, streams, chkAt, sum)
+			if !f.Finish(w, chk) {
+				t.Fatalf("%s: Block folded nothing", name)
+			}
+			if len(f.l32.finals) != cohortChunk || len(f.l64.finals) != 0 {
+				t.Fatalf("%s: %d float32 and %d float64 lane rows, want float32 lanes only", name, len(f.l32.finals), len(f.l64.finals))
+			}
+			sameBits(t, name+" w", w, wantW)
+			sameBits(t, name+" chk", chk, wantChk)
+			sameBits(t, name+" iterate sum", sum, wantSum)
 		}
 	}
 }
@@ -365,7 +359,7 @@ func TestFoldReusedAtAnotherDimension(t *testing.T) {
 		start, extra := make([]float64, d), make([]float64, d)
 		rng.New(11).Fill(start, 0.2)
 		rng.New(13).Fill(extra, 0.2)
-		f.Begin(cfg, &Problem{Model: m, W: simplex.FullSpace{Dim: d}}, NewModelPool(m), cfg.Compression)
+		f.Begin(cfg, &Problem{Model: m}, NewModelPool(m), cfg.Compression)
 		f.Block(start, streams, chkAt, nil)
 		f.Add(extra, extra, nil, nil)
 		w, chk = make([]float64, d), make([]float64, d)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/quant"
 	"repro/internal/rng"
-	"repro/internal/simplex"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 )
@@ -33,7 +32,7 @@ func TestLocalSGDDoesNotMutateStart(t *testing.T) {
 	rng.New(1).Fill(w0, 0.1)
 	orig := append([]float64(nil), w0...)
 	shard := toyShard(2, 20)
-	LocalSGD(m, w0, shard, 5, 2, 0.1, simplex.FullSpace{Dim: m.Dim()}, rng.New(3), 0, nil)
+	LocalSGD(m, w0, shard, 5, 2, 0.1, nil, rng.New(3), 0, nil)
 	for i := range w0 {
 		if w0[i] != orig[i] {
 			t.Fatal("LocalSGD mutated w0")
@@ -45,9 +44,8 @@ func TestLocalSGDCheckpointSemantics(t *testing.T) {
 	m := model.NewLinear(4, 2)
 	w0 := make([]float64, m.Dim())
 	shard := toyShard(2, 20)
-	W := simplex.FullSpace{Dim: m.Dim()}
 	// chkAt == steps: checkpoint equals the final iterate.
-	wf, wc := LocalSGD(m, w0, shard, 5, 2, 0.1, W, rng.New(3), 5, nil)
+	wf, wc := LocalSGD(m, w0, shard, 5, 2, 0.1, nil, rng.New(3), 5, nil)
 	if wc == nil {
 		t.Fatal("no checkpoint at chkAt=steps")
 	}
@@ -57,15 +55,15 @@ func TestLocalSGDCheckpointSemantics(t *testing.T) {
 		}
 	}
 	// chkAt = 2 equals running only 2 steps with the same stream.
-	_, wc2 := LocalSGD(m, w0, shard, 5, 2, 0.1, W, rng.New(3), 2, nil)
-	short, _ := LocalSGD(m, w0, shard, 2, 2, 0.1, W, rng.New(3), 0, nil)
+	_, wc2 := LocalSGD(m, w0, shard, 5, 2, 0.1, nil, rng.New(3), 2, nil)
+	short, _ := LocalSGD(m, w0, shard, 2, 2, 0.1, nil, rng.New(3), 0, nil)
 	for i := range short {
 		if wc2[i] != short[i] {
 			t.Fatal("mid-run checkpoint differs from prefix run")
 		}
 	}
 	// chkAt = 0: no checkpoint.
-	_, wc0 := LocalSGD(m, w0, shard, 5, 2, 0.1, W, rng.New(3), 0, nil)
+	_, wc0 := LocalSGD(m, w0, shard, 5, 2, 0.1, nil, rng.New(3), 0, nil)
 	if wc0 != nil {
 		t.Fatal("unexpected checkpoint")
 	}
@@ -77,7 +75,7 @@ func TestLocalSGDIterSum(t *testing.T) {
 	rng.New(9).Fill(w0, 0.2)
 	shard := toyShard(2, 20)
 	sum := make([]float64, m.Dim())
-	LocalSGD(m, w0, shard, 1, 2, 0.1, simplex.FullSpace{Dim: m.Dim()}, rng.New(3), 0, sum)
+	LocalSGD(m, w0, shard, 1, 2, 0.1, nil, rng.New(3), 0, sum)
 	// One step: the only accumulated iterate is w^(0) = w0 (rounded to
 	// storage on the float32 tier, where every iterate is
 	// float32-representable).
@@ -96,24 +94,12 @@ func TestLocalSGDDeterministicInStream(t *testing.T) {
 	m := model.NewLinear(4, 2)
 	w0 := make([]float64, m.Dim())
 	shard := toyShard(2, 20)
-	W := simplex.FullSpace{Dim: m.Dim()}
-	a, _ := LocalSGD(m, w0, shard, 8, 2, 0.1, W, rng.New(42), 0, nil)
-	b, _ := LocalSGD(m.Clone(), w0, shard, 8, 2, 0.1, W, rng.New(42), 0, nil)
+	a, _ := LocalSGD(m, w0, shard, 8, 2, 0.1, nil, rng.New(42), 0, nil)
+	b, _ := LocalSGD(m.Clone(), w0, shard, 8, 2, 0.1, nil, rng.New(42), 0, nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same stream, different trajectory")
 		}
-	}
-}
-
-func TestLocalSGDProjects(t *testing.T) {
-	m := model.NewLinear(4, 2)
-	w0 := make([]float64, m.Dim())
-	shard := toyShard(2, 20)
-	ball := simplex.Ball{Radius: 0.01}
-	wf, _ := LocalSGD(m, w0, shard, 10, 2, 1.0, ball, rng.New(3), 0, nil)
-	if tensor.Norm2(wf) > 0.01+1e-9 {
-		t.Fatalf("iterate escaped W: %v", tensor.Norm2(wf))
 	}
 }
 

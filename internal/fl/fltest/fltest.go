@@ -1,8 +1,14 @@
-// Package fltest builds small, fast problem instances shared by the
-// engine tests in internal/core, internal/baselines and internal/simnet.
+// Package fltest holds the test helpers shared across packages: small,
+// fast problem instances for the engine tests in internal/core,
+// internal/baselines and internal/simnet, allocation probes, and checks
+// on run results and trace journals. A helper that only one package's
+// tests use lives in that package's _test.go files instead.
 package fltest
 
 import (
+	"encoding/json"
+	"io"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -111,4 +117,38 @@ func WarmRoundBytes(t testing.TB, run func(rounds int)) float64 {
 	}
 	run(4) // warm the process-wide pools
 	return (float64(total(12)) - float64(total(4))) / 8
+}
+
+// AllFinite reports whether every element of x is finite.
+func AllFinite(x []float64) bool {
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// TraceLine is the parsed form of one obs.Tracer journal line.
+type TraceLine struct {
+	Type  string         `json:"type"`
+	Name  string         `json:"name"`
+	TUs   int64          `json:"t_us"`
+	DurUs int64          `json:"dur_us"`
+	Attrs map[string]any `json:"attrs"`
+}
+
+// ReadTrace parses a JSONL journal produced by an obs.Tracer.
+func ReadTrace(r io.Reader) ([]TraceLine, error) {
+	var out []TraceLine
+	dec := json.NewDecoder(r)
+	for {
+		var ln TraceLine
+		if err := dec.Decode(&ln); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return out, err
+		}
+		out = append(out, ln)
+	}
 }

@@ -26,10 +26,8 @@ type Scratch struct {
 	s64 batchScratch[float64]
 	s32 batchScratch[float32]
 	// The float32 mirrors of a float64 caller's iterate, iterate sum and
-	// checkpoint, and a float64 row for projecting a float32 iterate
-	// (the simplex.Set contract is float64).
+	// checkpoint.
 	w32, iterSum32, chk32 []float32
-	proj                  []float64
 	// Cohort-side state of the Scratch's owner: the row-alias tables of
 	// the population shard it last materialized (Cohort.shard) and, for
 	// CohortLossEstimate, the cohort being evaluated.
@@ -102,8 +100,9 @@ func narrow[T tensor.Float](buf *[]T, v []float64) []T {
 	return *buf
 }
 
-// LocalSGD runs `steps` projected SGD steps (Eq. 4) on one client's
-// shard, starting from a copy of w0 (w0 is not modified).
+// LocalSGD runs `steps` SGD steps (Eq. 4 with W = R^d) on one client's
+// shard, starting from a copy of w0 (w0 is not modified). The
+// simplex.Set argument is ignored.
 //
 // If chkAt is in [1, steps], wChk is a copy of the iterate after chkAt
 // steps — the client-side checkpoint of Algorithm 1 Part (b); otherwise
@@ -112,34 +111,34 @@ func narrow[T tensor.Float](buf *[]T, v []float64) []T {
 // If iterSum is non-nil, every pre-step iterate w^(t) (t = 0..steps-1) is
 // accumulated into it, which is what the time-averaged wHat of the
 // convex analysis sums over.
-func LocalSGD(m model.Model, w0 []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum []float64) (wFinal, wChk []float64) {
+func LocalSGD(m model.Model, w0 []float64, shard data.Subset, steps, batch int, eta float64, _ simplex.Set, r *rng.Stream, chkAt int, iterSum []float64) (wFinal, wChk []float64) {
 	w := append([]float64(nil), w0...)
 	chk := make([]float64, len(w0))
 	s := sgdPool.Get().(*Scratch)
 	defer sgdPool.Put(s)
-	if LocalSGDScratch(m, w, shard, steps, batch, eta, W, r, chkAt, iterSum, chk, s) {
+	if LocalSGDScratch(m, w, shard, steps, batch, eta, nil, r, chkAt, iterSum, chk, s) {
 		wChk = chk
 	}
 	return w, wChk
 }
 
 // LocalSGDScratch is the allocation-free core of LocalSGD: it advances w
-// in place through `steps` projected SGD steps with all working buffers
-// in the caller's Scratch. If chkAt is in [1, steps], the iterate after
-// chkAt steps is copied into wChk and the function reports true;
-// otherwise wChk is untouched. The sampling, gradient and projection
-// sequence is identical to LocalSGD's.
-func LocalSGDScratch(m model.Model, w []float64, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
+// in place through `steps` SGD steps with all working buffers in the
+// caller's Scratch. If chkAt is in [1, steps], the iterate after chkAt
+// steps is copied into wChk and the function reports true; otherwise
+// wChk is untouched. The sampling and gradient sequence is identical to
+// LocalSGD's, and the simplex.Set argument is ignored.
+func LocalSGDScratch(m model.Model, w []float64, shard data.Subset, steps, batch int, eta float64, _ simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []float64, s *Scratch) bool {
 	w32 := s.mirror32(w)
 	if w32 == nil {
-		return localSGD(m, w, w, shard, steps, batch, eta, W, r, chkAt, iterSum, wChk, s)
+		return localSGD(m, w, w, shard, steps, batch, eta, r, chkAt, iterSum, wChk, s)
 	}
 	var sum32 []float32
 	if iterSum != nil {
 		sum32 = narrow(&s.iterSum32, iterSum)
 	}
 	s.chk32 = GrowVec(s.chk32, len(w))
-	chked := localSGD(m, w32, w32, shard, steps, batch, eta, W, r, chkAt, sum32, s.chk32, s)
+	chked := localSGD(m, w32, w32, shard, steps, batch, eta, r, chkAt, sum32, s.chk32, s)
 	tensor.ToF64(w, w32)
 	if sum32 != nil {
 		tensor.ToF64(iterSum, sum32)
@@ -158,7 +157,7 @@ func LocalSGDScratch(m model.Model, w []float64, shard data.Subset, steps, batch
 // reads back from there, so no whole-model copy runs unless the
 // checkpoint is the last step (or there are no steps). The iterate sum
 // adds with StorageAdd's arithmetic at width T.
-func localSGD[T tensor.Float](m model.Model, start, w []T, shard data.Subset, steps, batch int, eta float64, W simplex.Set, r *rng.Stream, chkAt int, iterSum, wChk []T, s *Scratch) bool {
+func localSGD[T tensor.Float](m model.Model, start, w []T, shard data.Subset, steps, batch int, eta float64, r *rng.Stream, chkAt int, iterSum, wChk []T, s *Scratch) bool {
 	b := at[T](s)
 	b.size(len(w), batch)
 	cur := start
@@ -172,30 +171,12 @@ func localSGD[T tensor.Float](m model.Model, start, w []T, shard data.Subset, st
 			next = wChk
 		}
 		b.step(m, cur, next, eta)
-		project(W, next, s)
 		cur = next
 	}
 	if &cur[0] != &w[0] {
 		copy(w, cur)
 	}
 	return chkAt >= 1 && chkAt <= steps
-}
-
-// project projects a step's iterate onto W, a float32 one through
-// s.proj (narrowing back rounds the projection to storage).
-func project[T tensor.Float](W simplex.Set, v []T, s *Scratch) {
-	if _, free := W.(simplex.FullSpace); free {
-		return
-	}
-	v32, ok := any(v).([]float32)
-	if !ok {
-		W.Project(any(v).([]float64))
-		return
-	}
-	s.proj = GrowVec(s.proj, len(v32))
-	tensor.ToF64(s.proj, v32)
-	W.Project(s.proj)
-	tensor.ToF32(v32, s.proj)
 }
 
 // ShardLossEstimate draws one mini-batch from the shard (consuming the
@@ -215,23 +196,4 @@ func shardLoss[T tensor.Float](m model.Model, w []T, shard data.Subset, batch in
 	b.size(0, batch)
 	data.SampleRows(shard, r, b.xs, b.ys)
 	return b.loss(m, w)
-}
-
-// ProjectW projects a model vector onto W in the active storage regime:
-// W.Project plus, on the avx2f32 tier, rounding the result back to
-// storage so the projected iterate stays float32-representable. Every
-// engine-side projection of a model vector goes through this helper
-// (the in-block projection of the SGD hot path handles the regime
-// itself). Under simplex.FullSpace it returns at once: the projection
-// is the identity and every caller passes a storage-representable
-// vector (an average, or w^(0) after Run rounds it), so the rounding
-// would change no bit.
-func ProjectW(W simplex.Set, w []float64) {
-	if _, ok := W.(simplex.FullSpace); ok {
-		return
-	}
-	W.Project(w)
-	if tensor.StorageF32() {
-		tensor.Round32(w)
-	}
 }

@@ -20,12 +20,11 @@ import (
 )
 
 // Problem is one instance of the minimax optimization (3): a federation
-// of edge areas with data, a model whose parameters are w, and the
-// constraint sets W and P.
+// of edge areas with data, a model whose parameters w range over
+// W = R^d, and the constraint set P of the edge weights.
 type Problem struct {
 	Fed   *data.Federation
 	Model model.Model // prototype; engines Clone per worker
-	W     simplex.Set // constraint on model parameters
 	P     simplex.Set // constraint on edge weights (subset of the simplex)
 }
 
@@ -36,7 +35,7 @@ func (p *Problem) Topology() topology.Topology {
 
 // Validate checks the problem is well formed.
 func (p *Problem) Validate() error {
-	if p.Fed == nil || p.Model == nil || p.W == nil || p.P == nil {
+	if p.Fed == nil || p.Model == nil || p.P == nil {
 		return fmt.Errorf("fl: incomplete problem")
 	}
 	if err := p.Fed.Validate(); err != nil {
@@ -52,12 +51,11 @@ func (p *Problem) Validate() error {
 }
 
 // NewProblem builds a problem with the experiments' default constraint
-// sets: W = R^d (as in §6) and P = Δ_{N_E-1}.
+// set P = Δ_{N_E-1}.
 func NewProblem(fed *data.Federation, m model.Model) *Problem {
 	return &Problem{
 		Fed:   fed,
 		Model: m,
-		W:     simplex.FullSpace{Dim: m.Dim()},
 		P:     simplex.Simplex{Dim: fed.NumAreas()},
 	}
 }

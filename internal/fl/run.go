@@ -84,7 +84,6 @@ func RunWithOptions(algorithm string, prob *Problem, cfg Config, roundFn RoundFu
 		// float32-representable values before the first round.
 		tensor.Round32(st.W)
 	}
-	ProjectW(prob.W, st.W)
 	tensor.Fill(st.P, 1/float64(len(st.P))) // p^(0) = uniform (Algorithm 1 line 1)
 	prob.P.Project(st.P)
 	if cfg.TrackAverages {

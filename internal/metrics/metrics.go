@@ -138,16 +138,16 @@ func MaxOverP(losses []float64, P simplex.Set) (float64, []float64) {
 // DualityGap estimates the Eq. (8) duality gap of (wHat, pHat) for a
 // convex problem:
 //
-//	max_{p in P} F(wHat, p) - min_{w in W} F(w, pHat).
+//	max_{p in P} F(wHat, p) - min_{w in R^d} F(w, pHat).
 //
 // The first term is exact (MaxOverP on the exact edge training losses).
 // The inner minimum has no closed form, so it is approximated by
-// innerSteps full-batch projected gradient descent steps on the
+// innerSteps full-batch gradient descent steps on the
 // pHat-weighted loss starting from wHat. The descent value stays above
 // the true minimum, so the returned gap is a LOWER bound on the true
 // duality gap (still non-negative, since descent starts at wHat) that
 // tightens as innerSteps grows.
-func DualityGap(m model.Model, wHat, pHat []float64, fed *data.Federation, W, P simplex.Set, innerSteps int, innerEta float64) float64 {
+func DualityGap(m model.Model, wHat, pHat []float64, fed *data.Federation, P simplex.Set, innerSteps int, innerEta float64) float64 {
 	losses := TrainLosses(m, wHat, fed)
 	maxTerm, _ := MaxOverP(losses, P)
 	w := append([]float64(nil), wHat...)
@@ -163,7 +163,6 @@ func DualityGap(m model.Model, wHat, pHat []float64, fed *data.Federation, W, P 
 			tensor.Axpy(pHat[e], grad, weighted)
 		}
 		tensor.Axpy(-innerEta, weighted, w)
-		W.Project(w)
 	}
 	minTerm := 0.0
 	finalLosses := TrainLosses(m, w, fed)
@@ -176,10 +175,10 @@ func DualityGap(m model.Model, wHat, pHat []float64, fed *data.Federation, W, P 
 // MoreauGradNormSq estimates ||∇Φ_{1/2L}(w)||² = 4L²·||w - x*||² where
 // x* = argmin_x { Φ(x) + L·||x - w||² } and Φ(x) = max_{p in P} F(x, p)
 // (§5.2). The inner minimization is approximated by innerSteps steps of
-// projected subgradient descent on the proximal objective; a subgradient
+// subgradient descent on the proximal objective; a subgradient
 // of Φ at x is the gradient of the pHat(x)-weighted loss at the
 // maximizing pHat(x).
-func MoreauGradNormSq(m model.Model, w []float64, fed *data.Federation, W, P simplex.Set, lSmooth float64, innerSteps int, innerEta float64) float64 {
+func MoreauGradNormSq(m model.Model, w []float64, fed *data.Federation, P simplex.Set, lSmooth float64, innerSteps int, innerEta float64) float64 {
 	x := append([]float64(nil), w...)
 	grad := make([]float64, len(w))
 	sub := make([]float64, len(w))
@@ -199,7 +198,6 @@ func MoreauGradNormSq(m model.Model, w []float64, fed *data.Federation, W, P sim
 			sub[i] += 2 * lSmooth * (x[i] - w[i])
 		}
 		tensor.Axpy(-innerEta, sub, x)
-		W.Project(x)
 	}
 	return 4 * lSmooth * lSmooth * tensor.SquaredDistance(w, x)
 }

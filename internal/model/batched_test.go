@@ -13,7 +13,7 @@ import (
 // chunked GEMM path and the running-total loss chaining are both
 // exercised. The reference reproduces the scalar computation the models
 // performed before batching: Gemv-style forward per example, softmax
-// cross-entropy via LogSumExp, OuterAccum/Axpy gradient accumulation in
+// cross-entropy via LogSumExp, outerAccum/Axpy gradient accumulation in
 // example order.
 
 func randBatch(r *rng.Stream, n, in, classes int) (xs [][]float64, ys []int) {
@@ -31,17 +31,27 @@ func randBatch(r *rng.Stream, n, in, classes int) (xs [][]float64, ys []int) {
 }
 
 // softmaxGrad fills dz with the softmax of z in the active kernel
-// class's arithmetic: the fused classes compute Softmax directly
-// (exp(z−max)/sum), the non-FMA classes the historical two-pass
+// class's arithmetic: the fused (FMA) classes avx2 and avx2f32 compute
+// Softmax directly (exp(z−max)/sum), the others the historical two-pass
 // exp(z−logsumexp) — exactly the branch CrossEntropyRows takes, so the
 // per-example references stay bitwise-faithful under every class.
 func softmaxGrad(dz, z []float64, lse float64) {
-	if tensor.FusedCrossEntropy() {
+	if k := tensor.ActiveKernel(); k == tensor.KernelAVX2 || k == tensor.KernelAVX2F32 {
 		tensor.Softmax(dz, z)
 		return
 	}
 	for j, v := range z {
 		dz[j] = math.Exp(v - lse)
+	}
+}
+
+// outerAccum computes A += alpha * x * y^T where A is len(x) x len(y),
+// skipping zero coefficients as the batched gradient kernels do.
+func outerAccum(alpha float64, x, y []float64, a *tensor.Matrix) {
+	for i, xi := range x {
+		if xi != 0 {
+			tensor.Axpy(alpha*xi, y, a.Row(i))
+		}
 	}
 }
 
@@ -76,7 +86,7 @@ func linearReference(l *Linear, w []float64, xs [][]float64, ys []int, grad []fl
 		total += lse - z[ys[k]]
 		softmaxGrad(dz, z, lse)
 		dz[ys[k]]--
-		tensor.OuterAccum(inv, dz, x, gFlat)
+		outerAccum(inv, dz, x, gFlat)
 		tensor.Axpy(inv, dz, gb)
 	}
 	return total * inv
@@ -145,21 +155,21 @@ func mlpReference(m *MLP, w []float64, xs [][]float64, ys []int, grad []float64)
 		softmaxGrad(dz3, z3, lse)
 		dz3[ys[k]]--
 
-		tensor.OuterAccum(inv, dz3, a2, &gW3)
+		outerAccum(inv, dz3, a2, &gW3)
 		tensor.Axpy(inv, dz3, gb3)
 		tensor.Zero(da2)
 		for j, d := range dz3 {
 			tensor.Axpy(1*d, W3.Row(j), da2)
 		}
 		tensor.ReLUGrad(da2, da2, z2)
-		tensor.OuterAccum(inv, da2, a1, &gW2)
+		outerAccum(inv, da2, a1, &gW2)
 		tensor.Axpy(inv, da2, gb2)
 		tensor.Zero(da1)
 		for j, d := range da2 {
 			tensor.Axpy(1*d, W2.Row(j), da1)
 		}
 		tensor.ReLUGrad(da1, da1, z1)
-		tensor.OuterAccum(inv, da1, x, &gW1)
+		outerAccum(inv, da1, x, &gW1)
 		tensor.Axpy(inv, da1, gb1)
 	}
 	return total

@@ -19,7 +19,6 @@
 package obs
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,48 +163,11 @@ func Enabled() bool { return Get() != nil }
 // Start opens a span on the global hub (inert when disabled).
 func Start(name string, attrs ...Attr) Span { return Get().Start(name, attrs...) }
 
-// ObserveSince records the elapsed time since start, in milliseconds,
-// into the named global histogram. Call with a start obtained from
-// Now(); inert when disabled.
-func ObserveSince(name string, start time.Time) {
-	if h := Get(); h != nil {
-		h.reg.Histogram(name, nil).
-			Observe(float64(h.now().Sub(start)) / float64(time.Millisecond))
-	}
-}
-
 // Now returns the hub clock's current time, or the zero time when
-// observability is disabled — pair it with ObserveSince so the disabled
-// path never reads the clock.
+// observability is disabled, so the disabled path never reads the clock.
 func Now() time.Time {
 	if h := Get(); h != nil {
 		return h.now()
 	}
 	return time.Time{}
-}
-
-// CollectorSink is a Sink that records every event in order; a test
-// helper for asserting deterministic event sequences.
-type CollectorSink struct {
-	mu     sync.Mutex
-	events []string
-}
-
-// RoundStart records the event.
-func (c *CollectorSink) RoundStart(ev RoundEvent) { c.record("start", ev) }
-
-// RoundEnd records the event.
-func (c *CollectorSink) RoundEnd(ev RoundEvent) { c.record("end", ev) }
-
-func (c *CollectorSink) record(kind string, ev RoundEvent) {
-	c.mu.Lock()
-	c.events = append(c.events, kind+" "+ev.Algorithm+" "+strconv.Itoa(ev.Round))
-	c.mu.Unlock()
-}
-
-// Events returns the recorded event strings in arrival order.
-func (c *CollectorSink) Events() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.events...)
 }

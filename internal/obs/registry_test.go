@@ -131,7 +131,9 @@ func TestGlobalDisabledIsInert(t *testing.T) {
 		t.Fatal("global hub unexpectedly installed")
 	}
 	// All of these must be no-ops, not panics.
-	ObserveSince("h_ms", Now())
+	if !Now().IsZero() {
+		t.Fatal("disabled Now read the clock")
+	}
 	sp := Start("span")
 	if d := sp.End(); d != 0 {
 		t.Fatalf("inert span duration = %v, want 0", d)
@@ -140,8 +142,7 @@ func TestGlobalDisabledIsInert(t *testing.T) {
 	hub := New()
 	prev := SetGlobal(hub)
 	defer SetGlobal(prev)
-	ObserveSince("h_ms", Now())
-	if got := hub.Registry().Histogram("h_ms", nil).Count(); got != 1 {
-		t.Fatalf("enabled histogram count = %d, want 1", got)
+	if Now().IsZero() {
+		t.Fatal("enabled Now returned the zero time")
 	}
 }

@@ -72,28 +72,3 @@ func attrMap(attrs []Attr) map[string]any {
 	}
 	return m
 }
-
-// TraceLine is the parsed form of one journal line, for consumers and
-// tests reading a journal back.
-type TraceLine struct {
-	Type  string         `json:"type"`
-	Name  string         `json:"name"`
-	TUs   int64          `json:"t_us"`
-	DurUs int64          `json:"dur_us"`
-	Attrs map[string]any `json:"attrs"`
-}
-
-// ReadTrace parses a JSONL journal produced by a Tracer.
-func ReadTrace(r io.Reader) ([]TraceLine, error) {
-	var out []TraceLine
-	dec := json.NewDecoder(r)
-	for {
-		var ln TraceLine
-		if err := dec.Decode(&ln); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, err
-		}
-		out = append(out, ln)
-	}
-}

@@ -1,8 +1,8 @@
 // Package optim provides projected gradient ascent on the edge weights
 // p (Eq. 7) and the theorem-driven learning-rate schedules that realize
-// the communication/convergence trade-off of §5. The projected SGD step
-// on the model w (Eq. 4) is model.Model.Step, projected inside the
-// local-SGD block of internal/fl.
+// the communication/convergence trade-off of §5. The SGD step on the
+// model w (Eq. 4, with W = R^d) is model.Model.Step, run by the client
+// step of internal/fl.
 package optim
 
 import (

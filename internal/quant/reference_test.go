@@ -251,14 +251,14 @@ func TestUniformKernelsMatchReference(t *testing.T) {
 			r.Fill(x, 1e307)
 			x[0], x[len(x)-1] = -math.MaxFloat64, math.MaxFloat64
 		}},
-		{"denormal", func(x []float64, r *rng.Stream) { r.FillUniform(x, 0, 1e-310) }},
+		{"denormal", func(x []float64, r *rng.Stream) { fillUniform(r, x, 0, 1e-310) }},
 		{"underflow", func(x []float64, r *rng.Stream) {
 			for i := range x {
 				x[i] = float64(r.Intn(2)) * math.SmallestNonzeroFloat64
 			}
 		}},
 		{"signed-zero", func(x []float64, r *rng.Stream) {
-			r.FillUniform(x, 0, 1)
+			fillUniform(r, x, 0, 1)
 			x[0] = 0
 			x[len(x)-1] = math.Copysign(0, -1)
 		}},
@@ -282,12 +282,12 @@ func TestUniformKernelsMatchReference(t *testing.T) {
 			x[0] = math.NaN()
 		}},
 		{"zero-min-lanes", func(x []float64, r *rng.Stream) {
-			r.FillUniform(x, 0.5, 1)
+			fillUniform(r, x, 0.5, 1)
 			*at(x, 2) = 0
 			*at(x, 1) = math.Copysign(0, -1)
 		}},
 		{"zero-max-lanes", func(x []float64, r *rng.Stream) {
-			r.FillUniform(x, -1, -0.5)
+			fillUniform(r, x, -1, -0.5)
 			*at(x, 3) = math.Copysign(0, -1)
 			*at(x, 1) = 0
 		}},
@@ -373,4 +373,23 @@ func BenchmarkPackUniform8(b *testing.B) {
 func BenchmarkUnpackUniform8(b *testing.B) {
 	back := make([]float64, 7850)
 	benchUniform(b, func(p *Packed, _ []float64, _ *rng.Stream) { p.UnpackInto(back) })
+}
+
+// fillUniform overwrites dst with i.i.d. Uniform[lo, hi) samples of r.
+func fillUniform(r *rng.Stream, dst []float64, lo, hi float64) {
+	w := hi - lo
+	for i := range dst {
+		dst[i] = lo + w*r.Float64()
+	}
+}
+
+func TestFillUniformRange(t *testing.T) {
+	s := rng.New(24)
+	buf := make([]float64, 10000)
+	fillUniform(s, buf, -0.5, 0.5)
+	for _, x := range buf {
+		if x < -0.5 || x >= 0.5 {
+			t.Fatalf("fillUniform out of range: %v", x)
+		}
+	}
 }

@@ -190,14 +190,6 @@ func (s *Stream) Fill(dst []float64, sigma float64) {
 	}
 }
 
-// FillUniform overwrites dst with i.i.d. Uniform[lo, hi) samples.
-func (s *Stream) FillUniform(dst []float64, lo, hi float64) {
-	w := hi - lo
-	for i := range dst {
-		dst[i] = lo + w*s.Float64()
-	}
-}
-
 // MarshaledSize is the wire size of a Stream's MarshalBinary encoding:
 // 8 bytes of SplitMix64 state, 8 bytes of cached polar-method spare
 // deviate, and one flag byte.

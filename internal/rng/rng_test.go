@@ -272,17 +272,6 @@ func TestFillMoments(t *testing.T) {
 	}
 }
 
-func TestFillUniformRange(t *testing.T) {
-	s := New(24)
-	buf := make([]float64, 10000)
-	s.FillUniform(buf, -0.5, 0.5)
-	for _, x := range buf {
-		if x < -0.5 || x >= 0.5 {
-			t.Fatalf("FillUniform out of range: %v", x)
-		}
-	}
-}
-
 func TestShufflePreservesMultiset(t *testing.T) {
 	s := New(25)
 	p := []int{1, 1, 2, 3, 5, 8}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/quant"
 	"repro/internal/rng"
-	"repro/internal/simplex"
 	"repro/internal/tensor"
 	"repro/internal/wire"
 )
@@ -139,7 +138,6 @@ type clientActor struct {
 	inbox <-chan Message
 	shard data.Subset
 	model model.Model
-	wSet  simplex.Set
 	track bool // accumulate iterates for wHat
 	comp  quant.Config
 	// resid is the client's error-feedback residual (top-k + EF only).
@@ -190,7 +188,7 @@ func (c *clientActor) run(wg *sync.WaitGroup) {
 			if req.ChkAt > 0 {
 				wChk = pool.get(len(w))
 			}
-			chked := fl.LocalSGDScratch(c.model, w, c.shard, req.Steps, req.Batch, req.Eta, c.wSet, &req.Stream, req.ChkAt, iterSum, wChk, &c.scratch)
+			chked := fl.LocalSGDScratch(c.model, w, c.shard, req.Steps, req.Batch, req.Eta, nil, &req.Stream, req.ChkAt, iterSum, wChk, &c.scratch)
 			if !chked && wChk != nil {
 				pool.put(wChk)
 				wChk = nil
@@ -358,7 +356,7 @@ func (e *edgeActor) cohort(round int) int {
 
 // modelUpdate runs a slot's tau2 client-edge aggregation blocks from
 // req.W. Every block folds the members that delivered, and their mean
-// becomes the projected edge model; block c2 also averages the members'
+// becomes the edge model; block c2 also averages the members'
 // checkpoints. A block with no survivors leaves the edge model unchanged
 // and, in block c2, stands it in for the checkpoint, keeping Phase 2
 // well-defined. The reply owns three pooled vectors (edge model,
@@ -393,9 +391,7 @@ func (e *edgeActor) modelUpdate(req *edgeTrainReq, round int) *edgeTrainReply {
 			acct.TimeoutBlocks++
 		}
 		iterCount += float64(survivors * cfg.Tau1)
-		if e.fold.Finish(we, chkEdge) {
-			fl.ProjectW(e.prob.W, we)
-		} else if chkAt > 0 {
+		if !e.fold.Finish(we, chkEdge) && chkAt > 0 {
 			copy(chkEdge, we)
 		}
 	}

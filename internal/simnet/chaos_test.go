@@ -6,7 +6,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/fl/fltest"
-	"repro/internal/tensor"
 	"repro/internal/topology"
 )
 
@@ -35,7 +34,7 @@ func TestSimnetSurvivesChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.AllFinite(res.W) || !tensor.AllFinite(res.PWeights) {
+	if !fltest.AllFinite(res.W) || !fltest.AllFinite(res.PWeights) {
 		t.Fatal("non-finite parameters under chaos")
 	}
 	if got := res.History.Final().Round; got != cfg.Rounds {

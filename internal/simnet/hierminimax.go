@@ -215,7 +215,6 @@ func (e *engine) newClientActor(nw *Network, top topology.Topology, edge, c int)
 		inbox:   nw.Register(id, 2),
 		shard:   e.prob.Fed.Areas[edge].Clients[c],
 		model:   e.prob.Model.Clone(),
-		wSet:    e.prob.W,
 		track:   e.cfg.TrackAverages,
 		comp:    e.cfg.Compression,
 		chaos:   e.chaos,

@@ -128,7 +128,7 @@ func TestSimnetTraceCarriesCoreRoundSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lines, err := obs.ReadTrace(bytes.NewReader(journal.Bytes()))
+	lines, err := fltest.ReadTrace(bytes.NewReader(journal.Bytes()))
 	if err != nil {
 		t.Fatalf("journal is not valid JSONL: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fl/fltest"
 	"repro/internal/quant"
-	"repro/internal/tensor"
 )
 
 // TestSimnetPopulationMatchesCore is the population twin of the full
@@ -119,7 +118,7 @@ func TestSimnetPopulationChaosComposes(t *testing.T) {
 	if crashed == 0 {
 		t.Fatal("crash schedule never fired on the sampled cohorts")
 	}
-	if !tensor.AllFinite(w1) {
+	if !fltest.AllFinite(w1) {
 		t.Fatal("non-finite parameters under cohort crashes")
 	}
 	if ms <= 0 {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fl/fltest"
 	"repro/internal/quant"
-	"repro/internal/tensor"
 	"repro/internal/topology"
 )
 
@@ -238,7 +237,7 @@ func TestSimnetSurvivesMessageLoss(t *testing.T) {
 	if stats.MessagesLost == 0 {
 		t.Fatal("link loss never fired")
 	}
-	if !tensor.AllFinite(res.W) {
+	if !fltest.AllFinite(res.W) {
 		t.Fatal("non-finite parameters under message loss")
 	}
 	if final := res.History.Final().Fair; final.Average < 0.6 {

@@ -1,12 +1,12 @@
-// Package simplex implements the compact convex sets W and P of the
-// HierMinimax formulation (Eq. 3) and Euclidean projections onto them.
+// Package simplex implements the constraint set P of the HierMinimax
+// formulation (Eq. 3) and Euclidean projections onto it.
 //
 // The paper allows W ⊆ R^d and P ⊆ Δ_{N_E-1} to be any compact convex
-// sets (Assumption 1 bounds their diameters R_W and R_P). This package
-// provides the sets used in the experiments — the full space (projection
-// is the identity; used when W = R^d as in §6), Euclidean balls, the
-// probability simplex, and the capped simplex {p ∈ Δ : p_i ≤ c} that
-// realizes the paper's "more general P" footnote.
+// sets (Assumption 1 bounds their diameters R_W and R_P). The model side
+// is fixed at W = R^d, as in §6; this package provides the sets P ranges
+// over — the probability simplex and the capped simplex {p ∈ Δ : p_i ≤ c}
+// that realizes the paper's "more general P" footnote — and the full
+// space, whose projection is the identity.
 package simplex
 
 import (
@@ -23,8 +23,6 @@ type Set interface {
 	// Project overwrites x with the Euclidean projection of x onto the
 	// set. It must be idempotent and a no-op for points already inside.
 	Project(x []float64)
-	// Contains reports whether x lies in the set up to tolerance tol.
-	Contains(x []float64, tol float64) bool
 }
 
 // FullSpace is R^d: projection is the identity. The paper's experiments
@@ -34,28 +32,7 @@ type FullSpace struct{ Dim int }
 // Project is the identity map.
 func (FullSpace) Project([]float64) {}
 
-// Contains always reports true.
-func (FullSpace) Contains([]float64, float64) bool { return true }
-
 func (f FullSpace) String() string { return fmt.Sprintf("R^%d", f.Dim) }
-
-// Ball is the Euclidean ball of the given radius centered at the origin.
-type Ball struct{ Radius float64 }
-
-// Project scales x onto the ball if it lies outside.
-func (b Ball) Project(x []float64) {
-	n := tensor.Norm2(x)
-	if n > b.Radius && n > 0 {
-		tensor.Scale(b.Radius/n, x)
-	}
-}
-
-// Contains reports ||x|| <= r + tol.
-func (b Ball) Contains(x []float64, tol float64) bool {
-	return tensor.Norm2(x) <= b.Radius+tol
-}
-
-func (b Ball) String() string { return fmt.Sprintf("Ball(r=%g)", b.Radius) }
 
 // Simplex is the probability simplex Δ_{n-1} = {p >= 0 : sum p = 1}.
 type Simplex struct{ Dim int }
@@ -67,27 +44,7 @@ func (s Simplex) Project(x []float64) {
 	projectSimplex(x, 1)
 }
 
-// Contains reports membership up to tol (componentwise non-negativity
-// and unit sum).
-func (s Simplex) Contains(x []float64, tol float64) bool {
-	sum := 0.0
-	for _, v := range x {
-		if v < -tol {
-			return false
-		}
-		sum += v
-	}
-	return math.Abs(sum-1) <= tol
-}
-
 func (s Simplex) String() string { return fmt.Sprintf("Delta_%d", s.Dim-1) }
-
-// Uniform returns the barycenter [1/n, ..., 1/n].
-func (s Simplex) Uniform() []float64 {
-	p := make([]float64, s.Dim)
-	tensor.Fill(p, 1/float64(s.Dim))
-	return p
-}
 
 // projectSimplex projects x onto {p >= 0 : sum p = z} in place.
 func projectSimplex(x []float64, z float64) {
@@ -204,18 +161,6 @@ func (c CappedSimplex) Project(x []float64) {
 			}
 		}
 	}
-}
-
-// Contains reports membership up to tol.
-func (c CappedSimplex) Contains(x []float64, tol float64) bool {
-	sum := 0.0
-	for _, v := range x {
-		if v < -tol || v > c.Cap+tol {
-			return false
-		}
-		sum += v
-	}
-	return math.Abs(sum-1) <= tol
 }
 
 func (c CappedSimplex) String() string {

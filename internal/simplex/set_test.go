@@ -21,6 +21,34 @@ func sanitize(raw []float64, bound float64) []float64 {
 	return out
 }
 
+// Contains reports whether x lies in the set (always).
+func (FullSpace) Contains([]float64, float64) bool { return true }
+
+// Contains reports membership up to tol (componentwise non-negativity
+// and unit sum).
+func (s Simplex) Contains(x []float64, tol float64) bool {
+	return CappedSimplex{Dim: s.Dim, Cap: math.Inf(1)}.Contains(x, tol)
+}
+
+// Contains reports membership up to tol.
+func (c CappedSimplex) Contains(x []float64, tol float64) bool {
+	sum := 0.0
+	for _, v := range x {
+		if v < -tol || v > c.Cap+tol {
+			return false
+		}
+		sum += v
+	}
+	return math.Abs(sum-1) <= tol
+}
+
+// Uniform returns the barycenter [1/n, ..., 1/n].
+func (s Simplex) Uniform() []float64 {
+	p := make([]float64, s.Dim)
+	tensor.Fill(p, 1/float64(s.Dim))
+	return p
+}
+
 func TestSimplexProjectMembership(t *testing.T) {
 	s := Simplex{Dim: 6}
 	f := func(raw [6]float64) bool {
@@ -157,24 +185,6 @@ func TestSimplexDegenerate(t *testing.T) {
 	s0.Project(nil) // must not panic
 }
 
-func TestBall(t *testing.T) {
-	b := Ball{Radius: 2}
-	x := []float64{3, 4}
-	b.Project(x)
-	if !approxSlice(x, []float64{1.2, 1.6}, 1e-12) {
-		t.Fatalf("Ball.Project = %v", x)
-	}
-	if !b.Contains(x, 1e-9) {
-		t.Fatal("projected point not contained")
-	}
-	inside := []float64{0.1, 0.1}
-	cp := append([]float64(nil), inside...)
-	b.Project(cp)
-	if !approxSlice(cp, inside, 0) {
-		t.Fatal("Ball.Project moved interior point")
-	}
-}
-
 func TestFullSpace(t *testing.T) {
 	fs := FullSpace{Dim: 3}
 	x := []float64{1e30, -5, 0}
@@ -269,7 +279,7 @@ func TestCappedSimplexInfeasiblePanics(t *testing.T) {
 }
 
 func TestSetStrings(t *testing.T) {
-	for _, s := range []fmt.Stringer{FullSpace{3}, Ball{2}, Simplex{5}, CappedSimplex{5, 0.3}} {
+	for _, s := range []fmt.Stringer{FullSpace{3}, Simplex{5}, CappedSimplex{5, 0.3}} {
 		if s.String() == "" {
 			t.Fatalf("%T has empty String()", s)
 		}

@@ -212,13 +212,6 @@ func ElemBytes() int {
 	return 8
 }
 
-// FusedCrossEntropy reports whether the active class uses the
-// single-exponential fused cross-entropy form (gradient row =
-// Softmax − onehot) instead of the historical two-pass exp(z−logsumexp)
-// arithmetic. Exported so per-example reference implementations (the
-// model packages' bitwise tests) can mirror the active class.
-func FusedCrossEntropy() bool { return kernels.fusedCE }
-
 // SetKernel forces a dispatch rung and returns a function restoring the
 // previous one. Every class is selectable on every platform: a class
 // whose assembly the CPU cannot run falls back to its pure-Go twin with

@@ -11,7 +11,7 @@ import "repro/internal/obs"
 // a fixed index order identical to the per-example BLAS-1/2 path it
 // replaces — GemmT matches one Dot/Gemv per output element, Gemm matches
 // GemvT's k-ascending Axpy accumulation, and GemmTN matches a sequence
-// of OuterAccum calls in row order. Blocking only tiles the independent
+// of per-example outer-product updates in row order. Blocking only tiles the independent
 // output dimensions; the reduction order over k is never changed, so
 // switching the models from per-example to batched execution cannot
 // change a single bit of any training trajectory (pinned by the goldens
@@ -159,9 +159,9 @@ func gemmTRow[T Float](ks *kernelSet[T], alpha T, x []T, b *Mat[T], beta T, crow
 // examples of a mini-batch. Examples are blocked (tnBlock) so a block of
 // B rows stays cache-resident across the m output rows. Each output row
 // accumulates the examples in ascending order and skips zero
-// coefficients — exactly the floating-point sequence of
-// OuterAccum(alpha, A.Row(0), B.Row(0), C), OuterAccum(alpha, A.Row(1),
-// B.Row(1), C), … Nonzero coefficients are gathered four at a time into
+// coefficients — exactly the floating-point sequence of the outer-product
+// updates C.Row(j) += (alpha·A[k][j])·B.Row(k), one Axpy per nonzero
+// A[k][j], for k = 0, 1, … Nonzero coefficients are gathered four at a time into
 // the fused axpy4 kernel, which is per element exactly four sequential
 // Axpy passes on every rung (so fusion changes no bits), loading and
 // storing crow once instead of four times. The zero skip must stay a

@@ -59,15 +59,3 @@ func (m *Mat[T]) Reshape(rows, cols int) {
 	m.Data = m.Data[:need]
 	m.Rows, m.Cols = rows, cols
 }
-
-// OuterAccum computes A += alpha * x * y^T where A is len(x) x len(y).
-func OuterAccum(alpha float64, x, y []float64, a *Matrix) {
-	checkLen(len(x), a.Rows)
-	checkLen(len(y), a.Cols)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		Axpy(alpha*xi, y, a.Row(i))
-	}
-}

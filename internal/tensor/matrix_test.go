@@ -201,6 +201,18 @@ func TestGemmShapePanics(t *testing.T) {
 	}
 }
 
+// OuterAccum computes A += alpha * x * y^T where A is len(x) x len(y).
+func OuterAccum(alpha float64, x, y []float64, a *Matrix) {
+	checkLen(len(x), a.Rows)
+	checkLen(len(y), a.Cols)
+	for i, xi := range x {
+		if xi == 0 {
+			continue
+		}
+		Axpy(alpha*xi, y, a.Row(i))
+	}
+}
+
 func TestOuterAccum(t *testing.T) {
 	a := NewMatrix(2, 3)
 	OuterAccum(2, []float64{1, 2}, []float64{3, 4, 5}, a)

@@ -241,16 +241,6 @@ func ReLUGrad[T Float](dst, grad, z []T) {
 	}
 }
 
-// AllFinite reports whether every element of x is finite.
-func AllFinite(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
 func checkLen(a, b int) {
 	if a != b {
 		panic("tensor: length mismatch")

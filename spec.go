@@ -160,7 +160,9 @@ type Spec struct {
 	// trajectories stay bitwise equal. For transport-level faults
 	// (crashes, partitions, message loss) see Chaos.
 	DropoutProb float64
-	PCap        float64 // >0: P = capped simplex {p : p_e <= PCap}
+	// PCap > 0 makes P the capped simplex {p : p_e <= PCap}; it must
+	// leave P non-empty (areas × PCap >= 1).
+	PCap float64
 	// CheckpointOff replaces the Phase-2 random checkpoint with the
 	// end-of-round model (the A1 ablation).
 	CheckpointOff bool
@@ -246,6 +248,21 @@ func (s *Spec) normalize() error {
 	}
 	// QuantBits × TopK and the Population/SamplePerRound pairing are
 	// fl.Config.Validate's, which every engine runs.
+	for _, n := range []struct {
+		knob string
+		v    int
+	}{
+		{"NumEdges", s.NumEdges}, {"ClientsPerEdge", s.ClientsPerEdge}, {"InputDim", s.InputDim},
+		{"TrainPerClass", s.TrainPerClass}, {"TestPerClass", s.TestPerClass},
+		{"Hidden1", s.Hidden1}, {"Hidden2", s.Hidden2},
+	} {
+		if n.v < 0 {
+			return fmt.Errorf("hierfair: Spec.%s = %d is negative (0 selects the default)", n.knob, n.v)
+		}
+	}
+	if !(s.PCap >= 0) {
+		return fmt.Errorf("hierfair: Spec.PCap = %g must be >= 0 (0 leaves P the plain simplex)", s.PCap)
+	}
 	if s.Dataset == "" {
 		s.Dataset = DatasetEMNIST
 	}
@@ -405,7 +422,12 @@ func (s *Spec) buildProblem() (*fl.Problem, fl.Config, error) {
 	}
 	prob := fl.NewProblem(fed, m)
 	if s.PCap > 0 {
-		prob.P = simplex.CappedSimplex{Dim: fed.NumAreas(), Cap: s.PCap}
+		capped := simplex.CappedSimplex{Dim: fed.NumAreas(), Cap: s.PCap}
+		if !capped.Feasible() {
+			return nil, fl.Config{}, fmt.Errorf("hierfair: Spec.PCap = %g leaves P empty for %d edge areas (it needs PCap >= 1/%d)",
+				s.PCap, capped.Dim, capped.Dim)
+		}
+		prob.P = capped
 	}
 	cfg := fl.Config{
 		Compression:    quant.Config{Bits: s.QuantBits, TopK: s.TopK, ErrorFeedback: s.TopK > 0},
