@@ -98,7 +98,17 @@ go test -run '^$' -fuzz '^FuzzPackUniform$' -fuzztime 5s ./internal/quant
 # Packed payloads really cross the sockets — so the cross-process
 # determinism contract is proven for both regimes.
 SMOKE=$(mktemp -d /tmp/wire_smoke.XXXXXX)
-trap 'rm -rf "$SMOKE"' EXIT
+# On exit, stop every role still in the background (after a failed leg
+# they would wait out their hello timeouts), then remove their directory.
+smoke_cleanup() {
+	pids=$(jobs -p)
+	if [ -n "$pids" ]; then
+		kill $pids 2>/dev/null || true
+		wait $pids 2>/dev/null || true
+	fi
+	rm -rf "$SMOKE"
+}
+trap smoke_cleanup EXIT
 go build -o "$SMOKE/hierminimax" ./cmd/hierminimax
 
 # wire_addr polls an output file until the role reports its bound port.

@@ -35,12 +35,10 @@ type MLP struct {
 	s32 mlpScratch[float32]
 }
 
-// mlpScratch is the MLP's batched activation scratch at width T, plus
-// g1, one row of the first-layer weight gradient (Step).
+// mlpScratch is the MLP's batched activation scratch at width T.
 type mlpScratch[T tensor.Float] struct {
 	z1, a1, z2, a2, z3 tensor.Mat[T]
 	dz3, da2, da1      tensor.Mat[T]
-	g1                 []T
 }
 
 // NewMLP returns an MLP with the given layer sizes.
@@ -61,7 +59,6 @@ func NewMLP(inputDim, hidden1, hidden2, numClasses int) *MLP {
 	m.z2 = make([]float64, hidden2)
 	m.a2 = make([]float64, hidden2)
 	m.logits = make([]float64, numClasses)
-	m.s64.g1, m.s32.g1 = make([]float64, inputDim), make([]float32, inputDim)
 	return m
 }
 
@@ -195,10 +192,10 @@ func mlpGrad[T tensor.Float](m *MLP, s *mlpScratch[T], w, grad []T, xs [][]T, ys
 
 // Step writes the SGD step w − eta·∇ into dst. A batch of one chunk
 // never materializes the first-layer weight gradient — 1.88 MB of the
-// 2.13 MB at the §6.2 shape: GemmTNRStep builds it row by row in the
-// L1-sized s.g1 and writes each dst row of W1 as soon as its gradient
-// row is complete. The smaller layers go through grad[ob1:] and one
-// AxpyTo. Bit for bit Grad followed by AxpyTo(dst, -eta, grad, w); a
+// 2.13 MB at the §6.2 shape: GemmTNRStep builds it one row at a time in
+// registers (or a stack buffer) and writes each dst row of W1 as soon as
+// its gradient row is complete. The smaller layers go through grad[ob1:]
+// and one AxpyTo. Bit for bit Grad followed by AxpyTo(dst, -eta, grad, w); a
 // batch that is empty or spans several chunks takes exactly that path.
 func (m *MLP) Step(w, dst, grad []float64, xs [][]float64, ys []int, eta float64) float64 {
 	return mlpStep(m, &m.s64, w, dst, grad, xs, ys, eta)
@@ -223,7 +220,7 @@ func mlpStep[T tensor.Float](m *MLP, s *mlpScratch[T], w, dst, grad []T, xs [][]
 	total := mlpBackChunk(m, s, w, grad, xs, ys, inv, 0)
 	W1, _, _, _, _, _ := mlpMats(m, w)
 	dW1, _, _, _, _, _ := mlpMats(m, dst)
-	tensor.GemmTNRStep(inv, &s.da1, xs, eta, &W1, &dW1, s.g1)
+	tensor.GemmTNRStep(inv, &s.da1, xs, eta, &W1, &dW1)
 	tensor.AxpyTo(dst[m.ob1:], -eta, grad[m.ob1:], w[m.ob1:])
 	return total * inv
 }

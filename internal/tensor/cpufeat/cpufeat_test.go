@@ -9,12 +9,16 @@ import (
 
 // TestFeatureImplications checks the invariants the probe guarantees:
 // AVX2 is only reported on top of AVX (the probe gates on OS YMM state
-// for both), and nothing is reported off amd64.
+// for both), AVX-512F only on top of AVX2, and nothing is reported off
+// amd64.
 func TestFeatureImplications(t *testing.T) {
 	if X86.HasAVX2 && !X86.HasAVX {
 		t.Fatal("HasAVX2 without HasAVX: the probe must gate AVX2 on AVX+OSXSAVE")
 	}
-	if runtime.GOARCH != "amd64" && (X86.HasAVX || X86.HasAVX2 || X86.HasFMA) {
+	if X86.HasAVX512F && !X86.HasAVX2 {
+		t.Fatal("HasAVX512F without HasAVX2: the probe must gate AVX-512F on AVX2")
+	}
+	if runtime.GOARCH != "amd64" && (X86.HasAVX || X86.HasAVX2 || X86.HasFMA || X86.HasAVX512F) {
 		t.Fatalf("non-amd64 reports x86 features: %+v", X86)
 	}
 }
@@ -50,5 +54,10 @@ func TestAgainstProcCPUInfo(t *testing.T) {
 	}
 	if got, want := X86.HasAVX, has("avx"); got != want {
 		t.Errorf("HasAVX = %v, /proc/cpuinfo says %v", got, want)
+	}
+	// The kernel only lists avx512f when it saves the ZMM and opmask
+	// state, which is the probe's XCR0 condition.
+	if got, want := X86.HasAVX512F, has("avx512f") && has("avx2"); got != want {
+		t.Errorf("HasAVX512F = %v, /proc/cpuinfo says %v", got, want)
 	}
 }

@@ -12,11 +12,15 @@ const (
 	cpuidOSXSAVE = 1 << 27
 	cpuidAVX     = 1 << 28
 	// CPUID.7.0:EBX bits.
-	cpuidAVX2 = 1 << 5
+	cpuidAVX2    = 1 << 5
+	cpuidAVX512F = 1 << 16
 	// XCR0 bits: the OS saves XMM (bit 1) and YMM (bit 2) state on
 	// context switch. Without both, executing VEX.256 code corrupts
 	// register state, so AVX support must be reported off.
 	xcr0AVXState = 0x6
+	// XCR0 bits 5-7: opmask, the upper halves of ZMM0-15 and ZMM16-31.
+	// EVEX code needs all three on top of the AVX state.
+	xcr0AVX512State = 0xE6
 )
 
 func init() {
@@ -28,7 +32,8 @@ func init() {
 	if ecx1&cpuidOSXSAVE == 0 {
 		return
 	}
-	if eax, _ := xgetbv(); eax&xcr0AVXState != xcr0AVXState {
+	xcr0, _ := xgetbv()
+	if xcr0&xcr0AVXState != xcr0AVXState {
 		return
 	}
 	X86.HasAVX = ecx1&cpuidAVX != 0
@@ -38,4 +43,5 @@ func init() {
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	X86.HasAVX2 = ebx7&cpuidAVX2 != 0
+	X86.HasAVX512F = X86.HasAVX2 && ebx7&cpuidAVX512F != 0 && xcr0&xcr0AVX512State == xcr0AVX512State
 }

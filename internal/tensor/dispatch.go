@@ -22,8 +22,10 @@ import (
 //     generic bodies (same bits).
 //   - KernelAVX2: the AVX2+FMA tier. Fused multiply-add rounds once
 //     where mul+add rounds twice, so this class is a distinct rounding
-//     regime with its own golden fixtures. Served by 4-lane FMA
-//     assembly when the CPU supports AVX2+FMA, and by bit-identical
+//     regime with its own golden fixtures. Served by 8-lane AVX-512
+//     assembly when the CPU has AVX-512F, by 4-lane AVX2 assembly when
+//     it has AVX2+FMA (the two bodies keep the same partial sums, so
+//     the same bits), and by bit-identical
 //     math.FMA pure-Go twins (simd_fma_ref.go) everywhere else — FMA
 //     is a correctly-rounded operation, so the class is reproducible
 //     on any hardware.
@@ -104,11 +106,26 @@ type kernelSet[T Float] struct {
 	axpyTo func(dst []T, a T, x, y []T)
 	dot2   func(x, y0, y1 []T) (r0, r1 T)
 	dot4   func(x, y0, y1, y2, y3 []T) (r0, r1, r2, r3 T)
+	// dot4x2 is dot4 for two x rows at once (rij = dot(xi, yj)), each
+	// output in the single-dot order: the register-blocked GEMM
+	// microkernel, composed from two dot4 calls where a rung has no
+	// fused form. The outputs are returned by value, so nothing a caller
+	// passes escapes through the func value.
+	dot4x2 func(x0, x1, y0, y1, y2, y3 []T) (r00, r01, r02, r03, r10, r11, r12, r13 T)
 	// axpy4 performs four chained Axpy accumulations into y in one
 	// pass. Per element it is exactly axpy applied four times in
 	// argument order — identical bits on every rung, fused purely so
 	// the gradient kernels load and store y once instead of four times.
 	axpy4 func(a0, a1, a2, a3 T, x0, x1, x2, x3, y []T)
+	// stepRow writes one row of GemmTNRStep: with c_k = alpha·a[k][i]
+	// over the examples k whose a[k][i] is nonzero, in ascending order,
+	// dst[e] = w[e] − eta·Σ_k c_k·ys[k][e] for every e, where the sum
+	// starts at +0 and takes each term in the rung's axpy arithmetic,
+	// and the step is one more axpy: per element exactly a zeroed
+	// buffer, one axpy per nonzero coefficient, then AxpyTo(dst, −eta,
+	// buf, w). dst may alias w. Every argument is the caller's memory or
+	// a value, so whatever scratch a rung needs is its own stack's.
+	stepRow func(dst, w []T, eta, alpha T, a Mat[T], i int, ys [][]T)
 	// expShift computes dst[i] = exp(x[i]-shift) elementwise and
 	// sumExpShift the sequential (index-order) sum of the same values.
 	// The non-FMA rungs bind math.Exp — the historical LogSumExp /
@@ -118,11 +135,12 @@ type kernelSet[T Float] struct {
 	// float32 one (exp_f32_ref.go).
 	expShift    func(dst, x []T, shift T)
 	sumExpShift func(x []T, shift T) T
-	// fuse4 selects the 4-row GEMM microkernel fusion (gemmTRow): the
-	// AVX2 tier has 16 vector registers, so four fused rows fit; the
-	// SSE2/generic tiers stay at 2-row fusion (4-row spills, measured
-	// slower — see DESIGN.md §8). Part of the class's rounding regime:
-	// the pure-Go AVX2 fallback fuses 4 rows too.
+	// fuse4 selects the 4-row GEMM microkernel fusion (gemmTRow) and
+	// the pairing of examples over it (dot4x2): the AVX2 tier has 16
+	// vector registers, so four fused rows fit; the SSE2/generic tiers
+	// stay at 2-row fusion (4-row spills, measured slower — see
+	// DESIGN.md §8). The pure-Go AVX2 fallback fuses 4 rows too; the
+	// fusion never changes a bit.
 	fuse4 bool
 	// fusedCE selects the single-exponential cross-entropy form in
 	// CrossEntropyRows (softmax = exp(z-max)/sum instead of
@@ -235,7 +253,7 @@ func SetKernel(c KernelClass) (restore func()) {
 func genericKernels() kernelSet[float64] {
 	return kernelSet[float64]{
 		dot: dotRef, axpyTo: axpyToRef, dot2: dot2Ref, dot4: dot4From(dotRef),
-		axpy4:    axpy4From(axpyToRef),
+		dot4x2: dot4x2From(dot4From(dotRef)), axpy4: axpy4From(axpyToRef), stepRow: stepRowRef,
 		expShift: expShiftRef, sumExpShift: sumExpShiftRef,
 	}
 }
@@ -246,7 +264,7 @@ func genericKernels() kernelSet[float64] {
 func fmaRefKernels() kernelSet[float64] {
 	return kernelSet[float64]{
 		dot: dotFMARef, axpyTo: axpyToFMARef, dot2: dot2From(dotFMARef), dot4: dot4FMARef,
-		axpy4:    axpy4FMARef,
+		dot4x2: dot4x2From(dot4FMARef), axpy4: axpy4FMARef, stepRow: stepRowFMARef,
 		expShift: expShiftFMARef, sumExpShift: sumExpShiftFMARef,
 		fuse4: true, fusedCE: true,
 	}
@@ -279,5 +297,23 @@ func axpy4From(axpyTo func(dst []float64, a float64, x, y []float64)) func(a0, a
 func dot4From(dot func(x, y []float64) float64) func(x, y0, y1, y2, y3 []float64) (float64, float64, float64, float64) {
 	return func(x, y0, y1, y2, y3 []float64) (float64, float64, float64, float64) {
 		return dot(x, y0), dot(x, y1), dot(x, y2), dot(x, y3)
+	}
+}
+
+// stepChunk is the column width of the stack buffer the composed
+// stepRow bodies accumulate a gradient row in: 8 KiB of float64s, so
+// the MLP's 784-column rows take one chunk (one pass over the
+// coefficients and one axpy call per quad, as with a whole-row buffer).
+// The declaration zeroes the first chunk; later chunks are cleared.
+const stepChunk = 1024
+
+// dot4x2From composes the two-row fused dot from two dot4 passes — the
+// definitional (and bitwise identical) form for rungs without a
+// register-blocked kernel.
+func dot4x2From[T Float](dot4 func(x, y0, y1, y2, y3 []T) (T, T, T, T)) func(x0, x1, y0, y1, y2, y3 []T) (T, T, T, T, T, T, T, T) {
+	return func(x0, x1, y0, y1, y2, y3 []T) (T, T, T, T, T, T, T, T) {
+		r00, r01, r02, r03 := dot4(x0, y0, y1, y2, y3)
+		r10, r11, r12, r13 := dot4(x1, y0, y1, y2, y3)
+		return r00, r01, r02, r03, r10, r11, r12, r13
 	}
 }

@@ -96,7 +96,13 @@ func GemmT[T Float](alpha T, a, b *Mat[T], beta T, c *Mat[T]) {
 	nb := panelDim(a.Cols)
 	for j0 := 0; j0 < b.Rows; j0 += nb {
 		j1 := min(j0+nb, b.Rows)
-		for i := 0; i < a.Rows; i++ {
+		i := 0
+		if ks.fuse4 {
+			for ; i+2 <= a.Rows; i += 2 {
+				gemmTRow2(ks, alpha, a.Row(i), a.Row(i+1), b, beta, c.Row(i), c.Row(i+1), j0, j1)
+			}
+		}
+		for ; i < a.Rows; i++ {
 			gemmTRow(ks, alpha, a.Row(i), b, beta, c.Row(i), j0, j1)
 		}
 	}
@@ -117,8 +123,14 @@ func GemmTR[T Float](alpha T, xrows [][]T, b *Mat[T], beta T, c *Mat[T]) {
 	nb := panelDim(b.Cols)
 	for j0 := 0; j0 < b.Rows; j0 += nb {
 		j1 := min(j0+nb, b.Rows)
-		for i, x := range xrows {
-			gemmTRow(ks, alpha, x, b, beta, c.Row(i), j0, j1)
+		i := 0
+		if ks.fuse4 {
+			for ; i+2 <= len(xrows); i += 2 {
+				gemmTRow2(ks, alpha, xrows[i], xrows[i+1], b, beta, c.Row(i), c.Row(i+1), j0, j1)
+			}
+		}
+		for ; i < len(xrows); i++ {
+			gemmTRow(ks, alpha, xrows[i], b, beta, c.Row(i), j0, j1)
 		}
 	}
 	gemmFlops.Add(2 * int64(len(xrows)) * int64(b.Cols) * int64(b.Rows))
@@ -151,6 +163,30 @@ func gemmTRow[T Float](ks *kernelSet[T], alpha T, x []T, b *Mat[T], beta T, crow
 	}
 	for ; j < j1; j++ {
 		crow[j] = alpha*ks.dot(x, b.Row(j)) + beta*crow[j]
+	}
+}
+
+// gemmTRow2 is gemmTRow for two left rows x0, x1 (C rows c0, c1) on a
+// 4-row-fusing class: dot4x2 computes the 2×4 block of outputs per
+// quad of B rows, loading each B chunk once for both rows, and the last
+// 0-3 B rows take single dots. Every output is still one dot in the
+// class's order, so pairing changes no bit.
+func gemmTRow2[T Float](ks *kernelSet[T], alpha T, x0, x1 []T, b *Mat[T], beta T, c0, c1 []T, j0, j1 int) {
+	j := j0
+	for ; j+4 <= j1; j += 4 {
+		d00, d01, d02, d03, d10, d11, d12, d13 := ks.dot4x2(x0, x1, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
+		c0[j] = alpha*d00 + beta*c0[j]
+		c0[j+1] = alpha*d01 + beta*c0[j+1]
+		c0[j+2] = alpha*d02 + beta*c0[j+2]
+		c0[j+3] = alpha*d03 + beta*c0[j+3]
+		c1[j] = alpha*d10 + beta*c1[j]
+		c1[j+1] = alpha*d11 + beta*c1[j+1]
+		c1[j+2] = alpha*d12 + beta*c1[j+2]
+		c1[j+3] = alpha*d13 + beta*c1[j+3]
+	}
+	for ; j < j1; j++ {
+		c0[j] = alpha*ks.dot(x0, b.Row(j)) + beta*c0[j]
+		c1[j] = alpha*ks.dot(x1, b.Row(j)) + beta*c1[j]
 	}
 }
 
@@ -188,26 +224,22 @@ func GemmTNR[T Float](alpha T, a *Mat[T], yrows [][]T, c *Mat[T]) {
 
 // GemmTNRStep is GemmTNR with an SGD epilogue. With G = alpha·AᵀY the
 // gradient GemmTNR would accumulate into a zeroed C, it writes
-// dst.Row(i) = w.Row(i) − eta·G.Row(i) for every row i, computing G one
-// row at a time in buf (len = C's columns) and writing dst row i as soon
-// as that row is complete: the model-sized G never exists, and w and
-// dst are each touched once. Per element it is exactly Zero(C),
-// GemmTNR(alpha, a, yrows, C), AxpyTo(dst.Data, -eta, C.Data, w.Data) —
-// the same example-ascending order, zero skip and quads. dst may alias
-// w. Panics on shape mismatch or a ragged row, before dst is written.
-func GemmTNRStep[T Float](alpha T, a *Mat[T], yrows [][]T, eta T, w, dst *Mat[T], buf []T) {
-	if a.Rows != len(yrows) || w.Rows != a.Cols || dst.Rows != w.Rows || dst.Cols != w.Cols || len(buf) != w.Cols {
+// dst.Row(i) = w.Row(i) − eta·G.Row(i) for every row i, one row at a
+// time through the class's stepRow kernel, which keeps the gradient row
+// in registers (or in a stack buffer, column chunk by column chunk): the
+// model-sized G never exists, and w and dst are each touched once. Per
+// element it is exactly Zero(C), GemmTNR(alpha, a, yrows, C),
+// AxpyTo(dst.Data, -eta, C.Data, w.Data) — the same example-ascending
+// order and zero skip. dst may alias w. Panics on shape mismatch or a
+// ragged row, before dst is written.
+func GemmTNRStep[T Float](alpha T, a *Mat[T], yrows [][]T, eta T, w, dst *Mat[T]) {
+	if a.Rows != len(yrows) || w.Rows != a.Cols || dst.Rows != w.Rows || dst.Cols != w.Cols {
 		panic("tensor: GemmTNRStep shape mismatch")
 	}
 	checkRows(yrows, w.Cols)
 	ks := kernelsOf[T]()
-	kb := tnBlock(w.Cols)
 	for i := 0; i < w.Rows; i++ {
-		Zero(buf)
-		for k0 := 0; k0 < a.Rows; k0 += kb {
-			tnRow(ks, alpha, a, nil, yrows, i, k0, min(k0+kb, a.Rows), buf)
-		}
-		ks.axpyTo(dst.Row(i), -eta, buf, w.Row(i))
+		ks.stepRow(dst.Row(i), w.Row(i), eta, alpha, *a, i, yrows)
 	}
 	gemmFlops.Add(2 * int64(a.Rows) * int64(a.Cols) * int64(w.Cols))
 }

@@ -128,28 +128,40 @@ func TestGemmAgainstNaive(t *testing.T) {
 // the shapes where panels and example blocks split for real.
 
 // TestGemmTBitwiseMatchesDot pins the determinism contract: every GemmT
-// output element is exactly alpha*Dot(row, row) + beta*c, bit for bit,
-// regardless of blocking.
+// and GemmTR output element is exactly alpha*Dot(row, row) + beta*c, bit
+// for bit, regardless of blocking, in every class. Odd example counts
+// leave one row after the example pairs, and B row counts that are not
+// multiples of 4 leave single dots after the quads of a panel.
 func TestGemmTBitwiseMatchesDot(t *testing.T) {
-	r := rng.New(11)
-	for _, s := range []struct{ m, k, n int }{
-		{4, 48, 10}, {3, gemmPanel + 5, 7}, {1, 3, 13},
-		{16, 784, 300}, {13, 784, 300}, {16, 300, 100}, {16, 100, 10},
-	} {
-		a := randMatrix(r, s.m, s.k)
-		b := randMatrix(r, s.n, s.k)
-		c0 := randMatrix(r, s.m, s.n)
+	forEachClass(t, func(t *testing.T) {
+		r := rng.New(11)
+		for _, s := range []struct{ m, k, n int }{
+			{4, 48, 10}, {3, gemmPanel + 5, 7}, {1, 3, 13}, {7, 33, 11}, {5, 784, 6}, {2, 9, 3},
+			{16, 784, 300}, {13, 784, 300}, {16, 300, 100}, {16, 100, 10},
+		} {
+			a := randMatrix(r, s.m, s.k)
+			b := randMatrix(r, s.n, s.k)
+			c0 := randMatrix(r, s.m, s.n)
 
-		want := c0.Clone()
-		for i := 0; i < s.m; i++ {
-			for j := 0; j < s.n; j++ {
-				want.Data[i*s.n+j] = 1.5*Dot(a.Row(i), b.Row(j)) + 0.5*want.Data[i*s.n+j]
+			want := c0.Clone()
+			for i := 0; i < s.m; i++ {
+				for j := 0; j < s.n; j++ {
+					want.Data[i*s.n+j] = 1.5*Dot(a.Row(i), b.Row(j)) + 0.5*want.Data[i*s.n+j]
+				}
 			}
+			got := c0.Clone()
+			GemmT(1.5, a, b, 0.5, got)
+			matricesEqualBits(t, "GemmT vs Dot", got, want)
+
+			rows := make([][]float64, s.m)
+			for i := range rows {
+				rows[i] = a.Row(i)
+			}
+			got = c0.Clone()
+			GemmTR(1.5, rows, b, 0.5, got)
+			matricesEqualBits(t, "GemmTR vs Dot", got, want)
 		}
-		got := c0.Clone()
-		GemmT(1.5, a, b, 0.5, got)
-		matricesEqualBits(t, "GemmT vs Dot", got, want)
-	}
+	})
 }
 
 // TestGemmBitwiseMatchesGemvT pins Gemm's accumulation to the

@@ -7,7 +7,8 @@ import "repro/internal/tensor/cpufeat"
 // Assembly kernel declarations and the per-arch dispatch table. SSE2 is
 // part of the amd64 baseline, so the sse2 rung always binds to assembly
 // here; the avx2 rung binds to the AVX2+FMA assembly only when the
-// CPUID probe confirms both features (plus OS YMM state), and otherwise
+// CPUID probe confirms both features (plus OS YMM state) — to its
+// AVX-512 bodies when the probe also confirms AVX-512F — and otherwise
 // falls back to the bit-identical math.FMA twins.
 
 // SSE2 kernels (simd_amd64.s). Each routine performs the identical
@@ -101,9 +102,120 @@ func sumExpShiftAsmChunked(x []float64, shift float64) float64 {
 	return s
 }
 
+// AVX-512 bodies of the avx2 class's float64 kernels
+// (simd_avx512_amd64.s): the same bits as the AVX2 ones above, with
+// 8-lane ZMM accumulators and the register blocking the 16-register
+// YMM file cannot hold. Callable only when haveAVX512Asm.
+
+//go:noescape
+func dotAVX512(x, y []float64) float64
+
+//go:noescape
+func axpyToAVX512(dst []float64, a float64, x, y []float64)
+
+//go:noescape
+func dot4AVX512(x, y0, y1, y2, y3 []float64) (r0, r1, r2, r3 float64)
+
+//go:noescape
+func dot4x2AVX512(x0, x1, y0, y1, y2, y3 []float64) (r00, r01, r02, r03, r10, r11, r12, r13 float64)
+
+//go:noescape
+func axpy4AVX512(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
+
+// stepRowAVX512 writes dst[e] = fma(a, Σ_k cf[k]·rows[k][e], w[e]) with
+// the sum chained by FMA from +0 in k order, in registers.
+//
+//go:noescape
+func stepRowAVX512(dst, w []float64, a float64, cf []float64, rows [][]float64)
+
+// stepGather is how many examples stepRowZMM gathers on its stack for
+// one row (the MLP's mini-batch is 16); a batch with more runs the
+// composed AVX2 step, which has the same bits.
+const stepGather = 32
+
+// stepRowZMM is the avx2 class's stepRow on AVX-512: it gathers the
+// row's nonzero coefficients and their example rows, then runs the
+// register-resident kernel.
+func stepRowZMM(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys [][]float64) {
+	if len(ys) > stepGather {
+		stepRowAVX2(dst, w, eta, alpha, a, i, ys)
+		return
+	}
+	var cf [stepGather]float64
+	var rows [stepGather][]float64
+	n := 0
+	for k, y := range ys {
+		// Write every example and advance past the nonzero ones: no
+		// branch for the ReLU mask to mispredict.
+		v := a.Data[k*a.Cols+i]
+		cf[n], rows[n] = alpha*v, y
+		if v != 0 {
+			n++
+		}
+	}
+	stepRowAVX512(dst, w, -eta, cf[:n], rows[:n])
+}
+
+// stepRowSSE2 is stepRowRef through the SSE2 axpy, which has its bits.
+func stepRowSSE2(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys [][]float64) {
+	var buf [stepChunk]float64
+	for c0 := 0; c0 < len(w); c0 += stepChunk {
+		c1 := min(c0+stepChunk, len(w))
+		acc := buf[:c1-c0]
+		if c0 > 0 {
+			clear(acc)
+		}
+		for k, y := range ys {
+			if v := a.Data[k*a.Cols+i]; v != 0 {
+				axpyToSSE2(acc, alpha*v, y[c0:c1], acc)
+			}
+		}
+		axpyToSSE2(dst[c0:c1], -eta, acc, w[c0:c1])
+	}
+}
+
+// stepRowAVX2 is the avx2 class's stepRow on the AVX2 assembly: per
+// column chunk of a zeroed stack buffer, accumulate the nonzero
+// coefficients' rows in ascending order through axpy4 quads and axpyTo
+// tails (tnRow's gathering), then dst = fma(−eta, buf, w). Per element
+// that is stepRowFMARef's chain. The calls are direct so the buffer
+// stays on the stack.
+func stepRowAVX2(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys [][]float64) {
+	var buf [stepChunk]float64
+	for c0 := 0; c0 < len(w); c0 += stepChunk {
+		c1 := min(c0+stepChunk, len(w))
+		acc := buf[:c1-c0]
+		if c0 > 0 {
+			clear(acc)
+		}
+		var cf [4]float64
+		var rows [4][]float64
+		nq := 0
+		for k, y := range ys {
+			v := a.Data[k*a.Cols+i]
+			if v == 0 {
+				continue
+			}
+			cf[nq], rows[nq] = alpha*v, y[c0:c1]
+			if nq++; nq == 4 {
+				axpy4AVX2(cf[0], cf[1], cf[2], cf[3], rows[0], rows[1], rows[2], rows[3], acc)
+				nq = 0
+			}
+		}
+		for q := range nq {
+			axpyToAVX2(acc, cf[q], rows[q], acc)
+		}
+		axpyToAVX2(dst[c0:c1], -eta, acc, w[c0:c1])
+	}
+}
+
 // haveAVX2Asm reports whether the avx2 rung can run its assembly on
 // this machine (otherwise the rung is served by the pure-Go twins).
 func haveAVX2Asm() bool { return cpufeat.X86.HasAVX2 && cpufeat.X86.HasFMA }
+
+// haveAVX512Asm reports whether the avx2 rung's float64 kernels can run
+// their AVX-512 bodies.
+func haveAVX512Asm() bool { return haveAVX2Asm() && cpufeat.X86.HasAVX512F }
 
 // backingAsm reports whether class c runs its SIMD assembly on this
 // CPU (false means the rung is served by the pure-Go twins). SSE2 is
@@ -126,29 +238,50 @@ func defaultKernel() KernelClass {
 	return KernelSSE2
 }
 
-// kernelsFor binds a class to its amd64 implementations. The avx2f32
-// class binds the avx2 float64 set: its residual float64 arithmetic is
-// defined to be the FMA regime's, and the float32 hot path dispatches
-// separately through kernels32 (f32.go, simd_f32_amd64.go).
+// kernelsFor binds a class to its amd64 implementations. The avx2 class
+// binds its AVX-512 bodies where the CPU has AVX-512F, else its AVX2
+// ones, else the math.FMA twins — one rounding regime, three speeds.
+// The avx2f32 class binds the same float64 set: its residual float64
+// arithmetic is defined to be the FMA regime's, and the float32 hot
+// path dispatches separately through kernels32 (f32.go,
+// simd_f32_amd64.go).
 func kernelsFor(c KernelClass) kernelSet[float64] {
 	switch c {
 	case KernelAVX2, KernelAVX2F32:
-		if !haveAVX2Asm() {
-			return fmaRefKernels()
+		switch {
+		case haveAVX512Asm():
+			return avx512Kernels()
+		case haveAVX2Asm():
+			return avx2Kernels()
 		}
-		return kernelSet[float64]{
-			dot: dotAVX2, axpyTo: axpyToAVX2, dot2: dot2From(dotAVX2), dot4: dot4AVX2,
-			axpy4:    axpy4AVX2,
-			expShift: expShiftAsm, sumExpShift: sumExpShiftAsm,
-			fuse4: true, fusedCE: true,
-		}
+		return fmaRefKernels()
 	case KernelSSE2:
 		return kernelSet[float64]{
 			dot: dotSSE2, axpyTo: axpyToSSE2, dot2: dot2SSE2, dot4: dot4From(dotSSE2),
-			axpy4:    axpy4From(axpyToSSE2),
+			dot4x2: dot4x2From(dot4From(dotSSE2)), axpy4: axpy4From(axpyToSSE2), stepRow: stepRowSSE2,
 			expShift: expShiftRef, sumExpShift: sumExpShiftRef,
 		}
 	default:
 		return genericKernels()
 	}
+}
+
+// avx2Kernels is the avx2 class's AVX2 assembly set.
+func avx2Kernels() kernelSet[float64] {
+	return kernelSet[float64]{
+		dot: dotAVX2, axpyTo: axpyToAVX2, dot2: dot2From(dotAVX2), dot4: dot4AVX2,
+		dot4x2: dot4x2From(dot4AVX2), axpy4: axpy4AVX2, stepRow: stepRowAVX2,
+		expShift: expShiftAsm, sumExpShift: sumExpShiftAsm,
+		fuse4: true, fusedCE: true,
+	}
+}
+
+// avx512Kernels is the avx2 class's AVX-512 set: the AVX2 set with the
+// ZMM bodies of the BLAS kernels and the two register-blocked ones. The
+// exponential stays 4-lane.
+func avx512Kernels() kernelSet[float64] {
+	ks := avx2Kernels()
+	ks.dot, ks.axpyTo, ks.dot2, ks.dot4 = dotAVX512, axpyToAVX512, dot2From(dotAVX512), dot4AVX512
+	ks.dot4x2, ks.axpy4, ks.stepRow = dot4x2AVX512, axpy4AVX512, stepRowZMM
+	return ks
 }

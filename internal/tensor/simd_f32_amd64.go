@@ -36,6 +36,40 @@ func dot432AVX2(x, y0, y1, y2, y3 []float32) (r0, r1, r2, r3 float32)
 //go:noescape
 func axpy432AVX2(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32)
 
+// stepRow32AVX2 is the float32 tier's stepRow on its assembly,
+// composed as stepRowAVX2 is: per column chunk of a zeroed stack
+// buffer, the nonzero coefficients' axpy4 quads and axpyTo tails, then
+// the AxpyTo epilogue, through direct calls so the buffer stays on the
+// stack.
+func stepRow32AVX2(dst, w []float32, eta, alpha float32, a Mat[float32], i int, ys [][]float32) {
+	var buf [stepChunk]float32
+	for c0 := 0; c0 < len(w); c0 += stepChunk {
+		c1 := min(c0+stepChunk, len(w))
+		acc := buf[:c1-c0]
+		if c0 > 0 {
+			clear(acc)
+		}
+		var cf [4]float32
+		var rows [4][]float32
+		nq := 0
+		for k, y := range ys {
+			v := a.Data[k*a.Cols+i]
+			if v == 0 {
+				continue
+			}
+			cf[nq], rows[nq] = alpha*v, y[c0:c1]
+			if nq++; nq == 4 {
+				axpy432AVX2(cf[0], cf[1], cf[2], cf[3], rows[0], rows[1], rows[2], rows[3], acc)
+				nq = 0
+			}
+		}
+		for q := range nq {
+			axpyTo32Asm(acc, cf[q], rows[q], acc)
+		}
+		axpyTo32Asm(dst[c0:c1], -eta, acc, w[c0:c1])
+	}
+}
+
 // expShift32AVX2 computes dst[i] = exp32(x[i]-shift) for i < len(x),
 // 8 lanes per step with a masked remainder. dst must have at least
 // len(x) elements; the wrapper below trims it.
@@ -107,7 +141,8 @@ func init() {
 	if haveAVX2Asm() {
 		kernels32 = kernelSet[float32]{
 			dot: dot32AVX2, axpyTo: axpyTo32Asm, dot2: dot2From(dot32AVX2), dot4: dot432AVX2,
-			axpy4: axpy432AVX2, expShift: expShift32Asm, sumExpShift: sumExpShift32Asm,
+			dot4x2: dot4x2From(dot432AVX2), axpy4: axpy432AVX2, stepRow: stepRow32AVX2,
+			expShift: expShift32Asm, sumExpShift: sumExpShift32Asm,
 			fuse4: true, fusedCE: true,
 		}
 		cvtTo32 = cvt64to32AVX2

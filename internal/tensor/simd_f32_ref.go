@@ -104,6 +104,25 @@ func axpy432Ref(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
 	}
 }
 
+// stepRow32Ref is the float32 stepRow, composed as stepRowRef is
+// through axpyTo32Ref.
+func stepRow32Ref(dst, w []float32, eta, alpha float32, a Mat[float32], i int, ys [][]float32) {
+	var buf [stepChunk]float32
+	for c0 := 0; c0 < len(w); c0 += stepChunk {
+		c1 := min(c0+stepChunk, len(w))
+		acc := buf[:c1-c0]
+		if c0 > 0 {
+			clear(acc)
+		}
+		for k, y := range ys {
+			if v := a.Data[k*a.Cols+i]; v != 0 {
+				axpyTo32Ref(acc, alpha*v, y[c0:c1], acc)
+			}
+		}
+		axpyTo32Ref(dst[c0:c1], -eta, acc, w[c0:c1])
+	}
+}
+
 // dot432Ref is the float32 fused four-row dot: each output accumulates
 // in exactly dot32Ref's order while sharing the loads of x, so dot4 and
 // single dots mix freely without perturbing a bit.

@@ -75,6 +75,26 @@ func axpy4FMARef(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 	}
 }
 
+// stepRowFMARef is the FMA-class stepRow, composed as stepRowRef is:
+// per column chunk of a zeroed stack buffer, one axpyToFMARef per
+// nonzero coefficient in ascending order, then dst = fma(−eta, buf, w).
+func stepRowFMARef(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys [][]float64) {
+	var buf [stepChunk]float64
+	for c0 := 0; c0 < len(w); c0 += stepChunk {
+		c1 := min(c0+stepChunk, len(w))
+		acc := buf[:c1-c0]
+		if c0 > 0 {
+			clear(acc)
+		}
+		for k, y := range ys {
+			if v := a.Data[k*a.Cols+i]; v != 0 {
+				axpyToFMARef(acc, alpha*v, y[c0:c1], acc)
+			}
+		}
+		axpyToFMARef(dst[c0:c1], -eta, acc, w[c0:c1])
+	}
+}
+
 // dot4FMARef is the FMA-class fused four-row dot: each output
 // accumulates in exactly dotFMARef's order while sharing the loads of
 // x, so mixing dot4 and single dots cannot perturb a bit.

@@ -51,6 +51,28 @@ func axpyToRef(dst []float64, a float64, x, y []float64) {
 	}
 }
 
+// stepRowRef is the non-FMA stepRow, written as its definition: per
+// column chunk of a zeroed stack buffer, run one axpyToRef per nonzero
+// coefficient alpha·a[k][i] in ascending k, then
+// dst = w + (−eta)·buf with axpyToRef. The calls are direct so the
+// buffer stays on the stack.
+func stepRowRef(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys [][]float64) {
+	var buf [stepChunk]float64
+	for c0 := 0; c0 < len(w); c0 += stepChunk {
+		c1 := min(c0+stepChunk, len(w))
+		acc := buf[:c1-c0]
+		if c0 > 0 {
+			clear(acc)
+		}
+		for k, y := range ys {
+			if v := a.Data[k*a.Cols+i]; v != 0 {
+				axpyToRef(acc, alpha*v, y[c0:c1], acc)
+			}
+		}
+		axpyToRef(dst[c0:c1], -eta, acc, w[c0:c1])
+	}
+}
+
 // expShiftRef is the non-FMA shifted-exponential kernel:
 // dst[i] = math.Exp(x[i]-shift), elementwise in index order. It is the
 // exact arithmetic of the pre-dispatch LogSumExp/Softmax loops, so the

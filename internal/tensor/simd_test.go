@@ -34,9 +34,11 @@ func fillSpecial(r *rng.Stream, x []float64) {
 	}
 }
 
-// tailLengths exercises every unroll boundary of the 2-, 4-, 8- and
-// 16-wide loops plus their scalar tails.
-var tailLengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33, 47, 48, 63, 64, 65, 67}
+// tailLengths exercises every unroll boundary of the 2-, 4-, 8-, 16-,
+// 32- and 64-wide loops plus their scalar and masked tails, and the
+// MLP's input width.
+var tailLengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33, 47, 48, 63, 64, 65, 67,
+	95, 96, 97, 127, 128, 129, 784}
 
 // rungs enumerates the kernel sets under test with the pure-Go
 // reference each must reproduce bitwise.
@@ -54,7 +56,9 @@ func testRungs(t *testing.T) []rung {
 		{"sse2", kernelsFor(KernelSSE2), genericKernels()},
 		{"avx2", kernelsFor(KernelAVX2), fmaRefKernels()},
 	}
-	return rs
+	// Where the avx2 class binds its AVX-512 bodies, its AVX2 ones are
+	// pinned as a rung of their own (archRungs), so both stay covered.
+	return append(rs, archRungs()...)
 }
 
 // TestKernelsMatchReference pins every rung to its class reference bit
@@ -94,6 +98,16 @@ func TestKernelsMatchReference(t *testing.T) {
 							if math.Float64bits(q[i]) != math.Float64bits(p[i]) {
 								t.Fatalf("dot4(n=%d,off=%d)[%d] = %x, class reference %x", n, off, i,
 									math.Float64bits(q[i]), math.Float64bits(p[i]))
+							}
+						}
+
+						x1 := buf()
+						sprinkleSpecials(r, x1)
+						q8, p8 := dot4x2Of(rg.impl, x, x1, y0, y1, y2, y3), dot4x2Of(rg.ref, x, x1, y0, y1, y2, y3)
+						for i := range q8 {
+							if math.Float64bits(q8[i]) != math.Float64bits(p8[i]) {
+								t.Fatalf("dot4x2(n=%d,off=%d)[%d] = %x, class reference %x", n, off, i,
+									math.Float64bits(q8[i]), math.Float64bits(p8[i]))
 							}
 						}
 
@@ -157,9 +171,10 @@ func TestKernelsMatchReference(t *testing.T) {
 }
 
 // TestFusedDotsMatchSingles pins the intra-class contract the GEMM
-// microkernel relies on: within one rung, dot2 and dot4 accumulate each
-// output in exactly the single-dot order, so gemmTRow may mix fused
-// passes and single-row tails without perturbing a bit.
+// microkernel relies on: within one rung, dot2, dot4 and dot4x2
+// accumulate each output in exactly the single-dot order, so gemmTRow
+// and gemmTRow2 may mix fused passes and single-row tails without
+// perturbing a bit.
 func TestFusedDotsMatchSingles(t *testing.T) {
 	for _, rg := range testRungs(t) {
 		t.Run(rg.name, func(t *testing.T) {
@@ -182,6 +197,18 @@ func TestFusedDotsMatchSingles(t *testing.T) {
 					want := rg.impl.dot(x, ys[yi])
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("fused output %d (n=%d) = %x, single dot %x", i, n, math.Float64bits(got), math.Float64bits(want))
+					}
+				}
+				x1 := make([]float64, n)
+				fillSpecial(r, x1)
+				sprinkleSpecials(r, x1)
+				for i, got := range dot4x2Of(rg.impl, x, x1, ys[0], ys[1], ys[2], ys[3]) {
+					xi := x
+					if i >= 4 {
+						xi = x1
+					}
+					if want := rg.impl.dot(xi, ys[i%4]); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("dot4x2 output %d (n=%d) = %x, single dot %x", i, n, math.Float64bits(got), math.Float64bits(want))
 					}
 				}
 			}
@@ -220,6 +247,99 @@ func TestAxpy4MatchesSequentialAxpy(t *testing.T) {
 					if math.Float64bits(fused[i]) != math.Float64bits(seq[i]) {
 						t.Fatalf("axpy4(n=%d)[%d] = %x, sequential axpy %x", n, i,
 							math.Float64bits(fused[i]), math.Float64bits(seq[i]))
+					}
+				}
+			}
+		})
+	}
+}
+
+// dot4x2Of returns a rung's dot4x2 outputs as one array, row-major.
+func dot4x2Of(ks kernelSet[float64], x0, x1, y0, y1, y2, y3 []float64) [8]float64 {
+	var r [8]float64
+	r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = ks.dot4x2(x0, x1, y0, y1, y2, y3)
+	return r
+}
+
+// defaultNaN is the quiet NaN x86 arithmetic generates (Inf − Inf).
+// Which payload wins when two NaNs with different payloads meet is left
+// open by IEEE 754 and by Go (the compiler may order a commutative add
+// either way), so tests that feed NaN in use this one.
+var defaultNaN = math.Float64frombits(0xfff8000000000000)
+
+// sprinkleSpecials sets about one element in eight of x to −0 or NaN.
+func sprinkleSpecials(r *rng.Stream, x []float64) {
+	for i := range x {
+		switch r.Intn(16) {
+		case 0:
+			x[i] = math.Copysign(0, -1)
+		case 1:
+			x[i] = defaultNaN
+		}
+	}
+}
+
+// TestStepRowMatchesReference pins every rung's stepRow to its class
+// reference and to its own buffered form — a zeroed row, one axpyTo per
+// nonzero coefficient in ascending order, then axpyTo(dst, −eta, row,
+// w) — bit for bit: at every tail length, with no nonzero coefficient,
+// with more examples than a rung gathers on its stack, with −0, Inf and
+// NaN in the example rows (a zero coefficient on an Inf or NaN row must
+// stay a skip), with dst aliasing w, and on rows longer than one chunk of
+// the composed bodies' stack buffer.
+func TestStepRowMatchesReference(t *testing.T) {
+	for _, rg := range testRungs(t) {
+		t.Run(rg.name, func(t *testing.T) {
+			r := rng.New(31)
+			for _, n := range append(tailLengths[:len(tailLengths):len(tailLengths)], 2*stepChunk+67) {
+				for _, m := range []int{0, 1, 3, 4, 5, 16, 33} {
+					ys := make([][]float64, m)
+					for k := range ys {
+						ys[k] = make([]float64, n)
+						fillSpecial(r, ys[k])
+						sprinkleSpecials(r, ys[k])
+					}
+					// Coefficient column 1 of a 3-column matrix: ReLU-style
+					// zeros, signed zeros, and an all-zero column when m = 1.
+					a := Mat[float64]{Rows: m, Cols: 3, Data: make([]float64, 3*m)}
+					for k := 0; k < m; k++ {
+						for j := 0; j < 3; j++ {
+							switch v := r.Float64() - 0.5; {
+							case m == 1 || r.Intn(3) == 0:
+								a.Data[k*3+j] = 0
+							case r.Intn(8) == 0:
+								a.Data[k*3+j] = math.Copysign(0, -1)
+							default:
+								a.Data[k*3+j] = v * 3
+							}
+						}
+					}
+					w := make([]float64, n)
+					fillSpecial(r, w)
+					const alpha, eta = 0.3, 0.05
+
+					want := make([]float64, n)
+					rg.ref.stepRow(want, w, eta, alpha, a, 1, ys)
+
+					buf := make([]float64, n)
+					for k, y := range ys {
+						if v := a.Data[k*3+1]; v != 0 {
+							rg.impl.axpyTo(buf, alpha*v, y, buf)
+						}
+					}
+					composed := make([]float64, n)
+					rg.impl.axpyTo(composed, -eta, buf, w)
+
+					got := make([]float64, n)
+					rg.impl.stepRow(got, w, eta, alpha, a, 1, ys)
+					aliased := append([]float64(nil), w...)
+					rg.impl.stepRow(aliased, aliased, eta, alpha, a, 1, ys)
+					for e := range got {
+						g, wb, cb, ab := math.Float64bits(got[e]), math.Float64bits(want[e]), math.Float64bits(composed[e]), math.Float64bits(aliased[e])
+						if g != wb || g != cb || g != ab {
+							t.Fatalf("stepRow(n=%d, examples=%d)[%d] = %x, class reference %x, buffered %x, dst == w %x",
+								n, m, e, g, wb, cb, ab)
+						}
 					}
 				}
 			}

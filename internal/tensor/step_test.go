@@ -37,6 +37,9 @@ func TestKernelSetsComplete(t *testing.T) {
 	for _, c := range Classes() {
 		sets["kernelsFor("+c.String()+")"] = kernelsFor(c)
 	}
+	for _, rg := range testRungs(t) {
+		sets["rung "+rg.name] = rg.impl
+	}
 	for name, ks := range sets {
 		v := reflect.ValueOf(ks)
 		for i := 0; i < v.NumField(); i++ {
@@ -150,9 +153,8 @@ func checkGemmTNRStep[T Float](t *testing.T, fill func(*rng.Stream, []T)) {
 		want := newMat(m, cols)
 		AxpyTo(want.Data, -eta, g.Data, w.Data)
 
-		buf := make([]T, cols)
 		dst := newMat(m, cols)
-		GemmTNRStep(inv, a, yrows, eta, w, dst, buf)
+		GemmTNRStep(inv, a, yrows, eta, w, dst)
 		if i := firstDiff(dst.Data, want.Data); i >= 0 {
 			t.Fatalf("n=%d: GemmTNRStep[%d] = %v, GemmTNR+AxpyTo %v", n, i, dst.Data[i], want.Data[i])
 		}
@@ -161,7 +163,7 @@ func checkGemmTNRStep[T Float](t *testing.T, fill func(*rng.Stream, []T)) {
 				t.Fatalf("n=%d: a zero coefficient let the Inf row in", n)
 			}
 		}
-		GemmTNRStep(inv, a, yrows, eta, w, w, buf)
+		GemmTNRStep(inv, a, yrows, eta, w, w)
 		if i := firstDiff(w.Data, want.Data); i >= 0 {
 			t.Fatalf("n=%d: GemmTNRStep(dst == w)[%d] differs", n, i)
 		}
@@ -187,7 +189,7 @@ func TestGemmTNRStepRaggedRowPanics(t *testing.T) {
 			}
 		}
 	}()
-	GemmTNRStep(1, a, yrows, 0.1, w, dst, make([]float64, 5))
+	GemmTNRStep(1, a, yrows, 0.1, w, dst)
 }
 
 // TestAverageIntoBlockedMatchesPasses pins the column-blocked
