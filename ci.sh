@@ -5,7 +5,8 @@
 # the wire transport itself, the obs registry's lock-free instruments,
 # the sweep scheduler — whose test suite hammers two faulted sweeps
 # concurrently — the shared dataset cache, and the slot paths: fl.Fold's
-# lanes and core's slots write shared rows from parallel workers).
+# lanes and the core and baseline slots write shared rows from the
+# workers of sched.For, the one index fan-out).
 # go test ./... also runs the dead-code gate (internal/deadcode): every
 # non-test declaration must be reached from a main package, an init, the
 # benchmark module's non-test code or the gate's commented allowlist,
@@ -41,7 +42,7 @@ GOARCH=arm64 go vet ./internal/tensor ./internal/model ./internal/fl ./internal/
 (cd benchmark && go vet ./... && go test ./...)
 bash benchmark/run.sh --workload all --quick
 
-go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./internal/obs/... ./internal/sched/... ./internal/data/... ./internal/population/... ./internal/fl/ ./internal/core/
+go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./internal/obs/... ./internal/sched/... ./internal/data/... ./internal/population/... ./internal/fl/ ./internal/core/ ./internal/baselines/
 
 # Forced-kernel-class legs: every rung of the dispatch ladder must pass
 # the numeric property suites and reproduce its class's golden
@@ -49,8 +50,10 @@ go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./i
 # falls back to its bit-identical pure-Go twin, so all four classes
 # (including the avx2f32 float32 storage tier) are testable on any
 # machine. -count=1 because the test cache does not key on
-# HIERFAIR_KERNEL. The race legs re-run the tensor suite (which
-# exercises the parallel apply path) under each class's kernels. The
+# HIERFAIR_KERNEL. The race legs re-run the fl and core suites, whose
+# slots fan fl.Fold's lanes out over sched.For, under each class's
+# kernels: the lane rows are float32 on the float32 tier, so the rows
+# the workers share are per-class (tensor itself starts no goroutine). The
 # facade (root package) rides along because its Spec-level tests meet
 # per-class behaviour the internal fixtures don't: the sparse regime's
 # lazily materialized shards (notably the float32 shard-mirror
@@ -67,7 +70,7 @@ go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./i
 # follow the class's softmax and kernel arithmetic.
 for KC in generic sse2 avx2 avx2f32; do
 	HIERFAIR_KERNEL=$KC go test -count=1 . ./internal/tensor/ ./internal/model/ ./internal/fl/ ./internal/core/ ./internal/baselines/ ./internal/invariance/ ./internal/wire/ ./internal/simnet/
-	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/tensor/
+	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/fl/ ./internal/core/
 done
 
 # Short fuzz smoke on the simplex projections, the wire codec and the

@@ -17,7 +17,7 @@ func TestWarmRoundAllocatesNoModelVector(t *testing.T) {
 	for _, b := range popBaselines() {
 		for _, population := range []int{0, 400} {
 			cfg := fltest.ToyConfig()
-			cfg.Workers, cfg.TrackAverages, cfg.EvalEvery = 1, true, 0
+			cfg.TrackAverages, cfg.EvalEvery = true, 0
 			b.prep(&cfg)
 			if population > 0 {
 				cfg.Population, cfg.SamplePerRound = population, 6

@@ -172,10 +172,9 @@ func TestBaselinesDeterministic(t *testing.T) {
 				t.Fatalf("%s: nondeterministic", c.name)
 			}
 		}
-		// One worker must match the parallel pool.
-		seq := c.cfg
-		seq.Workers = 1
-		s, err := c.run(fltest.ToyProblem(1), seq)
+		// One processor must match the parallel fan-out.
+		var s *fl.Result
+		fltest.WithProcs(1, func() { s, err = c.run(fltest.ToyProblem(1), c.cfg) })
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

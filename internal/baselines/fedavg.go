@@ -13,6 +13,7 @@ import (
 	"repro/internal/fl"
 	"repro/internal/quant"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/topology"
 )
 
@@ -87,7 +88,7 @@ func uniformLossEstimates(k int, st *fl.State, pool *fl.ModelPool, w []float64, 
 	sampled := r.SampleUniform(cfg.SampledEdges, nE)
 	losses := make([]float64, len(sampled))
 	sizes := make([]int, len(sampled))
-	cfg.ForEach(len(sampled), func(i int) {
+	sched.For(0, len(sampled), func(i int) {
 		m := pool.Get()
 		defer pool.Put(m)
 		losses[i], sizes[i] = fl.CohortLossEstimate(m, w, cfg, prob.Fed, k, sampled[i], r.ChildN(5, uint64(i)))

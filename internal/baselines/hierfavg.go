@@ -3,6 +3,7 @@ package baselines
 import (
 	"repro/internal/fl"
 	"repro/internal/quant"
+	"repro/internal/sched"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 )
@@ -45,7 +46,7 @@ func hierFAvgRound(k int, st *fl.State, pool *fl.ModelPool, slots []hierSlot) {
 	// Each sampled edge runs its tau2 aggregation blocks over its round-k
 	// cohort — the same cohort source and client block as HierMinimax,
 	// with HierFAvg's uniform edge weights and no checkpoint.
-	cfg.ForEach(len(edges), func(i int) {
+	sched.For(0, len(edges), func(i int) {
 		s := &slots[i]
 		f := &s.fold
 		f.Cohort.SetEdge(cfg, prob.Fed, k, edges[i])

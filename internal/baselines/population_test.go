@@ -27,9 +27,9 @@ func popBaselines() []struct {
 }
 
 // TestBaselinesPopulationDeterministicAcrossWorkers: every baseline's
-// population path must be invariant to the engine's parallelism — the
-// streaming cohort folds happen in sample order regardless of chunking
-// or worker count.
+// population path must be invariant to the engine's parallelism
+// (GOMAXPROCS 1, 4 and 13) — the streaming cohort folds happen in
+// sample order regardless of chunking or worker count.
 func TestBaselinesPopulationDeterministicAcrossWorkers(t *testing.T) {
 	for _, b := range popBaselines() {
 		t.Run(b.name, func(t *testing.T) {
@@ -39,15 +39,15 @@ func TestBaselinesPopulationDeterministicAcrossWorkers(t *testing.T) {
 			cfg.Population = 400
 			cfg.SamplePerRound = 6
 			b.prep(&cfg)
-			cfg.Workers = 1
-			ref, err := b.run(fltest.ToyProblem(1), cfg)
+			var ref *fl.Result
+			var err error
+			fltest.WithProcs(1, func() { ref, err = b.run(fltest.ToyProblem(1), cfg) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4, 13} {
-				c := cfg
-				c.Workers = workers
-				got, err := b.run(fltest.ToyProblem(1), c)
+				var got *fl.Result
+				fltest.WithProcs(workers, func() { got, err = b.run(fltest.ToyProblem(1), cfg) })
 				if err != nil {
 					t.Fatal(err)
 				}

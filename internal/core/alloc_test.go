@@ -23,7 +23,7 @@ func TestWarmRoundAllocatesNoModelVector(t *testing.T) {
 		{"4-layer", 0, Tree{Branching: []int{1, 2, 10}, Taus: []int{2, 2, 2}}},
 	} {
 		cfg := fltest.ToyConfig()
-		cfg.Workers, cfg.EvalEvery = 1, 0
+		cfg.EvalEvery = 0
 		// Iterate sums have no priced form on a deeper tree.
 		cfg.TrackAverages = leg.tree.Taus == nil
 		if leg.population > 0 {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/optim"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/tensor"
 	"repro/internal/topology"
 )
@@ -263,8 +264,8 @@ func obsSpan(name string, round int) obs.Span {
 	return obs.Span{}
 }
 
-// local is the in-process Transport: slots and loss estimates run on
-// cfg.ForEach's worker pool over the tree held in memory.
+// local is the in-process Transport: slots and loss estimates run
+// through sched.For over the tree held in memory.
 type local struct {
 	pool *fl.ModelPool
 	tree Tree
@@ -272,7 +273,7 @@ type local struct {
 
 func (l *local) Train(k int, st *fl.State, slots, chk []int, streams []rng.Stream, doomed []bool, out []Slot) int {
 	t0 := obs.Now()
-	st.Cfg.ForEach(len(slots), func(i int) {
+	sched.For(0, len(slots), func(i int) {
 		if !doomed[i] {
 			out[i] = modelUpdate(modelUpdateArgs{
 				st: st, pool: l.pool, tree: l.tree, round: k, edge: slots[i],
@@ -296,7 +297,7 @@ func (l *local) Train(k int, st *fl.State, slots, chk []int, streams []rng.Strea
 func (l *local) Losses(k int, st *fl.State, wChk []float64, sampled []int, streams []rng.Stream, doomed []bool, losses []float64, alive []bool) (int, int) {
 	cfg := &st.Cfg
 	dBytes := topology.ModelBytes(len(wChk))
-	cfg.ForEach(len(sampled), func(i int) {
+	sched.For(0, len(sampled), func(i int) {
 		if doomed[i] {
 			return
 		}

@@ -34,17 +34,16 @@ func TestHierMinimaxLearns(t *testing.T) {
 }
 
 func TestSequentialParallelIdentical(t *testing.T) {
-	cfgSeq := fltest.ToyConfig()
-	cfgSeq.Rounds = 30
-	cfgSeq.Workers = 1
-	cfgPar := cfgSeq
-	cfgPar.Workers = 0
+	cfg := fltest.ToyConfig()
+	cfg.Rounds = 30
 
-	a, err := HierMinimax(fltest.ToyProblem(1), cfgSeq)
+	var a *fl.Result
+	var err error
+	fltest.WithProcs(1, func() { a, err = HierMinimax(fltest.ToyProblem(1), cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := HierMinimax(fltest.ToyProblem(1), cfgPar)
+	b, err := HierMinimax(fltest.ToyProblem(1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,31 +3,31 @@ package core
 import (
 	"testing"
 
+	"repro/internal/fl"
 	"repro/internal/fl/fltest"
 )
 
 // TestPopulationWorkerCountInvariant pins the population regime's
-// determinism contract: the sequential reference, the default parallel
-// engine and two fixed worker counts (the same spread the ci.sh smoke
-// leg drives through -jobs) must produce bit-for-bit identical models,
-// weights and ledgers. fl.Fold's chunk-lane fold makes this hold by
-// construction — cohort order is the only fold order.
+// determinism contract: runs at GOMAXPROCS 1, 4 and 13 (the same spread
+// the ci.sh smoke leg drives through -jobs) must produce bit-for-bit
+// identical models, weights and ledgers. fl.Fold's chunk-lane fold makes
+// this hold by construction — cohort order is the only fold order.
 func TestPopulationWorkerCountInvariant(t *testing.T) {
 	base := fltest.ToyConfig()
 	base.Rounds = 30
 	base.TrackAverages = true
 	base.Population = 400
 	base.SamplePerRound = 6
-	base.Workers = 1
 
-	ref, err := HierMinimax(fltest.ToyProblem(1), base)
+	var ref *fl.Result
+	var err error
+	fltest.WithProcs(1, func() { ref, err = HierMinimax(fltest.ToyProblem(1), base) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 13} {
-		cfg := base
-		cfg.Workers = workers
-		got, err := HierMinimax(fltest.ToyProblem(1), cfg)
+		var got *fl.Result
+		fltest.WithProcs(workers, func() { got, err = HierMinimax(fltest.ToyProblem(1), base) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/population"
 	"repro/internal/quant"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
@@ -103,7 +104,9 @@ func (c *Cohort) shard(i int, s *population.ShardScratch) data.Subset {
 // (localSGD) and one fold, so every engine and cohort source shares
 // this one slot on every class.
 //
-// The zero value is ready to use and allocates nothing once warm. A
+// Lanes run through sched.For at GOMAXPROCS width. The zero value is
+// ready to use; once warm a Block allocates nothing but that fan-out's
+// own state — none on one processor, two objects per chunk on two. A
 // Fold must not be copied after first use, nor used concurrently.
 type Fold struct {
 	Cohort Cohort
@@ -119,7 +122,7 @@ type Fold struct {
 	chkAt   int
 	base    int // cohort position of lane 0 in the running chunk
 	track   bool
-	worker  func(lo, hi int)
+	worker  func(lane int)
 
 	// resid holds the error-feedback residual of top-k compression, one
 	// row per cohort position: a member's residual must survive from one
@@ -136,7 +139,7 @@ type Fold struct {
 type foldRows interface {
 	begin(n, d int, track bool)
 	block(f *Fold, start, iterSum []float64)
-	run(f *Fold, lo, hi int)
+	run(f *Fold, lane int)
 	add(final, chk []float64)
 	finish(w, chk []float64) bool
 }
@@ -190,7 +193,7 @@ func (f *Fold) Begin(cfg *Config, prob *Problem, pool *ModelPool, comp quant.Con
 	f.cfg, f.prob, f.pool, f.comp = cfg, prob, pool, comp
 	n, d := f.Cohort.Len(), prob.Model.Dim()
 	if f.worker == nil {
-		f.worker = f.runLanes
+		f.worker = f.runLane
 	}
 	f.rows = &f.l64
 	if tensor.StorageF32() {
@@ -241,11 +244,7 @@ func (l *lanes[T]) block(f *Fold, start, iterSum []float64) {
 	for f.base = 0; f.base < n; f.base += cohortChunk {
 		l.flush()
 		span := min(cohortChunk, n-f.base)
-		if f.cfg.Workers == 1 {
-			f.worker(0, span)
-		} else {
-			tensor.ParallelFor(span, 1, f.worker)
-		}
+		sched.For(0, span, f.worker)
 		l.live, l.liveChk = l.live[:0], l.liveChk[:0]
 		for lane := 0; lane < span; lane++ {
 			if f.Cohort.skipped(f.base + lane) {
@@ -299,49 +298,47 @@ func (l *lanes[T]) add(final, chk []float64) {
 	}
 }
 
-// runLanes trains the members on lanes [lo, hi) of the running chunk.
-func (f *Fold) runLanes(lo, hi int) { f.rows.run(f, lo, hi) }
+// runLane trains the member on one lane of the running chunk.
+func (f *Fold) runLane(lane int) { f.rows.run(f, lane) }
 
-// run trains the members on lanes [lo, hi) of the running chunk. A
-// member's result depends only on its cohort position, never on the
-// lane or the worker that ran it.
-func (l *lanes[T]) run(f *Fold, lo, hi int) {
+// run trains the member on one lane of the running chunk. A member's
+// result depends only on its cohort position, never on the lane or the
+// worker that ran it.
+func (l *lanes[T]) run(f *Fold, lane int) {
+	i := f.base + lane
+	if f.Cohort.skipped(i) {
+		return
+	}
 	cfg := f.cfg
 	mdl := f.pool.Get()
 	defer f.pool.Put(mdl)
-	// One Scratch per worker, not per lane: the gradient buffer is
-	// model-sized, and the shared pool keeps it hot across slots.
+	// The gradient buffer is model-sized; the shared pool keeps it hot
+	// across lanes and slots.
 	s := sgdPool.Get().(*Scratch)
 	defer sgdPool.Put(s)
-	for lane := lo; lane < hi; lane++ {
-		i := f.base + lane
-		if f.Cohort.skipped(i) {
-			continue
+	r := f.streams.ChildVal(uint64(i))
+	var sum []T
+	if f.track {
+		sum = l.sums[lane]
+		tensor.Zero(sum)
+	}
+	wf, chk := l.finals[lane], l.chks[lane]
+	chked := localSGD(mdl, l.start, wf, f.Cohort.shard(i, &s.shard), cfg.Tau1, cfg.BatchSize, cfg.EtaW, &r, f.chkAt, sum, chk, s)
+	// Uplink compression: members upload compressed models and the
+	// aggregator reconstructs the decoded values. Checkpoint uploads
+	// compress without error feedback (they are one-shot, not part of
+	// the iterated model stream). Validate refuses compression on the
+	// float32 tier, so the rows are float64 here.
+	if f.comp.Enabled() {
+		var resid []float64
+		if f.comp.ErrorFeedback {
+			resid = f.resid[i]
 		}
-		r := f.streams.ChildVal(uint64(i))
-		var sum []T
-		if f.track {
-			sum = l.sums[lane]
-			tensor.Zero(sum)
-		}
-		wf, chk := l.finals[lane], l.chks[lane]
-		chked := localSGD(mdl, l.start, wf, f.Cohort.shard(i, &s.shard), cfg.Tau1, cfg.BatchSize, cfg.EtaW, &r, f.chkAt, sum, chk, s)
-		// Uplink compression: members upload compressed models and the
-		// aggregator reconstructs the decoded values. Checkpoint uploads
-		// compress without error feedback (they are one-shot, not part of
-		// the iterated model stream). Validate refuses compression on the
-		// float32 tier, so the rows are float64 here.
-		if f.comp.Enabled() {
-			var resid []float64
-			if f.comp.ErrorFeedback {
-				resid = f.resid[i]
-			}
-			q := r.ChildVal('q')
-			f.comp.Apply(any(wf).([]float64), resid, &q)
-			if chked {
-				q2 := r.ChildVal('q').ChildVal(2)
-				f.comp.Apply(any(chk).([]float64), nil, &q2)
-			}
+		q := r.ChildVal('q')
+		f.comp.Apply(any(wf).([]float64), resid, &q)
+		if chked {
+			q2 := r.ChildVal('q').ChildVal(2)
+			f.comp.Apply(any(chk).([]float64), nil, &q2)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/data"
@@ -43,7 +44,7 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 // result depends only on its position) — for a single-chunk cohort,
 // whose Finish averages the lane rows directly, and across a chunk
 // boundary, with the checkpoint off, after the first step and after the
-// last, with one worker and the default pool. With every position
+// last, on one processor and on four. With every position
 // skipped, Finish reports it and leaves w and chk untouched.
 func TestFoldSkip(t *testing.T) {
 	const tau1 = 3
@@ -53,6 +54,7 @@ func TestFoldSkip(t *testing.T) {
 	rng.New(1).Fill(start, 0.2)
 	streams := *rng.New(2)
 	skip := func(i int) bool { return i%3 == 1 || i == cohortChunk }
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	for _, n := range []int{7, cohortChunk + 5} {
 		clients := make([]data.Subset, n)
@@ -60,15 +62,16 @@ func TestFoldSkip(t *testing.T) {
 			clients[i] = toyShard(uint64(10+i), 12)
 		}
 		for _, chkAt := range []int{0, 1, tau1} {
-			for _, workers := range []int{1, 0} {
-				cfg := &Config{Tau1: tau1, BatchSize: 2, EtaW: 0.1, TrackAverages: true, Workers: workers}
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				cfg := &Config{Tau1: tau1, BatchSize: 2, EtaW: 0.1, TrackAverages: true}
 				prob := &Problem{Model: m}
 				finals, chks, sums := memberResults(m, clients, start, streams, cfg, chkAt)
 				for _, tc := range []struct {
 					name string
 					skip func(int) bool
 				}{{"none", nil}, {"some", skip}} {
-					name := fmt.Sprintf("n=%d chkAt=%d workers=%d %s", n, chkAt, workers, tc.name)
+					name := fmt.Sprintf("n=%d chkAt=%d procs=%d %s", n, chkAt, procs, tc.name)
 					var live, liveChks [][]float64
 					wantSum := make([]float64, d)
 					for i := 0; i < n; i++ {
@@ -104,7 +107,7 @@ func TestFoldSkip(t *testing.T) {
 				w, chk := []float64{7}, []float64{9}
 				f.Block(start, streams, chkAt, nil)
 				if f.Finish(w, chk) || w[0] != 7 || chk[0] != 9 {
-					t.Fatalf("n=%d chkAt=%d workers=%d: all skipped: Finish touched w/chk or reported a fold", n, chkAt, workers)
+					t.Fatalf("n=%d chkAt=%d procs=%d: all skipped: Finish touched w/chk or reported a fold", n, chkAt, procs)
 				}
 			}
 		}
@@ -280,7 +283,7 @@ func TestFoldAddMatchesBlock(t *testing.T) {
 // members and iterate sums equals, bit for bit, every surviving member
 // run alone through LocalSGDScratch (the float64 adapter) and folded in
 // with Add — with the checkpoint off, after the first step and after
-// the last, with one worker and the default pool.
+// the last, on one processor and on four.
 func TestFoldFloat32LanesMatchAdd(t *testing.T) {
 	defer tensor.SetKernel(tensor.KernelAVX2F32)()
 	const n, tau1 = 40, 3
@@ -295,12 +298,14 @@ func TestFoldFloat32LanesMatchAdd(t *testing.T) {
 	tensor.Round32(start)
 	streams := *rng.New(10)
 	skip := func(i int) bool { return i%5 == 3 || i == cohortChunk }
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	prob := &Problem{Model: m}
 	for _, chkAt := range []int{0, 1, tau1} {
-		for _, workers := range []int{1, 0} {
-			name := fmt.Sprintf("chkAt=%d workers=%d", chkAt, workers)
-			cfg := &Config{Tau1: tau1, BatchSize: 2, EtaW: 0.1, TrackAverages: true, Workers: workers}
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			name := fmt.Sprintf("chkAt=%d procs=%d", chkAt, procs)
+			cfg := &Config{Tau1: tau1, BatchSize: 2, EtaW: 0.1, TrackAverages: true}
 
 			var add Fold
 			add.Begin(cfg, prob, nil, quant.Config{})

@@ -33,11 +33,6 @@ type Config struct {
 	// (plus one before training and one after the last round). 0 means
 	// only initial and final snapshots.
 	EvalEvery int
-	// Workers bounds the goroutines ForEach uses; 0 (the default) means
-	// GOMAXPROCS. Workers == 1 is the single-goroutine reference engine:
-	// slots, client blocks and cohorts all run in the calling goroutine
-	// (identical results by the determinism contract).
-	Workers int
 	// TrackAverages maintains the time-averaged iterates (wHat, pHat)
 	// that the convex analysis evaluates (Eq. 8). Costs one extra
 	// d-vector accumulation per local step.

@@ -290,19 +290,6 @@ func ledgerWith(cloudRounds int64) topology.LedgerSnapshot {
 	return s
 }
 
-func TestForEachBothModes(t *testing.T) {
-	for _, workers := range []int{1, 0} {
-		cfg := Config{Workers: workers}
-		out := make([]int, 20)
-		cfg.ForEach(20, func(i int) { out[i] = i * i })
-		for i := range out {
-			if out[i] != i*i {
-				t.Fatalf("workers=%d index %d not processed", workers, i)
-			}
-		}
-	}
-}
-
 func TestModelPoolReuse(t *testing.T) {
 	pool := NewModelPool(model.NewLinear(4, 2))
 	a := pool.Get()

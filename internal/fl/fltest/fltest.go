@@ -93,6 +93,14 @@ func PooledAllocs(t testing.TB, runs int, f func()) float64 {
 	return testing.AllocsPerRun(runs, f)
 }
 
+// WithProcs runs fn with GOMAXPROCS set to n and restores it after; n
+// = 0 leaves it as it is. Every fan-out is as wide as GOMAXPROCS, so this
+// is how a test runs the same work on one worker and on several.
+func WithProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 // WarmRoundBytes returns the bytes one warm training round allocates:
 // the slope of runtime.MemStats.TotalAlloc between runs of 4 and 12
 // rounds, which cancels everything a run allocates once (problem state,

@@ -2,7 +2,6 @@ package fl
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/data"
@@ -137,34 +136,4 @@ func fromStart32(t *testing.T, m model.Model, start, w []float64, shard data.Sub
 		tensor.ToF64(iterSum, sum32)
 	}
 	return ok
-}
-
-// TestForEachWorkerPool checks the bounded pool: every index runs exactly
-// once and observed concurrency never exceeds Workers.
-func TestForEachWorkerPool(t *testing.T) {
-	const n = 64
-	for _, workers := range []int{0, 1, 2, 3, n + 10} {
-		cfg := Config{Workers: workers}
-		var hits [n]atomic.Int32
-		var cur, peak atomic.Int32
-		cfg.ForEach(n, func(i int) {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
-			}
-			hits[i].Add(1)
-			cur.Add(-1)
-		})
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
-			}
-		}
-		if workers > 0 && int(peak.Load()) > workers {
-			t.Fatalf("workers=%d: observed concurrency %d", workers, peak.Load())
-		}
-	}
 }

@@ -2,9 +2,7 @@ package fl
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -164,43 +162,6 @@ func RunWithOptions(algorithm string, prob *Problem, cfg Config, roundFn RoundFu
 		tensor.Scale(1/float64(cfg.Rounds), res.PHat)
 	}
 	return res, nil
-}
-
-// ForEach runs fn(i) for every i in [0, n) on a bounded pool of Workers
-// goroutines (default GOMAXPROCS; in order on the caller when 1) pulling
-// indices from a shared counter. fn must confine its writes to index-i
-// outputs and derive randomness from index-keyed streams so every worker
-// count produces identical results.
-func (c Config) ForEach(n int, fn func(i int)) {
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // ModelPool hands out per-goroutine model clones. Engines Get a model at

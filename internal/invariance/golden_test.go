@@ -98,12 +98,6 @@ func hashStats(st simnet.RunStats) string {
 // kernel class. A case that also pins its RunStats records the digest in
 // stats under "stats/<case>".
 func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
-	seqCfg := fltest.ToyConfig()
-	seqCfg.Workers = 1
-
-	parCfg := fltest.ToyConfig()
-	parCfg.Workers = 0
-
 	avgCfg := fltest.ToyConfig()
 	avgCfg.TrackAverages = true
 
@@ -152,11 +146,13 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 	}
 
 	m := map[string]func() (*fl.Result, error){
-		"hierminimax-seq": func() (*fl.Result, error) {
-			return core.HierMinimax(fltest.ToyProblem(3), seqCfg)
+		// One processor against the default fan-out width: one digest.
+		"hierminimax-seq": func() (res *fl.Result, err error) {
+			fltest.WithProcs(1, func() { res, err = core.HierMinimax(fltest.ToyProblem(3), fltest.ToyConfig()) })
+			return res, err
 		},
 		"hierminimax-par": func() (*fl.Result, error) {
-			return core.HierMinimax(fltest.ToyProblem(3), parCfg)
+			return core.HierMinimax(fltest.ToyProblem(3), fltest.ToyConfig())
 		},
 		"hierminimax-avg": func() (*fl.Result, error) {
 			return core.HierMinimax(fltest.ToyProblem(3), avgCfg)

@@ -1,34 +1,40 @@
-// Package sched is the run-level scheduler of the experiment harness: a
-// bounded work-stealing executor for independent FL training runs whose
-// results commit in submission order, so every sweep artifact (CSV
-// bytes, manifest JSON, rendered tables) is bitwise identical to the
-// sequential execution regardless of worker count.
+// Package sched holds the repository's one index fan-out and the
+// run-level scheduler built on it. For runs independent indices on a
+// bounded set of goroutines: every round's edge slots, Phase-2 loss
+// estimates and a fold's client lanes go through it. Pool and Map run
+// independent FL training runs (a sweep) and commit their results in
+// submission order, so every sweep artifact (CSV bytes, manifest JSON,
+// rendered tables) is bitwise identical to the sequential execution
+// regardless of worker count.
 //
 // Determinism contract (DESIGN.md §11):
 //
-//   - Jobs are pure: job(i) derives everything — workload, config,
-//     randomness — from its submission index and the values captured at
-//     submission time, never from scheduler state, worker identity, or
-//     wall-clock time. Shared inputs (cached datasets) are read-only.
+//   - Work is pure: fn(i) and job(i) derive everything — workload,
+//     config, randomness — from the index and the values captured before
+//     the call, never from scheduler state, worker identity, or
+//     wall-clock time, and write only index-i outputs. Shared inputs
+//     (cached datasets) are read-only.
 //   - Commits are ordered: Map delivers results[0..n-1] in submission
 //     order whatever order the workers finished in, and the first error
 //     in submission order wins — exactly the error a sequential loop
-//     would have returned.
+//     would have returned. For's callers fold index outputs in index
+//     order after it returns.
 //   - The scheduler adds no randomness: worker count changes only the
-//     interleaving of independent jobs, which by the purity rule cannot
-//     be observed by any job.
+//     interleaving of independent work, which by the purity rule cannot
+//     be observed.
 //
-// Scheduling is bounded work stealing: submission deals jobs round-robin
-// onto per-worker queues; a worker pops its own queue LIFO (freshest
-// spec, warmest caches) and steals the oldest job of a sibling when its
-// own queue drains. Jobs here are whole training runs (milliseconds to
-// minutes), so queue contention is irrelevant and a single lock over the
-// queues is simpler and plenty.
+// Map's scheduling is bounded work stealing: submission deals jobs
+// round-robin onto per-worker queues; a worker pops its own queue LIFO
+// (freshest spec, warmest caches) and steals the oldest job of a
+// sibling when its own queue drains. Jobs here are whole training runs
+// (milliseconds to minutes), so queue contention is irrelevant and a
+// single lock over the queues is simpler and plenty.
 package sched
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -42,6 +48,54 @@ var (
 	runsFailed = obs.NewCounterHandle("sweep_runs_failed_total")
 	runsPerSec = obs.NewGaugeHandle("sweep_runs_per_sec")
 )
+
+// For runs fn(i) for every i in [0, n) on at most workers goroutines
+// (workers <= 0 means GOMAXPROCS) and returns when every call has. The
+// caller is worker 0: with one worker fn runs in index order on the
+// caller, otherwise workers-1 more goroutines join it and each pulls the
+// next index from a shared counter. fn must confine its writes to
+// index-i outputs (the package contract), so every worker count yields
+// the same results.
+func For(workers, n int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	r := &forRun{n: n, fn: fn}
+	r.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go r.spawned()
+	}
+	r.pull()
+	r.wg.Wait()
+}
+
+// forRun is the shared state of one multi-worker For call.
+type forRun struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
+	n    int
+	fn   func(i int)
+}
+
+// pull runs indices off the shared counter until none is left.
+func (r *forRun) pull() {
+	for i := int(r.next.Add(1)) - 1; i < r.n; i = int(r.next.Add(1)) - 1 {
+		r.fn(i)
+	}
+}
+
+// spawned is a worker For starts: it pulls, then reports to For's wait.
+func (r *forRun) spawned() {
+	defer r.wg.Done()
+	r.pull()
+}
 
 // Pool is a bounded scheduler for independent runs. A nil *Pool is valid
 // and executes everything inline on the caller's goroutine (one worker),
@@ -175,10 +229,7 @@ func Map[T any](p *Pool, name string, n int, job func(i int) (T, error)) ([]T, e
 		p.complete(errs[i] != nil)
 	}
 
-	workers := p.Workers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(p.Workers(), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			runOne(i)
@@ -189,21 +240,11 @@ func Map[T any](p *Pool, name string, n int, job func(i int) (T, error)) ([]T, e
 			w := i % workers
 			qs.q[w] = append(qs.q[w], i)
 		}
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(self int) {
-				defer wg.Done()
-				for {
-					i, ok := qs.next(self)
-					if !ok {
-						return
-					}
-					runOne(i)
-				}
-			}(w)
-		}
-		wg.Wait()
+		For(workers, workers, func(self int) {
+			for i, ok := qs.next(self); ok; i, ok = qs.next(self) {
+				runOne(i)
+			}
+		})
 	}
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {

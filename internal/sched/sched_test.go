@@ -1,12 +1,88 @@
 package sched
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// goid returns the calling goroutine's id, read from its stack header.
+func goid() int {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, _ := strconv.Atoi(string(b[:bytes.IndexByte(b, ' ')]))
+	return id
+}
+
+// TestFor: every index in [0, n) runs exactly once and n <= 0 never
+// calls fn; no more than min(workers, n) goroutines run fn, and never
+// more at once (workers <= 0 means GOMAXPROCS, held at 4 here so the
+// multi-worker path runs on any machine); with one worker, by request or
+// by the bound, fn runs in index order on the calling goroutine.
+func TestFor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct {
+		name       string
+		workers, n int
+		bound      int
+	}{
+		{"many-indices", 4, 10007, 4},
+		{"default-width", 0, 64, 4},
+		{"more-workers-than-indices", 74, 64, 64},
+		{"three-workers", 3, 64, 3},
+		{"one-worker", 1, 20, 1},
+		{"one-index", 8, 1, 1},
+		{"empty", 4, 0, 0},
+		{"negative", 4, -3, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hits := make([]atomic.Int32, max(tc.n, 0))
+			var calls, cur, peak atomic.Int32
+			var mu sync.Mutex
+			var order []int
+			gids := map[int]bool{}
+			caller := goid()
+			For(tc.workers, tc.n, func(i int) {
+				c := cur.Add(1)
+				for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
+				}
+				calls.Add(1)
+				hits[i].Add(1)
+				mu.Lock()
+				order = append(order, i)
+				gids[goid()] = true
+				mu.Unlock()
+				cur.Add(-1)
+			})
+			if got := int(calls.Load()); got != max(tc.n, 0) {
+				t.Fatalf("fn ran %d times, want %d", got, max(tc.n, 0))
+			}
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("index %d ran %d times", i, got)
+				}
+			}
+			if int(peak.Load()) > tc.bound || len(gids) > tc.bound {
+				t.Fatalf("%d goroutines ran fn, %d at once; bound %d", len(gids), peak.Load(), tc.bound)
+			}
+			if tc.bound == 1 {
+				for i, v := range order {
+					if v != i {
+						t.Fatalf("one worker ran out of order: %v", order)
+					}
+				}
+				if !gids[caller] {
+					t.Fatal("one worker did not run on the caller")
+				}
+			}
+		})
+	}
+}
 
 // TestMapCommitsInSubmissionOrder: whatever the worker interleaving,
 // results land at their submission index.

@@ -248,9 +248,6 @@ func TestWireFingerprintCoversTrajectoryKnobs(t *testing.T) {
 // fingerprintExempt lists the fl.Config fields Fingerprint leaves out on
 // purpose; every other field, nested ones included, must move it.
 var fingerprintExempt = map[string]bool{
-	// The worker count never changes a trajectory (the determinism
-	// contract), so peers may differ in it.
-	"Workers": true,
 	// The regime table refuses a sparse population on the wire roles;
 	// the hash must take both fields once the wire roles run one.
 	"Population":     true,
