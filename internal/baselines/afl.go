@@ -99,7 +99,7 @@ func minimaxTwoLayerRound(k int, st *fl.State, pool *fl.ModelPool, s *twoLayerSc
 		}
 	}
 	st.Ledger.RecordRound(topology.ClientCloud, nTot, dBytes)
-	st.Ledger.RecordRound(topology.ClientCloud, nTot, 2*dBytes)
+	st.Ledger.RecordRound(topology.ClientCloud, nTot, cfg.UplinkBytes(d, true))
 	s.wChk = fl.GrowVec(s.wChk, d)
 	f.Finish(st.W, s.wChk)
 

@@ -252,3 +252,59 @@ func TestSampleEdgeSlotsByPFavorsHeavy(t *testing.T) {
 }
 
 var _ = model.NewLinear // documentation anchor
+
+// TestBaselinesPriceIterateSums pins each baseline's uplinks to
+// fl.Config.UplinkBytes, the rule core prices with: under TrackAverages
+// every member also uploads its iterate sum, so one round must add
+// members × (UplinkBytes with tracking − without) to each uplink link —
+// the clients' uplinks (with the checkpoint for AFL and DRFA) and, for
+// HierFAvg, the edges' uplinks to the cloud.
+func TestBaselinesPriceIterateSums(t *testing.T) {
+	type uplink struct {
+		link    topology.Link
+		members int
+		chk     bool
+	}
+	toy := fltest.ToyConfig()
+	top := fltest.ToyProblem(1).Topology()
+	clients := toy.SampledEdges * top.ClientsPerEdge
+	cases := []struct {
+		name    string
+		run     func(*fl.Problem, fl.Config) (*fl.Result, error)
+		cfg     fl.Config
+		uplinks []uplink
+	}{
+		{"FedAvg", FedAvg, twoLayerConfig(2), []uplink{{topology.ClientCloud, clients, false}}},
+		{"AFL", StochasticAFL, twoLayerConfig(1), []uplink{{topology.ClientCloud, clients, true}}},
+		{"DRFA", DRFA, twoLayerConfig(2), []uplink{{topology.ClientCloud, clients, true}}},
+		{"HierFAvg", HierFAvg, toy, []uplink{
+			{topology.ClientEdge, toy.Tau2 * clients, false},
+			{topology.EdgeCloud, toy.SampledEdges, false},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Rounds = 1
+			var bytes [2]topology.LedgerSnapshot
+			for i, track := range []bool{false, true} {
+				cfg := c.cfg
+				cfg.TrackAverages = track
+				res, err := c.run(fltest.ToyProblem(1), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bytes[i] = res.Ledger
+			}
+			d := fltest.ToyProblem(1).Model.Dim()
+			off, on := c.cfg, c.cfg
+			on.TrackAverages = true
+			for _, u := range c.uplinks {
+				want := int64(u.members) * (on.UplinkBytes(d, u.chk) - off.UplinkBytes(d, u.chk))
+				if got := bytes[1].Bytes[u.link] - bytes[0].Bytes[u.link]; got != want {
+					t.Errorf("%v: tracking averages added %d bytes, want %d members × %d", u.link, got, u.members,
+						on.UplinkBytes(d, u.chk)-off.UplinkBytes(d, u.chk))
+				}
+			}
+		})
+	}
+}

@@ -60,7 +60,7 @@ func FedAvg(prob *fl.Problem, cfg fl.Config) (*fl.Result, error) {
 		if cfg.TrackAverages {
 			st.WCount += float64(cfg.Tau1 * n)
 		}
-		st.Ledger.RecordRound(topology.ClientCloud, n, dBytes)
+		st.Ledger.RecordRound(topology.ClientCloud, n, cfg.UplinkBytes(len(st.W), false))
 		f.Finish(st.W, nil)
 	})
 }

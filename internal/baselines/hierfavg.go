@@ -64,11 +64,11 @@ func hierFAvgRound(k int, st *fl.State, pool *fl.ModelPool, slots []hierSlot) {
 		for t2 := 0; t2 < cfg.Tau2; t2++ {
 			st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
 			f.Block(s.we, sr.ChildVal(uint64(t2)), 0, iterSum)
-			st.Ledger.RecordRound(topology.ClientEdge, n, dBytes)
+			st.Ledger.RecordRound(topology.ClientEdge, n, cfg.UplinkBytes(d, false))
 			f.Finish(s.we, nil)
 		}
 	})
-	st.Ledger.RecordRound(topology.EdgeCloud, len(edges), dBytes)
+	st.Ledger.RecordRound(topology.EdgeCloud, len(edges), cfg.UplinkBytes(d, false))
 
 	wVecs := make([][]float64, len(edges))
 	for i := range edges {

@@ -1,8 +1,8 @@
 // Package fl holds the infrastructure shared by HierMinimax
 // (internal/core) and the baselines (internal/baselines): the problem
-// statement, run configuration, local-SGD primitive, Phase-2 loss
-// estimation, run loop with evaluation snapshots, and the deterministic
-// parallel executor.
+// statement, run configuration, local-SGD primitive, client-block fold,
+// Phase-2 loss estimation, and the run loop with evaluation snapshots.
+// The round's parallel loop is sched.For.
 //
 // Determinism contract: every engine derives all randomness from
 // Config.Seed via key paths (round, phase, slot, client), so sequential

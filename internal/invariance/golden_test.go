@@ -1,7 +1,7 @@
 // Package invariance_test pins the exact floating-point trajectories of
 // every training engine on the fltest fixtures, per kernel class. The
 // dispatch ladder (tensor.KernelClass) defines three rounding regimes:
-// the non-FMA regime (generic and sse2, bitwise identical by contract)
+// the non-FMA regime (generic, and sse2, which binds the same bodies)
 // pinned by testdata/trajectories.json, the float64 FMA regime (avx2,
 // one rounding per multiply-add) pinned by
 // testdata/trajectories_avx2.json, and the float32 storage regime
@@ -324,7 +324,7 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 }
 
 // goldenFile maps a kernel class to the fixture pinning its rounding
-// regime. generic and sse2 share one file — TestSSE2MatchesGeneric (in
+// regime. generic and sse2 share one file — TestSSE2BindsGeneric (in
 // internal/tensor) and TestCrossClassGoldens below keep that sharing
 // honest — while the float64 FMA tier and the float32 storage tier each
 // get their own.

@@ -77,7 +77,7 @@ const straggleScale = 0.01
 
 // Fingerprint folds a run's engine knobs into one value; the wire
 // handshake rejects peers whose fingerprint differs. It hashes exactly:
-// the active tensor kernel class (an AVX2+FMA cloud and an SSE2 edge
+// the active tensor kernel class (an AVX2+FMA cloud and a generic edge
 // would each be self-consistent yet produce different bits); the
 // fl.Config fields Rounds, Tau1, Tau2, EtaW, EtaP, BatchSize, LossBatch,
 // SampledEdges, Seed, EvalEvery, DropoutProb, TrackAverages,

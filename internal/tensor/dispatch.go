@@ -15,11 +15,10 @@ import (
 //
 //   - KernelGeneric: the portable pure-Go kernels (simd_ref.go). The
 //     semantic definition of the non-FMA rounding regime.
-//   - KernelSSE2: the SSE2 assembly on amd64. Bitwise identical to
-//     KernelGeneric on every input — the lanes carry exactly the
-//     reference code's partial sums — so both classes share one golden
-//     regime. On other architectures the class is served by the
-//     generic bodies (same bits).
+//   - KernelSSE2: another name for the non-FMA regime. It binds the
+//     generic bodies on every architecture, so it shares generic's
+//     bits, goldens and speed; the name stays selectable because the
+//     repository benchmark still times one leg per class.
 //   - KernelAVX2: the AVX2+FMA tier. Fused multiply-add rounds once
 //     where mul+add rounds twice, so this class is a distinct rounding
 //     regime with its own golden fixtures. Served by 8-lane AVX-512
@@ -104,8 +103,10 @@ type kernelSet[T Float] struct {
 	// passes y as dst, AxpyTo a separate destination, with the same
 	// per-element arithmetic.
 	axpyTo func(dst []T, a T, x, y []T)
-	dot2   func(x, y0, y1 []T) (r0, r1 T)
-	dot4   func(x, y0, y1, y2, y3 []T) (r0, r1, r2, r3 T)
+	// dot2 is the two-row fused dot of the 2-row GEMM fusion; only the
+	// generic set binds it, since gemmTRow reads it only without fuse4.
+	dot2 func(x, y0, y1 []T) (r0, r1 T)
+	dot4 func(x, y0, y1, y2, y3 []T) (r0, r1, r2, r3 T)
 	// dot4x2 is dot4 for two x rows at once (rij = dot(xi, yj)), each
 	// output in the single-dot order: the register-blocked GEMM
 	// microkernel, composed from two dot4 calls where a rung has no
@@ -137,10 +138,9 @@ type kernelSet[T Float] struct {
 	sumExpShift func(x []T, shift T) T
 	// fuse4 selects the 4-row GEMM microkernel fusion (gemmTRow) and
 	// the pairing of examples over it (dot4x2): the AVX2 tier has 16
-	// vector registers, so four fused rows fit; the SSE2/generic tiers
-	// stay at 2-row fusion (4-row spills, measured slower — see
-	// DESIGN.md §8). The pure-Go AVX2 fallback fuses 4 rows too; the
-	// fusion never changes a bit.
+	// vector registers, so four fused rows fit; the generic set stays
+	// at 2-row fusion (dot2). The pure-Go AVX2 fallback fuses 4 rows
+	// too; the fusion never changes a bit.
 	fuse4 bool
 	// fusedCE selects the single-exponential cross-entropy form in
 	// CrossEntropyRows (softmax = exp(z-max)/sum instead of
@@ -189,13 +189,36 @@ func DetectedKernel() KernelClass { return defaultKernel() }
 
 // Backing reports how class c is served on this machine: "assembly"
 // when the class's SIMD kernels run, "pure-go" when its bit-identical
-// twins do. Off amd64 every class — including avx2f32 — is pure-go:
-// still selectable, same bits, just without the SIMD speed.
+// twins do. The non-FMA classes (generic, sse2) are always pure-go, and
+// off amd64 every class — including avx2f32 — is: still selectable,
+// same bits, just without the SIMD speed.
 func Backing(c KernelClass) string {
-	if backingAsm(c) {
+	if (c == KernelAVX2 || c == KernelAVX2F32) && haveAVX2Asm() {
 		return "assembly"
 	}
 	return "pure-go"
+}
+
+// defaultKernel picks the fastest rung the CPU supports: avx2 where its
+// assembly runs, else generic.
+func defaultKernel() KernelClass {
+	if haveAVX2Asm() {
+		return KernelAVX2
+	}
+	return KernelGeneric
+}
+
+// kernelsFor binds a class to its float64 set, the one class→body
+// decision: the FMA classes take the FMA set the CPU offers (fmaKernels,
+// per architecture), the non-FMA classes the generic bodies. avx2f32
+// binds the avx2 set: its residual float64 arithmetic is defined to be
+// the FMA regime's, and its float32 hot path dispatches separately
+// through kernels32 (f32.go).
+func kernelsFor(c KernelClass) kernelSet[float64] {
+	if c == KernelAVX2 || c == KernelAVX2F32 {
+		return fmaKernels()
+	}
+	return genericKernels()
 }
 
 // Ladder returns a one-line summary of every dispatch rung and its
@@ -263,19 +286,10 @@ func genericKernels() kernelSet[float64] {
 // (and define its semantics — see TestKernelsMatchReference).
 func fmaRefKernels() kernelSet[float64] {
 	return kernelSet[float64]{
-		dot: dotFMARef, axpyTo: axpyToFMARef, dot2: dot2From(dotFMARef), dot4: dot4FMARef,
+		dot: dotFMARef, axpyTo: axpyToFMARef, dot4: dot4FMARef,
 		dot4x2: dot4x2From(dot4FMARef), axpy4: axpy4FMARef, stepRow: stepRowFMARef,
 		expShift: expShiftFMARef, sumExpShift: sumExpShiftFMARef,
 		fuse4: true, fusedCE: true,
-	}
-}
-
-// dot2From composes a two-output fused dot from singles. Used for rungs
-// whose fused kernel is defined as "exactly the singles, sharing loads"
-// when the fused assembly form isn't part of that rung's hot path.
-func dot2From[T Float](dot func(x, y []T) T) func(x, y0, y1 []T) (T, T) {
-	return func(x, y0, y1 []T) (T, T) {
-		return dot(x, y0), dot(x, y1)
 	}
 }
 

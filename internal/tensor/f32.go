@@ -21,7 +21,7 @@ import "sync"
 // tier is an FMA tier, so it always takes the 4-row dot fusion and the
 // fused single-exponential cross-entropy.
 var kernels32 = kernelSet[float32]{
-	dot: dot32Ref, axpyTo: axpyTo32Ref, dot2: dot2From(dot32Ref), dot4: dot432Ref,
+	dot: dot32Ref, axpyTo: axpyTo32Ref, dot4: dot432Ref,
 	dot4x2: dot4x2From(dot432Ref), axpy4: axpy432Ref, stepRow: stepRow32Ref,
 	expShift: expShift32Ref, sumExpShift: sumExpShift32Ref,
 	fuse4: true, fusedCE: true,

@@ -138,12 +138,11 @@ func GemmTR[T Float](alpha T, xrows [][]T, b *Mat[T], beta T, c *Mat[T]) {
 
 // gemmTRow fills crow[j] = alpha*dot(x, B.Row(j)) + beta*crow[j] for j in
 // [j0, j1), fusing multiple B rows per pass to share the loads of x. The
-// fusion width is a property of the kernel class: the AVX2+FMA tiers
-// fuse four rows (8 independent FMA chains fill the 16-register YMM
-// file), the SSE2/generic tiers two (four concurrent 4-way dot
-// accumulations exceed the 8-register XMM file and spill — measured
-// slower). Each fused output accumulates in exactly the class's single
-// dot order, so the fusion width never changes a bit within a class.
+// fusion width is a property of the kernel set: the FMA sets fuse four
+// rows (8 independent FMA chains fill the 16-register YMM file), the
+// generic set two (dot2). Each fused output accumulates in exactly the
+// class's single dot order, so the fusion width never changes a bit
+// within a class.
 func gemmTRow[T Float](ks *kernelSet[T], alpha T, x []T, b *Mat[T], beta T, crow []T, j0, j1 int) {
 	j := j0
 	if ks.fuse4 {

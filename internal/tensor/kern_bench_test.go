@@ -9,14 +9,15 @@ import (
 // hits: GemmT 4×48×10 is one Linear forward chunk on the smoke spec,
 // 64×784×10 a full-width MNIST-scale logreg chunk, and Axpy 48 the
 // weight-gradient accumulation row. Every benchmark runs once per
-// dispatch rung (generic/sse2/avx2 sub-benchmarks via SetKernel; the
-// avx2f32 rung binds the avx2 set for these float64 kernels, so it
-// would only duplicate the avx2 rows), so a single `go test -bench`
-// invocation yields comparable per-class numbers on one machine.
+// distinct float64 set (generic/avx2 sub-benchmarks via SetKernel; sse2
+// binds the generic set and avx2f32 the avx2 set for these float64
+// kernels, so either would only duplicate rows), so a single
+// `go test -bench` invocation yields comparable per-class numbers on
+// one machine.
 
 // benchClasses runs fn under each forced kernel class.
 func benchClasses(b *testing.B, fn func(b *testing.B)) {
-	for _, c := range []KernelClass{KernelGeneric, KernelSSE2, KernelAVX2} {
+	for _, c := range []KernelClass{KernelGeneric, KernelAVX2} {
 		c := c
 		b.Run(c.String(), func(b *testing.B) {
 			restore := SetKernel(c)

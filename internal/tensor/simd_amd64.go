@@ -4,30 +4,11 @@ package tensor
 
 import "repro/internal/tensor/cpufeat"
 
-// Assembly kernel declarations and the per-arch dispatch table. SSE2 is
-// part of the amd64 baseline, so the sse2 rung always binds to assembly
-// here; the avx2 rung binds to the AVX2+FMA assembly only when the
-// CPUID probe confirms both features (plus OS YMM state) — to its
-// AVX-512 bodies when the probe also confirms AVX-512F — and otherwise
-// falls back to the bit-identical math.FMA twins.
-
-// SSE2 kernels (simd_amd64.s). Each routine performs the identical
-// IEEE-754 operations of its *Ref counterpart: the two 128-bit
-// accumulators hold the reference code's four partial sums lane for
-// lane, horizontal reduction follows the same left-to-right order, and
-// the tail loop is scalar — so the results are bitwise equal to the
-// pure-Go path on every input (see TestKernelsMatchReference).
-
-//go:noescape
-func dotSSE2(x, y []float64) float64
-
-// axpyToSSE2 computes dst = y + a*x; Axpy passes y as dst.
-//
-//go:noescape
-func axpyToSSE2(dst []float64, a float64, x, y []float64)
-
-//go:noescape
-func dot2SSE2(x, y0, y1 []float64) (r0, r1 float64)
+// Assembly kernel declarations and the FMA set the CPU offers: the
+// avx2 class's AVX-512 bodies when the CPUID probe confirms AVX-512F,
+// its AVX2 bodies when it confirms AVX2+FMA (plus OS YMM state), and the
+// bit-identical math.FMA twins otherwise. dispatch.go decides which
+// class binds which set.
 
 // AVX2+FMA kernels (simd_avx2_amd64.s), bit-identical to the math.FMA
 // twins in simd_fma_ref.go. Callable only when cpufeat reports
@@ -156,24 +137,6 @@ func stepRowZMM(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys 
 	stepRowAVX512(dst, w, -eta, cf[:n], rows[:n])
 }
 
-// stepRowSSE2 is stepRowRef through the SSE2 axpy, which has its bits.
-func stepRowSSE2(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys [][]float64) {
-	var buf [stepChunk]float64
-	for c0 := 0; c0 < len(w); c0 += stepChunk {
-		c1 := min(c0+stepChunk, len(w))
-		acc := buf[:c1-c0]
-		if c0 > 0 {
-			clear(acc)
-		}
-		for k, y := range ys {
-			if v := a.Data[k*a.Cols+i]; v != 0 {
-				axpyToSSE2(acc, alpha*v, y[c0:c1], acc)
-			}
-		}
-		axpyToSSE2(dst[c0:c1], -eta, acc, w[c0:c1])
-	}
-}
-
 // stepRowAVX2 is the avx2 class's stepRow on the AVX2 assembly: per
 // column chunk of a zeroed stack buffer, accumulate the nonzero
 // coefficients' rows in ascending order through axpy4 quads and axpyTo
@@ -217,59 +180,23 @@ func haveAVX2Asm() bool { return cpufeat.X86.HasAVX2 && cpufeat.X86.HasFMA }
 // their AVX-512 bodies.
 func haveAVX512Asm() bool { return haveAVX2Asm() && cpufeat.X86.HasAVX512F }
 
-// backingAsm reports whether class c runs its SIMD assembly on this
-// CPU (false means the rung is served by the pure-Go twins). SSE2 is
-// amd64 baseline, so only the AVX2-family rungs depend on the probe.
-func backingAsm(c KernelClass) bool {
-	switch c {
-	case KernelAVX2, KernelAVX2F32:
-		return haveAVX2Asm()
-	case KernelSSE2:
-		return true
+// fmaKernels is the avx2 class's float64 set on this CPU: the AVX-512
+// bodies where it has AVX-512F, else the AVX2 ones, else the math.FMA
+// twins — one rounding regime, three speeds.
+func fmaKernels() kernelSet[float64] {
+	switch {
+	case haveAVX512Asm():
+		return avx512Kernels()
+	case haveAVX2Asm():
+		return avx2Kernels()
 	}
-	return false
-}
-
-// defaultKernel picks the fastest rung the CPU supports.
-func defaultKernel() KernelClass {
-	if haveAVX2Asm() {
-		return KernelAVX2
-	}
-	return KernelSSE2
-}
-
-// kernelsFor binds a class to its amd64 implementations. The avx2 class
-// binds its AVX-512 bodies where the CPU has AVX-512F, else its AVX2
-// ones, else the math.FMA twins — one rounding regime, three speeds.
-// The avx2f32 class binds the same float64 set: its residual float64
-// arithmetic is defined to be the FMA regime's, and the float32 hot
-// path dispatches separately through kernels32 (f32.go,
-// simd_f32_amd64.go).
-func kernelsFor(c KernelClass) kernelSet[float64] {
-	switch c {
-	case KernelAVX2, KernelAVX2F32:
-		switch {
-		case haveAVX512Asm():
-			return avx512Kernels()
-		case haveAVX2Asm():
-			return avx2Kernels()
-		}
-		return fmaRefKernels()
-	case KernelSSE2:
-		return kernelSet[float64]{
-			dot: dotSSE2, axpyTo: axpyToSSE2, dot2: dot2SSE2, dot4: dot4From(dotSSE2),
-			dot4x2: dot4x2From(dot4From(dotSSE2)), axpy4: axpy4From(axpyToSSE2), stepRow: stepRowSSE2,
-			expShift: expShiftRef, sumExpShift: sumExpShiftRef,
-		}
-	default:
-		return genericKernels()
-	}
+	return fmaRefKernels()
 }
 
 // avx2Kernels is the avx2 class's AVX2 assembly set.
 func avx2Kernels() kernelSet[float64] {
 	return kernelSet[float64]{
-		dot: dotAVX2, axpyTo: axpyToAVX2, dot2: dot2From(dotAVX2), dot4: dot4AVX2,
+		dot: dotAVX2, axpyTo: axpyToAVX2, dot4: dot4AVX2,
 		dot4x2: dot4x2From(dot4AVX2), axpy4: axpy4AVX2, stepRow: stepRowAVX2,
 		expShift: expShiftAsm, sumExpShift: sumExpShiftAsm,
 		fuse4: true, fusedCE: true,
@@ -281,7 +208,7 @@ func avx2Kernels() kernelSet[float64] {
 // exponential stays 4-lane.
 func avx512Kernels() kernelSet[float64] {
 	ks := avx2Kernels()
-	ks.dot, ks.axpyTo, ks.dot2, ks.dot4 = dotAVX512, axpyToAVX512, dot2From(dotAVX512), dot4AVX512
+	ks.dot, ks.axpyTo, ks.dot4 = dotAVX512, axpyToAVX512, dot4AVX512
 	ks.dot4x2, ks.axpy4, ks.stepRow = dot4x2AVX512, axpy4AVX512, stepRowZMM
 	return ks
 }

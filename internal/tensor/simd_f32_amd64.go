@@ -140,7 +140,7 @@ func round32AVX2(x []float64)
 func init() {
 	if haveAVX2Asm() {
 		kernels32 = kernelSet[float32]{
-			dot: dot32AVX2, axpyTo: axpyTo32Asm, dot2: dot2From(dot32AVX2), dot4: dot432AVX2,
+			dot: dot32AVX2, axpyTo: axpyTo32Asm, dot4: dot432AVX2,
 			dot4x2: dot4x2From(dot432AVX2), axpy4: axpy432AVX2, stepRow: stepRow32AVX2,
 			expShift: expShift32Asm, sumExpShift: sumExpShift32Asm,
 			fuse4: true, fusedCE: true,

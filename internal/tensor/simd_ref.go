@@ -2,12 +2,9 @@ package tensor
 
 import "math"
 
-// Portable reference implementations of the BLAS-1 kernels. On amd64
-// the exported entry points dispatch to the SSE2 assembly in
-// simd_amd64.s instead; these bodies remain the semantic definition —
-// the assembly reproduces their floating-point operation order exactly,
-// lane for lane (asserted bitwise by TestKernelsMatchReference) — and
-// serve as the fallback for every other architecture.
+// Portable reference implementations of the non-FMA kernels: the
+// bodies the generic and sse2 classes run on every architecture, and
+// the semantic definition of that rounding regime.
 
 // dotRef is the scalar Dot kernel: four partial sums over a 4-way
 // unrolled loop, combined left-to-right, then a sequential tail.
@@ -76,7 +73,7 @@ func stepRowRef(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys 
 // expShiftRef is the non-FMA shifted-exponential kernel:
 // dst[i] = math.Exp(x[i]-shift), elementwise in index order. It is the
 // exact arithmetic of the pre-dispatch LogSumExp/Softmax loops, so the
-// generic and sse2 rungs keep their historical bits.
+// non-FMA regime keeps its historical bits.
 func expShiftRef(dst, x []float64, shift float64) {
 	dst = dst[:len(x)]
 	for i, v := range x {

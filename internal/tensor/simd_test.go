@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -13,7 +14,7 @@ import (
 // unaligned slice offsets, aliased destinations, and values spanning
 // magnitudes, signs, subnormals and infinities. The class references
 // themselves are pinned to each other where the contract says so
-// (fused kernels ≡ singles; sse2 ≡ generic).
+// (fused kernels ≡ singles).
 
 // fillSpecial populates x with a mix of ordinary magnitudes, zeros,
 // infinities, subnormals and huge values.
@@ -53,7 +54,6 @@ func testRungs(t *testing.T) []rung {
 		// The generic rung is its own reference: the comparison pins the
 		// composed dot4From path to the singles.
 		{"generic", genericKernels(), genericKernels()},
-		{"sse2", kernelsFor(KernelSSE2), genericKernels()},
 		{"avx2", kernelsFor(KernelAVX2), fmaRefKernels()},
 	}
 	// Where the avx2 class binds its AVX-512 bodies, its AVX2 ones are
@@ -83,11 +83,13 @@ func TestKernelsMatchReference(t *testing.T) {
 							t.Fatalf("dot(n=%d,off=%d) = %x, class reference %x", n, off, math.Float64bits(got), math.Float64bits(want))
 						}
 
-						g0, g1 := rg.impl.dot2(x, y0, y1)
-						w0, w1 := rg.ref.dot2(x, y0, y1)
-						if math.Float64bits(g0) != math.Float64bits(w0) || math.Float64bits(g1) != math.Float64bits(w1) {
-							t.Fatalf("dot2(n=%d,off=%d) = (%x,%x), class reference (%x,%x)", n, off,
-								math.Float64bits(g0), math.Float64bits(g1), math.Float64bits(w0), math.Float64bits(w1))
+						if rg.impl.dot2 != nil { // only the 2-row-fusing set binds dot2
+							g0, g1 := rg.impl.dot2(x, y0, y1)
+							w0, w1 := rg.ref.dot2(x, y0, y1)
+							if math.Float64bits(g0) != math.Float64bits(w0) || math.Float64bits(g1) != math.Float64bits(w1) {
+								t.Fatalf("dot2(n=%d,off=%d) = (%x,%x), class reference (%x,%x)", n, off,
+									math.Float64bits(g0), math.Float64bits(g1), math.Float64bits(w0), math.Float64bits(w1))
+							}
 						}
 
 						q := [4]float64{}
@@ -187,14 +189,14 @@ func TestFusedDotsMatchSingles(t *testing.T) {
 					ys[i] = make([]float64, n)
 					fillSpecial(r, ys[i])
 				}
-				d0, d1 := rg.impl.dot2(x, ys[0], ys[1])
 				q0, q1, q2, q3 := rg.impl.dot4(x, ys[0], ys[1], ys[2], ys[3])
-				for i, got := range []float64{d0, d1, q0, q1, q2, q3} {
-					yi := i
-					if i >= 2 {
-						yi = i - 2
-					}
-					want := rg.impl.dot(x, ys[yi])
+				fused := []float64{q0, q1, q2, q3}
+				if rg.impl.dot2 != nil { // only the 2-row-fusing set binds dot2
+					d0, d1 := rg.impl.dot2(x, ys[0], ys[1])
+					fused = append(fused, d0, d1)
+				}
+				for i, got := range fused {
+					want := rg.impl.dot(x, ys[i%4])
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("fused output %d (n=%d) = %x, single dot %x", i, n, math.Float64bits(got), math.Float64bits(want))
 					}
@@ -422,22 +424,24 @@ func TestAxpyAliasedDst(t *testing.T) {
 	}
 }
 
-// TestSSE2MatchesGeneric asserts the cross-class guarantee DESIGN.md §8
-// documents: the sse2 class is not a distinct rounding regime — its
-// kernels are bitwise equal to the generic bodies — which is why the
-// two classes share one golden trajectory file.
-func TestSSE2MatchesGeneric(t *testing.T) {
-	sse2 := kernelsFor(KernelSSE2)
-	gen := genericKernels()
-	r := rng.New(5)
-	for _, n := range tailLengths {
-		x := make([]float64, n)
-		y := make([]float64, n)
-		fillSpecial(r, x)
-		fillSpecial(r, y)
-		if got, want := sse2.dot(x, y), gen.dot(x, y); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("sse2 dot(n=%d) = %x, generic %x", n, math.Float64bits(got), math.Float64bits(want))
+// TestSSE2BindsGeneric pins what is left of the sse2 class: a second
+// name for the non-FMA regime, bound to the generic bodies themselves
+// (every kernel the same function, the same fusion flags), served
+// pure-go, and never the detected default.
+func TestSSE2BindsGeneric(t *testing.T) {
+	sse2, gen := reflect.ValueOf(kernelsFor(KernelSSE2)), reflect.ValueOf(genericKernels())
+	for i := range sse2.NumField() {
+		f, g := sse2.Field(i), gen.Field(i)
+		same := f.Kind() == reflect.Func && f.Pointer() == g.Pointer() || f.Kind() == reflect.Bool && f.Bool() == g.Bool()
+		if !same {
+			t.Errorf("kernelsFor(sse2).%s differs from the generic set", sse2.Type().Field(i).Name)
 		}
+	}
+	if b := Backing(KernelSSE2); b != "pure-go" {
+		t.Errorf("Backing(sse2) = %q, want pure-go", b)
+	}
+	if DetectedKernel() == KernelSSE2 {
+		t.Error("the CPU probe picked sse2; the fastest non-FMA rung is generic")
 	}
 }
 

@@ -29,9 +29,10 @@ func equalBits(a, b []float64) int {
 }
 
 // TestKernelSetsComplete checks that every dispatch table binds every
-// kernel: a nil func field would only surface as a nil call on the
-// architecture whose table missed it (the non-amd64 table is built in
-// CI but never run there).
+// kernel it can be asked for: a nil func field would only surface as a
+// nil call on the architecture whose table missed it (the non-amd64
+// table is built in CI but never run there). dot2 is asked for only
+// without fuse4, so only the 2-row-fusing sets must bind it.
 func TestKernelSetsComplete(t *testing.T) {
 	sets := map[string]any{"genericKernels": genericKernels(), "fmaRefKernels": fmaRefKernels(), "kernels32": kernels32}
 	for _, c := range Classes() {
@@ -40,11 +41,15 @@ func TestKernelSetsComplete(t *testing.T) {
 	for _, rg := range testRungs(t) {
 		sets["rung "+rg.name] = rg.impl
 	}
-	for name, ks := range sets {
+	for setName, ks := range sets {
 		v := reflect.ValueOf(ks)
 		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Field(i).Name
+			if name == "dot2" && v.FieldByName("fuse4").Bool() {
+				continue
+			}
 			if f := v.Field(i); f.Kind() == reflect.Func && f.IsNil() {
-				t.Errorf("%s: kernel %s is nil", name, v.Type().Field(i).Name)
+				t.Errorf("%s: kernel %s is nil", setName, name)
 			}
 		}
 	}
