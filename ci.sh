@@ -45,33 +45,17 @@ bash benchmark/run.sh --workload all --quick
 go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./internal/obs/... ./internal/sched/... ./internal/data/... ./internal/population/... ./internal/fl/ ./internal/core/ ./internal/baselines/
 
 # Forced-kernel-class legs: every distinct body of the dispatch ladder
-# must pass the numeric property suites and reproduce its class's golden
-# trajectories, wherever CI runs — a class whose assembly the CPU lacks
-# falls back to its bit-identical pure-Go twin, so all three regimes
-# (including the avx2f32 float32 storage tier) are testable on any
-# machine. sse2 has no leg: it binds the generic bodies, so it would
-# only re-run the generic leg (its name is asserted selectable below).
-# -count=1 because the test cache does not key on
+# must pass the whole suite and reproduce its class's golden
+# trajectories and experiment digests, wherever CI runs — a class whose
+# assembly the CPU lacks falls back to its bit-identical pure-Go twin, so
+# all three regimes (including the avx2f32 float32 storage tier) are
+# testable on any machine. sse2 has no leg: it binds the generic bodies,
+# so it would only re-run the generic leg (its name is asserted
+# selectable below). -count=1 because the test cache does not key on
 # HIERFAIR_KERNEL. The race legs re-run the fl and core suites, whose
-# slots fan fl.Fold's lanes out over sched.For, under each class's
-# kernels: the lane rows are float32 on the float32 tier, so the rows
-# the workers share are per-class (tensor itself starts no goroutine). The
-# facade (root package) rides along because its Spec-level tests meet
-# per-class behaviour the internal fixtures don't: the sparse regime's
-# lazily materialized shards (notably the float32 shard-mirror
-# resolution) and the float32 tier's refusal of compression. core and
-# baselines are in the loop because their one slot, fl.Fold, trains
-# float32 lane rows on the float32 tier (which refuses compression), so
-# their suites and allocation guards are not class-independent. The
-# whole simnet suite runs in every leg too: its cloud round is core's,
-# its edge actors run the same fl.Fold, and its client actors train
-# through fl's float64 entry points, which run the float32 step on the
-# float32 tier — so the parity, chaos and actor-path tests are
-# per-class. The wire codec moves 4-byte elements on that tier, so its
-# suite runs in every leg as well. model's batched ≡ per-example tests
-# follow the class's softmax and kernel arithmetic.
+# slots fan fl.Fold's per-class lane rows out over sched.For.
 for KC in generic avx2 avx2f32; do
-	HIERFAIR_KERNEL=$KC go test -count=1 . ./internal/tensor/ ./internal/model/ ./internal/fl/ ./internal/core/ ./internal/baselines/ ./internal/invariance/ ./internal/wire/ ./internal/simnet/
+	HIERFAIR_KERNEL=$KC go test -count=1 ./...
 	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/fl/ ./internal/core/
 done
 

@@ -17,8 +17,9 @@ import (
 )
 
 // pinnedDigests holds, per rounding regime, the numeric digest of every
-// experiment at Smoke scale and seed 42. The float32 storage tier has no
-// entry: it refuses the compressed uplinks two of the experiments run.
+// experiment at Smoke scale and seed 42. On the float32 storage tier the
+// ablation and compression digests cover the rows it runs: it refuses
+// their compressed uplinks and lists those rows as refused.
 var pinnedDigests = map[tensor.KernelClass]map[string]uint64{
 	tensor.KernelGeneric: {
 		"fig3":         0x0fc45ca6a0819c07,
@@ -41,6 +42,17 @@ var pinnedDigests = map[tensor.KernelClass]map[string]uint64{
 		"ablations":    0x51493cf7209f6909,
 		"chaos":        0x716ade61110a2a3c,
 		"compression":  0x3ac8b69f947d861d,
+	},
+	tensor.KernelAVX2F32: {
+		"fig3":         0xe8e1011f53861c85,
+		"fig4":         0x763e2b80ecdc6790,
+		"table2":       0x88de28b314fc8d06,
+		"table1":       0xe8e5bef304e96bb1,
+		"rates":        0xf968675de7167fee,
+		"stationarity": 0xa535a10264b65ce1,
+		"ablations":    0x5a84a9432ec0015b,
+		"chaos":        0x16978ea37d46d561,
+		"compression":  0xb0d16c9cc32e34e4,
 	},
 }
 

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/population"
@@ -158,8 +159,9 @@ func (c Config) Validate(p *Problem) error {
 			// The float32 storage tier narrows dense wire payloads to
 			// f32; dequantized grid values are generally not
 			// f32-representable, so the regimes cannot compose without
-			// corrupting the trajectory contract.
-			return fmt.Errorf("fl: compression is not supported on the %s storage tier", tensor.ActiveKernel())
+			// corrupting the trajectory contract. Sweeps skip a run
+			// refused as unsupported and list it by name.
+			return fmt.Errorf("fl: compression is not supported on the %s storage tier: %w", tensor.ActiveKernel(), errors.ErrUnsupported)
 		}
 	}
 	return nil

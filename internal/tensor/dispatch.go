@@ -32,7 +32,7 @@ import (
 //     scratch and wire payloads hold float32-representable values
 //     (StorageF32), the training hot path runs the 8-wide float32
 //     AVX2+FMA kernels (simd_avx2f32_amd64.s, or the bit-identical
-//     fma32 pure-Go twins in simd_f32_ref.go off amd64), and every
+//     fma32 pure-Go twins in simd_fma_ref.go elsewhere), and every
 //     aggregation rounds its result back through float32. Residual
 //     float64 arithmetic (evaluation, the dual ascent on p) binds the
 //     KernelAVX2 set, so the class is "avx2 plus a float32 storage
@@ -96,17 +96,16 @@ const KernelEnv = "HIERFAIR_KERNEL"
 // float32 set is the avx2f32 tier's (kernels32). The generic bodies of
 // the GEMM, cross-entropy and BLAS-1 routines fetch the set of their
 // element type once per call (kernelsOf), so one body serves both
-// widths.
+// widths. Every set fuses four rows in the GEMM microkernel (dot4,
+// dot4x2); each fused output accumulates in the set's single-dot order,
+// so the fusion never changes a bit.
 type kernelSet[T Float] struct {
 	dot func(x, y []T) T
 	// axpyTo computes dst = y + a*x elementwise, one body per rung: Axpy
 	// passes y as dst, AxpyTo a separate destination, with the same
 	// per-element arithmetic.
 	axpyTo func(dst []T, a T, x, y []T)
-	// dot2 is the two-row fused dot of the 2-row GEMM fusion; only the
-	// generic set binds it, since gemmTRow reads it only without fuse4.
-	dot2 func(x, y0, y1 []T) (r0, r1 T)
-	dot4 func(x, y0, y1, y2, y3 []T) (r0, r1, r2, r3 T)
+	dot4   func(x, y0, y1, y2, y3 []T) (r0, r1, r2, r3 T)
 	// dot4x2 is dot4 for two x rows at once (rij = dot(xi, yj)), each
 	// output in the single-dot order: the register-blocked GEMM
 	// microkernel, composed from two dot4 calls where a rung has no
@@ -136,12 +135,6 @@ type kernelSet[T Float] struct {
 	// float32 one (exp_f32_ref.go).
 	expShift    func(dst, x []T, shift T)
 	sumExpShift func(x []T, shift T) T
-	// fuse4 selects the 4-row GEMM microkernel fusion (gemmTRow) and
-	// the pairing of examples over it (dot4x2): the AVX2 tier has 16
-	// vector registers, so four fused rows fit; the generic set stays
-	// at 2-row fusion (dot2). The pure-Go AVX2 fallback fuses 4 rows
-	// too; the fusion never changes a bit.
-	fuse4 bool
 	// fusedCE selects the single-exponential cross-entropy form in
 	// CrossEntropyRows (softmax = exp(z-max)/sum instead of
 	// exp(z-logsumexp), halving exp calls). Only the FMA regimes use
@@ -161,9 +154,15 @@ func kernelsOf[T Float]() *kernelSet[T] {
 // The active rung. Swapped only by SetKernel; reads are not
 // synchronized, which is safe because swaps happen at init or in
 // sequential test setup, never while kernels run.
+//
+// kernels32, the float32 tier's set, is bound once at process start:
+// only the avx2f32 class uses it, and its assembly and pure-Go twins
+// are bit-identical, so there is nothing to swap. It is the float32
+// FMA set the CPU offers (fmaKernels32, per architecture).
 var (
 	activeKernel KernelClass
 	kernels      kernelSet[float64]
+	kernels32    = fmaKernels32()
 )
 
 func init() {
@@ -213,7 +212,7 @@ func defaultKernel() KernelClass {
 // per architecture), the non-FMA classes the generic bodies. avx2f32
 // binds the avx2 set: its residual float64 arithmetic is defined to be
 // the FMA regime's, and its float32 hot path dispatches separately
-// through kernels32 (f32.go).
+// through kernels32.
 func kernelsFor(c KernelClass) kernelSet[float64] {
 	if c == KernelAVX2 || c == KernelAVX2F32 {
 		return fmaKernels()
@@ -275,21 +274,23 @@ func SetKernel(c KernelClass) (restore func()) {
 // genericKernels is the portable non-FMA rung (the semantic reference).
 func genericKernels() kernelSet[float64] {
 	return kernelSet[float64]{
-		dot: dotRef, axpyTo: axpyToRef, dot2: dot2Ref, dot4: dot4From(dotRef),
-		dot4x2: dot4x2From(dot4From(dotRef)), axpy4: axpy4From(axpyToRef), stepRow: stepRowRef,
+		dot: dotRef, axpyTo: axpyToRef, dot4: dot4Ref,
+		dot4x2: dot4x2From(dot4Ref), axpy4: axpy4From(axpyToRef), stepRow: stepRowRef,
 		expShift: expShiftRef, sumExpShift: sumExpShiftRef,
 	}
 }
 
-// fmaRefKernels is the pure-Go twin of the AVX2+FMA rung: math.FMA is
-// correctly rounded, so these bodies reproduce the assembly bit for bit
-// (and define its semantics — see TestKernelsMatchReference).
-func fmaRefKernels() kernelSet[float64] {
-	return kernelSet[float64]{
-		dot: dotFMARef, axpyTo: axpyToFMARef, dot4: dot4FMARef,
-		dot4x2: dot4x2From(dot4FMARef), axpy4: axpy4FMARef, stepRow: stepRowFMARef,
-		expShift: expShiftFMARef, sumExpShift: sumExpShiftFMARef,
-		fuse4: true, fusedCE: true,
+// fmaRefKernels is the pure-Go twin of the FMA rungs at width T: the
+// avx2 class's set at float64, the avx2f32 tier's at float32. Every
+// multiply-add rounds once, so these bodies reproduce the assembly bit
+// for bit (and define its semantics — see TestKernelsMatchReference and
+// TestKernels32MatchReference).
+func fmaRefKernels[T Float]() kernelSet[T] {
+	return kernelSet[T]{
+		dot: dotFMA[T], axpyTo: axpyToFMA[T], dot4: dot4FMA[T],
+		dot4x2: dot4x2From(dot4FMA[T]), axpy4: axpy4FMA[T], stepRow: stepRowFMA[T],
+		expShift: expShiftFMA[T], sumExpShift: sumExpShiftFMA[T],
+		fusedCE: true,
 	}
 }
 
@@ -302,15 +303,6 @@ func axpy4From(axpyTo func(dst []float64, a float64, x, y []float64)) func(a0, a
 		axpyTo(y, a1, x1, y)
 		axpyTo(y, a2, x2, y)
 		axpyTo(y, a3, x3, y)
-	}
-}
-
-// dot4From composes a four-output fused dot from singles (bitwise equal
-// by construction, since every fused kernel accumulates each output in
-// its class's single-dot order).
-func dot4From(dot func(x, y []float64) float64) func(x, y0, y1, y2, y3 []float64) (float64, float64, float64, float64) {
-	return func(x, y0, y1, y2, y3 []float64) (float64, float64, float64, float64) {
-		return dot(x, y0), dot(x, y1), dot(x, y2), dot(x, y3)
 	}
 }
 

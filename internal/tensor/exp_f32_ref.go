@@ -73,24 +73,3 @@ func exp32(x float32) float32 {
 func pow232(q int32) float32 {
 	return math.Float32frombits(uint32(q+127) << 23)
 }
-
-// expShift32Ref is the float32-class expShift kernel:
-// dst[i] = exp32(x[i]-shift), elementwise in index order.
-func expShift32Ref(dst, x []float32, shift float32) {
-	dst = dst[:len(x)]
-	for i, v := range x {
-		dst[i] = exp32(v - shift)
-	}
-}
-
-// sumExpShift32Ref returns sum_i exp32(x[i]-shift), accumulated in
-// float32 in index order — the same elementwise-then-ordered-sum bits
-// the asm-backed binding produces after materializing the exponentials
-// (sumExpShift32Asm), so both bind to the one float32 regime.
-func sumExpShift32Ref(x []float32, shift float32) float32 {
-	s := float32(0)
-	for _, v := range x {
-		s += exp32(v - shift)
-	}
-	return s
-}

@@ -80,23 +80,3 @@ func expFMA(x float64) float64 {
 func pow2(q int32) float64 {
 	return math.Float64frombits(uint64(int64(q)+1023) << 52)
 }
-
-// expShiftFMARef is the FMA-class expShift kernel:
-// dst[i] = expFMA(x[i]-shift), elementwise in index order.
-func expShiftFMARef(dst, x []float64, shift float64) {
-	dst = dst[:len(x)]
-	for i, v := range x {
-		dst[i] = expFMA(v - shift)
-	}
-}
-
-// sumExpShiftFMARef returns sum_i expFMA(x[i]-shift), accumulated
-// sequentially in index order — the same order the asm-backed rung uses
-// after materializing the exponentials, so both bind to one regime.
-func sumExpShiftFMARef(x []float64, shift float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += expFMA(v - shift)
-	}
-	return s
-}

@@ -11,21 +11,8 @@ import "sync"
 // Determinism contract: like the float64 kernels, every float32 kernel
 // accumulates in a fixed index order per class — there is exactly one
 // float32 class, whose order is defined by the pure-Go twins in
-// simd_f32_ref.go and reproduced bit for bit by the assembly.
-
-// kernels32 is the float32 tier's kernel set. Unlike the float64 set it
-// is bound once at process start: only the avx2f32 class uses it, and
-// within that class assembly and pure-Go twins are bit-identical, so
-// there is nothing to swap. It starts as the fma32 twins; on amd64 with
-// AVX2+FMA, init in simd_f32_amd64.go rebinds it to the assembly. The
-// tier is an FMA tier, so it always takes the 4-row dot fusion and the
-// fused single-exponential cross-entropy.
-var kernels32 = kernelSet[float32]{
-	dot: dot32Ref, axpyTo: axpyTo32Ref, dot4: dot432Ref,
-	dot4x2: dot4x2From(dot432Ref), axpy4: axpy432Ref, stepRow: stepRow32Ref,
-	expShift: expShift32Ref, sumExpShift: sumExpShift32Ref,
-	fuse4: true, fusedCE: true,
-}
+// simd_fma_ref.go at float32 and reproduced bit for bit by the assembly.
+// Its kernel set, kernels32, is bound in dispatch.go.
 
 // --- regime-boundary conversions ---
 
@@ -34,12 +21,9 @@ var kernels32 = kernelSet[float32]{
 // widening) per element, so the vectorized VCVTPD2PS/VCVTPS2PD paths
 // are bit-identical to the scalar loops on every input — unlike the
 // arithmetic kernels they cannot define a rounding regime, and binding
-// them by CPU capability alone never changes a trajectory.
-var (
-	cvtTo32   = round64to32Ref
-	cvtTo64   = widen32to64Ref
-	roundTo32 = round32Ref
-)
+// them by CPU capability alone never changes a trajectory
+// (conversionKernels, per architecture).
+var cvtTo32, cvtTo64, roundTo32 = conversionKernels()
 
 func round64to32Ref(dst []float32, src []float64) {
 	for i, v := range src {

@@ -11,7 +11,7 @@ import (
 
 // The property suite for the float32 storage tier (KernelAVX2F32):
 // fma32 against an exact big.Float oracle, the bound kernels32 set
-// against the pure-Go fma32 twins bit for bit, the exp32 branch
+// against the pure-Go twins at float32 bit for bit, the exp32 branch
 // boundaries, the regime-boundary conversions, and the float32 GEMM /
 // cross-entropy family against naive references.
 
@@ -34,6 +34,14 @@ func fillSpecial32(r *rng.Stream, x []float32) {
 	}
 }
 
+// fillOrdinary32 populates x with finite values spanning eight
+// decades, whose sums depend on every step of the reduction order.
+func fillOrdinary32(r *rng.Stream, x []float32) {
+	for i := range x {
+		x[i] = float32((r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(9)-4)))
+	}
+}
+
 // fma32Oracle computes the correctly-rounded float32 a*b+c by exact
 // big.Float arithmetic (inputs must be finite).
 func fma32Oracle(a, b, c float32) float32 {
@@ -47,7 +55,8 @@ func fma32Oracle(a, b, c float32) float32 {
 }
 
 // TestFMA32Oracle pins fma32 — the scalar twin of one VFMADD231PS lane
-// and the foundation of the whole avx2f32 regime — to the exact
+// and the foundation of the whole avx2f32 regime — through the twins'
+// fused multiply-add at float32 (fmaOf) to the exact
 // big.Float rounding, across random significands, magnitude spreads
 // that force cancellation and double-rounding midpoints, subnormals,
 // and the non-finite propagation cases.
@@ -64,9 +73,20 @@ func TestFMA32Oracle(t *testing.T) {
 		bits = bits&0x807FFFFF | exp<<23
 		return math.Float32frombits(bits)
 	}
-	for i := 0; i < 200000; i++ {
+	// Random significands almost never land a·b+c on a float32 midpoint
+	// after rounding to float64, so these do: (1+2^-12)² = 1 + 2^-11 +
+	// 2^-24 is a midpoint, and a c of ±2^-80 decides it only if the sum
+	// rounds once (float32 of a float64 FMA rounds the midpoint to even).
+	midpoints := [][3]float32{
+		{1 + 0x1p-12, 1 + 0x1p-12, 0x1p-80}, {1 + 0x1p-12, 1 + 0x1p-12, -0x1p-80},
+		{-1 - 0x1p-12, 1 + 0x1p-12, 0x1p-80}, {1 + 0x1p-12, 1 + 0x1p-11, -0x1p-70},
+	}
+	for i := 0; i < 200000+len(midpoints); i++ {
 		a, b, c := randF32(), randF32(), randF32()
-		got := fma32(a, b, c)
+		if i < len(midpoints) {
+			a, b, c = midpoints[i][0], midpoints[i][1], midpoints[i][2]
+		}
+		got := fmaOf(a, b, c)
 		want := fma32Oracle(a, b, c)
 		if math.Float32bits(got) != math.Float32bits(want) {
 			t.Fatalf("fma32(%x, %x, %x) = %x, oracle %x",
@@ -92,29 +112,34 @@ func TestFMA32Oracle(t *testing.T) {
 }
 
 // TestKernels32MatchReference pins the bound float32 kernel set (the
-// assembly on AVX2+FMA hardware) to the fma32 pure-Go twins bit for
-// bit, across every unroll/tail combination, unaligned base offsets
-// and special values.
+// assembly on AVX2+FMA hardware) to the pure-Go twins at float32 bit for
+// bit, across every unroll/tail combination, unaligned base offsets,
+// special values and, in a last repetition, ordinary ones only.
 func TestKernels32MatchReference(t *testing.T) {
 	r := rng.New(43)
+	ref := fmaRefKernels[float32]()
 	for _, n := range tailLengths {
 		for _, off := range []int{0, 1, 3} {
-			for rep := 0; rep < 3; rep++ {
+			for rep := 0; rep < 4; rep++ {
 				buf := func() []float32 {
 					b := make([]float32, off+n)
-					fillSpecial32(r, b)
+					if rep == 3 {
+						fillOrdinary32(r, b)
+					} else {
+						fillSpecial32(r, b)
+					}
 					return b[off : off+n]
 				}
 				x, y0, y1, y2, y3 := buf(), buf(), buf(), buf(), buf()
 				a := float32((r.Float64() - 0.5) * 3)
 
-				if got, want := kernels32.dot(x, y0), dot32Ref(x, y0); math.Float32bits(got) != math.Float32bits(want) {
+				if got, want := kernels32.dot(x, y0), ref.dot(x, y0); math.Float32bits(got) != math.Float32bits(want) {
 					t.Fatalf("dot32(n=%d,off=%d) = %x, twin %x", n, off, math.Float32bits(got), math.Float32bits(want))
 				}
 
 				var q, p [4]float32
 				q[0], q[1], q[2], q[3] = kernels32.dot4(x, y0, y1, y2, y3)
-				p[0], p[1], p[2], p[3] = dot432Ref(x, y0, y1, y2, y3)
+				p[0], p[1], p[2], p[3] = ref.dot4(x, y0, y1, y2, y3)
 				for i := range q {
 					if math.Float32bits(q[i]) != math.Float32bits(p[i]) {
 						t.Fatalf("dot432(n=%d,off=%d)[%d] = %x, twin %x", n, off, i,
@@ -125,7 +150,7 @@ func TestKernels32MatchReference(t *testing.T) {
 				yk := append([]float32(nil), y1...)
 				yr := append([]float32(nil), y1...)
 				kernels32.axpyTo(yk, a, x, yk)
-				axpyTo32Ref(yr, a, x, yr)
+				ref.axpyTo(yr, a, x, yr)
 				for i := range yk {
 					if math.Float32bits(yk[i]) != math.Float32bits(yr[i]) {
 						t.Fatalf("axpy32(n=%d,off=%d)[%d] = %x, twin %x", n, off, i,
@@ -139,7 +164,7 @@ func TestKernels32MatchReference(t *testing.T) {
 				yk = append([]float32(nil), y3...)
 				yr = append([]float32(nil), y3...)
 				kernels32.axpy4(a, a1, a2, a3, x, y0, y1, y2, yk)
-				axpy432Ref(a, a1, a2, a3, x, y0, y1, y2, yr)
+				ref.axpy4(a, a1, a2, a3, x, y0, y1, y2, yr)
 				for i := range yk {
 					if math.Float32bits(yk[i]) != math.Float32bits(yr[i]) {
 						t.Fatalf("axpy432(n=%d,off=%d)[%d] = %x, twin %x", n, off, i,
@@ -151,12 +176,24 @@ func TestKernels32MatchReference(t *testing.T) {
 				ek := make([]float32, n)
 				er := make([]float32, n)
 				kernels32.expShift(ek, x, shift)
-				expShift32Ref(er, x, shift)
+				ref.expShift(er, x, shift)
 				for i := range ek {
 					if math.Float32bits(ek[i]) != math.Float32bits(er[i]) {
 						t.Fatalf("expShift32(n=%d,off=%d)[%d] = %x, twin %x (x=%g)", n, off, i,
 							math.Float32bits(ek[i]), math.Float32bits(er[i]), x[i])
 					}
+				}
+
+				// stepRow over the five rows as examples, coefficient
+				// column 0 of a 5×2 matrix with a zero on example 2.
+				am := Mat[float32]{Rows: 5, Cols: 2, Data: []float32{a, a1, a2, a3, 0, 1, a3, a, a1, a2}}
+				ys := [][]float32{x, y0, y1, y2, y3}
+				sk, sr := make([]float32, n), make([]float32, n)
+				kernels32.stepRow(sk, y3, 0.05, a1, am, 0, ys)
+				ref.stepRow(sr, y3, 0.05, a1, am, 0, ys)
+				if i := firstDiff(sk, sr); i >= 0 {
+					t.Fatalf("stepRow32(n=%d,off=%d)[%d] = %x, twin %x", n, off, i,
+						math.Float32bits(sk[i]), math.Float32bits(sr[i]))
 				}
 			}
 		}
@@ -231,7 +268,7 @@ func TestAxpy32AliasedDst(t *testing.T) {
 		kernels32.axpyTo(aliased, a, aliased, aliased)
 
 		want := append([]float32(nil), base...)
-		axpyTo32Ref(want, a, append([]float32(nil), base...), want)
+		fmaRefKernels[float32]().axpyTo(want, a, append([]float32(nil), base...), want)
 
 		for i := range aliased {
 			if math.Float32bits(aliased[i]) != math.Float32bits(want[i]) {
@@ -260,7 +297,7 @@ func TestExpShift32Specials(t *testing.T) {
 		got := make([]float32, len(specials))
 		want := make([]float32, len(specials))
 		kernels32.expShift(got, specials, shift)
-		expShift32Ref(want, specials, shift)
+		fmaRefKernels[float32]().expShift(want, specials, shift)
 		for i := range got {
 			gb, wb := math.Float32bits(got[i]), math.Float32bits(want[i])
 			if gb != wb {
@@ -841,7 +878,7 @@ func TestSumExpShift32MatchesExpShift(t *testing.T) {
 			if math.Float32bits(got) != math.Float32bits(want) {
 				t.Fatalf("n=%d: sumExpShift %x != expShift+sum %x", n, math.Float32bits(got), math.Float32bits(want))
 			}
-			if ref := sumExpShift32Ref(x, shift); math.Float32bits(got) != math.Float32bits(ref) {
+			if ref := fmaRefKernels[float32]().sumExpShift(x, shift); math.Float32bits(got) != math.Float32bits(ref) {
 				t.Fatalf("n=%d: sumExpShift %x != ref %x", n, math.Float32bits(got), math.Float32bits(ref))
 			}
 		}

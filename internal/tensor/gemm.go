@@ -5,7 +5,7 @@ import "repro/internal/obs"
 // Cache-blocked BLAS-3 kernels for the batched training path, one
 // generic body per kernel for both storage widths: on float64 operands
 // they run the active class's kernel set, on float32 operands the
-// avx2f32 tier's (kernels32, an FMA tier, so 4-row dot fusion).
+// avx2f32 tier's (kernels32).
 //
 // Determinism contract: every kernel accumulates each output element in
 // a fixed index order identical to the per-example BLAS-1/2 path it
@@ -97,10 +97,8 @@ func GemmT[T Float](alpha T, a, b *Mat[T], beta T, c *Mat[T]) {
 	for j0 := 0; j0 < b.Rows; j0 += nb {
 		j1 := min(j0+nb, b.Rows)
 		i := 0
-		if ks.fuse4 {
-			for ; i+2 <= a.Rows; i += 2 {
-				gemmTRow2(ks, alpha, a.Row(i), a.Row(i+1), b, beta, c.Row(i), c.Row(i+1), j0, j1)
-			}
+		for ; i+2 <= a.Rows; i += 2 {
+			gemmTRow2(ks, alpha, a.Row(i), a.Row(i+1), b, beta, c.Row(i), c.Row(i+1), j0, j1)
 		}
 		for ; i < a.Rows; i++ {
 			gemmTRow(ks, alpha, a.Row(i), b, beta, c.Row(i), j0, j1)
@@ -124,10 +122,8 @@ func GemmTR[T Float](alpha T, xrows [][]T, b *Mat[T], beta T, c *Mat[T]) {
 	for j0 := 0; j0 < b.Rows; j0 += nb {
 		j1 := min(j0+nb, b.Rows)
 		i := 0
-		if ks.fuse4 {
-			for ; i+2 <= len(xrows); i += 2 {
-				gemmTRow2(ks, alpha, xrows[i], xrows[i+1], b, beta, c.Row(i), c.Row(i+1), j0, j1)
-			}
+		for ; i+2 <= len(xrows); i += 2 {
+			gemmTRow2(ks, alpha, xrows[i], xrows[i+1], b, beta, c.Row(i), c.Row(i+1), j0, j1)
 		}
 		for ; i < len(xrows); i++ {
 			gemmTRow(ks, alpha, xrows[i], b, beta, c.Row(i), j0, j1)
@@ -137,38 +133,28 @@ func GemmTR[T Float](alpha T, xrows [][]T, b *Mat[T], beta T, c *Mat[T]) {
 }
 
 // gemmTRow fills crow[j] = alpha*dot(x, B.Row(j)) + beta*crow[j] for j in
-// [j0, j1), fusing multiple B rows per pass to share the loads of x. The
-// fusion width is a property of the kernel set: the FMA sets fuse four
-// rows (8 independent FMA chains fill the 16-register YMM file), the
-// generic set two (dot2). Each fused output accumulates in exactly the
-// class's single dot order, so the fusion width never changes a bit
-// within a class.
+// [j0, j1), fusing four B rows per pass (dot4) to share the loads of x;
+// the last 0-3 B rows take single dots. Each fused output accumulates in
+// exactly the class's single dot order, so the fusion never changes a
+// bit within a class.
 func gemmTRow[T Float](ks *kernelSet[T], alpha T, x []T, b *Mat[T], beta T, crow []T, j0, j1 int) {
 	j := j0
-	if ks.fuse4 {
-		for ; j+4 <= j1; j += 4 {
-			d0, d1, d2, d3 := ks.dot4(x, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
-			crow[j] = alpha*d0 + beta*crow[j]
-			crow[j+1] = alpha*d1 + beta*crow[j+1]
-			crow[j+2] = alpha*d2 + beta*crow[j+2]
-			crow[j+3] = alpha*d3 + beta*crow[j+3]
-		}
-	} else {
-		for ; j+2 <= j1; j += 2 {
-			d0, d1 := ks.dot2(x, b.Row(j), b.Row(j+1))
-			crow[j] = alpha*d0 + beta*crow[j]
-			crow[j+1] = alpha*d1 + beta*crow[j+1]
-		}
+	for ; j+4 <= j1; j += 4 {
+		d0, d1, d2, d3 := ks.dot4(x, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
+		crow[j] = alpha*d0 + beta*crow[j]
+		crow[j+1] = alpha*d1 + beta*crow[j+1]
+		crow[j+2] = alpha*d2 + beta*crow[j+2]
+		crow[j+3] = alpha*d3 + beta*crow[j+3]
 	}
 	for ; j < j1; j++ {
 		crow[j] = alpha*ks.dot(x, b.Row(j)) + beta*crow[j]
 	}
 }
 
-// gemmTRow2 is gemmTRow for two left rows x0, x1 (C rows c0, c1) on a
-// 4-row-fusing class: dot4x2 computes the 2×4 block of outputs per
-// quad of B rows, loading each B chunk once for both rows, and the last
-// 0-3 B rows take single dots. Every output is still one dot in the
+// gemmTRow2 is gemmTRow for two left rows x0, x1 (C rows c0, c1):
+// dot4x2 computes the 2×4 block of outputs per quad of B rows, loading
+// each B chunk once for both rows, and the last 0-3 B rows take single
+// dots. Every output is still one dot in the
 // class's order, so pairing changes no bit.
 func gemmTRow2[T Float](ks *kernelSet[T], alpha T, x0, x1 []T, b *Mat[T], beta T, c0, c1 []T, j0, j1 int) {
 	j := j0

@@ -4,11 +4,12 @@ package tensor
 
 import "repro/internal/tensor/cpufeat"
 
-// Assembly kernel declarations and the FMA set the CPU offers: the
+// Assembly kernel declarations and the FMA sets the CPU offers: the
 // avx2 class's AVX-512 bodies when the CPUID probe confirms AVX-512F,
 // its AVX2 bodies when it confirms AVX2+FMA (plus OS YMM state), and the
-// bit-identical math.FMA twins otherwise. dispatch.go decides which
-// class binds which set.
+// bit-identical pure-Go twins otherwise; the avx2f32 tier's float32
+// AVX2 bodies or twins likewise. dispatch.go decides which class binds
+// which set.
 
 // AVX2+FMA kernels (simd_avx2_amd64.s), bit-identical to the math.FMA
 // twins in simd_fma_ref.go. Callable only when cpufeat reports
@@ -46,7 +47,7 @@ func expShiftAsm(dst, x []float64, shift float64) {
 
 // sumExpShiftAsm materializes expFMA(x[i]-shift) through the assembly
 // in stack-buffer chunks and sums sequentially in index order — the
-// identical elementwise-then-ordered-sum bits of sumExpShiftFMARef. The
+// identical elementwise-then-ordered-sum bits of sumExpShiftFMA. The
 // common case (a logits row, a handful of classes) takes a small
 // buffer: Go zero-initializes the whole array on entry, so sizing it
 // for the large case would spend a 2KB memclr per 10-element row.
@@ -141,7 +142,7 @@ func stepRowZMM(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys 
 // column chunk of a zeroed stack buffer, accumulate the nonzero
 // coefficients' rows in ascending order through axpy4 quads and axpyTo
 // tails (tnRow's gathering), then dst = fma(−eta, buf, w). Per element
-// that is stepRowFMARef's chain. The calls are direct so the buffer
+// that is stepRowFMA's chain. The calls are direct so the buffer
 // stays on the stack.
 func stepRowAVX2(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys [][]float64) {
 	var buf [stepChunk]float64
@@ -190,7 +191,22 @@ func fmaKernels() kernelSet[float64] {
 	case haveAVX2Asm():
 		return avx2Kernels()
 	}
-	return fmaRefKernels()
+	return fmaRefKernels[float64]()
+}
+
+// fmaKernels32 is the avx2f32 tier's float32 set on this CPU: the
+// 8-lane AVX2 bodies (simd_f32_amd64.go) where it has AVX2+FMA, else the
+// fma32 twins.
+func fmaKernels32() kernelSet[float32] {
+	if !haveAVX2Asm() {
+		return fmaRefKernels[float32]()
+	}
+	return kernelSet[float32]{
+		dot: dot32AVX2, axpyTo: axpyTo32AVX2, dot4: dot432AVX2,
+		dot4x2: dot4x2From(dot432AVX2), axpy4: axpy432AVX2, stepRow: stepRow32AVX2,
+		expShift: expShift32Asm, sumExpShift: sumExpShift32Asm,
+		fusedCE: true,
+	}
 }
 
 // avx2Kernels is the avx2 class's AVX2 assembly set.
@@ -199,7 +215,7 @@ func avx2Kernels() kernelSet[float64] {
 		dot: dotAVX2, axpyTo: axpyToAVX2, dot4: dot4AVX2,
 		dot4x2: dot4x2From(dot4AVX2), axpy4: axpy4AVX2, stepRow: stepRowAVX2,
 		expShift: expShiftAsm, sumExpShift: sumExpShiftAsm,
-		fuse4: true, fusedCE: true,
+		fusedCE: true,
 	}
 }
 

@@ -4,10 +4,10 @@
 
 // Float32 AVX2+FMA implementations of the avx2f32 storage tier's hot
 // kernels, executable only when cpufeat reports AVX2+FMA (the dispatch
-// in simd_f32_amd64.go checks).
+// in simd_amd64.go checks).
 //
 // Rounding regime: VFMADD231PS rounds a*b+c once to float32 — exactly
-// the correctly-rounded fma32 of simd_f32_ref.go (which repairs Go's
+// the correctly-rounded fma32 of simd_fma_ref.go (which repairs Go's
 // missing float32 FMA with round-to-odd), so assembly and pure-Go twin
 // agree bit for bit on every input (TestKernels32MatchReference).
 //
@@ -66,12 +66,16 @@ ddone:
 	VZEROUPPER
 	RET
 
-// func axpy32AVX2(a float32, x, y []float32)
-TEXT ·axpy32AVX2(SB), NOSPLIT, $0-56
-	VBROADCASTSS a+0(FP), Y0
-	MOVQ         x_base+8(FP), SI
-	MOVQ         x_len+16(FP), CX
-	MOVQ         y_base+32(FP), DI
+// func axpyTo32AVX2(dst []float32, a float32, x, y []float32)
+//
+// dst = fma32(a, x, y); Axpy passes y as dst. Each chunk loads x and y
+// before storing dst, so dst may alias either input.
+TEXT ·axpyTo32AVX2(SB), NOSPLIT, $0-80
+	MOVQ         dst_base+0(FP), DX
+	VBROADCASTSS a+24(FP), Y0
+	MOVQ         x_base+32(FP), SI
+	MOVQ         x_len+40(FP), CX
+	MOVQ         y_base+56(FP), DI
 	MOVQ         CX, BX
 	ANDQ         $-32, BX
 	XORQ         AX, AX
@@ -87,10 +91,10 @@ aloop:
 	VFMADD231PS 32(SI)(AX*4), Y0, Y2
 	VFMADD231PS 64(SI)(AX*4), Y0, Y3
 	VFMADD231PS 96(SI)(AX*4), Y0, Y4
-	VMOVUPS     Y1, (DI)(AX*4)
-	VMOVUPS     Y2, 32(DI)(AX*4)
-	VMOVUPS     Y3, 64(DI)(AX*4)
-	VMOVUPS     Y4, 96(DI)(AX*4)
+	VMOVUPS     Y1, (DX)(AX*4)
+	VMOVUPS     Y2, 32(DX)(AX*4)
+	VMOVUPS     Y3, 64(DX)(AX*4)
+	VMOVUPS     Y4, 96(DX)(AX*4)
 	ADDQ        $32, AX
 	CMPQ        AX, BX
 	JLT         aloop
@@ -99,8 +103,8 @@ atail:
 	CMPQ        AX, CX
 	JGE         adone
 	VMOVSS      (DI)(AX*4), X1
-	VFMADD231SS (SI)(AX*4), X0, X1    // y[i] = fma32(a, x[i], y[i])
-	VMOVSS      X1, (DI)(AX*4)
+	VFMADD231SS (SI)(AX*4), X0, X1    // dst[i] = fma32(a, x[i], y[i])
+	VMOVSS      X1, (DX)(AX*4)
 	INCQ        AX
 	JMP         atail
 
@@ -414,7 +418,7 @@ edone:
 // func axpy432AVX2(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32)
 //
 // Fused four-coefficient float32 accumulation: per element exactly
-// four sequential axpy32AVX2 passes (same bits — see axpy432Ref),
+// four sequential axpyTo32AVX2 passes (same bits — see axpy4FMA),
 // fused so y is loaded and stored once; two vectors per step keep the
 // dependent four-FMA chains pipelined. The scalar tail chains the same
 // four FMAs.

@@ -2,11 +2,9 @@
 
 package tensor
 
-// Float32 assembly kernel declarations and the tier binding. The
-// avx2f32 tier rebinds kernels32 to the 8-wide AVX2+FMA float32
-// assembly when the CPUID probe confirms the features, and otherwise
-// keeps the bit-identical fma32 pure-Go twins (simd_f32_ref.go) — same
-// contract as the float64 avx2 tier.
+// Float32 assembly kernel declarations of the avx2f32 tier, bound by
+// fmaKernels32 (simd_amd64.go) when the CPUID probe confirms AVX2+FMA,
+// and the regime-boundary conversion kernels.
 
 // Float32 AVX2+FMA kernels (simd_avx2f32_amd64.s), bit-identical to
 // the fma32 twins: VFMADD231PS rounds a·b+c once to float32, exactly
@@ -15,20 +13,10 @@ package tensor
 //go:noescape
 func dot32AVX2(x, y []float32) float32
 
+// axpyTo32AVX2 computes dst = fma32(a, x, y); Axpy passes y as dst.
+//
 //go:noescape
-func axpy32AVX2(a float32, x, y []float32)
-
-// axpyTo32Asm adapts the in-place assembly to the kernelSet's axpyTo
-// form, dst = y + a*x: copy y into dst, then accumulate in place. A dst
-// that is x would be clobbered by the copy, so it runs the twin.
-func axpyTo32Asm(dst []float32, a float32, x, y []float32) {
-	if len(x) > 0 && &dst[0] == &x[0] && &dst[0] != &y[0] {
-		axpyTo32Ref(dst, a, x, y)
-		return
-	}
-	copy(dst, y)
-	axpy32AVX2(a, x, dst)
-}
+func axpyTo32AVX2(dst []float32, a float32, x, y []float32)
 
 //go:noescape
 func dot432AVX2(x, y0, y1, y2, y3 []float32) (r0, r1, r2, r3 float32)
@@ -64,9 +52,9 @@ func stepRow32AVX2(dst, w []float32, eta, alpha float32, a Mat[float32], i int, 
 			}
 		}
 		for q := range nq {
-			axpyTo32Asm(acc, cf[q], rows[q], acc)
+			axpyTo32AVX2(acc, cf[q], rows[q], acc)
 		}
-		axpyTo32Asm(dst[c0:c1], -eta, acc, w[c0:c1])
+		axpyTo32AVX2(dst[c0:c1], -eta, acc, w[c0:c1])
 	}
 }
 
@@ -87,7 +75,7 @@ func expShift32Asm(dst, x []float32, shift float32) {
 
 // sumExpShift32Asm materializes exp32(x[i]-shift) through the assembly
 // in stack-buffer chunks and sums sequentially in index order — the
-// identical elementwise-then-ordered-sum bits of sumExpShift32Ref.
+// identical elementwise-then-ordered-sum bits of sumExpShiftFMA.
 // Calling expShift32AVX2 (//go:noescape) directly keeps the buffer on
 // the stack; the small-buffer fast path avoids a large memclr on the
 // common logits-row case.
@@ -137,16 +125,11 @@ func cvt32to64AVX2(dst []float64, x []float32)
 //go:noescape
 func round32AVX2(x []float64)
 
-func init() {
+// conversionKernels returns the AVX2 conversions where the CPU has them,
+// else the scalar loops.
+func conversionKernels() (func([]float32, []float64), func([]float64, []float32), func([]float64)) {
 	if haveAVX2Asm() {
-		kernels32 = kernelSet[float32]{
-			dot: dot32AVX2, axpyTo: axpyTo32Asm, dot4: dot432AVX2,
-			dot4x2: dot4x2From(dot432AVX2), axpy4: axpy432AVX2, stepRow: stepRow32AVX2,
-			expShift: expShift32Asm, sumExpShift: sumExpShift32Asm,
-			fuse4: true, fusedCE: true,
-		}
-		cvtTo32 = cvt64to32AVX2
-		cvtTo64 = cvt32to64AVX2
-		roundTo32 = round32AVX2
+		return cvt64to32AVX2, cvt32to64AVX2, round32AVX2
 	}
+	return round64to32Ref, widen32to64Ref, round32Ref
 }

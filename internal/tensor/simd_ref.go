@@ -92,31 +92,45 @@ func sumExpShiftRef(x []float64, shift float64) float64 {
 	return s
 }
 
-// dot2Ref is the scalar fused two-output dot: both results accumulate
-// in exactly dotRef's order while sharing the loads of x.
-func dot2Ref(x, y0, y1 []float64) (r0, r1 float64) {
+// dot4Ref is the scalar fused four-output dot: each result accumulates
+// in exactly dotRef's order while the four share the loads of x. The
+// four partial sums of dotRef's unrolled loop are independent, so they
+// run in two passes over x — lanes 0-1, then lanes 2-3 — which keeps the
+// eight live accumulators of each pass in registers.
+func dot4Ref(x, y0, y1, y2, y3 []float64) (r0, r1, r2, r3 float64) {
 	n := len(x)
-	y0 = y0[:n]
-	y1 = y1[:n]
-	var a0, a1, a2, a3 float64
-	var b0, b1, b2, b3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+	y0, y1, y2, y3 = y0[:n], y1[:n], y2[:n], y3[:n]
+	m := n &^ 3
+	var a0, a1, b0, b1, c0, c1, d0, d1 float64
+	for i := 0; i < m; i += 4 {
+		x0, x1 := x[i], x[i+1]
 		a0 += x0 * y0[i]
 		a1 += x1 * y0[i+1]
-		a2 += x2 * y0[i+2]
-		a3 += x3 * y0[i+3]
 		b0 += x0 * y1[i]
 		b1 += x1 * y1[i+1]
+		c0 += x0 * y2[i]
+		c1 += x1 * y2[i+1]
+		d0 += x0 * y3[i]
+		d1 += x1 * y3[i+1]
+	}
+	var a2, a3, b2, b3, c2, c3, d2, d3 float64
+	for i := 0; i < m; i += 4 {
+		x2, x3 := x[i+2], x[i+3]
+		a2 += x2 * y0[i+2]
+		a3 += x3 * y0[i+3]
 		b2 += x2 * y1[i+2]
 		b3 += x3 * y1[i+3]
+		c2 += x2 * y2[i+2]
+		c3 += x3 * y2[i+3]
+		d2 += x2 * y3[i+2]
+		d3 += x3 * y3[i+3]
 	}
-	r0 = a0 + a1 + a2 + a3
-	r1 = b0 + b1 + b2 + b3
-	for ; i < n; i++ {
+	r0, r1, r2, r3 = a0+a1+a2+a3, b0+b1+b2+b3, c0+c1+c2+c3, d0+d1+d2+d3
+	for i := m; i < n; i++ {
 		r0 += x[i] * y0[i]
 		r1 += x[i] * y1[i]
+		r2 += x[i] * y2[i]
+		r3 += x[i] * y3[i]
 	}
-	return r0, r1
+	return r0, r1, r2, r3
 }

@@ -35,6 +35,15 @@ func fillSpecial(r *rng.Stream, x []float64) {
 	}
 }
 
+// fillOrdinary populates x with finite values spanning twelve decades:
+// unlike fillSpecial's mostly non-finite dots, their sums depend on
+// every step of a kernel's reduction order.
+func fillOrdinary(r *rng.Stream, x []float64) {
+	for i := range x {
+		x[i] = (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(13)-6))
+	}
+}
+
 // tailLengths exercises every unroll boundary of the 2-, 4-, 8-, 16-,
 // 32- and 64-wide loops plus their scalar and masked tails, and the
 // MLP's input width.
@@ -51,10 +60,10 @@ type rung struct {
 
 func testRungs(t *testing.T) []rung {
 	rs := []rung{
-		// The generic rung is its own reference: the comparison pins the
-		// composed dot4From path to the singles.
+		// The generic rung is its own reference; TestFusedDotsMatchSingles
+		// pins its fused dots to its singles.
 		{"generic", genericKernels(), genericKernels()},
-		{"avx2", kernelsFor(KernelAVX2), fmaRefKernels()},
+		{"avx2", kernelsFor(KernelAVX2), fmaRefKernels[float64]()},
 	}
 	// Where the avx2 class binds its AVX-512 bodies, its AVX2 ones are
 	// pinned as a rung of their own (archRungs), so both stay covered.
@@ -63,17 +72,22 @@ func testRungs(t *testing.T) []rung {
 
 // TestKernelsMatchReference pins every rung to its class reference bit
 // for bit, including unaligned base offsets (SIMD loads are all
-// unaligned-safe and the results must not depend on alignment).
+// unaligned-safe and the results must not depend on alignment), with
+// special values and, in a last repetition, ordinary ones only.
 func TestKernelsMatchReference(t *testing.T) {
 	for _, rg := range testRungs(t) {
 		t.Run(rg.name, func(t *testing.T) {
 			r := rng.New(99)
 			for _, n := range tailLengths {
 				for _, off := range []int{0, 1, 3} {
-					for rep := 0; rep < 3; rep++ {
+					for rep := 0; rep < 4; rep++ {
 						buf := func() []float64 {
 							b := make([]float64, off+n)
-							fillSpecial(r, b)
+							if rep == 3 {
+								fillOrdinary(r, b)
+							} else {
+								fillSpecial(r, b)
+							}
 							return b[off : off+n]
 						}
 						x, y0, y1, y2, y3 := buf(), buf(), buf(), buf(), buf()
@@ -81,15 +95,6 @@ func TestKernelsMatchReference(t *testing.T) {
 
 						if got, want := rg.impl.dot(x, y0), rg.ref.dot(x, y0); math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("dot(n=%d,off=%d) = %x, class reference %x", n, off, math.Float64bits(got), math.Float64bits(want))
-						}
-
-						if rg.impl.dot2 != nil { // only the 2-row-fusing set binds dot2
-							g0, g1 := rg.impl.dot2(x, y0, y1)
-							w0, w1 := rg.ref.dot2(x, y0, y1)
-							if math.Float64bits(g0) != math.Float64bits(w0) || math.Float64bits(g1) != math.Float64bits(w1) {
-								t.Fatalf("dot2(n=%d,off=%d) = (%x,%x), class reference (%x,%x)", n, off,
-									math.Float64bits(g0), math.Float64bits(g1), math.Float64bits(w0), math.Float64bits(w1))
-							}
 						}
 
 						q := [4]float64{}
@@ -173,36 +178,35 @@ func TestKernelsMatchReference(t *testing.T) {
 }
 
 // TestFusedDotsMatchSingles pins the intra-class contract the GEMM
-// microkernel relies on: within one rung, dot2, dot4 and dot4x2
-// accumulate each output in exactly the single-dot order, so gemmTRow
+// microkernel relies on: within one rung, dot4 and dot4x2 accumulate
+// each output in exactly the single-dot order, so gemmTRow
 // and gemmTRow2 may mix fused passes and single-row tails without
 // perturbing a bit.
 func TestFusedDotsMatchSingles(t *testing.T) {
 	for _, rg := range testRungs(t) {
 		t.Run(rg.name, func(t *testing.T) {
 			r := rng.New(7)
-			for _, n := range tailLengths {
+			for k, n := range append(tailLengths[:len(tailLengths):len(tailLengths)], tailLengths...) {
+				fill := fillSpecial // then, on the second pass, finite values
+				if k >= len(tailLengths) {
+					fill = fillOrdinary
+				}
 				x := make([]float64, n)
 				ys := make([][]float64, 4)
-				fillSpecial(r, x)
+				fill(r, x)
 				for i := range ys {
 					ys[i] = make([]float64, n)
-					fillSpecial(r, ys[i])
+					fill(r, ys[i])
 				}
 				q0, q1, q2, q3 := rg.impl.dot4(x, ys[0], ys[1], ys[2], ys[3])
-				fused := []float64{q0, q1, q2, q3}
-				if rg.impl.dot2 != nil { // only the 2-row-fusing set binds dot2
-					d0, d1 := rg.impl.dot2(x, ys[0], ys[1])
-					fused = append(fused, d0, d1)
-				}
-				for i, got := range fused {
-					want := rg.impl.dot(x, ys[i%4])
+				for i, got := range []float64{q0, q1, q2, q3} {
+					want := rg.impl.dot(x, ys[i])
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("fused output %d (n=%d) = %x, single dot %x", i, n, math.Float64bits(got), math.Float64bits(want))
 					}
 				}
 				x1 := make([]float64, n)
-				fillSpecial(r, x1)
+				fill(r, x1)
 				sprinkleSpecials(r, x1)
 				for i, got := range dot4x2Of(rg.impl, x, x1, ys[0], ys[1], ys[2], ys[3]) {
 					xi := x
@@ -425,11 +429,13 @@ func TestAxpyAliasedDst(t *testing.T) {
 }
 
 // TestSSE2BindsGeneric pins what is left of the sse2 class: a second
-// name for the non-FMA regime, bound to the generic bodies themselves
-// (every kernel the same function, the same fusion flags), served
-// pure-go, and never the detected default.
+// name for the non-FMA regime, bound to the generic class's bodies
+// themselves (every kernel the same function, the same flags), served
+// pure-go, and never the detected default. Both sides come from
+// kernelsFor: a composed kernel is a closure whose code pointer depends
+// on where the compiler inlined its constructor.
 func TestSSE2BindsGeneric(t *testing.T) {
-	sse2, gen := reflect.ValueOf(kernelsFor(KernelSSE2)), reflect.ValueOf(genericKernels())
+	sse2, gen := reflect.ValueOf(kernelsFor(KernelSSE2)), reflect.ValueOf(kernelsFor(KernelGeneric))
 	for i := range sse2.NumField() {
 		f, g := sse2.Field(i), gen.Field(i)
 		same := f.Kind() == reflect.Func && f.Pointer() == g.Pointer() || f.Kind() == reflect.Bool && f.Bool() == g.Bool()
@@ -478,7 +484,7 @@ func TestSetKernelRestores(t *testing.T) {
 	// The FMA class must actually differ from the non-FMA classes on an
 	// input chosen to round differently under fused multiply-add —
 	// otherwise per-class goldens would be vacuous.
-	if math.Float64bits(fmaRefKernels().dot(x, y)) == math.Float64bits(genericKernels().dot(x, y)) {
+	if math.Float64bits(fmaRefKernels[float64]().dot(x, y)) == math.Float64bits(genericKernels().dot(x, y)) {
 		t.Fatal("FMA-class dot matches generic on an input built to expose double rounding")
 	}
 }

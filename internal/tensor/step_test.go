@@ -31,10 +31,12 @@ func equalBits(a, b []float64) int {
 // TestKernelSetsComplete checks that every dispatch table binds every
 // kernel it can be asked for: a nil func field would only surface as a
 // nil call on the architecture whose table missed it (the non-amd64
-// table is built in CI but never run there). dot2 is asked for only
-// without fuse4, so only the 2-row-fusing sets must bind it.
+// table is built in CI but never run there).
 func TestKernelSetsComplete(t *testing.T) {
-	sets := map[string]any{"genericKernels": genericKernels(), "fmaRefKernels": fmaRefKernels(), "kernels32": kernels32}
+	sets := map[string]any{
+		"genericKernels": genericKernels(), "fmaRefKernels[float64]": fmaRefKernels[float64](),
+		"fmaRefKernels[float32]": fmaRefKernels[float32](), "fmaKernels32": fmaKernels32(),
+	}
 	for _, c := range Classes() {
 		sets["kernelsFor("+c.String()+")"] = kernelsFor(c)
 	}
@@ -45,9 +47,6 @@ func TestKernelSetsComplete(t *testing.T) {
 		v := reflect.ValueOf(ks)
 		for i := 0; i < v.NumField(); i++ {
 			name := v.Type().Field(i).Name
-			if name == "dot2" && v.FieldByName("fuse4").Bool() {
-				continue
-			}
 			if f := v.Field(i); f.Kind() == reflect.Func && f.IsNil() {
 				t.Errorf("%s: kernel %s is nil", setName, name)
 			}

@@ -20,7 +20,7 @@ type Float interface{ float32 | float64 }
 // Dot returns the inner product of x and y. It panics on length
 // mismatch. The accumulation order is fixed per kernel class (partial
 // sums combined left-to-right after the unrolled loop — see dotRef and
-// dotFMARef) and is part of the package's determinism contract: the
+// dotFMA) and is part of the package's determinism contract: the
 // blocked GEMM kernels and every implementation of the active class
 // reproduce exactly that order per output element.
 func Dot(x, y []float64) float64 {

@@ -3,6 +3,8 @@ package topology
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 func TestTopologyIndexing(t *testing.T) {
@@ -111,9 +113,15 @@ func TestLedgerConcurrent(t *testing.T) {
 	}
 }
 
+// TestModelBytes: a model costs d elements of the storage regime's
+// width — 8 bytes, or 4 on the float32 tier.
 func TestModelBytes(t *testing.T) {
-	if ModelBytes(7850) != 62800 {
-		t.Fatalf("ModelBytes = %d", ModelBytes(7850))
+	want := int64(62800)
+	if tensor.ElemBytes() == 4 {
+		want = 31400
+	}
+	if got := ModelBytes(7850); got != want {
+		t.Fatalf("ModelBytes = %d, want %d (%d-byte elements)", got, want, tensor.ElemBytes())
 	}
 }
 

@@ -2,24 +2,13 @@ package hierfair
 
 import "repro/internal/simnet"
 
-// DistConfig places one process of a distributed (real-TCP) run. Every
+// DistConfig places one process of a distributed (real-TCP) run: its
+// listen address, its upstream address and its edge index. Every
 // process of the run must be given the same Spec: each one rebuilds the
 // same problem from the same seed, and a fingerprint handshake rejects
 // peers whose engine config, topology, fault schedule or kernel class
-// differ (not yet their dataset or model; see simnet.Fingerprint). Its fields are
-// simnet.DistConfig's, so the role functions convert it.
-type DistConfig struct {
-	// Listen is this process's TCP bind address (":0" picks a free
-	// port; Started reports the choice).
-	Listen string
-	// Connect is the upstream address: the cloud for an edge, the edge
-	// for a client host. Unused by the cloud role.
-	Connect string
-	// Edge is the edge-area index served (edge and client-host roles).
-	Edge int
-	// Started, when set, is called once with the bound listen address.
-	Started func(addr string)
-}
+// differ (not yet their dataset or model; see simnet.Fingerprint).
+type DistConfig = simnet.DistConfig
 
 // RunCloud runs the cloud role of a distributed run: it listens on
 // dist.Listen, waits for every edge's hello and readiness, drives the
@@ -30,7 +19,7 @@ func RunCloud(spec Spec, dist DistConfig) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, stats, err := simnet.ServeCloud(prob, cfg, simnet.DistConfig(dist), opts...)
+	res, stats, err := simnet.ServeCloud(prob, cfg, dist, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +34,7 @@ func RunEdge(spec Spec, dist DistConfig) error {
 	if err != nil {
 		return err
 	}
-	return simnet.ServeEdge(prob, cfg, simnet.DistConfig(dist), opts...)
+	return simnet.ServeEdge(prob, cfg, dist, opts...)
 }
 
 // RunClientHost serves the client actors of one edge area, connecting up
@@ -56,5 +45,5 @@ func RunClientHost(spec Spec, dist DistConfig) error {
 	if err != nil {
 		return err
 	}
-	return simnet.ServeClientHost(prob, cfg, simnet.DistConfig(dist), opts...)
+	return simnet.ServeClientHost(prob, cfg, dist, opts...)
 }
