@@ -82,10 +82,12 @@ go test -run '^$' -fuzz '^FuzzPackUniform$' -fuzztime 5s ./internal/quant
 # single simnet process and once split across five OS processes (cloud,
 # two edge servers, two client hosts) talking real TCP on loopback.
 # The saved models must be byte-identical, and every report line except
-# the per-process arena internals must match. The smoke runs twice —
-# dense uplinks, then a forced-compression leg (-quant-bits 8) in which
-# Packed payloads really cross the sockets — so the cross-process
-# determinism contract is proven for both regimes.
+# the per-process arena internals must match. The smoke runs three times
+# — dense uplinks, a sparse-population leg in which each edge process
+# trains its roster cohorts and the client hosts idle, and a
+# forced-compression leg (-quant-bits 8) in which Packed payloads really
+# cross the sockets — so the cross-process determinism contract is
+# proven for each regime.
 SMOKE=$(mktemp -d /tmp/wire_smoke.XXXXXX)
 # On exit, stop every role still in the background (after a failed leg
 # they would wait out their hello timeouts), then remove their directory.
@@ -116,10 +118,11 @@ wire_addr() {
 	return 1
 }
 
-for COMPRESS in "dense:" "compressed:-quant-bits 8"; do
-	LEG="$SMOKE/${COMPRESS%%:*}"
+# The compressed leg runs last: the checks after the loop reuse its WARGS.
+for SMOKELEG in "dense:" "population:-population 1000 -sample-per-round 4" "compressed:-quant-bits 8"; do
+	LEG="$SMOKE/${SMOKELEG%%:*}"
 	mkdir -p "$LEG"
-	WARGS="-dataset synthetic -edges 2 -clients 2 -me 2 -rounds 6 -eval 3 -tau1 1 -tau2 1 -batch 2 -dim 8 -train 40 -test 20 -seed 5 ${COMPRESS#*:}"
+	WARGS="-dataset synthetic -edges 2 -clients 2 -me 2 -rounds 6 -eval 3 -tau1 1 -tau2 1 -batch 2 -dim 8 -train 40 -test 20 -seed 5 ${SMOKELEG#*:}"
 
 	"$SMOKE/hierminimax" $WARGS -engine simnet -savemodel "$LEG/ref.gob" > "$LEG/ref.out"
 	"$SMOKE/hierminimax" $WARGS -role cloud -listen 127.0.0.1:0 -savemodel "$LEG/wire.gob" > "$LEG/cloud.out" &
@@ -146,10 +149,16 @@ for COMPRESS in "dense:" "compressed:-quant-bits 8"; do
 		| sed 's|HierMinimax/wire|HierMinimax/simnet|' > "$LEG/cloud.cmp"
 	diff "$LEG/ref.cmp" "$LEG/cloud.cmp"
 	# One connection per neighbour for the whole fault-free run: each
-	# edge dials its client host and the cloud once, and never again.
+	# edge dials its client host and the cloud once, and never again. A
+	# population's edge sends its idle client host nothing, so it dials
+	# only the cloud.
+	DIALS=2
+	if [ "${SMOKELEG%%:*}" = population ]; then
+		DIALS=1
+	fi
 	for e in 0 1; do
-		if ! grep -qx 'wire_dials_total 2' "$LEG/edge$e.prom"; then
-			echo "ci: edge $e of the ${COMPRESS%%:*} smoke dialed other than twice:" >&2
+		if ! grep -qx "wire_dials_total $DIALS" "$LEG/edge$e.prom"; then
+			echo "ci: edge $e of the ${SMOKELEG%%:*} smoke dialed other than $DIALS times:" >&2
 			grep '^wire_dials_total' "$LEG/edge$e.prom" >&2
 			exit 1
 		fi

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
 // smokeSpec is a seconds-fast configuration used across the API tests.
@@ -263,14 +261,6 @@ func TestQuantizedSpec(t *testing.T) {
 	spec := smokeSpec(AlgHierMinimax)
 	spec.QuantBits = 8
 	rep, err := Run(spec)
-	if tensor.StorageF32() {
-		// The float32 storage tier refuses compression (fl.Config.Validate);
-		// on that class the refusal is the behaviour to pin.
-		if err == nil || !strings.Contains(err.Error(), "compression is not supported") {
-			t.Fatalf("compression on the float32 storage tier: got error %v, want a refusal", err)
-		}
-		return
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,12 +298,6 @@ func TestBaselinesRefuseUnimplementedRegimes(t *testing.T) {
 			case alg != AlgHierMinimax:
 				if err == nil || !strings.Contains(err.Error(), k.refusal) {
 					t.Errorf("%s with %s: got error %v, want %q", alg, k.name, err, k.refusal)
-				}
-			case tensor.StorageF32() && k.name != "DropoutProb=0.5":
-				// The float32 storage tier refuses compression for every
-				// algorithm.
-				if err == nil {
-					t.Errorf("HierMinimax with %s ran on the float32 storage tier", k.name)
 				}
 			case err != nil:
 				t.Errorf("HierMinimax with %s: %v", k.name, err)
@@ -354,6 +338,11 @@ func TestHalfValidSpecRefusedByName(t *testing.T) {
 		{"TestPerClass", func(s *Spec) { s.TestPerClass = -1 }},
 		{"Hidden1", func(s *Spec) { s.Model, s.Hidden1 = ModelMLP, -1 }},
 		{"Hidden2", func(s *Spec) { s.Model, s.Hidden2 = ModelMLP, -1 }},
+		{"Population", func(s *Spec) { s.Population = -1 }},
+		{"Population", func(s *Spec) { s.Population, s.SamplePerRound = -1000, 4 }},
+		{"SamplePerRound", func(s *Spec) { s.SamplePerRound = -4 }},
+		{"SamplePerRound", func(s *Spec) { s.Population, s.SamplePerRound = 1000, -4 }},
+		{"Population", func(s *Spec) { s.Population, s.SamplePerRound = -1, -4 }},
 	} {
 		spec := smokeSpec(AlgHierMinimax)
 		c.set(&spec)

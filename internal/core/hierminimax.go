@@ -416,8 +416,8 @@ func (a *modelUpdateArgs) node(v int, f *fl.Fold, leafLo int, start, w, chk []fl
 		}
 		// Children upload their models, plus the checkpoint in block chk[v]
 		// and the iterate sum when tracking averages. Trees deeper than
-		// three layers refuse both compression and tracking (Tree.validate),
-		// so the one rule prices the mid-tier uplinks too.
+		// three layers refuse compression (Tree.validate), so the one rule
+		// prices the mid-tier uplinks too.
 		ledger.RecordRound(link, n, cfg.UplinkBytes(len(w), at > 0))
 		if v == 1 {
 			if !f.Finish(w, chk) && t == 0 {

@@ -55,8 +55,6 @@ func (t Tree) validate(fed *data.Federation, cfg *fl.Config) error {
 		return fmt.Errorf("core: federation has %d areas of %d clients, tree %v does not fit it", fed.NumAreas(), fed.ClientsPerArea(), t.Branching)
 	case top > 1 && cfg.Compression.Enabled():
 		return errors.New("core: uplink compression needs a three-layer tree (mid-tier uplinks have no priced form)")
-	case top > 1 && cfg.TrackAverages:
-		return errors.New("core: TrackAverages needs a three-layer tree (mid-tier uplinks have no priced form)")
 	}
 	return nil
 }

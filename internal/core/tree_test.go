@@ -8,7 +8,6 @@ import (
 	"repro/internal/fl"
 	"repro/internal/fl/fltest"
 	"repro/internal/quant"
-	"repro/internal/tensor"
 	"repro/internal/topology"
 )
 
@@ -32,9 +31,6 @@ func TestThreeLayerTreeMatchesHierMinimax(t *testing.T) {
 			cfg := fltest.ToyConfig()
 			cfg.Rounds = 50
 			leg.mut(&cfg)
-			if cfg.Compression.Enabled() && tensor.StorageF32() {
-				t.Skip("the float32 storage tier refuses compression")
-			}
 			ref, err := HierMinimax(fltest.ToyProblem(1), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -157,8 +153,8 @@ func TestTreeValidation(t *testing.T) {
 	}
 
 	// Refusals, asserted by their text: a deeper tree has no priced form
-	// for compressed or iterate-sum mid-tier uplinks, and no explicit tree
-	// takes a roster cohort.
+	// for compressed mid-tier uplinks, and no explicit tree takes a roster
+	// cohort.
 	four := Tree{Branching: []int{1, 2, 4}, Taus: []int{2, 2, 2}}
 	refusals := []struct {
 		name string
@@ -168,7 +164,6 @@ func TestTreeValidation(t *testing.T) {
 	}{
 		{"quant8", func(c *fl.Config) { c.Compression = quant.Config{Bits: 8} }, four, "uplink compression needs a three-layer tree"},
 		{"topk", func(c *fl.Config) { c.Compression = quant.Config{TopK: 4} }, four, "uplink compression needs a three-layer tree"},
-		{"averages", func(c *fl.Config) { c.TrackAverages = true }, four, "TrackAverages needs a three-layer tree"},
 		{"population", func(c *fl.Config) { c.Population, c.SamplePerRound = 400, 6 },
 			Tree{Branching: []int{2, 4}, Taus: []int{2, 2}}, "Population does not compose with an explicit multi-layer tree"},
 	}
@@ -178,5 +173,34 @@ func TestTreeValidation(t *testing.T) {
 		if _, err := HierMinimaxTree(prob, c, r.tree); err == nil || !strings.Contains(err.Error(), r.want) {
 			t.Errorf("%s: got error %v, want %q", r.name, err, r.want)
 		}
+	}
+
+	// A deeper tree tracks averages: every level-1 fold sums its leaves'
+	// iterates into the slot's sum, and every uplink prices that sum. So
+	// W, p and every round and message count stay the untracked run's,
+	// only the bytes of each link grow, and wHat is finite.
+	plain, err := HierMinimaxTree(prob, cfg, four)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracked := cfg
+	tracked.TrackAverages = true
+	avg, err := HierMinimaxTree(prob, tracked, four)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(plain.W, avg.W) || !slices.Equal(plain.PWeights, avg.PWeights) {
+		t.Fatal("tracking averages moved W or p on a four-layer tree")
+	}
+	if plain.Ledger.Rounds != avg.Ledger.Rounds || plain.Ledger.Messages != avg.Ledger.Messages {
+		t.Fatalf("tracking averages moved the round or message counts:\nplain   %+v\ntracked %+v", plain.Ledger, avg.Ledger)
+	}
+	for _, link := range []topology.Link{topology.ClientEdge, topology.MidTier, topology.EdgeCloud} {
+		if avg.Ledger.Bytes[link] <= plain.Ledger.Bytes[link] {
+			t.Errorf("%v: tracked bytes %d not above untracked %d", link, avg.Ledger.Bytes[link], plain.Ledger.Bytes[link])
+		}
+	}
+	if len(avg.WHat) != len(avg.W) || !fltest.AllFinite(avg.WHat) {
+		t.Fatalf("wHat of the tracked four-layer run: %v", avg.WHat)
 	}
 }

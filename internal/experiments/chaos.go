@@ -79,8 +79,7 @@ func compressionRegimes(d int) []quant.Config {
 // wire_bytes is the ledger total over both links, uplinks and
 // downlinks; compression shrinks only the uplinks, so the dense
 // downlink broadcasts set the floor of bytes_ratio, the run's bytes
-// over the dense run of the same leg (found by key: a storage tier that
-// refuses compression leaves only the dense rows).
+// over the dense run of the same leg.
 func compression(pool *sched.Pool, scale Scale, seed uint64) (*Table, error) {
 	t := newTable("compression", "Compression (HierMinimax, simnet engine, convex workload)", seed,
 		[]string{"regime", "faulted"}, append(fairCols, "wire_bytes", "crashes", "messages_lost", "bytes_ratio")...)
@@ -101,14 +100,9 @@ func compression(pool *sched.Pool, scale Scale, seed uint64) (*Table, error) {
 	if err := t.fill(pool, jobs); err != nil {
 		return nil, err
 	}
-	dense := map[string]float64{} // wire_bytes (column 3) of each leg's dense row
-	for _, r := range t.Rows {
-		if r.Key[0] == regimes[0].Name() {
-			dense[r.Key[1]] = r.Vals[3]
-		}
-	}
-	for i, r := range t.Rows {
-		t.Rows[i].Vals = append(r.Vals, r.Vals[3]/dense[r.Key[1]])
+	for i, r := range t.Rows { // wire_bytes is column 3
+		dense := t.Rows[i/len(regimes)*len(regimes)]
+		t.Rows[i].Vals = append(r.Vals, r.Vals[3]/dense.Vals[3])
 	}
 	return t, nil
 }

@@ -17,9 +17,7 @@ import (
 )
 
 // pinnedDigests holds, per rounding regime, the numeric digest of every
-// experiment at Smoke scale and seed 42. On the float32 storage tier the
-// ablation and compression digests cover the rows it runs: it refuses
-// their compressed uplinks and lists those rows as refused.
+// experiment at Smoke scale and seed 42.
 var pinnedDigests = map[tensor.KernelClass]map[string]uint64{
 	tensor.KernelGeneric: {
 		"fig3":         0x0fc45ca6a0819c07,
@@ -50,9 +48,9 @@ var pinnedDigests = map[tensor.KernelClass]map[string]uint64{
 		"table1":       0xe8e5bef304e96bb1,
 		"rates":        0xf968675de7167fee,
 		"stationarity": 0xa535a10264b65ce1,
-		"ablations":    0x5a84a9432ec0015b,
+		"ablations":    0x956afedaf60b307a,
 		"chaos":        0x16978ea37d46d561,
-		"compression":  0xb0d16c9cc32e34e4,
+		"compression":  0x7f84723f7ec0893f,
 	},
 }
 

@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
 // The smoke-scale assertions check the qualitative shapes of §6 that are
@@ -237,20 +235,13 @@ func TestAblationsShape(t *testing.T) {
 	if len(byStudy["A2-participation"]) != 4 {
 		t.Fatalf("A2 rows: %d", len(byStudy["A2-participation"]))
 	}
-	// A3: quantized uplinks move fewer megabytes than exact. The float32
-	// storage tier refuses the two quantized variants and lists them.
+	// A3: quantized uplinks move fewer megabytes than exact.
 	a3 := byStudy["A3-quantization"]
-	if tensor.StorageF32() {
-		if len(a3) != 1 || len(tab.Refused) != 2 || tab.Refused[0].Key[1] != "8bit" || tab.Refused[1].Key[1] != "4bit" {
-			t.Fatalf("A3 on the float32 tier: %d rows, refused %v", len(a3), tab.Refused)
-		}
-	} else {
-		if len(a3) != 3 || len(tab.Refused) != 0 {
-			t.Fatalf("A3 rows: %d, refused %v", len(a3), tab.Refused)
-		}
-		if !(a3[0]["uplink_mb"] > a3[1]["uplink_mb"] && a3[1]["uplink_mb"] > a3[2]["uplink_mb"]) {
-			t.Fatalf("uplink MB not decreasing with bits: %v %v %v", a3[0]["uplink_mb"], a3[1]["uplink_mb"], a3[2]["uplink_mb"])
-		}
+	if len(a3) != 3 {
+		t.Fatalf("A3 rows: %d", len(a3))
+	}
+	if !(a3[0]["uplink_mb"] > a3[1]["uplink_mb"] && a3[1]["uplink_mb"] > a3[2]["uplink_mb"]) {
+		t.Fatalf("uplink MB not decreasing with bits: %v %v %v", a3[0]["uplink_mb"], a3[1]["uplink_mb"], a3[2]["uplink_mb"])
 	}
 	// Quantization must not destroy learning.
 	for i, r := range a3 {
@@ -319,15 +310,7 @@ func TestChaosSweepShape(t *testing.T) {
 
 func TestCompressionSweepShape(t *testing.T) {
 	tab := runExp(t, "compression", 42)[0]
-	regimes, refused := len(compressionRegimes(1)), 0
-	if tensor.StorageF32() {
-		// The float32 storage tier refuses every compressed regime, so
-		// each leg keeps its dense reference row alone.
-		regimes, refused = 1, 2*(regimes-1)
-	}
-	if len(tab.Refused) != refused {
-		t.Fatalf("expected %d refused rows, got %v", refused, tab.Refused)
-	}
+	regimes := len(compressionRegimes(1))
 	if len(tab.Rows) != regimes*2 {
 		t.Fatalf("expected %d rows, got %d", regimes*2, len(tab.Rows))
 	}
@@ -361,7 +344,7 @@ func TestCompressionSweepShape(t *testing.T) {
 			}
 		}
 		// The uniform widths order as 16 > 8 > 4 bits.
-		if regimes > 1 && !(bytes[d+1] > bytes[d+2] && bytes[d+2] > bytes[d+3]) {
+		if !(bytes[d+1] > bytes[d+2] && bytes[d+2] > bytes[d+3]) {
 			t.Fatalf("uniform widths not ordered: %v, %v, %v bytes", bytes[d+1], bytes[d+2], bytes[d+3])
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -197,39 +195,5 @@ func TestFigExportWritesSVGs(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig-svg-summary-smoke-average.svg")); err == nil {
 		t.Fatal("the summary table drew a panel")
-	}
-}
-
-// TestFillListsRefusedRows: a job refused as unsupported leaves its row
-// out and is listed by key with its reason, under the markdown and in
-// the JSON; any other job error fails the table.
-func TestFillListsRefusedRows(t *testing.T) {
-	run := func(err error) func() ([]float64, error) {
-		return func() ([]float64, error) { return []float64{1}, err }
-	}
-	tab := newTable("r", "R", 42, []string{"variant"}, "average")
-	refusal := fmt.Errorf("fl: no such regime here: %w", errors.ErrUnsupported)
-	jobs := []job{{[]string{"a"}, run(nil)}, {[]string{"b"}, run(refusal)}, {[]string{"c"}, run(nil)}}
-	if err := tab.fill(nil, jobs); err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 || tab.Rows[1].Key[0] != "c" {
-		t.Fatalf("rows %v", tab.Rows)
-	}
-	if want := []Refusal{{Key: []string{"b", "42"}, Reason: refusal.Error()}}; !reflect.DeepEqual(tab.Refused, want) {
-		t.Fatalf("refused %v, want %v", tab.Refused, want)
-	}
-	if !strings.HasSuffix(tab.Render(), "| c | 42 | 1 |\n\nRefused:\n\n- b / 42: "+refusal.Error()+"\n") {
-		t.Fatalf("render:\n%s", tab.Render())
-	}
-	dir := t.TempDir()
-	if err := Export([]*Table{tab}, &bytes.Buffer{}, dir, Smoke); err != nil {
-		t.Fatal(err)
-	}
-	if raw, err := os.ReadFile(filepath.Join(dir, "r-smoke.json")); err != nil || !bytes.Contains(raw, []byte(`"refused"`)) {
-		t.Fatalf("json lacks the refused rows (%v):\n%s", err, raw)
-	}
-	if err := newTable("r", "R", 42, nil).fill(nil, []job{{nil, run(errors.New("boom"))}}); err == nil {
-		t.Fatal("a failing job did not fail the table")
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -27,10 +26,6 @@ type Table struct {
 	Keys  []string `json:"keys"`
 	Cols  []string `json:"columns"`
 	Rows  []Row    `json:"rows"`
-	// Refused lists the rows the active kernel class does not run (a
-	// run whose configuration it refuses as unsupported), with the
-	// reason; they publish no values.
-	Refused []Refusal `json:"refused,omitempty"`
 	// Plot names accuracy columns drawn as one SVG panel each
 	// (<name>-<scale>-<col>.svg) against the first column, one line per
 	// distinct first key.
@@ -42,12 +37,6 @@ type Table struct {
 type Row struct {
 	Key  []string  `json:"key"`
 	Vals []float64 `json:"values"`
-}
-
-// Refusal is a row left out of a table: its key and why it did not run.
-type Refusal struct {
-	Key    []string `json:"key"`
-	Reason string   `json:"reason"`
 }
 
 // newTable starts an empty table; the seed key column follows keys.
@@ -62,11 +51,8 @@ func newTable(name, title string, seed uint64, keys []string, cols ...string) *T
 
 // add appends a row; the seed completes its key.
 func (t *Table) add(key []string, vals ...float64) {
-	t.Rows = append(t.Rows, Row{Key: t.seeded(key), Vals: vals})
+	t.Rows = append(t.Rows, Row{Key: append(key[:len(key):len(key)], t.seed), Vals: vals})
 }
-
-// seeded returns key completed by the seed column.
-func (t *Table) seeded(key []string) []string { return append(key[:len(key):len(key)], t.seed) }
 
 // job is one training run of an experiment: the key of its row and the
 // run that measures the row's values.
@@ -76,26 +62,13 @@ type job struct {
 }
 
 // fill runs the jobs through the scheduler and adds their rows in job
-// order, so the table is identical for any worker count. A job whose
-// run is refused as unsupported (errors.ErrUnsupported: compression on
-// the float32 storage tier) leaves its row out and lists it in Refused.
+// order, so the table is identical for any worker count.
 func (t *Table) fill(pool *sched.Pool, jobs []job) error {
-	refused := make([]error, len(jobs))
-	vals, err := sched.Map(pool, t.Name, len(jobs), func(i int) ([]float64, error) {
-		v, err := jobs[i].run()
-		if errors.Is(err, errors.ErrUnsupported) {
-			refused[i], err = err, nil
-		}
-		return v, err
-	})
+	vals, err := sched.Map(pool, t.Name, len(jobs), func(i int) ([]float64, error) { return jobs[i].run() })
 	if err != nil {
 		return err
 	}
 	for i, v := range vals {
-		if refused[i] != nil {
-			t.Refused = append(t.Refused, Refusal{Key: t.seeded(jobs[i].key), Reason: refused[i].Error()})
-			continue
-		}
 		t.add(jobs[i].key, v...)
 	}
 	return nil
@@ -132,12 +105,6 @@ func (t *Table) Render() string {
 	b.WriteString("|" + strings.Repeat(" --- |", len(t.Keys)+len(t.Cols)) + "\n")
 	for _, r := range t.Rows {
 		line(r.cells())
-	}
-	if len(t.Refused) > 0 {
-		b.WriteString("\nRefused:\n\n")
-		for _, r := range t.Refused {
-			fmt.Fprintf(&b, "- %s: %s\n", strings.Join(r.Key, " / "), r.Reason)
-		}
 	}
 	return b.String()
 }

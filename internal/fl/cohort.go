@@ -100,9 +100,10 @@ func (c *Cohort) shard(i int, s *population.ShardScratch) data.Subset {
 //
 // Lane rows and means have the storage width Begin picks: float32 on
 // the avx2f32 tier, where Block narrows start once and Add each reply,
-// and nothing is widened until Finish. Both widths run one lane path
-// (localSGD) and one fold, so every engine and cohort source shares
-// this one slot on every class.
+// and nothing is widened until Finish but a compressed upload, which
+// decodes in float64 and rounds back (compress). Both widths run one
+// lane path (localSGD) and one fold, so every engine and cohort source
+// shares this one slot on every class.
 //
 // Lanes run through sched.For at GOMAXPROCS width. The zero value is
 // ready to use; once warm a Block allocates nothing but that fan-out's
@@ -327,20 +328,36 @@ func (l *lanes[T]) run(f *Fold, lane int) {
 	// Uplink compression: members upload compressed models and the
 	// aggregator reconstructs the decoded values. Checkpoint uploads
 	// compress without error feedback (they are one-shot, not part of
-	// the iterated model stream). Validate refuses compression on the
-	// float32 tier, so the rows are float64 here.
+	// the iterated model stream).
 	if f.comp.Enabled() {
 		var resid []float64
 		if f.comp.ErrorFeedback {
 			resid = f.resid[i]
 		}
 		q := r.ChildVal('q')
-		f.comp.Apply(any(wf).([]float64), resid, &q)
+		compress(f.comp, wf, resid, &q, s)
 		if chked {
 			q2 := r.ChildVal('q').ChildVal(2)
-			f.comp.Apply(any(chk).([]float64), nil, &q2)
+			compress(f.comp, chk, nil, &q2, s)
 		}
 	}
+}
+
+// compress replaces row v with its decoded uplink under comp, computed
+// in float64 with the float64 error-feedback residual resid. A float32
+// row is widened exactly into s and the decoded values round back to
+// storage width: the rounding simnet's edge applies when Add narrows a
+// decoded reply, so the engines agree on the float32 tier too.
+func compress[T tensor.Float](comp quant.Config, v []T, resid []float64, r *rng.Stream, s *Scratch) {
+	if v64, ok := any(v).([]float64); ok {
+		comp.Apply(v64, resid, r)
+		return
+	}
+	v32 := any(v).([]float32)
+	s.wide = GrowVec(s.wide, len(v32))
+	tensor.ToF64(s.wide, v32)
+	comp.Apply(s.wide, resid, r)
+	tensor.ToF32(v32, s.wide)
 }
 
 // Finish writes the mean of the models folded since the last Finish

@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/population"
@@ -137,9 +136,9 @@ func (c Config) Validate(p *Problem) error {
 	if err := c.Compression.Validate(); err != nil {
 		return err
 	}
-	if c.Population > 0 || c.SamplePerRound > 0 {
+	if c.Population != 0 || c.SamplePerRound != 0 {
 		if c.Population <= 0 || c.SamplePerRound <= 0 {
-			return fmt.Errorf("fl: Population and SamplePerRound must be set together, got %d/%d", c.Population, c.SamplePerRound)
+			return fmt.Errorf("fl: Population and SamplePerRound must be set together, both positive, got %d/%d", c.Population, c.SamplePerRound)
 		}
 		if c.SamplePerRound > c.Population {
 			return fmt.Errorf("fl: SamplePerRound %d exceeds Population %d", c.SamplePerRound, c.Population)
@@ -154,14 +153,6 @@ func (c Config) Validate(p *Problem) error {
 	if c.Compression.Enabled() {
 		if d := p.Model.Dim(); c.Compression.TopK > d {
 			return fmt.Errorf("fl: Compression.TopK %d exceeds model dimension %d", c.Compression.TopK, d)
-		}
-		if tensor.StorageF32() {
-			// The float32 storage tier narrows dense wire payloads to
-			// f32; dequantized grid values are generally not
-			// f32-representable, so the regimes cannot compose without
-			// corrupting the trajectory contract. Sweeps skip a run
-			// refused as unsupported and list it by name.
-			return fmt.Errorf("fl: compression is not supported on the %s storage tier: %w", tensor.ActiveKernel(), errors.ErrUnsupported)
 		}
 	}
 	return nil

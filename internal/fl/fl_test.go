@@ -141,6 +141,10 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		{Rounds: 1, EtaW: 0.1, EtaP: -0.1},
 		{Rounds: 1, EtaW: 0.1, SampledEdges: 5},
 		{Rounds: 1, EtaW: 0.1, DropoutProb: 1.0},
+		// A negative population knob, with the other at zero or not.
+		{Rounds: 1, EtaW: 0.1, Population: -1},
+		{Rounds: 1, EtaW: 0.1, SamplePerRound: -4},
+		{Rounds: 1, EtaW: 0.1, Population: -1, SamplePerRound: -4},
 	}
 	for i, b := range bad {
 		if err := b.WithDefaults().Validate(prob); err == nil {

@@ -26,8 +26,10 @@ type Scratch struct {
 	s64 batchScratch[float64]
 	s32 batchScratch[float32]
 	// The float32 mirrors of a float64 caller's iterate, iterate sum and
-	// checkpoint.
+	// checkpoint, and the float64 row a Fold lane compresses a float32
+	// result in.
 	w32, iterSum32, chk32 []float32
+	wide                  []float64
 	// Cohort-side state of the Scratch's owner: the row-alias tables of
 	// the population shard it last materialized (Cohort.shard) and, for
 	// CohortLossEstimate, the cohort being evaluated.

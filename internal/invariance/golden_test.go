@@ -145,7 +145,7 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 			StragglerProb: 0.2, StragglerMs: 40, MaxRetries: 1}
 	}
 
-	m := map[string]func() (*fl.Result, error){
+	return map[string]func() (*fl.Result, error){
 		// One processor against the default fan-out width: one digest.
 		"hierminimax-seq": func() (res *fl.Result, err error) {
 			fltest.WithProcs(1, func() { res, err = core.HierMinimax(fltest.ToyProblem(3), fltest.ToyConfig()) })
@@ -178,6 +178,12 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 		// to the same golden as the in-process engine.
 		"hierminimax-wire": func() (*fl.Result, error) {
 			res, _, err := simnet.RunWireLoopback(func() *fl.Problem { return fltest.ToyProblem(3) }, fltest.ToyConfig())
+			return res, err
+		},
+		// The distributed roles on a sparse population: each edge runtime
+		// trains its roster cohorts, so the hash is hierminimax-pop's.
+		"hierminimax-wire-pop": func() (*fl.Result, error) {
+			res, _, err := simnet.RunWireLoopback(func() *fl.Problem { return fltest.ToyProblem(3) }, pop(fltest.ToyConfig()))
 			return res, err
 		},
 		"fedavg": func() (*fl.Result, error) {
@@ -252,6 +258,11 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 		"hierminimax-4layer": func() (*fl.Result, error) {
 			return core.HierMinimaxTree(fltest.ToyProblemClients(3, 4), fltest.ToyConfig(), fourLayer)
 		},
+		// Tracked averages on a mid-tier level: W, p and the round counts
+		// are hierminimax-4layer's; wHat and the uplink bytes are its own.
+		"hierminimax-4layer-avg": func() (*fl.Result, error) {
+			return core.HierMinimaxTree(fltest.ToyProblemClients(3, 4), avgCfg, fourLayer)
+		},
 		"hierminimax-4layer-dropout": func() (*fl.Result, error) {
 			cfg := fltest.ToyConfig()
 			cfg.DropoutProb = 0.3
@@ -263,64 +274,60 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 			return core.HierMinimaxTree(fltest.ToyProblemClients(3, 8), cfg,
 				core.Tree{Branching: []int{2, 2, 2, 4}, Taus: []int{1, 2, 2, 2}})
 		},
-	}
-	// Compression regimes are pinned per kernel class like everything
-	// else — but only where they exist: the float32 storage tier refuses
-	// compression (fl.Config.Validate), so its golden file carries no
-	// compressed entries. The simnet and wire cases must land on the
-	// same hash as their core twins; recording all three pins the
-	// cross-engine equality into the fixtures themselves.
-	if !tensor.StorageF32() {
-		m["hierminimax-quant8"] = func() (*fl.Result, error) {
+		// Compression regimes are pinned per kernel class like everything
+		// else (the float32 storage tier decodes in float64 and rounds back
+		// to storage width). The simnet and wire cases must land on the same
+		// hash as their core twins; recording all three pins the
+		// cross-engine equality into the fixtures themselves.
+		"hierminimax-quant8": func() (*fl.Result, error) {
 			return core.HierMinimax(fltest.ToyProblem(3), quant8)
-		}
-		m["hierminimax-topk-ef"] = func() (*fl.Result, error) {
+		},
+		"hierminimax-topk-ef": func() (*fl.Result, error) {
 			return core.HierMinimax(fltest.ToyProblem(3), topkEF)
-		}
+		},
 		// The toy model's d = 44 is a multiple of four; at d = 7850 the
 		// packed vectors also end in elements past the last full quad.
-		m["hierminimax-quant8-wide"] = func() (*fl.Result, error) {
+		"hierminimax-quant8-wide": func() (*fl.Result, error) {
 			return core.HierMinimax(fltest.WideProblem(3), quant8Wide)
-		}
-		m["hierminimax-pop-quant8"] = func() (*fl.Result, error) {
+		},
+		"hierminimax-pop-quant8": func() (*fl.Result, error) {
 			return core.HierMinimax(fltest.ToyProblem(3), pop(quant8))
-		}
+		},
 		// Population x top-k error feedback: the residual rows are Fold's,
 		// one per cohort position, in core and in the simnet edge alike.
-		m["hierminimax-pop-topk-ef"] = func() (*fl.Result, error) {
+		"hierminimax-pop-topk-ef": func() (*fl.Result, error) {
 			return core.HierMinimax(fltest.ToyProblem(3), pop(topkEF))
-		}
-		m["hierminimax-simnet-pop-topk-ef"] = func() (*fl.Result, error) {
+		},
+		"hierminimax-simnet-pop-topk-ef": func() (*fl.Result, error) {
 			res, _, err := simnet.HierMinimax(fltest.ToyProblem(3), pop(topkEF))
 			return res, err
-		}
-		m["hierminimax-simnet-quant8"] = func() (*fl.Result, error) {
+		},
+		"hierminimax-simnet-quant8": func() (*fl.Result, error) {
 			res, _, err := simnet.HierMinimax(fltest.ToyProblem(3), quant8)
 			return res, err
-		}
+		},
 		// The cloud decodes Packed edge uplinks while other slots fail.
-		m["hierminimax-simnet-quant8-chaos"] = func() (*fl.Result, error) {
+		"hierminimax-simnet-quant8-chaos": func() (*fl.Result, error) {
 			res, st, err := simnet.HierMinimax(fltest.ToyProblem(3), quant8, simnet.WithChaos(heavy()))
 			stats["stats/hierminimax-simnet-quant8-chaos"] = hashStats(st)
 			return res, err
-		}
+		},
 		// Resident clients hold their own error-feedback residuals; a
 		// lost block-0 request carries the previous slot's residual
 		// forward. The schedule must really fire for that to be pinned.
-		m["hierminimax-simnet-topk-ef-chaos"] = func() (*fl.Result, error) {
+		"hierminimax-simnet-topk-ef-chaos": func() (*fl.Result, error) {
 			res, st, err := simnet.HierMinimax(fltest.ToyProblem(3), topkEF, simnet.WithChaos(heavy()))
 			if err == nil && (st.Crashes == 0 || st.Retries == 0) {
 				err = fmt.Errorf("heavy schedule did not fire: %d crashes, %d retries", st.Crashes, st.Retries)
 			}
 			stats["stats/hierminimax-simnet-topk-ef-chaos"] = hashStats(st)
 			return res, err
-		}
-		m["hierminimax-wire-topk-ef"] = func() (*fl.Result, error) {
+		},
+		"hierminimax-wire-topk-ef": func() (*fl.Result, error) {
 			res, _, err := simnet.RunWireLoopback(func() *fl.Problem { return fltest.ToyProblem(3) }, topkEF)
 			return res, err
-		}
+		},
 	}
-	return m
 }
 
 // goldenFile maps a kernel class to the fixture pinning its rounding

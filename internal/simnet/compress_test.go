@@ -8,7 +8,6 @@ import (
 	"repro/internal/fl/fltest"
 	"repro/internal/obs"
 	"repro/internal/quant"
-	"repro/internal/tensor"
 	"repro/internal/topology"
 )
 
@@ -29,23 +28,11 @@ func compressionRegimes() []struct {
 	}
 }
 
-// skipIfF32 skips a compression test under the float32 storage tier:
-// fl.Config.Validate refuses the combination (quantizing 24-bit
-// significands would compound two lossy regimes), so there is no
-// trajectory to compare.
-func skipIfF32(t *testing.T) {
-	t.Helper()
-	if tensor.StorageF32() {
-		t.Skip("compression is refused under float32 storage")
-	}
-}
-
 // The tentpole parity claim, leg one: under every compression regime
 // the actor engine reproduces the in-process engine bit for bit —
 // model, weights, every snapshot, and the full communication ledger
 // with its compressed byte accounting.
 func TestSimnetCompressedMatchesCore(t *testing.T) {
-	skipIfF32(t)
 	cfg := fltest.ToyConfig()
 	cfg.Rounds = 40
 	cfg.EvalEvery = 10
@@ -116,7 +103,6 @@ func TestSimnetCompressedMatchesCore(t *testing.T) {
 // run under compression — Packed payloads really cross the codec and
 // land on the same trajectory, ledger and stats.
 func TestWireCompressedMatchesSimnet(t *testing.T) {
-	skipIfF32(t)
 	for _, tc := range compressionRegimes() {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := fltest.ToyConfig()
@@ -140,7 +126,6 @@ func TestWireCompressedMatchesSimnet(t *testing.T) {
 // forward — deterministically, because the fault schedule is), and the
 // wire run still matches the in-process run bit for bit.
 func TestWireCompressedMatchesSimnetUnderChaos(t *testing.T) {
-	skipIfF32(t)
 	cfg := fltest.ToyConfig()
 	cfg.Rounds = 12
 	cfg.EvalEvery = 4
@@ -172,7 +157,6 @@ func TestWireCompressedMatchesSimnetUnderChaos(t *testing.T) {
 // size in all three, and nacked or dropped Packed payloads go back to
 // their pool.
 func TestCompressedFaultAccountingReconciles(t *testing.T) {
-	skipIfF32(t)
 	for _, tc := range compressionRegimes() {
 		t.Run(tc.name, func(t *testing.T) {
 			hub := obs.New()
@@ -230,7 +214,6 @@ func TestCompressedFaultAccountingReconciles(t *testing.T) {
 // A compression regime must be bitwise-reproducible from the seed: two
 // independent runs of the same Spec land on identical bits.
 func TestCompressedRunIsDeterministic(t *testing.T) {
-	skipIfF32(t)
 	cfg := fltest.ToyConfig()
 	cfg.Rounds = 30
 	cfg.Compression = quant.Config{TopK: 8, ErrorFeedback: true}

@@ -40,13 +40,12 @@ import (
 // only after a write error or an injected reset.
 //
 // Known limitation: there are no real-time protocol timeouts yet. A peer
-// whose fingerprint differs or that sends a malformed frame fails the
-// process it dialed at once, naming the error. The fingerprint covers
-// the engine config, topology, chaos schedule and kernel class but not
-// the dataset or model (ROADMAP item 18). An uninjected peer death
-// (killed process, unplugged cable) stalls the fan-in that awaits it,
-// and a frame that exhausts its redials is dropped with a log line, so
-// the run then waits for a reply that never comes (items 7c and 12);
+// whose fingerprint differs (it does not cover the dataset or model:
+// see Fingerprint) or that sends a malformed frame fails the process it
+// dialed at once, naming the error. An uninjected peer death (killed
+// process, unplugged cable) stalls the fan-in that awaits it, and a
+// frame that exhausts its redials is dropped with a log line, so the run
+// then waits for a reply that never comes (ROADMAP items 7c and 12);
 // only scheduled faults are survivable.
 
 // DistConfig configures one process of a distributed run.
@@ -76,17 +75,14 @@ const handshakeTimeout = 30 * time.Second
 const straggleScale = 0.01
 
 // Fingerprint folds a run's engine knobs into one value; the wire
-// handshake rejects peers whose fingerprint differs. It hashes exactly:
-// the active tensor kernel class (an AVX2+FMA cloud and a generic edge
-// would each be self-consistent yet produce different bits); the
-// fl.Config fields Rounds, Tau1, Tau2, EtaW, EtaP, BatchSize, LossBatch,
-// SampledEdges, Seed, EvalEvery, DropoutProb, TrackAverages,
-// CheckpointOff and Compression (a compression setting is a rounding
-// regime); the topology's NumEdges and ClientsPerEdge; and the chaos
-// schedule. It hashes no dataset or model field, so two processes built
-// on different data or models of the same dimension are not refused
-// (ROADMAP item 18). It hashes explicit fields, never reflection over
-// Config, so the hash stays stable as Config grows.
+// handshake rejects peers whose fingerprint differs. It hashes the active
+// tensor kernel class (an AVX2+FMA cloud and a generic edge would each be
+// self-consistent yet produce different bits), every fl.Config field —
+// a compression setting and a roster included —, the topology's shape
+// and the chaos schedule: explicit fields, never reflection over Config,
+// so the hash stays stable as Config grows. It hashes no dataset or model
+// field, so two processes built on different data or models of the same
+// dimension are not refused (ROADMAP item 18).
 func Fingerprint(cfg fl.Config, top topology.Topology, sched *chaos.Schedule) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(tensor.ActiveKernel().String()))
@@ -121,6 +117,8 @@ func Fingerprint(cfg fl.Config, top topology.Topology, sched *chaos.Schedule) ui
 	u(uint64(cfg.Compression.Bits))
 	u(uint64(cfg.Compression.TopK))
 	b(cfg.Compression.ErrorFeedback)
+	u(uint64(cfg.Population))
+	u(uint64(cfg.SamplePerRound))
 	u(uint64(top.NumEdges))
 	u(uint64(top.ClientsPerEdge))
 	if sched != nil {

@@ -279,16 +279,17 @@ func ServeCloud(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) 
 }
 
 // ServeEdge runs one edge-server role: it hosts the edge actor (request
-// mailbox plus reply port), learns its client host's address from the
-// downstream hello, and reports the subtree's protocol counters to the
-// cloud at shutdown. Blocks until the run completes.
+// mailbox plus reply port; it trains a sparse population's cohorts
+// itself), learns its client host's address from the downstream hello,
+// and reports the subtree's protocol counters to the cloud at shutdown.
+// Blocks until the run completes.
 func ServeEdge(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) error {
 	p, err := open(prob, cfg, dc, opts, wire.RoleEdge)
 	if err != nil {
 		return err
 	}
 	defer p.close()
-	a := p.newEdgeActor(p.net, dc.Edge, nil)
+	a := p.newEdgeActor(dc.Edge)
 	if err := p.await("hello", func(c child) bool { return c.addr != "" && c.ready }); err != nil {
 		return err
 	}
@@ -303,7 +304,8 @@ func ServeEdge(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Option) e
 }
 
 // ServeClientHost runs the client-host role for one edge area: every
-// client actor of that area lives here, served over TCP from its edge.
+// resident client actor of that area lives here, served over TCP from its
+// edge (a sparse population has none, so the host only reports in).
 // Scheduled stragglers really sleep (scaled by straggleScale) before
 // working, so chaos runs hold sockets open the way slow clients would.
 // Blocks until the run completes.
@@ -316,8 +318,8 @@ func ServeClientHost(prob *fl.Problem, cfg fl.Config, dc DistConfig, opts ...Opt
 	edge := dc.Edge
 	up := p.dial(dc.Connect, wire.Hello{Role: wire.RoleClientHost, Edge: edge, Addr: p.addr})
 	p.route(up, NodeID{Kind: Edge, Index: edge}, NodeID{Kind: ReplyPort, Index: edge})
-	for c := 0; c < p.top.ClientsPerEdge; c++ {
-		ca := p.newClientActor(p.net, p.top, edge, c)
+	for c := range p.residents() {
+		ca := p.newClientActor(edge, c)
 		if p.chaos != nil && p.chaos.StragglerProb > 0 {
 			sched, idx := p.chaos, ca.id.Index
 			ca.straggle = func(round int) {

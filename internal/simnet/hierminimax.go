@@ -164,11 +164,10 @@ func (e *engine) start() {
 	// Cloud mailbox: phase fan-outs await at most SampledEdges replies
 	// (real or nack).
 	e.inbox = e.net.Register(NodeID{Kind: Cloud, Index: 0}, 2*e.cfg.SampledEdges+4)
-	models := fl.NewModelPool(e.prob.Model) // shared by the edges' folds
 	for edge := 0; edge < e.top.NumEdges; edge++ {
-		a := e.newEdgeActor(e.net, edge, models)
+		a := e.newEdgeActor(edge)
 		for c := range a.clients {
-			ca := e.newClientActor(e.net, e.top, edge, c)
+			ca := e.newClientActor(edge, c)
 			e.wg.Add(1)
 			go ca.run(&e.wg)
 		}
@@ -178,41 +177,50 @@ func (e *engine) start() {
 	e.net.Seal()
 }
 
-// newEdgeActor builds the actor of edge on nw and registers its request
-// mailbox, which must hold a whole phase's requests to one edge in the
-// duplicate-slot worst case, and its reply port. The edge addresses its
-// area's resident clients; under a sparse population it has none, and
-// its fold trains each round's roster cohort on models instead.
-func (e *engine) newEdgeActor(nw *Network, edge int, models *fl.ModelPool) *edgeActor {
+// newEdgeActor builds the actor of edge on the engine's network and
+// registers its request mailbox, which must hold a whole phase's
+// requests to one edge in the duplicate-slot worst case, and its reply
+// port. The edge addresses its area's resident clients; under a sparse
+// population it has none, and its fold trains each round's roster cohort
+// on a model pool of its own instead, in whichever process hosts it.
+func (e *engine) newEdgeActor(edge int) *edgeActor {
 	a := &edgeActor{
 		id: NodeID{Kind: Edge, Index: edge}, port: NodeID{Kind: ReplyPort, Index: edge},
-		net: nw, cfg: &e.cfg, prob: e.prob, retries: e.retries,
+		net: e.net, cfg: &e.cfg, prob: e.prob, retries: e.retries,
 	}
-	a.inbox = nw.Register(a.id, max(e.cfg.SampledEdges+2, 4))
-	a.replies = nw.Register(a.port, e.top.ClientsPerEdge+1)
+	a.inbox = e.net.Register(a.id, max(e.cfg.SampledEdges+2, 4))
+	a.replies = e.net.Register(a.port, e.top.ClientsPerEdge+1)
 	// Resident clients compress and keep their own EF residuals, so their
 	// fold is begun once, here, with no cohort and the zero quant.Config:
 	// no rows, accumulators sized at set-up. Roster edges begin per slot.
-	a.fold.Begin(&e.cfg, e.prob, models, quant.Config{})
+	a.fold.Begin(&e.cfg, e.prob, nil, quant.Config{})
 	if e.cfg.PopulationEnabled() {
 		a.fold.Cohort.Skip = a.crashed
-		a.models, a.chaos = models, e.chaos
-		return a
+		a.models, a.chaos = fl.NewModelPool(e.prob.Model), e.chaos
 	}
-	for c := 0; c < e.top.ClientsPerEdge; c++ {
+	for c := range e.residents() {
 		a.clients = append(a.clients, NodeID{Kind: Client, Index: e.top.ClientID(edge, c)})
 	}
 	return a
 }
 
-// newClientActor builds the actor of client c of edge's area on nw and
-// registers its mailbox.
-func (e *engine) newClientActor(nw *Network, top topology.Topology, edge, c int) *clientActor {
-	id := NodeID{Kind: Client, Index: top.ClientID(edge, c)}
+// residents returns the number of resident clients per edge area: none
+// under a sparse population, whose clients are roster records.
+func (e *engine) residents() int {
+	if e.cfg.PopulationEnabled() {
+		return 0
+	}
+	return e.top.ClientsPerEdge
+}
+
+// newClientActor builds the actor of client c of edge's area on the
+// engine's network and registers its mailbox.
+func (e *engine) newClientActor(edge, c int) *clientActor {
+	id := NodeID{Kind: Client, Index: e.top.ClientID(edge, c)}
 	return &clientActor{
 		id:      id,
-		net:     nw,
-		inbox:   nw.Register(id, 2),
+		net:     e.net,
+		inbox:   e.net.Register(id, 2),
 		shard:   e.prob.Fed.Areas[edge].Clients[c],
 		model:   e.prob.Model.Clone(),
 		track:   e.cfg.TrackAverages,

@@ -67,11 +67,10 @@ func TestSimnetPopulationMatchesCore(t *testing.T) {
 }
 
 // TestSimnetPopulationCompressedMatchesCore pins the composition of the
-// roster regime with stateless uplink quantization (error feedback is
-// refused by fl.Config.Validate): per-client 'q' and slot-level 'Q'
-// stream keys must line up between the virtual cohorts and core.
+// roster regime with stateless uplink quantization: per-client 'q' and
+// slot-level 'Q' stream keys must line up between the virtual cohorts
+// and core.
 func TestSimnetPopulationCompressedMatchesCore(t *testing.T) {
-	skipIfF32(t)
 	cfg := fltest.ToyConfig()
 	cfg.Rounds = 25
 	cfg.Population = 400
@@ -132,5 +131,44 @@ func TestSimnetPopulationChaosComposes(t *testing.T) {
 	}
 	if ms != ms2 {
 		t.Fatalf("simulated clock not deterministic: %v vs %v", ms, ms2)
+	}
+}
+
+// TestWirePopulationMatchesSimnet: the distributed roles run a sparse
+// population the way the simnet engine does — each edge process trains
+// its roster cohorts through its own fold while the client hosts idle —
+// so W, p, every snapshot, the ledger and the RunStats counters (arena
+// internals aside) match over a thousand-client roster, with a fault
+// schedule of crashes, loss with retries and stragglers and without.
+func TestWirePopulationMatchesSimnet(t *testing.T) {
+	cfg := fltest.ToyConfig()
+	cfg.Rounds = 12
+	cfg.EvalEvery = 4
+	cfg.TrackAverages = true
+	cfg.Population = 1000
+	cfg.SamplePerRound = 6
+	for _, leg := range []struct {
+		name  string
+		sched *chaos.Schedule
+	}{
+		{"fault-free", nil},
+		{"chaos", &chaos.Schedule{Seed: 99, CrashProb: 0.2, LossProb: 0.1, StragglerProb: 0.2, StragglerMs: 10, MaxRetries: 1}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			ref, refStats, err := HierMinimax(fltest.ToyProblem(3), cfg, WithChaos(leg.sched))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if leg.sched != nil && (refStats.Crashes == 0 || refStats.Retries == 0) {
+				t.Fatalf("the schedule did not fire: %d crashes, %d retries", refStats.Crashes, refStats.Retries)
+			}
+			got, gotStats := runWire(t, cfg, 3, WithChaos(leg.sched))
+			assertSameRun(t, ref, got, refStats, gotStats)
+			for i := range ref.WHat {
+				if ref.WHat[i] != got.WHat[i] {
+					t.Fatalf("wHat diverges at %d", i)
+				}
+			}
+		})
 	}
 }

@@ -333,7 +333,6 @@ func TestStragglersSlowSimulatedTime(t *testing.T) {
 // Simulated time prices the bytes each transfer carries: 8-bit uplinks
 // finish the same rounds sooner than dense ones.
 func TestCompressedUplinksCostLessTime(t *testing.T) {
-	skipIfF32(t)
 	cfg := fltest.ToyConfig()
 	cfg.Rounds = 10
 	_, dense, err := HierMinimax(fltest.ToyProblem(1), cfg)

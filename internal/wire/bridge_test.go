@@ -590,11 +590,7 @@ func TestPeerByteAccounting(t *testing.T) {
 		sent, recv := peer.m.bytesSent.Value(), l.m.bytesRecv.Value()
 
 		dense, q8 := sampleFrames(d)
-		frames := []Message{dense}
-		if class != tensor.KernelAVX2F32 { // the float32 tier refuses compression
-			frames = append(frames, q8)
-		}
-		frames = append(frames, Message{From: dense.From, To: dense.To, Payload: &LossReply{Loss: 1}})
+		frames := []Message{dense, q8, {From: dense.From, To: dense.To, Payload: &LossReply{Loss: 1}}}
 		var want int64
 		for _, m := range frames {
 			want += int64(len(mustFrame(t, m)))

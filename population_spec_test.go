@@ -1,10 +1,12 @@
 package hierfair
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/tensor"
+	"repro/internal/fl"
+	"repro/internal/simnet"
 )
 
 // popSpec is a seconds-fast sparse-population configuration: a hundred
@@ -37,9 +39,9 @@ func TestPopulationSpecRunsAllAlgorithms(t *testing.T) {
 
 // TestPopulationTopKRunsAllAlgorithms pins the composition of the roster
 // regime with top-k error feedback: fl.Fold keeps one residual row per
-// cohort position, so HierMinimax accepts the spec (except on the
-// float32 storage tier, which refuses compression of any kind), and
-// every baseline refuses it by name, since none compresses its uplinks.
+// cohort position, so HierMinimax runs the spec on every kernel class,
+// and every baseline refuses it by name, since none compresses its
+// uplinks.
 func TestPopulationTopKRunsAllAlgorithms(t *testing.T) {
 	for _, alg := range []Algorithm{AlgHierMinimax, AlgHierFAvg, AlgFedAvg, AlgAFL, AlgDRFA} {
 		spec := popSpec(alg)
@@ -48,12 +50,6 @@ func TestPopulationTopKRunsAllAlgorithms(t *testing.T) {
 		if alg != AlgHierMinimax {
 			if err == nil || !strings.Contains(err.Error(), "does not implement uplink compression") {
 				t.Fatalf("%s: population x top-k: got error %v, want a refusal", alg, err)
-			}
-			continue
-		}
-		if tensor.StorageF32() {
-			if err == nil || !strings.Contains(err.Error(), "compression is not supported") {
-				t.Fatalf("%s: top-k on the float32 storage tier: got error %v, want a refusal", alg, err)
 			}
 			continue
 		}
@@ -109,9 +105,41 @@ func TestPopulationSpecValidation(t *testing.T) {
 	}
 }
 
-func TestPopulationRejectsDistributedRoles(t *testing.T) {
+// TestPopulationRunsOnDistributedRoles: the roles run a sparse
+// population as the simnet engine does — each edge runtime trains its
+// roster cohorts, the client hosts idle — so the roles planned from a
+// population Spec, run over loopback TCP, report the simnet run's model,
+// weights, traffic and fault counters.
+func TestPopulationRunsOnDistributedRoles(t *testing.T) {
 	spec := popSpec(AlgHierMinimax)
-	if _, err := RunCloud(spec, DistConfig{Listen: "127.0.0.1:0"}); err == nil {
-		t.Fatal("distributed cloud role accepted a population spec")
+	spec.Rounds, spec.EvalEvery = 12, 6
+	spec.Chaos = Chaos{CrashProb: 0.2}
+	spec.Engine = EngineSimNet
+	want, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roles := spec
+	prob, cfg, opts, err := roles.plan(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every runtime plans the same Spec, which just planned without error.
+	newProblem := func() *fl.Problem {
+		s := spec
+		p, _, _, _ := s.plan(true)
+		return p
+	}
+	res, stats, err := simnet.RunWireLoopback(newProblem, cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := newReport(prob, res, stats)
+	if !slices.Equal(want.Parameters(), got.Parameters()) || !slices.Equal(want.EdgeWeights, got.EdgeWeights) {
+		t.Fatal("the distributed roles diverge from the simnet engine on a sparse population")
+	}
+	if want.TotalBytes != got.TotalBytes || want.MessagesSent != got.MessagesSent || want.Crashes != got.Crashes || want.Crashes == 0 {
+		t.Fatalf("reports differ: simnet %d bytes, %d messages, %d crashes; roles %d, %d, %d",
+			want.TotalBytes, want.MessagesSent, want.Crashes, got.TotalBytes, got.MessagesSent, got.Crashes)
 	}
 }

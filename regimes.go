@@ -9,20 +9,19 @@ import (
 )
 
 // engine indexes the execution substrates of the regime table: the two
-// Spec.Engine values Run accepts, then the distributed roles that
-// RunCloud, RunEdge and RunClientHost run over TCP.
+// Spec.Engine values Run accepts. The distributed roles host the simnet
+// engine's actors over TCP, so simnet's column decides for them too.
 type engine int
 
 const (
 	inProcess engine = iota
 	simNet
-	wireRoles
 	numEngines
 )
 
 var (
 	engines     = map[Engine]engine{EngineInProcess: inProcess, EngineSimNet: simNet}
-	engineNames = [numEngines]string{"the in-process engine", "the simnet engine", "the distributed roles"}
+	engineNames = [numEngines]string{"the in-process engine", "the simnet engine"}
 
 	algorithms = []Algorithm{AlgHierMinimax, AlgHierFAvg, AlgFedAvg, AlgAFL, AlgDRFA}
 	hierOnly   = []Algorithm{AlgHierMinimax}
@@ -44,40 +43,38 @@ type perEngine [numEngines][]Algorithm
 // its algorithm does not implement there, and README's regime matrix is
 // rendered from it. The last row holds for every Spec, so a knob's own
 // refusal reads first. Checks that depend on arithmetic stay with their
-// owners: core.Tree's shape and depth rules, fl.Config.Validate's float32
-// tier × compression, the baselines' Tau checks.
+// owners: core.Tree's shape and depth rules, fl.Config.Validate's knob
+// ranges, the baselines' Tau checks.
 var regimes = []regime{
-	{"QuantBits/TopK", "uplink compression", func(s *Spec) bool { return s.QuantBits != 0 || s.TopK != 0 }, perEngine{hierOnly, hierOnly, hierOnly}},
-	{"DropoutProb", "slot dropout", func(s *Spec) bool { return s.DropoutProb != 0 }, perEngine{hierOnly, hierOnly, hierOnly}},
-	{"CheckpointOff", "the end-of-round checkpoint ablation", func(s *Spec) bool { return s.CheckpointOff }, perEngine{hierOnly, hierOnly, hierOnly}},
-	{"Chaos", "fault injection", func(s *Spec) bool { return s.Chaos != (Chaos{}) }, perEngine{nil, hierOnly, hierOnly}},
-	{"Branching/Taus", "multi-layer trees", func(s *Spec) bool { return len(s.Branching)+len(s.Taus) != 0 }, perEngine{hierOnly, nil, nil}},
-	// The wire roles place one client actor per resident client on real
-	// sockets; a sparse population has no resident clients to place.
-	{"Population/SamplePerRound", "sparse populations", func(s *Spec) bool { return s.Population != 0 || s.SamplePerRound != 0 }, perEngine{algorithms, hierOnly, nil}},
-	{"Engine", "", func(*Spec) bool { return true }, perEngine{algorithms, hierOnly, hierOnly}},
+	{"QuantBits/TopK", "uplink compression", func(s *Spec) bool { return s.QuantBits != 0 || s.TopK != 0 }, perEngine{hierOnly, hierOnly}},
+	{"DropoutProb", "slot dropout", func(s *Spec) bool { return s.DropoutProb != 0 }, perEngine{hierOnly, hierOnly}},
+	{"CheckpointOff", "the end-of-round checkpoint ablation", func(s *Spec) bool { return s.CheckpointOff }, perEngine{hierOnly, hierOnly}},
+	{"Chaos", "fault injection", func(s *Spec) bool { return s.Chaos != (Chaos{}) }, perEngine{nil, hierOnly}},
+	{"Branching/Taus", "multi-layer trees", func(s *Spec) bool { return len(s.Branching)+len(s.Taus) != 0 }, perEngine{hierOnly, nil}},
+	{"Engine", "", func(*Spec) bool { return true }, perEngine{algorithms, hierOnly}},
 }
 
 // plan is the step every entry point takes first: it fills the Spec's
 // defaults, refuses by name any regime its algorithm does not implement
-// on the engine (the distributed roles when wire is set), and builds the
-// problem, the engine config and the fault-schedule options.
-func (s *Spec) plan(wire bool) (*fl.Problem, fl.Config, []simnet.Option, error) {
+// on the engine (simnet's, named the distributed roles, when roles is
+// set), and builds the problem, the engine config and the fault options.
+func (s *Spec) plan(roles bool) (*fl.Problem, fl.Config, []simnet.Option, error) {
 	if err := s.normalize(); err != nil {
 		return nil, fl.Config{}, nil, err
 	}
 	e := engines[s.Engine]
-	if wire {
-		e = wireRoles
+	where := engineNames[e]
+	if roles {
+		e, where = simNet, "the distributed roles"
 	}
 	for _, r := range regimes {
 		if !r.set(s) || slices.Contains(r.runs[e], s.Algorithm) {
 			continue
 		}
 		if r.what == "" {
-			return nil, fl.Config{}, nil, fmt.Errorf("hierfair: %s does not run on %s", s.Algorithm, engineNames[e])
+			return nil, fl.Config{}, nil, fmt.Errorf("hierfair: %s does not run on %s", s.Algorithm, where)
 		}
-		return nil, fl.Config{}, nil, fmt.Errorf("hierfair: %s does not implement %s (Spec.%s) on %s", s.Algorithm, r.what, r.knobs, engineNames[e])
+		return nil, fl.Config{}, nil, fmt.Errorf("hierfair: %s does not implement %s (Spec.%s) on %s", s.Algorithm, r.what, r.knobs, where)
 	}
 	prob, cfg, err := s.buildProblem()
 	if err != nil {

@@ -255,6 +255,7 @@ func (s *Spec) normalize() error {
 		{"NumEdges", s.NumEdges}, {"ClientsPerEdge", s.ClientsPerEdge}, {"InputDim", s.InputDim},
 		{"TrainPerClass", s.TrainPerClass}, {"TestPerClass", s.TestPerClass},
 		{"Hidden1", s.Hidden1}, {"Hidden2", s.Hidden2},
+		{"Population", s.Population}, {"SamplePerRound", s.SamplePerRound},
 	} {
 		if n.v < 0 {
 			return fmt.Errorf("hierfair: Spec.%s = %d is negative (0 selects the default)", n.knob, n.v)
