@@ -59,16 +59,17 @@ for KC in generic avx2 avx2f32; do
 	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/fl/ ./internal/core/
 done
 
-# Short fuzz smoke on the simplex projections, the wire codec and the
-# uniform quantizer: a few seconds per target re-explores the corpus
-# plus fresh mutations of the feasibility, non-negativity and
+# Short fuzz smoke on the simplex projections, the wire codec, the
+# uniform quantizer and the mean kernel: a few seconds per target
+# re-explores the corpus plus fresh mutations of the feasibility, non-negativity and
 # idempotence contracts (simplex), the never-crash / roundtrip /
 # bounded-allocation contracts (wire frame decoding, including the
 # compressed-payload frame's canonical-form contract) and the
 # bit-for-bit equality of the word-at-a-time and four-lane pack/unpack
-# kernels with their scalar reference (quant), and of the wire codec's bulk vector
+# kernels with their scalar reference (quant), of the wire codec's bulk vector
 # move and gather write with the per-element loops that define the
-# format. Long exploratory sessions stay manual
+# format, and of every rung's mean kernel with its Zero + axpy + Scale
+# definition on raw bit patterns (tensor). Long exploratory sessions stay manual
 # (go test -fuzz=... -fuzztime=5m ./internal/simplex).
 go test -run '^$' -fuzz '^FuzzSimplexProject$' -fuzztime 5s ./internal/simplex
 go test -run '^$' -fuzz '^FuzzCappedSimplexProject$' -fuzztime 5s ./internal/simplex
@@ -77,6 +78,7 @@ go test -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzPackedVec$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzVecFastMatchesPortable$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzPackUniform$' -fuzztime 5s ./internal/quant
+go test -run '^$' -fuzz '^FuzzMeanMatchesComposition$' -fuzztime 5s ./internal/tensor
 
 # Multi-process smoke: the same seeded workload trained once in a
 # single simnet process and once split across five OS processes (cloud,

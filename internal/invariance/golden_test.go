@@ -422,6 +422,14 @@ func TestTrajectoriesMatchGolden(t *testing.T) {
 				name, g, w, tensor.ActiveKernel())
 		}
 	}
+	// A pin no case produces is a case deleted or renamed without its
+	// golden: fail rather than let the stale digest hide the dropped pin.
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s: golden recorded in %s but no case produces it (rename or delete the pin with -update)",
+				name, goldenFile(tensor.ActiveKernel()))
+		}
+	}
 }
 
 // TestCrossClassGoldens forces each dispatch rung in turn on a cheap

@@ -132,9 +132,19 @@ func TestF32EmptyBatch(t *testing.T) {
 // storage widths: after one warm-up call has sized the activation
 // scratch, Loss, Grad, Step and their float32 forms allocate nothing on
 // Linear and on the §6.2 MLP (784-300-100-10) at the benchmark batch of
-// 16. A type dispatch or an interface conversion that starts to
-// allocate inside a generic body fails here.
+// 16, in every kernel class. A type dispatch or an interface
+// conversion that starts to allocate inside a generic body, or a
+// kernel's stack scratch that starts to escape, fails here.
 func TestWarmCallsAllocateNothing(t *testing.T) {
+	for _, c := range tensor.Classes() {
+		t.Run(c.String(), func(t *testing.T) {
+			defer tensor.SetKernel(c)()
+			checkWarmCalls(t)
+		})
+	}
+}
+
+func checkWarmCalls(t *testing.T) {
 	for _, m := range []Model{NewLinear(784, 10), NewMLP(784, 300, 100, 10)} {
 		r := rng.New(7)
 		d := m.Dim()

@@ -124,20 +124,35 @@ func linearGrad[T tensor.Float](l *Linear, s *linearScratch[T], w, grad []T, xs 
 	inv := 1 / T(len(xs))
 	for lo := 0; lo < len(xs); lo += batchChunk {
 		hi := min(lo+batchChunk, len(xs))
-		n := hi - lo
-		linearForward(l, s, w, xs[lo:hi])
-		s.dz.Reshape(n, l.classes)
-		total = tensor.CrossEntropyRows(&s.dz, &s.z, ys[lo:hi], total)
-		// dW += inv * dlogitsᵀ X ; db += inv * column sums of dlogits.
+		total = linearBackChunk(l, s, w, gb, xs[lo:hi], ys[lo:hi], inv, total)
+		// dW += inv * dlogitsᵀ X.
 		tensor.GemmTNR(inv, &s.dz, xs[lo:hi], &gW)
-		for r := 0; r < n; r++ {
-			tensor.Axpy(inv, s.dz.Row(r), gb)
-		}
 	}
 	return total * inv
 }
 
-// Step writes the SGD step w − eta·∇ into dst: Grad, then one AxpyTo.
+// linearBackChunk runs one chunk's forward pass and cross-entropy,
+// accumulating the bias gradient (inv times the column sums of the
+// logit deltas) into gb and leaving the deltas in s.dz for the caller's
+// weight-gradient kernel. It returns the running loss total.
+func linearBackChunk[T tensor.Float](l *Linear, s *linearScratch[T], w, gb []T, xs [][]T, ys []int, inv, total T) T {
+	n := len(xs)
+	linearForward(l, s, w, xs)
+	s.dz.Reshape(n, l.classes)
+	total = tensor.CrossEntropyRows(&s.dz, &s.z, ys, total)
+	for r := 0; r < n; r++ {
+		tensor.Axpy(inv, s.dz.Row(r), gb)
+	}
+	return total
+}
+
+// Step writes the SGD step w − eta·∇ into dst. A batch of one chunk
+// takes MLP.Step's path: one forward pass and CrossEntropyRows, the bias
+// gradient into grad's tail, GemmTNRStep for the weight rows (each
+// gradient row built in registers and written into dst at once) and one
+// AxpyTo for the bias entries, so the weight gradient never exists. Bit
+// for bit Grad followed by AxpyTo(dst, -eta, grad, w); a batch that is
+// empty or spans several chunks takes exactly that path.
 func (l *Linear) Step(w, dst, grad []float64, xs [][]float64, ys []int, eta float64) float64 {
 	return linearStep(l, &l.s64, w, dst, grad, xs, ys, eta)
 }
@@ -148,9 +163,24 @@ func (l *Linear) StepF32(w, dst, grad []float32, xs [][]float32, ys []int, eta f
 }
 
 func linearStep[T tensor.Float](l *Linear, s *linearScratch[T], w, dst, grad []T, xs [][]T, ys []int, eta T) T {
-	loss := linearGrad(l, s, w, grad, xs, ys)
-	tensor.AxpyTo(dst, -eta, grad, w)
-	return loss
+	if len(xs) == 0 || len(xs) > batchChunk {
+		loss := linearGrad(l, s, w, grad, xs, ys)
+		tensor.AxpyTo(dst, -eta, grad, w)
+		return loss
+	}
+	l.checkDim(len(w))
+	l.checkDim(len(dst))
+	l.checkDim(len(grad))
+	W, _ := linearParams(l, w)
+	dW, _ := linearParams(l, dst)
+	_, gb := linearParams(l, grad)
+	tensor.Zero(gb)
+	inv := 1 / T(len(xs))
+	total := linearBackChunk(l, s, w, gb, xs, ys, inv, 0)
+	tensor.GemmTNRStep(inv, &s.dz, xs, eta, &W, &dW)
+	ob := l.classes * l.in
+	tensor.AxpyTo(dst[ob:], -eta, gb, w[ob:])
+	return total * inv
 }
 
 // Predict returns the argmax class for x.

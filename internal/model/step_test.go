@@ -80,13 +80,15 @@ func TestMLPStepMatchesGradAxpyTo(t *testing.T) {
 }
 
 // TestLinearStepMatchesGradAxpyTo pins Linear.Step and StepF32 the same
-// way, in every kernel class.
+// way, in every kernel class: n = 1, 4, 16 and 256 take the fused path
+// (GemmTNRStep on the weight rows; 256 is a whole chunk), n = 0 and 257
+// the Grad + AxpyTo fallback.
 func TestLinearStepMatchesGradAxpyTo(t *testing.T) {
 	m := NewLinear(784, 10)
 	for _, c := range tensor.Classes() {
 		t.Run(c.String(), func(t *testing.T) {
 			defer tensor.SetKernel(c)()
-			for _, n := range []int{0, 4, 257} {
+			for _, n := range []int{0, 1, 4, 16, batchChunk, batchChunk + 1} {
 				checkStep(t, m, n, uint64(100+n))
 			}
 		})

@@ -11,11 +11,10 @@ package tensor
 // float64 mirrors to identical bits, and the result stays
 // storage-representable. Float32 rows belong to that tier only.
 //
-// The work runs in column blocks of avgBlock elements: per block, zero,
-// one Axpy(1, v, ·) per input in list order, then the scale. Elements
-// are independent, so the bits are those of the three whole-vector
-// passes, while the block of dst stays in L1 and each input is read
-// once.
+// The float64 classes run the class's mean kernel once: per element a
+// +0 accumulator, one axpy(1, v, ·) per input in list order, then one
+// multiply by 1/n, with the accumulators in registers, so each input is
+// read once and dst written once.
 func AverageInto[T Float](dst []float64, vecs ...[]T) {
 	if len(vecs) == 0 {
 		panic("tensor: AverageInto with no inputs")
@@ -28,21 +27,8 @@ func AverageInto[T Float](dst []float64, vecs ...[]T) {
 		averageInto32Regime(dst, vecs)
 		return
 	}
-	inv := 1 / float64(len(vecs))
-	for c0 := 0; c0 < len(dst); c0 += avgBlock {
-		c1 := min(c0+avgBlock, len(dst))
-		blk := dst[c0:c1]
-		Zero(blk)
-		for _, v := range vecs64 {
-			kernels.axpyTo(blk, 1, v[c0:c1], blk)
-		}
-		Scale(inv, blk)
-	}
+	kernels.mean(dst, 1/float64(len(vecs)), vecs64)
 }
-
-// avgBlock is AverageInto's column block: 2048 float64s (16 KiB) of dst
-// stay L1-resident while the inputs stream past.
-const avgBlock = 2048
 
 // MeanAccumulator is the streaming form of AverageInto at storage width
 // T: callers fold vectors in one at a time (in a deterministic order)
@@ -59,6 +45,8 @@ const avgBlock = 2048
 type MeanAccumulator[T Float] struct {
 	acc []T // all zero while n == 0
 	n   int
+	// self is {acc}, the input list FinishInto hands the mean kernel.
+	self [1][]T
 }
 
 // Reset readies the accumulator for d-dimensional inputs and empties it.
@@ -89,12 +77,20 @@ func (a *MeanAccumulator[T]) FinishInto(dst []float64) {
 		panic("tensor: MeanAccumulator.FinishInto with no inputs")
 	}
 	checkLen(len(dst), len(a.acc))
-	// Scale while copying out and zeroing: the same multiplication per
-	// element as AverageInto's in-place Scale, and the same widening.
+	// acc sums from +0 in round-to-nearest, so it is never −0 and
+	// (+0 + acc)·inv is acc·inv: the mean kernel over {acc} gives the
+	// bits of AverageInto's one multiply. The float32 tier makes the
+	// same multiply in one loop that also widens and zeroes.
 	inv := 1 / T(a.n)
-	for i, v := range a.acc {
-		dst[i] = float64(v * inv)
-		a.acc[i] = 0
+	if dstT, ok := any(dst).([]T); ok {
+		a.self[0] = a.acc
+		kernelsOf[T]().mean(dstT, inv, a.self[:])
+		Zero(a.acc)
+	} else {
+		for i, v := range a.acc {
+			dst[i] = float64(v * inv)
+			a.acc[i] = 0
+		}
 	}
 	a.n = 0
 }

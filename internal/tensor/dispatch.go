@@ -117,15 +117,26 @@ type kernelSet[T Float] struct {
 	// argument order — identical bits on every rung, fused purely so
 	// the gradient kernels load and store y once instead of four times.
 	axpy4 func(a0, a1, a2, a3 T, x0, x1, x2, x3, y []T)
-	// stepRow writes one row of GemmTNRStep: with c_k = alpha·a[k][i]
-	// over the examples k whose a[k][i] is nonzero, in ascending order,
-	// dst[e] = w[e] − eta·Σ_k c_k·ys[k][e] for every e, where the sum
-	// starts at +0 and takes each term in the rung's axpy arithmetic,
-	// and the step is one more axpy: per element exactly a zeroed
-	// buffer, one axpy per nonzero coefficient, then AxpyTo(dst, −eta,
-	// buf, w). dst may alias w. Every argument is the caller's memory or
-	// a value, so whatever scratch a rung needs is its own stack's.
-	stepRow func(dst, w []T, eta, alpha T, a Mat[T], i int, ys [][]T)
+	// stepRows writes GemmTNRStep: for every row i of w, with
+	// c_k = alpha·a[k][i] over the examples k whose a[k][i] is nonzero,
+	// in ascending order, dst[i][e] = w[i][e] − eta·Σ_k c_k·ys[k][e] for
+	// every e, where the sum starts at +0 and takes each term in the
+	// rung's axpy arithmetic, and the step is one more axpy: per element
+	// exactly a zeroed buffer, one axpy per nonzero coefficient, then
+	// AxpyTo(dst, −eta, buf, w). dst may alias w. The row loop is the
+	// kernel's, so whatever gather scratch a rung keeps on its stack is
+	// cleared once per call, not once per row. Every argument is the
+	// caller's memory or a value, so that scratch stays on the rung's
+	// own stack.
+	stepRows func(dst, w Mat[T], eta, alpha T, a Mat[T], ys [][]T)
+	// mean writes the elementwise mean of vecs into dst: per element,
+	// acc = +0, then acc = axpy(1, v, acc) for each input in list order
+	// in the rung's arithmetic, then dst = acc·inv as one multiply, whose
+	// underflow keeps the sign (a negative subnormal sum times 1/3 is
+	// −0). The accumulators live in registers or an L1-sized block, so
+	// each input is read once. dst may alias an input; every input must
+	// be at least len(dst) long.
+	mean func(dst []T, inv T, vecs [][]T)
 	// expShift computes dst[i] = exp(x[i]-shift) elementwise and
 	// sumExpShift the sequential (index-order) sum of the same values.
 	// The non-FMA rungs bind math.Exp — the historical LogSumExp /
@@ -275,8 +286,8 @@ func SetKernel(c KernelClass) (restore func()) {
 func genericKernels() kernelSet[float64] {
 	return kernelSet[float64]{
 		dot: dotRef, axpyTo: axpyToRef, dot4: dot4Ref,
-		dot4x2: dot4x2From(dot4Ref), axpy4: axpy4From(axpyToRef), stepRow: stepRowRef,
-		expShift: expShiftRef, sumExpShift: sumExpShiftRef,
+		dot4x2: dot4x2From(dot4Ref), axpy4: axpy4From(axpyToRef), stepRows: stepRowsRef,
+		mean: meanRef, expShift: expShiftRef, sumExpShift: sumExpShiftRef,
 	}
 }
 
@@ -288,8 +299,8 @@ func genericKernels() kernelSet[float64] {
 func fmaRefKernels[T Float]() kernelSet[T] {
 	return kernelSet[T]{
 		dot: dotFMA[T], axpyTo: axpyToFMA[T], dot4: dot4FMA[T],
-		dot4x2: dot4x2From(dot4FMA[T]), axpy4: axpy4FMA[T], stepRow: stepRowFMA[T],
-		expShift: expShiftFMA[T], sumExpShift: sumExpShiftFMA[T],
+		dot4x2: dot4x2From(dot4FMA[T]), axpy4: axpy4FMA[T], stepRows: stepRowsFMA[T],
+		mean: meanFMA[T], expShift: expShiftFMA[T], sumExpShift: sumExpShiftFMA[T],
 		fusedCE: true,
 	}
 }
@@ -307,10 +318,11 @@ func axpy4From(axpyTo func(dst []float64, a float64, x, y []float64)) func(a0, a
 }
 
 // stepChunk is the column width of the stack buffer the composed
-// stepRow bodies accumulate a gradient row in: 8 KiB of float64s, so
-// the MLP's 784-column rows take one chunk (one pass over the
-// coefficients and one axpy call per quad, as with a whole-row buffer).
-// The declaration zeroes the first chunk; later chunks are cleared.
+// stepRows and pure-Go mean bodies accumulate in: 8 KiB of float64s,
+// L1-resident while the inputs stream past, so the MLP's 784-column
+// rows take one chunk (one pass over the coefficients and one axpy call
+// per quad, as with a whole-row buffer). The declaration zeroes the
+// buffer once per call; each chunk clears what it uses.
 const stepChunk = 1024
 
 // dot4x2From composes the two-row fused dot from two dot4 passes — the

@@ -66,37 +66,55 @@ func ToF64(dst []float64, src []float32) {
 	cvtTo64(dst, src)
 }
 
-// avgPool recycles the float32 staging blocks of AverageInto's
-// storage-regime branch (accumulator + per-input narrowing scratch).
+// avgPool recycles the staging of AverageInto's storage-regime branch.
 var avgPool = sync.Pool{New: func() any { return new(avgScratch) }}
 
-type avgScratch struct{ acc, tmp [avgBlock]float32 }
+// avgScratch is one avgBlock column block of float32 accumulator and
+// narrowing scratch, and the input list handed to the mean kernel.
+type avgScratch struct {
+	acc, tmp [avgBlock]float32
+	rows     [][]float32
+}
+
+// avgBlock is averageInto32Regime's column block: 2048 float32s (8 KiB)
+// of staging, L1-resident between the mean kernel and the widening.
+const avgBlock = 2048
 
 // averageInto32Regime computes AverageInto in the avx2f32 regime, one
-// avgBlock column block at a time: zero a float32 accumulator, add the
-// inputs in list order (one float32 add each, Axpy with a = 1; a
-// float64 input narrowed first, which is exact for storage-representable
-// vectors), multiply by 1/float32(n) and widen. This is the regime's
-// definition of model averaging; MeanAccumulator streams the same
-// arithmetic.
+// avgBlock column block at a time: the float32 tier's mean kernel (a
+// float32 add per input in list order, one float32 multiply by
+// 1/float32(n)) into a float32 block, then the widening into dst. This
+// is the regime's definition of model averaging; MeanAccumulator streams
+// the same arithmetic. Float32 rows go to the kernel as they are.
+// Float64 inputs are narrowed first, which is exact for
+// storage-representable vectors, and summed into the block one at a
+// time; the kernel then runs over that one sum, whose (+0 + sum)·inv is
+// sum·inv since a sum from +0 is never −0.
 func averageInto32Regime[T Float](dst []float64, vecs [][]T) {
 	s := avgPool.Get().(*avgScratch)
 	inv := 1 / float32(len(vecs))
+	rows32, native := any(vecs).([][]float32)
 	for c0 := 0; c0 < len(dst); c0 += avgBlock {
 		c1 := min(c0+avgBlock, len(dst))
 		acc := s.acc[:c1-c0]
-		Zero(acc)
-		for _, v := range vecs {
-			row, ok := any(v[c0:c1]).([]float32)
-			if !ok {
-				row = s.tmp[:c1-c0]
-				ToF32(row, any(v[c0:c1]).([]float64))
+		s.rows = s.rows[:0]
+		if native {
+			for _, v := range rows32 {
+				s.rows = append(s.rows, v[c0:c1])
 			}
-			Axpy(1, row, acc)
+		} else {
+			Zero(acc)
+			tmp := s.tmp[:c1-c0]
+			for _, v := range vecs {
+				ToF32(tmp, any(v[c0:c1]).([]float64))
+				Axpy(1, tmp, acc)
+			}
+			s.rows = append(s.rows, acc)
 		}
-		Scale(inv, acc)
+		kernels32.mean(acc, inv, s.rows)
 		ToF64(dst[c0:c1], acc)
 	}
+	clear(s.rows[:cap(s.rows)]) // hold no caller's vector in the pool
 	avgPool.Put(s)
 }
 

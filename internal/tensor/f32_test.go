@@ -184,15 +184,26 @@ func TestKernels32MatchReference(t *testing.T) {
 					}
 				}
 
-				// stepRow over the five rows as examples, coefficient
-				// column 0 of a 5×2 matrix with a zero on example 2.
+				if rep < 3 {
+					for _, k := range meanInputs {
+						vecs := make([][]float32, k)
+						for j := range vecs {
+							vecs[j] = buf()
+						}
+						checkMean(t, &kernels32, &ref, vecs, "mean32")
+					}
+				}
+
+				// stepRows on a one-row matrix over the five rows as
+				// examples, coefficient column 0 of a 5×2 matrix with a
+				// zero on example 2.
 				am := Mat[float32]{Rows: 5, Cols: 2, Data: []float32{a, a1, a2, a3, 0, 1, a3, a, a1, a2}}
 				ys := [][]float32{x, y0, y1, y2, y3}
 				sk, sr := make([]float32, n), make([]float32, n)
-				kernels32.stepRow(sk, y3, 0.05, a1, am, 0, ys)
-				ref.stepRow(sr, y3, 0.05, a1, am, 0, ys)
+				kernels32.stepRows(Mat[float32]{Rows: 1, Cols: n, Data: sk}, Mat[float32]{Rows: 1, Cols: n, Data: y3}, 0.05, a1, am, ys)
+				ref.stepRows(Mat[float32]{Rows: 1, Cols: n, Data: sr}, Mat[float32]{Rows: 1, Cols: n, Data: y3}, 0.05, a1, am, ys)
 				if i := firstDiff(sk, sr); i >= 0 {
-					t.Fatalf("stepRow32(n=%d,off=%d)[%d] = %x, twin %x", n, off, i,
+					t.Fatalf("stepRows32(n=%d,off=%d)[%d] = %x, twin %x", n, off, i,
 						math.Float32bits(sk[i]), math.Float32bits(sr[i]))
 				}
 			}

@@ -209,9 +209,9 @@ func GemmTNR[T Float](alpha T, a *Mat[T], yrows [][]T, c *Mat[T]) {
 
 // GemmTNRStep is GemmTNR with an SGD epilogue. With G = alpha·AᵀY the
 // gradient GemmTNR would accumulate into a zeroed C, it writes
-// dst.Row(i) = w.Row(i) − eta·G.Row(i) for every row i, one row at a
-// time through the class's stepRow kernel, which keeps the gradient row
-// in registers (or in a stack buffer, column chunk by column chunk): the
+// dst.Row(i) = w.Row(i) − eta·G.Row(i) for every row i in one call to
+// the class's stepRows kernel, which keeps each gradient row in
+// registers (or in a stack buffer, column chunk by column chunk): the
 // model-sized G never exists, and w and dst are each touched once. Per
 // element it is exactly Zero(C), GemmTNR(alpha, a, yrows, C),
 // AxpyTo(dst.Data, -eta, C.Data, w.Data) — the same example-ascending
@@ -222,10 +222,7 @@ func GemmTNRStep[T Float](alpha T, a *Mat[T], yrows [][]T, eta T, w, dst *Mat[T]
 		panic("tensor: GemmTNRStep shape mismatch")
 	}
 	checkRows(yrows, w.Cols)
-	ks := kernelsOf[T]()
-	for i := 0; i < w.Rows; i++ {
-		ks.stepRow(dst.Row(i), w.Row(i), eta, alpha, *a, i, yrows)
-	}
+	kernelsOf[T]().stepRows(*dst, *w, eta, alpha, *a, yrows)
 	gemmFlops.Add(2 * int64(a.Rows) * int64(a.Cols) * int64(w.Cols))
 }
 

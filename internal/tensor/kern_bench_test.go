@@ -135,3 +135,75 @@ func BenchmarkSoftmax(b *testing.B) {
 }
 
 var sinkFloat float64
+
+// BenchmarkAverageInto times the aggregation chokepoint at the §6.1
+// Linear dimension and the §6.2 MLP dimension over three inputs, the
+// shape of a small edge's model mean.
+func BenchmarkAverageInto(b *testing.B) {
+	for _, d := range []int{7850, 266610} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			benchClasses(b, func(b *testing.B) {
+				vecs := make([][]float64, 3)
+				for i := range vecs {
+					vecs[i], _ = benchVec(d)
+				}
+				dst := make([]float64, d)
+				b.SetBytes(int64(8 * d * (len(vecs) + 1)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					AverageInto(dst, vecs...)
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkMean times every rung's mean kernel directly — on an AVX-512
+// host that includes the avx2 class's AVX2 body (archRungs) beside the
+// AVX-512 one it binds — at the sweep's shape (d = 490, 48 inputs), a
+// small edge's Linear mean (d = 7 850, 3 inputs), a 48-input Linear
+// mean and the MLP's (d = 266 610, 3 inputs).
+func BenchmarkMean(b *testing.B) {
+	for _, s := range []struct{ d, k int }{{490, 48}, {7850, 3}, {7850, 48}, {266610, 3}} {
+		for _, rg := range testRungs(b) {
+			b.Run(fmt.Sprintf("d=%d/k=%d/%s", s.d, s.k, rg.name), func(b *testing.B) {
+				vecs := make([][]float64, s.k)
+				for i := range vecs {
+					vecs[i], _ = benchVec(s.d)
+				}
+				dst := make([]float64, s.d)
+				inv := 1 / float64(s.k)
+				b.SetBytes(int64(8 * s.d * (s.k + 1)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rg.impl.mean(dst, inv, vecs)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkGemmTNRStep times the fused SGD weight step at the sweep's
+// Linear shape (10×48, four examples), the §6.1 Linear shape (10×784)
+// and the MLP's first layer (300×784, sixteen examples).
+func BenchmarkGemmTNRStep(b *testing.B) {
+	for _, s := range []struct{ k, m, n int }{{4, 10, 48}, {4, 10, 784}, {16, 300, 784}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", s.k, s.m, s.n), func(b *testing.B) {
+			benchClasses(b, func(b *testing.B) {
+				A := NewMatrix(s.k, s.m)
+				for i := range A.Data {
+					A.Data[i] = float64(i%7)*0.3 - 0.5
+				}
+				ys := make([][]float64, s.k)
+				for k := range ys {
+					ys[k], _ = benchVec(s.n)
+				}
+				W := NewMatrix(s.m, s.n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					GemmTNRStep(0.25, A, ys, 0.01, W, W)
+				}
+			})
+		})
+	}
+}

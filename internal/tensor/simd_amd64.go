@@ -110,66 +110,77 @@ func axpy4AVX512(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
 //go:noescape
 func stepRowAVX512(dst, w []float64, a float64, cf []float64, rows [][]float64)
 
-// stepGather is how many examples stepRowZMM gathers on its stack for
+// meanAVX2 is the avx2 class's mean, its accumulators in YMM
+// registers. The AVX-512 set binds it too: a ZMM body measured no
+// faster end to end (EXPERIMENTS.md, PR 53).
+//
+//go:noescape
+func meanAVX2(dst []float64, inv float64, vecs [][]float64)
+
+// stepGather is how many examples stepRowsZMM gathers on its stack for
 // one row (the MLP's mini-batch is 16); a batch with more runs the
 // composed AVX2 step, which has the same bits.
 const stepGather = 32
 
-// stepRowZMM is the avx2 class's stepRow on AVX-512: it gathers the
-// row's nonzero coefficients and their example rows, then runs the
-// register-resident kernel.
-func stepRowZMM(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys [][]float64) {
+// stepRowsZMM is the avx2 class's stepRows on AVX-512: per row it
+// gathers the nonzero coefficients and their example rows, then runs
+// the register-resident kernel. The gather arrays are cleared once per
+// call.
+func stepRowsZMM(dst, w Mat[float64], eta, alpha float64, a Mat[float64], ys [][]float64) {
 	if len(ys) > stepGather {
-		stepRowAVX2(dst, w, eta, alpha, a, i, ys)
+		stepRowsAVX2(dst, w, eta, alpha, a, ys)
 		return
 	}
 	var cf [stepGather]float64
 	var rows [stepGather][]float64
-	n := 0
-	for k, y := range ys {
-		// Write every example and advance past the nonzero ones: no
-		// branch for the ReLU mask to mispredict.
-		v := a.Data[k*a.Cols+i]
-		cf[n], rows[n] = alpha*v, y
-		if v != 0 {
-			n++
+	for i := 0; i < w.Rows; i++ {
+		n := 0
+		for k, y := range ys {
+			// Write every example and advance past the nonzero ones: no
+			// branch for the ReLU mask to mispredict.
+			v := a.Data[k*a.Cols+i]
+			cf[n], rows[n] = alpha*v, y
+			if v != 0 {
+				n++
+			}
 		}
+		stepRowAVX512(dst.Row(i), w.Row(i), -eta, cf[:n], rows[:n])
 	}
-	stepRowAVX512(dst, w, -eta, cf[:n], rows[:n])
 }
 
-// stepRowAVX2 is the avx2 class's stepRow on the AVX2 assembly: per
-// column chunk of a zeroed stack buffer, accumulate the nonzero
+// stepRowsAVX2 is the avx2 class's stepRows on the AVX2 assembly: per
+// row and column chunk of a zeroed stack buffer, accumulate the nonzero
 // coefficients' rows in ascending order through axpy4 quads and axpyTo
 // tails (tnRow's gathering), then dst = fma(−eta, buf, w). Per element
-// that is stepRowFMA's chain. The calls are direct so the buffer
-// stays on the stack.
-func stepRowAVX2(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys [][]float64) {
+// that is stepRowsFMA's chain. The calls are direct so the buffer stays
+// on the stack.
+func stepRowsAVX2(dst, w Mat[float64], eta, alpha float64, a Mat[float64], ys [][]float64) {
 	var buf [stepChunk]float64
-	for c0 := 0; c0 < len(w); c0 += stepChunk {
-		c1 := min(c0+stepChunk, len(w))
-		acc := buf[:c1-c0]
-		if c0 > 0 {
+	for i := 0; i < w.Rows; i++ {
+		wr, dr := w.Row(i), dst.Row(i)
+		for c0 := 0; c0 < len(wr); c0 += stepChunk {
+			c1 := min(c0+stepChunk, len(wr))
+			acc := buf[:c1-c0]
 			clear(acc)
-		}
-		var cf [4]float64
-		var rows [4][]float64
-		nq := 0
-		for k, y := range ys {
-			v := a.Data[k*a.Cols+i]
-			if v == 0 {
-				continue
+			var cf [4]float64
+			var rows [4][]float64
+			nq := 0
+			for k, y := range ys {
+				v := a.Data[k*a.Cols+i]
+				if v == 0 {
+					continue
+				}
+				cf[nq], rows[nq] = alpha*v, y[c0:c1]
+				if nq++; nq == 4 {
+					axpy4AVX2(cf[0], cf[1], cf[2], cf[3], rows[0], rows[1], rows[2], rows[3], acc)
+					nq = 0
+				}
 			}
-			cf[nq], rows[nq] = alpha*v, y[c0:c1]
-			if nq++; nq == 4 {
-				axpy4AVX2(cf[0], cf[1], cf[2], cf[3], rows[0], rows[1], rows[2], rows[3], acc)
-				nq = 0
+			for q := range nq {
+				axpyToAVX2(acc, cf[q], rows[q], acc)
 			}
+			axpyToAVX2(dr[c0:c1], -eta, acc, wr[c0:c1])
 		}
-		for q := range nq {
-			axpyToAVX2(acc, cf[q], rows[q], acc)
-		}
-		axpyToAVX2(dst[c0:c1], -eta, acc, w[c0:c1])
 	}
 }
 
@@ -203,8 +214,8 @@ func fmaKernels32() kernelSet[float32] {
 	}
 	return kernelSet[float32]{
 		dot: dot32AVX2, axpyTo: axpyTo32AVX2, dot4: dot432AVX2,
-		dot4x2: dot4x2From(dot432AVX2), axpy4: axpy432AVX2, stepRow: stepRow32AVX2,
-		expShift: expShift32Asm, sumExpShift: sumExpShift32Asm,
+		dot4x2: dot4x2From(dot432AVX2), axpy4: axpy432AVX2, stepRows: stepRows32AVX2,
+		mean: mean32AVX2, expShift: expShift32Asm, sumExpShift: sumExpShift32Asm,
 		fusedCE: true,
 	}
 }
@@ -213,18 +224,18 @@ func fmaKernels32() kernelSet[float32] {
 func avx2Kernels() kernelSet[float64] {
 	return kernelSet[float64]{
 		dot: dotAVX2, axpyTo: axpyToAVX2, dot4: dot4AVX2,
-		dot4x2: dot4x2From(dot4AVX2), axpy4: axpy4AVX2, stepRow: stepRowAVX2,
-		expShift: expShiftAsm, sumExpShift: sumExpShiftAsm,
+		dot4x2: dot4x2From(dot4AVX2), axpy4: axpy4AVX2, stepRows: stepRowsAVX2,
+		mean: meanAVX2, expShift: expShiftAsm, sumExpShift: sumExpShiftAsm,
 		fusedCE: true,
 	}
 }
 
 // avx512Kernels is the avx2 class's AVX-512 set: the AVX2 set with the
 // ZMM bodies of the BLAS kernels and the two register-blocked ones. The
-// exponential stays 4-lane.
+// exponential and the mean stay 4-lane.
 func avx512Kernels() kernelSet[float64] {
 	ks := avx2Kernels()
 	ks.dot, ks.axpyTo, ks.dot4 = dotAVX512, axpyToAVX512, dot4AVX512
-	ks.dot4x2, ks.axpy4, ks.stepRow = dot4x2AVX512, axpy4AVX512, stepRowZMM
+	ks.dot4x2, ks.axpy4, ks.stepRows = dot4x2AVX512, axpy4AVX512, stepRowsZMM
 	return ks
 }

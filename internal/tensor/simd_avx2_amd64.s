@@ -474,3 +474,106 @@ a4tail:
 a4done:
 	VZEROUPPER
 	RET
+
+// func meanAVX2(dst []float64, inv float64, vecs [][]float64)
+//
+// The mean with its accumulators in registers: per element e,
+// acc = +0, then acc = fma(1, vecs[j][e], acc) for j in order (the
+// operand roles of axpyTo with a = 1), then dst[e] = acc·inv by
+// VMULPD. Elements go 16 per step in four accumulators, then 4 per
+// step, then one at a time. Each step loads every input before it
+// stores dst, so dst may alias an input.
+TEXT ·meanAVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DX
+	MOVQ         dst_len+8(FP), CX
+	VBROADCASTSD inv+24(FP), Y15
+	MOVQ         vecs_base+32(FP), R10
+	MOVQ         vecs_len+40(FP), R9
+	LEAQ         (R9)(R9*2), R9
+	LEAQ         (R10)(R9*8), R9 // end of the vecs headers
+	MOVQ         $0x3ff0000000000000, R8
+	MOVQ         R8, X14
+	VBROADCASTSD X14, Y14       // 1.0
+	MOVQ         CX, BX
+	ANDQ         $-16, BX
+	XORQ         AX, AX
+
+mbig:
+	CMPQ   AX, BX
+	JGE    mlane
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   R10, R12              // &vecs[j]
+
+mbigk:
+	CMPQ        R12, R9
+	JGE         mbigs
+	MOVQ        (R12), R13       // vecs[j] base
+	VFMADD231PD (R13)(AX*8), Y14, Y0
+	VFMADD231PD 32(R13)(AX*8), Y14, Y1
+	VFMADD231PD 64(R13)(AX*8), Y14, Y2
+	VFMADD231PD 96(R13)(AX*8), Y14, Y3
+	ADDQ        $24, R12
+	JMP         mbigk
+
+mbigs:
+	VMULPD  Y15, Y0, Y0
+	VMULPD  Y15, Y1, Y1
+	VMULPD  Y15, Y2, Y2
+	VMULPD  Y15, Y3, Y3
+	VMOVUPD Y0, (DX)(AX*8)
+	VMOVUPD Y1, 32(DX)(AX*8)
+	VMOVUPD Y2, 64(DX)(AX*8)
+	VMOVUPD Y3, 96(DX)(AX*8)
+	ADDQ    $16, AX
+	JMP     mbig
+
+mlane:
+	MOVQ CX, BX
+	ANDQ $-4, BX
+
+mlanel:
+	CMPQ   AX, BX
+	JGE    mone
+	VXORPS Y0, Y0, Y0
+	MOVQ   R10, R12
+
+mlanek:
+	CMPQ        R12, R9
+	JGE         mlanes
+	MOVQ        (R12), R13
+	VFMADD231PD (R13)(AX*8), Y14, Y0
+	ADDQ        $24, R12
+	JMP         mlanek
+
+mlanes:
+	VMULPD  Y15, Y0, Y0
+	VMOVUPD Y0, (DX)(AX*8)
+	ADDQ    $4, AX
+	JMP     mlanel
+
+mone:
+	CMPQ   AX, CX
+	JGE    mdone
+	VXORPS X0, X0, X0
+	MOVQ   R10, R12
+
+monek:
+	CMPQ        R12, R9
+	JGE         mones
+	MOVQ        (R12), R13
+	VFMADD231SD (R13)(AX*8), X14, X0
+	ADDQ        $24, R12
+	JMP         monek
+
+mones:
+	VMULSD X15, X0, X0
+	VMOVSD X0, (DX)(AX*8)
+	INCQ   AX
+	JMP    mone
+
+mdone:
+	VZEROUPPER
+	RET

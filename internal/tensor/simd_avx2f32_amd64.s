@@ -584,3 +584,106 @@ r32tail:
 r32done:
 	VZEROUPPER
 	RET
+
+// func mean32AVX2(dst []float32, inv float32, vecs [][]float32)
+//
+// The mean with its accumulators in registers: per element e,
+// acc = +0, then acc = fma32(1, vecs[j][e], acc) for j in order (the
+// operand roles of axpyTo with a = 1), then dst[e] = acc·inv by
+// VMULPS. Elements go 32 per step in four accumulators, then 8 per
+// step, then one at a time. Each step loads every input before it
+// stores dst, so dst may alias an input.
+TEXT ·mean32AVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DX
+	MOVQ         dst_len+8(FP), CX
+	VBROADCASTSS inv+24(FP), Y15
+	MOVQ         vecs_base+32(FP), R10
+	MOVQ         vecs_len+40(FP), R9
+	LEAQ         (R9)(R9*2), R9
+	LEAQ         (R10)(R9*8), R9 // end of the vecs headers
+	MOVL         $0x3f800000, R8
+	MOVQ         R8, X14
+	VBROADCASTSS X14, Y14       // 1.0
+	MOVQ         CX, BX
+	ANDQ         $-32, BX
+	XORQ         AX, AX
+
+mbig:
+	CMPQ   AX, BX
+	JGE    mlane
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   R10, R12              // &vecs[j]
+
+mbigk:
+	CMPQ        R12, R9
+	JGE         mbigs
+	MOVQ        (R12), R13       // vecs[j] base
+	VFMADD231PS (R13)(AX*4), Y14, Y0
+	VFMADD231PS 32(R13)(AX*4), Y14, Y1
+	VFMADD231PS 64(R13)(AX*4), Y14, Y2
+	VFMADD231PS 96(R13)(AX*4), Y14, Y3
+	ADDQ        $24, R12
+	JMP         mbigk
+
+mbigs:
+	VMULPS  Y15, Y0, Y0
+	VMULPS  Y15, Y1, Y1
+	VMULPS  Y15, Y2, Y2
+	VMULPS  Y15, Y3, Y3
+	VMOVUPS Y0, (DX)(AX*4)
+	VMOVUPS Y1, 32(DX)(AX*4)
+	VMOVUPS Y2, 64(DX)(AX*4)
+	VMOVUPS Y3, 96(DX)(AX*4)
+	ADDQ    $32, AX
+	JMP     mbig
+
+mlane:
+	MOVQ CX, BX
+	ANDQ $-8, BX
+
+mlanel:
+	CMPQ   AX, BX
+	JGE    mone
+	VXORPS Y0, Y0, Y0
+	MOVQ   R10, R12
+
+mlanek:
+	CMPQ        R12, R9
+	JGE         mlanes
+	MOVQ        (R12), R13
+	VFMADD231PS (R13)(AX*4), Y14, Y0
+	ADDQ        $24, R12
+	JMP         mlanek
+
+mlanes:
+	VMULPS  Y15, Y0, Y0
+	VMOVUPS Y0, (DX)(AX*4)
+	ADDQ    $8, AX
+	JMP     mlanel
+
+mone:
+	CMPQ   AX, CX
+	JGE    mdone
+	VXORPS X0, X0, X0
+	MOVQ   R10, R12
+
+monek:
+	CMPQ        R12, R9
+	JGE         mones
+	MOVQ        (R12), R13
+	VFMADD231SS (R13)(AX*4), X14, X0
+	ADDQ        $24, R12
+	JMP         monek
+
+mones:
+	VMULSS X15, X0, X0
+	VMOVSS X0, (DX)(AX*4)
+	INCQ   AX
+	JMP    mone
+
+mdone:
+	VZEROUPPER
+	RET

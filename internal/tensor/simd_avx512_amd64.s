@@ -38,6 +38,27 @@
 	VPERMILPD     $1, X, TX \
 	VADDSD        TX, X, X
 
+// stepRow's remainder pass covers the last 0-63 elements with R14 = f
+// full 8-lane chunks starting at element AX; chunk c (1-based) is
+// issued only when f >= c, else control jumps to END, which handles the
+// masked chunk.
+//
+// REMFMA accumulates chunk N of the row at R13 into ACC with
+// coefficient C: ACC = fma(C, row, ACC).
+#define REMFMA(N, OFF, C, ACC, END) \
+	CMPQ        R14, $N            \
+	JLT         END                \
+	VFMADD231PD OFF(R13)(AX*8), C, ACC
+
+// REMSTEP writes chunk N of stepRow's output: dst = fma(a, ACC, w), with
+// w at SI, dst at DX and a in Z31.
+#define REMSTEP(N, OFF, ACC, END) \
+	CMPQ        R14, $N           \
+	JLT         END               \
+	VMOVUPD     OFF(SI)(AX*8), Z16 \
+	VFMADD231PD ACC, Z31, Z16     \
+	VMOVUPD     Z16, OFF(DX)(AX*8)
+
 // func dotAVX512(x, y []float64) float64
 TEXT ·dotAVX512(SB), NOSPLIT, $0-56
 	MOVQ   x_base+0(FP), SI
@@ -362,8 +383,10 @@ zqdone:
 // FMA chain of the buffered path (Zero, the axpy4/axpyTo quads and
 // tails into a row buffer, then AxpyTo), with the same operand roles.
 // Elements go 64 per step (eight accumulators, enough independent FMA
-// chains to cover the FMA latency), then 8 per step, then a masked
-// step for the last 0-7. Every rows[k] must be at least len(w) long;
+// chains to cover the FMA latency), then the last 0-63 in one more pass
+// over the examples: one accumulator per 8-lane chunk that holds
+// elements, the last chunk masked. Every rows[k] must be at least
+// len(w) long;
 // dst may alias w, since each step reads w before it stores dst.
 TEXT ·stepRowAVX512(SB), NOSPLIT, $0-104
 	MOVQ         dst_base+0(FP), DX
@@ -379,7 +402,7 @@ TEXT ·stepRowAVX512(SB), NOSPLIT, $0-104
 
 zs64:
 	CMPQ   AX, BX
-	JGE    zs8
+	JGE    zsrem
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -436,61 +459,71 @@ zs64w:
 	ADDQ        $64, AX
 	JMP         zs64
 
-zs8:
-	MOVQ CX, BX
-	ANDQ $-8, BX
-
-zs8loop:
-	CMPQ   AX, BX
-	JGE    zstail
-	VPXORQ Z0, Z0, Z0
-	XORQ   R11, R11
-	MOVQ   R10, R12
-
-zs8k:
-	CMPQ         R11, R9
-	JGE          zs8w
-	VBROADCASTSD (R8)(R11*8), Z8
-	MOVQ         (R12), R13
-	VFMADD231PD  (R13)(AX*8), Z8, Z0
-	ADDQ         $24, R12
-	INCQ         R11
-	JMP          zs8k
-
-zs8w:
-	VMOVUPD     (SI)(AX*8), Z16
-	VFMADD231PD Z0, Z31, Z16
-	VMOVUPD     Z16, (DX)(AX*8)
-	ADDQ        $8, AX
-	JMP         zs8loop
-
-zstail:
-	// The last 0-7 elements under the lane mask K1 = (1<<(n-i))-1: the
-	// masked loads and FMAs touch no memory past the rows' ends.
+zsrem:
+	// The last 0-63 elements in one pass over the examples: f = rem/8
+	// full chunks in Z0..Z6 and, if rem%8 > 0, one chunk under the lane
+	// mask K1 = (1<<(rem%8))-1 in Z7, starting at element R15. Only the
+	// chunks that hold lanes are issued; the masked loads and FMAs touch
+	// no memory past the rows' ends.
 	SUBQ   AX, CX
 	JE     zsdone
+	MOVQ   CX, R14
+	SHRQ   $3, R14              // f
+	ANDQ   $7, CX               // rem%8
 	MOVQ   $1, BX
 	SHLQ   CX, BX
 	DECQ   BX
 	KMOVW  BX, K1
+	LEAQ   (AX)(R14*8), R15
 	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
 	XORQ   R11, R11
 	MOVQ   R10, R12
 
-zstk:
+zsrk:
 	CMPQ         R11, R9
-	JGE          zstw
+	JGE          zsrw
 	VBROADCASTSD (R8)(R11*8), Z8
 	MOVQ         (R12), R13
-	VFMADD231PD  (R13)(AX*8), Z8, K1, Z0
-	ADDQ         $24, R12
-	INCQ         R11
-	JMP          zstk
+	REMFMA(1, 0, Z8, Z0, zsrt)
+	REMFMA(2, 64, Z8, Z1, zsrt)
+	REMFMA(3, 128, Z8, Z2, zsrt)
+	REMFMA(4, 192, Z8, Z3, zsrt)
+	REMFMA(5, 256, Z8, Z4, zsrt)
+	REMFMA(6, 320, Z8, Z5, zsrt)
+	REMFMA(7, 384, Z8, Z6, zsrt)
 
-zstw:
-	VMOVUPD.Z   (SI)(AX*8), K1, Z16
-	VFMADD231PD Z0, Z31, Z16
-	VMOVUPD     Z16, K1, (DX)(AX*8)
+zsrt:
+	TESTQ       CX, CX
+	JE          zsrn
+	VFMADD231PD (R13)(R15*8), Z8, K1, Z7
+
+zsrn:
+	ADDQ $24, R12
+	INCQ R11
+	JMP  zsrk
+
+zsrw:
+	REMSTEP(1, 0, Z0, zsrwt)
+	REMSTEP(2, 64, Z1, zsrwt)
+	REMSTEP(3, 128, Z2, zsrwt)
+	REMSTEP(4, 192, Z3, zsrwt)
+	REMSTEP(5, 256, Z4, zsrwt)
+	REMSTEP(6, 320, Z5, zsrwt)
+	REMSTEP(7, 384, Z6, zsrwt)
+
+zsrwt:
+	TESTQ       CX, CX
+	JE          zsdone
+	VMOVUPD.Z   (SI)(R15*8), K1, Z16
+	VFMADD231PD Z7, Z31, Z16
+	VMOVUPD     Z16, K1, (DX)(R15*8)
 
 zsdone:
 	VZEROUPPER

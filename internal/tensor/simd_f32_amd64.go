@@ -24,37 +24,44 @@ func dot432AVX2(x, y0, y1, y2, y3 []float32) (r0, r1, r2, r3 float32)
 //go:noescape
 func axpy432AVX2(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32)
 
-// stepRow32AVX2 is the float32 tier's stepRow on its assembly,
-// composed as stepRowAVX2 is: per column chunk of a zeroed stack
-// buffer, the nonzero coefficients' axpy4 quads and axpyTo tails, then
-// the AxpyTo epilogue, through direct calls so the buffer stays on the
-// stack.
-func stepRow32AVX2(dst, w []float32, eta, alpha float32, a Mat[float32], i int, ys [][]float32) {
+// mean32AVX2 is the float32 tier's mean, its accumulators in YMM
+// registers.
+//
+//go:noescape
+func mean32AVX2(dst []float32, inv float32, vecs [][]float32)
+
+// stepRows32AVX2 is the float32 tier's stepRows on its assembly,
+// composed as stepRowsAVX2 is: per row and column chunk of a zeroed
+// stack buffer, the nonzero coefficients' axpy4 quads and axpyTo tails,
+// then the AxpyTo epilogue, through direct calls so the buffer stays on
+// the stack.
+func stepRows32AVX2(dst, w Mat[float32], eta, alpha float32, a Mat[float32], ys [][]float32) {
 	var buf [stepChunk]float32
-	for c0 := 0; c0 < len(w); c0 += stepChunk {
-		c1 := min(c0+stepChunk, len(w))
-		acc := buf[:c1-c0]
-		if c0 > 0 {
+	for i := 0; i < w.Rows; i++ {
+		wr, dr := w.Row(i), dst.Row(i)
+		for c0 := 0; c0 < len(wr); c0 += stepChunk {
+			c1 := min(c0+stepChunk, len(wr))
+			acc := buf[:c1-c0]
 			clear(acc)
-		}
-		var cf [4]float32
-		var rows [4][]float32
-		nq := 0
-		for k, y := range ys {
-			v := a.Data[k*a.Cols+i]
-			if v == 0 {
-				continue
+			var cf [4]float32
+			var rows [4][]float32
+			nq := 0
+			for k, y := range ys {
+				v := a.Data[k*a.Cols+i]
+				if v == 0 {
+					continue
+				}
+				cf[nq], rows[nq] = alpha*v, y[c0:c1]
+				if nq++; nq == 4 {
+					axpy432AVX2(cf[0], cf[1], cf[2], cf[3], rows[0], rows[1], rows[2], rows[3], acc)
+					nq = 0
+				}
 			}
-			cf[nq], rows[nq] = alpha*v, y[c0:c1]
-			if nq++; nq == 4 {
-				axpy432AVX2(cf[0], cf[1], cf[2], cf[3], rows[0], rows[1], rows[2], rows[3], acc)
-				nq = 0
+			for q := range nq {
+				axpyTo32AVX2(acc, cf[q], rows[q], acc)
 			}
+			axpyTo32AVX2(dr[c0:c1], -eta, acc, wr[c0:c1])
 		}
-		for q := range nq {
-			axpyTo32AVX2(acc, cf[q], rows[q], acc)
-		}
-		axpyTo32AVX2(dst[c0:c1], -eta, acc, w[c0:c1])
 	}
 }
 

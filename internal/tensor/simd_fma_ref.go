@@ -120,24 +120,49 @@ func axpy4FMA[T Float](a0, a1, a2, a3 T, x0, x1, x2, x3, y []T) {
 	}
 }
 
-// stepRowFMA is the FMA-class stepRow, composed as stepRowRef is: per
-// column chunk of a zeroed stack buffer, one axpyToFMA per nonzero
-// coefficient in ascending order, then dst = fma(−eta, buf, w). The
-// calls are direct so the buffer stays on the stack.
-func stepRowFMA[T Float](dst, w []T, eta, alpha T, a Mat[T], i int, ys [][]T) {
+// stepRowsFMA is the FMA-class stepRows, composed as stepRowsRef is:
+// per row and column chunk of a zeroed stack buffer, one axpyToFMA per
+// nonzero coefficient in ascending order, then dst = fma(−eta, buf, w).
+// The calls are direct so the buffer stays on the stack.
+func stepRowsFMA[T Float](dst, w Mat[T], eta, alpha T, a Mat[T], ys [][]T) {
 	var buf [stepChunk]T
-	for c0 := 0; c0 < len(w); c0 += stepChunk {
-		c1 := min(c0+stepChunk, len(w))
-		acc := buf[:c1-c0]
-		if c0 > 0 {
+	for i := 0; i < w.Rows; i++ {
+		wr, dr := w.Row(i), dst.Row(i)
+		for c0 := 0; c0 < len(wr); c0 += stepChunk {
+			c1 := min(c0+stepChunk, len(wr))
+			acc := buf[:c1-c0]
 			clear(acc)
-		}
-		for k, y := range ys {
-			if v := a.Data[k*a.Cols+i]; v != 0 {
-				axpyToFMA(acc, alpha*v, y[c0:c1], acc)
+			for k, y := range ys {
+				if v := a.Data[k*a.Cols+i]; v != 0 {
+					axpyToFMA(acc, alpha*v, y[c0:c1], acc)
+				}
 			}
+			axpyToFMA(dr[c0:c1], -eta, acc, wr[c0:c1])
 		}
-		axpyToFMA(dst[c0:c1], -eta, acc, w[c0:c1])
+	}
+}
+
+// meanFMA is the FMA-class mean, composed as meanRef is: per column
+// block of dst (of a stack buffer when dst is an input), zeroed, one
+// axpyToFMA(·, 1, v, ·) per input in list order, then one multiply by
+// inv per element.
+func meanFMA[T Float](dst []T, inv T, vecs [][]T) {
+	var buf [stepChunk]T
+	aliased := aliasesInput(dst, vecs)
+	for c0 := 0; c0 < len(dst); c0 += stepChunk {
+		c1 := min(c0+stepChunk, len(dst))
+		acc := dst[c0:c1]
+		if aliased {
+			acc = buf[:c1-c0]
+		}
+		clear(acc)
+		for _, v := range vecs {
+			axpyToFMA(acc, 1, v[c0:c1], acc)
+		}
+		out := dst[c0:c1]
+		for i := range out {
+			out[i] = acc[i] * inv
+		}
 	}
 }
 

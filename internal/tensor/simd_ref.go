@@ -48,26 +48,63 @@ func axpyToRef(dst []float64, a float64, x, y []float64) {
 	}
 }
 
-// stepRowRef is the non-FMA stepRow, written as its definition: per
-// column chunk of a zeroed stack buffer, run one axpyToRef per nonzero
-// coefficient alpha·a[k][i] in ascending k, then
+// stepRowsRef is the non-FMA stepRows, written as its definition: per
+// row and column chunk of a zeroed stack buffer, run one axpyToRef per
+// nonzero coefficient alpha·a[k][i] in ascending k, then
 // dst = w + (−eta)·buf with axpyToRef. The calls are direct so the
 // buffer stays on the stack.
-func stepRowRef(dst, w []float64, eta, alpha float64, a Mat[float64], i int, ys [][]float64) {
+func stepRowsRef(dst, w Mat[float64], eta, alpha float64, a Mat[float64], ys [][]float64) {
 	var buf [stepChunk]float64
-	for c0 := 0; c0 < len(w); c0 += stepChunk {
-		c1 := min(c0+stepChunk, len(w))
-		acc := buf[:c1-c0]
-		if c0 > 0 {
+	for i := 0; i < w.Rows; i++ {
+		wr, dr := w.Row(i), dst.Row(i)
+		for c0 := 0; c0 < len(wr); c0 += stepChunk {
+			c1 := min(c0+stepChunk, len(wr))
+			acc := buf[:c1-c0]
 			clear(acc)
-		}
-		for k, y := range ys {
-			if v := a.Data[k*a.Cols+i]; v != 0 {
-				axpyToRef(acc, alpha*v, y[c0:c1], acc)
+			for k, y := range ys {
+				if v := a.Data[k*a.Cols+i]; v != 0 {
+					axpyToRef(acc, alpha*v, y[c0:c1], acc)
+				}
 			}
+			axpyToRef(dr[c0:c1], -eta, acc, wr[c0:c1])
 		}
-		axpyToRef(dst[c0:c1], -eta, acc, w[c0:c1])
 	}
+}
+
+// meanRef is the non-FMA mean, written as its definition: per column
+// block of dst, zeroed, one axpyToRef(·, 1, v, ·) per input in list
+// order, then one multiply by inv per element. When dst is one of the
+// inputs the block sums in a stack buffer instead, so no input is
+// overwritten before it is read.
+func meanRef(dst []float64, inv float64, vecs [][]float64) {
+	var buf [stepChunk]float64
+	aliased := aliasesInput(dst, vecs)
+	for c0 := 0; c0 < len(dst); c0 += stepChunk {
+		c1 := min(c0+stepChunk, len(dst))
+		acc := dst[c0:c1]
+		if aliased {
+			acc = buf[:c1-c0]
+		}
+		clear(acc)
+		for _, v := range vecs {
+			axpyToRef(acc, 1, v[c0:c1], acc)
+		}
+		out := dst[c0:c1]
+		for i := range out {
+			out[i] = acc[i] * inv
+		}
+	}
+}
+
+// aliasesInput reports whether dst starts where one of vecs does: the
+// one overlap the mean kernel's contract allows.
+func aliasesInput[T Float](dst []T, vecs [][]T) bool {
+	for _, v := range vecs {
+		if len(dst) > 0 && len(v) > 0 && &v[0] == &dst[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // expShiftRef is the non-FMA shifted-exponential kernel:

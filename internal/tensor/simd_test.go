@@ -1,8 +1,10 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -58,7 +60,7 @@ type rung struct {
 	ref  kernelSet[float64]
 }
 
-func testRungs(t *testing.T) []rung {
+func testRungs(t testing.TB) []rung {
 	rs := []rung{
 		// The generic rung is its own reference; TestFusedDotsMatchSingles
 		// pins its fused dots to its singles.
@@ -170,11 +172,134 @@ func TestKernelsMatchReference(t *testing.T) {
 							t.Fatalf("sumExpShift(n=%d,off=%d) = %x, class reference %x", n, off,
 								math.Float64bits(got), math.Float64bits(want))
 						}
+
+						if rep < 3 {
+							for _, k := range meanInputs {
+								vecs := make([][]float64, k)
+								for j := range vecs {
+									vecs[j] = buf()
+								}
+								checkMean(t, &rg.impl, &rg.ref, vecs, "mean")
+							}
+						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// meanInputs are the list lengths the mean kernel is pinned at: one to
+// five inputs, and more than the 32 a register file could hold.
+var meanInputs = []int{1, 2, 3, 4, 5, 33}
+
+// checkMean pins impl's mean over vecs to ref's and to its definition —
+// a zeroed vector, one axpyTo(·, 1, v, ·) per input in list order, then
+// Scale by 1/len(vecs) — bit for bit, with a separate destination and
+// with dst aliasing the first input.
+func checkMean[T Float](t *testing.T, impl, ref *kernelSet[T], vecs [][]T, name string) {
+	t.Helper()
+	n := len(vecs[0])
+	inv := 1 / T(len(vecs))
+	want := make([]T, n)
+	ref.mean(want, inv, vecs)
+	composed := make([]T, n)
+	for _, v := range vecs {
+		impl.axpyTo(composed, 1, v, composed)
+	}
+	Scale(inv, composed)
+	got := make([]T, n)
+	impl.mean(got, inv, vecs)
+	aliased := append([]T(nil), vecs[0]...)
+	impl.mean(aliased, inv, append([][]T{aliased}, vecs[1:]...))
+	for _, c := range []struct {
+		what string
+		v    []T
+	}{{"class reference", want}, {"Zero+axpy+Scale", composed}, {"dst == vecs[0]", aliased}} {
+		if i := firstDiff(got, c.v); i >= 0 {
+			t.Fatalf("%s(n=%d, inputs=%d)[%d] = %v (%x), %s %v (%x)", name, n, len(vecs), i,
+				got[i], math.Float64bits(float64(got[i])), c.what, c.v[i], math.Float64bits(float64(c.v[i])))
+		}
+	}
+}
+
+// TestMeanUnderflowKeepsSign is the directed case of the mean kernel's
+// final multiply: a negative subnormal sum times 1/3 underflows to −0
+// on every rung and at both widths, as acc·inv must (the sum itself,
+// from +0, is never −0).
+func TestMeanUnderflowKeepsSign(t *testing.T) {
+	negZero := math.Float64bits(math.Copysign(0, -1))
+	for _, rg := range testRungs(t) {
+		for _, n := range []int{1, 7, 8, 9, 64, 65} {
+			vecs := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+			for i := range vecs[0] {
+				vecs[0][i] = -5e-324 // −(smallest subnormal)
+				vecs[1][i] = math.Copysign(0, -1)
+			}
+			dst := make([]float64, n)
+			rg.impl.mean(dst, 1/3.0, vecs)
+			for i, v := range dst {
+				if math.Float64bits(v) != negZero {
+					t.Fatalf("%s: mean(n=%d)[%d] of −5e-324, −0, +0 = %v (%x), want −0", rg.name, n, i, v, math.Float64bits(v))
+				}
+			}
+		}
+	}
+	sub32 := -math.Float32frombits(1)
+	for name, ks := range map[string]kernelSet[float32]{"kernels32": kernels32, "fmaRefKernels[float32]": fmaRefKernels[float32]()} {
+		for _, n := range []int{1, 7, 8, 9, 33} {
+			vecs := [][]float32{make([]float32, n), make([]float32, n), make([]float32, n)}
+			for i := range vecs[0] {
+				vecs[0][i] = sub32
+			}
+			dst := make([]float32, n)
+			ks.mean(dst, 1/float32(3), vecs)
+			for i, v := range dst {
+				if math.Float32bits(v) != 1<<31 {
+					t.Fatalf("%s: mean(n=%d)[%d] = %v (%x), want −0", name, n, i, v, math.Float32bits(v))
+				}
+			}
+		}
+	}
+}
+
+// FuzzMeanMatchesComposition feeds raw IEEE bit patterns — every NaN
+// payload, both zeros, subnormals and infinities — as 1-8 input vectors
+// to every rung's mean kernel at both widths and demands the bits of
+// its definition, Zero + one axpyTo(·, 1, v, ·) per input + Scale.
+func FuzzMeanMatchesComposition(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, uint8(0))
+	f.Add(make([]byte, 8*3*67), uint8(2))
+	special := []uint64{0x8000000000000001, 0x8000000000000000, 0x7ff0000000000000, 0x7ff8000000000001, 0x3fd5555555555555}
+	var seed []byte
+	for i := 0; i < 130; i++ {
+		seed = binary.LittleEndian.AppendUint64(seed, special[i%len(special)])
+	}
+	f.Add(seed, uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
+		inputs := 1 + int(k%8)
+		n := len(data) / 8 / inputs
+		vecs := make([][]float64, inputs)
+		for j := range vecs {
+			vecs[j] = make([]float64, n)
+			for i := range vecs[j] {
+				vecs[j][i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*(j*n+i):]))
+			}
+		}
+		for _, rg := range testRungs(t) {
+			checkMean(t, &rg.impl, &rg.ref, vecs, rg.name+" mean")
+		}
+		n32 := len(data) / 4 / inputs
+		vecs32 := make([][]float32, inputs)
+		for j := range vecs32 {
+			vecs32[j] = make([]float32, n32)
+			for i := range vecs32[j] {
+				vecs32[j][i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*(j*n32+i):]))
+			}
+		}
+		ref32 := fmaRefKernels[float32]()
+		checkMean(t, &kernels32, &ref32, vecs32, "mean32")
+	})
 }
 
 // TestFusedDotsMatchSingles pins the intra-class contract the GEMM
@@ -285,71 +410,95 @@ func sprinkleSpecials(r *rng.Stream, x []float64) {
 	}
 }
 
-// TestStepRowMatchesReference pins every rung's stepRow to its class
-// reference and to its own buffered form — a zeroed row, one axpyTo per
-// nonzero coefficient in ascending order, then axpyTo(dst, −eta, row,
-// w) — bit for bit: at every tail length, with no nonzero coefficient,
-// with more examples than a rung gathers on its stack, with −0, Inf and
-// NaN in the example rows (a zero coefficient on an Inf or NaN row must
-// stay a skip), with dst aliasing w, and on rows longer than one chunk of
-// the composed bodies' stack buffer.
+// TestStepRowMatchesReference pins every rung's stepRows to its class
+// reference and to its own per-row buffered form — per row, a zeroed
+// row, one axpyTo per nonzero coefficient in ascending order, then
+// axpyTo(dst, −eta, row, w) — bit for bit: on three-row weight
+// matrices at every tail length with 0, 1, 3, 4, 5, 16 and 33
+// examples, at every other width from 1 to 130 columns (each 8-lane
+// chunk count and mask of the AVX-512 remainder pass) with 5 and 33
+// examples and every seventh with all seven, with no nonzero
+// coefficient, with more examples than a rung gathers on
+// its stack, with −0, Inf and NaN in the example rows (a zero
+// coefficient on an Inf or NaN row must stay a skip), with dst aliasing
+// w, and on rows longer than one chunk of the composed bodies' stack
+// buffer.
 func TestStepRowMatchesReference(t *testing.T) {
+	var widths []int
+	for n := 1; n <= 130; n++ {
+		widths = append(widths, n)
+	}
+	widths = append(widths, 0, 784, 2*stepChunk+67)
 	for _, rg := range testRungs(t) {
 		t.Run(rg.name, func(t *testing.T) {
 			r := rng.New(31)
-			for _, n := range append(tailLengths[:len(tailLengths):len(tailLengths)], 2*stepChunk+67) {
+			for _, n := range widths {
 				for _, m := range []int{0, 1, 3, 4, 5, 16, 33} {
-					ys := make([][]float64, m)
-					for k := range ys {
-						ys[k] = make([]float64, n)
-						fillSpecial(r, ys[k])
-						sprinkleSpecials(r, ys[k])
+					if n <= 130 && n%7 != 0 && m != 5 && m != 33 && !slices.Contains(tailLengths, n) {
+						continue // the other widths at two batch sizes, every seventh at all
 					}
-					// Coefficient column 1 of a 3-column matrix: ReLU-style
-					// zeros, signed zeros, and an all-zero column when m = 1.
-					a := Mat[float64]{Rows: m, Cols: 3, Data: make([]float64, 3*m)}
-					for k := 0; k < m; k++ {
-						for j := 0; j < 3; j++ {
-							switch v := r.Float64() - 0.5; {
-							case m == 1 || r.Intn(3) == 0:
-								a.Data[k*3+j] = 0
-							case r.Intn(8) == 0:
-								a.Data[k*3+j] = math.Copysign(0, -1)
-							default:
-								a.Data[k*3+j] = v * 3
-							}
-						}
-					}
-					w := make([]float64, n)
-					fillSpecial(r, w)
-					const alpha, eta = 0.3, 0.05
-
-					want := make([]float64, n)
-					rg.ref.stepRow(want, w, eta, alpha, a, 1, ys)
-
-					buf := make([]float64, n)
-					for k, y := range ys {
-						if v := a.Data[k*3+1]; v != 0 {
-							rg.impl.axpyTo(buf, alpha*v, y, buf)
-						}
-					}
-					composed := make([]float64, n)
-					rg.impl.axpyTo(composed, -eta, buf, w)
-
-					got := make([]float64, n)
-					rg.impl.stepRow(got, w, eta, alpha, a, 1, ys)
-					aliased := append([]float64(nil), w...)
-					rg.impl.stepRow(aliased, aliased, eta, alpha, a, 1, ys)
-					for e := range got {
-						g, wb, cb, ab := math.Float64bits(got[e]), math.Float64bits(want[e]), math.Float64bits(composed[e]), math.Float64bits(aliased[e])
-						if g != wb || g != cb || g != ab {
-							t.Fatalf("stepRow(n=%d, examples=%d)[%d] = %x, class reference %x, buffered %x, dst == w %x",
-								n, m, e, g, wb, cb, ab)
-						}
-					}
+					checkStepRows(t, rg, r, n, m)
 				}
 			}
 		})
+	}
+}
+
+// checkStepRows runs one stepRows case of TestStepRowMatchesReference:
+// a 3×n weight matrix stepped by m examples.
+func checkStepRows(t *testing.T, rg rung, r *rng.Stream, n, m int) {
+	t.Helper()
+	const rows = 3
+	ys := make([][]float64, m)
+	for k := range ys {
+		ys[k] = make([]float64, n)
+		fillSpecial(r, ys[k])
+		sprinkleSpecials(r, ys[k])
+	}
+	// An m×3 coefficient matrix: ReLU-style zeros, signed zeros, and
+	// all-zero columns when m = 1.
+	a := Mat[float64]{Rows: m, Cols: rows, Data: make([]float64, rows*m)}
+	for k := 0; k < m; k++ {
+		for j := 0; j < rows; j++ {
+			switch v := r.Float64() - 0.5; {
+			case m == 1 || r.Intn(3) == 0:
+				a.Data[k*rows+j] = 0
+			case r.Intn(8) == 0:
+				a.Data[k*rows+j] = math.Copysign(0, -1)
+			default:
+				a.Data[k*rows+j] = v * 3
+			}
+		}
+	}
+	w := Mat[float64]{Rows: rows, Cols: n, Data: make([]float64, rows*n)}
+	fillSpecial(r, w.Data)
+	const alpha, eta = 0.3, 0.05
+	mat := func(d []float64) Mat[float64] { return Mat[float64]{Rows: rows, Cols: n, Data: d} }
+
+	want := make([]float64, rows*n)
+	rg.ref.stepRows(mat(want), w, eta, alpha, a, ys)
+
+	composed := make([]float64, rows*n)
+	for i := 0; i < rows; i++ {
+		buf := make([]float64, n)
+		for k, y := range ys {
+			if v := a.Data[k*rows+i]; v != 0 {
+				rg.impl.axpyTo(buf, alpha*v, y, buf)
+			}
+		}
+		rg.impl.axpyTo(composed[i*n:(i+1)*n], -eta, buf, w.Row(i))
+	}
+
+	got := make([]float64, rows*n)
+	rg.impl.stepRows(mat(got), w, eta, alpha, a, ys)
+	aliased := append([]float64(nil), w.Data...)
+	rg.impl.stepRows(mat(aliased), mat(aliased), eta, alpha, a, ys)
+	for e := range got {
+		g, wb, cb, ab := math.Float64bits(got[e]), math.Float64bits(want[e]), math.Float64bits(composed[e]), math.Float64bits(aliased[e])
+		if g != wb || g != cb || g != ab {
+			t.Fatalf("stepRows(n=%d, examples=%d)[row %d, col %d] = %x, class reference %x, buffered %x, dst == w %x",
+				n, m, e/max(n, 1), e%max(n, 1), g, wb, cb, ab)
+		}
 	}
 }
 

@@ -196,11 +196,11 @@ func TestGemmTNRStepRaggedRowPanics(t *testing.T) {
 	GemmTNRStep(1, a, yrows, 0.1, w, dst)
 }
 
-// TestAverageIntoBlockedMatchesPasses pins the column-blocked
-// AverageInto to its definition in every class: three whole-vector
-// passes (Zero, one Axpy per input in list order, Scale) on the float64
-// classes, the same passes in float32 arithmetic on the storage tier —
-// at lengths around the block size.
+// TestAverageIntoBlockedMatchesPasses pins AverageInto's mean kernel
+// to its definition in every class: three whole-vector passes (Zero,
+// one Axpy per input in list order, Scale) on the float64 classes, the
+// same passes in float32 arithmetic on the storage tier — at lengths
+// around the storage tier's column block.
 func TestAverageIntoBlockedMatchesPasses(t *testing.T) {
 	forEachClass(t, func(t *testing.T) {
 		r := rng.New(59)
