@@ -48,13 +48,13 @@ go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./i
 # must pass the whole suite and reproduce its class's golden
 # trajectories and experiment digests, wherever CI runs — a class whose
 # assembly the CPU lacks falls back to its bit-identical pure-Go twin, so
-# all three regimes (including the avx2f32 float32 storage tier) are
-# testable on any machine. sse2 has no leg: it binds the generic bodies,
-# so it would only re-run the generic leg (its name is asserted
-# selectable below). -count=1 because the test cache does not key on
-# HIERFAIR_KERNEL. The race legs re-run the fl and core suites, whose
-# slots fan fl.Fold's per-class lane rows out over sched.For.
-for KC in generic avx2 avx2f32; do
+# both regimes are testable on any machine. sse2 and avx2f32 have no leg:
+# they bind the generic and the avx2 bodies, so they would only re-run
+# those legs (their names are asserted selectable below). -count=1
+# because the test cache does not key on HIERFAIR_KERNEL. The race legs
+# re-run the fl and core suites, whose slots fan fl.Fold's lane rows out
+# over sched.For.
+for KC in generic avx2; do
 	HIERFAIR_KERNEL=$KC go test -count=1 ./...
 	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/fl/ ./internal/core/
 done
@@ -230,6 +230,15 @@ fi
 HIERFAIR_KERNEL=sse2 "$SMOKE/hierminimax" -print-kernel > "$SMOKE/sse2.out"
 test "$(head -n 1 "$SMOKE/sse2.out")" = sse2
 grep '^ladder: .*sse2=pure-go' "$SMOKE/sse2.out"
+
+# avx2f32 is likewise a second name for the avx2 bodies: forcing it must
+# report the class, with the same backing as avx2 in the ladder.
+HIERFAIR_KERNEL=avx2f32 "$SMOKE/hierminimax" -print-kernel > "$SMOKE/avx2f32.out"
+test "$(head -n 1 "$SMOKE/avx2f32.out")" = avx2f32
+F32_BACKING=$(sed -n 's/^ladder: .*avx2f32=\([a-z-]*\).*/\1/p' "$SMOKE/avx2f32.out")
+AVX2_BACKING=$(sed -n 's/^ladder: .* avx2=\([a-z-]*\).*/\1/p' "$SMOKE/avx2f32.out")
+test -n "$F32_BACKING"
+test "$F32_BACKING" = "$AVX2_BACKING"
 
 # Sparse-population smoke: the same smoke-scale Fig. 3 comparison with
 # a hundred thousand registered clients (twenty materialized per round)

@@ -63,7 +63,7 @@ func main() {
 	// Artifacts are reproducible per (seed, kernel class): the rounding
 	// regime is part of the provenance, so announce the active class,
 	// the CPU-detected default and every rung's backing before any run
-	// (off amd64 the avx2f32 tier runs its bit-identical pure-Go twins).
+	// (off amd64 the FMA classes run their bit-identical pure-Go twins).
 	fmt.Printf("kernel class: %s (detected %s, ladder %s)\n",
 		tensor.ActiveKernel(), tensor.DetectedKernel(), tensor.Ladder())
 

@@ -81,7 +81,7 @@ func main() {
 	if *printKernel {
 		// First line: the bare active class. Then the full dispatch
 		// ladder, fastest first, with each rung's backing on this machine
-		// — off amd64 the avx2f32 tier shows pure-go: selectable and
+		// — off amd64 the FMA classes show pure-go: selectable and
 		// bit-identical, just unaccelerated.
 		fmt.Println(tensor.ActiveKernel())
 		fmt.Printf("detected: %s\n", tensor.DetectedKernel())

@@ -94,7 +94,7 @@ func minimaxTwoLayerRound(k int, st *fl.State, pool *fl.ModelPool, s *twoLayerSc
 		}
 		f.Block(st.W, sr.ChildVal(uint64(i)), c1, iterSum)
 		if iterSum != nil {
-			tensor.StorageAdd(st.WSum, iterSum)
+			tensor.Axpy(1, iterSum, st.WSum)
 			st.WCount += float64(cfg.Tau1 * n)
 		}
 	}

@@ -75,7 +75,7 @@ func hierFAvgRound(k int, st *fl.State, pool *fl.ModelPool, slots []hierSlot) {
 		s := &slots[i]
 		wVecs[i] = s.we
 		if st.WSum != nil {
-			tensor.StorageAdd(st.WSum, s.iterSum)
+			tensor.Axpy(1, s.iterSum, st.WSum)
 			st.WCount += float64(cfg.SlotsPerRound() * s.fold.Cohort.Len())
 		}
 	}

@@ -206,7 +206,7 @@ func (c *cloud) round(k int, st *fl.State) {
 		c.wVecs = append(c.wVecs, s.W)
 		c.chkVecs = append(c.chkVecs, s.Chk)
 		if st.WSum != nil {
-			tensor.StorageAdd(st.WSum, s.IterSum)
+			tensor.Axpy(1, s.IterSum, st.WSum)
 			st.WCount += s.Iters
 		}
 	}
@@ -342,8 +342,7 @@ type modelUpdateArgs struct {
 // (c2, c1) checkpoint recorded in block c2 after c1 steps — on a deeper
 // tree, the same blocks at every level-1 node under the slot's area
 // (node). The client block itself is fl.Fold, for every cohort source,
-// worker count and kernel class (float32 lanes on the avx2f32 tier);
-// this function is the edge around it.
+// worker count and kernel class; this function is the edge around it.
 func modelUpdate(a modelUpdateArgs) Slot {
 	cfg, prob, wStart := &a.st.Cfg, a.st.Prob, a.st.W
 	top := len(a.tree.Taus) - 1

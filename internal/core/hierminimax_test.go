@@ -211,14 +211,6 @@ func TestQuantizedUplinksStillLearn(t *testing.T) {
 	if final := res.History.Final().Fair; final.Average < 0.7 {
 		t.Fatalf("8-bit quantized run reached only %v", final.Average)
 	}
-	// On the float32 storage tier the decoded uplinks round back to
-	// storage width, so the model stays float32-representable.
-	for i, v := range res.W {
-		if tensor.StorageF32() && float64(float32(v)) != v {
-			t.Fatalf("w[%d] = %v is not float32-representable", i, v)
-		}
-	}
-
 	// Quantized client uplinks must move fewer bytes than exact ones.
 	exact, _ := HierMinimax(fltest.ToyProblem(1), fltest.ToyConfig())
 	if res.Ledger.Bytes[topology.ClientEdge] >= exact.Ledger.Bytes[topology.ClientEdge] {

@@ -41,27 +41,20 @@ var pinnedDigests = map[tensor.KernelClass]map[string]uint64{
 		"chaos":        0x716ade61110a2a3c,
 		"compression":  0x3ac8b69f947d861d,
 	},
-	tensor.KernelAVX2F32: {
-		"fig3":         0xe8e1011f53861c85,
-		"fig4":         0x763e2b80ecdc6790,
-		"table2":       0x88de28b314fc8d06,
-		"table1":       0xe8e5bef304e96bb1,
-		"rates":        0xf968675de7167fee,
-		"stationarity": 0xa535a10264b65ce1,
-		"ablations":    0x956afedaf60b307a,
-		"chaos":        0x16978ea37d46d561,
-		"compression":  0x7f84723f7ec0893f,
-	},
 }
 
 // regimeDigests returns the pinned digests of the active class's rounding
-// regime (sse2 shares generic's), or nil when none are pinned.
+// regime (sse2 shares generic's, avx2f32 avx2's), or nil when none are
+// pinned.
 func regimeDigests() map[string]uint64 {
-	c := tensor.ActiveKernel()
-	if c == tensor.KernelSSE2 {
-		c = tensor.KernelGeneric
+	switch c := tensor.ActiveKernel(); c {
+	case tensor.KernelSSE2:
+		return pinnedDigests[tensor.KernelGeneric]
+	case tensor.KernelAVX2F32:
+		return pinnedDigests[tensor.KernelAVX2]
+	default:
+		return pinnedDigests[c]
 	}
-	return pinnedDigests[c]
 }
 
 // numericDigest is FNV-64a over the sorted, deduplicated float64 bit

@@ -96,14 +96,8 @@ func (c *Cohort) shard(i int, s *population.ShardScratch) data.Subset {
 // pending lanes into streaming means in cohort order. So memory is
 // O(cohortChunk*d) and the result is independent of chunking and worker
 // count: tensor.MeanAccumulator is bitwise AverageInto over the same
-// list in every kernel class.
-//
-// Lane rows and means have the storage width Begin picks: float32 on
-// the avx2f32 tier, where Block narrows start once and Add each reply,
-// and nothing is widened until Finish but a compressed upload, which
-// decodes in float64 and rounds back (compress). Both widths run one
-// lane path (localSGD) and one fold, so every engine and cohort source
-// shares this one slot on every class.
+// list in every kernel class. Every engine and cohort source shares
+// this one slot on every class.
 //
 // Lanes run through sched.For at GOMAXPROCS width. The zero value is
 // ready to use; once warm a Block allocates nothing but that fan-out's
@@ -130,32 +124,15 @@ type Fold struct {
 	// Block of the slot to the next, which lane rows do not.
 	resid [][]float64
 
-	// rows is the fold at the width Begin picked: &l64, or &l32.
-	rows foldRows
-	l64  lanes[float64]
-	l32  lanes[float32]
-}
-
-// foldRows is a Fold's work at one storage width (lanes[T]).
-type foldRows interface {
-	begin(n, d int, track bool)
-	block(f *Fold, start, iterSum []float64)
-	run(f *Fold, lane int)
-	add(final, chk []float64)
-	finish(w, chk []float64) bool
-}
-
-// lanes is a Fold's state at storage width T: the running block's start
-// (narrowed into buf at float32, which also stages Add's rows), one
-// final, checkpoint and iterate-sum row per lane, the pending chunk's
-// surviving rows in cohort order (liveChk empty in a block without
-// checkpoints), and the streaming means, sized for d elements.
-type lanes[T tensor.Float] struct {
-	start, buf         []T
-	finals, chks, sums [][]T
+	// The lanes: the running block's start, one final, checkpoint and
+	// iterate-sum row per lane, the pending chunk's surviving rows in
+	// cohort order (liveChk empty in a block without checkpoints), and
+	// the streaming means, sized for d elements.
+	start              []float64
+	finals, chks, sums [][]float64
 	pending            bool
-	live, liveChk      [][]T
-	wAcc, chkAcc       tensor.MeanAccumulator[T]
+	live, liveChk      [][]float64
+	wAcc, chkAcc       tensor.MeanAccumulator
 	d                  int
 }
 
@@ -185,8 +162,8 @@ func GrowRows[T any](rows [][]T, n, d int) [][]T {
 
 // Begin starts a slot for the current Cohort: blocks will run cfg.Tau1
 // steps of prob's model on pooled clones, compressing member uplinks
-// under comp (the zero Config uploads exactly). Begin picks the storage
-// width; lane rows are sized for the Cohort and error-feedback residual
+// under comp (the zero Config uploads exactly). Lane rows are sized for
+// the Cohort and error-feedback residual
 // rows only under comp's error feedback, so a fold fed through Add
 // (empty Cohort, zero comp) sizes neither. Residuals are slot-scoped
 // and start at zero here.
@@ -196,31 +173,24 @@ func (f *Fold) Begin(cfg *Config, prob *Problem, pool *ModelPool, comp quant.Con
 	if f.worker == nil {
 		f.worker = f.runLane
 	}
-	f.rows = &f.l64
-	if tensor.StorageF32() {
-		f.rows = &f.l32
+	if f.d != d {
+		// First use or a new model dimension: size the means too, so a
+		// fold begun once at set-up allocates nothing in its first block.
+		f.wAcc.Reset(d)
+		f.chkAcc.Reset(d)
+		f.d = d
 	}
-	f.rows.begin(min(cohortChunk, n), d, cfg.TrackAverages)
+	lanes := min(cohortChunk, n)
+	f.finals = GrowRows(f.finals, lanes, d)
+	f.chks = GrowRows(f.chks, lanes, d)
+	if cfg.TrackAverages {
+		f.sums = GrowRows(f.sums, lanes, d)
+	}
 	if comp.ErrorFeedback {
 		f.resid = GrowRows(f.resid, n, d)
 		for _, row := range f.resid {
 			tensor.Zero(row)
 		}
-	}
-}
-
-func (l *lanes[T]) begin(n, d int, track bool) {
-	if l.d != d {
-		// First use or a new model dimension: size the means too, so a
-		// fold begun once at set-up allocates nothing in its first block.
-		l.wAcc.Reset(d)
-		l.chkAcc.Reset(d)
-		l.d = d
-	}
-	l.finals = GrowRows(l.finals, n, d)
-	l.chks = GrowRows(l.chks, n, d)
-	if track {
-		l.sums = GrowRows(l.sums, n, d)
 	}
 }
 
@@ -236,45 +206,41 @@ func (l *lanes[T]) begin(n, d int, track bool) {
 // one mean.
 func (f *Fold) Block(start []float64, streams rng.Stream, chkAt int, iterSum []float64) {
 	f.streams, f.chkAt, f.track = streams, chkAt, iterSum != nil
-	f.rows.block(f, start, iterSum)
-}
-
-func (l *lanes[T]) block(f *Fold, start, iterSum []float64) {
 	n := f.Cohort.Len()
-	l.start = narrow(&l.buf, start)
+	f.start = start
 	for f.base = 0; f.base < n; f.base += cohortChunk {
-		l.flush()
+		f.flush()
 		span := min(cohortChunk, n-f.base)
 		sched.For(0, span, f.worker)
-		l.live, l.liveChk = l.live[:0], l.liveChk[:0]
+		f.live, f.liveChk = f.live[:0], f.liveChk[:0]
 		for lane := 0; lane < span; lane++ {
 			if f.Cohort.skipped(f.base + lane) {
 				continue
 			}
-			l.live = append(l.live, l.finals[lane])
+			f.live = append(f.live, f.finals[lane])
 			if f.chkAt > 0 {
-				l.liveChk = append(l.liveChk, l.chks[lane])
+				f.liveChk = append(f.liveChk, f.chks[lane])
 			}
 			if iterSum != nil {
-				tensor.StorageAdd(iterSum, l.sums[lane])
+				tensor.Axpy(1, f.sums[lane], iterSum)
 			}
 		}
-		l.pending = true
+		f.pending = true
 	}
 }
 
 // flush folds the pending chunk's members into the streaming means, in
 // cohort order, before anything overwrites the lane rows or folds a
 // later member.
-func (l *lanes[T]) flush() {
-	if !l.pending {
+func (f *Fold) flush() {
+	if !f.pending {
 		return
 	}
-	l.pending = false
-	for j, final := range l.live {
-		l.wAcc.Add(final)
-		if len(l.liveChk) > 0 {
-			l.chkAcc.Add(l.liveChk[j])
+	f.pending = false
+	for j, final := range f.live {
+		f.wAcc.Add(final)
+		if len(f.liveChk) > 0 {
+			f.chkAcc.Add(f.liveChk[j])
 		}
 	}
 }
@@ -285,27 +251,20 @@ func (l *lanes[T]) flush() {
 // (when non-nil) into iterSum. Callers add members in cohort order; the
 // vectors are read, not retained.
 func (f *Fold) Add(final, chk, sum, iterSum []float64) {
-	f.rows.add(final, chk)
-	if sum != nil {
-		tensor.StorageAdd(iterSum, sum)
-	}
-}
-
-func (l *lanes[T]) add(final, chk []float64) {
-	l.flush()
-	l.wAcc.Add(narrow(&l.buf, final))
+	f.flush()
+	f.wAcc.Add(final)
 	if chk != nil {
-		l.chkAcc.Add(narrow(&l.buf, chk))
+		f.chkAcc.Add(chk)
+	}
+	if sum != nil {
+		tensor.Axpy(1, sum, iterSum)
 	}
 }
 
-// runLane trains the member on one lane of the running chunk.
-func (f *Fold) runLane(lane int) { f.rows.run(f, lane) }
-
-// run trains the member on one lane of the running chunk. A member's
-// result depends only on its cohort position, never on the lane or the
-// worker that ran it.
-func (l *lanes[T]) run(f *Fold, lane int) {
+// runLane trains the member on one lane of the running chunk. A
+// member's result depends only on its cohort position, never on the
+// lane or the worker that ran it.
+func (f *Fold) runLane(lane int) {
 	i := f.base + lane
 	if f.Cohort.skipped(i) {
 		return
@@ -318,13 +277,13 @@ func (l *lanes[T]) run(f *Fold, lane int) {
 	s := sgdPool.Get().(*Scratch)
 	defer sgdPool.Put(s)
 	r := f.streams.ChildVal(uint64(i))
-	var sum []T
+	var sum []float64
 	if f.track {
-		sum = l.sums[lane]
+		sum = f.sums[lane]
 		tensor.Zero(sum)
 	}
-	wf, chk := l.finals[lane], l.chks[lane]
-	chked := localSGD(mdl, l.start, wf, f.Cohort.shard(i, &s.shard), cfg.Tau1, cfg.BatchSize, cfg.EtaW, &r, f.chkAt, sum, chk, s)
+	wf, chk := f.finals[lane], f.chks[lane]
+	chked := localSGD(mdl, f.start, wf, f.Cohort.shard(i, &s.shard), cfg.Tau1, cfg.BatchSize, cfg.EtaW, &r, f.chkAt, sum, chk, s)
 	// Uplink compression: members upload compressed models and the
 	// aggregator reconstructs the decoded values. Checkpoint uploads
 	// compress without error feedback (they are one-shot, not part of
@@ -335,59 +294,40 @@ func (l *lanes[T]) run(f *Fold, lane int) {
 			resid = f.resid[i]
 		}
 		q := r.ChildVal('q')
-		compress(f.comp, wf, resid, &q, s)
+		f.comp.Apply(wf, resid, &q)
 		if chked {
 			q2 := r.ChildVal('q').ChildVal(2)
-			compress(f.comp, chk, nil, &q2, s)
+			f.comp.Apply(chk, nil, &q2)
 		}
 	}
-}
-
-// compress replaces row v with its decoded uplink under comp, computed
-// in float64 with the float64 error-feedback residual resid. A float32
-// row is widened exactly into s and the decoded values round back to
-// storage width: the rounding simnet's edge applies when Add narrows a
-// decoded reply, so the engines agree on the float32 tier too.
-func compress[T tensor.Float](comp quant.Config, v []T, resid []float64, r *rng.Stream, s *Scratch) {
-	if v64, ok := any(v).([]float64); ok {
-		comp.Apply(v64, resid, r)
-		return
-	}
-	v32 := any(v).([]float32)
-	s.wide = GrowVec(s.wide, len(v32))
-	tensor.ToF64(s.wide, v32)
-	comp.Apply(s.wide, resid, r)
-	tensor.ToF32(v32, s.wide)
 }
 
 // Finish writes the mean of the models folded since the last Finish
 // into w and, if any block recorded checkpoints, their mean into chk,
 // and readies the means for the next aggregation. It reports false,
 // leaving w and chk untouched, when every member was skipped.
-func (f *Fold) Finish(w, chk []float64) bool { return f.rows.finish(w, chk) }
-
-func (l *lanes[T]) finish(w, chk []float64) bool {
-	if l.pending && l.wAcc.Len() == 0 {
+func (f *Fold) Finish(w, chk []float64) bool {
+	if f.pending && f.wAcc.Len() == 0 {
 		// The only chunk since the last Finish: average its surviving
 		// lane rows directly, reading each once.
-		l.pending = false
-		if len(l.live) == 0 {
+		f.pending = false
+		if len(f.live) == 0 {
 			return false
 		}
-		tensor.AverageInto(w, l.live...)
-		if len(l.liveChk) > 0 {
-			tensor.AverageInto(chk, l.liveChk...)
+		tensor.AverageInto(w, f.live...)
+		if len(f.liveChk) > 0 {
+			tensor.AverageInto(chk, f.liveChk...)
 		}
 		return true
 	}
-	l.flush()
-	if l.chkAcc.Len() > 0 {
-		l.chkAcc.FinishInto(chk)
+	f.flush()
+	if f.chkAcc.Len() > 0 {
+		f.chkAcc.FinishInto(chk)
 	}
-	if l.wAcc.Len() == 0 {
+	if f.wAcc.Len() == 0 {
 		return false
 	}
-	l.wAcc.FinishInto(w)
+	f.wAcc.FinishInto(w)
 	return true
 }
 
@@ -415,15 +355,6 @@ func (c *Cohort) LossEstimate(m model.Model, w []float64, batch int, r *rng.Stre
 }
 
 func (c *Cohort) lossEstimate(m model.Model, w []float64, batch int, r *rng.Stream, s *Scratch) (float64, int) {
-	// Narrow w once per edge, not once per client: the same bits and
-	// stream draws as ShardLossEstimate per client.
-	if w32 := s.mirror32(w); w32 != nil {
-		return cohortLoss(c, m, w32, batch, r, s)
-	}
-	return cohortLoss(c, m, w, batch, r, s)
-}
-
-func cohortLoss[T tensor.Float](c *Cohort, m model.Model, w []T, batch int, r *rng.Stream, s *Scratch) (float64, int) {
 	total := 0.0
 	got := 0
 	for i := 0; i < c.Len(); i++ {
@@ -431,7 +362,7 @@ func cohortLoss[T tensor.Float](c *Cohort, m model.Model, w []T, batch int, r *r
 			continue
 		}
 		cs := r.ChildVal(uint64(i))
-		total += shardLoss(m, w, c.shard(i, &s.shard), batch, &cs, s)
+		total += ShardLossEstimate(m, w, c.shard(i, &s.shard), batch, &cs, s)
 		got++
 	}
 	if got == 0 {

@@ -78,7 +78,7 @@ func TestFoldSkip(t *testing.T) {
 						if tc.skip == nil || !tc.skip(i) {
 							live = append(live, finals[i])
 							liveChks = append(liveChks, chks[i])
-							tensor.StorageAdd(wantSum, sums[i])
+							tensor.Axpy(1, sums[i], wantSum)
 						}
 					}
 					wantW, wantChk := make([]float64, d), make([]float64, d)
@@ -257,7 +257,7 @@ func TestFoldAddMatchesBlock(t *testing.T) {
 						t.Fatalf("%s: coordinate %d differs from Block", name(), j)
 					}
 				}
-				if len(add.l64.finals)+len(add.l64.chks)+len(add.l64.sums)+len(add.l32.finals)+len(add.l32.chks)+len(add.l32.sums) != 0 || add.resid != nil {
+				if len(add.finals)+len(add.chks)+len(add.sums) != 0 || add.resid != nil {
 					t.Fatalf("%s: an empty-cohort fold sized lane or residual rows", name())
 				}
 			}
@@ -278,79 +278,12 @@ func TestFoldAddMatchesBlock(t *testing.T) {
 	}
 }
 
-// TestFoldFloat32LanesMatchAdd pins the float32 lanes of the avx2f32
-// tier: Block + Finish over a 40-member cohort (two chunks) with skipped
-// members and iterate sums equals, bit for bit, every surviving member
-// run alone through LocalSGDScratch (the float64 adapter) and folded in
-// with Add — with the checkpoint off, after the first step and after
-// the last, on one processor and on four.
-func TestFoldFloat32LanesMatchAdd(t *testing.T) {
-	defer tensor.SetKernel(tensor.KernelAVX2F32)()
-	const n, tau1 = 40, 3
-	m := model.NewLinear(4, 2)
-	d := m.Dim()
-	clients := make([]data.Subset, n)
-	for i := range clients {
-		clients[i] = toyShard(uint64(70+i), 12)
-	}
-	start := make([]float64, d)
-	rng.New(9).Fill(start, 0.2)
-	tensor.Round32(start)
-	streams := *rng.New(10)
-	skip := func(i int) bool { return i%5 == 3 || i == cohortChunk }
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-
-	prob := &Problem{Model: m}
-	for _, chkAt := range []int{0, 1, tau1} {
-		for _, procs := range []int{1, 4} {
-			runtime.GOMAXPROCS(procs)
-			name := fmt.Sprintf("chkAt=%d procs=%d", chkAt, procs)
-			cfg := &Config{Tau1: tau1, BatchSize: 2, EtaW: 0.1, TrackAverages: true}
-
-			var add Fold
-			add.Begin(cfg, prob, nil, quant.Config{})
-			var s Scratch
-			wantSum := make([]float64, d)
-			for i := 0; i < n; i++ {
-				if skip(i) {
-					continue
-				}
-				final, chk, sum := append([]float64(nil), start...), make([]float64, d), make([]float64, d)
-				r := streams.ChildVal(uint64(i))
-				LocalSGDScratch(m, final, clients[i], cfg.Tau1, cfg.BatchSize, cfg.EtaW, nil, &r, chkAt, sum, chk, &s)
-				if chkAt == 0 {
-					chk = nil
-				}
-				add.Add(final, chk, sum, wantSum)
-			}
-			wantW, wantChk := make([]float64, d), make([]float64, d)
-			if !add.Finish(wantW, wantChk) {
-				t.Fatalf("%s: Add folded nothing", name)
-			}
-
-			f := Fold{Cohort: Cohort{Clients: clients, Skip: skip}}
-			f.Begin(cfg, prob, NewModelPool(m), cfg.Compression)
-			w, chk, sum := make([]float64, d), make([]float64, d), make([]float64, d)
-			f.Block(start, streams, chkAt, sum)
-			if !f.Finish(w, chk) {
-				t.Fatalf("%s: Block folded nothing", name)
-			}
-			if len(f.l32.finals) != cohortChunk || len(f.l64.finals) != 0 {
-				t.Fatalf("%s: %d float32 and %d float64 lane rows, want float32 lanes only", name, len(f.l32.finals), len(f.l64.finals))
-			}
-			sameBits(t, name+" w", w, wantW)
-			sameBits(t, name+" chk", chk, wantChk)
-			sameBits(t, name+" iterate sum", sum, wantSum)
-		}
-	}
-}
-
 // TestFoldReusedAtAnotherDimension begins one Fold at one model
 // dimension and then at another, as a pooled fold is reused across
 // runs: a slot over a cohort one past a chunk (so the second chunk folds
 // the first through the running means) with checkpoints, then one Add,
 // must give at the second dimension what a fresh Fold gives, bit for
-// bit — growing and shrinking, at both storage widths.
+// bit — growing and shrinking, in both rounding regimes.
 func TestFoldReusedAtAnotherDimension(t *testing.T) {
 	const n, tau1, chkAt = cohortChunk + 1, 3, 1
 	clients := make([]data.Subset, n)
@@ -374,7 +307,7 @@ func TestFoldReusedAtAnotherDimension(t *testing.T) {
 		return w, chk
 	}
 	small, large := model.NewLinear(4, 2), model.NewMLP(4, 5, 3, 2)
-	for _, class := range []tensor.KernelClass{tensor.KernelGeneric, tensor.KernelAVX2F32} {
+	for _, class := range []tensor.KernelClass{tensor.KernelGeneric, tensor.KernelAVX2} {
 		restore := tensor.SetKernel(class)
 		for _, dims := range [][2]model.Model{{small, large}, {large, small}} {
 			name := fmt.Sprintf("%v: d=%d after d=%d", class, dims[1].Dim(), dims[0].Dim())

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/population"
 	"repro/internal/quant"
-	"repro/internal/tensor"
+	"repro/internal/topology"
 )
 
 // Config controls one training run. The zero value is not runnable; call
@@ -171,7 +171,7 @@ func (c Config) UplinkBytes(d int, chk bool) int64 {
 		up *= 2
 	}
 	if c.TrackAverages {
-		up += int64(d) * int64(tensor.ElemBytes())
+		up += topology.ModelBytes(d)
 	}
 	return up
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/quant"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 	"repro/internal/topology"
 )
 
@@ -76,15 +75,9 @@ func TestLocalSGDIterSum(t *testing.T) {
 	shard := toyShard(2, 20)
 	sum := make([]float64, m.Dim())
 	LocalSGD(m, w0, shard, 1, 2, 0.1, nil, rng.New(3), 0, sum)
-	// One step: the only accumulated iterate is w^(0) = w0 (rounded to
-	// storage on the float32 tier, where every iterate is
-	// float32-representable).
-	want := append([]float64(nil), w0...)
-	if tensor.StorageF32() {
-		tensor.Round32(want)
-	}
+	// One step: the only accumulated iterate is w^(0) = w0.
 	for i := range sum {
-		if sum[i] != want[i] {
+		if sum[i] != w0[i] {
 			t.Fatal("iterSum after one step must equal w0")
 		}
 	}
@@ -108,15 +101,10 @@ func TestCohortLossEstimate(t *testing.T) {
 	w := make([]float64, m.Dim())
 	shard := toyShard(5, 40)
 	area := data.AreaData{Clients: []data.Subset{shard, shard}, Train: shard, Test: shard}
-	// Zero model: every mini-batch loss is exactly ln 2 (to float32
-	// precision on the float32 storage tier).
-	tol := 1e-12
-	if tensor.StorageF32() {
-		tol = 1e-7
-	}
+	// Zero model: every mini-batch loss is exactly ln 2.
 	fed := &data.Federation{Areas: []data.AreaData{area}}
 	got, n := CohortLossEstimate(m, w, &Config{LossBatch: 4}, fed, 0, 0, rng.New(1))
-	if math.Abs(got-math.Log(2)) > tol || n != 2 {
+	if math.Abs(got-math.Log(2)) > 1e-12 || n != 2 {
 		t.Fatalf("loss estimate %v over %d clients, want ln 2 over 2", got, n)
 	}
 }
@@ -159,7 +147,7 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 
 func TestUplinkBytes(t *testing.T) {
 	const d, k = 100, 10
-	elem := int64(tensor.ElemBytes())
+	const elem = 8
 	for _, r := range []struct {
 		name  string
 		q     quant.Config

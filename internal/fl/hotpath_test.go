@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -61,8 +60,7 @@ func TestLocalSGDScratchMatchesLocalSGD(t *testing.T) {
 // final model, checkpoint, iterate sum and report — with start left
 // untouched: with the checkpoint off, at the first step, mid-block and
 // at the last step (the one case that copies), with no steps, with and
-// without the iterate sum, in every kernel class
-// (on the avx2f32 tier on float32 rows, as the lanes train there).
+// without the iterate sum, in every kernel class.
 func TestLocalSGDFromStartMatchesCopy(t *testing.T) {
 	for _, c := range tensor.Classes() {
 		t.Run(c.String(), func(t *testing.T) {
@@ -72,7 +70,6 @@ func TestLocalSGDFromStartMatchesCopy(t *testing.T) {
 			shard := toyShard(9, 30)
 			start := make([]float64, d)
 			rng.New(10).Fill(start, 0.5)
-			tensor.Round32(start) // storage-representable on every tier
 			orig := append([]float64(nil), start...)
 			for _, steps := range []int{0, 4} {
 				for _, chkAt := range []int{0, 1, 2, 4} {
@@ -86,12 +83,7 @@ func TestLocalSGDFromStartMatchesCopy(t *testing.T) {
 						okWant := LocalSGDScratch(m, want, shard, steps, 3, 0.2, nil, rng.New(11), chkAt, sumWant, chkWant, new(Scratch))
 
 						got, chkGot := make([]float64, d), make([]float64, d)
-						var okGot bool
-						if tensor.StorageF32() {
-							okGot = fromStart32(t, m, start, got, shard, steps, chkAt, sumGot, chkGot)
-						} else {
-							okGot = localSGD(m, start, got, shard, steps, 3, 0.2, rng.New(11), chkAt, sumGot, chkGot, new(Scratch))
-						}
+						okGot := localSGD(m, start, got, shard, steps, 3, 0.2, rng.New(11), chkAt, sumGot, chkGot, new(Scratch))
 						if okGot != okWant {
 							t.Fatalf("%s: reported %v, want %v", name, okGot, okWant)
 						}
@@ -106,34 +98,4 @@ func TestLocalSGDFromStartMatchesCopy(t *testing.T) {
 			}
 		})
 	}
-}
-
-// fromStart32 runs the float32 localSGD from the narrowed start into
-// float32 rows and widens the final model, checkpoint and iterate sum
-// into w, wChk and iterSum, failing if it wrote to start.
-func fromStart32(t *testing.T, m model.Model, start, w []float64, shard data.Subset, steps, chkAt int, iterSum, wChk []float64) bool {
-	t.Helper()
-	d := len(start)
-	start32, w32, chk32 := make([]float32, d), make([]float32, d), make([]float32, d)
-	tensor.ToF32(start32, start)
-	orig := append([]float32(nil), start32...)
-	var sum32 []float32
-	if iterSum != nil {
-		sum32 = make([]float32, d)
-		tensor.ToF32(sum32, iterSum)
-	}
-	ok := localSGD(m, start32, w32, shard, steps, 3, 0.2, rng.New(11), chkAt, sum32, chk32, new(Scratch))
-	for j := range start32 {
-		if start32[j] != orig[j] {
-			t.Fatalf("localSGD wrote to its float32 start at %d", j)
-		}
-	}
-	tensor.ToF64(w, w32)
-	if ok {
-		tensor.ToF64(wChk, chk32)
-	}
-	if sum32 != nil {
-		tensor.ToF64(iterSum, sum32)
-	}
-	return ok
 }

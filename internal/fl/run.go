@@ -77,11 +77,6 @@ func RunWithOptions(algorithm string, prob *Problem, cfg Config, roundFn RoundFu
 		P:      make([]float64, prob.Fed.NumAreas()),
 	}
 	prob.Model.Init(st.W, root.Child('i'))
-	if tensor.StorageF32() {
-		// The avx2f32 storage invariant starts here: w^(0) is rounded to
-		// float32-representable values before the first round.
-		tensor.Round32(st.W)
-	}
 	tensor.Fill(st.P, 1/float64(len(st.P))) // p^(0) = uniform (Algorithm 1 line 1)
 	prob.P.Project(st.P)
 	if cfg.TrackAverages {

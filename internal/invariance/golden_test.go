@@ -1,17 +1,16 @@
 // Package invariance_test pins the exact floating-point trajectories of
 // every training engine on the fltest fixtures, per kernel class. The
-// dispatch ladder (tensor.KernelClass) defines three rounding regimes:
+// dispatch ladder (tensor.KernelClass) defines two rounding regimes:
 // the non-FMA regime (generic, and sse2, which binds the same bodies)
-// pinned by testdata/trajectories.json, the float64 FMA regime (avx2,
-// one rounding per multiply-add) pinned by
-// testdata/trajectories_avx2.json, and the float32 storage regime
-// (avx2f32, 24-bit significands end to end) pinned by
-// testdata/trajectories_avx2f32.json. Any change to the arithmetic
-// order of the hot path (kernels, batching, parallel reductions) shows
-// up here as a hash mismatch in the affected regime. Regenerate all
-// three files deliberately with `go test ./internal/invariance -update`
-// after an intentional trajectory change — update mode forces each
-// regime in turn, so one run on any machine rewrites them all.
+// pinned by testdata/trajectories.json, and the FMA regime (avx2, one
+// rounding per multiply-add, and avx2f32, which binds the same bodies)
+// pinned by testdata/trajectories_avx2.json. Any change to the
+// arithmetic order of the hot path (kernels, batching, parallel
+// reductions) shows up here as a hash mismatch in the affected regime.
+// Regenerate both files deliberately with
+// `go test ./internal/invariance -update` after an intentional
+// trajectory change — update mode forces each regime in turn, so one
+// run on any machine rewrites them all.
 package invariance_test
 
 import (
@@ -275,8 +274,7 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 				core.Tree{Branching: []int{2, 2, 2, 4}, Taus: []int{1, 2, 2, 2}})
 		},
 		// Compression regimes are pinned per kernel class like everything
-		// else (the float32 storage tier decodes in float64 and rounds back
-		// to storage width). The simnet and wire cases must land on the same
+		// else. The simnet and wire cases must land on the same
 		// hash as their core twins; recording all three pins the
 		// cross-engine equality into the fixtures themselves.
 		"hierminimax-quant8": func() (*fl.Result, error) {
@@ -331,16 +329,12 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 }
 
 // goldenFile maps a kernel class to the fixture pinning its rounding
-// regime. generic and sse2 share one file — TestSSE2BindsGeneric (in
-// internal/tensor) and TestCrossClassGoldens below keep that sharing
-// honest — while the float64 FMA tier and the float32 storage tier each
-// get their own.
+// regime. generic and sse2 share one file, avx2 and avx2f32 the other —
+// TestSSE2BindsGeneric and TestAVX2F32BindsAVX2 (in internal/tensor) and
+// TestCrossClassGoldens below keep that sharing honest.
 func goldenFile(c tensor.KernelClass) string {
-	switch c {
-	case tensor.KernelAVX2:
+	if c == tensor.KernelAVX2 || c == tensor.KernelAVX2F32 {
 		return "testdata/trajectories_avx2.json"
-	case tensor.KernelAVX2F32:
-		return "testdata/trajectories_avx2f32.json"
 	}
 	return "testdata/trajectories.json"
 }
@@ -401,7 +395,7 @@ func TestTrajectoriesMatchGolden(t *testing.T) {
 		// Regenerate every rounding regime regardless of the active
 		// class: the pure-Go fallbacks make every class bit-reproducible
 		// on any machine.
-		for _, c := range []tensor.KernelClass{tensor.KernelGeneric, tensor.KernelAVX2, tensor.KernelAVX2F32} {
+		for _, c := range []tensor.KernelClass{tensor.KernelGeneric, tensor.KernelAVX2} {
 			restore := tensor.SetKernel(c)
 			writeGolden(t, goldenFile(c), runAll(t))
 			restore()
@@ -434,8 +428,8 @@ func TestTrajectoriesMatchGolden(t *testing.T) {
 
 // TestCrossClassGoldens forces each dispatch rung in turn on a cheap
 // case pair and checks it against that rung's golden: sse2 and generic
-// must land on the identical (non-FMA) hash, avx2 and avx2f32 each on
-// their own. This is the in-process proof that a forced kernel class —
+// must land on the identical (non-FMA) hash, avx2 and avx2f32 on the
+// identical FMA one. This is the in-process proof that a forced kernel class —
 // not the hardware it happens to run on — determines the trajectory.
 func TestCrossClassGoldens(t *testing.T) {
 	quick := []string{"hierminimax-seq", "fedavg"}

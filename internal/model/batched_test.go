@@ -55,13 +55,13 @@ func outerAccum(alpha float64, x, y []float64, a *tensor.Matrix) {
 	}
 }
 
-func equalBits[T tensor.Float](t *testing.T, name string, got, want []T) {
+func equalBits(t *testing.T, name string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
 	}
 	for i := range got {
-		if g, w := math.Float64bits(float64(got[i])), math.Float64bits(float64(want[i])); g != w {
+		if g, w := math.Float64bits(got[i]), math.Float64bits(want[i]); g != w {
 			t.Fatalf("%s: element %d = %x, want %x (not bitwise equal)", name, i, g, w)
 		}
 	}
@@ -70,7 +70,7 @@ func equalBits[T tensor.Float](t *testing.T, name string, got, want []T) {
 // linearReference computes Linear's loss and mean gradient one example
 // at a time with BLAS-1/2 primitives only.
 func linearReference(l *Linear, w []float64, xs [][]float64, ys []int, grad []float64) float64 {
-	W, b := linearParams(l, w)
+	W, b := l.params(w)
 	gFlat := tensor.MatrixFrom(grad[:l.classes*l.in], l.classes, l.in)
 	gb := grad[l.classes*l.in:]
 	tensor.Zero(grad)
@@ -125,8 +125,8 @@ func TestLinearBatchedMatchesPerExample(t *testing.T) {
 // returns the sum: Grad scales it by 1/n and Loss divides it by n, which
 // differ in the last bit for some n (13 under avx2, for one).
 func mlpReference(m *MLP, w []float64, xs [][]float64, ys []int, grad []float64) float64 {
-	W1, W2, W3, b1, b2, b3 := mlpMats(m, w)
-	gW1, gW2, gW3, gb1, gb2, gb3 := mlpMats(m, grad)
+	W1, W2, W3, b1, b2, b3 := m.mats(w)
+	gW1, gW2, gW3, gb1, gb2, gb3 := m.mats(grad)
 	tensor.Zero(grad)
 	z1 := make([]float64, m.h1)
 	a1 := make([]float64, m.h1)

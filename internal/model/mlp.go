@@ -21,24 +21,20 @@ import (
 // reused across calls so the training hot path allocates nothing after
 // warm-up. The batched pass is bitwise-identical to per-example
 // evaluation — see the determinism contract in internal/tensor.
-// LossF32 and StepF32 run the same generic bodies on float32 operands
-// (the avx2f32 storage tier), with scratch of their own.
 type MLP struct {
 	in, h1, h2, classes int
 	// Slice offsets into the flat parameter vector.
 	oW1, ob1, oW2, ob2, oW3, ob3, dim int
 	// Per-example scratch (Predict).
 	z1, a1, z2, a2, logits []float64
-	// Batched scratch per storage width, reshaped per chunk: s64 for
-	// Loss, Grad and Step, s32 for their float32 forms.
-	s64 mlpScratch[float64]
-	s32 mlpScratch[float32]
+	// Batched activation scratch, reshaped per chunk.
+	s mlpScratch
 }
 
-// mlpScratch is the MLP's batched activation scratch at width T.
-type mlpScratch[T tensor.Float] struct {
-	z1, a1, z2, a2, z3 tensor.Mat[T]
-	dz3, da2, da1      tensor.Mat[T]
+// mlpScratch is the MLP's batched activation scratch.
+type mlpScratch struct {
+	z1, a1, z2, a2, z3 tensor.Matrix
+	dz3, da2, da1      tensor.Matrix
 }
 
 // NewMLP returns an MLP with the given layer sizes.
@@ -93,18 +89,18 @@ func (m *MLP) Init(w []float64, r *rng.Stream) {
 // matrices and the three bias vectors. The matrices are returned by
 // value: the function is too large to inline, and pointers would move
 // every view to the heap on every call.
-func mlpMats[T tensor.Float](m *MLP, w []T) (W1, W2, W3 tensor.Mat[T], b1, b2, b3 []T) {
-	W1 = tensor.Mat[T]{Rows: m.h1, Cols: m.in, Data: w[m.oW1:m.ob1]}
+func (m *MLP) mats(w []float64) (W1, W2, W3 tensor.Matrix, b1, b2, b3 []float64) {
+	W1 = tensor.Matrix{Rows: m.h1, Cols: m.in, Data: w[m.oW1:m.ob1]}
 	b1 = w[m.ob1:m.oW2]
-	W2 = tensor.Mat[T]{Rows: m.h2, Cols: m.h1, Data: w[m.oW2:m.ob2]}
+	W2 = tensor.Matrix{Rows: m.h2, Cols: m.h1, Data: w[m.oW2:m.ob2]}
 	b2 = w[m.ob2:m.oW3]
-	W3 = tensor.Mat[T]{Rows: m.classes, Cols: m.h2, Data: w[m.oW3:m.ob3]}
+	W3 = tensor.Matrix{Rows: m.classes, Cols: m.h2, Data: w[m.oW3:m.ob3]}
 	b3 = w[m.ob3:]
 	return
 }
 
 func (m *MLP) forward(w, x []float64) {
-	W1, W2, W3, b1, b2, b3 := mlpMats(m, w)
+	W1, W2, W3, b1, b2, b3 := m.mats(w)
 	copy(m.z1, b1)
 	tensor.Gemv(1, &W1, x, 1, m.z1)
 	tensor.ReLU(m.a1, m.z1)
@@ -115,12 +111,14 @@ func (m *MLP) forward(w, x []float64) {
 	tensor.Gemv(1, &W3, m.a2, 1, m.logits)
 }
 
-// mlpForward runs the batched forward pass for one chunk, leaving the
-// chunk's logits in s.z3 and the pre/post activations in s.z*/s.a*.
-// The feature vectors are read in place (no gather copy); ReLU over the
-// flat backing array equals the row-wise application.
-func mlpForward[T tensor.Float](m *MLP, s *mlpScratch[T], w []T, xs [][]T) {
-	W1, W2, W3, b1, b2, b3 := mlpMats(m, w)
+// forwardBatch runs the batched forward pass for one chunk, leaving the
+// chunk's logits in m.s.z3 and the pre/post activations in
+// m.s.z*/m.s.a*. The feature vectors are read in place (no gather
+// copy); ReLU over the flat backing array equals the row-wise
+// application.
+func (m *MLP) forwardBatch(w []float64, xs [][]float64) {
+	s := &m.s
+	W1, W2, W3, b1, b2, b3 := m.mats(w)
 	n := len(xs)
 	s.z1.Reshape(n, m.h1)
 	s.a1.Reshape(n, m.h1)
@@ -145,47 +143,34 @@ func mlpForward[T tensor.Float](m *MLP, s *mlpScratch[T], w []T, xs [][]T) {
 
 // Loss returns the mean cross-entropy over the batch.
 func (m *MLP) Loss(w []float64, xs [][]float64, ys []int) float64 {
-	return mlpLoss(m, &m.s64, w, xs, ys)
-}
-
-// LossF32 is Loss on the float32 storage tier.
-func (m *MLP) LossF32(w []float32, xs [][]float32, ys []int) float32 {
-	return mlpLoss(m, &m.s32, w, xs, ys)
-}
-
-func mlpLoss[T tensor.Float](m *MLP, s *mlpScratch[T], w []T, xs [][]T, ys []int) T {
 	m.checkDim(len(w))
 	if len(xs) == 0 {
 		return 0
 	}
-	var total T
+	total := 0.0
 	for lo := 0; lo < len(xs); lo += batchChunk {
 		hi := min(lo+batchChunk, len(xs))
-		mlpForward(m, s, w, xs[lo:hi])
-		total = tensor.CrossEntropyLossRows(&s.z3, ys[lo:hi], total)
+		m.forwardBatch(w, xs[lo:hi])
+		total = tensor.CrossEntropyLossRows(&m.s.z3, ys[lo:hi], total)
 	}
-	return total / T(len(xs))
+	return total / float64(len(xs))
 }
 
 // Grad writes the mean gradient into grad and returns the mean loss.
 func (m *MLP) Grad(w, grad []float64, xs [][]float64, ys []int) float64 {
-	return mlpGrad(m, &m.s64, w, grad, xs, ys)
-}
-
-func mlpGrad[T tensor.Float](m *MLP, s *mlpScratch[T], w, grad []T, xs [][]T, ys []int) T {
 	m.checkDim(len(w))
 	m.checkDim(len(grad))
 	tensor.Zero(grad)
 	if len(xs) == 0 {
 		return 0
 	}
-	gW1, _, _, _, _, _ := mlpMats(m, grad)
-	var total T
-	inv := 1 / T(len(xs))
+	gW1, _, _, _, _, _ := m.mats(grad)
+	total := 0.0
+	inv := 1 / float64(len(xs))
 	for lo := 0; lo < len(xs); lo += batchChunk {
 		hi := min(lo+batchChunk, len(xs))
-		total = mlpBackChunk(m, s, w, grad, xs[lo:hi], ys[lo:hi], inv, total)
-		tensor.GemmTNR(inv, &s.da1, xs[lo:hi], &gW1)
+		total = m.backChunk(w, grad, xs[lo:hi], ys[lo:hi], inv, total)
+		tensor.GemmTNR(inv, &m.s.da1, xs[lo:hi], &gW1)
 	}
 	return total * inv
 }
@@ -198,17 +183,8 @@ func mlpGrad[T tensor.Float](m *MLP, s *mlpScratch[T], w, grad []T, xs [][]T, ys
 // and one AxpyTo. Bit for bit Grad followed by AxpyTo(dst, -eta, grad, w); a
 // batch that is empty or spans several chunks takes exactly that path.
 func (m *MLP) Step(w, dst, grad []float64, xs [][]float64, ys []int, eta float64) float64 {
-	return mlpStep(m, &m.s64, w, dst, grad, xs, ys, eta)
-}
-
-// StepF32 is Step on the float32 storage tier.
-func (m *MLP) StepF32(w, dst, grad []float32, xs [][]float32, ys []int, eta float32) float32 {
-	return mlpStep(m, &m.s32, w, dst, grad, xs, ys, eta)
-}
-
-func mlpStep[T tensor.Float](m *MLP, s *mlpScratch[T], w, dst, grad []T, xs [][]T, ys []int, eta T) T {
 	if len(xs) == 0 || len(xs) > batchChunk {
-		loss := mlpGrad(m, s, w, grad, xs, ys)
+		loss := m.Grad(w, grad, xs, ys)
 		tensor.AxpyTo(dst, -eta, grad, w)
 		return loss
 	}
@@ -216,24 +192,25 @@ func mlpStep[T tensor.Float](m *MLP, s *mlpScratch[T], w, dst, grad []T, xs [][]
 	m.checkDim(len(dst))
 	m.checkDim(len(grad))
 	tensor.Zero(grad[m.ob1:])
-	inv := 1 / T(len(xs))
-	total := mlpBackChunk(m, s, w, grad, xs, ys, inv, 0)
-	W1, _, _, _, _, _ := mlpMats(m, w)
-	dW1, _, _, _, _, _ := mlpMats(m, dst)
-	tensor.GemmTNRStep(inv, &s.da1, xs, eta, &W1, &dW1)
+	inv := 1 / float64(len(xs))
+	total := m.backChunk(w, grad, xs, ys, inv, 0)
+	W1, _, _, _, _, _ := m.mats(w)
+	dW1, _, _, _, _, _ := m.mats(dst)
+	tensor.GemmTNRStep(inv, &m.s.da1, xs, eta, &W1, &dW1)
 	tensor.AxpyTo(dst[m.ob1:], -eta, grad[m.ob1:], w[m.ob1:])
 	return total * inv
 }
 
-// mlpBackChunk runs one chunk's forward and backward pass, accumulating
+// backChunk runs one chunk's forward and backward pass, accumulating
 // every gradient but the first-layer weights' into grad and leaving the
-// masked first-layer deltas in s.da1 for the caller's weight-gradient
+// masked first-layer deltas in m.s.da1 for the caller's weight-gradient
 // kernel. It returns the running loss total.
-func mlpBackChunk[T tensor.Float](m *MLP, s *mlpScratch[T], w, grad []T, xs [][]T, ys []int, inv, total T) T {
-	_, W2, W3, _, _, _ := mlpMats(m, w)
-	_, gW2, gW3, gb1, gb2, gb3 := mlpMats(m, grad)
+func (m *MLP) backChunk(w, grad []float64, xs [][]float64, ys []int, inv, total float64) float64 {
+	s := &m.s
+	_, W2, W3, _, _, _ := m.mats(w)
+	_, gW2, gW3, gb1, gb2, gb3 := m.mats(grad)
 	n := len(xs)
-	mlpForward(m, s, w, xs)
+	m.forwardBatch(w, xs)
 	s.dz3.Reshape(n, m.classes)
 	total = tensor.CrossEntropyRows(&s.dz3, &s.z3, ys, total)
 	// Layer 3: gW3 += inv * dZ3ᵀ A2 ; gb3 += inv * column sums.

@@ -35,14 +35,6 @@ type Model interface {
 	// model. dst may alias w; grad is scratch of length Dim(), its
 	// contents afterwards unspecified.
 	Step(w, dst, grad []float64, xs [][]float64, ys []int, eta float64) float64
-	// LossF32 is Loss in the float32 regime of the avx2f32 storage tier,
-	// over float32 parameter and feature views. Both models run it
-	// through the same generic body as Loss; the method exists because
-	// Go methods cannot take type parameters.
-	LossF32(w []float32, xs [][]float32, ys []int) float32
-	// StepF32 is Step in the float32 regime, through the same generic
-	// body as Step (whose gradient half is Grad's generic body).
-	StepF32(w, dst, grad []float32, xs [][]float32, ys []int, eta float32) float32
 	// Predict returns the argmax class for a single input.
 	Predict(w []float64, x []float64) int
 	// Clone returns an independent instance (separate scratch buffers)

@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 )
 
 // DefaultShardSize is the number of corpus rows a sampled client
@@ -151,14 +150,12 @@ func (r Roster) ClientSeed(id int) uint64 {
 }
 
 // ShardScratch is caller-owned scratch for ShardInto: the row-alias
-// tables — and, on the float32 storage tier, the pre-resolved float32
-// mirror table — reused across shard materializations. One ShardScratch
-// serves one lane; the returned subsets alias it, so a shard is valid
-// only until its scratch materializes the next client.
+// tables reused across shard materializations. One ShardScratch serves
+// one lane; the returned subsets alias it, so a shard is valid only
+// until its scratch materializes the next client.
 type ShardScratch struct {
-	Xs   [][]float64
-	Ys   []int
-	Xs32 [][]float32
+	Xs [][]float64
+	Ys []int
 }
 
 // ShardInto materializes client id's local dataset as row aliases into
@@ -167,13 +164,6 @@ type ShardScratch struct {
 // subset aliases corpus rows and the scratch backing arrays, so it is
 // valid until the scratch is reused. Zero allocations once the scratch
 // has capacity.
-//
-// On the float32 storage tier the subset carries its pre-resolved
-// mirror table (Subset.Xs32): the scratch row table is reused across
-// clients, so data's address-keyed mirror cache would serve whichever
-// client's mirrors it saw first. The per-row mirrors themselves are
-// cached against the immutable corpus rows — resolving them here is
-// pointer copies, zero allocations once the corpus is warm.
 func (r Roster) ShardInto(id int, corpus data.Subset, s *ShardScratch) data.Subset {
 	n := r.ShardSize
 	if cap(s.Xs) < n {
@@ -188,12 +178,7 @@ func (r Roster) ShardInto(id int, corpus data.Subset, s *ShardScratch) data.Subs
 		bx[i] = corpus.Xs[j]
 		by[i] = corpus.Ys[j]
 	}
-	out := data.Subset{Xs: bx, Ys: by}
-	if tensor.StorageF32() {
-		s.Xs32 = data.RowsF32(s.Xs32, bx)
-		out.Xs32 = s.Xs32
-	}
-	return out
+	return data.Subset{Xs: bx, Ys: by}
 }
 
 // Mixing-key constants: arbitrary odd 64-bit values, distinct per

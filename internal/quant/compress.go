@@ -9,7 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/rng"
-	"repro/internal/tensor"
+	"repro/internal/topology"
 )
 
 // Config selects the uplink-compression regime for an engine run. The
@@ -92,7 +92,7 @@ func (c Config) VecWireBytes(d int) int64 {
 		}
 		return int64(k) * 12
 	}
-	return int64(d) * int64(tensor.ElemBytes())
+	return topology.ModelBytes(d)
 }
 
 // Scheme discriminates Packed payload kinds on the wire.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/quant"
 	"repro/internal/rng"
 	"repro/internal/tensor"
+	"repro/internal/topology"
 	"repro/internal/wire"
 )
 
@@ -56,16 +57,14 @@ var (
 )
 
 // payloadBytes is the actual wire size of a set of payload vectors —
-// tensor.ElemBytes() per element (8 in the float64 regimes, 4 on the
-// float32 storage tier, matching the codec's on-the-wire layout), nil
-// vectors contribute nothing. All protocol messages report their true
+// topology.ModelBytes per vector, matching the codec's on-the-wire
+// layout; nil vectors contribute nothing. All protocol messages report their true
 // transfer size so the per-link byte counters and the latency model
 // reflect what the round really moved.
 func payloadBytes(vecs ...[]float64) int64 {
-	elem := int64(tensor.ElemBytes())
 	var n int64
 	for _, v := range vecs {
-		n += int64(len(v)) * elem
+		n += topology.ModelBytes(len(v))
 	}
 	return n
 }

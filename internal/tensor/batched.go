@@ -4,8 +4,7 @@ import "math"
 
 // Row-wise softmax / cross-entropy helpers for the batched training
 // path. Each row is processed with exactly the per-example arithmetic
-// of the active kernel class (of the float32 tier on float32 operands),
-// and row losses chain onto the caller-supplied running total in row
+// of the active kernel class, and row losses chain onto the caller-supplied running total in row
 // order, so chunked batches reproduce the per-example summation bitwise
 // within a class.
 
@@ -31,26 +30,24 @@ func SoftmaxRows(dst, z *Matrix) {
 // two math.Exp per logit). The FMA tier uses the fused single-
 // exponential form: softmax = exp(z−max)/sum with the vectorized class
 // exponential, and lse = max + log(sum), which both halves the
-// exponential count and batches it 4-wide. The float32 tier always
-// takes the fused form, with its 8-wide float32 exponential and the log
-// rounded through float64 math.Log. Each form is pinned by its regime's
-// golden fixtures.
-func CrossEntropyRows[T Float](dz, z *Mat[T], ys []int, total T) T {
+// exponential count and batches it 4-wide. Each form is pinned by its
+// regime's golden fixtures.
+func CrossEntropyRows(dz, z *Matrix, ys []int, total float64) float64 {
 	if dz.Rows != z.Rows || dz.Cols != z.Cols {
 		panic("tensor: CrossEntropyRows shape mismatch")
 	}
 	checkLen(len(ys), z.Rows)
-	if ks := kernelsOf[T](); ks.fusedCE {
+	if ks := &kernels; ks.fusedCE {
 		for i := 0; i < z.Rows; i++ {
 			zi := z.Row(i)
 			di := dz.Row(i)
 			m := Max(zi)
 			ks.expShift(di, zi, m)
-			var s T
+			s := 0.0
 			for _, e := range di {
 				s += e
 			}
-			total += m + T(math.Log(float64(s))) - zi[ys[i]]
+			total += m + math.Log(s) - zi[ys[i]]
 			inv := 1 / s
 			for j := range di {
 				di[j] *= inv
@@ -65,7 +62,7 @@ func CrossEntropyRows[T Float](dz, z *Mat[T], ys []int, total T) T {
 		lse := LogSumExp(zi)
 		total += lse - zi[ys[i]]
 		for j, v := range zi {
-			di[j] = T(math.Exp(float64(v - lse)))
+			di[j] = math.Exp(v - lse)
 		}
 		di[ys[i]] -= 1
 	}
@@ -75,7 +72,7 @@ func CrossEntropyRows[T Float](dz, z *Mat[T], ys []int, total T) T {
 // CrossEntropyLossRows returns total with each row's cross-entropy
 // (LogSumExp(z_i) − z_i[y_i]) added in row order, without computing
 // gradients. Panics on length mismatch.
-func CrossEntropyLossRows[T Float](z *Mat[T], ys []int, total T) T {
+func CrossEntropyLossRows(z *Matrix, ys []int, total float64) float64 {
 	checkLen(len(ys), z.Rows)
 	for i := 0; i < z.Rows; i++ {
 		zi := z.Row(i)

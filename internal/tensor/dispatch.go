@@ -28,15 +28,10 @@ import (
 //     math.FMA pure-Go twins (simd_fma_ref.go) everywhere else — FMA
 //     is a correctly-rounded operation, so the class is reproducible
 //     on any hardware.
-//   - KernelAVX2F32: the float32 storage tier. Model vectors, gradient
-//     scratch and wire payloads hold float32-representable values
-//     (StorageF32), the training hot path runs the 8-wide float32
-//     AVX2+FMA kernels (simd_avx2f32_amd64.s, or the bit-identical
-//     fma32 pure-Go twins in simd_fma_ref.go elsewhere), and every
-//     aggregation rounds its result back through float32. Residual
-//     float64 arithmetic (evaluation, the dual ascent on p) binds the
-//     KernelAVX2 set, so the class is "avx2 plus a float32 storage
-//     regime" — a fourth rounding regime with its own golden fixtures.
+//   - KernelAVX2F32: another name for the FMA regime. It binds the avx2
+//     set, so it shares avx2's bits, goldens and speed; like sse2, the
+//     name stays selectable because the repository benchmark still
+//     times one leg per class.
 type KernelClass uint8
 
 const (
@@ -91,32 +86,28 @@ func ParseKernel(v string) (KernelClass, error) {
 // message) rather than silently training in an unexpected regime.
 const KernelEnv = "HIERFAIR_KERNEL"
 
-// kernelSet is one rung's implementation of every dispatched kernel at
-// storage width T. The float64 set is the active class's (kernels); the
-// float32 set is the avx2f32 tier's (kernels32). The generic bodies of
-// the GEMM, cross-entropy and BLAS-1 routines fetch the set of their
-// element type once per call (kernelsOf), so one body serves both
-// widths. Every set fuses four rows in the GEMM microkernel (dot4,
-// dot4x2); each fused output accumulates in the set's single-dot order,
-// so the fusion never changes a bit.
-type kernelSet[T Float] struct {
-	dot func(x, y []T) T
+// kernelSet is one rung's implementation of every dispatched kernel;
+// kernels holds the active class's. Every set fuses four rows in the
+// GEMM microkernel (dot4, dot4x2); each fused output accumulates in the
+// set's single-dot order, so the fusion never changes a bit.
+type kernelSet struct {
+	dot func(x, y []float64) float64
 	// axpyTo computes dst = y + a*x elementwise, one body per rung: Axpy
 	// passes y as dst, AxpyTo a separate destination, with the same
 	// per-element arithmetic.
-	axpyTo func(dst []T, a T, x, y []T)
-	dot4   func(x, y0, y1, y2, y3 []T) (r0, r1, r2, r3 T)
+	axpyTo func(dst []float64, a float64, x, y []float64)
+	dot4   func(x, y0, y1, y2, y3 []float64) (r0, r1, r2, r3 float64)
 	// dot4x2 is dot4 for two x rows at once (rij = dot(xi, yj)), each
 	// output in the single-dot order: the register-blocked GEMM
 	// microkernel, composed from two dot4 calls where a rung has no
 	// fused form. The outputs are returned by value, so nothing a caller
 	// passes escapes through the func value.
-	dot4x2 func(x0, x1, y0, y1, y2, y3 []T) (r00, r01, r02, r03, r10, r11, r12, r13 T)
+	dot4x2 func(x0, x1, y0, y1, y2, y3 []float64) (r00, r01, r02, r03, r10, r11, r12, r13 float64)
 	// axpy4 performs four chained Axpy accumulations into y in one
 	// pass. Per element it is exactly axpy applied four times in
 	// argument order — identical bits on every rung, fused purely so
 	// the gradient kernels load and store y once instead of four times.
-	axpy4 func(a0, a1, a2, a3 T, x0, x1, x2, x3, y []T)
+	axpy4 func(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
 	// stepRows writes GemmTNRStep: for every row i of w, with
 	// c_k = alpha·a[k][i] over the examples k whose a[k][i] is nonzero,
 	// in ascending order, dst[i][e] = w[i][e] − eta·Σ_k c_k·ys[k][e] for
@@ -128,7 +119,7 @@ type kernelSet[T Float] struct {
 	// cleared once per call, not once per row. Every argument is the
 	// caller's memory or a value, so that scratch stays on the rung's
 	// own stack.
-	stepRows func(dst, w Mat[T], eta, alpha T, a Mat[T], ys [][]T)
+	stepRows func(dst, w Matrix, eta, alpha float64, a Matrix, ys [][]float64)
 	// mean writes the elementwise mean of vecs into dst: per element,
 	// acc = +0, then acc = axpy(1, v, acc) for each input in list order
 	// in the rung's arithmetic, then dst = acc·inv as one multiply, whose
@@ -136,16 +127,15 @@ type kernelSet[T Float] struct {
 	// −0). The accumulators live in registers or an L1-sized block, so
 	// each input is read once. dst may alias an input; every input must
 	// be at least len(dst) long.
-	mean func(dst []T, inv T, vecs [][]T)
+	mean func(dst []float64, inv float64, vecs [][]float64)
 	// expShift computes dst[i] = exp(x[i]-shift) elementwise and
 	// sumExpShift the sequential (index-order) sum of the same values.
 	// The non-FMA rungs bind math.Exp — the historical LogSumExp /
 	// Softmax bits — while the AVX2 tier binds its own vectorized
 	// polynomial exponential (exp_fma_ref.go), a second way that class
-	// is a distinct rounding regime, and the float32 tier an 8-wide
-	// float32 one (exp_f32_ref.go).
-	expShift    func(dst, x []T, shift T)
-	sumExpShift func(x []T, shift T) T
+	// is a distinct rounding regime.
+	expShift    func(dst, x []float64, shift float64)
+	sumExpShift func(x []float64, shift float64) float64
 	// fusedCE selects the single-exponential cross-entropy form in
 	// CrossEntropyRows (softmax = exp(z-max)/sum instead of
 	// exp(z-logsumexp), halving exp calls). Only the FMA regimes use
@@ -153,27 +143,12 @@ type kernelSet[T Float] struct {
 	fusedCE bool
 }
 
-// kernelsOf returns the kernel set of element type T: the active
-// class's float64 set or the float32 tier's.
-func kernelsOf[T Float]() *kernelSet[T] {
-	if ks, ok := any(&kernels32).(*kernelSet[T]); ok {
-		return ks
-	}
-	return any(&kernels).(*kernelSet[T])
-}
-
 // The active rung. Swapped only by SetKernel; reads are not
 // synchronized, which is safe because swaps happen at init or in
 // sequential test setup, never while kernels run.
-//
-// kernels32, the float32 tier's set, is bound once at process start:
-// only the avx2f32 class uses it, and its assembly and pure-Go twins
-// are bit-identical, so there is nothing to swap. It is the float32
-// FMA set the CPU offers (fmaKernels32, per architecture).
 var (
 	activeKernel KernelClass
-	kernels      kernelSet[float64]
-	kernels32    = fmaKernels32()
+	kernels      kernelSet
 )
 
 func init() {
@@ -200,8 +175,8 @@ func DetectedKernel() KernelClass { return defaultKernel() }
 // Backing reports how class c is served on this machine: "assembly"
 // when the class's SIMD kernels run, "pure-go" when its bit-identical
 // twins do. The non-FMA classes (generic, sse2) are always pure-go, and
-// off amd64 every class — including avx2f32 — is: still selectable,
-// same bits, just without the SIMD speed.
+// off amd64 every class is: still selectable, same bits, just without
+// the SIMD speed.
 func Backing(c KernelClass) string {
 	if (c == KernelAVX2 || c == KernelAVX2F32) && haveAVX2Asm() {
 		return "assembly"
@@ -218,13 +193,11 @@ func defaultKernel() KernelClass {
 	return KernelGeneric
 }
 
-// kernelsFor binds a class to its float64 set, the one class→body
-// decision: the FMA classes take the FMA set the CPU offers (fmaKernels,
-// per architecture), the non-FMA classes the generic bodies. avx2f32
-// binds the avx2 set: its residual float64 arithmetic is defined to be
-// the FMA regime's, and its float32 hot path dispatches separately
-// through kernels32.
-func kernelsFor(c KernelClass) kernelSet[float64] {
+// kernelsFor binds a class to its set, the one class→body decision: the
+// FMA classes (avx2 and its second name avx2f32) take the FMA set the
+// CPU offers (fmaKernels, per architecture), the non-FMA classes
+// (generic and its second name sse2) the generic bodies.
+func kernelsFor(c KernelClass) kernelSet {
 	if c == KernelAVX2 || c == KernelAVX2F32 {
 		return fmaKernels()
 	}
@@ -243,24 +216,6 @@ func Ladder() string {
 		s += c.String() + "=" + Backing(c)
 	}
 	return s
-}
-
-// StorageF32 reports whether the active class stores model state —
-// iterates, gradients, checkpoints, iterate sums, wire payloads — in
-// float32. Every model vector then holds float32-representable values
-// at all times (exact under float64 round-trips), which is what lets
-// the wire codec ship 4-byte elements losslessly.
-func StorageF32() bool { return activeKernel == KernelAVX2F32 }
-
-// ElemBytes returns the wire/ledger width of one model-vector element
-// under the active storage regime: 4 bytes on the float32 tier, 8
-// elsewhere. topology.ModelBytes and the wire codec derive their byte
-// accounting from it.
-func ElemBytes() int {
-	if StorageF32() {
-		return 4
-	}
-	return 8
 }
 
 // SetKernel forces a dispatch rung and returns a function restoring the
@@ -283,24 +238,22 @@ func SetKernel(c KernelClass) (restore func()) {
 }
 
 // genericKernels is the portable non-FMA rung (the semantic reference).
-func genericKernels() kernelSet[float64] {
-	return kernelSet[float64]{
+func genericKernels() kernelSet {
+	return kernelSet{
 		dot: dotRef, axpyTo: axpyToRef, dot4: dot4Ref,
 		dot4x2: dot4x2From(dot4Ref), axpy4: axpy4From(axpyToRef), stepRows: stepRowsRef,
 		mean: meanRef, expShift: expShiftRef, sumExpShift: sumExpShiftRef,
 	}
 }
 
-// fmaRefKernels is the pure-Go twin of the FMA rungs at width T: the
-// avx2 class's set at float64, the avx2f32 tier's at float32. Every
-// multiply-add rounds once, so these bodies reproduce the assembly bit
-// for bit (and define its semantics — see TestKernelsMatchReference and
-// TestKernels32MatchReference).
-func fmaRefKernels[T Float]() kernelSet[T] {
-	return kernelSet[T]{
-		dot: dotFMA[T], axpyTo: axpyToFMA[T], dot4: dot4FMA[T],
-		dot4x2: dot4x2From(dot4FMA[T]), axpy4: axpy4FMA[T], stepRows: stepRowsFMA[T],
-		mean: meanFMA[T], expShift: expShiftFMA[T], sumExpShift: sumExpShiftFMA[T],
+// fmaRefKernels is the pure-Go twin of the FMA rung. Every multiply-add
+// rounds once, so these bodies reproduce the assembly bit for bit (and
+// define its semantics — see TestKernelsMatchReference).
+func fmaRefKernels() kernelSet {
+	return kernelSet{
+		dot: dotFMA, axpyTo: axpyToFMA, dot4: dot4FMA,
+		dot4x2: dot4x2From(dot4FMA), axpy4: axpy4FMA, stepRows: stepRowsFMA,
+		mean: meanFMA, expShift: expShiftFMA, sumExpShift: sumExpShiftFMA,
 		fusedCE: true,
 	}
 }
@@ -328,10 +281,10 @@ const stepChunk = 1024
 // dot4x2From composes the two-row fused dot from two dot4 passes — the
 // definitional (and bitwise identical) form for rungs without a
 // register-blocked kernel.
-func dot4x2From[T Float](dot4 func(x, y0, y1, y2, y3 []T) (T, T, T, T)) func(x0, x1, y0, y1, y2, y3 []T) (T, T, T, T, T, T, T, T) {
-	return func(x0, x1, y0, y1, y2, y3 []T) (T, T, T, T, T, T, T, T) {
-		r00, r01, r02, r03 := dot4(x0, y0, y1, y2, y3)
-		r10, r11, r12, r13 := dot4(x1, y0, y1, y2, y3)
-		return r00, r01, r02, r03, r10, r11, r12, r13
+func dot4x2From(dot4 func(x, y0, y1, y2, y3 []float64) (float64, float64, float64, float64)) func(x0, x1, y0, y1, y2, y3 []float64) (r00, r01, r02, r03, r10, r11, r12, r13 float64) {
+	return func(x0, x1, y0, y1, y2, y3 []float64) (r00, r01, r02, r03, r10, r11, r12, r13 float64) {
+		r00, r01, r02, r03 = dot4(x0, y0, y1, y2, y3)
+		r10, r11, r12, r13 = dot4(x1, y0, y1, y2, y3)
+		return
 	}
 }

@@ -62,11 +62,9 @@ func TestCopyAndFill(t *testing.T) {
 func TestMinMaxPanicsOnEmpty(t *testing.T) {
 	for _, fn := range []func(){
 		func() { Min(nil) },
-		func() { Max[float64](nil) },
-		func() { Max[float32](nil) },
+		func() { Max(nil) },
 		func() { ArgMax(nil) },
-		func() { LogSumExp[float64](nil) },
-		func() { LogSumExp[float32](nil) },
+		func() { LogSumExp(nil) },
 	} {
 		func() {
 			defer func() {
@@ -85,7 +83,7 @@ func TestAverageIntoPanicsOnEmpty(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	AverageInto[float64](make([]float64, 2))
+	AverageInto(make([]float64, 2))
 }
 
 func TestNewMatrixPanicsNegative(t *testing.T) {

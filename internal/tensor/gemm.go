@@ -2,10 +2,8 @@ package tensor
 
 import "repro/internal/obs"
 
-// Cache-blocked BLAS-3 kernels for the batched training path, one
-// generic body per kernel for both storage widths: on float64 operands
-// they run the active class's kernel set, on float32 operands the
-// avx2f32 tier's (kernels32).
+// Cache-blocked BLAS-3 kernels for the batched training path, on the
+// active class's kernel set.
 //
 // Determinism contract: every kernel accumulates each output element in
 // a fixed index order identical to the per-example BLAS-1/2 path it
@@ -45,7 +43,7 @@ func tnBlock(n int) int {
 
 // checkRows panics unless every row has length n. The row-slice kernels
 // call it once, before they write C.
-func checkRows[T Float](rows [][]T, n int) {
+func checkRows(rows [][]float64, n int) {
 	for _, r := range rows {
 		checkLen(len(r), n)
 	}
@@ -59,11 +57,11 @@ func checkRows[T Float](rows [][]T, n int) {
 // floating-point sequence GemvT produces column-wise — the batched
 // backprop through a weight matrix relies on that equivalence. There is
 // no zero skip. Panics on shape mismatch.
-func Gemm[T Float](alpha T, a, b *Mat[T], beta T, c *Mat[T]) {
+func Gemm(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic("tensor: Gemm shape mismatch")
 	}
-	ks := kernelsOf[T]()
+	ks := &kernels
 	if beta == 0 {
 		Zero(c.Data)
 	} else if beta != 1 {
@@ -88,11 +86,11 @@ func Gemm[T Float](alpha T, a, b *Mat[T], beta T, c *Mat[T]) {
 // the rows of A stream past it. Every output element is one Dot of two
 // contiguous rows — bitwise-identical to the per-example Gemv forward
 // pass. Panics on shape mismatch.
-func GemmT[T Float](alpha T, a, b *Mat[T], beta T, c *Mat[T]) {
+func GemmT(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic("tensor: GemmT shape mismatch")
 	}
-	ks := kernelsOf[T]()
+	ks := &kernels
 	nb := panelDim(a.Cols)
 	for j0 := 0; j0 < b.Rows; j0 += nb {
 		j1 := min(j0+nb, b.Rows)
@@ -112,12 +110,12 @@ func GemmT[T Float](alpha T, a, b *Mat[T], beta T, c *Mat[T]) {
 // their mini-batch feature vectors directly, skipping the gather copy
 // into a contiguous matrix; results are identical to GemmT on the
 // gathered matrix. Panics on shape mismatch or a ragged row.
-func GemmTR[T Float](alpha T, xrows [][]T, b *Mat[T], beta T, c *Mat[T]) {
+func GemmTR(alpha float64, xrows [][]float64, b *Matrix, beta float64, c *Matrix) {
 	if c.Rows != len(xrows) || c.Cols != b.Rows {
 		panic("tensor: GemmTR shape mismatch")
 	}
 	checkRows(xrows, b.Cols)
-	ks := kernelsOf[T]()
+	ks := &kernels
 	nb := panelDim(b.Cols)
 	for j0 := 0; j0 < b.Rows; j0 += nb {
 		j1 := min(j0+nb, b.Rows)
@@ -137,7 +135,7 @@ func GemmTR[T Float](alpha T, xrows [][]T, b *Mat[T], beta T, c *Mat[T]) {
 // the last 0-3 B rows take single dots. Each fused output accumulates in
 // exactly the class's single dot order, so the fusion never changes a
 // bit within a class.
-func gemmTRow[T Float](ks *kernelSet[T], alpha T, x []T, b *Mat[T], beta T, crow []T, j0, j1 int) {
+func gemmTRow(ks *kernelSet, alpha float64, x []float64, b *Matrix, beta float64, crow []float64, j0, j1 int) {
 	j := j0
 	for ; j+4 <= j1; j += 4 {
 		d0, d1, d2, d3 := ks.dot4(x, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
@@ -156,7 +154,7 @@ func gemmTRow[T Float](ks *kernelSet[T], alpha T, x []T, b *Mat[T], beta T, crow
 // each B chunk once for both rows, and the last 0-3 B rows take single
 // dots. Every output is still one dot in the
 // class's order, so pairing changes no bit.
-func gemmTRow2[T Float](ks *kernelSet[T], alpha T, x0, x1 []T, b *Mat[T], beta T, c0, c1 []T, j0, j1 int) {
+func gemmTRow2(ks *kernelSet, alpha float64, x0, x1 []float64, b *Matrix, beta float64, c0, c1 []float64, j0, j1 int) {
 	j := j0
 	for ; j+4 <= j1; j += 4 {
 		d00, d01, d02, d03, d10, d11, d12, d13 := ks.dot4x2(x0, x1, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
@@ -188,7 +186,7 @@ func gemmTRow2[T Float](ks *kernelSet[T], alpha T, x0, x1 []T, b *Mat[T], beta T
 // storing crow once instead of four times. The zero skip must stay a
 // skip — fma(0, x, y) is not a no-op for Inf/NaN rows — so only nonzero
 // quads are fused. Panics on shape mismatch.
-func GemmTN[T Float](alpha T, a, b, c *Mat[T]) {
+func GemmTN(alpha float64, a, b, c *Matrix) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic("tensor: GemmTN shape mismatch")
 	}
@@ -199,7 +197,7 @@ func GemmTN[T Float](alpha T, a, b, c *Mat[T]) {
 // slices: C += alpha*A^T*Y with Y's rows in yrows. The weight-gradient
 // kernel for an ungathered mini-batch; results are identical to GemmTN
 // on the gathered matrix. Panics on shape mismatch or a ragged row.
-func GemmTNR[T Float](alpha T, a *Mat[T], yrows [][]T, c *Mat[T]) {
+func GemmTNR(alpha float64, a *Matrix, yrows [][]float64, c *Matrix) {
 	if a.Rows != len(yrows) || c.Rows != a.Cols {
 		panic("tensor: GemmTNR shape mismatch")
 	}
@@ -217,20 +215,20 @@ func GemmTNR[T Float](alpha T, a *Mat[T], yrows [][]T, c *Mat[T]) {
 // AxpyTo(dst.Data, -eta, C.Data, w.Data) — the same example-ascending
 // order and zero skip. dst may alias w. Panics on shape mismatch or a
 // ragged row, before dst is written.
-func GemmTNRStep[T Float](alpha T, a *Mat[T], yrows [][]T, eta T, w, dst *Mat[T]) {
+func GemmTNRStep(alpha float64, a *Matrix, yrows [][]float64, eta float64, w, dst *Matrix) {
 	if a.Rows != len(yrows) || w.Rows != a.Cols || dst.Rows != w.Rows || dst.Cols != w.Cols {
 		panic("tensor: GemmTNRStep shape mismatch")
 	}
 	checkRows(yrows, w.Cols)
-	kernelsOf[T]().stepRows(*dst, *w, eta, alpha, *a, yrows)
+	kernels.stepRows(*dst, *w, eta, alpha, *a, yrows)
 	gemmFlops.Add(2 * int64(a.Rows) * int64(a.Cols) * int64(w.Cols))
 }
 
 // gemmTN is the body of GemmTN and GemmTNR, on shapes already checked:
 // example k's right-operand row is yrows[k] if yrows is non-nil, else
 // b.Row(k).
-func gemmTN[T Float](alpha T, a, b *Mat[T], yrows [][]T, c *Mat[T]) {
-	ks := kernelsOf[T]()
+func gemmTN(alpha float64, a, b *Matrix, yrows [][]float64, c *Matrix) {
+	ks := &kernels
 	kb := tnBlock(c.Cols)
 	for k0 := 0; k0 < a.Rows; k0 += kb {
 		k1 := min(k0+kb, a.Rows)
@@ -244,9 +242,9 @@ func gemmTN[T Float](alpha T, a, b *Mat[T], yrows [][]T, c *Mat[T]) {
 // tnRow accumulates examples [k0, k1) of output row i into crow in
 // ascending order, skipping zero coefficients and fusing nonzero ones
 // into axpy4 quads (a quad never spans two example blocks).
-func tnRow[T Float](ks *kernelSet[T], alpha T, a, b *Mat[T], yrows [][]T, i, k0, k1 int, crow []T) {
-	var cf [4]T
-	var rows [4][]T
+func tnRow(ks *kernelSet, alpha float64, a, b *Matrix, yrows [][]float64, i, k0, k1 int, crow []float64) {
+	var cf [4]float64
+	var rows [4][]float64
 	nq := 0
 	for k := k0; k < k1; k++ {
 		aki := a.Data[k*a.Cols+i]

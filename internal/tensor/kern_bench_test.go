@@ -9,9 +9,9 @@ import (
 // hits: GemmT 4×48×10 is one Linear forward chunk on the smoke spec,
 // 64×784×10 a full-width MNIST-scale logreg chunk, and Axpy 48 the
 // weight-gradient accumulation row. Every benchmark runs once per
-// distinct float64 set (generic/avx2 sub-benchmarks via SetKernel; sse2
-// binds the generic set and avx2f32 the avx2 set for these float64
-// kernels, so either would only duplicate rows), so a single
+// distinct kernel set (generic/avx2 sub-benchmarks via SetKernel; sse2
+// binds the generic set and avx2f32 the avx2 set, so either would only
+// duplicate rows), so a single
 // `go test -bench` invocation yields comparable per-class numbers on
 // one machine.
 

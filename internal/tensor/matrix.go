@@ -1,17 +1,12 @@
 package tensor
 
-// Mat is a dense row-major matrix backed by a flat slice, so model
+// Matrix is a dense row-major matrix backed by a flat slice, so model
 // parameters can be viewed as one contiguous vector for aggregation and
-// serialization. T is the storage width: float64 everywhere, float32 for
-// the avx2f32 tier's activation scratch and parameter views.
-type Mat[T Float] struct {
+// serialization.
+type Matrix struct {
 	Rows, Cols int
-	Data       []T // len == Rows*Cols, row-major
+	Data       []float64 // len == Rows*Cols, row-major
 }
-
-// Matrix is the float64 matrix of every class's evaluation path and of
-// every class but avx2f32's training path.
-type Matrix = Mat[float64]
 
 // NewMatrix allocates a zeroed Rows x Cols matrix.
 func NewMatrix(rows, cols int) *Matrix {
@@ -23,15 +18,15 @@ func NewMatrix(rows, cols int) *Matrix {
 
 // MatrixFrom wraps an existing flat buffer as a rows x cols matrix
 // without copying. It panics if the buffer has the wrong length.
-func MatrixFrom[T Float](data []T, rows, cols int) *Mat[T] {
+func MatrixFrom(data []float64, rows, cols int) *Matrix {
 	if len(data) != rows*cols {
 		panic("tensor: MatrixFrom buffer length mismatch")
 	}
-	return &Mat[T]{Rows: rows, Cols: cols, Data: data}
+	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
 // Row returns a view (not a copy) of row i.
-func (m *Mat[T]) Row(i int) []T {
+func (m *Matrix) Row(i int) []float64 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
@@ -48,13 +43,13 @@ func Gemv(alpha float64, a *Matrix, x []float64, beta float64, y []float64) {
 // backing buffer. The contents after a growing Reshape are unspecified;
 // callers overwrite them. It is the grow-only primitive behind the
 // models' batch-sized activation scratch.
-func (m *Mat[T]) Reshape(rows, cols int) {
+func (m *Matrix) Reshape(rows, cols int) {
 	if rows < 0 || cols < 0 {
 		panic("tensor: negative matrix dimension")
 	}
 	need := rows * cols
 	if cap(m.Data) < need {
-		m.Data = make([]T, need)
+		m.Data = make([]float64, need)
 	}
 	m.Data = m.Data[:need]
 	m.Rows, m.Cols = rows, cols

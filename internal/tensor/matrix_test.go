@@ -10,18 +10,18 @@ import (
 // and models index Data directly.
 
 // At returns the element at row i, column j.
-func (m *Mat[T]) At(i, j int) T {
+func (m *Matrix) At(i, j int) float64 {
 	return m.Data[i*m.Cols+j]
 }
 
 // Set assigns the element at row i, column j.
-func (m *Mat[T]) Set(i, j int, v T) {
+func (m *Matrix) Set(i, j int, v float64) {
 	m.Data[i*m.Cols+j] = v
 }
 
 // Clone returns a deep copy of the matrix.
-func (m *Mat[T]) Clone() *Mat[T] {
-	return &Mat[T]{Rows: m.Rows, Cols: m.Cols, Data: append([]T(nil), m.Data...)}
+func (m *Matrix) Clone() *Matrix {
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
 }
 
 // GemvT computes y = alpha*A^T*x + beta*y for a row-major A, by
@@ -119,7 +119,7 @@ func TestGemm(t *testing.T) {
 	}
 }
 
-// TestGemmShapePanics checks that all ten GEMM kernels panic on a shape
+// TestGemmShapePanics checks that all five GEMM kernels panic on a shape
 // mismatch, and the row-slice forms on a ragged row — even one whose
 // coefficients are all zero — before they write C. beta = 0 and a
 // nonzero C make any early write visible.
@@ -131,14 +131,6 @@ func TestGemmShapePanics(t *testing.T) {
 		}
 		return m
 	}
-	mat32 := func(rows, cols int) *Mat[float32] {
-		m := &Mat[float32]{}
-		m.Reshape(rows, cols)
-		for i := range m.Data {
-			m.Data[i] = float32(i + 1)
-		}
-		return m
-	}
 	rows := func(lens ...int) [][]float64 {
 		rs := make([][]float64, len(lens))
 		for i, n := range lens {
@@ -146,24 +138,14 @@ func TestGemmShapePanics(t *testing.T) {
 		}
 		return rs
 	}
-	rows32 := func(lens ...int) [][]float32 {
-		rs := make([][]float32, len(lens))
-		for i, n := range lens {
-			rs[i] = mat32(1, n).Data
-		}
-		return rs
-	}
 	// zeroRow1 is a 2×3 coefficient matrix whose second example is all
 	// zeros, so the TN kernels have no term to apply from it.
 	zeroRow1 := mat(2, 3)
 	Zero(zeroRow1.Row(1))
-	zeroRow1_32 := mat32(2, 3)
-	Zero(zeroRow1_32.Row(1))
 
 	// Outputs, fresh per case: c for the Gemm/GemmT/GemmTR forms, g for
 	// the GemmTN/GemmTNR forms.
 	var c, g *Matrix
-	var c32, g32 *Mat[float32]
 	for _, tc := range []struct {
 		name string
 		call func()
@@ -176,23 +158,14 @@ func TestGemmShapePanics(t *testing.T) {
 		{"GemmTNR/shape", func() { GemmTNR(1, mat(2, 3), rows(4, 4, 4), g) }},
 		{"GemmTNR/ragged", func() { GemmTNR(1, mat(2, 3), rows(4, 5), g) }},
 		{"GemmTNR/ragged-zero", func() { GemmTNR(1, zeroRow1, rows(4, 5), g) }},
-		{"Gemm32", func() { Gemm(1, mat32(2, 4), mat32(5, 3), 0, c32) }},
-		{"GemmT32", func() { GemmT(1, mat32(2, 4), mat32(3, 5), 0, c32) }},
-		{"GemmTR32/shape", func() { GemmTR(1, rows32(4, 4, 4), mat32(3, 4), 0, c32) }},
-		{"GemmTR32/ragged", func() { GemmTR(1, rows32(4, 3), mat32(3, 4), 0, c32) }},
-		{"GemmTN32", func() { GemmTN(1, mat32(2, 3), mat32(3, 4), g32) }},
-		{"GemmTNR32/shape", func() { GemmTNR(1, mat32(2, 3), rows32(4, 4, 4), g32) }},
-		{"GemmTNR32/ragged", func() { GemmTNR(1, mat32(2, 3), rows32(4, 5), g32) }},
-		{"GemmTNR32/ragged-zero", func() { GemmTNR(1, zeroRow1_32, rows32(4, 5), g32) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, c32, g, g32 = mat(2, 3), mat32(2, 3), mat(3, 4), mat32(3, 4)
+			c, g = mat(2, 3), mat(3, 4)
 			defer func() {
 				if recover() == nil {
 					t.Fatal("no panic")
 				}
-				if !reflect.DeepEqual(c, mat(2, 3)) || !reflect.DeepEqual(g, mat(3, 4)) ||
-					!reflect.DeepEqual(c32, mat32(2, 3)) || !reflect.DeepEqual(g32, mat32(3, 4)) {
+				if !reflect.DeepEqual(c, mat(2, 3)) || !reflect.DeepEqual(g, mat(3, 4)) {
 					t.Fatal("C written before the panic")
 				}
 			}()

@@ -7,9 +7,8 @@ import "repro/internal/tensor/cpufeat"
 // Assembly kernel declarations and the FMA sets the CPU offers: the
 // avx2 class's AVX-512 bodies when the CPUID probe confirms AVX-512F,
 // its AVX2 bodies when it confirms AVX2+FMA (plus OS YMM state), and the
-// bit-identical pure-Go twins otherwise; the avx2f32 tier's float32
-// AVX2 bodies or twins likewise. dispatch.go decides which class binds
-// which set.
+// bit-identical pure-Go twins otherwise. dispatch.go decides which class
+// binds which set.
 
 // AVX2+FMA kernels (simd_avx2_amd64.s), bit-identical to the math.FMA
 // twins in simd_fma_ref.go. Callable only when cpufeat reports
@@ -126,7 +125,7 @@ const stepGather = 32
 // gathers the nonzero coefficients and their example rows, then runs
 // the register-resident kernel. The gather arrays are cleared once per
 // call.
-func stepRowsZMM(dst, w Mat[float64], eta, alpha float64, a Mat[float64], ys [][]float64) {
+func stepRowsZMM(dst, w Matrix, eta, alpha float64, a Matrix, ys [][]float64) {
 	if len(ys) > stepGather {
 		stepRowsAVX2(dst, w, eta, alpha, a, ys)
 		return
@@ -154,7 +153,7 @@ func stepRowsZMM(dst, w Mat[float64], eta, alpha float64, a Mat[float64], ys [][
 // tails (tnRow's gathering), then dst = fma(−eta, buf, w). Per element
 // that is stepRowsFMA's chain. The calls are direct so the buffer stays
 // on the stack.
-func stepRowsAVX2(dst, w Mat[float64], eta, alpha float64, a Mat[float64], ys [][]float64) {
+func stepRowsAVX2(dst, w Matrix, eta, alpha float64, a Matrix, ys [][]float64) {
 	var buf [stepChunk]float64
 	for i := 0; i < w.Rows; i++ {
 		wr, dr := w.Row(i), dst.Row(i)
@@ -195,34 +194,19 @@ func haveAVX512Asm() bool { return haveAVX2Asm() && cpufeat.X86.HasAVX512F }
 // fmaKernels is the avx2 class's float64 set on this CPU: the AVX-512
 // bodies where it has AVX-512F, else the AVX2 ones, else the math.FMA
 // twins — one rounding regime, three speeds.
-func fmaKernels() kernelSet[float64] {
+func fmaKernels() kernelSet {
 	switch {
 	case haveAVX512Asm():
 		return avx512Kernels()
 	case haveAVX2Asm():
 		return avx2Kernels()
 	}
-	return fmaRefKernels[float64]()
-}
-
-// fmaKernels32 is the avx2f32 tier's float32 set on this CPU: the
-// 8-lane AVX2 bodies (simd_f32_amd64.go) where it has AVX2+FMA, else the
-// fma32 twins.
-func fmaKernels32() kernelSet[float32] {
-	if !haveAVX2Asm() {
-		return fmaRefKernels[float32]()
-	}
-	return kernelSet[float32]{
-		dot: dot32AVX2, axpyTo: axpyTo32AVX2, dot4: dot432AVX2,
-		dot4x2: dot4x2From(dot432AVX2), axpy4: axpy432AVX2, stepRows: stepRows32AVX2,
-		mean: mean32AVX2, expShift: expShift32Asm, sumExpShift: sumExpShift32Asm,
-		fusedCE: true,
-	}
+	return fmaRefKernels()
 }
 
 // avx2Kernels is the avx2 class's AVX2 assembly set.
-func avx2Kernels() kernelSet[float64] {
-	return kernelSet[float64]{
+func avx2Kernels() kernelSet {
+	return kernelSet{
 		dot: dotAVX2, axpyTo: axpyToAVX2, dot4: dot4AVX2,
 		dot4x2: dot4x2From(dot4AVX2), axpy4: axpy4AVX2, stepRows: stepRowsAVX2,
 		mean: meanAVX2, expShift: expShiftAsm, sumExpShift: sumExpShiftAsm,
@@ -233,7 +217,7 @@ func avx2Kernels() kernelSet[float64] {
 // avx512Kernels is the avx2 class's AVX-512 set: the AVX2 set with the
 // ZMM bodies of the BLAS kernels and the two register-blocked ones. The
 // exponential and the mean stay 4-lane.
-func avx512Kernels() kernelSet[float64] {
+func avx512Kernels() kernelSet {
 	ks := avx2Kernels()
 	ks.dot, ks.axpyTo, ks.dot4 = dotAVX512, axpyToAVX512, dot4AVX512
 	ks.dot4x2, ks.axpy4, ks.stepRows = dot4x2AVX512, axpy4AVX512, stepRowsZMM

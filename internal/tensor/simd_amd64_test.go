@@ -9,5 +9,5 @@ func archRungs() []rung {
 	if !haveAVX512Asm() {
 		return nil
 	}
-	return []rung{{"avx2-ymm", avx2Kernels(), fmaRefKernels[float64]()}}
+	return []rung{{"avx2-ymm", avx2Kernels(), fmaRefKernels()}}
 }

@@ -53,7 +53,7 @@ func axpyToRef(dst []float64, a float64, x, y []float64) {
 // nonzero coefficient alpha·a[k][i] in ascending k, then
 // dst = w + (−eta)·buf with axpyToRef. The calls are direct so the
 // buffer stays on the stack.
-func stepRowsRef(dst, w Mat[float64], eta, alpha float64, a Mat[float64], ys [][]float64) {
+func stepRowsRef(dst, w Matrix, eta, alpha float64, a Matrix, ys [][]float64) {
 	var buf [stepChunk]float64
 	for i := 0; i < w.Rows; i++ {
 		wr, dr := w.Row(i), dst.Row(i)
@@ -98,7 +98,7 @@ func meanRef(dst []float64, inv float64, vecs [][]float64) {
 
 // aliasesInput reports whether dst starts where one of vecs does: the
 // one overlap the mean kernel's contract allows.
-func aliasesInput[T Float](dst []T, vecs [][]T) bool {
+func aliasesInput(dst []float64, vecs [][]float64) bool {
 	for _, v := range vecs {
 		if len(dst) > 0 && len(v) > 0 && &v[0] == &dst[0] {
 			return true

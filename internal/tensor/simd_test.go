@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -56,8 +57,8 @@ var tailLengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33, 4
 // reference each must reproduce bitwise.
 type rung struct {
 	name string
-	impl kernelSet[float64]
-	ref  kernelSet[float64]
+	impl kernelSet
+	ref  kernelSet
 }
 
 func testRungs(t testing.TB) []rung {
@@ -65,7 +66,7 @@ func testRungs(t testing.TB) []rung {
 		// The generic rung is its own reference; TestFusedDotsMatchSingles
 		// pins its fused dots to its singles.
 		{"generic", genericKernels(), genericKernels()},
-		{"avx2", kernelsFor(KernelAVX2), fmaRefKernels[float64]()},
+		{"avx2", kernelsFor(KernelAVX2), fmaRefKernels()},
 	}
 	// Where the avx2 class binds its AVX-512 bodies, its AVX2 ones are
 	// pinned as a rung of their own (archRungs), so both stay covered.
@@ -197,35 +198,35 @@ var meanInputs = []int{1, 2, 3, 4, 5, 33}
 // a zeroed vector, one axpyTo(·, 1, v, ·) per input in list order, then
 // Scale by 1/len(vecs) — bit for bit, with a separate destination and
 // with dst aliasing the first input.
-func checkMean[T Float](t *testing.T, impl, ref *kernelSet[T], vecs [][]T, name string) {
+func checkMean(t *testing.T, impl, ref *kernelSet, vecs [][]float64, name string) {
 	t.Helper()
 	n := len(vecs[0])
-	inv := 1 / T(len(vecs))
-	want := make([]T, n)
+	inv := 1 / float64(len(vecs))
+	want := make([]float64, n)
 	ref.mean(want, inv, vecs)
-	composed := make([]T, n)
+	composed := make([]float64, n)
 	for _, v := range vecs {
 		impl.axpyTo(composed, 1, v, composed)
 	}
 	Scale(inv, composed)
-	got := make([]T, n)
+	got := make([]float64, n)
 	impl.mean(got, inv, vecs)
-	aliased := append([]T(nil), vecs[0]...)
-	impl.mean(aliased, inv, append([][]T{aliased}, vecs[1:]...))
+	aliased := append([]float64(nil), vecs[0]...)
+	impl.mean(aliased, inv, append([][]float64{aliased}, vecs[1:]...))
 	for _, c := range []struct {
 		what string
-		v    []T
+		v    []float64
 	}{{"class reference", want}, {"Zero+axpy+Scale", composed}, {"dst == vecs[0]", aliased}} {
 		if i := firstDiff(got, c.v); i >= 0 {
 			t.Fatalf("%s(n=%d, inputs=%d)[%d] = %v (%x), %s %v (%x)", name, n, len(vecs), i,
-				got[i], math.Float64bits(float64(got[i])), c.what, c.v[i], math.Float64bits(float64(c.v[i])))
+				got[i], math.Float64bits(got[i]), c.what, c.v[i], math.Float64bits(c.v[i]))
 		}
 	}
 }
 
 // TestMeanUnderflowKeepsSign is the directed case of the mean kernel's
 // final multiply: a negative subnormal sum times 1/3 underflows to −0
-// on every rung and at both widths, as acc·inv must (the sum itself,
+// on every rung, as acc·inv must (the sum itself,
 // from +0, is never −0).
 func TestMeanUnderflowKeepsSign(t *testing.T) {
 	negZero := math.Float64bits(math.Copysign(0, -1))
@@ -245,27 +246,11 @@ func TestMeanUnderflowKeepsSign(t *testing.T) {
 			}
 		}
 	}
-	sub32 := -math.Float32frombits(1)
-	for name, ks := range map[string]kernelSet[float32]{"kernels32": kernels32, "fmaRefKernels[float32]": fmaRefKernels[float32]()} {
-		for _, n := range []int{1, 7, 8, 9, 33} {
-			vecs := [][]float32{make([]float32, n), make([]float32, n), make([]float32, n)}
-			for i := range vecs[0] {
-				vecs[0][i] = sub32
-			}
-			dst := make([]float32, n)
-			ks.mean(dst, 1/float32(3), vecs)
-			for i, v := range dst {
-				if math.Float32bits(v) != 1<<31 {
-					t.Fatalf("%s: mean(n=%d)[%d] = %v (%x), want −0", name, n, i, v, math.Float32bits(v))
-				}
-			}
-		}
-	}
 }
 
 // FuzzMeanMatchesComposition feeds raw IEEE bit patterns — every NaN
 // payload, both zeros, subnormals and infinities — as 1-8 input vectors
-// to every rung's mean kernel at both widths and demands the bits of
+// to every rung's mean kernel and demands the bits of
 // its definition, Zero + one axpyTo(·, 1, v, ·) per input + Scale.
 func FuzzMeanMatchesComposition(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, uint8(0))
@@ -289,16 +274,6 @@ func FuzzMeanMatchesComposition(f *testing.F) {
 		for _, rg := range testRungs(t) {
 			checkMean(t, &rg.impl, &rg.ref, vecs, rg.name+" mean")
 		}
-		n32 := len(data) / 4 / inputs
-		vecs32 := make([][]float32, inputs)
-		for j := range vecs32 {
-			vecs32[j] = make([]float32, n32)
-			for i := range vecs32[j] {
-				vecs32[j][i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*(j*n32+i):]))
-			}
-		}
-		ref32 := fmaRefKernels[float32]()
-		checkMean(t, &kernels32, &ref32, vecs32, "mean32")
 	})
 }
 
@@ -386,7 +361,7 @@ func TestAxpy4MatchesSequentialAxpy(t *testing.T) {
 }
 
 // dot4x2Of returns a rung's dot4x2 outputs as one array, row-major.
-func dot4x2Of(ks kernelSet[float64], x0, x1, y0, y1, y2, y3 []float64) [8]float64 {
+func dot4x2Of(ks kernelSet, x0, x1, y0, y1, y2, y3 []float64) [8]float64 {
 	var r [8]float64
 	r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = ks.dot4x2(x0, x1, y0, y1, y2, y3)
 	return r
@@ -457,7 +432,7 @@ func checkStepRows(t *testing.T, rg rung, r *rng.Stream, n, m int) {
 	}
 	// An m×3 coefficient matrix: ReLU-style zeros, signed zeros, and
 	// all-zero columns when m = 1.
-	a := Mat[float64]{Rows: m, Cols: rows, Data: make([]float64, rows*m)}
+	a := Matrix{Rows: m, Cols: rows, Data: make([]float64, rows*m)}
 	for k := 0; k < m; k++ {
 		for j := 0; j < rows; j++ {
 			switch v := r.Float64() - 0.5; {
@@ -470,10 +445,10 @@ func checkStepRows(t *testing.T, rg rung, r *rng.Stream, n, m int) {
 			}
 		}
 	}
-	w := Mat[float64]{Rows: rows, Cols: n, Data: make([]float64, rows*n)}
+	w := Matrix{Rows: rows, Cols: n, Data: make([]float64, rows*n)}
 	fillSpecial(r, w.Data)
 	const alpha, eta = 0.3, 0.05
-	mat := func(d []float64) Mat[float64] { return Mat[float64]{Rows: rows, Cols: n, Data: d} }
+	mat := func(d []float64) Matrix { return Matrix{Rows: rows, Cols: n, Data: d} }
 
 	want := make([]float64, rows*n)
 	rg.ref.stepRows(mat(want), w, eta, alpha, a, ys)
@@ -600,6 +575,50 @@ func TestSSE2BindsGeneric(t *testing.T) {
 	}
 }
 
+// TestAVX2F32BindsAVX2 pins what is left of the avx2f32 class: a second
+// name for the FMA regime, bound to the avx2 class's bodies themselves
+// (every kernel the same function, the same flags) and served as avx2
+// is, never the detected default.
+func TestAVX2F32BindsAVX2(t *testing.T) {
+	f32, avx2 := reflect.ValueOf(kernelsFor(KernelAVX2F32)), reflect.ValueOf(kernelsFor(KernelAVX2))
+	for i := range f32.NumField() {
+		f, g := f32.Field(i), avx2.Field(i)
+		same := f.Kind() == reflect.Func && f.Pointer() == g.Pointer() || f.Kind() == reflect.Bool && f.Bool() == g.Bool()
+		if !same {
+			t.Errorf("kernelsFor(avx2f32).%s differs from the avx2 set", f32.Type().Field(i).Name)
+		}
+	}
+	if b, want := Backing(KernelAVX2F32), Backing(KernelAVX2); b != want {
+		t.Errorf("Backing(avx2f32) = %q, want avx2's %q", b, want)
+	}
+	if DetectedKernel() == KernelAVX2F32 {
+		t.Error("the CPU probe picked avx2f32; the FMA rung it detects is avx2")
+	}
+}
+
+// TestParseKernelUnknown pins the fail-fast contract for
+// HIERFAIR_KERNEL typos: the exact error message names every valid
+// class, and valid names parse to their classes.
+func TestParseKernelUnknown(t *testing.T) {
+	_, err := ParseKernel("avx512")
+	if err == nil {
+		t.Fatal("ParseKernel(avx512) succeeded, want error")
+	}
+	const want = `tensor: unknown HIERFAIR_KERNEL="avx512" (valid classes: avx2f32, avx2, sse2, generic)`
+	if err.Error() != want {
+		t.Fatalf("ParseKernel error = %q, want %q", err.Error(), want)
+	}
+	for _, c := range Classes() {
+		got, err := ParseKernel(c.String())
+		if err != nil || got != c {
+			t.Fatalf("ParseKernel(%q) = %v, %v; want %v", c.String(), got, err, c)
+		}
+		if !strings.Contains(want, c.String()) {
+			t.Fatalf("error message %q does not name class %v", want, c)
+		}
+	}
+}
+
 // TestDotConsistentWithKernel pins the exported entry points to the
 // active rung (guards against the dispatch drifting from the class).
 func TestDotConsistentWithKernel(t *testing.T) {
@@ -633,7 +652,7 @@ func TestSetKernelRestores(t *testing.T) {
 	// The FMA class must actually differ from the non-FMA classes on an
 	// input chosen to round differently under fused multiply-add —
 	// otherwise per-class goldens would be vacuous.
-	if math.Float64bits(fmaRefKernels[float64]().dot(x, y)) == math.Float64bits(genericKernels().dot(x, y)) {
+	if math.Float64bits(fmaRefKernels().dot(x, y)) == math.Float64bits(genericKernels().dot(x, y)) {
 		t.Fatal("FMA-class dot matches generic on an input built to expose double rounding")
 	}
 }

@@ -3,8 +3,6 @@ package topology
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/tensor"
 )
 
 // Link identifies a class of network links in the hierarchy.
@@ -138,7 +136,7 @@ func (s LedgerSnapshot) TotalBytes() int64 {
 	return sum
 }
 
-// ModelBytes returns the wire size of a d-dimensional model vector
-// under the active storage regime: 4 bytes per element on the avx2f32
-// float32 tier, 8 elsewhere (tensor.ElemBytes).
-func ModelBytes(d int) int64 { return int64(d) * int64(tensor.ElemBytes()) }
+// ModelBytes returns the wire size of a d-dimensional model vector: 8
+// bytes per float64 element. It is the one pricing rule for dense
+// vectors; the wire codec ships exactly that many bytes.
+func ModelBytes(d int) int64 { return 8 * int64(d) }

@@ -3,8 +3,6 @@ package topology
 import (
 	"sync"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
 func TestTopologyIndexing(t *testing.T) {
@@ -113,15 +111,10 @@ func TestLedgerConcurrent(t *testing.T) {
 	}
 }
 
-// TestModelBytes: a model costs d elements of the storage regime's
-// width — 8 bytes, or 4 on the float32 tier.
+// TestModelBytes: a model costs d 8-byte elements.
 func TestModelBytes(t *testing.T) {
-	want := int64(62800)
-	if tensor.ElemBytes() == 4 {
-		want = 31400
-	}
-	if got := ModelBytes(7850); got != want {
-		t.Fatalf("ModelBytes = %d, want %d (%d-byte elements)", got, want, tensor.ElemBytes())
+	if got := ModelBytes(7850); got != 62800 {
+		t.Fatalf("ModelBytes = %d, want 62800", got)
 	}
 }
 

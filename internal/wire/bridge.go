@@ -199,8 +199,6 @@ type ListenerConfig struct {
 	// Fingerprint must match every hello; a mismatch closes the
 	// connection and surfaces on OnError.
 	Fingerprint uint64
-	// MaxFrame bounds frame bodies; <= 0 means DefaultMaxFrame.
-	MaxFrame int
 	// Alloc provides payload vectors for decoded messages.
 	Alloc AllocFunc
 	// Free releases vectors of partially decoded (failed) messages.
@@ -240,9 +238,6 @@ type Listener struct {
 
 // NewListener starts accepting on ln.
 func NewListener(ln net.Listener, cfg ListenerConfig) *Listener {
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = DefaultMaxFrame
-	}
 	if cfg.Alloc == nil {
 		cfg.Alloc = func(d int) []float64 { return make([]float64, d) }
 	}
@@ -308,7 +303,7 @@ func (l *Listener) serveConn(c net.Conn) {
 	defer l.wg.Done()
 	defer l.forget(c)
 	defer c.Close()
-	fr := NewFrameReader(c, l.cfg.MaxFrame)
+	fr := NewFrameReader(c, DefaultMaxFrame)
 
 	// The first frame must be a hello matching the run fingerprint.
 	body, err := fr.Next()

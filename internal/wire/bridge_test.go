@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/quant"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 )
 
 // startListener binds a loopback listener with collecting callbacks.
@@ -464,19 +463,18 @@ func (c *cutConn) Write(b []byte) (int, error) {
 }
 
 // sampleFrames is one frame of each encoding the sender has: dense
-// vectors (gather-written as float64; in-buffer 4-byte elements when
-// sent under the avx2f32 class, hence float32-representable values) and
-// an 8-bit packed uplink with a dense iterate sum beside it.
+// gather-written vectors and an 8-bit packed uplink with a dense iterate
+// sum beside it.
 func sampleFrames(d int) (dense, q8 Message) {
 	dense = Message{From: NodeID{Kind: Edge, Index: 1}, To: NodeID{Kind: Cloud}, Bytes: int64(24 * d),
-		Payload: &EdgeTrainReply{Slot: 1, WEdge: sampleVec32(d, 1), WChk: sampleVec32(d, 2), IterSum: sampleVec32(d, 3), IterCount: 4}}
+		Payload: &EdgeTrainReply{Slot: 1, WEdge: pinVec(d, 1), WChk: pinVec(d, 2), IterSum: pinVec(d, 3), IterCount: 4}}
 	pack := func(seed uint64) *quant.Packed {
 		p := quant.GetPacked()
-		quant.Config{Bits: 8}.Pack(p, sampleVec32(d, float64(seed)), nil, rng.New(seed))
+		quant.Config{Bits: 8}.Pack(p, pinVec(d, float64(seed)), nil, rng.New(seed))
 		return p
 	}
 	q8 = Message{From: NodeID{Kind: Client, Index: 2}, To: NodeID{Kind: Edge, Index: 1},
-		Payload: &TrainReply{Client: 2, WFinalP: pack(5), WChkP: pack(6), IterSum: sampleVec32(d, 7)}}
+		Payload: &TrainReply{Client: 2, WFinalP: pack(5), WChkP: pack(6), IterSum: pinVec(d, 7)}}
 	return dense, q8
 }
 
@@ -573,42 +571,34 @@ func TestPeerRetriesAfterWriteError(t *testing.T) {
 
 // TestPeerByteAccounting: on a clean run the sender's byte counter, the
 // receiver's and the frames' own sizes (prefix + body) agree, for the
-// gather-written dense frame, the packed frame and the float32 tier's
-// in-buffer frame — so moving vectors out of the frame buffer did not
-// move wire_bytes_sent.
+// gather-written dense frame and the packed frame — so moving vectors
+// out of the frame buffer did not move wire_bytes_sent.
 func TestPeerByteAccounting(t *testing.T) {
 	const fp, d = 0x6161, 7850
-	for _, class := range []tensor.KernelClass{tensor.KernelGeneric, tensor.KernelAVX2F32} {
-		// The class is process-global and read by the listener's and the
-		// peer's goroutines: set it before they start, restore it after
-		// they are gone.
-		restore := tensor.SetKernel(class)
-		l, addr, rec := startListener(t, fp)
-		pool := NewConnPool(helloDialer(addr, Hello{Role: RoleEdge, Edge: 1, Fingerprint: fp}),
-			PoolConfig{})
-		peer := NewPeer(pool, PeerConfig{})
-		sent, recv := peer.m.bytesSent.Value(), l.m.bytesRecv.Value()
+	l, addr, rec := startListener(t, fp)
+	pool := NewConnPool(helloDialer(addr, Hello{Role: RoleEdge, Edge: 1, Fingerprint: fp}),
+		PoolConfig{})
+	peer := NewPeer(pool, PeerConfig{})
+	sent, recv := peer.m.bytesSent.Value(), l.m.bytesRecv.Value()
 
-		dense, q8 := sampleFrames(d)
-		frames := []Message{dense, q8, {From: dense.From, To: dense.To, Payload: &LossReply{Loss: 1}}}
-		var want int64
-		for _, m := range frames {
-			want += int64(len(mustFrame(t, m)))
-			peer.Send(m)
+	dense, q8 := sampleFrames(d)
+	frames := []Message{dense, q8, {From: dense.From, To: dense.To, Payload: &LossReply{Loss: 1}}}
+	var want int64
+	for _, m := range frames {
+		want += int64(len(mustFrame(t, m)))
+		peer.Send(m)
+	}
+	peer.Flush()
+	msgs := rec.waitMsgs(t, len(frames))
+	for i, m := range frames {
+		if !sameFrame(t, msgs[i], m) {
+			t.Fatalf("frame %d arrived changed", i)
 		}
-		peer.Flush()
-		msgs := rec.waitMsgs(t, len(frames))
-		for i, m := range frames {
-			if !sameFrame(t, msgs[i], m) {
-				t.Fatalf("%v: frame %d arrived changed", class, i)
-			}
-		}
-		peer.Close()
-		pool.Close()
-		l.Close()
-		if s, r := peer.m.bytesSent.Value()-sent, l.m.bytesRecv.Value()-recv; s != want || r != want {
-			t.Fatalf("%v: %d bytes sent, %d received, frames total %d", class, s, r, want)
-		}
-		restore()
+	}
+	peer.Close()
+	pool.Close()
+	l.Close()
+	if s, r := peer.m.bytesSent.Value()-sent, l.m.bytesRecv.Value()-recv; s != want || r != want {
+		t.Fatalf("%d bytes sent, %d received, frames total %d", s, r, want)
 	}
 }

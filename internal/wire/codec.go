@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/quant"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 )
 
 // Frame layout: a 4-byte little-endian body length, then the body. The
@@ -346,13 +345,6 @@ func (c *coder) node(id *NodeID) {
 // checks the length against the bytes actually present before drawing
 // the vector from alloc, so a corrupt count never triggers an oversized
 // allocation.
-//
-// On the avx2f32 storage tier the elements travel as 4-byte float32
-// bits: every payload vector is a model vector and the storage
-// invariant guarantees its values are float32-representable, so the
-// narrowing is exact and the payload halves. Both endpoints agree on
-// the width because the handshake fingerprint includes the kernel
-// class (mixed regimes are refused before any payload flows).
 func (c *coder) vec(p *[]float64) {
 	switch c.mode {
 	case encode:
@@ -367,14 +359,9 @@ func (c *coder) vec(p *[]float64) {
 		}
 		n := len(v)
 		c.int(&n)
-		switch {
-		case tensor.StorageF32():
-			for _, x := range v {
-				c.b = binary.LittleEndian.AppendUint32(c.b, math.Float32bits(float32(x)))
-			}
-		case c.gather && hostLittleEndian:
+		if c.gather && hostLittleEndian {
 			c.cuts = append(c.cuts, vecCut{off: len(c.b), data: vecBytes(v)})
-		default:
+		} else {
 			c.b = appendVecData(c.b, v)
 		}
 	case decode:
@@ -384,22 +371,15 @@ func (c *coder) vec(p *[]float64) {
 		if c.bool(&present); !present {
 			return
 		}
-		w := tensor.ElemBytes()
-		if c.int(&n); c.err == nil && (n < 1 || c.off+n*w > len(c.b)) {
+		if c.int(&n); c.err == nil && (n < 1 || c.off+n*8 > len(c.b)) {
 			c.fail(errors.New("wire: vector length exceeds frame body"))
 		}
-		src := c.take(n * w)
+		src := c.take(n * 8)
 		if src == nil {
 			return
 		}
 		v := c.alloc(n)
-		if w == 4 {
-			for i := range v {
-				v[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:])))
-			}
-		} else {
-			readVecData(v, src)
-		}
+		readVecData(v, src)
 		*p = v
 	case release:
 		if *p != nil && c.free != nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/fl/fltest"
 	"repro/internal/quant"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 )
 
 func mkAlloc() AllocFunc { return func(d int) []float64 { return make([]float64, d) } }
@@ -53,9 +52,6 @@ func sampleVec(n int, seed float64) []float64 {
 }
 
 func TestCodecRoundTripAllTypes(t *testing.T) {
-	// sampleVec's values are not float32-representable: pin the float64
-	// width the assertions below hold for.
-	defer tensor.SetKernel(tensor.KernelGeneric)()
 	st := rng.New(42).ChildN('c', 7)
 	st.NormFloat64() // leave a spare deviate in the stream state
 	env := Message{
@@ -169,7 +165,7 @@ func TestCodecRejectsMalformed(t *testing.T) {
 // degenerate vector: the decoder rejects "present, length 0", so the
 // encoder must refuse a non-nil empty vector in every vector field
 // rather than emit a frame its peer drops, while nil still round-trips
-// as nil — on both storage widths.
+// as nil.
 func TestCodecRefusesEmptyVector(t *testing.T) {
 	empty := []float64{}
 	one := []float64{1}
@@ -186,34 +182,30 @@ func TestCodecRefusesEmptyVector(t *testing.T) {
 		&EdgeTrainReply{WEdge: one, IterSum: empty},
 		&EdgeLossReq{W: empty, Stream: st},
 	}
-	for _, class := range []tensor.KernelClass{tensor.KernelGeneric, tensor.KernelAVX2F32} {
-		restore := tensor.SetKernel(class)
-		for _, p := range refused {
-			if frame, err := AppendMessage(nil, Message{Payload: p}); err == nil || frame != nil {
-				t.Errorf("%v %T %+v: empty non-nil vector encoded (%d bytes, err %v)", class, p, p, len(frame), err)
-			}
+	for _, p := range refused {
+		if frame, err := AppendMessage(nil, Message{Payload: p}); err == nil || frame != nil {
+			t.Errorf("%T %+v: empty non-nil vector encoded (%d bytes, err %v)", p, p, len(frame), err)
 		}
-		// nil stays nil.
-		for _, p := range []any{&TrainReply{Client: 1}, &EdgeTrainReply{Slot: 1}} {
-			if got := roundTrip(t, Message{Payload: p}); !reflect.DeepEqual(got.Payload, p) {
-				t.Errorf("%v %T: nil vectors round-tripped to %+v", class, p, got.Payload)
-			}
+	}
+	// nil stays nil.
+	for _, p := range []any{&TrainReply{Client: 1}, &EdgeTrainReply{Slot: 1}} {
+		if got := roundTrip(t, Message{Payload: p}); !reflect.DeepEqual(got.Payload, p) {
+			t.Errorf("%T: nil vectors round-tripped to %+v", p, got.Payload)
 		}
-		// The frame the encoder refuses to build is one the decoder
-		// rejects: a one-element vector rewritten as "present, length 0".
-		frame, err := AppendMessage(nil, Message{Payload: &LossReq{W: one, Stream: st}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := frame[4:]
-		// type + envelope = 24 bytes, presence byte, u32 length, elements.
-		zero := append(append([]byte{}, body[:25]...), 0, 0, 0, 0)
-		zero = append(zero, body[29+tensor.ElemBytes():]...)
-		allocs := 0
-		if _, err := DecodeMessage(zero, func(d int) []float64 { allocs++; return make([]float64, d) }, nil); err == nil || allocs != 0 {
-			t.Errorf("%v: zero-length present vector decoded (err %v, %d allocations)", class, err, allocs)
-		}
-		restore()
+	}
+	// The frame the encoder refuses to build is one the decoder rejects:
+	// a one-element vector rewritten as "present, length 0".
+	frame, err := AppendMessage(nil, Message{Payload: &LossReq{W: one, Stream: st}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := frame[4:]
+	// type + envelope = 24 bytes, presence byte, u32 length, elements.
+	zero := append(append([]byte{}, body[:25]...), 0, 0, 0, 0)
+	zero = append(zero, body[29+8:]...)
+	allocs := 0
+	if _, err := DecodeMessage(zero, func(d int) []float64 { allocs++; return make([]float64, d) }, nil); err == nil || allocs != 0 {
+		t.Errorf("zero-length present vector decoded (err %v, %d allocations)", err, allocs)
 	}
 }
 
