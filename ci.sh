@@ -51,13 +51,24 @@ go test -race ./internal/simnet/... ./internal/wire/... ./internal/quant/... ./i
 # both regimes are testable on any machine. sse2 and avx2f32 have no leg:
 # they bind the generic and the avx2 bodies, so they would only re-run
 # those legs (their names are asserted selectable below). -count=1
-# because the test cache does not key on HIERFAIR_KERNEL. The race legs
-# re-run the fl and core suites, whose slots fan fl.Fold's lane rows out
-# over sched.For.
+# because only the packages whose tests read HIERFAIR_KERNEL while they
+# run (tensor, model, fl and the engine packages through fltest,
+# invariance, experiments) key their cached results on it; the others
+# would hand back the default class's result. The race legs re-run the
+# fl and core suites, whose slots fan fl.Fold's lane rows out over
+# sched.For.
 for KC in generic avx2; do
 	HIERFAIR_KERNEL=$KC go test -count=1 ./...
 	HIERFAIR_KERNEL=$KC go test -race -count=1 ./internal/fl/ ./internal/core/
 done
+# The key itself: tensor's default-class result is cached by the first
+# go test above, and an unknown class panics in tensor's init, so this
+# run without -count=1 must fail. A cached ok means the tests no longer
+# read the variable.
+if HIERFAIR_KERNEL=bogus go test ./internal/tensor >/dev/null 2>&1; then
+	echo "ci: HIERFAIR_KERNEL=bogus go test ./internal/tensor passed: the test cache no longer keys on the kernel class" >&2
+	exit 1
+fi
 
 # Short fuzz smoke on the simplex projections, the wire codec, the
 # uniform quantizer and the mean kernel: a few seconds per target

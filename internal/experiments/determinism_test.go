@@ -47,6 +47,9 @@ var pinnedDigests = map[tensor.KernelClass]map[string]uint64{
 // regime (sse2 shares generic's, avx2f32 avx2's), or nil when none are
 // pinned.
 func regimeDigests() map[string]uint64 {
+	// Keys the go test cache on the forced class (see keyKernelClass in
+	// internal/fl/fltest).
+	_ = os.Getenv(tensor.KernelEnv)
 	switch c := tensor.ActiveKernel(); c {
 	case tensor.KernelSSE2:
 		return pinnedDigests[tensor.KernelGeneric]

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/data"
@@ -9,10 +10,14 @@ import (
 	"repro/internal/model"
 	"repro/internal/quant"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 	"repro/internal/topology"
 )
 
 func toyShard(seed uint64, n int) data.Subset {
+	// Keys the go test cache on the forced class (see keyKernelClass in
+	// internal/fl/fltest, which this package's tests cannot import).
+	_ = os.Getenv(tensor.KernelEnv)
 	r := rng.New(seed)
 	var s data.Subset
 	for i := 0; i < n; i++ {

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
 // ToyProfile is a 4-class, 10-feature prototype dataset in which class 3
@@ -39,6 +41,7 @@ func ToyProblem(seed uint64) *fl.Problem {
 // ToyProblemClients is ToyProblem with a custom client count per area
 // (used by the multi-layer tests, whose trees need composite counts).
 func ToyProblemClients(seed uint64, clientsPerArea int) *fl.Problem {
+	keyKernelClass()
 	train, test := ToyProfile().Generate(40, 40, seed)
 	fed := data.OneClassPerArea(train, test, clientsPerArea, seed+1)
 	return fl.NewProblem(fed, model.NewLinear(10, 4))
@@ -46,6 +49,7 @@ func ToyProblemClients(seed uint64, clientsPerArea int) *fl.Problem {
 
 // ToyMLPProblem is the non-convex variant of ToyProblem.
 func ToyMLPProblem(seed uint64) *fl.Problem {
+	keyKernelClass()
 	train, test := ToyProfile().Generate(40, 40, seed)
 	fed := data.OneClassPerArea(train, test, 2, seed+1)
 	return fl.NewProblem(fed, model.NewMLP(10, 12, 8, 4))
@@ -73,12 +77,18 @@ func ToyConfig() fl.Config {
 // that a round is dominated by model-sized vector work: the shape on
 // which a model-sized allocation per round is visible.
 func WideProblem(seed uint64) *fl.Problem {
+	keyKernelClass()
 	p := ToyProfile()
 	p.Dim, p.Classes = 784, 10
 	train, test := p.Generate(12, 4, seed)
 	fed := data.OneClassPerArea(train, test, 2, seed+1)
 	return fl.NewProblem(fed, model.NewLinear(784, 10))
 }
+
+// keyKernelClass reads HIERFAIR_KERNEL while a test runs, so the go test
+// cache keys the result on the forced class (tensor's own read in init
+// precedes the recording); every problem constructor here calls it.
+func keyKernelClass() { _ = os.Getenv(tensor.KernelEnv) }
 
 // PooledAllocs is testing.AllocsPerRun (which holds the process to one
 // P) with the collector paused, so sync.Pool always hands back what was

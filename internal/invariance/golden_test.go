@@ -333,6 +333,9 @@ func cases(stats map[string]string) map[string]func() (*fl.Result, error) {
 // TestSSE2BindsGeneric and TestAVX2F32BindsAVX2 (in internal/tensor) and
 // TestCrossClassGoldens below keep that sharing honest.
 func goldenFile(c tensor.KernelClass) string {
+	// Keys the go test cache on the forced class (see keyKernelClass in
+	// internal/fl/fltest).
+	_ = os.Getenv(tensor.KernelEnv)
 	if c == tensor.KernelAVX2 || c == tensor.KernelAVX2F32 {
 		return "testdata/trajectories_avx2.json"
 	}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/rng"
@@ -17,6 +18,9 @@ import (
 // example order.
 
 func randBatch(r *rng.Stream, n, in, classes int) (xs [][]float64, ys []int) {
+	// Keys the go test cache on the forced class (see keyKernelClass in
+	// internal/fl/fltest, which this package's tests cannot import).
+	_ = os.Getenv(tensor.KernelEnv)
 	xs = make([][]float64, n)
 	ys = make([]int, n)
 	for i := range xs {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/rng"
@@ -37,6 +38,9 @@ func GradCheck(m Model, w []float64, xs [][]float64, ys []int, nProbe int, r *rn
 
 // randomBatch builds a small synthetic batch for gradient checks.
 func randomBatch(r *rng.Stream, n, d, classes int) ([][]float64, []int) {
+	// Keys the go test cache on the forced class (see keyKernelClass in
+	// internal/fl/fltest, which this package's tests cannot import).
+	_ = os.Getenv(tensor.KernelEnv)
 	xs := make([][]float64, n)
 	ys := make([]int, n)
 	for i := range xs {

@@ -21,13 +21,13 @@ import (
 //     repository benchmark still times one leg per class.
 //   - KernelAVX2: the AVX2+FMA tier. Fused multiply-add rounds once
 //     where mul+add rounds twice, so this class is a distinct rounding
-//     regime with its own golden fixtures. Served by 8-lane AVX-512
-//     assembly when the CPU has AVX-512F, by 4-lane AVX2 assembly when
-//     it has AVX2+FMA (the two bodies keep the same partial sums, so
-//     the same bits), and by bit-identical
-//     math.FMA pure-Go twins (simd_fma_ref.go) everywhere else — FMA
-//     is a correctly-rounded operation, so the class is reproducible
-//     on any hardware.
+//     regime with its own golden fixtures. Served by 4-lane AVX2
+//     assembly when the CPU has AVX2+FMA — with 8-lane AVX-512 bodies
+//     of dot, dot4x2 and stepRows in their place when it also has
+//     AVX-512F (the two bodies keep the same partial sums, so the same
+//     bits) — and by bit-identical math.FMA pure-Go twins
+//     (simd_fma_ref.go) everywhere else — FMA is a correctly-rounded
+//     operation, so the class is reproducible on any hardware.
 //   - KernelAVX2F32: another name for the FMA regime. It binds the avx2
 //     set, so it shares avx2's bits, goldens and speed; like sse2, the
 //     name stays selectable because the repository benchmark still

@@ -9,19 +9,20 @@ import (
 // hits: GemmT 4×48×10 is one Linear forward chunk on the smoke spec,
 // 64×784×10 a full-width MNIST-scale logreg chunk, and Axpy 48 the
 // weight-gradient accumulation row. Every benchmark runs once per
-// distinct kernel set (generic/avx2 sub-benchmarks via SetKernel; sse2
-// binds the generic set and avx2f32 the avx2 set, so either would only
-// duplicate rows), so a single
-// `go test -bench` invocation yields comparable per-class numbers on
-// one machine.
+// distinct kernel set, so a single `go test -bench` invocation yields
+// comparable per-set numbers on one machine.
 
-// benchClasses runs fn under each forced kernel class.
+// benchClasses runs fn once per rung of testRungs, with that rung's set
+// bound: generic and avx2 (sse2 binds the generic set and avx2f32 the
+// avx2 set, so either would only duplicate rows) and, on an AVX-512
+// host, the avx2 class's AVX2 bodies as avx2-ymm beside the set the
+// class binds there.
 func benchClasses(b *testing.B, fn func(b *testing.B)) {
-	for _, c := range []KernelClass{KernelGeneric, KernelAVX2} {
-		c := c
-		b.Run(c.String(), func(b *testing.B) {
-			restore := SetKernel(c)
-			defer restore()
+	for _, rg := range testRungs(b) {
+		b.Run(rg.name, func(b *testing.B) {
+			prev := kernels
+			kernels = rg.impl
+			defer func() { kernels = prev }()
 			fn(b)
 		})
 	}
@@ -158,15 +159,13 @@ func BenchmarkAverageInto(b *testing.B) {
 	}
 }
 
-// BenchmarkMean times every rung's mean kernel directly — on an AVX-512
-// host that includes the avx2 class's AVX2 body (archRungs) beside the
-// AVX-512 one it binds — at the sweep's shape (d = 490, 48 inputs), a
-// small edge's Linear mean (d = 7 850, 3 inputs), a 48-input Linear
-// mean and the MLP's (d = 266 610, 3 inputs).
+// BenchmarkMean times every rung's mean kernel directly at the sweep's
+// shape (d = 490, 48 inputs), a small edge's Linear mean (d = 7 850, 3
+// inputs), a 48-input Linear mean and the MLP's (d = 266 610, 3 inputs).
 func BenchmarkMean(b *testing.B) {
 	for _, s := range []struct{ d, k int }{{490, 48}, {7850, 3}, {7850, 48}, {266610, 3}} {
-		for _, rg := range testRungs(b) {
-			b.Run(fmt.Sprintf("d=%d/k=%d/%s", s.d, s.k, rg.name), func(b *testing.B) {
+		b.Run(fmt.Sprintf("d=%d/k=%d", s.d, s.k), func(b *testing.B) {
+			benchClasses(b, func(b *testing.B) {
 				vecs := make([][]float64, s.k)
 				for i := range vecs {
 					vecs[i], _ = benchVec(s.d)
@@ -176,10 +175,10 @@ func BenchmarkMean(b *testing.B) {
 				b.SetBytes(int64(8 * s.d * (s.k + 1)))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					rg.impl.mean(dst, inv, vecs)
+					kernels.mean(dst, inv, vecs)
 				}
 			})
-		}
+		})
 	}
 }
 

@@ -5,10 +5,10 @@ package tensor
 import "repro/internal/tensor/cpufeat"
 
 // Assembly kernel declarations and the FMA sets the CPU offers: the
-// avx2 class's AVX-512 bodies when the CPUID probe confirms AVX-512F,
-// its AVX2 bodies when it confirms AVX2+FMA (plus OS YMM state), and the
-// bit-identical pure-Go twins otherwise. dispatch.go decides which class
-// binds which set.
+// avx2 class's AVX2 bodies when the CPUID probe confirms AVX2+FMA (plus
+// OS YMM state), with three AVX-512 bodies in their place when it also
+// confirms AVX-512F, and the bit-identical pure-Go twins otherwise.
+// dispatch.go decides which class binds which set.
 
 // AVX2+FMA kernels (simd_avx2_amd64.s), bit-identical to the math.FMA
 // twins in simd_fma_ref.go. Callable only when cpufeat reports
@@ -83,7 +83,7 @@ func sumExpShiftAsmChunked(x []float64, shift float64) float64 {
 	return s
 }
 
-// AVX-512 bodies of the avx2 class's float64 kernels
+// AVX-512 bodies of three of the avx2 class's float64 kernels
 // (simd_avx512_amd64.s): the same bits as the AVX2 ones above, with
 // 8-lane ZMM accumulators and the register blocking the 16-register
 // YMM file cannot hold. Callable only when haveAVX512Asm.
@@ -92,16 +92,7 @@ func sumExpShiftAsmChunked(x []float64, shift float64) float64 {
 func dotAVX512(x, y []float64) float64
 
 //go:noescape
-func axpyToAVX512(dst []float64, a float64, x, y []float64)
-
-//go:noescape
-func dot4AVX512(x, y0, y1, y2, y3 []float64) (r0, r1, r2, r3 float64)
-
-//go:noescape
 func dot4x2AVX512(x0, x1, y0, y1, y2, y3 []float64) (r00, r01, r02, r03, r10, r11, r12, r13 float64)
-
-//go:noescape
-func axpy4AVX512(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
 
 // stepRowAVX512 writes dst[e] = fma(a, Σ_k cf[k]·rows[k][e], w[e]) with
 // the sum chained by FMA from +0 in k order, in registers.
@@ -191,9 +182,9 @@ func haveAVX2Asm() bool { return cpufeat.X86.HasAVX2 && cpufeat.X86.HasFMA }
 // their AVX-512 bodies.
 func haveAVX512Asm() bool { return haveAVX2Asm() && cpufeat.X86.HasAVX512F }
 
-// fmaKernels is the avx2 class's float64 set on this CPU: the AVX-512
-// bodies where it has AVX-512F, else the AVX2 ones, else the math.FMA
-// twins — one rounding regime, three speeds.
+// fmaKernels is the avx2 class's float64 set on this CPU: avx512Kernels
+// where it has AVX-512F, else avx2Kernels, else the math.FMA twins — one
+// rounding regime, three speeds.
 func fmaKernels() kernelSet {
 	switch {
 	case haveAVX512Asm():
@@ -214,12 +205,11 @@ func avx2Kernels() kernelSet {
 	}
 }
 
-// avx512Kernels is the avx2 class's AVX-512 set: the AVX2 set with the
-// ZMM bodies of the BLAS kernels and the two register-blocked ones. The
-// exponential and the mean stay 4-lane.
+// avx512Kernels is the avx2 class's set on AVX-512: the AVX2 set with ZMM
+// dot (faster end to end than its YMM body) and the two kernels that need
+// the 32-register file, dot4x2 and stepRows.
 func avx512Kernels() kernelSet {
 	ks := avx2Kernels()
-	ks.dot, ks.axpyTo, ks.dot4 = dotAVX512, axpyToAVX512, dot4AVX512
-	ks.dot4x2, ks.axpy4, ks.stepRows = dot4x2AVX512, axpy4AVX512, stepRowsZMM
+	ks.dot, ks.dot4x2, ks.stepRows = dotAVX512, dot4x2AVX512, stepRowsZMM
 	return ks
 }

@@ -2,14 +2,13 @@
 
 #include "textflag.h"
 
-// AVX-512 bodies of the avx2 class's float64 kernels, executable only
+// AVX-512 bodies of three of the avx2 class's float64 kernels, run only
 // when cpufeat reports AVX-512F with the OS saving the ZMM and opmask
-// state (the dispatch in simd_amd64.go checks). They are a second
-// implementation of the same rounding regime, not a new one: every
-// kernel performs exactly the floating-point operations of its AVX2
-// twin in simd_avx2_amd64.s, and so of the math.FMA twins in
-// simd_fma_ref.go, which TestKernelsMatchReference asserts for both
-// assembly bodies.
+// state (simd_amd64.go checks). They are a second implementation of the
+// same rounding regime, not a new one: every kernel performs exactly the
+// floating-point operations of its AVX2 twin in simd_avx2_amd64.s, and
+// so of the math.FMA twins in simd_fma_ref.go, which
+// TestKernelsMatchReference asserts for both assembly bodies.
 //
 // Lane layout: one 8-lane ZMM accumulator holds the eight partial sums
 // t0..t7 that dotAVX2 keeps in two YMM accumulators — lanes 0-3 are its
@@ -17,15 +16,16 @@
 // REDUCE8 first adds the upper half to the lower one, which is
 // dotAVX2's first reduction step with the same operand order. The
 // remaining steps and the scalar FMA tails are dotAVX2's instructions.
-// The elementwise kernels (axpyTo, axpy4, stepRow) have no lanes to
-// keep: their per-element FMA chains are the AVX2 ones at any width,
-// with every FMA's operand roles (coefficient × row + accumulator)
-// kept, so even NaN payloads propagate alike.
+// stepRow is elementwise, with no lanes to keep: its per-element FMA
+// chain is the AVX2 one, every FMA's operand roles (coefficient × row +
+// accumulator) kept, so even NaN payloads propagate alike.
 //
-// The 32 ZMM registers are what the AVX2 body lacks: dot4x2 keeps eight
-// accumulators for two x rows × four B rows, and stepRow keeps a
-// 64-element slice of its weight-gradient row in eight accumulators
-// across all of a row's examples. Every routine ends in VZEROUPPER.
+// Why these three: dot read faster end to end than on YMM, and the 32
+// ZMM registers are what the AVX2 body lacks for dot4x2 (eight
+// accumulators for two x rows × four B rows) and stepRow (a 64-element
+// slice of its weight-gradient row in eight accumulators across a row's
+// examples). The other kernels run their AVX2 bodies, whose ZMM forms
+// bought a few percent at most (EXPERIMENTS.md). All end in VZEROUPPER.
 
 // REDUCE8 reduces the ZMM accumulator Z (whose lower halves are Y and X)
 // to the scalar ((t0+t4)+(t2+t6)) + ((t1+t5)+(t3+t7)) in X, using TY/TX
@@ -91,118 +91,6 @@ zdscalar:
 
 zddone:
 	VMOVSD     X0, ret+48(FP)
-	VZEROUPPER
-	RET
-
-// func axpyToAVX512(dst []float64, a float64, x, y []float64)
-//
-// dst = fma(a, x, y), 32, then 8 elements per step, then a scalar tail.
-// Each step loads x and y before it stores dst, so dst may alias either.
-TEXT ·axpyToAVX512(SB), NOSPLIT, $0-80
-	MOVQ         dst_base+0(FP), DX
-	VBROADCASTSD a+24(FP), Z0
-	MOVQ         x_base+32(FP), SI
-	MOVQ         x_len+40(FP), CX
-	MOVQ         y_base+56(FP), DI
-	MOVQ         CX, BX
-	ANDQ         $-32, BX
-	XORQ         AX, AX
-	CMPQ         BX, $0
-	JE           za8
-
-za32:
-	VMOVUPD     (DI)(AX*8), Z1
-	VMOVUPD     64(DI)(AX*8), Z2
-	VMOVUPD     128(DI)(AX*8), Z3
-	VMOVUPD     192(DI)(AX*8), Z4
-	VFMADD231PD (SI)(AX*8), Z0, Z1
-	VFMADD231PD 64(SI)(AX*8), Z0, Z2
-	VFMADD231PD 128(SI)(AX*8), Z0, Z3
-	VFMADD231PD 192(SI)(AX*8), Z0, Z4
-	VMOVUPD     Z1, (DX)(AX*8)
-	VMOVUPD     Z2, 64(DX)(AX*8)
-	VMOVUPD     Z3, 128(DX)(AX*8)
-	VMOVUPD     Z4, 192(DX)(AX*8)
-	ADDQ        $32, AX
-	CMPQ        AX, BX
-	JLT         za32
-
-za8:
-	MOVQ CX, BX
-	ANDQ $-8, BX
-
-za8loop:
-	CMPQ        AX, BX
-	JGE         zatail
-	VMOVUPD     (DI)(AX*8), Z1
-	VFMADD231PD (SI)(AX*8), Z0, Z1
-	VMOVUPD     Z1, (DX)(AX*8)
-	ADDQ        $8, AX
-	JMP         za8loop
-
-zatail:
-	CMPQ        AX, CX
-	JGE         zadone
-	VMOVSD      (DI)(AX*8), X1
-	VFMADD231SD (SI)(AX*8), X0, X1
-	VMOVSD      X1, (DX)(AX*8)
-	INCQ        AX
-	JMP         zatail
-
-zadone:
-	VZEROUPPER
-	RET
-
-// func dot4AVX512(x, y0, y1, y2, y3 []float64) (r0, r1, r2, r3 float64)
-TEXT ·dot4AVX512(SB), NOSPLIT, $0-152
-	MOVQ   x_base+0(FP), SI
-	MOVQ   x_len+8(FP), CX
-	MOVQ   y0_base+24(FP), DI
-	MOVQ   y1_base+48(FP), R8
-	MOVQ   y2_base+72(FP), R9
-	MOVQ   y3_base+96(FP), R10
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	MOVQ   CX, BX
-	ANDQ   $-8, BX
-	XORQ   AX, AX
-	CMPQ   BX, $0
-	JE     z4reduce
-
-z4loop:
-	VMOVUPD     (SI)(AX*8), Z8
-	VFMADD231PD (DI)(AX*8), Z8, Z0
-	VFMADD231PD (R8)(AX*8), Z8, Z1
-	VFMADD231PD (R9)(AX*8), Z8, Z2
-	VFMADD231PD (R10)(AX*8), Z8, Z3
-	ADDQ        $8, AX
-	CMPQ        AX, BX
-	JLT         z4loop
-
-z4reduce:
-	REDUCE8(Z0, Y0, X0, Y8, X8)
-	REDUCE8(Z1, Y1, X1, Y8, X8)
-	REDUCE8(Z2, Y2, X2, Y8, X8)
-	REDUCE8(Z3, Y3, X3, Y8, X8)
-
-z4scalar:
-	CMPQ        AX, CX
-	JGE         z4done
-	VMOVSD      (SI)(AX*8), X10
-	VFMADD231SD (DI)(AX*8), X10, X0
-	VFMADD231SD (R8)(AX*8), X10, X1
-	VFMADD231SD (R9)(AX*8), X10, X2
-	VFMADD231SD (R10)(AX*8), X10, X3
-	INCQ        AX
-	JMP         z4scalar
-
-z4done:
-	VMOVSD     X0, r0+120(FP)
-	VMOVSD     X1, r1+128(FP)
-	VMOVSD     X2, r2+136(FP)
-	VMOVSD     X3, r3+144(FP)
 	VZEROUPPER
 	RET
 
@@ -289,88 +177,6 @@ z42done:
 	VMOVSD     X5, r11+184(FP)
 	VMOVSD     X6, r12+192(FP)
 	VMOVSD     X7, r13+200(FP)
-	VZEROUPPER
-	RET
-
-// func axpy4AVX512(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
-//
-// y[i] = fma(a3,x3[i], fma(a2,x2[i], fma(a1,x1[i], fma(a0,x0[i],y[i])))),
-// 32, then 8 elements per step, then a scalar tail.
-TEXT ·axpy4AVX512(SB), NOSPLIT, $0-152
-	VBROADCASTSD a0+0(FP), Z0
-	VBROADCASTSD a1+8(FP), Z1
-	VBROADCASTSD a2+16(FP), Z2
-	VBROADCASTSD a3+24(FP), Z3
-	MOVQ         x0_base+32(FP), R8
-	MOVQ         x1_base+56(FP), R9
-	MOVQ         x2_base+80(FP), R10
-	MOVQ         x3_base+104(FP), R11
-	MOVQ         y_base+128(FP), DI
-	MOVQ         y_len+136(FP), CX
-	MOVQ         CX, BX
-	ANDQ         $-32, BX
-	XORQ         AX, AX
-	CMPQ         BX, $0
-	JE           zq8
-
-zq32:
-	VMOVUPD     (DI)(AX*8), Z4
-	VMOVUPD     64(DI)(AX*8), Z5
-	VMOVUPD     128(DI)(AX*8), Z6
-	VMOVUPD     192(DI)(AX*8), Z7
-	VFMADD231PD (R8)(AX*8), Z0, Z4
-	VFMADD231PD 64(R8)(AX*8), Z0, Z5
-	VFMADD231PD 128(R8)(AX*8), Z0, Z6
-	VFMADD231PD 192(R8)(AX*8), Z0, Z7
-	VFMADD231PD (R9)(AX*8), Z1, Z4
-	VFMADD231PD 64(R9)(AX*8), Z1, Z5
-	VFMADD231PD 128(R9)(AX*8), Z1, Z6
-	VFMADD231PD 192(R9)(AX*8), Z1, Z7
-	VFMADD231PD (R10)(AX*8), Z2, Z4
-	VFMADD231PD 64(R10)(AX*8), Z2, Z5
-	VFMADD231PD 128(R10)(AX*8), Z2, Z6
-	VFMADD231PD 192(R10)(AX*8), Z2, Z7
-	VFMADD231PD (R11)(AX*8), Z3, Z4
-	VFMADD231PD 64(R11)(AX*8), Z3, Z5
-	VFMADD231PD 128(R11)(AX*8), Z3, Z6
-	VFMADD231PD 192(R11)(AX*8), Z3, Z7
-	VMOVUPD     Z4, (DI)(AX*8)
-	VMOVUPD     Z5, 64(DI)(AX*8)
-	VMOVUPD     Z6, 128(DI)(AX*8)
-	VMOVUPD     Z7, 192(DI)(AX*8)
-	ADDQ        $32, AX
-	CMPQ        AX, BX
-	JLT         zq32
-
-zq8:
-	MOVQ CX, BX
-	ANDQ $-8, BX
-
-zq8loop:
-	CMPQ        AX, BX
-	JGE         zqtail
-	VMOVUPD     (DI)(AX*8), Z4
-	VFMADD231PD (R8)(AX*8), Z0, Z4
-	VFMADD231PD (R9)(AX*8), Z1, Z4
-	VFMADD231PD (R10)(AX*8), Z2, Z4
-	VFMADD231PD (R11)(AX*8), Z3, Z4
-	VMOVUPD     Z4, (DI)(AX*8)
-	ADDQ        $8, AX
-	JMP         zq8loop
-
-zqtail:
-	CMPQ        AX, CX
-	JGE         zqdone
-	VMOVSD      (DI)(AX*8), X4
-	VFMADD231SD (R8)(AX*8), X0, X4
-	VFMADD231SD (R9)(AX*8), X1, X4
-	VFMADD231SD (R10)(AX*8), X2, X4
-	VFMADD231SD (R11)(AX*8), X3, X4
-	VMOVSD      X4, (DI)(AX*8)
-	INCQ        AX
-	JMP         zqtail
-
-zqdone:
 	VZEROUPPER
 	RET
 

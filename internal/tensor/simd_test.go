@@ -3,6 +3,7 @@ package tensor
 import (
 	"encoding/binary"
 	"math"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -62,6 +63,12 @@ type rung struct {
 }
 
 func testRungs(t testing.TB) []rung {
+	// Read the forcing variable while a test runs: the go test cache
+	// keys a result on the variables the test reads, and tensor's own
+	// read in init comes before the test binary starts recording them,
+	// so without this read a forced-class run could be handed another
+	// class's cached result.
+	_ = os.Getenv(KernelEnv)
 	rs := []rung{
 		// The generic rung is its own reference; TestFusedDotsMatchSingles
 		// pins its fused dots to its singles.
